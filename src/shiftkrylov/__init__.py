@@ -8,21 +8,19 @@ single-vector baselines needed for comparison plus an experiment harness
 with a command-line interface.
 """
 
-from .arnoldi import (ArnoldiState, BlockArnoldiState, Replacement,
-                      arnoldi_extend, block_arnoldi, block_arnoldi_extend,
-                      block_arnoldi_start, start_arnoldi,
+from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
+                      block_arnoldi_extend, block_arnoldi_start,
                       subspace_equality_angle)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
 from .block_solvers import (DecollinearizeStrategy, decollinearize,
                             detect_collinear, sbfom, sbgmres)
 from .dense import (EigenPairs, hessenberg_eigen, hessenberg_least_squares,
-                    householder_qr, rank_revealing_qr, solve_small_dense)
+                    solve_small_dense)
 from .errors import (BreakdownError, CollinearityError, ConfigError,
                      DimensionError, EigenConvergenceError,
                      MatrixMarketError, NearSingularError, ShiftKrylovError,
                      SingularMatrixError)
-from .recycling import (AugmentedShiftOperator, RecycleSpace,
-                        build_augmented_operator, load_recycle_space,
+from .recycling import (RecycleSpace, load_recycle_space,
                         oblique_project_shift,
                         orthogonal_residual_projection, rgmres_baseline,
                         rsbgmres, save_recycle_space, shift_rebase,
@@ -36,21 +34,18 @@ from .sparse import (ShiftedFamily, SparseMatrix, add_shift, block_matvec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArnoldiState", "AugmentedShiftOperator", "BlockArnoldiState",
-    "BreakdownError", "CollinearityError", "ConfigError",
+    "BlockArnoldiState", "BreakdownError", "CollinearityError", "ConfigError",
     "DecollinearizeStrategy", "DimensionError", "EigenConvergenceError",
     "EigenPairs", "MatrixMarketError", "NearSingularError", "RecycleSpace",
     "Replacement", "ShiftKrylovError", "ShiftedFamily", "SingularMatrixError",
     "SolveReport", "SolverConfig", "SparseMatrix", "add_shift",
-    "arnoldi_extend", "block_arnoldi", "block_arnoldi_extend",
-    "block_arnoldi_start", "block_matvec", "build_augmented_operator",
-    "decollinearize", "detect_collinear", "fom_restarted",
+    "block_arnoldi", "block_arnoldi_extend", "block_arnoldi_start",
+    "block_matvec", "decollinearize", "detect_collinear", "fom_restarted",
     "generate_convection_diffusion", "gmres_restarted", "hessenberg_eigen",
-    "hessenberg_least_squares", "householder_qr", "load_recycle_space",
-    "matvec", "oblique_project_shift", "orthogonal_residual_projection",
-    "rank_revealing_qr", "read_dense_matrix_market", "read_matrix_market",
-    "rgmres_baseline", "rsbgmres", "save_recycle_space", "sbfom", "sbgmres",
-    "sfom", "sgmres", "shift_rebase", "solve_small_dense", "start_arnoldi",
-    "subspace_equality_angle", "update_recycle_space",
-    "write_dense_matrix_market", "write_matrix_market",
+    "hessenberg_least_squares", "load_recycle_space", "matvec",
+    "oblique_project_shift", "orthogonal_residual_projection",
+    "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
+    "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",
+    "shift_rebase", "solve_small_dense", "subspace_equality_angle",
+    "update_recycle_space", "write_dense_matrix_market", "write_matrix_market",
 ]

@@ -1,11 +1,13 @@
-"""Single-vector and block Arnoldi processes.
+"""The block Arnoldi process, the package's one Krylov basis builder.
 
-Both variants orthogonalize with modified Gram-Schmidt plus one
-unconditional reorthogonalization pass, which keeps basis orthonormality
-near working precision without selective heuristics.  The block process
-supports an optional projection against a recycle space (the image basis
-``C``), in which case every operator application is ``(I - C C*) A`` and
-the removed components are accumulated as coupling rows ``B_j = C* A W_j``.
+Block size one is the single-vector process.  Each new block is
+orthogonalized by two passes of block classical Gram-Schmidt against the
+whole basis (stable for full-rank blocks: Carson, Lund, Rozloznik &
+Thomas, LAA 2022), then by a two-pass column-wise QR inside the block.
+The process supports an optional projection against a recycle space (the
+image basis ``C``), in which case every operator application is
+``(I - C C*) A`` and the removed components are accumulated as coupling
+rows ``B_j = C* A W_j``.
 
 Dependent block candidates are replaced by fresh pseudo-random vectors so
 the block size never shrinks; every replacement is logged with the seed
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .dense import householder_qr
 from .errors import BreakdownError, DimensionError
-from .sparse import COMPLEX, SparseMatrix, block_matvec, matvec
+from .sparse import COMPLEX, SparseMatrix, block_matvec
 
 BREAKDOWN_RTOL = 1e-14   # happy-breakdown threshold, relative to ||A||_F
 DEPENDENCY_TOL = 1e-10   # relative diagonal threshold for dependent columns
@@ -38,72 +40,6 @@ class Replacement:
     seed_key: tuple
 
 
-@dataclass(frozen=True)
-class ArnoldiState:
-    """State after ``steps`` single-vector Arnoldi steps.
-
-    ``basis`` is n x (steps+1) with orthonormal columns and ``hess`` is
-    (steps+1) x steps upper Hessenberg so that ``A V_j = V_{j+1} Hbar_j``.
-    On happy breakdown the trailing zero row is dropped: ``basis`` is
-    n x steps, ``hess`` is steps x steps and the relation is exact on an
-    invariant subspace.
-    """
-
-    basis: np.ndarray
-    hess: np.ndarray
-    steps: int
-    breakdown: bool = False
-
-
-def start_arnoldi(v) -> ArnoldiState:
-    """State holding only the normalized start vector."""
-    v = np.asarray(v, dtype=COMPLEX).ravel()
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise DimensionError("start vector must be nonzero")
-    return ArnoldiState(basis=(v / nrm)[:, None],
-                        hess=np.zeros((1, 0), dtype=COMPLEX), steps=0)
-
-
-def arnoldi_extend(a: SparseMatrix, state: ArnoldiState, steps: int) -> ArnoldiState:
-    """Extend the basis by up to ``steps`` vectors.
-
-    Returns a new state; stops early with ``breakdown=True`` when the next
-    direction has norm below ``1e-14 * ||A||_F``, which signals an
-    invariant subspace (for GMRES, an exact solution in the current
-    space).
-    """
-    if steps < 1:
-        raise DimensionError("steps must be >= 1")
-    if state.breakdown:
-        return state
-    v = state.basis.copy()
-    h = state.hess.copy()
-    j = state.steps
-    thresh = BREAKDOWN_RTOL * a.frobenius_norm
-    for _ in range(steps):
-        w = matvec(a, v[:, j])
-        col = np.zeros(j + 1, dtype=COMPLEX)
-        for _pass in range(2):
-            for i in range(j + 1):
-                c = np.vdot(v[:, i], w)
-                col[i] += c
-                w -= c * v[:, i]
-        nrm = np.linalg.norm(w)
-        hn = np.zeros((h.shape[0] + 1, h.shape[1] + 1), dtype=COMPLEX)
-        hn[:h.shape[0], :h.shape[1]] = h
-        hn[:j + 1, j] = col
-        if nrm <= thresh:
-            h = hn[:j + 1, :]   # drop the zero row, keep the square relation
-            j += 1
-            return ArnoldiState(v, h, j, breakdown=True)
-        hn[j + 1, j] = nrm
-        h = hn
-        v = np.hstack([v, (w / nrm)[:, None]])
-        j += 1
-    return ArnoldiState(v, h, j)
-
-
 class _InvariantSubspace(Exception):
     """Internal signal: every candidate direction is dependent and no
     replacement direction exists; the span is operator-invariant.
@@ -112,7 +48,7 @@ class _InvariantSubspace(Exception):
     build before the ambient space ran out (empty for a clean closing).
     """
 
-    def __init__(self, v_partial=None, r_partial=None):
+    def __init__(self, v_partial, r_partial):
         super().__init__("invariant subspace")
         self.v_partial = v_partial
         self.r_partial = r_partial
@@ -132,7 +68,8 @@ class BlockArnoldiState:
     When the span becomes operator-invariant and the ambient space is
     exhausted, the state closes with ``invariant=True``: ``basis`` then
     has steps*L columns, ``hess`` is square and the relation holds with
-    no trailing block (the analogue of single-vector happy breakdown).
+    no trailing block.  At block size one this is a happy breakdown that
+    exhausted the space; an earlier one leaves a zero subdiagonal entry.
     """
 
     basis: np.ndarray
@@ -158,17 +95,13 @@ def _random_direction(n, seed_key):
     return rng.standard_normal(n).astype(COMPLEX)
 
 
-def _orthogonalize(z, against_blocks, coeff_sink=None):
-    """Two-pass MGS of the single vector ``z`` against each block; the
-    accumulated coefficients per block are added into ``coeff_sink``."""
+def _orthogonalize(z, against_blocks):
+    """Two-pass MGS of the single vector ``z`` against each block."""
     for _pass in range(2):
-        for idx, blk in enumerate(against_blocks):
+        for blk in against_blocks:
             if blk is None or blk.shape[1] == 0:
                 continue
-            c = blk.conj().T @ z
-            z = z - blk @ c
-            if coeff_sink is not None:
-                coeff_sink[idx] += c
+            z = z - blk @ (blk.conj().T @ z)
     return z
 
 
@@ -200,7 +133,7 @@ def _block_qr_replace(z, prev_blocks, step, tol, seed, log, scale):
     columns, so the Arnoldi relation stays exact to the threshold.
     """
     n, ell = z.shape
-    _, r_probe = householder_qr(z)
+    r_probe = scipy.linalg.qr(z, mode="r", check_finite=False)[0]
     ref = np.abs(np.diag(r_probe)).max() if ell else 0.0
     all_dependent = ref <= BREAKDOWN_RTOL * scale
     v = np.zeros((n, ell), dtype=COMPLEX)
@@ -293,43 +226,29 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         raw_scale = max(float(np.linalg.norm(z)), a.frobenius_norm)
         h_col = np.zeros(((j + 1) * ell, ell), dtype=COMPLEX)
         b_col = np.zeros((k, ell), dtype=COMPLEX)
-        for c in range(ell):
-            w = z[:, c]
-            for _pass in range(2):
-                if k:
-                    cc = c_basis.conj().T @ w
-                    b_col[:, c] += cc
-                    w = w - c_basis @ cc
-                for i in range(j + 1):
-                    blk = basis[:, i * ell:(i + 1) * ell]
-                    coef = blk.conj().T @ w
-                    h_col[i * ell:(i + 1) * ell, c] += coef
-                    w = w - blk @ coef
-            z[:, c] = w
+        # two passes of block classical Gram-Schmidt; V* Z is formed as
+        # (Z* V)* so only the small block is conjugated, not the basis
+        for _pass in range(2):
+            if k:
+                cc = (z.conj().T @ c_basis).conj().T
+                b_col += cc
+                z -= c_basis @ cc
+            h = (z.conj().T @ basis).conj().T
+            h_col += h
+            z -= basis @ h
         prev = ([c_basis] if k else []) + [basis]
         try:
             v_new, r_new = _block_qr_replace(z, prev, j + 1, state.dep_tol,
                                              state.seed, log, scale=raw_scale)
         except _InvariantSubspace as sig:
-            # close the relation on the invariant span: one more Hessenberg
-            # column block and whatever partial basis block the step built
-            # before the ambient space ran out (possibly none, in which
-            # case the coefficient matrix becomes square)
-            tail = 0 if sig.v_partial is None else sig.v_partial.shape[1]
-            hess_n = np.zeros(((j + 1) * ell + tail, (j + 1) * ell),
-                              dtype=COMPLEX)
-            hess_n[:(j + 1) * ell, :j * ell] = hess
-            hess_n[:(j + 1) * ell, j * ell:] = h_col
-            if tail:
-                hess_n[(j + 1) * ell:, j * ell:] = sig.r_partial
-                basis = np.hstack([basis, sig.v_partial])
-            hess = hess_n
-            if k:
-                coupling = np.hstack([coupling, b_col])
-            j += 1
+            # close the relation on the invariant span with whatever
+            # partial basis block the step built before the ambient space
+            # ran out (possibly none, in which case the coefficient matrix
+            # becomes square)
+            v_new, r_new = sig.v_partial, sig.r_partial
             invariant = True
-            break
-        hess_n = np.zeros(((j + 2) * ell, (j + 1) * ell), dtype=COMPLEX)
+        hess_n = np.zeros(((j + 1) * ell + v_new.shape[1], (j + 1) * ell),
+                          dtype=COMPLEX)
         hess_n[:(j + 1) * ell, :j * ell] = hess
         hess_n[:(j + 1) * ell, j * ell:] = h_col
         hess_n[(j + 1) * ell:, j * ell:] = r_new
@@ -338,6 +257,8 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
             coupling = np.hstack([coupling, b_col])
         basis = np.hstack([basis, v_new])
         j += 1
+        if invariant:
+            break
     return BlockArnoldiState(
         basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
         replacements=tuple(log), coupling=coupling, projector_c=c_basis,

@@ -1,6 +1,8 @@
 """Single-vector baselines: restarted GMRES and FOM, and the classical
 collinear-residual shifted solvers that share one single-vector Krylov
-space across all shifts.
+space across all shifts.  Every basis comes from the block Arnoldi
+process at block size one, and every solver runs on the restart
+scaffold of :mod:`.block_solvers`.
 
 The collinear methods are the comparison points for the block solvers:
 they are cheap (one vector per step serves every shift) but only apply
@@ -12,18 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arnoldi import arnoldi_extend, start_arnoldi
-from .block_solvers import _run_cycles, detect_collinear
-from .dense import hessenberg_least_squares, solve_small_dense
+from .arnoldi import block_arnoldi_extend, block_arnoldi_start
+from .block_solvers import (_end_cycle, _finish, _min_residual,
+                            _nonzero_collinear, _reference_direction,
+                            _run_cycles, _start, _unit_relation)
+from .dense import solve_small_dense
 from .errors import CollinearityError, NearSingularError
 from .recycling import shifted_hessenberg
-from .report import SolveReport, SolverConfig
+from .report import SolverConfig
 from .sparse import COMPLEX, ShiftedFamily, SparseMatrix, add_shift
-
-
-def _as_column(v):
-    v = np.asarray(v, dtype=COMPLEX)
-    return v[:, None] if v.ndim == 1 else v
 
 
 def gmres_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
@@ -34,9 +33,7 @@ def gmres_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
     so its iterates coincide exactly with the block method at block size
     one.
     """
-    x0 = np.zeros_like(np.asarray(b)) if x0 is None else x0
-    family = ShiftedFamily(a, np.array([0.0], dtype=COMPLEX),
-                           _as_column(b), _as_column(x0))
+    family = ShiftedFamily(a, [0.0], b, x0)
     x, report, _ = _run_cycles(family, cfg, kind="gmres", method="gmres")
     return x[:, 0], report
 
@@ -45,35 +42,18 @@ def fom_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
     """Restarted FOM (Galerkin condition per cycle).  Returns
     ``(x, report)``; a singular Galerkin system skips that cycle's update
     and is noted."""
-    x0 = np.zeros_like(np.asarray(b)) if x0 is None else x0
-    family = ShiftedFamily(a, np.array([0.0], dtype=COMPLEX),
-                           _as_column(b), _as_column(x0))
+    family = ShiftedFamily(a, [0.0], b, x0)
     x, report, _ = _run_cycles(family, cfg, kind="fom", method="fom")
     return x[:, 0], report
 
 
-def _collinear_setup(family, cfg, method):
-    rhs_norms = np.linalg.norm(family.rhs, axis=0)
-    report = SolveReport(method=method, shifts=family.shifts.copy(),
-                         rhs_norms=rhs_norms, seed=cfg.seed)
-    targets = cfg.tolerance * rhs_norms if cfg.relative \
-        else np.full(family.n_shifts, cfg.tolerance)
-    x = family.initial_guess.astype(COMPLEX).copy()
-    if np.any(x):
-        r = family.residual_block(x)
-        report.block_matvecs += 1
-        report.matvecs += family.n_shifts
-    else:
-        r = family.rhs.astype(COMPLEX).copy()
-    resid = np.linalg.norm(r, axis=0)
-    converged = resid <= targets
-    if family.n_shifts > 1 and not converged.all():
-        live = np.nonzero(resid > 0.0)[0]
-        if len(live) > 1 and not detect_collinear(r[:, live]):
-            raise CollinearityError(
-                f"{method} requires pairwise collinear initial residuals; "
-                "use a block method for unrelated right-hand sides")
-    return report, targets, x, r, resid, converged
+def _require_collinear(r, resid, converged, method):
+    """Raise unless the nonzero initial residuals are pairwise collinear."""
+    if not converged.all() and np.count_nonzero(resid) > 1 \
+            and not _nonzero_collinear(r):
+        raise CollinearityError(
+            f"{method} requires pairwise collinear initial residuals; "
+            "use a block method for unrelated right-hand sides")
 
 
 def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
@@ -81,51 +61,48 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
 
     One system (``base_index``, by default the smallest shift in modulus,
     which is typically the hardest) is minimized per cycle over the Krylov
-    space of its own shifted operator.  Every other shifted iterate is
+    space of its own shifted operator, built by the block Arnoldi process
+    at block size one; a happy breakdown switches every shift to the exact
+    square solve on the invariant subspace.  Every other shifted iterate is
     chosen so its residual stays a scalar multiple of the base residual,
     which costs one small bordered (m+1) x (m+1) solve per shift and per
     cycle.  Existence of those solutions is guaranteed for positive-real
     matrices and positive real shifts; a singular bordered system raises
     an error naming the shift.  Returns ``(x, report)``.
     """
-    report, targets, x, r, resid, converged = _collinear_setup(
-        family, cfg, "sgmres")
+    report, targets, x, r, resid, converged = _start(family, cfg, "sgmres")
+    _require_collinear(r, resid, converged, "sgmres")
     ell = family.n_shifts
     shifts = family.shifts
     base = int(np.argmin(np.abs(shifts))) if base_index is None \
         else int(base_index)
     a_base = add_shift(family.matrix, shifts[base])
     iteration = 0
-    for i in range(ell):
-        report.record(i, 0, 0, resid[i], converged[i])
+    r_true = None
     cycle = 0
     while cycle < cfg.max_cycles and not converged.all():
         cycle += 1
         report.cycles = cycle
+        active = ~converged
         beta = np.linalg.norm(r[:, base])
         if beta == 0.0:
             report.note(f"cycle {cycle}: base residual vanished exactly")
             break
         v1 = r[:, base] / beta
         factors = (v1.conj() @ r) / beta    # r_i ~= factors_i * r_base
-        state = start_arnoldi(v1)
+        arn = block_arnoldi_start(v1)
         rho = resid.copy()
         final = {}
         for _j in range(cfg.cycle_length):
-            state = arnoldi_extend(a_base, state, 1)
+            arn = block_arnoldi_extend(a_base, arn, 1)
             report.matvecs += 1
             iteration += 1
-            j = state.steps
-            hb = state.hess
+            j = arn.steps
+            basis, hb, breakdown = _unit_relation(arn)
             g = np.zeros(hb.shape[0], dtype=COMPLEX)
             g[0] = beta
-            if state.breakdown:
-                y_base, _ = solve_small_dense(hb, g)
-                z_hat = g - hb @ y_base
-            else:
-                y_base, _ = hessenberg_least_squares(hb, g)
-                z_hat = g - hb @ y_base
-            final[base] = (j, y_base, z_hat)
+            y_base, _ = _min_residual(hb, g)
+            z_hat = g - hb @ y_base
             rho[base] = np.linalg.norm(z_hat)
             for i in range(ell):
                 if i == base:
@@ -136,7 +113,7 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
                 h_shift = shifted_hessenberg(hb, 1, shifts[i] - shifts[base])
                 rhs = np.zeros(h_shift.shape[0], dtype=COMPLEX)
                 rhs[0] = factors[i] * beta
-                if state.breakdown:
+                if breakdown:
                     # invariant subspace: every shifted system is exactly
                     # solvable, no collinearity factor needed
                     sol_i, _ = solve_small_dense(h_shift, rhs)
@@ -159,14 +136,11 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
                               bool(rho[i] <= targets[i]))
             report.record(base, cycle, iteration, rho[base],
                           bool(rho[base] <= targets[base]))
-            if np.all(rho[~converged] <= targets[~converged]) \
-                    or state.breakdown:
+            if np.all(rho[~converged] <= targets[~converged]) or breakdown:
                 break
-        j_end, y_base, z_hat = final[base]
-        basis_j = state.basis[:, :j_end]
-        x[:, base] += basis_j @ y_base
-        r[:, base] = state.basis @ z_hat
-        gammas = {}
+        j_end = arn.steps
+        x[:, base] += basis[:, :j_end] @ y_base
+        r[:, base] = basis @ z_hat
         for i in range(ell):
             if i == base or converged[i]:
                 continue
@@ -176,60 +150,47 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
                             f"index {i}")
                 continue
             _, y_i, gamma = stored
-            x[:, i] += basis_j @ y_i
-            gammas[i] = gamma
-        for i, gamma in gammas.items():
+            x[:, i] += basis[:, :j_end] @ y_i
             r[:, i] = gamma * r[:, base]
-        resid = np.linalg.norm(r, axis=0)
-        converged = converged | (resid <= targets)
-        r_true = family.residual_block(x)
-        report.extra_matvecs += ell
-        drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
-            report.rhs_norms, 1e-300)
-        if np.any(drift > 1e-8):
-            report.note(f"cycle {cycle}: residual drift "
-                        f"{float(drift.max()):.2e}")
-    report.converged = [bool(c) for c in converged]
-    report.final_residuals = [float(v) for v in resid]
+        resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
+                                              converged, targets, active)
+    _finish(family, report, x, targets, r_true)
     return x, report
 
 
 def sfom(family: ShiftedFamily, cfg: SolverConfig):
     """Restarted shifted FOM with collinear residuals.
 
-    One shared Krylov basis per cycle; each shift gets the Galerkin solve
-    with its own diagonal shift of the square Hessenberg block.  The FOM
+    One shared Krylov basis per cycle, built by the block Arnoldi process
+    at block size one; each shift gets the Galerkin solve with its own
+    diagonal shift of the square Hessenberg block.  The FOM
     residual at cycle end is automatically parallel to the last Arnoldi
     vector, so collinearity survives every restart without extra work.
     Returns ``(x, report)``.
     """
-    report, targets, x, r, resid, converged = _collinear_setup(
-        family, cfg, "sfom")
+    report, targets, x, r, resid, converged = _start(family, cfg, "sfom")
+    _require_collinear(r, resid, converged, "sfom")
     ell = family.n_shifts
     shifts = family.shifts
     iteration = 0
-    for i in range(ell):
-        report.record(i, 0, 0, resid[i], converged[i])
+    r_true = None
     cycle = 0
     while cycle < cfg.max_cycles and not converged.all():
         cycle += 1
         report.cycles = cycle
-        live = np.nonzero(resid > 0.0)[0]
-        ref = int(live[np.argmax(resid[live])])
-        nrm = resid[ref]
-        v1 = r[:, ref] / nrm
-        beta = v1.conj() @ r    # per-shift collinearity coefficients
-        state = start_arnoldi(v1)
+        active = ~converged
+        v1, beta = _reference_direction(r)   # r_i = beta_i * v1
+        arn = block_arnoldi_start(v1)
         rho = resid.copy()
         final = {}
         for _j in range(cfg.cycle_length):
-            state = arnoldi_extend(family.matrix, state, 1)
+            arn = block_arnoldi_extend(family.matrix, arn, 1)
             report.matvecs += 1
             iteration += 1
-            j = state.steps
-            hb = state.hess
+            j = arn.steps
+            basis, hb, breakdown = _unit_relation(arn)
             h_sq = hb[:j, :]
-            sub = 0.0 if state.breakdown else hb[j, j - 1]
+            sub = 0.0 if breakdown else hb[j, j - 1]
             for i in range(ell):
                 if converged[i]:
                     report.record(i, cycle, iteration, resid[i], True)
@@ -246,31 +207,22 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
                 rho[i] = abs(sub * y[-1])
                 report.record(i, cycle, iteration, rho[i],
                               bool(rho[i] <= targets[i]))
-            if np.all(rho[~converged] <= targets[~converged]) \
-                    or state.breakdown:
+            if np.all(rho[~converged] <= targets[~converged]) or breakdown:
                 break
-        j_end = state.steps
-        for i in np.nonzero(~converged)[0]:
+        j_end = arn.steps
+        for i in np.nonzero(active)[0]:
             stored = final.get(i)
             if stored is None or stored[0] != j_end:
                 report.note(f"cycle {cycle}: singular Galerkin system for "
                             f"shift index {i}; update skipped")
                 continue
             _, y = stored
-            h_sigma = shifted_hessenberg(state.hess, 1, shifts[i])
-            x[:, i] += state.basis[:, :j_end] @ y
-            g_full = np.zeros(state.hess.shape[0], dtype=COMPLEX)
+            h_sigma = shifted_hessenberg(hb, 1, shifts[i])
+            x[:, i] += basis[:, :j_end] @ y
+            g_full = np.zeros(hb.shape[0], dtype=COMPLEX)
             g_full[0] = beta[i]
-            r[:, i] = state.basis @ (g_full - h_sigma @ y)
-        resid = np.linalg.norm(r, axis=0)
-        converged = converged | (resid <= targets)
-        r_true = family.residual_block(x)
-        report.extra_matvecs += ell
-        drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
-            report.rhs_norms, 1e-300)
-        if np.any(drift > 1e-8):
-            report.note(f"cycle {cycle}: residual drift "
-                        f"{float(drift.max()):.2e}")
-    report.converged = [bool(c) for c in converged]
-    report.final_residuals = [float(v) for v in resid]
+            r[:, i] = basis @ (g_full - h_sigma @ y)
+        resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
+                                              converged, targets, active)
+    _finish(family, report, x, targets, r_true)
     return x, report

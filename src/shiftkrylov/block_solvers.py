@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import (block_arnoldi_extend, block_arnoldi_start,
-                      arnoldi_extend, start_arnoldi)
+from .arnoldi import block_arnoldi_extend, block_arnoldi_start
 from .dense import hessenberg_least_squares, solve_small_dense
 from .errors import (CollinearityError, DimensionError, NearSingularError,
                      ShiftKrylovError)
@@ -98,24 +97,48 @@ def _reference_direction(r):
     return v1, beta
 
 
+def _unit_relation(arn):
+    """Basis, Hessenberg matrix and happy-breakdown flag of a
+    block-size-one Arnoldi state, with ``A basis[:, :steps] = basis hess``.
+    The last step broke down when the relation closed square
+    (``invariant``) or left an exact zero subdiagonal entry (the vanished
+    direction was replaced); the exact square leading relation is then
+    returned, else the tall one."""
+    j = arn.steps
+    rows = j if arn.invariant or arn.hess[j, j - 1] == 0.0 else j + 1
+    return arn.basis[:, :rows], arn.hess[:rows, :], rows == j
+
+
+def _min_residual(h, g):
+    """Minimize ``||g - h y||`` over a tall Hessenberg relation, or solve
+    exactly when a happy breakdown closed the relation square.  Returns
+    ``(y, residual_norm)``."""
+    if h.shape[0] == h.shape[1]:
+        y, _ = solve_small_dense(h, g)
+        return y, float(np.linalg.norm(g - h @ y))
+    return hessenberg_least_squares(h, g)
+
+
 def _strategy_gmres_cycle(family, x, r, m_init, report):
     """One shared single-vector cycle; every shifted residual is
     minimized over it through its own shifted Hessenberg problem."""
     a = family.matrix
     v1, beta = _reference_direction(r)
-    state = arnoldi_extend(a, start_arnoldi(v1), m_init)
-    j = state.steps
+    arn = block_arnoldi_start(v1)
+    for _ in range(m_init):
+        arn = block_arnoldi_extend(a, arn, 1)
+        basis, hess, breakdown = _unit_relation(arn)
+        if breakdown:
+            break
+    j = arn.steps
     report.matvecs += j
     for i in range(family.n_shifts):
-        h_sigma = shifted_hessenberg(state.hess, 1, family.shifts[i])
+        h_sigma = shifted_hessenberg(hess, 1, family.shifts[i])
         g = np.zeros(h_sigma.shape[0], dtype=COMPLEX)
         g[0] = beta[i]
-        if state.breakdown:
-            y, _ = solve_small_dense(h_sigma, g)
-        else:
-            y, _ = hessenberg_least_squares(h_sigma, g)
-        x[:, i] += state.basis[:, :j] @ y
-        r[:, i] -= state.basis @ (h_sigma @ y)
+        y, _ = _min_residual(h_sigma, g)
+        x[:, i] += basis[:, :j] @ y
+        r[:, i] -= basis @ (h_sigma @ y)
     return x, r, j
 
 
@@ -208,6 +231,71 @@ def decollinearize(family: ShiftedFamily, strategy: DecollinearizeStrategy):
     return x, r, fragment
 
 
+def _start(family: ShiftedFamily, cfg: SolverConfig, method):
+    """State of a restarted solve before its first cycle.
+
+    Returns ``(report, targets, x, r, resid, converged)``: the report with
+    the cycle-0 rows recorded, the per-shift residual targets, the initial
+    iterate and residual block (one counted block product when the initial
+    guess is nonzero), the residual norms and the converged flags.
+    """
+    rhs_norms = np.linalg.norm(family.rhs, axis=0)
+    report = SolveReport(method=method, shifts=family.shifts.copy(),
+                         rhs_norms=rhs_norms, seed=cfg.seed)
+    targets = cfg.tolerance * rhs_norms if cfg.relative \
+        else np.full(family.n_shifts, cfg.tolerance)
+    x = family.initial_guess.astype(COMPLEX).copy()
+    if np.any(x):
+        r = family.residual_block(x)
+        report.block_matvecs += 1
+        report.matvecs += family.n_shifts
+    else:
+        r = family.rhs.astype(COMPLEX).copy()
+    resid = np.linalg.norm(r, axis=0)
+    converged = resid <= targets
+    for i in range(family.n_shifts):
+        report.record(i, 0, 0, resid[i], converged[i])
+    return report, targets, x, r, resid, converged
+
+
+def _end_cycle(family: ShiftedFamily, report, cycle, x, r, converged,
+               targets, active):
+    """Cycle-end bookkeeping: recurrence residual norms and the converged
+    update, then the true residual (counted in ``extra_matvecs``) with a
+    note when an ``active`` shift's recurrence residual drifted from it.
+
+    Returns ``(resid, converged, r_true)``.
+    """
+    resid = np.linalg.norm(r, axis=0)
+    converged = converged | (resid <= targets)
+    r_true = family.residual_block(x)
+    report.extra_matvecs += family.n_shifts
+    drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
+        report.rhs_norms, 1e-300)
+    if np.any(drift[active] > _DRIFT_TOL):
+        worst = int(np.argmax(drift))
+        report.note(f"cycle {cycle}: recurrence residual drifted "
+                    f"{drift[worst]:.2e} from the true residual for "
+                    f"shift index {worst}")
+    return resid, converged, r_true
+
+
+def _finish(family: ShiftedFamily, report, x, targets, r_true):
+    """Set the final flags from the true residual, so ``converged[i]``
+    means ``||b_i - (A + sigma_i I) x_i|| <= target_i``.
+
+    ``r_true`` is the true residual of ``x`` from the last cycle end, or
+    None when the solve left the loop without one; it is then computed
+    here and counted in ``extra_matvecs``.
+    """
+    if r_true is None:
+        r_true = family.residual_block(x)
+        report.extra_matvecs += family.n_shifts
+    true = np.linalg.norm(r_true, axis=0)
+    report.converged = [bool(t <= g) for t, g in zip(true, targets)]
+    report.final_residuals = [float(t) for t in true]
+
+
 def _cycle_seed(seed, cycle):
     return seed * 1000003 + cycle
 
@@ -234,23 +322,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     a = family.matrix
     ell = family.n_shifts
     shifts = family.shifts
-    rhs_norms = np.linalg.norm(family.rhs, axis=0)
-    report = SolveReport(method=method, shifts=shifts.copy(),
-                         rhs_norms=rhs_norms, seed=cfg.seed)
-    targets = cfg.tolerance * rhs_norms if cfg.relative \
-        else np.full(ell, cfg.tolerance)
-    x = family.initial_guess.astype(COMPLEX).copy()
-    if np.any(x):
-        r = family.residual_block(x)
-        report.block_matvecs += 1
-        report.matvecs += ell
-    else:
-        r = family.rhs.astype(COMPLEX).copy()
-    resid = np.linalg.norm(r, axis=0)
-    converged = resid <= targets
+    report, targets, x, r, resid, converged = _start(family, cfg, method)
     iteration = 0
-    for i in range(ell):
-        report.record(i, 0, 0, resid[i], converged[i])
+    r_true = None
 
     cur_space = space if space is not None else RecycleSpace.empty(family.n)
     k_now = cur_space.k
@@ -284,6 +358,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         cur_space, shifts[i], r_hat, x_hat, a)
                 r[:, i] = r_hat
                 x[:, i] = x_hat
+            r_true = None
             resid = np.linalg.norm(r, axis=0)
             newly = resid <= targets
             for i in range(ell):
@@ -327,14 +402,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 g_vec = np.zeros(g_mat.shape[0], dtype=COMPLEX)
                 g_vec[:ell] = arn.s0[:, i]
                 if kind == "gmres":
-                    if g_mat.shape[0] == g_mat.shape[1]:
-                        # invariant subspace: the relation closed square
-                        y, _ = solve_small_dense(g_mat, g_vec)
-                        rho_i = float(np.linalg.norm(g_vec - g_mat @ y))
-                    else:
-                        y, rho_i = hessenberg_least_squares(g_mat, g_vec)
+                    y, rho[i] = _min_residual(g_mat, g_vec)
                     cache[i] = (j, y, g_mat, g_vec)
-                    rho[i] = rho_i
                 else:
                     try:
                         y, _ = solve_small_dense(g_mat[:j * ell, :],
@@ -372,17 +441,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         for rec in arn.replacements:
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))
-        resid = np.linalg.norm(r, axis=0)
-        converged = converged | (resid <= targets)
-
-        r_true = family.residual_block(x)
-        report.extra_matvecs += ell
-        drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(rhs_norms, 1e-300)
-        if np.any(drift[active] > _DRIFT_TOL):
-            worst = int(np.argmax(drift))
-            report.note(f"cycle {cycle}: recurrence residual drifted "
-                        f"{drift[worst]:.2e} from the true residual for "
-                        f"shift index {worst}")
+        resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
+                                              converged, targets, active)
         stalled = active & (resid > targets) & \
             (resid_at_start - resid < _STAGNATION_TOL * resid_at_start)
         if np.any(stalled):
@@ -404,8 +464,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                     report.note(f"cycle {cycle}: recycle update failed "
                                 f"({exc}); space kept")
 
-    report.converged = [bool(c) for c in converged]
-    report.final_residuals = [float(v) for v in resid]
+    _finish(family, report, x, targets, r_true)
     return x, report, cur_space
 
 

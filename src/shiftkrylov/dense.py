@@ -1,11 +1,11 @@
-"""Small dense kernels: Householder QR, Hessenberg least squares, small
-solves, a Hessenberg eigensolver for Ritz extraction, and QR-based
-dependency detection.
+"""Small dense kernels: band-aware Hessenberg least squares, small
+solves and a Hessenberg eigensolver for Ritz extraction.
 
 These operate on small matrices (Krylov coefficient data), so clarity wins
 over blocking tricks.  Householder reflections are written out explicitly
 because the least-squares path must expose its triangular factor and
-residual norm; the eigensolver defers to LAPACK.
+residual norm and skip the zeros below the band; the small solves and the
+eigensolver defer to LAPACK.
 """
 
 from __future__ import annotations
@@ -34,43 +34,6 @@ def _reflector(x):
     if vnorm == 0.0:
         return None
     return v / vnorm
-
-
-def householder_qr(m):
-    """Thin QR factorization ``m = q r`` by Householder reflections.
-
-    ``r`` is upper triangular with real non-negative diagonal; ``q`` has
-    orthonormal columns.  Requires at least as many rows as columns.
-    Rank deficiency shows up as (near) zero diagonal entries of ``r`` and
-    is detected downstream.
-    """
-    a = np.array(m, dtype=COMPLEX, copy=True)
-    if a.ndim != 2:
-        raise DimensionError("householder_qr expects a 2-d block")
-    n, k = a.shape
-    if n < k:
-        raise DimensionError("householder_qr requires n_rows >= n_cols")
-    reflectors = []
-    for c in range(k):
-        v = _reflector(a[c:, c])
-        reflectors.append(v)
-        if v is not None:
-            a[c:, c:] -= 2.0 * np.outer(v, v.conj() @ a[c:, c:])
-    r = np.triu(a[:k, :])
-    q = np.zeros((n, k), dtype=COMPLEX)
-    q[:k, :k] = np.eye(k)
-    for c in range(k - 1, -1, -1):
-        v = reflectors[c]
-        if v is not None:
-            q[c:, :] -= 2.0 * np.outer(v, v.conj() @ q[c:, :])
-    for c in range(k):
-        d = r[c, c]
-        if d != 0.0:
-            ph = d / abs(d)
-            r[c, c:] *= np.conj(ph)
-            q[:, c] *= ph
-            r[c, c] = r[c, c].real + 0.0j
-    return q, r
 
 
 def hessenberg_least_squares(h, g):
@@ -184,24 +147,3 @@ def hessenberg_eigen(h, want, count):
     ordering = "by-modulus-descending" if want == "largest" else "by-modulus-ascending"
     return EigenPairs(vals, vecs, ordering, residuals)
 
-
-def rank_revealing_qr(m, tol):
-    """QR factorization with diagonal-based dependency detection.
-
-    Columns are processed in their given order (no pivoting), matching
-    how block Arnoldi consumes candidate directions left to right.  The
-    numerical rank counts diagonal entries of ``r`` above
-    ``tol * max |diag r|``; ``dependent_columns`` lists the deficient
-    columns in ascending order.
-    """
-    if tol <= 0:
-        raise DimensionError("tol must be positive")
-    q, r = householder_qr(m)
-    d = np.abs(np.diag(r))
-    dmax = d.max() if d.size else 0.0
-    if dmax == 0.0:
-        dependent = list(range(r.shape[0]))
-        return (q, r), 0, dependent
-    keep = d > tol * dmax
-    dependent = [int(c) for c in np.nonzero(~keep)[0]]
-    return (q, r), int(keep.sum()), dependent

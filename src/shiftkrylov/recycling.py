@@ -1,6 +1,6 @@
 """Subspace recycling: the recycle-space pair (U, C), orthogonal and
-oblique residual projections, the shifted augmented Arnoldi operator, and
-Ritz-based space updates.
+oblique residual projections, the shifted augmented coefficient matrix,
+and Ritz-based space updates.
 
 The recycle space stores a basis U together with its image C = A U, where
 C has orthonormal columns.  For a shifted system the pair gives rise to an
@@ -17,12 +17,29 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import BlockArnoldiState
-from .dense import hessenberg_eigen, householder_qr
+from .dense import hessenberg_eigen
 from .errors import DimensionError, EigenConvergenceError, NearSingularError
-from .sparse import (COMPLEX, SparseMatrix, block_matvec,
+from .sparse import (COMPLEX, ShiftedFamily, SparseMatrix, block_matvec,
                      read_dense_matrix_market, write_dense_matrix_market)
 
 OBLIQUE_COND_LIMIT = 1e12
+
+
+def _qr(m):
+    """Thin QR ``m = q r`` with a real non-negative diagonal in ``r``.
+
+    The sign convention makes ``q`` unique for full-rank ``m``, so the
+    image basis of a recycle space does not depend on LAPACK's choice of
+    reflector signs.  Requires at least as many rows as columns.
+    """
+    if m.shape[0] < m.shape[1]:
+        raise DimensionError("QR of a recycle image needs n_rows >= n_cols")
+    q, r = scipy.linalg.qr(m, mode="economic", check_finite=False)
+    d = np.diag(r)
+    phase = np.exp(1j * np.angle(d))    # 1 where d == 0
+    r = r * phase.conj()[:, None]
+    r[np.diag_indices_from(r)] = np.abs(d)
+    return q * phase, r
 
 
 @dataclass(frozen=True)
@@ -74,7 +91,7 @@ class RecycleSpace:
         if basis.shape[1] == 0:
             return cls.empty(a.n_rows, provenance)
         image = block_matvec(a, basis)
-        q, r = householder_qr(image)
+        q, r = _qr(image)
         d = np.abs(np.diag(r))
         dmax = d.max() if d.size else 0.0
         if drop_tol is not None and dmax > 0.0:
@@ -84,7 +101,7 @@ class RecycleSpace:
                 if basis.shape[1] == 0:
                     return cls.empty(a.n_rows, provenance)
                 image = block_matvec(a, basis)
-                q, r = householder_qr(image)
+                q, r = _qr(image)
                 d = np.abs(np.diag(r))
                 dmax = d.max()
         if dmax == 0.0 or d.min() <= 1e-14 * dmax:
@@ -106,7 +123,7 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
     if space.k == 0 or delta == 0.0:
         return space
     image = space.c + delta * space.u
-    q, r = householder_qr(image)
+    q, r = _qr(image)
     d = np.abs(np.diag(r))
     if d.max() == 0.0 or d.min() <= 1e-14 * d.max():
         raise NearSingularError(
@@ -261,39 +278,6 @@ def assemble_augmented(hess, coupling, blocks: AugmentationBlocks,
     return g
 
 
-@dataclass(frozen=True)
-class AugmentedShiftOperator:
-    """Assembled shifted augmented Arnoldi data for one shift.
-
-    Satisfies ``(A + sigma I) [W_j U] = [W_{j+1} C Uhat] g_bar_sigma``.
-    """
-
-    g_bar_sigma: np.ndarray
-    blocks: AugmentationBlocks
-    sigma: complex
-
-
-def build_augmented_operator(space: RecycleSpace, arn: BlockArnoldiState,
-                             sigma) -> AugmentedShiftOperator:
-    """Assemble the augmented operator from a projected Arnoldi state."""
-    if arn.projector_c is None or arn.coupling.shape[0] != space.k:
-        if space.k != 0:
-            raise DimensionError(
-                "arnoldi state was not built against this recycle space")
-    if space.k == 0:
-        g = shifted_hessenberg(arn.hess, arn.block_size, sigma)
-        empty = AugmentationBlocks(
-            np.zeros((arn.hess.shape[0], 0), dtype=COMPLEX),
-            np.zeros((0, 0), dtype=COMPLEX),
-            np.zeros((arn.basis.shape[0], 0), dtype=COMPLEX),
-            np.zeros((0, 0), dtype=COMPLEX))
-        return AugmentedShiftOperator(g, empty, complex(sigma))
-    blocks = augmentation_blocks(space, arn.basis)
-    g = assemble_augmented(arn.hess, arn.coupling, blocks,
-                           arn.block_size, sigma)
-    return AugmentedShiftOperator(g, blocks, complex(sigma))
-
-
 def _harmonic_matrix(h_sq, h_last):
     """Square Hessenberg block plus the standard low-rank correction whose
     eigenpairs are the harmonic Ritz pairs."""
@@ -381,7 +365,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
         y = w @ wy + u @ uz
         image = arn.basis @ (arn.hess @ wy) + c @ (b @ wy + uz)
 
-    c_new, r_new = householder_qr(image)
+    c_new, r_new = _qr(image)
     d = np.abs(np.diag(r_new))
     if d.size == 0 or d.max() == 0.0 or d.min() <= 1e-12 * d.max():
         raise NearSingularError(
@@ -437,11 +421,7 @@ def rgmres_baseline(a: SparseMatrix, b, x0, cfg,
     augmented subproblem reduces to the classic projected form.  Returns
     ``(x, report, updated_space)``.
     """
-    from .sparse import ShiftedFamily
-    b = np.asarray(b, dtype=COMPLEX).ravel()
-    x0 = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=COMPLEX).ravel()
-    family = ShiftedFamily(a, np.array([0.0], dtype=COMPLEX),
-                           b[:, None], x0[:, None])
+    family = ShiftedFamily(a, [0.0], b, x0)
     x, rep, out_space = rsbgmres(family, cfg, space, k=k, mode=mode,
                                  update=update)
     rep.method = "rgmres"

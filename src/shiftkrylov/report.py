@@ -42,7 +42,8 @@ class SolveReport:
     across cycles and ``matvecs``/``block_matvecs`` are the totals at that
     point.  ``extra_matvecs`` counts diagnostic products (true-residual
     verification, recycle-space re-basing) that are not part of the
-    iteration itself.
+    iteration itself.  ``final_residuals`` and ``converged`` come from the
+    true residual ``b_i - (A + sigma_i I) x_i`` of the returned solution.
     """
 
     method: str

@@ -109,7 +109,7 @@ def matvec(a: SparseMatrix, x):
 
 
 def block_matvec(a: SparseMatrix, x):
-    """Column-by-column sparse product of a block of vectors.
+    """Sparse product of a block of vectors, as one CSR product.
 
     Column i of the result is bit-identical to ``matvec(a, x[:, i])``.
     Counts as one block product and ``x.shape[1]`` single products in
@@ -119,10 +119,7 @@ def block_matvec(a: SparseMatrix, x):
     if x.ndim != 2 or x.shape[0] != a.n_cols:
         raise DimensionError(f"block_matvec: block has shape {x.shape}, "
                              f"matrix has {a.n_cols} columns")
-    out = np.empty((a.n_rows, x.shape[1]), dtype=COMPLEX)
-    for i in range(x.shape[1]):
-        out[:, i] = matvec(a, x[:, i])
-    return out
+    return a._csr @ x.astype(COMPLEX, copy=False)
 
 
 def add_shift(a: SparseMatrix, sigma) -> SparseMatrix:

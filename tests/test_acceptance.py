@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from shiftkrylov import (RecycleSpace, ShiftedFamily, SolverConfig,
-                         add_shift, arnoldi_extend, block_arnoldi,
+                         add_shift, block_arnoldi,
                          fom_restarted, generate_convection_diffusion,
                          gmres_restarted, oblique_project_shift,
                          orthogonal_residual_projection, rsbgmres, sbfom,
-                         sbgmres, sfom, sgmres, start_arnoldi,
-                         subspace_equality_angle)
+                         sbgmres, sfom, sgmres, subspace_equality_angle)
 from shiftkrylov.harness import (ExperimentConfig, build_rhs, run_experiment,
                                  run_method, run_smooth_parameter_protocol,
                                  smooth_rhs)
@@ -37,11 +36,11 @@ def test_criterion_01_arnoldi_relations():
     a = random_sparse(200, density=0.05, seed=1, diag_boost=3.0)
     ad = a.to_dense()
     fro = a.frobenius_norm
-    # single vector
+    # single vector: the block process at block size one
     v = np.random.default_rng(2).standard_normal(200)
-    st = arnoldi_extend(a, start_arnoldi(v), 10)
-    assert np.linalg.norm(ad @ st.basis[:, :10] - st.basis @ st.hess) \
-        <= 1e-9 * fro
+    st = block_arnoldi(a, v, 10)
+    assert st.block_size == 1 and st.basis.shape == (200, 11)
+    assert np.linalg.norm(ad @ st.w - st.basis @ st.hess) <= 1e-9 * fro
     g = st.basis.conj().T @ st.basis
     assert np.linalg.norm(g - np.eye(g.shape[0])) <= 1e-10
     # block, unprojected
@@ -296,7 +295,7 @@ def test_criterion_08_baseline_collinearity():
         for i in range(1, 3):
             assert _sin(r[:, 0], r[:, i]) <= 1e-8
         if cycles == 1:
-            st = arnoldi_extend(a, start_arnoldi(b[:, 0]), m)
+            st = block_arnoldi(a, b[:, 0], m)
             v_next = st.basis[:, m]
             for i in range(3):
                 assert _sin(r[:, i], v_next) <= 1e-8

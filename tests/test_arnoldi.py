@@ -2,29 +2,42 @@ import numpy as np
 import pytest
 
 from shiftkrylov import (DimensionError, RecycleSpace, SparseMatrix,
-                         arnoldi_extend, block_arnoldi, block_arnoldi_extend,
-                         block_arnoldi_start, start_arnoldi,
-                         subspace_equality_angle)
+                         block_arnoldi, block_arnoldi_extend,
+                         block_arnoldi_start, subspace_equality_angle)
+from shiftkrylov.arnoldi import DEPENDENCY_TOL
+from shiftkrylov.block_solvers import _unit_relation
 from shiftkrylov.recycling import shifted_hessenberg
 
 from conftest import (block_krylov_powers, projected_sylvester_powers,
                       random_sparse, sylvester_powers)
 
 
+# ---------------------------------------------------------------------------
+# block size one: the single-vector process
+# ---------------------------------------------------------------------------
+
 def test_identity_breaks_down_immediately():
     a = SparseMatrix.identity(4)
     v = np.array([1.0, 2.0, 0.0, -1.0])
-    state = arnoldi_extend(a, start_arnoldi(v), 3)
-    assert state.breakdown and state.steps == 1
-    assert state.hess.shape == (1, 1)
-    assert state.hess[0, 0] == pytest.approx(1.0)
+    state = block_arnoldi_extend(a, block_arnoldi_start(v), 1)
+    # the vanished direction was replaced, leaving an exact zero
+    # subdiagonal entry
+    assert state.hess[1, 0] == 0.0
+    assert [rec.step for rec in state.replacements] == [1]
+    basis, hess, breakdown = _unit_relation(state)
+    assert breakdown and state.steps == 1
+    assert hess.shape == (1, 1) and basis.shape == (4, 1)
+    assert hess[0, 0] == pytest.approx(1.0)
 
 
 def test_grade_equals_distinct_eigenvalues():
     a = SparseMatrix.diagonal([1.0, 2.0])
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    state = arnoldi_extend(a, start_arnoldi(v), 5)
-    assert state.breakdown and state.steps == 2
+    state = block_arnoldi(a, v, 5)
+    # no replacement exists in the exhausted space: the relation closes
+    assert state.invariant and state.steps == 2
+    basis, hess, breakdown = _unit_relation(state)
+    assert breakdown and hess.shape == (2, 2) and basis.shape == (2, 2)
     # the basis spans the whole space
     assert np.linalg.matrix_rank(state.basis) == 2
 
@@ -32,7 +45,9 @@ def test_grade_equals_distinct_eigenvalues():
 def test_arnoldi_relation_random():
     a = random_sparse(20, density=0.3, seed=2)
     v = np.random.default_rng(3).standard_normal(20)
-    state = arnoldi_extend(a, start_arnoldi(v), 5)
+    state = block_arnoldi(a, v, 5)
+    basis, hess, breakdown = _unit_relation(state)
+    assert not breakdown and hess.shape == (6, 5) and basis.shape == (20, 6)
     ad = a.to_dense()
     rel = np.linalg.norm(ad @ state.basis[:, :5] - state.basis @ state.hess)
     assert rel <= 1e-10 * a.frobenius_norm
@@ -43,8 +58,9 @@ def test_arnoldi_relation_random():
 def test_arnoldi_extend_incrementally_matches():
     a = random_sparse(15, density=0.4, seed=9)
     v = np.random.default_rng(5).standard_normal(15)
-    one = arnoldi_extend(a, start_arnoldi(v), 4)
-    two = arnoldi_extend(a, arnoldi_extend(a, start_arnoldi(v), 2), 2)
+    one = block_arnoldi_extend(a, block_arnoldi_start(v), 4)
+    two = block_arnoldi_extend(
+        a, block_arnoldi_extend(a, block_arnoldi_start(v), 2), 2)
     assert np.allclose(one.basis, two.basis, atol=1e-14)
     assert np.allclose(one.hess, two.hess, atol=1e-14)
 
@@ -74,6 +90,28 @@ def test_block_identity_grade_one():
     # every candidate column was dependent after one application
     cols = [rec.column for rec in state.replacements if rec.step == 1]
     assert sorted(cols) == [0, 1]
+
+
+def test_block_start_replaces_near_dependent_column():
+    rng = np.random.default_rng(17)
+    m = rng.standard_normal((6, 3))
+    m[:, 2] = m[:, 0] + m[:, 1] + 1e-14 * rng.standard_normal(6)
+    state = block_arnoldi_start(m, seed=0)
+    assert [rec.column for rec in state.replacements] == [2]
+    assert state.s0[2, 2] == 0.0
+    # SVD oracle confirms the configured dependency level
+    s = np.linalg.svd(m, compute_uv=False)
+    assert s[2] / s[0] < DEPENDENCY_TOL
+
+
+def test_block_start_dependence_scale_invariant():
+    rng = np.random.default_rng(29)
+    m = rng.standard_normal((6, 4))
+    m[:, 3] = m[:, 1]  # one dependent column
+    scales = np.array([1.0, 5e-3, 12.0, 0.3])
+    for block in (m, m * scales[None, :]):
+        state = block_arnoldi_start(block, seed=0)
+        assert [rec.column for rec in state.replacements] == [3]
 
 
 def test_block_relation_and_rank():

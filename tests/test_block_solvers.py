@@ -6,8 +6,8 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          add_shift, block_arnoldi, decollinearize,
                          detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
-                         hessenberg_least_squares, sbfom, sbgmres,
-                         solve_small_dense)
+                         hessenberg_least_squares, rsbgmres, sbfom,
+                         sbgmres, sfom, sgmres, solve_small_dense)
 from shiftkrylov.recycling import shifted_hessenberg
 
 from conftest import random_sparse
@@ -300,3 +300,47 @@ def test_solvers_exact_when_space_exhausted_mid_block():
         assert rep.converged == [True, True, True]
         true = fam.residual_block(x)
         assert np.linalg.norm(true) <= 1e-9 * np.linalg.norm(b)
+
+
+# ---------------------------------------------------------------------------
+# final flags: converged means the true residual met its target
+# ---------------------------------------------------------------------------
+
+def _solve_with(name, a, b, shifts, cfg):
+    """Run one solver; returns the solution columns, the report and the
+    shifts and right-hand sides it solved for."""
+    if name in ("gmres_restarted", "fom_restarted"):
+        solve = gmres_restarted if name == "gmres_restarted" else fom_restarted
+        x, rep = solve(a, b[:, 0], None, cfg)
+        return x[:, None], rep, np.zeros(1), b[:, :1]
+    if name in ("sgmres", "sfom"):
+        b = np.tile(b[:, :1], (1, len(shifts)))   # collinear residuals
+    fam = ShiftedFamily(a, shifts, b, None)
+    if name == "rsbgmres":
+        x, rep, _ = rsbgmres(fam, cfg, None, k=4)
+    else:
+        solve = {"sbgmres": sbgmres, "sbfom": sbfom, "sgmres": sgmres,
+                 "sfom": sfom}[name]
+        x, rep = solve(fam, cfg)
+    return x, rep, fam.shifts, fam.rhs
+
+
+@pytest.mark.parametrize("case", ["one-cycle", "many-cycles", "zero-rhs"])
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres", "sgmres",
+                                  "sfom", "gmres_restarted", "fom_restarted"])
+def test_converged_flags_match_true_residual(name, case):
+    a = generate_convection_diffusion(7, 15.0)
+    b = np.random.default_rng(43).standard_normal((49, 3))
+    if case == "zero-rhs":
+        b[:] = 0.0      # converged before the first cycle
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, seed=1,
+                       max_cycles=1 if case == "one-cycle" else 40)
+    x, rep, shifts, rhs = _solve_with(name, a, b, [1e-3, 1e-1, 5.0], cfg)
+    ad = a.to_dense()
+    for i, sigma in enumerate(shifts):
+        # dense oracle for the true residual
+        true = np.linalg.norm(rhs[:, i] - (ad + sigma * np.eye(49)) @ x[:, i])
+        target = cfg.tolerance * np.linalg.norm(rhs[:, i])
+        assert rep.converged[i] == (true <= target)
+        assert rep.final_residuals[i] == pytest.approx(
+            true, rel=1e-10, abs=1e-14)

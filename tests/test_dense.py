@@ -3,18 +3,19 @@ import pytest
 
 from shiftkrylov import (DimensionError, NearSingularError,
                          SingularMatrixError, hessenberg_eigen,
-                         hessenberg_least_squares, householder_qr,
-                         rank_revealing_qr, solve_small_dense)
+                         hessenberg_least_squares, solve_small_dense)
+# the thin QR with a real non-negative diagonal that builds recycle spaces
+from shiftkrylov.recycling import _qr
 
 
 def test_qr_identity():
-    q, r = householder_qr(np.eye(3))
+    q, r = _qr(np.eye(3))
     assert np.allclose(q, np.eye(3), atol=1e-15)
     assert np.allclose(r, np.eye(3), atol=1e-15)
 
 
 def test_qr_single_column_normalization():
-    q, r = householder_qr(np.array([[0.0], [3.0], [4.0]]))
+    q, r = _qr(np.array([[0.0], [3.0], [4.0]]))
     assert np.allclose(r, [[5.0]], atol=1e-14)
     assert np.allclose(q, [[0.0], [0.6], [0.8]], atol=1e-14)
 
@@ -22,7 +23,7 @@ def test_qr_single_column_normalization():
 def test_qr_reconstruction_random():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    q, r = householder_qr(m)
+    q, r = _qr(m)
     scale = np.linalg.norm(m)
     assert np.linalg.norm(q @ r - m) <= 1e-12 * scale
     assert np.linalg.norm(q.conj().T @ q - np.eye(3)) <= 1e-12
@@ -34,7 +35,7 @@ def test_qr_reconstruction_random():
 
 def test_qr_requires_tall():
     with pytest.raises(DimensionError):
-        householder_qr(np.ones((2, 3)))
+        _qr(np.ones((2, 3)))
 
 
 def test_hessenberg_ls_exact():
@@ -138,35 +139,3 @@ def test_eigen_residual_field():
     assert np.all(pairs.residuals <= 1e-8 * np.linalg.norm(h))
     assert pairs.ordering == "by-modulus-descending"
 
-
-def test_rank_revealing_exact_collinearity():
-    v = np.array([1.0, 2.0, -1.0])
-    m = np.column_stack([v, 2 * v])
-    (_, _), rank, dependent = rank_revealing_qr(m, 1e-10)
-    assert rank == 1 and dependent == [1]
-
-
-def test_rank_revealing_full_rank():
-    (_, _), rank, dependent = rank_revealing_qr(np.eye(4), 1e-10)
-    assert rank == 4 and dependent == []
-
-
-def test_rank_revealing_near_dependence():
-    rng = np.random.default_rng(17)
-    m = rng.standard_normal((6, 3))
-    m[:, 2] = m[:, 0] + m[:, 1] + 1e-14 * rng.standard_normal(6)
-    (_, _), rank, dependent = rank_revealing_qr(m, 1e-10)
-    assert rank == 2 and dependent == [2]
-    # SVD oracle confirms the configured dependency level
-    s = np.linalg.svd(m, compute_uv=False)
-    assert s[2] / s[0] < 1e-10
-
-
-def test_rank_revealing_scale_invariance():
-    rng = np.random.default_rng(29)
-    m = rng.standard_normal((6, 4))
-    m[:, 3] = m[:, 1]  # one dependent column
-    (_, _), rank, dep = rank_revealing_qr(m, 1e-10)
-    scales = np.array([1.0, 5e-3, 12.0, 0.3])
-    (_, _), rank_s, dep_s = rank_revealing_qr(m * scales[None, :], 1e-10)
-    assert rank_s == rank and dep_s == dep

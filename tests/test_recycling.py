@@ -3,13 +3,14 @@ import pytest
 
 from shiftkrylov import (NearSingularError, RecycleSpace, ShiftedFamily,
                          SolverConfig, SparseMatrix, add_shift,
-                         block_arnoldi, build_augmented_operator,
+                         block_arnoldi,
                          generate_convection_diffusion, gmres_restarted,
                          load_recycle_space, oblique_project_shift,
                          orthogonal_residual_projection, rgmres_baseline,
                          rsbgmres, save_recycle_space, sbgmres,
                          update_recycle_space)
-from shiftkrylov.recycling import shifted_hessenberg
+from shiftkrylov.recycling import (assemble_augmented, augmentation_blocks,
+                                   shifted_hessenberg)
 
 from conftest import random_sparse
 
@@ -124,26 +125,27 @@ def test_augmented_operator_zero_shift_collapses():
     r0 = rng.standard_normal((18, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
     arn = block_arnoldi(a, r0, 3, projector=space, seed=0)
-    op = build_augmented_operator(space, arn, 0.0)
+    blocks = augmentation_blocks(space, arn.basis)
+    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, 0.0)
     k = 3
     # bottom sigma*N block vanishes
-    assert np.linalg.norm(op.g_bar_sigma[-k:, :]) == 0.0
+    assert np.linalg.norm(g_bar[-k:, :]) == 0.0
     # the relation reduces to the unshifted augmented relation
     ad = a.to_dense()
-    concat = np.hstack([arn.basis, space.c, op.blocks.u_hat])
+    concat = np.hstack([arn.basis, space.c, blocks.u_hat])
     lhs = ad @ np.hstack([arn.w, space.u])
-    assert np.linalg.norm(lhs - concat @ op.g_bar_sigma) \
-        <= 1e-9 * a.frobenius_norm
+    assert np.linalg.norm(lhs - concat @ g_bar) <= 1e-9 * a.frobenius_norm
 
 
 def test_augmented_operator_empty_space_is_plain_hessenberg():
     a = random_sparse(18, seed=18, diag_boost=4.0)
     r0 = np.random.default_rng(19).standard_normal((18, 2))
     arn = block_arnoldi(a, r0, 3, seed=0)
-    space = RecycleSpace.empty(18)
-    op = build_augmented_operator(space, arn, 0.25)
-    assert np.array_equal(op.g_bar_sigma,
-                          shifted_hessenberg(arn.hess, 2, 0.25))
+    blocks = augmentation_blocks(RecycleSpace.empty(18), arn.basis)
+    # no recycle directions: no coupling rows and no trailing columns
+    no_coupling = np.zeros((0, arn.hess.shape[1]), dtype=complex)
+    g_bar = assemble_augmented(arn.hess, no_coupling, blocks, 2, 0.25)
+    assert np.array_equal(g_bar, shifted_hessenberg(arn.hess, 2, 0.25))
 
 
 def test_augmented_relation_random_shift():
@@ -154,11 +156,12 @@ def test_augmented_relation_random_shift():
     r0 -= space.c @ (space.c.conj().T @ r0)
     arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
     sigma = 0.3
-    op = build_augmented_operator(space, arn, sigma)
+    blocks = augmentation_blocks(space, arn.basis)
+    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, sigma)
     ad = a.to_dense()
-    concat = np.hstack([arn.basis, space.c, op.blocks.u_hat])
+    concat = np.hstack([arn.basis, space.c, blocks.u_hat])
     lhs = (ad + sigma * np.eye(22)) @ np.hstack([arn.w, space.u])
-    rel = np.linalg.norm(lhs - concat @ op.g_bar_sigma)
+    rel = np.linalg.norm(lhs - concat @ g_bar)
     assert rel <= 1e-9 * (a.frobenius_norm + abs(sigma))
 
 
