@@ -63,7 +63,7 @@ class BlockArnoldiState:
     triangular factor of the initial block.  When built against a
     projector, ``coupling`` holds ``C* A W_j`` (k x steps*L) and the
     relation is ``(I - C C*) A W_j = W_{j+1} Hbar_j``; otherwise
-    ``coupling`` is empty and ``A W_j = W_{j+1} Hbar_j``.
+    ``coupling`` is 0 x steps*L and ``A W_j = W_{j+1} Hbar_j``.
 
     When the span becomes operator-invariant and the ambient space is
     exhausted, the state closes with ``invariant=True``: ``basis`` then
@@ -190,6 +190,13 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     c_basis = None
     if projector is not None and getattr(projector, "k", 0) > 0:
         c_basis = np.asarray(projector.c, dtype=COMPLEX)
+    k = c_basis.shape[1] if c_basis is not None else 0
+    if ell + k > n:
+        raise DimensionError(
+            f"initial block is {n} x {ell}"
+            + (f" beside {k} recycle directions" if k else "")
+            + f": {ell + k} orthonormal columns do not fit in {n} rows")
+    if k:
         r0 = np.column_stack(
             [_orthogonalize(r0[:, i].copy(), [c_basis]) for i in range(ell)])
     log: list[Replacement] = []
@@ -199,8 +206,7 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     return BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=COMPLEX), s0=s0,
         block_size=ell, steps=0, replacements=tuple(log),
-        coupling=np.zeros((c_basis.shape[1] if c_basis is not None else 0, 0),
-                          dtype=COMPLEX),
+        coupling=np.zeros((k, 0), dtype=COMPLEX),
         projector_c=c_basis, seed=seed, dep_tol=dep_tol)
 
 
@@ -253,8 +259,7 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         hess_n[:(j + 1) * ell, j * ell:] = h_col
         hess_n[(j + 1) * ell:, j * ell:] = r_new
         hess = hess_n
-        if k:
-            coupling = np.hstack([coupling, b_col])
+        coupling = np.hstack([coupling, b_col])
         basis = np.hstack([basis, v_new])
         j += 1
         if invariant:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .block_solvers import (_end_cycle, _finish, _min_residual,
-                            _nonzero_collinear, _reference_direction,
-                            _run_cycles, _start, _unit_relation)
-from .dense import solve_small_dense
+from .block_solvers import (_end_cycle, _finish, _nonzero_collinear,
+                            _reference_direction, _run_cycles, _start,
+                            _unit_relation)
+from .dense import hessenberg_least_squares, solve_small_dense
 from .errors import CollinearityError, NearSingularError
 from .recycling import shifted_hessenberg
 from .report import SolverConfig
@@ -101,7 +101,7 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
             basis, hb, breakdown = _unit_relation(arn)
             g = np.zeros(hb.shape[0], dtype=COMPLEX)
             g[0] = beta
-            y_base, _ = _min_residual(hb, g)
+            y_base, _ = hessenberg_least_squares(hb, g)
             z_hat = g - hb @ y_base
             rho[base] = np.linalg.norm(z_hat)
             for i in range(ell):

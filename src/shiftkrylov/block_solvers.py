@@ -109,16 +109,6 @@ def _unit_relation(arn):
     return arn.basis[:, :rows], arn.hess[:rows, :], rows == j
 
 
-def _min_residual(h, g):
-    """Minimize ``||g - h y||`` over a tall Hessenberg relation, or solve
-    exactly when a happy breakdown closed the relation square.  Returns
-    ``(y, residual_norm)``."""
-    if h.shape[0] == h.shape[1]:
-        y, _ = solve_small_dense(h, g)
-        return y, float(np.linalg.norm(g - h @ y))
-    return hessenberg_least_squares(h, g)
-
-
 def _strategy_gmres_cycle(family, x, r, m_init, report):
     """One shared single-vector cycle; every shifted residual is
     minimized over it through its own shifted Hessenberg problem."""
@@ -136,7 +126,7 @@ def _strategy_gmres_cycle(family, x, r, m_init, report):
         h_sigma = shifted_hessenberg(hess, 1, family.shifts[i])
         g = np.zeros(h_sigma.shape[0], dtype=COMPLEX)
         g[0] = beta[i]
-        y, _ = _min_residual(h_sigma, g)
+        y, _ = hessenberg_least_squares(h_sigma, g)
         x[:, i] += basis[:, :j] @ y
         r[:, i] -= basis @ (h_sigma @ y)
     return x, r, j
@@ -402,7 +392,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 g_vec = np.zeros(g_mat.shape[0], dtype=COMPLEX)
                 g_vec[:ell] = arn.s0[:, i]
                 if kind == "gmres":
-                    y, rho[i] = _min_residual(g_mat, g_vec)
+                    y, rho[i] = hessenberg_least_squares(g_mat, g_vec)
                     cache[i] = (j, y, g_mat, g_vec)
                 else:
                     try:

@@ -1,11 +1,7 @@
-"""Small dense kernels: band-aware Hessenberg least squares, small
-solves and a Hessenberg eigensolver for Ritz extraction.
-
-These operate on small matrices (Krylov coefficient data), so clarity wins
-over blocking tricks.  Householder reflections are written out explicitly
-because the least-squares path must expose its triangular factor and
-residual norm and skip the zeros below the band; the small solves and the
-eigensolver defer to LAPACK.
+"""Small dense kernels on Krylov coefficient data: the per-shift
+Hessenberg least squares, small solves and a Hessenberg eigensolver for
+Ritz extraction.  Every kernel is one LAPACK call plus the checks and
+bookkeeping its callers rely on.
 """
 
 from __future__ import annotations
@@ -22,57 +18,38 @@ from .errors import (DimensionError, EigenConvergenceError, NearSingularError,
 from .sparse import COMPLEX
 
 
-def _reflector(x):
-    """Householder vector v (unit norm) annihilating x[1:], or None."""
-    alpha = np.linalg.norm(x)
-    if alpha == 0.0:
-        return None
-    v = x.copy()
-    phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-    v[0] += phase * alpha
-    vnorm = np.linalg.norm(v)
-    if vnorm == 0.0:
-        return None
-    return v / vnorm
-
-
 def hessenberg_least_squares(h, g):
-    """Solve ``min_y || g - h y ||_2`` by Householder reflections.
+    """Solve ``min_y || g - h y ||_2`` for ``h`` with at least as many
+    rows as columns, such as the tall (or, after a happy breakdown,
+    square) band-Hessenberg and bordered matrices of (augmented) block
+    Arnoldi.
 
-    Intended for the tall band-Hessenberg and bordered matrices produced
-    by (augmented) block Arnoldi, but correct for any matrix with more
-    rows than columns.  Returns ``(y, residual_norm)`` where the residual
-    norm is read off the transformed right-hand side, without forming the
-    full-space correction.
+    One LAPACK QR of the bordered matrix ``[h g]`` gives the triangular
+    factor R: ``y`` solves the leading triangle against the last column,
+    and the residual norm is ``|R[cols, cols]|``, read off directly
+    rather than recomputed (0 for a square ``h``).  Returns
+    ``(y, residual_norm)``.  An exactly zero diagonal entry of the
+    triangle raises :class:`SingularMatrixError` naming the last such
+    column.
     """
-    a = np.array(h, dtype=COMPLEX, copy=True)
-    b = np.array(g, dtype=COMPLEX, copy=True).ravel()
-    if a.ndim != 2 or a.shape[0] <= a.shape[1]:
-        raise DimensionError("expected a tall matrix (rows > cols)")
+    a = np.asarray(h, dtype=COMPLEX)
+    b = np.asarray(g, dtype=COMPLEX).ravel()
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise DimensionError("expected at least as many rows as columns")
     if len(b) != a.shape[0]:
         raise DimensionError("right-hand side length does not match")
     rows, cols = a.shape
-    # Each reflector only needs the rows that are nonzero at or below the
-    # diagonal of its column (zeros outside stay zero, so this is exact).
-    # For the band Hessenberg and bordered matrices of the block Arnoldi
-    # subproblems the sweep cost then scales with the bandwidth, not the
-    # full row count.  The current column is rescanned each step, which
-    # picks up any fill-in produced by earlier reflectors.
-    for c in range(cols):
-        nz = np.nonzero(a[c:, c])[0]
-        hi = c + int(nz[-1]) if nz.size else c
-        v = _reflector(a[c:hi + 1, c])
-        if v is not None:
-            block = a[c:hi + 1, c:]
-            block -= 2.0 * np.outer(v, v.conj() @ block)
-            b[c:hi + 1] -= 2.0 * v * (v.conj() @ b[c:hi + 1])
-    y = np.zeros(cols, dtype=COMPLEX)
-    for c in range(cols - 1, -1, -1):
-        if a[c, c] == 0.0:
-            raise SingularMatrixError(
-                f"triangular factor is singular at column {c}", column=c)
-        y[c] = (b[c] - a[c, c + 1:cols] @ y[c + 1:]) / a[c, c]
-    return y, float(np.linalg.norm(b[cols:]))
+    r = scipy.linalg.qr(np.column_stack([a, b]), mode="r",
+                        overwrite_a=True, check_finite=False)[0]
+    zero = np.nonzero(np.diag(r)[:cols] == 0.0)[0]
+    if zero.size:
+        c = int(zero[-1])
+        raise SingularMatrixError(
+            f"triangular factor is singular at column {c}", column=c)
+    y = scipy.linalg.solve_triangular(r[:cols, :cols], r[:cols, cols],
+                                      check_finite=False)
+    resid = float(abs(r[cols, cols])) if rows > cols else 0.0
+    return y, resid
 
 
 def solve_small_dense(m, rhs):

@@ -114,6 +114,17 @@ def test_block_start_dependence_scale_invariant():
         assert [rec.column for rec in state.replacements] == [3]
 
 
+def test_block_start_more_columns_than_rows_raises():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimensionError, match="2 x 3"):
+        block_arnoldi_start(rng.standard_normal((2, 3)))
+    # the recycle directions take up rows as well
+    a = random_sparse(4, seed=1, diag_boost=4.0)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((4, 2)))
+    with pytest.raises(DimensionError, match="4 x 3 beside 2"):
+        block_arnoldi_start(rng.standard_normal((4, 3)), space)
+
+
 def test_block_relation_and_rank():
     a = random_sparse(30, density=0.2, seed=8)
     r0 = np.random.default_rng(7).standard_normal((30, 2))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from shiftkrylov import (DimensionError, NearSingularError,
-                         SingularMatrixError, hessenberg_eigen,
+                         SingularMatrixError, block_arnoldi,
+                         generate_convection_diffusion, hessenberg_eigen,
                          hessenberg_least_squares, solve_small_dense)
+from shiftkrylov.recycling import shifted_hessenberg
 # the thin QR with a real non-negative diagonal that builds recycle spaces
 from shiftkrylov.recycling import _qr
 
@@ -58,16 +60,58 @@ def _band_hessenberg(rows, cols, band, seed):
     return h
 
 
-def test_hessenberg_ls_against_normal_equations():
-    h = _band_hessenberg(12, 8, 2, seed=9)
-    g = np.random.default_rng(10).standard_normal(12)
+def _complex_vector(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _block_large_n_case():
+    """The shifted subproblem of one sbgmres cycle at L=4, m=30: a complex
+    124 x 120 band-Hessenberg with band 4 and ``g = [S0 e_1; 0]``."""
+    a = generate_convection_diffusion(12, 40.0)
+    rng = np.random.default_rng(14)
+    r0 = rng.standard_normal((144, 4)) + 1j * rng.standard_normal((144, 4))
+    arn = block_arnoldi(a, r0, 30)
+    g = np.zeros(124, dtype=complex)
+    g[:4] = arn.s0[:, 0]
+    return shifted_hessenberg(arn.hess, 4, 0.5), g
+
+
+def _small_residual_case():
+    """A right-hand side whose least-squares residual is 1e-12 of its norm."""
+    h = _band_hessenberg(12, 8, 2, seed=11)
+    q = np.linalg.qr(h, mode="complete")[0]
+    e = q[:, 8:] @ _complex_vector(4, seed=12)   # orthogonal to range(h)
+    g = h @ _complex_vector(8, seed=13)
+    return h, g + 1e-12 * np.linalg.norm(g) * e / np.linalg.norm(e)
+
+
+_LS_CASES = {
+    "band2-12x8": lambda: (_band_hessenberg(12, 8, 2, seed=9),
+                           np.random.default_rng(10).standard_normal(12)),
+    "band4-124x120": _block_large_n_case,
+    "square-8x8": lambda: (_band_hessenberg(8, 8, 1, seed=16),
+                           _complex_vector(8, seed=17)),
+    "residual-1e-12": _small_residual_case,
+}
+
+
+@pytest.mark.parametrize("case", list(_LS_CASES))
+def test_hessenberg_ls_against_lstsq(case):
+    h, g = _LS_CASES[case]()
     y, resid = hessenberg_least_squares(h, g)
-    # independent oracle: solve the normal equations directly
-    y_ne = np.linalg.solve(h.conj().T @ h, h.conj().T @ g)
-    assert np.linalg.norm(y - y_ne) <= 1e-10 * np.linalg.norm(y_ne)
-    # residual norm contract: matches the explicitly recomputed residual
+    # independent oracle: LAPACK's SVD-based least squares
+    y_ls = np.linalg.lstsq(h, g, rcond=None)[0]
+    assert np.linalg.norm(y - y_ls) <= 1e-12 * np.linalg.norm(y_ls)
+    # residual norm contract: the norm read off the factor matches the
+    # explicitly recomputed residual, also when it is tiny next to ||g||
     explicit = np.linalg.norm(g - h @ y)
-    assert abs(resid - explicit) <= 1e-12 * max(explicit, 1.0)
+    assert abs(resid - explicit) <= 1e-12 * np.linalg.norm(g)
+    if h.shape[0] == h.shape[1]:
+        # a square relation (closed by a happy breakdown) is solved exactly
+        assert resid == 0.0
+        y_sq = np.linalg.solve(h, g)
+        assert np.linalg.norm(y - y_sq) <= 1e-12 * np.linalg.norm(y_sq)
 
 
 def test_hessenberg_ls_singular_column_named():
@@ -76,6 +120,15 @@ def test_hessenberg_ls_singular_column_named():
     with pytest.raises(SingularMatrixError) as err:
         hessenberg_least_squares(h, np.ones(3))
     assert err.value.column == 1
+
+
+@pytest.mark.parametrize("h, g", [
+    (np.ones((2, 3)), np.ones(2)),    # fewer rows than columns
+    (np.ones((3, 2)), np.ones(4)),    # right-hand side length mismatch
+], ids=["rows-lt-cols", "length-mismatch"])
+def test_hessenberg_ls_dimension_errors(h, g):
+    with pytest.raises(DimensionError):
+        hessenberg_least_squares(h, g)
 
 
 def test_solve_identity():

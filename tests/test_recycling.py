@@ -142,9 +142,10 @@ def test_augmented_operator_empty_space_is_plain_hessenberg():
     r0 = np.random.default_rng(19).standard_normal((18, 2))
     arn = block_arnoldi(a, r0, 3, seed=0)
     blocks = augmentation_blocks(RecycleSpace.empty(18), arn.basis)
-    # no recycle directions: no coupling rows and no trailing columns
-    no_coupling = np.zeros((0, arn.hess.shape[1]), dtype=complex)
-    g_bar = assemble_augmented(arn.hess, no_coupling, blocks, 2, 0.25)
+    # no recycle directions: the unprojected state carries a 0 x 3L
+    # coupling, so there are no coupling rows and no trailing columns
+    assert arn.coupling.shape == (0, arn.hess.shape[1])
+    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, 0.25)
     assert np.array_equal(g_bar, shifted_hessenberg(arn.hess, 2, 0.25))
 
 
