@@ -7,7 +7,9 @@ scaffold of :mod:`.block_solvers`.
 The collinear methods are the comparison points for the block solvers:
 they are cheap (one vector per step serves every shift) but only apply
 when all shifted residuals are scalar multiples of one another, and they
-must preserve that collinearity at every restart.
+must preserve that collinearity at every restart.  Their small problems
+live in one :class:`.dense.ShiftedGivensQR` state per cycle, updated at
+each step for every shift together rather than refactored per shift.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from .arnoldi import block_arnoldi_extend, block_arnoldi_start
 from .block_solvers import (_end_cycle, _finish, _nonzero_collinear,
                             _reference_direction, _run_cycles, _start,
                             _unit_relation)
-from .dense import hessenberg_least_squares, solve_small_dense
-from .errors import CollinearityError, NearSingularError
-from .recycling import shifted_hessenberg
+from .dense import ShiftedGivensQR
+from .errors import CollinearityError
 from .report import SolverConfig
 from .sparse import COMPLEX, ShiftedFamily, SparseMatrix, add_shift
+
+_SINGULAR_RTOL = 1e-14
 
 
 def gmres_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
@@ -56,19 +59,35 @@ def _require_collinear(r, resid, converged, method):
             "use a block method for unrelated right-hand sides")
 
 
+def _record_step(report, cycle, iteration, active, resid, rho, ok, targets):
+    """One row per shift for one step: a converged shift repeats its
+    residual, and a shift whose system is singular at this step (not
+    ``ok``) keeps its previous estimate and is not converged."""
+    for i in range(len(rho)):
+        if active[i]:
+            report.record(i, cycle, iteration, rho[i],
+                          bool(ok[i] and rho[i] <= targets[i]))
+        else:
+            report.record(i, cycle, iteration, resid[i], True)
+
+
 def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
     """Restarted shifted GMRES with collinear residuals.
 
     One system (``base_index``, by default the smallest shift in modulus,
     which is typically the hardest) is minimized per cycle over the Krylov
     space of its own shifted operator, built by the block Arnoldi process
-    at block size one; a happy breakdown switches every shift to the exact
-    square solve on the invariant subspace.  Every other shifted iterate is
-    chosen so its residual stays a scalar multiple of the base residual,
-    which costs one small bordered (m+1) x (m+1) solve per shift and per
-    cycle.  Existence of those solutions is guaranteed for positive-real
-    matrices and positive real shifts; a singular bordered system raises
-    an error naming the shift.  Returns ``(x, report)``.
+    at block size one.  Every other shifted iterate is chosen so its
+    residual stays a scalar multiple of the base residual.  All shifts,
+    the base at offset 0, share one :class:`ShiftedGivensQR` state: each
+    step costs O(j) vector operations over the shifts, the collinearity
+    factor and residual estimate of shift i come from the unit direction
+    ``q_b`` of the base residual, and each cycle ends with one triangular
+    solve per shift.  A happy breakdown gives the exact square solve
+    through the same formulas.  Existence of the collinear iterate is
+    guaranteed for positive-real matrices and positive real shifts; a
+    shift whose collinearity system is singular keeps its previous
+    iterate for that cycle, with a note.  Returns ``(x, report)``.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, "sgmres")
     _require_collinear(r, resid, converged, "sgmres")
@@ -91,67 +110,42 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
         v1 = r[:, base] / beta
         factors = (v1.conj() @ r) / beta    # r_i ~= factors_i * r_base
         arn = block_arnoldi_start(v1)
+        qr = ShiftedGivensQR(shifts - shifts[base], beta, cfg.cycle_length)
         rho = resid.copy()
-        final = {}
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a_base, arn, 1)
             report.matvecs += 1
             iteration += 1
             j = arn.steps
             basis, hb, breakdown = _unit_relation(arn)
-            g = np.zeros(hb.shape[0], dtype=COMPLEX)
-            g[0] = beta
-            y_base, _ = hessenberg_least_squares(hb, g)
-            z_hat = g - hb @ y_base
-            rho[base] = np.linalg.norm(z_hat)
-            for i in range(ell):
-                if i == base:
-                    continue
-                if converged[i]:
-                    report.record(i, cycle, iteration, resid[i], True)
-                    continue
-                h_shift = shifted_hessenberg(hb, 1, shifts[i] - shifts[base])
-                rhs = np.zeros(h_shift.shape[0], dtype=COMPLEX)
-                rhs[0] = factors[i] * beta
-                if breakdown:
-                    # invariant subspace: every shifted system is exactly
-                    # solvable, no collinearity factor needed
-                    sol_i, _ = solve_small_dense(h_shift, rhs)
-                    final[i] = (j, sol_i, 0.0)
-                    rho[i] = 0.0
-                else:
-                    bordered = np.hstack([h_shift, z_hat[:, None]])
-                    try:
-                        sol, _ = solve_small_dense(bordered, rhs)
-                    except NearSingularError as exc:
-                        if _j == cfg.cycle_length - 1:
-                            raise NearSingularError(
-                                f"collinearity system is singular for shift "
-                                f"{shifts[i]}: {exc}")
-                        report.record(i, cycle, iteration, rho[i], False)
-                        continue
-                    final[i] = (j, sol[:-1], sol[-1])
-                    rho[i] = abs(sol[-1]) * np.linalg.norm(z_hat)
-                report.record(i, cycle, iteration, rho[i],
-                              bool(rho[i] <= targets[i]))
-            report.record(base, cycle, iteration, rho[base],
-                          bool(rho[base] <= targets[base]))
-            if np.all(rho[~converged] <= targets[~converged]) or breakdown:
+            qr.append(hb[:j, j - 1], 0.0 if breakdown else hb[j, j - 1])
+            q_b = qr.q[base, :j + 1]
+            overlap = qr.q[:, :j + 1].conj() @ q_b     # q_i* q_b
+            singular = np.abs(overlap) <= _SINGULAR_RTOL
+            if breakdown:
+                singular |= qr.galerkin_singular(_SINGULAR_RTOL)
+            t = np.zeros(ell, dtype=COMPLEX)
+            np.divide(factors * qr.g[:, j], overlap, out=t, where=~singular)
+            ok = active & ~singular
+            rho[ok] = np.abs(t[ok])
+            _record_step(report, cycle, iteration, active, resid, rho, ok,
+                         targets)
+            if np.all(rho[active] <= targets[active]) or breakdown:
                 break
-        j_end = arn.steps
-        x[:, base] += basis[:, :j_end] @ y_base
-        r[:, base] = basis @ z_hat
-        for i in range(ell):
-            if i == base or converged[i]:
-                continue
-            stored = final.get(i)
-            if stored is None or stored[0] != j_end:
-                report.note(f"cycle {cycle}: no collinear update for shift "
-                            f"index {i}")
-                continue
-            _, y_i, gamma = stored
-            x[:, i] += basis[:, :j_end] @ y_i
-            r[:, i] = gamma * r[:, base]
+        update = active & ~singular
+        # the base residual starts the next cycle, converged or not
+        update[base] = not singular[base]
+        for i in np.nonzero(active & singular)[0]:
+            report.note(f"cycle {cycle}: no collinear update for shift "
+                        f"index {i}")
+        qh_qb = qr.apply_adjoint(q_b)
+        idx = np.nonzero(update)[0]
+        ys = [qr.solve(i, factors[i] * qr.g[i, :j] - t[i] * qh_qb[i, :j])
+              for i in idx]
+        if ys:
+            x[:, idx] += basis[:, :j] @ np.column_stack(ys)
+            # after a breakdown the basis has j columns, q_b = e_{j+1}, t = 0
+            r[:, idx] = np.outer(basis @ q_b[:basis.shape[1]], t[idx])
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
     _finish(family, report, x, targets, r_true)
@@ -163,10 +157,15 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
 
     One shared Krylov basis per cycle, built by the block Arnoldi process
     at block size one; each shift gets the Galerkin solve with its own
-    diagonal shift of the square Hessenberg block.  The FOM
-    residual at cycle end is automatically parallel to the last Arnoldi
-    vector, so collinearity survives every restart without extra work.
-    Returns ``(x, report)``.
+    diagonal shift of the square Hessenberg block.  Every shift is one
+    row of a :class:`ShiftedGivensQR` state, so a step costs O(j) vector
+    operations over the shifts, the residual estimate
+    ``|h_{j+1,j}| |y_j|`` is read off the factor, and each cycle ends with
+    one triangular solve per shift.  The FOM residual at cycle end is
+    ``-h_{j+1,j} y_j v_{j+1}``, parallel to the next Arnoldi vector, so
+    collinearity survives every restart without extra work.  A shift
+    whose Galerkin system is singular keeps its previous iterate for that
+    cycle, with a note.  Returns ``(x, report)``.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, "sfom")
     _require_collinear(r, resid, converged, "sfom")
@@ -181,47 +180,34 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
         active = ~converged
         v1, beta = _reference_direction(r)   # r_i = beta_i * v1
         arn = block_arnoldi_start(v1)
+        qr = ShiftedGivensQR(shifts, beta, cfg.cycle_length)
         rho = resid.copy()
-        final = {}
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(family.matrix, arn, 1)
             report.matvecs += 1
             iteration += 1
             j = arn.steps
             basis, hb, breakdown = _unit_relation(arn)
-            h_sq = hb[:j, :]
             sub = 0.0 if breakdown else hb[j, j - 1]
-            for i in range(ell):
-                if converged[i]:
-                    report.record(i, cycle, iteration, resid[i], True)
-                    continue
-                g = np.zeros(j, dtype=COMPLEX)
-                g[0] = beta[i]
-                try:
-                    y, _ = solve_small_dense(
-                        h_sq + shifts[i] * np.eye(j, dtype=COMPLEX), g)
-                except NearSingularError:
-                    report.record(i, cycle, iteration, rho[i], False)
-                    continue
-                final[i] = (j, y)
-                rho[i] = abs(sub * y[-1])
-                report.record(i, cycle, iteration, rho[i],
-                              bool(rho[i] <= targets[i]))
-            if np.all(rho[~converged] <= targets[~converged]) or breakdown:
+            qr.append(hb[:j, j - 1], sub)
+            singular = qr.galerkin_singular(_SINGULAR_RTOL)
+            y_last = np.zeros(ell, dtype=COMPLEX)
+            np.divide(qr.g_pivot, qr.pivot, out=y_last, where=~singular)
+            ok = active & ~singular
+            rho[ok] = abs(sub) * np.abs(y_last[ok])
+            _record_step(report, cycle, iteration, active, resid, rho, ok,
+                         targets)
+            if np.all(rho[active] <= targets[active]) or breakdown:
                 break
-        j_end = arn.steps
-        for i in np.nonzero(active)[0]:
-            stored = final.get(i)
-            if stored is None or stored[0] != j_end:
-                report.note(f"cycle {cycle}: singular Galerkin system for "
-                            f"shift index {i}; update skipped")
-                continue
-            _, y = stored
-            h_sigma = shifted_hessenberg(hb, 1, shifts[i])
-            x[:, i] += basis[:, :j_end] @ y
-            g_full = np.zeros(hb.shape[0], dtype=COMPLEX)
-            g_full[0] = beta[i]
-            r[:, i] = basis @ (g_full - h_sigma @ y)
+        for i in np.nonzero(active & singular)[0]:
+            report.note(f"cycle {cycle}: singular Galerkin system for "
+                        f"shift index {i}; update skipped")
+        idx = np.nonzero(active & ~singular)[0]
+        ys = [qr.galerkin_solve(i) for i in idx]
+        if ys:
+            x[:, idx] += basis[:, :j] @ np.column_stack(ys)
+            r[:, idx] = 0.0 if breakdown else np.outer(basis[:, j],
+                                                       -sub * y_last[idx])
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
     _finish(family, report, x, targets, r_true)

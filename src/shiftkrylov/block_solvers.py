@@ -263,7 +263,7 @@ def _end_cycle(family: ShiftedFamily, report, cycle, x, r, converged,
     drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
         report.rhs_norms, 1e-300)
     if np.any(drift[active] > _DRIFT_TOL):
-        worst = int(np.argmax(drift))
+        worst = int(np.argmax(np.where(active, drift, -np.inf)))
         report.note(f"cycle {cycle}: recurrence residual drifted "
                     f"{drift[worst]:.2e} from the true residual for "
                     f"shift index {worst}")

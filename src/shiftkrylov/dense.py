@@ -1,7 +1,9 @@
 """Small dense kernels on Krylov coefficient data: the per-shift
 Hessenberg least squares, small solves and a Hessenberg eigensolver for
-Ritz extraction.  Every kernel is one LAPACK call plus the checks and
-bookkeeping its callers rely on.
+Ritz extraction, each one LAPACK call plus the checks and bookkeeping
+its callers rely on; and :class:`ShiftedGivensQR`, the Givens QR of a
+block-size-one Hessenberg matrix under every shift of a family at once,
+updated one Arnoldi step at a time for the collinear baselines.
 """
 
 from __future__ import annotations
@@ -80,6 +82,106 @@ def solve_small_dense(m, rhs):
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     resid = float(np.linalg.norm(a @ x - b))
     return (x[:, 0] if vec else x), resid
+
+
+class ShiftedGivensQR:
+    """Givens QR of ``Hbar_j + d_i [I; 0]`` for every shift offset ``d_i``
+    at once, updated one Arnoldi step at a time.
+
+    ``Hbar_j`` is the (j+1) x j Hessenberg matrix of a block-size-one
+    Arnoldi process and ``rhs[i] e_1`` the right-hand side of shift i.
+    Every array has a leading shift axis: the rotations ``c`` (real) and
+    ``s``, which act on a row pair ``(x, y)`` as
+    ``(c x + s y, -conj(s) x + c y)``; the triangular factor ``r``; the
+    rotated right-hand side ``g = Q_i* rhs_i e_1``, whose last entry is
+    the least-squares residual; and ``q = Q_i e_{j+1}``, the unit
+    direction of that residual.  ``pivot`` and ``g_pivot`` keep the last
+    diagonal entry of the triangle and of ``g`` before the latest
+    rotation: the factor of the square Galerkin system
+    ``(H_j + d_i I) y = rhs_i e_1``.  One step costs O(j) vector
+    operations over the shift axis, with no refactorization.
+    """
+
+    def __init__(self, offsets, rhs, max_steps):
+        self.offsets = np.asarray(offsets, dtype=COMPLEX)
+        p = len(self.offsets)
+        self.steps = 0
+        self.c = np.zeros((p, max_steps))
+        self.s = np.zeros((p, max_steps), dtype=COMPLEX)
+        self.r = np.zeros((p, max_steps, max_steps), dtype=COMPLEX)
+        self.g = np.zeros((p, max_steps + 1), dtype=COMPLEX)
+        self.g[:, 0] = rhs
+        self.q = np.zeros((p, max_steps + 1), dtype=COMPLEX)
+        self.q[:, 0] = 1.0
+        self.pivot = np.zeros(p, dtype=COMPLEX)
+        self.g_pivot = np.zeros(p, dtype=COMPLEX)
+        self._diag_max = np.zeros(p)
+        self._pivot_scale = np.zeros(p)
+
+    def _rotate(self, w, k):
+        """Apply every shift's rotation ``k`` to rows ``k, k+1`` of ``w``."""
+        c, s = self.c[:, k], self.s[:, k]
+        x, y = w[:, k].copy(), w[:, k + 1]
+        w[:, k] = c * x + s * y
+        w[:, k + 1] = c * y - s.conj() * x
+
+    def append(self, h_col, sub):
+        """Add Hessenberg column j+1: ``h_col`` holds its j+1 entries on
+        and above the diagonal (shared by every shift) and ``sub`` the
+        subdiagonal entry, 0 after a happy breakdown."""
+        j = self.steps
+        col = np.tile(np.asarray(h_col, dtype=COMPLEX), (len(self.offsets), 1))
+        col[:, j] += self.offsets
+        for k in range(j):
+            self._rotate(col, k)
+        a = col[:, j].copy()
+        abs_a = np.abs(a)
+        nrm = np.hypot(abs_a, abs(sub))
+        phase = np.ones_like(a)
+        np.divide(a, abs_a, out=phase, where=abs_a > 0)
+        c = np.ones_like(abs_a)
+        s = np.zeros_like(a)
+        np.divide(abs_a, nrm, out=c, where=nrm > 0)
+        np.divide(phase * np.conj(sub), nrm, out=s, where=nrm > 0)
+        self.c[:, j], self.s[:, j] = c, s
+        self.pivot, self.g_pivot = a, self.g[:, j].copy()
+        col[:, j] = phase * nrm
+        self.r[:, :j + 1, j] = col
+        self._pivot_scale = np.maximum(self._diag_max, abs_a)
+        self._diag_max = np.maximum(self._diag_max, nrm)
+        self.g[:, j + 1] = -s.conj() * self.g_pivot
+        self.g[:, j] = c * self.g_pivot
+        self.q[:, :j + 1] *= -s[:, None]
+        self.q[:, j + 1] = c
+        self.steps = j + 1
+
+    def galerkin_singular(self, rtol):
+        """Per shift, whether the square Galerkin factor is singular to
+        working precision: ``|pivot| <= rtol * max |diagonal|``."""
+        return np.abs(self.pivot) <= rtol * self._pivot_scale
+
+    def apply_adjoint(self, v):
+        """``Q_i* v`` for every shift, for one vector ``v`` of j+1 entries."""
+        w = np.tile(np.asarray(v, dtype=COMPLEX), (len(self.offsets), 1))
+        for k in range(self.steps):
+            self._rotate(w, k)
+        return w
+
+    def solve(self, i, rhs):
+        """Solve ``R_i y = rhs`` with shift i's j x j triangular factor."""
+        j = self.steps
+        return scipy.linalg.solve_triangular(self.r[i, :j, :j], rhs,
+                                             check_finite=False)
+
+    def galerkin_solve(self, i):
+        """Solve the square Galerkin system ``(H_j + d_i I) y = rhs_i e_1``
+        from the triangle and right-hand side before the latest rotation."""
+        j = self.steps
+        tri = self.r[i, :j, :j].copy()
+        tri[j - 1, j - 1] = self.pivot[i]
+        rhs = self.g[i, :j].copy()
+        rhs[j - 1] = self.g_pivot[i]
+        return scipy.linalg.solve_triangular(tri, rhs, check_finite=False)
 
 
 @dataclass(frozen=True)

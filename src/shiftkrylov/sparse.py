@@ -46,10 +46,13 @@ class SparseMatrix:
             raise DimensionError("col_indices and values must have equal length")
         if len(cols) and (cols.min() < 0 or cols.max() >= self.n_cols):
             raise DimensionError("column index out of range")
-        for r in range(self.n_rows):
-            seg = cols[offs[r]:offs[r + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise DimensionError(f"row {r}: column indices not strictly increasing")
+        # a column index may only drop where a new row starts
+        bad = np.diff(cols) <= 0
+        starts = offs[1:-1]
+        bad[starts[(starts > 0) & (starts < len(cols))] - 1] = False
+        if bad.any():
+            r = int(np.searchsorted(offs, np.argmax(bad) + 1, side="right")) - 1
+            raise DimensionError(f"row {r}: column indices not strictly increasing")
         object.__setattr__(self, "row_offsets", offs)
         object.__setattr__(self, "col_indices", cols)
         object.__setattr__(self, "values", vals)

@@ -216,3 +216,53 @@ def test_sgmres_handles_grade_breakdown():
     assert rep.converged == [True, True]
     true = fam.residual_block(x)
     assert np.linalg.norm(true) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_sgmres_converges_when_base_residual_reaches_rounding_level():
+    # the base residual's unit direction carries the collinearity
+    # condition, so a base residual near rounding level does not make
+    # the other shifts' systems singular
+    a = generate_convection_diffusion(7, 15.0)
+    b = np.tile(np.random.default_rng(0).standard_normal((49, 1)), (1, 3))
+    fam = ShiftedFamily(a, [1e-3, 0.1, 5.0], b, None)
+    _, rep = sgmres(fam, SolverConfig(cycle_length=6, tolerance=1e-13))
+    assert rep.converged == [True] * 3
+
+
+def _final_rows(rep, ell):
+    return [[row for row in rep.rows if row[0] == i][-1] for i in range(ell)]
+
+
+@pytest.mark.parametrize("solver", [sgmres, sfom])
+def test_step_estimate_matches_one_cycle_oracle(solver):
+    # the estimate recorded at step j of a long cycle is the final estimate
+    # of a cycle of length j, and that equals the true residual of the
+    # iterate that cycle returns
+    a = generate_convection_diffusion(6, 10.0)
+    b = np.tile(np.random.default_rng(2).standard_normal((36, 1)), (1, 3))
+    fam = ShiftedFamily(a, [1e-3, 0.5, 2 + 1j], b, None)
+    _, long_rep = solver(fam, SolverConfig(cycle_length=8, tolerance=1e-15,
+                                           max_cycles=1))
+    rhs_norms = np.linalg.norm(b, axis=0)
+    for j in range(1, 9):
+        x, rep = solver(fam, SolverConfig(cycle_length=j, tolerance=1e-15,
+                                          max_cycles=1))
+        final = _final_rows(rep, 3)
+        true = np.linalg.norm(fam.residual_block(x), axis=0)
+        for i in range(3):
+            at_j = [row for row in long_rep.rows
+                    if row[0] == i and row[2] == j]
+            assert at_j == [final[i]]
+            assert abs(final[i][5] - true[i]) <= 1e-9 * rhs_norms[i]
+
+
+def test_sgmres_singular_collinearity_system_skips_only_that_shift():
+    # with A = [[1, 1], [1, 0]], b = e_1 and one step, the residual
+    # direction of offset -2 is orthogonal to the base's, so no collinear
+    # iterate exists for shift -2; the base still takes its update
+    a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    b = np.array([[1.0, 1.0], [0.0, 0.0]])
+    fam = ShiftedFamily(a, [0.0, -2.0], b, None)
+    x, rep = sgmres(fam, SolverConfig(cycle_length=1, max_cycles=1))
+    assert rep.notes == ["cycle 1: no collinear update for shift index 1"]
+    assert np.allclose(x[:, 0], [0.5, 0.0]) and np.all(x[:, 1] == 0.0)

@@ -8,6 +8,7 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          generate_convection_diffusion, gmres_restarted,
                          hessenberg_least_squares, rsbgmres, sbfom,
                          sbgmres, sfom, sgmres, solve_small_dense)
+from shiftkrylov.block_solvers import _end_cycle, _start
 from shiftkrylov.recycling import shifted_hessenberg
 
 from conftest import random_sparse
@@ -344,3 +345,20 @@ def test_converged_flags_match_true_residual(name, case):
         assert rep.converged[i] == (true <= target)
         assert rep.final_residuals[i] == pytest.approx(
             true, rel=1e-10, abs=1e-14)
+
+
+def test_drift_note_names_worst_active_shift():
+    # shift 0 is already converged and drifted by 1.0, shift 1 is active
+    # and drifted by 1e-6: the note must name shift 1
+    n = 4
+    b = np.zeros((n, 2))
+    b[0] = 1.0
+    fam = ShiftedFamily(SparseMatrix.identity(n), [0.0, 1.0], b, None)
+    cfg = SolverConfig(tolerance=1e-12)
+    report, targets, x, r, _, _ = _start(fam, cfg, "test")
+    r[1, 0] = -1.0
+    r[1, 1] = -1e-6
+    converged = np.array([True, False])
+    _end_cycle(fam, report, 1, x, r, converged, targets, ~converged)
+    assert report.notes == ["cycle 1: recurrence residual drifted 1.00e-06 "
+                            "from the true residual for shift index 1"]

@@ -5,6 +5,7 @@ from shiftkrylov import (DimensionError, NearSingularError,
                          SingularMatrixError, block_arnoldi,
                          generate_convection_diffusion, hessenberg_eigen,
                          hessenberg_least_squares, solve_small_dense)
+from shiftkrylov.dense import ShiftedGivensQR
 from shiftkrylov.recycling import shifted_hessenberg
 # the thin QR with a real non-negative diagonal that builds recycle spaces
 from shiftkrylov.recycling import _qr
@@ -129,6 +130,54 @@ def test_hessenberg_ls_singular_column_named():
 def test_hessenberg_ls_dimension_errors(h, g):
     with pytest.raises(DimensionError):
         hessenberg_least_squares(h, g)
+
+
+def test_shifted_givens_qr_against_dense_oracles():
+    # a complex Hessenberg relation whose last step breaks down (zero
+    # subdiagonal); three shift offsets, one per right-hand-side scale
+    rng = np.random.default_rng(7)
+    m = 7
+    hbar = np.triu(rng.standard_normal((m + 1, m))
+                   + 1j * rng.standard_normal((m + 1, m)), -1)
+    sub = np.abs(np.diagonal(hbar, -1)).copy()
+    sub[-1] = 0.0
+    hbar[np.arange(1, m + 1), np.arange(m)] = sub
+    offsets = np.array([0.0, 0.5, 2.0 + 1.0j])
+    rhs = np.array([1.0, -2.0, 0.5j])
+    qr = ShiftedGivensQR(offsets, rhs, m)
+    for j in range(1, m + 1):
+        qr.append(hbar[:j, j - 1], hbar[j, j - 1])
+        assert not qr.galerkin_singular(1e-14).any()
+        for i, d in enumerate(offsets):
+            h = hbar[:j + 1, :j] + d * np.eye(j + 1, j)
+            g = np.zeros(j + 1, dtype=complex)
+            g[0] = rhs[i]
+            y = np.linalg.lstsq(h, g, rcond=None)[0]
+            z = g - h @ y
+            assert np.allclose(qr.solve(i, qr.g[i, :j]), y, rtol=1e-12,
+                               atol=1e-12 * np.abs(y).max())
+            assert np.isclose(abs(qr.g[i, j]), np.linalg.norm(z),
+                              rtol=0, atol=1e-13 * abs(rhs[i]))
+            # q_i is the unit residual direction, g's tail its coefficient
+            assert np.allclose(qr.g[i, j] * qr.q[i, :j + 1], z, atol=1e-13)
+            assert np.allclose(qr.apply_adjoint(z)[i],
+                               np.eye(j + 1)[j] * qr.g[i, j], atol=1e-13)
+            y_sq = np.linalg.solve(h[:j], g[:j])
+            assert np.allclose(qr.galerkin_solve(i), y_sq, rtol=1e-12,
+                               atol=1e-12 * np.abs(y_sq).max())
+            assert np.isclose(qr.g_pivot[i] / qr.pivot[i], y_sq[-1],
+                              rtol=1e-12)
+    # the breakdown closed the relation: the residual is exactly zero
+    assert np.all(qr.g[:, m] == 0.0)
+
+
+def test_shifted_givens_qr_flags_singular_galerkin_system():
+    # H = [[0], [1]]: the 1 x 1 Galerkin system is singular at offset 0
+    # but not at offset 1; the least-squares factor stays regular
+    qr = ShiftedGivensQR([0.0, 1.0], [1.0, 1.0], 2)
+    qr.append([0.0], 1.0)
+    assert qr.galerkin_singular(1e-14).tolist() == [True, False]
+    assert np.all(np.abs(np.diagonal(qr.r[:, :1, :1], axis1=1, axis2=2)) > 0)
 
 
 def test_solve_identity():

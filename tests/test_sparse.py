@@ -71,6 +71,12 @@ def test_csr_invariants_validated():
         SparseMatrix(2, 2, [0, 2, 2], [1, 0], [1.0, 2.0])  # not increasing
     with pytest.raises(DimensionError):
         SparseMatrix(2, 2, [0, 1, 2], [0, 5], [1.0, 2.0])  # out of range
+    with pytest.raises(DimensionError, match="row 2"):
+        SparseMatrix(3, 3, [0, 1, 2, 4], [0, 1, 2, 2], np.ones(4))  # duplicate
+    # the column index may drop across a row boundary, also after an
+    # empty row
+    a = SparseMatrix(3, 3, [0, 1, 1, 2], [2, 0], [1.0, 2.0])
+    assert np.array_equal(a.to_dense(), [[0, 0, 1], [0, 0, 0], [2, 0, 0]])
 
 
 # ---------------------------------------------------------------------------
