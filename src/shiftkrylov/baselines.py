@@ -14,18 +14,18 @@ each step for every shift together rather than refactored per shift.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .block_solvers import (_end_cycle, _finish, _nonzero_collinear,
-                            _reference_direction, _run_cycles, _start,
-                            _unit_relation)
+from .block_solvers import (_SINGULAR_RTOL, _end_cycle, _finish,
+                            _nonzero_collinear, _reference_direction,
+                            _run_cycles, _start, _unit_relation)
 from .dense import ShiftedGivensQR
 from .errors import CollinearityError
 from .report import SolverConfig
 from .sparse import COMPLEX, ShiftedFamily, SparseMatrix, add_shift
-
-_SINGULAR_RTOL = 1e-14
 
 
 def gmres_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
@@ -59,16 +59,49 @@ def _require_collinear(r, resid, converged, method):
             "use a block method for unrelated right-hand sides")
 
 
-def _record_step(report, cycle, iteration, active, resid, rho, ok, targets):
-    """One row per shift for one step: a converged shift repeats its
-    residual, and a shift whose system is singular at this step (not
-    ``ok``) keeps its previous estimate and is not converged."""
+def _record_step(report, cycle, iteration, active, converged, resid, rho,
+                 ok, targets):
+    """One row per shift of the shared family for one step: a converged
+    shift repeats its residual, and a shift whose system is singular at
+    this step (not ``ok``) keeps its previous estimate and is not
+    converged.  A shift that left the family records no row."""
     for i in range(len(rho)):
         if active[i]:
             report.record(i, cycle, iteration, rho[i],
                           bool(ok[i] and rho[i] <= targets[i]))
-        else:
+        elif converged[i]:
             report.record(i, cycle, iteration, resid[i], True)
+
+
+def _solve_alone(family, cfg, kind, report, x, alone, cycles, iteration):
+    """Run the block engine on each shift in ``alone`` by itself, from its
+    current iterate, for the ``cycles`` left of the budget, and merge the
+    result into ``report`` and ``x``.  Its rows are offset by the shared
+    loop's cycle and iteration counts and by the products counted so far.
+    Returns whether any shift was solved."""
+    budget = cfg.max_cycles - cycles
+    idx = np.nonzero(alone)[0] if budget > 0 else []
+    longest = 0
+    for i in idx:
+        report.note(f"shift index {i} left the shared family; solved alone "
+                    f"for up to {budget} more cycles")
+        fam = ShiftedFamily(family.matrix, family.shifts[i:i + 1],
+                            family.rhs[:, i:i + 1], x[:, i:i + 1])
+        xi, sub, _ = _run_cycles(fam, replace(cfg, max_cycles=budget),
+                                 kind=kind, method=report.method)
+        x[:, i] = xi[:, 0]
+        for (_, cyc, it, mv, bmv, res, conv) in sub.rows:
+            report.rows.append((int(i), cycles + cyc, iteration + it,
+                                report.matvecs + mv,
+                                report.block_matvecs + bmv, res, conv))
+        report.matvecs += sub.matvecs
+        report.block_matvecs += sub.block_matvecs
+        report.extra_matvecs += sub.extra_matvecs
+        report.notes.extend(f"shift index {i} alone: {note}"
+                            for note in sub.notes)
+        longest = max(longest, sub.cycles)
+    report.cycles = cycles + longest
+    return len(idx) > 0
 
 
 def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
@@ -99,10 +132,11 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
     iteration = 0
     r_true = None
     cycle = 0
-    while cycle < cfg.max_cycles and not converged.all():
+    left = np.zeros(ell, dtype=bool)
+    while cycle < cfg.max_cycles and not (converged | left).all():
         cycle += 1
         report.cycles = cycle
-        active = ~converged
+        active = ~converged & ~left
         beta = np.linalg.norm(r[:, base])
         if beta == 0.0:
             report.note(f"cycle {cycle}: base residual vanished exactly")
@@ -128,8 +162,8 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
             np.divide(factors * qr.g[:, j], overlap, out=t, where=~singular)
             ok = active & ~singular
             rho[ok] = np.abs(t[ok])
-            _record_step(report, cycle, iteration, active, resid, rho, ok,
-                         targets)
+            _record_step(report, cycle, iteration, active, converged, resid,
+                         rho, ok, targets)
             if np.all(rho[active] <= targets[active]) or breakdown:
                 break
         update = active & ~singular
@@ -148,6 +182,14 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
             r[:, idx] = np.outer(basis @ q_b[:basis.shape[1]], t[idx])
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
+        # a skipped shift's residual is no longer collinear with the base
+        # residual, and the family cannot go on without its base
+        left |= active & singular
+        if left[base]:
+            left |= ~converged
+    if _solve_alone(family, cfg, "gmres", report, x, left & ~converged,
+                    cycle, iteration):
+        r_true = None
     _finish(family, report, x, targets, r_true)
     return x, report
 
@@ -174,11 +216,13 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
     iteration = 0
     r_true = None
     cycle = 0
-    while cycle < cfg.max_cycles and not converged.all():
+    left = np.zeros(ell, dtype=bool)
+    while cycle < cfg.max_cycles and not (converged | left).all():
         cycle += 1
         report.cycles = cycle
-        active = ~converged
-        v1, beta = _reference_direction(r)   # r_i = beta_i * v1
+        active = ~converged & ~left
+        v1, _ = _reference_direction(r[:, ~left])
+        beta = v1.conj() @ r        # r_i = beta_i * v1 in the shared family
         arn = block_arnoldi_start(v1)
         qr = ShiftedGivensQR(shifts, beta, cfg.cycle_length)
         rho = resid.copy()
@@ -195,8 +239,8 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
             np.divide(qr.g_pivot, qr.pivot, out=y_last, where=~singular)
             ok = active & ~singular
             rho[ok] = abs(sub) * np.abs(y_last[ok])
-            _record_step(report, cycle, iteration, active, resid, rho, ok,
-                         targets)
+            _record_step(report, cycle, iteration, active, converged, resid,
+                         rho, ok, targets)
             if np.all(rho[active] <= targets[active]) or breakdown:
                 break
         for i in np.nonzero(active & singular)[0]:
@@ -210,5 +254,10 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
                                                        -sub * y_last[idx])
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
+        # a skipped shift's residual is no longer parallel to v_{j+1}
+        left |= active & singular
+    if _solve_alone(family, cfg, "fom", report, x, left & ~converged,
+                    cycle, iteration):
+        r_true = None
     _finish(family, report, x, targets, r_true)
     return x, report

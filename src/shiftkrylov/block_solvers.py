@@ -7,7 +7,11 @@ then solves one small shifted subproblem per shift: a tall least-squares
 problem for the minimum-residual method, a square Galerkin system for the
 orthogonal-residual method.  The subproblems share the band Hessenberg
 data and differ only by ``sigma I`` on the square part, so every shifted
-system is driven by the same operator applications.
+system is driven by the same operator applications.  Within a cycle one
+:class:`.dense.ShiftedBandQR` state holds every active shift's QR factor,
+updated by one block column per step; each step's residual estimates are
+read off it, and each active shift's subproblem is solved once, at cycle
+end.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .dense import hessenberg_least_squares, solve_small_dense
+from .dense import (ShiftedBandQR, hessenberg_least_squares,
+                    solve_small_dense)
 from .errors import (CollinearityError, DimensionError, NearSingularError,
                      ShiftKrylovError)
 from .recycling import (RecycleSpace, assemble_augmented, augmentation_blocks,
@@ -30,6 +35,7 @@ COLLINEAR_TOL = 1e-12
 _STRATEGY_RETRIES = 3
 _DRIFT_TOL = 1e-8
 _STAGNATION_TOL = 1e-14
+_SINGULAR_RTOL = 1e-14
 
 
 def detect_collinear(r, tol=COLLINEAR_TOL):
@@ -359,10 +365,12 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 break
 
         active = ~converged
+        idx = np.nonzero(active)[0]
         arn = block_arnoldi_start(r, cur_space if k_now > 0 else None,
                                   seed=_cycle_seed(cfg.seed, cycle))
+        qr = ShiftedBandQR(shifts[idx], arn.s0[:, idx].T, ell, k_now,
+                           cfg.cycle_length)
         rho = resid.copy()
-        cache = {}
         blocks = None
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
@@ -370,6 +378,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             report.matvecs += ell
             iteration += 1
             j = arn.steps
+            cols = slice((j - 1) * ell, j * ell)
+            qr.append(arn.hess[:j * ell, cols], arn.hess[j * ell:, cols],
+                      arn.coupling[:, cols])
             if k_now > 0:
                 blocks = augmentation_blocks(
                     cur_space, arn.basis,
@@ -379,32 +390,20 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         f"cycle {cycle} step {j}: recycle directions "
                         f"{list(blocks.padded)} numerically contained in "
                         "the Krylov space")
+                rho[idx] = qr.augmented_residual(blocks.p, blocks.q2,
+                                                 blocks.n_factor)
+            elif kind == "gmres":
+                rho[idx] = qr.residual()
+            else:
+                est, singular = qr.galerkin_residual(_SINGULAR_RTOL)
+                # a singular shift's estimate keeps its previous value
+                rho[idx[~singular]] = est[~singular]
             for i in range(ell):
-                if not active[i]:
+                if active[i]:
+                    report.record(i, cycle, iteration, rho[i],
+                                  bool(rho[i] <= targets[i]))
+                else:
                     report.record(i, cycle, iteration, resid[i], True)
-                    continue
-                sigma = shifts[i]
-                if k_now > 0:
-                    g_mat = assemble_augmented(arn.hess, arn.coupling,
-                                               blocks, ell, sigma)
-                else:
-                    g_mat = shifted_hessenberg(arn.hess, ell, sigma)
-                g_vec = np.zeros(g_mat.shape[0], dtype=COMPLEX)
-                g_vec[:ell] = arn.s0[:, i]
-                if kind == "gmres":
-                    y, rho[i] = hessenberg_least_squares(g_mat, g_vec)
-                    cache[i] = (j, y, g_mat, g_vec)
-                else:
-                    try:
-                        y, _ = solve_small_dense(g_mat[:j * ell, :],
-                                                 g_vec[:j * ell])
-                        cache[i] = (j, y, g_mat, g_vec)
-                        rho[i] = np.linalg.norm(
-                            g_mat[j * ell:, :] @ y - g_vec[j * ell:])
-                    except NearSingularError:
-                        pass    # estimate keeps its previous value
-                report.record(i, cycle, iteration, rho[i],
-                              bool(rho[i] <= targets[i]))
             if np.all(rho[active] <= targets[active]) or arn.invariant:
                 break
 
@@ -413,13 +412,26 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         concat = None
         if k_now > 0:
             concat = np.hstack([arn.basis, cur_space.c, blocks.u_hat])
-        for i in np.nonzero(active)[0]:
-            stored = cache.get(i)
-            if stored is None or stored[0] != j_end:
-                report.note(f"cycle {cycle}: no Galerkin iterate for shift "
-                            f"index {i}; kept previous approximation")
-                continue
-            _, y, g_mat, g_vec = stored
+        for i in idx:
+            sigma = shifts[i]
+            if k_now > 0:
+                g_mat = assemble_augmented(arn.hess, arn.coupling, blocks,
+                                           ell, sigma)
+            else:
+                g_mat = shifted_hessenberg(arn.hess, ell, sigma)
+            g_vec = np.zeros(g_mat.shape[0], dtype=COMPLEX)
+            g_vec[:ell] = arn.s0[:, i]
+            if kind == "gmres":
+                y, _ = hessenberg_least_squares(g_mat, g_vec)
+            else:
+                try:
+                    y, _ = solve_small_dense(g_mat[:j_end * ell, :],
+                                             g_vec[:j_end * ell])
+                except NearSingularError:
+                    report.note(f"cycle {cycle}: no Galerkin iterate for "
+                                f"shift index {i}; kept previous "
+                                "approximation")
+                    continue
             if k_now > 0:
                 yk = y[:j_end * ell]
                 z = y[j_end * ell:]

@@ -1,9 +1,13 @@
 """Small dense kernels on Krylov coefficient data: the per-shift
 Hessenberg least squares, small solves and a Hessenberg eigensolver for
 Ritz extraction, each one LAPACK call plus the checks and bookkeeping
-its callers rely on; and :class:`ShiftedGivensQR`, the Givens QR of a
-block-size-one Hessenberg matrix under every shift of a family at once,
-updated one Arnoldi step at a time for the collinear baselines.
+its callers rely on; and two QR factors of the shifted coefficient
+matrices of a whole family, each updated one Arnoldi step at a time
+instead of refactored: :class:`ShiftedBandQR`, the band QR of the
+(projected, augmented) block Hessenberg matrices from which the block
+engine reads every step's residual estimates, and
+:class:`ShiftedGivensQR`, the Givens QR of a block-size-one Hessenberg
+matrix for the collinear baselines.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ import scipy.linalg
 from .errors import (DimensionError, EigenConvergenceError, NearSingularError,
                      SingularMatrixError)
 from .sparse import COMPLEX
+
+_geqrf, _ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"),
+                                               dtype=COMPLEX)
 
 
 def hessenberg_least_squares(h, g):
@@ -82,6 +89,134 @@ def solve_small_dense(m, rhs):
     x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
     resid = float(np.linalg.norm(a @ x - b))
     return (x[:, 0] if vec else x), resid
+
+
+def _adjoint_q_factors(blocks):
+    """``Q*`` of the complete QR ``Q R`` of each tall block of a stack,
+    and each block's largest ``|R_kk|``.  One LAPACK ``geqrf`` and
+    ``ungqr`` per block: at these sizes that is cheaper than one batched
+    ``np.linalg.qr`` call."""
+    p, rows, cols = blocks.shape
+    qh = np.empty((p, rows, rows), dtype=COMPLEX)
+    diag_max = np.empty(p)
+    for i in range(p):
+        r, tau = _geqrf(blocks[i])[:2]
+        diag_max[i] = np.abs(np.diagonal(r)).max()
+        full = np.zeros((rows, rows), dtype=COMPLEX)
+        full[:, :cols] = r
+        qh[i] = _ungqr(full, tau, overwrite_a=True)[0].conj().T
+    return qh, diag_max
+
+
+class ShiftedBandQR:
+    """QR of ``[Hbar_j + sigma_i [I; 0]; B_j]`` for every shift
+    ``sigma_i`` of a family at once, updated one block column per block
+    Arnoldi step.  It keeps no triangle.
+
+    ``Hbar_j`` is the (j+1)L x jL band Hessenberg matrix of a block
+    Arnoldi process with block size L, ``B_j`` its k x jL coupling rows
+    (k = 0 without a recycle space) and ``[rhs_i; 0]`` the right-hand
+    side of shift i.  Step t factors the live (2L+k) x L block: the L
+    pivot and k coupling rows carried from the steps before, and the L
+    new subdiagonal rows.  Its unitary factor ``Q_t`` leaves the first L
+    rows finished, so the state keeps only the carried rows, with a
+    leading shift axis: ``m``, the carried rows of ``Q_t* ... Q_0*``
+    over the rows of ``[B_j; Hbar_j]`` (coupling rows first), and ``g``,
+    the carried entries of the rotated right-hand side, whose norm is
+    the least-squares residual.  A new column is rotated by all earlier
+    factors with one product by ``m``, and ``Q_t`` updates ``m`` with
+    another, so a step costs O(1) array operations and one LAPACK QR per
+    shift.  The latest step's pivot block and right-hand side before its
+    factorization, with its subdiagonal block, are kept for the Galerkin
+    estimate.
+    """
+
+    def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps):
+        self.shifts = np.asarray(shifts, dtype=COMPLEX)
+        p = len(self.shifts)
+        self.block_size = ell = int(block_size)
+        self.coupling_rows = k = int(coupling_rows)
+        self.steps = 0
+        self.carry = ell + k
+        # before the first step the carried rows are H rows 0..L-1, then
+        # the coupling rows
+        self.m = np.zeros((p, ell + k, k + (max_steps + 1) * ell),
+                          dtype=COMPLEX)
+        self.m[:, np.arange(ell), k + np.arange(ell)] = 1.0
+        self.m[:, ell + np.arange(k), np.arange(k)] = 1.0
+        self.g = np.zeros((p, ell + k), dtype=COMPLEX)
+        self.g[:, :ell] = rhs
+        self._pivot = self._g_pivot = self._sub = None
+        self._diag_max = np.zeros(p)
+        self._pivot_scale = self._diag_max
+
+    def append(self, h_col, sub, b_col):
+        """Add block column t+1: ``h_col`` holds its (t+1)L rows on and
+        above the diagonal block (shared by every shift), ``sub`` its
+        upper triangular subdiagonal block (fewer rows, or none, when the
+        relation closed on an invariant span) and ``b_col`` its k
+        coupling rows."""
+        ell, k, t = self.block_size, self.coupling_rows, self.steps
+        sub = np.asarray(sub, dtype=COMPLEX)
+        c = sub.shape[0]
+        cols = k + (t + 1) * ell
+        m = self.m[:, :, :cols]
+        live = np.empty((len(self.shifts), ell + k + c, ell), dtype=COMPLEX)
+        live[:, :ell + k] = m @ np.concatenate((b_col, h_col))
+        d = k + t * ell                 # column of the diagonal block
+        live[:, :ell + k] += self.shifts[:, None, None] * m[..., d:d + ell]
+        live[:, ell + k:] = sub
+        self._pivot, self._g_pivot, self._sub = live[:, :ell].copy(), \
+            self.g[:, :ell].copy(), sub
+        qh, diag_max = _adjoint_q_factors(live)
+        keep = qh[:, ell:]              # the rows the next step carries
+        self.carry = k + c
+        self.m[:, :k + c, :cols] = keep[..., :ell + k] @ m
+        self.m[:, :k + c, cols:cols + c] = keep[..., ell + k:]
+        self.g[:, :k + c] = (keep[..., :ell + k] @ self.g[..., None])[..., 0]
+        self._pivot_scale = self._diag_max
+        self._diag_max = np.maximum(self._diag_max, diag_max)
+        self.steps = t + 1
+
+    def residual(self):
+        """Per shift, the least-squares residual norm
+        ``min_y ||[rhs_i; 0] - [Hbar_j + sigma_i [I; 0]; B_j] y||``: the
+        norm of the carried entries of ``g``."""
+        return np.linalg.norm(self.g[:, :self.carry], axis=1)
+
+    def galerkin_residual(self, rtol):
+        """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
+        square Galerkin system ``(H_j + sigma_i I) y = [rhs_i; 0]``
+        (k = 0), and whether it is singular to working precision: the
+        smallest singular value of ``P_j`` is at most ``rtol`` times the
+        largest of ``P_j``'s norm and the triangle's earlier diagonal.  A
+        singular shift's norm is NaN."""
+        sv = np.linalg.svd(self._pivot, compute_uv=False)
+        singular = sv[:, -1] <= rtol * np.maximum(self._pivot_scale, sv[:, 0])
+        ok = ~singular
+        y = np.linalg.solve(self._pivot[ok], self._g_pivot[ok, :, None])
+        rho = np.full(len(self.shifts), np.nan)
+        rho[ok] = np.linalg.norm(self._sub @ y, axis=(1, 2))
+        return rho, singular
+
+    def augmented_residual(self, p, q2, n_factor):
+        """Per shift, the least-squares residual norm of the augmented
+        matrix ``[[Hbar_j + sigma I, sigma P], [B_j, I + sigma Q2],
+        [0, sigma N]]`` (see :func:`.recycling.assemble_augmented`).
+
+        The k recycle columns are rotated by every stored factor; the
+        norm is the last diagonal entry of the QR of the
+        (L + 2k) x (k + 1) tail they leave beside the carried entries of
+        ``g``.
+        """
+        k, carry = self.coupling_rows, self.carry
+        m = self.m[:, :carry, :k + p.shape[0]]
+        sig = self.shifts[:, None, None]
+        tail = np.zeros((len(self.shifts), carry + k, k + 1), dtype=COMPLEX)
+        tail[:, :carry, :k] = m[..., :k] + sig * (m @ np.concatenate((q2, p)))
+        tail[:, :carry, k] = self.g[:, :carry]
+        tail[:, carry:, :k] = sig * n_factor
+        return np.array([abs(_geqrf(t)[0][k, k]) for t in tail])
 
 
 class ShiftedGivensQR:

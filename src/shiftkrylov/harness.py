@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse
 
 from . import __version__
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
@@ -386,11 +386,12 @@ def write_method_csv(path, method, units, shifts):
         mv_off = bmv_off = 0
         for unit in units:
             rep = unit.report
-            for (si, cyc, it, mv, bmv, res, conv) in rep.rows:
-                writer.writerow([
-                    method, _fmt(complex(shifts[unit.shift_indices[si]])),
-                    cyc, it, mv + mv_off, bmv + bmv_off, _fmt(res),
-                    int(conv)])
+            labels = [_fmt(complex(shifts[g])) for g in unit.shift_indices]
+            # report rows hold Python floats, which _fmt writes by repr
+            writer.writerows(
+                [method, labels[si], cyc, it, mv + mv_off, bmv + bmv_off,
+                 repr(res), int(conv)]
+                for (si, cyc, it, mv, bmv, res, conv) in rep.rows)
             mv_off += rep.matvecs
             bmv_off += rep.block_matvecs
 
@@ -599,13 +600,20 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
 def solution_subspace_dimension(a: SparseMatrix, shifts, rhs,
                                 threshold=1e-10):
     """Numerical dimension of the span of the exact solutions, computed by
-    direct dense solves and an SVD with a relative singular-value cutoff."""
-    ad = a.to_dense()
+    one sparse LU of ``A + sigma I`` per shift and an SVD with a relative
+    singular-value cutoff."""
+    # imported here: scipy.sparse.linalg adds about 2 MB to the memory of
+    # every process that imports the harness, and only this oracle uses it
+    import scipy.sparse.linalg
+
     n = a.n_rows
+    csc = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets),
+                                  shape=(n, n), dtype=COMPLEX).tocsc()
+    eye = scipy.sparse.identity(n, dtype=COMPLEX, format="csc")
     sols = np.empty((n, len(shifts)), dtype=COMPLEX)
     for i, sigma in enumerate(shifts):
-        sols[:, i] = np.linalg.solve(ad + sigma * np.eye(n, dtype=COMPLEX),
-                                     rhs[:, i])
+        lu = scipy.sparse.linalg.splu(csc + sigma * eye)
+        sols[:, i] = lu.solve(np.asarray(rhs[:, i], dtype=COMPLEX))
     svals = np.linalg.svd(sols, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0

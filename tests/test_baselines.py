@@ -266,3 +266,45 @@ def test_sgmres_singular_collinearity_system_skips_only_that_shift():
     x, rep = sgmres(fam, SolverConfig(cycle_length=1, max_cycles=1))
     assert rep.notes == ["cycle 1: no collinear update for shift index 1"]
     assert np.allclose(x[:, 0], [0.5, 0.0]) and np.all(x[:, 1] == 0.0)
+
+
+def _skip_family():
+    # the family of the test above: shift -2 has no collinear iterate
+    a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    b = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return ShiftedFamily(a, [0.0, -2.0], b, None)
+
+
+def test_sgmres_skipped_shift_is_solved_alone():
+    # the skipped shift leaves the shared family instead of drifting with
+    # a stale residual, and the engine solves it alone afterwards
+    fam = _skip_family()
+    cfg = SolverConfig(cycle_length=1, tolerance=1e-6)
+    x, rep = sgmres(fam, cfg)
+    assert rep.converged == [True, True]
+    assert not any("drifted" in note for note in rep.notes)
+    assert any("shift index 1 left the shared family" in note
+               for note in rep.notes)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert np.all(true <= 1e-6 * np.linalg.norm(fam.rhs, axis=0))
+    # merged rows continue the shared loop's counters and end at its totals
+    rows = [row for row in rep.rows if row[0] == 1]
+    assert [row[1] for row in rows] == sorted(row[1] for row in rows)
+    assert [row[3] for row in rows] == sorted(row[3] for row in rows)
+    assert rep.rows[-1][3] == rep.matvecs and rep.cycles <= cfg.max_cycles
+    assert rows[-1][5] == pytest.approx(true[1], rel=1e-6)
+
+
+def test_sfom_shift_with_singular_galerkin_system_leaves_family():
+    # at cycle 2 shift 0's Galerkin system is singular; it leaves the
+    # family, so shift -2 still converges and nothing drifts
+    fam = _skip_family()
+    x, rep = sfom(fam, SolverConfig(cycle_length=1, tolerance=1e-6,
+                                    max_cycles=45))
+    assert rep.notes[0] == ("cycle 2: singular Galerkin system for shift "
+                            "index 0; update skipped")
+    assert rep.notes[1].startswith("shift index 0 left the shared family")
+    assert not any("drifted" in note for note in rep.notes)
+    assert rep.converged[1]
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)

@@ -8,8 +8,9 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          generate_convection_diffusion, gmres_restarted,
                          hessenberg_least_squares, rsbgmres, sbfom,
                          sbgmres, sfom, sgmres, solve_small_dense)
+import shiftkrylov.block_solvers as block_solvers
 from shiftkrylov.block_solvers import _end_cycle, _start
-from shiftkrylov.recycling import shifted_hessenberg
+from shiftkrylov.recycling import RecycleSpace, shifted_hessenberg
 
 from conftest import random_sparse
 
@@ -301,6 +302,71 @@ def test_solvers_exact_when_space_exhausted_mid_block():
         assert rep.converged == [True, True, True]
         true = fam.residual_block(x)
         assert np.linalg.norm(true) <= 1e-9 * np.linalg.norm(b)
+
+
+# ---------------------------------------------------------------------------
+# per-step estimates from the updated band QR
+# ---------------------------------------------------------------------------
+
+def _one_cycle(name, fam, space, m):
+    cfg = SolverConfig(cycle_length=m, tolerance=1e-15, max_cycles=1, seed=4)
+    if name == "rsbgmres":
+        x, rep, _ = rsbgmres(fam, cfg, space, k=space.k, update=False)
+        return x, rep
+    return {"sbgmres": sbgmres, "sbfom": sbfom}[name](fam, cfg)
+
+
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres"])
+def test_step_estimate_matches_true_residual_of_shorter_cycle(name):
+    # the estimate recorded at step j of a cycle of length 8 is the true
+    # residual of the iterate that a single cycle of length j returns
+    a = generate_convection_diffusion(7, 15.0)
+    rng = np.random.default_rng(31)
+    b = rng.standard_normal((49, 3))
+    fam = ShiftedFamily(a, [1e-3, 0.4, 2.0 + 1.0j], b, None)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((49, 4)))
+    _, long_rep = _one_cycle(name, fam, space, 8)
+    rhs_norms = np.linalg.norm(b, axis=0)
+    for j in range(1, 9):
+        _, rep = _one_cycle(name, fam, space, j)
+        for i in range(3):
+            at_j = [row[5] for row in long_rep.rows
+                    if row[:3] == (i, 1, j)]
+            assert len(at_j) == 1
+            assert abs(at_j[0] - rep.final_residuals[i]) \
+                <= 1e-10 * rhs_norms[i]
+
+
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres"])
+def test_engine_factors_each_shift_once_per_cycle(name, monkeypatch):
+    # every step's estimate comes from the updated band QR, so the dense
+    # kernel runs only at cycle end, at most once per active shift
+    calls = [0]
+    for kernel in ("hessenberg_least_squares", "solve_small_dense"):
+        def counted(*args, _original=getattr(block_solvers, kernel)):
+            calls[-1] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(block_solvers, kernel, counted)
+    active_per_cycle = []
+
+    def end_cycle(*args, _original=block_solvers._end_cycle):
+        active_per_cycle.append(int(np.count_nonzero(args[7])))
+        calls.append(0)
+        return _original(*args)
+
+    monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
+    a = generate_convection_diffusion(7, 15.0)
+    rng = np.random.default_rng(32)
+    fam = ShiftedFamily(a, [1e-3, 0.4, 5.0], rng.standard_normal((49, 3)),
+                        None)
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=40)
+    if name == "rsbgmres":
+        _, rep, _ = rsbgmres(fam, cfg, None, k=4)
+    else:
+        _, rep = {"sbgmres": sbgmres, "sbfom": sbfom}[name](fam, cfg)
+    assert rep.cycles > 1 and len(active_per_cycle) == rep.cycles
+    assert all(0 < c <= act for c, act in zip(calls, active_per_cycle))
 
 
 # ---------------------------------------------------------------------------

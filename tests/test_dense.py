@@ -5,8 +5,9 @@ from shiftkrylov import (DimensionError, NearSingularError,
                          SingularMatrixError, block_arnoldi,
                          generate_convection_diffusion, hessenberg_eigen,
                          hessenberg_least_squares, solve_small_dense)
-from shiftkrylov.dense import ShiftedGivensQR
-from shiftkrylov.recycling import shifted_hessenberg
+from shiftkrylov.dense import ShiftedBandQR, ShiftedGivensQR
+from shiftkrylov.recycling import (AugmentationBlocks, assemble_augmented,
+                                   shifted_hessenberg)
 # the thin QR with a real non-negative diagonal that builds recycle spaces
 from shiftkrylov.recycling import _qr
 
@@ -178,6 +179,89 @@ def test_shifted_givens_qr_flags_singular_galerkin_system():
     qr.append([0.0], 1.0)
     assert qr.galerkin_singular(1e-14).tolist() == [True, False]
     assert np.all(np.abs(np.diagonal(qr.r[:, :1, :1], axis1=1, axis2=2)) > 0)
+
+
+def _band_relation(ell, k, steps, closing_rows, seed):
+    """A random complex band Hessenberg relation of block size ``ell``
+    with k coupling rows: block column 1's subdiagonal block has a zero
+    diagonal entry (a replaced column), and the last block column closes
+    on ``closing_rows`` < ``ell`` subdiagonal rows, as when the relation
+    closes on an invariant span."""
+    rng = np.random.default_rng(seed)
+    rows = steps * ell + closing_rows
+    hbar = np.zeros((rows, steps * ell), dtype=complex)
+    for t in range(steps):
+        sub_rows = ell if t < steps - 1 else closing_rows
+        col = slice(t * ell, (t + 1) * ell)
+        hbar[:(t + 1) * ell, col] = _complex_vector(
+            (t + 1) * ell * ell, seed + t).reshape((t + 1) * ell, ell)
+        sub = np.triu(rng.standard_normal((ell, ell)))[:sub_rows]
+        if t == 1:
+            sub[0, 0] = 0.0
+        hbar[(t + 1) * ell:(t + 1) * ell + sub_rows, col] = sub
+    coupling = rng.standard_normal((k, steps * ell)) \
+        + 1j * rng.standard_normal((k, steps * ell))
+    return hbar, coupling
+
+
+@pytest.mark.parametrize("k", [0, 4])
+@pytest.mark.parametrize("ell", [1, 3])
+def test_shifted_band_qr_against_dense_oracles(ell, k):
+    steps = 6
+    closing = ell - 1          # a partial closing block; square at L = 1
+    hbar, coupling = _band_relation(ell, k, steps, closing, seed=3 * ell + k)
+    shifts = np.array([0.0, 0.7, 2.0 - 1.5j])
+    rhs = np.random.default_rng(5).standard_normal((3, ell)) + 0.5j
+    rng = np.random.default_rng(8)
+    qr = ShiftedBandQR(shifts, rhs, ell, k, steps)
+    for j in range(1, steps + 1):
+        rows = (j + 1) * ell if j < steps else j * ell + closing
+        cols = slice((j - 1) * ell, j * ell)
+        qr.append(hbar[:j * ell, cols], hbar[j * ell:rows, cols],
+                  coupling[:, cols])
+        hj, bj = hbar[:rows, :j * ell], coupling[:, :j * ell]
+        # recycle blocks for the augmented estimate, fresh at every step
+        blocks = AugmentationBlocks(
+            p=_complex_vector(rows * k, seed=j).reshape(rows, k),
+            q2=_complex_vector(k * k, seed=20 + j).reshape(k, k),
+            u_hat=np.zeros((1, k)),
+            n_factor=np.triu(rng.standard_normal((k, k))))
+        resid = qr.residual()
+        galerkin, singular = qr.galerkin_residual(1e-14) if k == 0 \
+            else (None, None)
+        augmented = qr.augmented_residual(blocks.p, blocks.q2,
+                                          blocks.n_factor) if k else None
+        for i, sigma in enumerate(shifts):
+            h = np.vstack([shifted_hessenberg(hj, ell, sigma), bj])
+            g = np.zeros(h.shape[0], dtype=complex)
+            g[:ell] = rhs[i]
+            tol = 1e-12 * np.linalg.norm(g)
+            assert abs(resid[i] - hessenberg_least_squares(h, g)[1]) <= tol
+            if k == 0:
+                y, _ = solve_small_dense(h[:j * ell], g[:j * ell])
+                assert not singular[i]
+                assert abs(galerkin[i] - np.linalg.norm(h[j * ell:] @ y)) \
+                    <= tol
+            else:
+                aug = assemble_augmented(hj, bj, blocks, ell, sigma)
+                g_aug = np.zeros(aug.shape[0], dtype=complex)
+                g_aug[:ell] = rhs[i]
+                assert abs(augmented[i]
+                           - hessenberg_least_squares(aug, g_aug)[1]) <= tol
+    if k == 0 and closing == 0:
+        # a relation closed square is solved exactly
+        assert np.all(resid <= 1e-12 * np.linalg.norm(rhs, axis=1))
+
+
+def test_shifted_band_qr_flags_singular_galerkin_system():
+    # H = [[0], [1]]: the 1 x 1 Galerkin system is singular at shift 0
+    # but not at shift 1; the least-squares estimate stays exact
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 1)
+    qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
+    rho, singular = qr.galerkin_residual(1e-14)
+    assert singular.tolist() == [True, False]
+    assert np.isnan(rho[0]) and rho[1] == pytest.approx(1.0)
+    assert np.allclose(qr.residual(), [1.0, 1.0 / np.sqrt(2.0)])
 
 
 def test_solve_identity():

@@ -6,11 +6,13 @@ import pytest
 
 from shiftkrylov import ConfigError, generate_convection_diffusion
 from shiftkrylov.cli import main
-from shiftkrylov.harness import (ExperimentConfig, build_rhs, load_config,
-                                 run_experiment, run_smooth_parameter_protocol,
+from shiftkrylov.harness import (ExperimentConfig, RunUnit, build_rhs,
+                                 load_config, run_experiment,
+                                 run_smooth_parameter_protocol,
                                  run_variability_study,
-                                 solution_subspace_dimension, smooth_rhs)
-from shiftkrylov.report import SolverConfig
+                                 solution_subspace_dimension, smooth_rhs,
+                                 write_method_csv)
+from shiftkrylov.report import SolveReport, SolverConfig
 
 
 def _write_config(path, extra=""):
@@ -338,3 +340,48 @@ def test_summary_residual_rederivable_from_csv(tmp_path):
     for row in rows:
         finals[row["shift"]] = float(row["resid_norm"])  # last wins
     assert max(finals.values()) == results[0].worst_residual
+
+
+def _reference_method_csv(path, method, units, shifts):
+    """The per-row formatter the method CSV is pinned to."""
+    def fmt(v):
+        if isinstance(v, complex):
+            return repr(v.real) if v.imag == 0.0 else repr(v)
+        if isinstance(v, float):
+            return repr(v)
+        return str(v)
+
+    with open(path, "w", newline="", encoding="ascii") as handle:
+        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL,
+                            lineterminator="\n")
+        writer.writerow(["method", "shift", "cycle", "iteration", "matvecs",
+                         "block_matvecs", "resid_norm", "converged"])
+        mv_off = bmv_off = 0
+        for unit in units:
+            rep = unit.report
+            for (si, cyc, it, mv, bmv, res, conv) in rep.rows:
+                writer.writerow([
+                    method, fmt(complex(shifts[unit.shift_indices[si]])),
+                    cyc, it, mv + mv_off, bmv + bmv_off, fmt(res),
+                    int(conv)])
+            mv_off += rep.matvecs
+            bmv_off += rep.block_matvecs
+
+
+def test_method_csv_bytes_match_reference_formatter(tmp_path):
+    shifts = np.array([1e-3, 0.5 - 0.25j, 2.0])
+    units = []
+    for idx in ([2, 0], [1]):
+        rep = SolveReport("sbgmres", shifts[idx], np.ones(len(idx)))
+        for step in range(3):
+            rep.matvecs += len(idx)
+            rep.block_matvecs += 1
+            for i in range(len(idx)):
+                res = 1e-300 if step == 2 else 0.1 / (step + 1) + i
+                rep.record(i, 1, step, res, step == 2)
+        units.append(RunUnit(idx, rep))
+    write_method_csv(tmp_path / "new.csv", "sbgmres", units, shifts)
+    _reference_method_csv(tmp_path / "ref.csv", "sbgmres", units, shifts)
+    text = (tmp_path / "new.csv").read_bytes()
+    assert text == (tmp_path / "ref.csv").read_bytes()
+    assert b"(0.5-0.25j)" in text and b"1e-300" in text and b",2.0," in text
