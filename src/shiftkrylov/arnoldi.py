@@ -4,6 +4,8 @@ Block size one is the single-vector process.  Each new block is
 orthogonalized by two passes of block classical Gram-Schmidt against the
 whole basis (stable for full-rank blocks: Carson, Lund, Rozloznik &
 Thomas, LAA 2022), then by a two-pass column-wise QR inside the block.
+The basis takes the dtype of the start block (and of the recycle image
+basis, when given): real input gives a real process.
 The process supports an optional projection against a recycle space (the
 image basis ``C``), in which case every operator application is
 ``(I - C C*) A`` and the removed components are accumulated as coupling
@@ -22,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BreakdownError, DimensionError
-from .sparse import COMPLEX, SparseMatrix, block_matvec
+from .sparse import SparseMatrix, block_matvec
 
 BREAKDOWN_RTOL = 1e-14   # happy-breakdown threshold, relative to ||A||_F
 DEPENDENCY_TOL = 1e-10   # relative diagonal threshold for dependent columns
@@ -78,7 +80,7 @@ class BlockArnoldiState:
     block_size: int
     steps: int
     replacements: tuple = ()
-    coupling: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=COMPLEX))
+    coupling: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     projector_c: np.ndarray | None = None
     seed: int = 0
     dep_tol: float = DEPENDENCY_TOL
@@ -92,7 +94,7 @@ class BlockArnoldiState:
 
 def _random_direction(n, seed_key):
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return rng.standard_normal(n).astype(COMPLEX)
+    return rng.standard_normal(n)
 
 
 def _orthogonalize(z, against_blocks):
@@ -106,7 +108,8 @@ def _orthogonalize(z, against_blocks):
 
 
 def _replacement_vector(n, prev, step, column, seed, log):
-    """Draw a reproducible random unit vector orthogonal to ``prev``."""
+    """Draw a reproducible random unit vector orthogonal to ``prev``; it
+    is real unless a block of ``prev`` is complex."""
     for attempt in range(_REPLACE_RETRIES):
         seed_key = (seed, step, column, attempt)
         z = _random_direction(n, seed_key)
@@ -136,8 +139,8 @@ def _block_qr_replace(z, prev_blocks, step, tol, seed, log, scale):
     r_probe = scipy.linalg.qr(z, mode="r", check_finite=False)[0]
     ref = np.abs(np.diag(r_probe)).max() if ell else 0.0
     all_dependent = ref <= BREAKDOWN_RTOL * scale
-    v = np.zeros((n, ell), dtype=COMPLEX)
-    r = np.zeros((ell, ell), dtype=COMPLEX)
+    v = np.zeros((n, ell), dtype=z.dtype)
+    r = np.zeros((ell, ell), dtype=z.dtype)
     for c in range(ell):
         w = z[:, c].copy()
         for _pass in range(2):
@@ -180,8 +183,9 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     ``projector`` is a recycle space (anything with an orthonormal image
     basis attribute ``c``); when given, the initial block is first
     orthogonalized against ``C`` so the augmented basis stays orthonormal.
+    The state takes the dtype of ``r0`` and ``C`` (at least float64).
     """
-    r0 = np.asarray(r0, dtype=COMPLEX)
+    r0 = np.asarray(r0)
     if r0.ndim == 1:
         r0 = r0[:, None]
     n, ell = r0.shape
@@ -189,8 +193,11 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
         raise DimensionError("initial block must have at least one column")
     c_basis = None
     if projector is not None and getattr(projector, "k", 0) > 0:
-        c_basis = np.asarray(projector.c, dtype=COMPLEX)
+        c_basis = np.asarray(projector.c)
     k = c_basis.shape[1] if c_basis is not None else 0
+    dtype = np.result_type(r0, np.float64,
+                           *([c_basis] if c_basis is not None else []))
+    r0 = r0.astype(dtype, copy=False)
     if ell + k > n:
         raise DimensionError(
             f"initial block is {n} x {ell}"
@@ -204,15 +211,18 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     v1, s0 = _block_qr_replace(r0, prev, 0, dep_tol, seed, log,
                                scale=float(np.linalg.norm(r0)))
     return BlockArnoldiState(
-        basis=v1, hess=np.zeros((ell, 0), dtype=COMPLEX), s0=s0,
+        basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
         block_size=ell, steps=0, replacements=tuple(log),
-        coupling=np.zeros((k, 0), dtype=COMPLEX),
+        coupling=np.zeros((k, 0), dtype=dtype),
         projector_c=c_basis, seed=seed, dep_tol=dep_tol)
 
 
 def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
                          steps: int = 1) -> BlockArnoldiState:
-    """Run ``steps`` more block Arnoldi steps, returning a new state."""
+    """Run ``steps`` more block Arnoldi steps, returning a new state.
+
+    The new columns take the dtype of the basis and of ``a`` together:
+    a complex matrix makes a real state complex."""
     if steps < 1:
         raise DimensionError("steps must be >= 1")
     if state.invariant:
@@ -230,8 +240,8 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         v_last = basis[:, j * ell:(j + 1) * ell]
         z = block_matvec(a, v_last)
         raw_scale = max(float(np.linalg.norm(z)), a.frobenius_norm)
-        h_col = np.zeros(((j + 1) * ell, ell), dtype=COMPLEX)
-        b_col = np.zeros((k, ell), dtype=COMPLEX)
+        h_col = np.zeros(((j + 1) * ell, ell), dtype=z.dtype)
+        b_col = np.zeros((k, ell), dtype=z.dtype)
         # two passes of block classical Gram-Schmidt; V* Z is formed as
         # (Z* V)* so only the small block is conjugated, not the basis
         for _pass in range(2):
@@ -254,7 +264,7 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
             v_new, r_new = sig.v_partial, sig.r_partial
             invariant = True
         hess_n = np.zeros(((j + 1) * ell + v_new.shape[1], (j + 1) * ell),
-                          dtype=COMPLEX)
+                          dtype=z.dtype)
         hess_n[:(j + 1) * ell, :j * ell] = hess
         hess_n[:(j + 1) * ell, j * ell:] = h_col
         hess_n[(j + 1) * ell:, j * ell:] = r_new
@@ -274,7 +284,7 @@ def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *, seed=0,
                   dep_tol=DEPENDENCY_TOL) -> BlockArnoldiState:
     """Build ``m`` steps of the (optionally projected) block Arnoldi
     process for the block Krylov space generated by ``r0``."""
-    r0 = np.asarray(r0, dtype=COMPLEX)
+    r0 = np.asarray(r0)
     if r0.ndim == 1:
         r0 = r0[:, None]
     if r0.shape[0] != a.n_rows:
@@ -289,8 +299,8 @@ def subspace_equality_angle(x, y) -> float:
     Computed from the singular values of the orthogonal complement
     projection, which stays accurate for small angles.
     """
-    x = np.asarray(x, dtype=COMPLEX)
-    y = np.asarray(y, dtype=COMPLEX)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.ndim == 1:
         x = x[:, None]
     if y.ndim == 1:

@@ -25,7 +25,7 @@ from .block_solvers import (_SINGULAR_RTOL, _end_cycle, _finish,
 from .dense import ShiftedGivensQR
 from .errors import CollinearityError
 from .report import SolverConfig
-from .sparse import COMPLEX, ShiftedFamily, SparseMatrix, add_shift
+from .sparse import ShiftedFamily, SparseMatrix, add_shift
 
 
 def gmres_restarted(a: SparseMatrix, b, x0, cfg: SolverConfig):
@@ -74,9 +74,10 @@ def _record_step(report, cycle, iteration, active, converged, resid, rho,
 
 
 def _solve_alone(family, cfg, kind, report, x, alone, cycles, iteration):
-    """Run the block engine on each shift in ``alone`` by itself, from its
-    current iterate, for the ``cycles`` left of the budget, and merge the
-    result into ``report`` and ``x``.  Its rows are offset by the shared
+    """Run the block engine of subproblem ``kind`` on each shift in
+    ``alone`` by itself, from its current iterate, for the ``cycles`` left
+    of the budget, and merge the result into ``report`` and ``x``; a note
+    names the kind and cycle length.  Its rows are offset by the shared
     loop's cycle and iteration counts and by the products counted so far.
     Returns whether any shift was solved."""
     budget = cfg.max_cycles - cycles
@@ -84,7 +85,8 @@ def _solve_alone(family, cfg, kind, report, x, alone, cycles, iteration):
     longest = 0
     for i in idx:
         report.note(f"shift index {i} left the shared family; solved alone "
-                    f"for up to {budget} more cycles")
+                    f"by {kind}({cfg.cycle_length}) for up to {budget} more "
+                    "cycles")
         fam = ShiftedFamily(family.matrix, family.shifts[i:i + 1],
                             family.rhs[:, i:i + 1], x[:, i:i + 1])
         xi, sub, _ = _run_cycles(fam, replace(cfg, max_cycles=budget),
@@ -158,7 +160,7 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig, base_index=None):
             singular = np.abs(overlap) <= _SINGULAR_RTOL
             if breakdown:
                 singular |= qr.galerkin_singular(_SINGULAR_RTOL)
-            t = np.zeros(ell, dtype=COMPLEX)
+            t = np.zeros(ell, dtype=qr.g.dtype)
             np.divide(factors * qr.g[:, j], overlap, out=t, where=~singular)
             ok = active & ~singular
             rho[ok] = np.abs(t[ok])
@@ -207,7 +209,12 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
     ``-h_{j+1,j} y_j v_{j+1}``, parallel to the next Arnoldi vector, so
     collinearity survives every restart without extra work.  A shift
     whose Galerkin system is singular keeps its previous iterate for that
-    cycle, with a note.  Returns ``(x, report)``.
+    cycle, with a note, and leaves the family.  It is then solved alone
+    by restarted GMRES, not FOM, with cycles one step longer: alone it
+    would start from the same Krylov space, so FOM would meet the same
+    singular system, and GMRES over that space makes no progress at its
+    last step (a singular Galerkin step is a GMRES stagnation step), which
+    at cycle length one is every step.  Returns ``(x, report)``.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, "sfom")
     _require_collinear(r, resid, converged, "sfom")
@@ -235,7 +242,7 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
             sub = 0.0 if breakdown else hb[j, j - 1]
             qr.append(hb[:j, j - 1], sub)
             singular = qr.galerkin_singular(_SINGULAR_RTOL)
-            y_last = np.zeros(ell, dtype=COMPLEX)
+            y_last = np.zeros(ell, dtype=qr.g.dtype)
             np.divide(qr.g_pivot, qr.pivot, out=y_last, where=~singular)
             ok = active & ~singular
             rho[ok] = abs(sub) * np.abs(y_last[ok])
@@ -256,7 +263,8 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
                                               converged, targets, active)
         # a skipped shift's residual is no longer parallel to v_{j+1}
         left |= active & singular
-    if _solve_alone(family, cfg, "fom", report, x, left & ~converged,
+    solo = replace(cfg, cycle_length=cfg.cycle_length + 1)
+    if _solve_alone(family, solo, "gmres", report, x, left & ~converged,
                     cycle, iteration):
         r_true = None
     _finish(family, report, x, targets, r_true)

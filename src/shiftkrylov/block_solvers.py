@@ -11,7 +11,9 @@ system is driven by the same operator applications.  Within a cycle one
 :class:`.dense.ShiftedBandQR` state holds every active shift's QR factor,
 updated by one block column per step; each step's residual estimates are
 read off it, and each active shift's subproblem is solved once, at cycle
-end.
+end.  Every solve iterates in its family's working dtype (real for a real
+family, see :class:`.sparse.ShiftedFamily`), made complex by a complex
+recycle space.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .recycling import (RecycleSpace, assemble_augmented, augmentation_blocks,
                         oblique_project_shift, shifted_hessenberg,
                         update_recycle_space)
 from .report import SolveReport, SolverConfig
-from .sparse import COMPLEX, ShiftedFamily
+from .sparse import ShiftedFamily
 
 COLLINEAR_TOL = 1e-12
 _STRATEGY_RETRIES = 3
@@ -44,7 +46,7 @@ def detect_collinear(r, tol=COLLINEAR_TOL):
     A zero column raises :class:`CollinearityError`: that system is
     already solved and the caller must drop it before asking.
     """
-    r = np.asarray(r, dtype=COMPLEX)
+    r = np.asarray(r)
     if r.ndim == 1:
         r = r[:, None]
     norms = np.linalg.norm(r, axis=0)
@@ -130,7 +132,7 @@ def _strategy_gmres_cycle(family, x, r, m_init, report):
     report.matvecs += j
     for i in range(family.n_shifts):
         h_sigma = shifted_hessenberg(hess, 1, family.shifts[i])
-        g = np.zeros(h_sigma.shape[0], dtype=COMPLEX)
+        g = np.zeros(h_sigma.shape[0], dtype=np.result_type(h_sigma, beta))
         g[0] = beta[i]
         y, _ = hessenberg_least_squares(h_sigma, g)
         x[:, i] += basis[:, :j] @ y
@@ -145,14 +147,14 @@ def _strategy_fom_block(family, x, r, m_init, seed_key, report):
     ell = family.n_shifts
     v1, beta = _reference_direction(r)
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    block = np.empty((family.n, ell), dtype=COMPLEX)
+    block = np.empty((family.n, ell), dtype=r.dtype)
     block[:, 0] = v1
     block[:, 1:] = rng.standard_normal((family.n, ell - 1))
     arn = block_arnoldi_extend(a, block_arnoldi_start(block), m_init)
     report.block_matvecs += arn.steps
     report.matvecs += arn.steps * ell
     j = arn.steps
-    g = np.zeros(j * ell, dtype=COMPLEX)
+    g = np.zeros(j * ell, dtype=arn.s0.dtype)
     g[:ell] = arn.s0[:, 0]
     for i in range(ell):
         h_sigma = shifted_hessenberg(arn.hess, ell, family.shifts[i])
@@ -178,7 +180,7 @@ def _apply_strategy(family, x, r, strategy, report):
         if tag == "random-x0":
             rng = np.random.default_rng(
                 np.random.SeedSequence((strategy.seed, attempt)))
-            x = rng.standard_normal(x.shape).astype(COMPLEX)
+            x = rng.standard_normal(x.shape).astype(x.dtype)
             r = family.residual_block(x)
             report.block_matvecs += 1
             report.matvecs += family.n_shifts
@@ -207,8 +209,8 @@ def decollinearize(family: ShiftedFamily, strategy: DecollinearizeStrategy):
 
     Precondition: the family's initial residuals are collinear (checked).
     """
-    x = family.initial_guess.astype(COMPLEX).copy()
-    r = family.residual_block(x) if np.any(x) else family.rhs.astype(COMPLEX).copy()
+    x = family.initial_guess.copy()
+    r = family.residual_block(x) if np.any(x) else family.rhs.copy()
     if family.n_shifts > 1 and not _nonzero_collinear(r):
         raise CollinearityError("initial residuals are not collinear; "
                                 "no strategy is needed")
@@ -240,13 +242,13 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
                          rhs_norms=rhs_norms, seed=cfg.seed)
     targets = cfg.tolerance * rhs_norms if cfg.relative \
         else np.full(family.n_shifts, cfg.tolerance)
-    x = family.initial_guess.astype(COMPLEX).copy()
+    x = family.initial_guess.copy()
     if np.any(x):
         r = family.residual_block(x)
         report.block_matvecs += 1
         report.matvecs += family.n_shifts
     else:
-        r = family.rhs.astype(COMPLEX).copy()
+        r = family.rhs.copy()
     resid = np.linalg.norm(r, axis=0)
     converged = resid <= targets
     for i in range(family.n_shifts):
@@ -324,6 +326,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
 
     cur_space = space if space is not None else RecycleSpace.empty(family.n)
     k_now = cur_space.k
+    # a complex recycle space makes a real family's iterates complex
+    dtype = np.result_type(x, cur_space.u)
+    x, r = x.astype(dtype, copy=False), r.astype(dtype, copy=False)
 
     if not converged.all() and ell > 1 and k_now == 0 \
             and _nonzero_collinear(r):
@@ -419,7 +424,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                                            ell, sigma)
             else:
                 g_mat = shifted_hessenberg(arn.hess, ell, sigma)
-            g_vec = np.zeros(g_mat.shape[0], dtype=COMPLEX)
+            g_vec = np.zeros(g_mat.shape[0], dtype=g_mat.dtype)
             g_vec[:ell] = arn.s0[:, i]
             if kind == "gmres":
                 y, _ = hessenberg_least_squares(g_mat, g_vec)

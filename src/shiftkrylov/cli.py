@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, MatrixMarketError, ShiftKrylovError
 from .harness import (build_problem, build_rhs, load_config, run_experiment,
                       run_smooth_parameter_protocol, run_variability_study)
-from .sparse import COMPLEX
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,7 +74,7 @@ def _apply_overrides(cfg, args):
 
 def _inspect(cfg):
     a = build_problem(cfg)
-    shifts = np.asarray(cfg.shifts, dtype=COMPLEX)
+    shifts = np.asarray(cfg.shifts)
     rhs = build_rhs(cfg, a, shifts)
     print(f"matrix: {a.n_rows} x {a.n_cols}, nnz = {a.nnz}, "
           f"frobenius = {a.frobenius_norm:.6e}")

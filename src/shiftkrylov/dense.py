@@ -8,6 +8,9 @@ instead of refactored: :class:`ShiftedBandQR`, the band QR of the
 engine reads every step's residual estimates, and
 :class:`ShiftedGivensQR`, the Givens QR of a block-size-one Hessenberg
 matrix for the collinear baselines.
+
+Every kernel works in the dtype of its input, real or complex, and takes
+its LAPACK routines for that dtype.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ import scipy.linalg
 
 from .errors import (DimensionError, EigenConvergenceError, NearSingularError,
                      SingularMatrixError)
-from .sparse import COMPLEX
-
-_geqrf, _ungqr = scipy.linalg.get_lapack_funcs(("geqrf", "ungqr"),
-                                               dtype=COMPLEX)
 
 
 def hessenberg_least_squares(h, g):
@@ -41,8 +40,8 @@ def hessenberg_least_squares(h, g):
     triangle raises :class:`SingularMatrixError` naming the last such
     column.
     """
-    a = np.asarray(h, dtype=COMPLEX)
-    b = np.asarray(g, dtype=COMPLEX).ravel()
+    a = np.asarray(h)
+    b = np.asarray(g).ravel()
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise DimensionError("expected at least as many rows as columns")
     if len(b) != a.shape[0]:
@@ -68,10 +67,10 @@ def solve_small_dense(m, rhs):
     working precision raises :class:`NearSingularError`, which signals
     nonexistence of a Galerkin iterate for that cycle.
     """
-    a = np.asarray(m, dtype=COMPLEX)
+    a = np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("solve_small_dense expects a square matrix")
-    b = np.asarray(rhs, dtype=COMPLEX)
+    b = np.asarray(rhs)
     vec = b.ndim == 1
     if vec:
         b = b[:, None]
@@ -94,17 +93,19 @@ def solve_small_dense(m, rhs):
 def _adjoint_q_factors(blocks):
     """``Q*`` of the complete QR ``Q R`` of each tall block of a stack,
     and each block's largest ``|R_kk|``.  One LAPACK ``geqrf`` and
-    ``ungqr`` per block: at these sizes that is cheaper than one batched
-    ``np.linalg.qr`` call."""
+    ``orgqr`` (``ungqr`` for complex blocks) per block: at these sizes that
+    is cheaper than one batched ``np.linalg.qr`` call."""
     p, rows, cols = blocks.shape
-    qh = np.empty((p, rows, rows), dtype=COMPLEX)
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
+                                                 (blocks,))
+    qh = np.empty((p, rows, rows), dtype=blocks.dtype)
     diag_max = np.empty(p)
     for i in range(p):
-        r, tau = _geqrf(blocks[i])[:2]
+        r, tau = geqrf(blocks[i])[:2]
         diag_max[i] = np.abs(np.diagonal(r)).max()
-        full = np.zeros((rows, rows), dtype=COMPLEX)
+        full = np.zeros((rows, rows), dtype=blocks.dtype)
         full[:, :cols] = r
-        qh[i] = _ungqr(full, tau, overwrite_a=True)[0].conj().T
+        qh[i] = orgqr(full, tau, overwrite_a=True)[0].conj().T
     return qh, diag_max
 
 
@@ -128,11 +129,13 @@ class ShiftedBandQR:
     another, so a step costs O(1) array operations and one LAPACK QR per
     shift.  The latest step's pivot block and right-hand side before its
     factorization, with its subdiagonal block, are kept for the Galerkin
-    estimate.
+    estimate.  The state takes the dtype of the shifts and right-hand
+    sides together.
     """
 
     def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps):
-        self.shifts = np.asarray(shifts, dtype=COMPLEX)
+        self.shifts = np.asarray(shifts)
+        dtype = np.result_type(self.shifts, np.asarray(rhs), np.float64)
         p = len(self.shifts)
         self.block_size = ell = int(block_size)
         self.coupling_rows = k = int(coupling_rows)
@@ -141,10 +144,10 @@ class ShiftedBandQR:
         # before the first step the carried rows are H rows 0..L-1, then
         # the coupling rows
         self.m = np.zeros((p, ell + k, k + (max_steps + 1) * ell),
-                          dtype=COMPLEX)
+                          dtype=dtype)
         self.m[:, np.arange(ell), k + np.arange(ell)] = 1.0
         self.m[:, ell + np.arange(k), np.arange(k)] = 1.0
-        self.g = np.zeros((p, ell + k), dtype=COMPLEX)
+        self.g = np.zeros((p, ell + k), dtype=dtype)
         self.g[:, :ell] = rhs
         self._pivot = self._g_pivot = self._sub = None
         self._diag_max = np.zeros(p)
@@ -157,11 +160,11 @@ class ShiftedBandQR:
         relation closed on an invariant span) and ``b_col`` its k
         coupling rows."""
         ell, k, t = self.block_size, self.coupling_rows, self.steps
-        sub = np.asarray(sub, dtype=COMPLEX)
+        sub = np.asarray(sub)
         c = sub.shape[0]
         cols = k + (t + 1) * ell
         m = self.m[:, :, :cols]
-        live = np.empty((len(self.shifts), ell + k + c, ell), dtype=COMPLEX)
+        live = np.empty((len(self.shifts), ell + k + c, ell), dtype=m.dtype)
         live[:, :ell + k] = m @ np.concatenate((b_col, h_col))
         d = k + t * ell                 # column of the diagonal block
         live[:, :ell + k] += self.shifts[:, None, None] * m[..., d:d + ell]
@@ -212,11 +215,12 @@ class ShiftedBandQR:
         k, carry = self.coupling_rows, self.carry
         m = self.m[:, :carry, :k + p.shape[0]]
         sig = self.shifts[:, None, None]
-        tail = np.zeros((len(self.shifts), carry + k, k + 1), dtype=COMPLEX)
+        tail = np.zeros((len(self.shifts), carry + k, k + 1), dtype=m.dtype)
         tail[:, :carry, :k] = m[..., :k] + sig * (m @ np.concatenate((q2, p)))
         tail[:, :carry, k] = self.g[:, :carry]
         tail[:, carry:, :k] = sig * n_factor
-        return np.array([abs(_geqrf(t)[0][k, k]) for t in tail])
+        geqrf, = scipy.linalg.get_lapack_funcs(("geqrf",), (tail,))
+        return np.array([abs(geqrf(t)[0][k, k]) for t in tail])
 
 
 class ShiftedGivensQR:
@@ -234,22 +238,25 @@ class ShiftedGivensQR:
     diagonal entry of the triangle and of ``g`` before the latest
     rotation: the factor of the square Galerkin system
     ``(H_j + d_i I) y = rhs_i e_1``.  One step costs O(j) vector
-    operations over the shift axis, with no refactorization.
+    operations over the shift axis, with no refactorization.  The state
+    takes the dtype of the offsets and right-hand sides together; for
+    real data ``s`` is real and each rotation is a real Givens rotation.
     """
 
     def __init__(self, offsets, rhs, max_steps):
-        self.offsets = np.asarray(offsets, dtype=COMPLEX)
+        self.offsets = np.asarray(offsets)
+        dtype = np.result_type(self.offsets, np.asarray(rhs), np.float64)
         p = len(self.offsets)
         self.steps = 0
         self.c = np.zeros((p, max_steps))
-        self.s = np.zeros((p, max_steps), dtype=COMPLEX)
-        self.r = np.zeros((p, max_steps, max_steps), dtype=COMPLEX)
-        self.g = np.zeros((p, max_steps + 1), dtype=COMPLEX)
+        self.s = np.zeros((p, max_steps), dtype=dtype)
+        self.r = np.zeros((p, max_steps, max_steps), dtype=dtype)
+        self.g = np.zeros((p, max_steps + 1), dtype=dtype)
         self.g[:, 0] = rhs
-        self.q = np.zeros((p, max_steps + 1), dtype=COMPLEX)
+        self.q = np.zeros((p, max_steps + 1), dtype=dtype)
         self.q[:, 0] = 1.0
-        self.pivot = np.zeros(p, dtype=COMPLEX)
-        self.g_pivot = np.zeros(p, dtype=COMPLEX)
+        self.pivot = np.zeros(p, dtype=dtype)
+        self.g_pivot = np.zeros(p, dtype=dtype)
         self._diag_max = np.zeros(p)
         self._pivot_scale = np.zeros(p)
 
@@ -265,7 +272,8 @@ class ShiftedGivensQR:
         and above the diagonal (shared by every shift) and ``sub`` the
         subdiagonal entry, 0 after a happy breakdown."""
         j = self.steps
-        col = np.tile(np.asarray(h_col, dtype=COMPLEX), (len(self.offsets), 1))
+        col = np.tile(np.asarray(h_col, dtype=self.g.dtype),
+                      (len(self.offsets), 1))
         col[:, j] += self.offsets
         for k in range(j):
             self._rotate(col, k)
@@ -297,7 +305,7 @@ class ShiftedGivensQR:
 
     def apply_adjoint(self, v):
         """``Q_i* v`` for every shift, for one vector ``v`` of j+1 entries."""
-        w = np.tile(np.asarray(v, dtype=COMPLEX), (len(self.offsets), 1))
+        w = np.tile(np.asarray(v, dtype=self.g.dtype), (len(self.offsets), 1))
         for k in range(self.steps):
             self._rotate(w, k)
         return w
@@ -330,6 +338,49 @@ class EigenPairs:
     residuals: np.ndarray
 
 
+def _conjugate_closed_cut(vals, key, count):
+    """The first entries of the ordering ``key`` of the eigenvalues
+    ``vals`` of a real matrix (or pencil), cut at ``count`` unless that
+    splits a conjugate pair: the cut then moves down to drop the pair
+    whole, or up to keep it whole when dropping would leave nothing.  A
+    selection is closed when it holds as many eigenvalues above the real
+    axis as below.  A pair's members share modulus and real part, so the
+    ordering puts them side by side and a cut moves by one for a simple
+    pair."""
+    def closed(cut):
+        part = vals[key[:cut]].imag
+        return np.count_nonzero(part > 0) == np.count_nonzero(part < 0)
+
+    cut = count
+    while cut > 0 and not closed(cut):
+        cut -= 1
+    if cut == 0:
+        cut = count
+        while cut < len(key) and not closed(cut):
+            cut += 1
+    return key[:cut]
+
+
+def _real_pair_basis(vals, vecs):
+    """Real basis of the span of the eigenvectors ``vecs`` of a real
+    matrix, whose eigenvalues ``vals`` are closed under conjugation.
+
+    A real eigenvalue keeps the real part of its vector.  A pair
+    ``(lambda, conj lambda)`` with vectors ``(v, conj v)`` becomes the two
+    columns ``[Re v, Im v]`` (v from the member above the real axis) at
+    that member's place in the order, with values ``(lambda, conj
+    lambda)``.  Returns ``(values, vectors, source)``, ``source[c]`` the
+    column of ``vecs`` behind column c.
+    """
+    source = np.nonzero(~(vals.imag < 0))[0]
+    source = np.repeat(source, np.where(vals[source].imag > 0, 2, 1))
+    second = np.zeros(len(source), dtype=bool)
+    second[1:] = source[1:] == source[:-1]
+    values = np.where(second, vals[source].conj(), vals[source])
+    vectors = np.where(second, vecs[:, source].imag, vecs[:, source].real)
+    return values, vectors, source
+
+
 def hessenberg_eigen(h, want, count):
     """Return ``count`` eigenpairs of a square (band) Hessenberg matrix.
 
@@ -338,8 +389,15 @@ def hessenberg_eigen(h, want, count):
     deterministic.  The QR iteration is delegated to LAPACK, which runs
     shifted QR sweeps on the Hessenberg form and recovers vectors by back
     substitution / inverse iteration.
+
+    For a real matrix the eigenproblem is solved in real arithmetic, a
+    conjugate pair split by ``count`` is dropped whole (so ``count - 1``
+    eigenpairs may come back; ``count + 1`` when the pair comes first, see
+    :func:`_conjugate_closed_cut`) and ``vectors`` is the real basis of
+    :func:`_real_pair_basis`; each column's residual is that of its
+    complex eigenvector.
     """
-    a = np.asarray(h, dtype=COMPLEX)
+    a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("hessenberg_eigen expects a square matrix")
     if want not in ("largest", "smallest"):
@@ -354,10 +412,13 @@ def hessenberg_eigen(h, want, count):
     key = np.lexsort((vals.imag, vals.real, np.abs(vals)))
     if want == "largest":
         key = key[::-1]
-    key = key[:count]
+    real = not np.iscomplexobj(a)
+    key = _conjugate_closed_cut(vals, key, count) if real else key[:count]
     vals = vals[key]
     vecs = vecs[:, key]
     residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
+    if real:
+        vals, vecs, source = _real_pair_basis(vals, vecs)
+        residuals = residuals[source]
     ordering = "by-modulus-descending" if want == "largest" else "by-modulus-ascending"
     return EigenPairs(vals, vecs, ordering, residuals)
-

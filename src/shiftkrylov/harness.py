@@ -28,7 +28,7 @@ from .errors import ConfigError, ShiftKrylovError
 from .recycling import (RecycleSpace, load_recycle_space, rgmres_baseline,
                         rsbgmres, shift_rebase)
 from .report import SolveReport, SolverConfig
-from .sparse import (COMPLEX, ShiftedFamily, SparseMatrix, add_shift,
+from .sparse import (ShiftedFamily, SparseMatrix, add_shift,
                      generate_convection_diffusion, read_dense_matrix_market,
                      read_matrix_market)
 
@@ -191,7 +191,7 @@ def smooth_rhs(n, sigma):
     """Right-hand side depending smoothly on the shift:
     entry j is sin(sigma * j * pi / n), j = 1..n."""
     j = np.arange(1, n + 1)
-    return np.sin(np.real(sigma) * j * np.pi / n).astype(COMPLEX)
+    return np.sin(np.real(sigma) * j * np.pi / n)
 
 
 def build_rhs(cfg: ExperimentConfig, a: SparseMatrix, shifts) -> np.ndarray:
@@ -206,11 +206,10 @@ def build_rhs(cfg: ExperimentConfig, a: SparseMatrix, shifts) -> np.ndarray:
     if cfg.rhs_mode == "shared-random":
         v = rng.standard_normal(n)
         v = v / np.linalg.norm(v)
-        return np.tile(v[:, None], (1, ell)).astype(COMPLEX)
+        return np.tile(v[:, None], (1, ell))
     if cfg.rhs_mode == "unrelated-random":
         b = rng.standard_normal((n, ell))
-        b = b / np.linalg.norm(b, axis=0)[None, :]
-        return b.astype(COMPLEX)
+        return b / np.linalg.norm(b, axis=0)[None, :]
     if cfg.rhs_mode == "smooth-parameter":
         return np.column_stack([smooth_rhs(n, s) for s in shifts])
     if cfg.rhs_mode == "from-file":
@@ -496,7 +495,7 @@ def run_experiment(cfg: ExperimentConfig):
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a = build_problem(cfg)
-    shifts = np.asarray(cfg.shifts, dtype=COMPLEX)
+    shifts = np.asarray(cfg.shifts)
     rhs = build_rhs(cfg, a, shifts)
     family = ShiftedFamily(a, shifts, rhs, None)
     results = []
@@ -539,7 +538,7 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     a = build_problem(cfg)
-    shifts = np.asarray(cfg.shifts, dtype=COMPLEX)
+    shifts = np.asarray(cfg.shifts)
     rhs = build_rhs(cfg, a, shifts)
     family = ShiftedFamily(a, shifts, rhs, None)
     run_fam = sbgmres if method == "sbgmres" else sbfom
@@ -601,19 +600,21 @@ def solution_subspace_dimension(a: SparseMatrix, shifts, rhs,
                                 threshold=1e-10):
     """Numerical dimension of the span of the exact solutions, computed by
     one sparse LU of ``A + sigma I`` per shift and an SVD with a relative
-    singular-value cutoff."""
+    singular-value cutoff, in real arithmetic when the matrix, shifts and
+    right-hand sides are real."""
     # imported here: scipy.sparse.linalg adds about 2 MB to the memory of
     # every process that imports the harness, and only this oracle uses it
     import scipy.sparse.linalg
 
     n = a.n_rows
+    dtype = np.result_type(a.values, np.asarray(shifts), np.asarray(rhs))
     csc = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets),
-                                  shape=(n, n), dtype=COMPLEX).tocsc()
-    eye = scipy.sparse.identity(n, dtype=COMPLEX, format="csc")
-    sols = np.empty((n, len(shifts)), dtype=COMPLEX)
+                                  shape=(n, n), dtype=dtype).tocsc()
+    eye = scipy.sparse.identity(n, dtype=dtype, format="csc")
+    sols = np.empty((n, len(shifts)), dtype=dtype)
     for i, sigma in enumerate(shifts):
         lu = scipy.sparse.linalg.splu(csc + sigma * eye)
-        sols[:, i] = lu.solve(np.asarray(rhs[:, i], dtype=COMPLEX))
+        sols[:, i] = lu.solve(np.asarray(rhs[:, i], dtype=dtype))
     svals = np.linalg.svd(sols, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
@@ -639,7 +640,7 @@ def run_smooth_parameter_protocol(cfg: ExperimentConfig):
     n = a.n_rows
     rng = np.random.default_rng(cfg.rhs_seed)
     lo, hi = cfg.smooth_interval
-    shifts = rng.uniform(lo, hi, cfg.smooth_count).astype(COMPLEX)
+    shifts = rng.uniform(lo, hi, cfg.smooth_count)
     rhs = np.column_stack([smooth_rhs(n, s) for s in shifts])
     n_seed = min(cfg.smooth_n_seed, cfg.smooth_count)
     solver = cfg.solver
@@ -657,7 +658,7 @@ def run_smooth_parameter_protocol(cfg: ExperimentConfig):
                                        None, solver)
             seed_matvecs += rep.matvecs
             cols.append(x_i)
-        sols = np.column_stack(cols) if cols else np.zeros((n, 0), COMPLEX)
+        sols = np.column_stack(cols) if cols else np.zeros((n, 0))
 
     space = RecycleSpace.from_basis(a, sols, "solutions", drop_tol=1e-12) \
         if n_seed else RecycleSpace.empty(n, "solutions")

@@ -7,6 +7,10 @@ C has orthonormal columns.  For a shifted system the pair gives rise to an
 oblique projector onto span(C + sigma U) along the orthogonal complement
 of C: applying it to the residual keeps the residual computably consistent
 with an updated approximation, at the cost of one k x k solve per shift.
+
+A space is real when its U and C are (checked by value), and a real
+family's Ritz updates keep it real: a conjugate pair of Ritz vectors
+enters as the real basis ``[Re v, Im v]`` of its span.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import BlockArnoldiState
-from .dense import hessenberg_eigen
+from .dense import _conjugate_closed_cut, _real_pair_basis, hessenberg_eigen
 from .errors import DimensionError, EigenConvergenceError, NearSingularError
-from .sparse import (COMPLEX, ShiftedFamily, SparseMatrix, block_matvec,
-                     read_dense_matrix_market, write_dense_matrix_market)
+from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
+                     read_dense_matrix_market, working_array,
+                     write_dense_matrix_market)
 
 OBLIQUE_COND_LIMIT = 1e12
 
@@ -30,13 +35,18 @@ def _qr(m):
 
     The sign convention makes ``q`` unique for full-rank ``m``, so the
     image basis of a recycle space does not depend on LAPACK's choice of
-    reflector signs.  Requires at least as many rows as columns.
+    reflector signs: each column of ``q`` is scaled by the phase of its
+    diagonal entry, ``sign(d)`` for real data.  Requires at least as many
+    rows as columns.
     """
     if m.shape[0] < m.shape[1]:
         raise DimensionError("QR of a recycle image needs n_rows >= n_cols")
     q, r = scipy.linalg.qr(m, mode="economic", check_finite=False)
     d = np.diag(r)
-    phase = np.exp(1j * np.angle(d))    # 1 where d == 0
+    if np.iscomplexobj(d):
+        phase = np.exp(1j * np.angle(d))    # 1 where d == 0
+    else:
+        phase = np.where(d < 0, -1.0, 1.0)
     r = r * phase.conj()[:, None]
     r[np.diag_indices_from(r)] = np.abs(d)
     return q * phase, r
@@ -47,7 +57,10 @@ class RecycleSpace:
     """Basis pair ``(u, c)`` with ``c = A u`` and ``c* c = I``.
 
     ``provenance`` records where the basis came from: ``initial``,
-    ``ritz-largest``, ``harmonic-ritz-smallest`` or ``solutions``.
+    ``ritz-largest``, ``harmonic-ritz-smallest`` or ``solutions``.  Both
+    blocks are stored as float64 when all their entries are real, else as
+    complex128; NaN or Inf raises :class:`DimensionError` naming ``u`` or
+    ``c``.
     """
 
     u: np.ndarray
@@ -55,16 +68,17 @@ class RecycleSpace:
     provenance: str = "initial"
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=COMPLEX)
-        c = np.asarray(self.c, dtype=COMPLEX)
+        u = working_array("u", self.u)
+        c = working_array("c", self.c)
         if u.ndim == 1:
             u = u[:, None]
         if c.ndim == 1:
             c = c[:, None]
         if u.shape != c.shape:
             raise DimensionError("u and c must have equal shape")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "c", c)
+        dtype = np.result_type(u, c)
+        object.__setattr__(self, "u", u.astype(dtype, copy=False))
+        object.__setattr__(self, "c", c.astype(dtype, copy=False))
 
     @property
     def k(self):
@@ -72,7 +86,7 @@ class RecycleSpace:
 
     @classmethod
     def empty(cls, n, provenance="initial"):
-        z = np.zeros((n, 0), dtype=COMPLEX)
+        z = np.zeros((n, 0))
         return cls(z, z, provenance)
 
     @classmethod
@@ -85,7 +99,7 @@ class RecycleSpace:
         exactly in exact arithmetic.  With ``drop_tol`` set, columns whose
         image is numerically dependent are dropped instead of raising.
         """
-        basis = np.asarray(basis, dtype=COMPLEX)
+        basis = working_array("basis", basis)
         if basis.ndim == 1:
             basis = basis[:, None]
         if basis.shape[1] == 0:
@@ -108,7 +122,7 @@ class RecycleSpace:
             raise NearSingularError(
                 "A @ basis is numerically rank deficient; reduce k or pass "
                 "drop_tol to prune dependent directions")
-        u = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=COMPLEX))
+        u = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
         return cls(basis @ u, q, provenance)
 
 
@@ -130,13 +144,13 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
             f"shifted image C + {delta} U is numerically rank deficient; "
             "refresh the recycle space")
     u = space.u @ scipy.linalg.solve_triangular(
-        r, np.eye(r.shape[0], dtype=COMPLEX))
+        r, np.eye(r.shape[0], dtype=r.dtype))
     return RecycleSpace(u, q, space.provenance)
 
 
 def orthogonal_residual_projection(space: RecycleSpace, r):
     """Apply ``I - C C*`` to the columns of ``r``."""
-    r = np.asarray(r, dtype=COMPLEX)
+    r = np.asarray(r)
     if space.k == 0:
         return r.copy()
     if r.shape[0] != space.c.shape[0]:
@@ -151,10 +165,11 @@ def oblique_project_shift(space: RecycleSpace, sigma, r, x, a: SparseMatrix):
     ``b - (A + sigma I) x_hat = r_hat`` preserved, using only U, C and a
     k x k solve of ``C* (C + sigma U)``.  A projector system with
     condition estimate beyond 1e12 raises :class:`NearSingularError`; the
-    recycle space should be refreshed for that shift.
+    recycle space should be refreshed for that shift.  The results take
+    the dtype of the inputs and the space together.
     """
-    r = np.asarray(r, dtype=COMPLEX).ravel()
-    x = np.asarray(x, dtype=COMPLEX).ravel()
+    r = np.asarray(r).ravel()
+    x = np.asarray(x).ravel()
     if space.k == 0:
         return r.copy(), x.copy()
     c, u = space.c, space.u
@@ -200,14 +215,18 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
     such a column of ``Uhat`` is replaced by a reproducible random filler
     orthogonal to everything and its triangular column is zeroed, which
     keeps the factorization exact; without a seed this raises
-    :class:`NearSingularError` advising a smaller k.
+    :class:`NearSingularError` advising a smaller k.  When ``[W C]`` and
+    the earlier ``Uhat`` columns already span the whole space, no filler
+    exists and the column stays zero.  The blocks take the dtype of
+    ``w_basis`` and the space together.
     """
-    w_basis = np.asarray(w_basis, dtype=COMPLEX)
+    w_basis = np.asarray(w_basis)
     u, c = space.u, space.c
     k = space.k
-    p = np.zeros((w_basis.shape[1], k), dtype=COMPLEX)
-    q2 = np.zeros((k, k), dtype=COMPLEX)
-    d = u.copy()
+    dtype = np.result_type(w_basis, u)
+    p = np.zeros((w_basis.shape[1], k), dtype=dtype)
+    q2 = np.zeros((k, k), dtype=dtype)
+    d = u.astype(dtype)
     for _pass in range(2):
         cw = w_basis.conj().T @ d
         p += cw
@@ -216,8 +235,8 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
         q2 += cc
         d = d - c @ cc
     u_norms = np.linalg.norm(u, axis=0)
-    u_hat = np.zeros((u.shape[0], k), dtype=COMPLEX)
-    n_factor = np.zeros((k, k), dtype=COMPLEX)
+    u_hat = np.zeros((u.shape[0], k), dtype=dtype)
+    n_factor = np.zeros((k, k), dtype=dtype)
     padded = []
     for col in range(k):
         w = d[:, col].copy()
@@ -234,12 +253,14 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
                     "span([W C]); reduce k")
             rng = np.random.default_rng(
                 np.random.SeedSequence((pad_seed, col)))
-            w = rng.standard_normal(u.shape[0]).astype(COMPLEX)
+            w = rng.standard_normal(u.shape[0]).astype(dtype)
+            w_norm = np.linalg.norm(w)
             for _pass in range(2):
                 w -= w_basis @ (w_basis.conj().T @ w)
                 w -= c @ (c.conj().T @ w)
                 w -= u_hat[:, :col] @ (u_hat[:, :col].conj().T @ w)
-            w /= np.linalg.norm(w)
+            nrm = np.linalg.norm(w)
+            w = w / nrm if nrm > _CONTAINED_TOL * w_norm else np.zeros_like(w)
             n_factor[col, col] = 0.0
             padded.append(col)
         else:
@@ -251,9 +272,9 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
 
 def shifted_hessenberg(hess, block_size, sigma):
     """``Hbar + sigma [I; 0]`` for a (steps+1)L x steps*L band Hessenberg."""
-    h = np.array(hess, dtype=COMPLEX, copy=True)
+    h = np.array(hess, dtype=np.result_type(hess, sigma), copy=True)
     cols = h.shape[1]
-    h[:cols, :] += sigma * np.eye(cols, dtype=COMPLEX)
+    h[:cols, :] += sigma * np.eye(cols)
     return h
 
 
@@ -269,11 +290,12 @@ def assemble_augmented(hess, coupling, blocks: AugmentationBlocks,
     h_sigma = shifted_hessenberg(hess, block_size, sigma)
     k = blocks.q2.shape[0]
     rows_h, cols_h = h_sigma.shape
-    g = np.zeros((rows_h + 2 * k, cols_h + k), dtype=COMPLEX)
+    g = np.zeros((rows_h + 2 * k, cols_h + k),
+                 dtype=np.result_type(h_sigma, coupling, blocks.p))
     g[:rows_h, :cols_h] = h_sigma
     g[:rows_h, cols_h:] = sigma * blocks.p
     g[rows_h:rows_h + k, :cols_h] = coupling
-    g[rows_h:rows_h + k, cols_h:] = np.eye(k, dtype=COMPLEX) + sigma * blocks.q2
+    g[rows_h:rows_h + k, cols_h:] = np.eye(k) + sigma * blocks.q2
     g[rows_h + k:, cols_h:] = sigma * blocks.n_factor
     return g
 
@@ -282,8 +304,8 @@ def _harmonic_matrix(h_sq, h_last):
     """Square Hessenberg block plus the standard low-rank correction whose
     eigenpairs are the harmonic Ritz pairs."""
     ell = h_last.shape[0]
-    m = np.array(h_sq, dtype=COMPLEX, copy=True)
-    rhs = np.zeros((m.shape[0], ell), dtype=COMPLEX)
+    m = np.array(h_sq, dtype=np.result_type(h_sq, h_last), copy=True)
+    rhs = np.zeros((m.shape[0], ell), dtype=m.dtype)
     rhs[-ell:, :] = h_last.conj().T @ h_last
     corr = np.linalg.solve(h_sq.conj().T, rhs)
     m[:, -ell:] += corr
@@ -301,6 +323,12 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     generalized problem over the pair [W U].  The returned space satisfies
     C = A U and C* C = I without any new operator applications: the image
     is reconstructed through the Arnoldi relation.
+
+    Real data gives a real space.  Its Ritz pairs come from a real
+    eigensolve; a conjugate pair that the cut at k would split is dropped
+    whole, so such a space has k - 1 columns (k + 1 when k = 1), and each
+    pair enters as the real basis ``[Re v, Im v]`` of its span (the
+    convention of Morgan's GMRES-DR and of GCRO-DR).
     """
     if mode not in ("ritz-largest", "harmonic-ritz-smallest"):
         raise DimensionError(f"unknown recycle mode '{mode}'")
@@ -343,23 +371,27 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
         b = arn.coupling
         wj_u = p[:j * ell, :]
         if mode == "ritz-largest":
-            a_side = np.block([[h_sq, np.zeros((j * ell, k_aug), dtype=COMPLEX)],
+            a_side = np.block([[h_sq, np.zeros((j * ell, k_aug))],
                                [q2.conj().T @ b + p.conj().T @ arn.hess,
                                 q2.conj().T]])
-            b_side = np.block([[np.eye(j * ell, dtype=COMPLEX), wj_u],
+            b_side = np.block([[np.eye(j * ell), wj_u],
                                [wj_u.conj().T, u.conj().T @ u]])
             vals, vecs = scipy.linalg.eig(a_side, b_side, check_finite=False)
-            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))[::-1][:k]
+            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))[::-1]
         else:
             gram = np.block(
                 [[b.conj().T @ b + arn.hess.conj().T @ arn.hess, b.conj().T],
-                 [b, np.eye(k_aug, dtype=COMPLEX)]])
+                 [b, np.eye(k_aug)]])
             mixed = np.block([[h_sq.conj().T,
                                b.conj().T @ q2 + arn.hess.conj().T @ p],
-                              [np.zeros((k_aug, j * ell), dtype=COMPLEX), q2]])
+                              [np.zeros((k_aug, j * ell)), q2]])
             vals, vecs = scipy.linalg.eig(gram, mixed, check_finite=False)
-            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))[:k]
-        coeff = vecs[:, key]
+            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))
+        if np.iscomplexobj(p):
+            coeff = vecs[:, key[:k]]
+        else:
+            sel = _conjugate_closed_cut(vals, key, k)
+            coeff = _real_pair_basis(vals[sel], vecs[:, sel])[1]
         wy = coeff[:j * ell, :]
         uz = coeff[j * ell:, :]
         y = w @ wy + u @ uz
@@ -371,7 +403,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
         raise NearSingularError(
             "lifted candidate images are rank deficient; keep previous space")
     u_new = y @ scipy.linalg.solve_triangular(
-        r_new, np.eye(r_new.shape[0], dtype=COMPLEX))
+        r_new, np.eye(r_new.shape[0], dtype=r_new.dtype))
     return RecycleSpace(u_new, c_new, provenance=mode)
 
 

@@ -1,8 +1,11 @@
 """Sparse CSR storage, matrix products, Matrix Market I/O and a test-problem
 generator.
 
-All scalars are complex double precision; real input embeds trivially.
-Matrices are immutable after construction and safe to share across threads.
+Scalars are double precision: real (float64) when every imaginary part
+is zero, checked by value, else complex (complex128).  A family runs in
+real arithmetic exactly when its matrix, shifts, right-hand sides and
+initial guess are all real.  Matrices are immutable after construction and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,12 +17,23 @@ import scipy.sparse
 
 from .errors import DimensionError, MatrixMarketError
 
-COMPLEX = np.complex128
+
+def working_array(name, arr):
+    """``arr`` as float64 when all its imaginary parts are zero, else as
+    complex128.  A NaN or Inf entry raises :class:`DimensionError`
+    naming ``name``."""
+    arr = np.asarray(arr)
+    if not np.isfinite(arr).all():
+        raise DimensionError(f"{name} has a NaN or Inf entry")
+    if np.iscomplexobj(arr) and arr.imag.any():
+        return arr.astype(np.complex128, copy=False)
+    return arr.real.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Sparse matrix in compressed sparse row form over complex scalars.
+    """Sparse matrix in compressed sparse row form over real or complex
+    scalars (see :func:`working_array`).
 
     Column indices are strictly increasing within each row and duplicate
     entries have been summed; use :meth:`from_coo` to canonicalize
@@ -35,7 +49,7 @@ class SparseMatrix:
     def __post_init__(self):
         offs = np.asarray(self.row_offsets, dtype=np.int64)
         cols = np.asarray(self.col_indices, dtype=np.int64)
-        vals = np.asarray(self.values, dtype=COMPLEX)
+        vals = working_array("values", self.values)
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise DimensionError("matrix dimensions must be positive")
         if offs.shape != (self.n_rows + 1,):
@@ -73,18 +87,18 @@ class SparseMatrix:
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
         """Build from triplets; duplicates are summed, indices sorted."""
         coo = scipy.sparse.coo_matrix(
-            (np.asarray(vals, dtype=COMPLEX),
+            (np.asarray(vals),
              (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
             shape=(n_rows, n_cols))
         csr = coo.tocsr()
         csr.sum_duplicates()
         csr.sort_indices()
         return cls(n_rows, n_cols, csr.indptr.astype(np.int64),
-                   csr.indices.astype(np.int64), csr.data.astype(COMPLEX))
+                   csr.indices.astype(np.int64), csr.data)
 
     @classmethod
     def from_dense(cls, arr):
-        arr = np.asarray(arr, dtype=COMPLEX)
+        arr = np.asarray(arr)
         rows, cols = np.nonzero(arr)
         return cls.from_coo(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
 
@@ -94,12 +108,12 @@ class SparseMatrix:
 
     @classmethod
     def diagonal(cls, diag):
-        diag = np.asarray(diag, dtype=COMPLEX)
+        diag = np.asarray(diag)
         n = len(diag)
         return cls.from_coo(n, n, np.arange(n), np.arange(n), diag)
 
     def to_dense(self):
-        return np.asarray(self._csr.todense(), dtype=COMPLEX)
+        return self._csr.toarray()
 
 
 def matvec(a: SparseMatrix, x):
@@ -108,7 +122,7 @@ def matvec(a: SparseMatrix, x):
     if x.ndim != 1 or len(x) != a.n_cols:
         raise DimensionError(f"matvec: operand has length {x.shape}, "
                              f"matrix has {a.n_cols} columns")
-    return a._csr @ x.astype(COMPLEX, copy=False)
+    return a._csr @ x
 
 
 def block_matvec(a: SparseMatrix, x):
@@ -122,7 +136,7 @@ def block_matvec(a: SparseMatrix, x):
     if x.ndim != 2 or x.shape[0] != a.n_cols:
         raise DimensionError(f"block_matvec: block has shape {x.shape}, "
                              f"matrix has {a.n_cols} columns")
-    return a._csr @ x.astype(COMPLEX, copy=False)
+    return a._csr @ x
 
 
 def add_shift(a: SparseMatrix, sigma) -> SparseMatrix:
@@ -133,7 +147,7 @@ def add_shift(a: SparseMatrix, sigma) -> SparseMatrix:
     rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.row_offsets)),
                            np.arange(n)])
     cols = np.concatenate([a.col_indices, np.arange(n)])
-    vals = np.concatenate([a.values, np.full(n, sigma, dtype=COMPLEX)])
+    vals = np.concatenate([a.values, np.full(n, sigma)])
     return SparseMatrix.from_coo(n, n, rows, cols, vals)
 
 
@@ -145,6 +159,12 @@ class ShiftedFamily:
     Sylvester formulation ``A X + X diag(shifts) = B``.  Duplicate shifts
     are rejected: silently merging them would desynchronize the pairing of
     shifts with right-hand-side columns.
+
+    The family's working dtype is float64 when the matrix, shifts,
+    right-hand sides and initial guess are all real (checked by value),
+    else complex128; shifts, right-hand sides and initial guess are stored
+    in it, and every solver iterates in it.  NaN or Inf input raises
+    :class:`DimensionError` naming the argument.
     """
 
     matrix: SparseMatrix
@@ -156,8 +176,8 @@ class ShiftedFamily:
         a = self.matrix
         if a.n_rows != a.n_cols:
             raise DimensionError("family matrix must be square")
-        shifts = np.atleast_1d(np.asarray(self.shifts, dtype=COMPLEX))
-        rhs = np.asarray(self.rhs, dtype=COMPLEX)
+        shifts = np.atleast_1d(working_array("shifts", self.shifts))
+        rhs = working_array("rhs", self.rhs)
         if rhs.ndim == 1:
             rhs = rhs[:, None]
         ell = len(shifts)
@@ -169,16 +189,17 @@ class ShiftedFamily:
             raise DimensionError(f"rhs must be {a.n_rows} x {ell}, got {rhs.shape}")
         x0 = self.initial_guess
         if x0 is None:
-            x0 = np.zeros((a.n_rows, ell), dtype=COMPLEX)
+            x0 = np.zeros((a.n_rows, ell))
         else:
-            x0 = np.asarray(x0, dtype=COMPLEX)
+            x0 = working_array("initial_guess", x0)
             if x0.ndim == 1:
                 x0 = x0[:, None]
             if x0.shape != rhs.shape:
                 raise DimensionError("initial guess shape must match rhs")
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "initial_guess", x0)
+        dtype = np.result_type(a.values, shifts, rhs, x0)
+        object.__setattr__(self, "shifts", shifts.astype(dtype, copy=False))
+        object.__setattr__(self, "rhs", rhs.astype(dtype, copy=False))
+        object.__setattr__(self, "initial_guess", x0.astype(dtype, copy=False))
 
     @property
     def n_shifts(self):
@@ -190,7 +211,7 @@ class ShiftedFamily:
 
     def residual_block(self, x):
         """``B - A X - X D`` for the current approximation block ``x``."""
-        x = np.asarray(x, dtype=COMPLEX)
+        x = np.asarray(x)
         return self.rhs - block_matvec(self.matrix, x) - x * self.shifts[None, :]
 
 
@@ -271,7 +292,7 @@ def _parse_value(tokens, field, lineno):
             return complex(float(tokens[0]), float(tokens[1]))
         if len(tokens) != 1:
             raise ValueError
-        return complex(float(tokens[0]), 0.0)
+        return float(tokens[0])
     except ValueError:
         raise MatrixMarketError(
             f"expected a {field} value, got {' '.join(tokens)!r}", line=lineno)
@@ -353,7 +374,8 @@ def write_matrix_market(path, a: SparseMatrix):
 
 
 def read_dense_matrix_market(path) -> np.ndarray:
-    """Read a dense Matrix Market array file as an n x k complex block."""
+    """Read a dense Matrix Market array file as an n x k block, complex
+    for the complex field and real otherwise."""
     with open(path, "r", encoding="ascii") as handle:
         fmt, field, symmetry = _mm_header(handle.readline(), path)
         if fmt != "array":
@@ -370,7 +392,8 @@ def read_dense_matrix_market(path) -> np.ndarray:
         if len(parts) != 2:
             raise MatrixMarketError("size line must be 'rows cols'", line=lineno)
         n_rows, n_cols = int(parts[0]), int(parts[1])
-        data = np.empty(n_rows * n_cols, dtype=COMPLEX)
+        data = np.empty(n_rows * n_cols,
+                        dtype=complex if field == "complex" else float)
         k = 0
         for lineno, text in lines:
             if k >= len(data):
@@ -385,7 +408,7 @@ def read_dense_matrix_market(path) -> np.ndarray:
 
 def write_dense_matrix_market(path, x):
     """Write a dense block in array general format (column major)."""
-    x = np.asarray(x, dtype=COMPLEX)
+    x = np.asarray(x)
     if x.ndim == 1:
         x = x[:, None]
     field = "real" if np.all(x.imag == 0.0) else "complex"

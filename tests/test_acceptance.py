@@ -16,7 +16,6 @@ from shiftkrylov import (RecycleSpace, ShiftedFamily, SolverConfig,
 from shiftkrylov.harness import (ExperimentConfig, build_rhs, run_experiment,
                                  run_method, run_smooth_parameter_protocol,
                                  smooth_rhs)
-from shiftkrylov.sparse import COMPLEX
 
 from conftest import projected_sylvester_powers, random_sparse
 
@@ -352,7 +351,7 @@ def test_criterion_09_qualitative_table_ordering():
     for grid, convection, frac, m, seed, rhs_seed in cases:
         a, cfg = _edge_family_config(grid, convection, frac, m, seed,
                                      rhs_seed, methods)
-        shifts = np.asarray(cfg.shifts, dtype=COMPLEX)
+        shifts = np.asarray(cfg.shifts)
         fam = ShiftedFamily(a, shifts, build_rhs(cfg, a, shifts), None)
         totals = {}
         for meth in methods:

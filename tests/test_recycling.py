@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from shiftkrylov import (NearSingularError, RecycleSpace, ShiftedFamily,
-                         SolverConfig, SparseMatrix, add_shift,
+from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
+                         ShiftedFamily, SolverConfig, SparseMatrix, add_shift,
                          block_arnoldi,
                          generate_convection_diffusion, gmres_restarted,
                          load_recycle_space, oblique_project_shift,
@@ -147,6 +147,33 @@ def test_augmented_operator_empty_space_is_plain_hessenberg():
     assert arn.coupling.shape == (0, arn.hess.shape[1])
     g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, 0.25)
     assert np.array_equal(g_bar, shifted_hessenberg(arn.hess, 2, 0.25))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_padding_filler_stays_zero_when_the_space_is_exhausted(dtype):
+    # n = 2: [W C] = [e1 e2] spans everything, so U = e2 is contained and
+    # no filler direction is left; the Uhat column stays zero and
+    # [W C U] = [W C Uhat] T holds exactly
+    phase = 1.0 if dtype == np.float64 else 1j
+    e1, e2 = np.eye(2)[:, :1].astype(dtype), np.eye(2)[:, 1:]
+    space = RecycleSpace(phase * e2, phase * e2)
+    blocks = augmentation_blocks(space, e1, pad_seed=7)
+    assert blocks.padded == (0,)
+    assert blocks.u_hat.dtype == dtype
+    assert np.array_equal(blocks.u_hat, np.zeros((2, 1)))
+    assert np.array_equal(blocks.n_factor, np.zeros((1, 1)))
+    rebuilt = (e1 @ blocks.p + space.c @ blocks.q2
+               + blocks.u_hat @ blocks.n_factor)
+    assert np.array_equal(rebuilt, space.u)
+
+
+@pytest.mark.parametrize("argument", ["u", "c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recycle_space_rejects_non_finite_input_by_name(argument, bad):
+    blocks = {"u": np.eye(3)[:, :2], "c": np.eye(3)[:, :2]}
+    blocks[argument][0, 1] = bad
+    with pytest.raises(DimensionError, match=f"^{argument} "):
+        RecycleSpace(blocks["u"], blocks["c"])
 
 
 def test_augmented_relation_random_shift():

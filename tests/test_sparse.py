@@ -240,6 +240,20 @@ def test_family_dimension_checks():
         ShiftedFamily(a, [], np.ones((3, 0)), None)
 
 
+@pytest.mark.parametrize("argument", ["values", "shifts", "rhs",
+                                      "initial_guess"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_is_rejected_by_name(argument, bad):
+    # the matrix A of a family is checked when its SparseMatrix is built
+    values = np.array([1.0, 2.0, 3.0])
+    args = {"shifts": np.array([0.1, 0.2]), "rhs": np.ones((3, 2)),
+            "initial_guess": np.zeros((3, 2))}
+    (values if argument == "values" else args[argument]).flat[1] = bad
+    with pytest.raises(DimensionError, match=argument):
+        a = SparseMatrix.diagonal(values)
+        ShiftedFamily(a, args["shifts"], args["rhs"], args["initial_guess"])
+
+
 def test_family_residual_block():
     a = SparseMatrix.diagonal([1.0, 2.0, 3.0])
     shifts = np.array([0.5, 1.5])
