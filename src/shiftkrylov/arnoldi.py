@@ -14,6 +14,12 @@ rows ``B_j = C* A W_j``.
 Dependent block candidates are replaced by fresh pseudo-random vectors so
 the block size never shrinks; every replacement is logged with the seed
 key that reproduces it.
+
+The basis, Hessenberg matrix and coupling rows of one chain of states
+live in one preallocated column-major workspace that each step writes in
+place; a state holds read-only prefix views of it.  Capacity grows
+geometrically, and extending a state that is not the newest of its
+workspace first copies its prefix, so a returned state never changes.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .errors import BreakdownError, DimensionError
 from .sparse import SparseMatrix, block_matvec
@@ -46,13 +52,14 @@ class _InvariantSubspace(Exception):
     """Internal signal: every candidate direction is dependent and no
     replacement direction exists; the span is operator-invariant.
 
-    ``v_partial``/``r_partial`` carry any columns the failing step did
-    build before the ambient space ran out (empty for a clean closing).
+    ``built`` counts the columns the failing step did build before the
+    ambient space ran out (0 for a clean closing) and ``r_partial`` holds
+    their coefficient rows.
     """
 
-    def __init__(self, v_partial, r_partial):
+    def __init__(self, built, r_partial):
         super().__init__("invariant subspace")
-        self.v_partial = v_partial
+        self.built = built
         self.r_partial = r_partial
 
 
@@ -72,6 +79,12 @@ class BlockArnoldiState:
     has steps*L columns, ``hess`` is square and the relation holds with
     no trailing block.  At block size one this is a happy breakdown that
     exhausted the space; an earlier one leaves a zero subdiagonal entry.
+
+    ``basis``, ``hess`` and ``coupling`` are read-only; after the first
+    step they are views into a column-major workspace shared along one
+    chain of extensions.  Only the newest state of a workspace extends in
+    place; extending an older one copies its prefix into a new workspace
+    first, so no state ever sees its arrays change.
     """
 
     basis: np.ndarray
@@ -85,11 +98,49 @@ class BlockArnoldiState:
     seed: int = 0
     dep_tol: float = DEPENDENCY_TOL
     invariant: bool = False
+    _ws: _Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def w(self):
         """Basis of the block Krylov space itself (first steps*L columns)."""
         return self.basis[:, :self.steps * self.block_size]
+
+
+class _Workspace:
+    """Column-major buffers of one chain of block Arnoldi states, sized
+    for ``cap`` steps: the n x (cap+1)L basis, the (cap+1)L x cap*L
+    Hessenberg matrix and the k x cap*L coupling rows.  ``steps`` is the
+    step count of the newest state written into it."""
+
+    __slots__ = ("basis", "hess", "coupling", "cap", "steps")
+
+    def __init__(self, state, cap, dtype):
+        """A workspace holding a copy of ``state``'s arrays."""
+        ell, j = state.block_size, state.steps
+        n, k = state.basis.shape[0], state.coupling.shape[0]
+        # left uninitialized: a step writes every column a view will
+        # cover, each Hessenberg column in full (zeros below the band), so
+        # only the columns in use are ever touched
+        self.basis = np.empty((n, (cap + 1) * ell), dtype=dtype, order="F")
+        self.hess = np.empty(((cap + 1) * ell, cap * ell), dtype=dtype,
+                             order="F")
+        self.coupling = np.empty((k, cap * ell), dtype=dtype, order="F")
+        self.basis[:, :(j + 1) * ell] = state.basis
+        self.hess[:(j + 1) * ell, :j * ell] = state.hess
+        self.hess[(j + 1) * ell:, :j * ell] = 0.0
+        self.coupling[:, :j * ell] = state.coupling
+        self.cap = cap
+        self.steps = j
+
+    def views(self, steps, ell, trailing):
+        """Read-only (basis, hess, coupling) of the state after ``steps``
+        steps whose last basis block has ``trailing`` columns."""
+        rows = steps * ell + trailing
+        out = (self.basis[:, :rows], self.hess[:rows, :steps * ell],
+               self.coupling[:, :steps * ell])
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 def _random_direction(n, seed_key):
@@ -123,23 +174,28 @@ def _replacement_vector(n, prev, step, column, seed, log):
         f"column {column}; space appears exhausted")
 
 
-def _block_qr_replace(z, prev_blocks, step, tol, seed, log, scale):
+def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
     """Column-wise QR of the block ``z`` (already orthogonal to
-    ``prev_blocks``), replacing dependent columns by random directions.
+    ``prev_blocks``) into the n x L buffer ``v``, replacing dependent
+    columns by random directions.
 
     ``scale`` is the Frobenius norm of the raw candidate block before any
     orthogonalization; when every new direction is below the breakdown
     threshold relative to it, the whole block is dependent (an invariant
     subspace was hit).  Otherwise a column is dependent when its diagonal
-    entry falls below ``tol`` times the largest one.  Returns (v, r) with
-    v orthonormal and r upper triangular with zero diagonal at replaced
-    columns, so the Arnoldi relation stays exact to the threshold.
+    entry falls below ``tol`` times the largest one, which a LAPACK QR
+    probe finds (at L = 1 it is the norm of ``z``, and only the breakdown
+    test can fire).  Fills ``v`` with orthonormal columns and returns
+    ``r``, upper triangular with zero diagonal at replaced columns, so
+    the Arnoldi relation stays exact to the threshold.
     """
     n, ell = z.shape
-    r_probe = scipy.linalg.qr(z, mode="r", check_finite=False)[0]
-    ref = np.abs(np.diag(r_probe)).max() if ell else 0.0
+    if ell == 1:
+        ref = float(np.linalg.norm(z))
+    else:
+        geqrf, = get_lapack_funcs(("geqrf",), (z,))
+        ref = float(np.abs(np.diagonal(geqrf(z)[0])).max())
     all_dependent = ref <= BREAKDOWN_RTOL * scale
-    v = np.zeros((n, ell), dtype=z.dtype)
     r = np.zeros((ell, ell), dtype=z.dtype)
     for c in range(ell):
         w = z[:, c].copy()
@@ -167,13 +223,13 @@ def _block_qr_replace(z, prev_blocks, step, tol, seed, log, scale):
                             coef = np.vdot(v[:, i], wc)
                             r[i, cc] += coef
                             wc -= coef * v[:, i]
-                raise _InvariantSubspace(v[:, :c], r[:c, :])
+                raise _InvariantSubspace(c, r[:c, :])
             r[c, c] = 0.0
         else:
             r[c, c] = nrm
             w = w / nrm
         v[:, c] = w
-    return v, r
+    return r
 
 
 def block_arnoldi_start(r0, projector=None, *, seed=0,
@@ -208,8 +264,10 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
             [_orthogonalize(r0[:, i].copy(), [c_basis]) for i in range(ell)])
     log: list[Replacement] = []
     prev = [c_basis] if c_basis is not None else []
-    v1, s0 = _block_qr_replace(r0, prev, 0, dep_tol, seed, log,
-                               scale=float(np.linalg.norm(r0)))
+    v1 = np.zeros((n, ell), dtype=dtype, order="F")
+    s0 = _block_qr_replace(r0, v1, prev, 0, dep_tol, seed, log,
+                           scale=float(np.linalg.norm(r0)))
+    v1.flags.writeable = False
     return BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
         block_size=ell, steps=0, replacements=tuple(log),
@@ -228,20 +286,26 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     if state.invariant:
         return state
     ell = state.block_size
-    basis = state.basis
-    hess = state.hess
-    coupling = state.coupling
     c_basis = state.projector_c
     k = c_basis.shape[1] if c_basis is not None else 0
-    log = list(state.replacements)
     j = state.steps
-    invariant = False
+    dtype = np.result_type(state.basis, a.values)
+    ws = state._ws
+    # write in place only as the newest state of a workspace with room
+    # for the new steps; otherwise copy into one that grows geometrically
+    if (ws is None or ws.steps != j or ws.cap < j + steps
+            or ws.basis.dtype != dtype):
+        ws = _Workspace(state, max(j + steps, 2 * j, 4), dtype)
+    log = list(state.replacements)
+    trailing = ell
     for _ in range(steps):
-        v_last = basis[:, j * ell:(j + 1) * ell]
-        z = block_matvec(a, v_last)
+        basis = ws.basis[:, :(j + 1) * ell]
+        z = block_matvec(a, basis[:, j * ell:])
         raw_scale = max(float(np.linalg.norm(z)), a.frobenius_norm)
-        h_col = np.zeros(((j + 1) * ell, ell), dtype=z.dtype)
-        b_col = np.zeros((k, ell), dtype=z.dtype)
+        ws.hess[:, j * ell:(j + 1) * ell] = 0.0
+        h_col = ws.hess[:(j + 1) * ell, j * ell:(j + 1) * ell]
+        b_col = ws.coupling[:, j * ell:(j + 1) * ell]
+        b_col[...] = 0.0
         # two passes of block classical Gram-Schmidt; V* Z is formed as
         # (Z* V)* so only the small block is conjugated, not the basis
         for _pass in range(2):
@@ -254,30 +318,27 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
             z -= basis @ h
         prev = ([c_basis] if k else []) + [basis]
         try:
-            v_new, r_new = _block_qr_replace(z, prev, j + 1, state.dep_tol,
-                                             state.seed, log, scale=raw_scale)
+            r_new = _block_qr_replace(
+                z, ws.basis[:, (j + 1) * ell:(j + 2) * ell], prev, j + 1,
+                state.dep_tol, state.seed, log, scale=raw_scale)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
             # partial basis block the step built before the ambient space
             # ran out (possibly none, in which case the coefficient matrix
             # becomes square)
-            v_new, r_new = sig.v_partial, sig.r_partial
-            invariant = True
-        hess_n = np.zeros(((j + 1) * ell + v_new.shape[1], (j + 1) * ell),
-                          dtype=z.dtype)
-        hess_n[:(j + 1) * ell, :j * ell] = hess
-        hess_n[:(j + 1) * ell, j * ell:] = h_col
-        hess_n[(j + 1) * ell:, j * ell:] = r_new
-        hess = hess_n
-        coupling = np.hstack([coupling, b_col])
-        basis = np.hstack([basis, v_new])
+            trailing, r_new = sig.built, sig.r_partial
+        ws.hess[(j + 1) * ell:(j + 1) * ell + trailing,
+                j * ell:(j + 1) * ell] = r_new
         j += 1
-        if invariant:
+        if trailing < ell:
             break
+    ws.steps = j
+    basis, hess, coupling = ws.views(j, ell, trailing)
     return BlockArnoldiState(
         basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
         replacements=tuple(log), coupling=coupling, projector_c=c_basis,
-        seed=state.seed, dep_tol=state.dep_tol, invariant=invariant)
+        seed=state.seed, dep_tol=state.dep_tol, invariant=trailing < ell,
+        _ws=ws)
 
 
 def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *, seed=0,

@@ -54,14 +54,18 @@ def detect_collinear(r, tol=COLLINEAR_TOL):
         raise CollinearityError(
             f"column {int(np.nonzero(norms == 0.0)[0][0])} is zero; the "
             "system is already solved and must be dropped")
-    units = r / norms[None, :]
-    ell = r.shape[1]
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            overlap = np.vdot(units[:, j], units[:, i])
-            sine = np.linalg.norm(units[:, i] - overlap * units[:, j])
-            if sine > tol:
-                return False
+    # one contiguous row per unit column, and one reused buffer for the
+    # differences, so each column's pass touches no fresh memory
+    units = np.divide(r.T, norms[:, None], order="C")
+    diff = np.empty_like(units)
+    for i in range(len(units) - 1):
+        # sines ||u_i - (u_j* u_i) u_j|| against every later column u_j;
+        # u_j* u_i is formed as (u_i* u_j)* so only u_i is conjugated
+        later, d = units[i + 1:], diff[i + 1:]
+        np.multiply(later, (later @ units[i].conj()).conj()[:, None], out=d)
+        d -= units[i]
+        if np.linalg.norm(d, axis=1).max() > tol:
+            return False
     return True
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from shiftkrylov import (DimensionError, RecycleSpace, SparseMatrix,
-                         block_arnoldi, block_arnoldi_extend,
-                         block_arnoldi_start, subspace_equality_angle)
-from shiftkrylov.arnoldi import DEPENDENCY_TOL
+from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
+                         SolverConfig, SparseMatrix, block_arnoldi,
+                         block_arnoldi_extend, block_arnoldi_start, sfom,
+                         sgmres, subspace_equality_angle)
+from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement
 from shiftkrylov.block_solvers import _unit_relation
 from shiftkrylov.recycling import shifted_hessenberg
 
@@ -269,3 +271,139 @@ def test_partial_invariant_closing_mid_block():
     assert rel <= 1e-9 * a.frobenius_norm
     gram = state.basis.conj().T @ state.basis
     assert np.linalg.norm(gram - np.eye(n_cols)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the shared workspace and the dependence probe
+# ---------------------------------------------------------------------------
+
+def _arrays(state):
+    return [arr.copy() for arr in (state.basis, state.hess, state.coupling)]
+
+
+def _assert_same(state, arrays):
+    for arr, kept in zip((state.basis, state.hess, state.coupling), arrays):
+        assert arr.shape == kept.shape and np.array_equal(arr, kept)
+
+
+def test_branching_a_chain_leaves_earlier_states_unchanged():
+    a = random_sparse(40, density=0.2, seed=57)
+    other = random_sparse(40, density=0.2, seed=56)
+    r0 = np.random.default_rng(58).standard_normal((40, 2))
+    start = block_arnoldi_start(r0, seed=2)
+    parent = block_arnoldi_extend(a, start, 2)
+    kept = block_arnoldi_extend(a, parent, 1)     # same workspace, in place
+    # parent is no longer the newest state of its workspace, so a branch
+    # from it (here with another operator) must copy; the kept tip then
+    # extends in place, past the room its workspace has
+    branch = block_arnoldi_extend(other, parent, 2)
+    snapshots = [(st, _arrays(st)) for st in (parent, kept, branch)]
+    longer = block_arnoldi_extend(a, kept, 1)
+    grown = block_arnoldi_extend(a, longer, 3)
+    again = block_arnoldi_extend(other, start, 1)
+    for state, arrays in snapshots:
+        _assert_same(state, arrays)
+    for state in (start, parent, kept, branch, longer, grown, again):
+        assert not state.basis.flags.writeable
+    fresh_branch = block_arnoldi_extend(
+        other, block_arnoldi(a, r0, 2, seed=2), 2)
+    for state, fresh in ((branch, fresh_branch),
+                         (longer, block_arnoldi(a, r0, 4, seed=2)),
+                         (grown, block_arnoldi(a, r0, 7, seed=2)),
+                         (again, block_arnoldi(other, r0, 1, seed=2))):
+        assert np.abs(state.basis - fresh.basis).max() <= 1e-12
+        assert np.abs(state.hess - fresh.hess).max() <= 1e-12
+
+
+def test_one_step_extensions_across_capacity_growth():
+    n, ell, m = 150, 3, 40
+    a = random_sparse(n, density=0.05, seed=59, diag_boost=2.0)
+    r0 = np.random.default_rng(60).standard_normal((n, ell))
+    state = block_arnoldi_start(r0, seed=0)
+    for _ in range(m):
+        state = block_arnoldi_extend(a, state, 1)
+    batch = block_arnoldi(a, r0, m, seed=0)
+    assert state.steps == m and not state.invariant
+    assert state.basis.shape == batch.basis.shape == (n, (m + 1) * ell)
+    assert np.abs(state.basis - batch.basis).max() <= 1e-12
+    assert np.abs(state.hess - batch.hess).max() <= 1e-12
+    rel = np.linalg.norm(a.to_dense() @ state.w - state.basis @ state.hess)
+    assert rel <= 1e-10 * a.frobenius_norm
+    gram = state.basis.conj().T @ state.basis
+    assert np.linalg.norm(gram - np.eye((m + 1) * ell)) <= 1e-10
+
+
+def test_workspace_views_never_expose_unwritten_entries(monkeypatch):
+    # the workspace starts uninitialized; fill it with NaN to show that
+    # every entry a state can see was written by a step
+    def poisoned(shape, dtype=float, order="C", _empty=np.empty):
+        if not np.issubdtype(dtype, np.inexact):
+            return _empty(shape, dtype=dtype, order=order)
+        return np.full(shape, np.nan, dtype=dtype, order=order)
+
+    monkeypatch.setattr(np, "empty", poisoned)
+    a = random_sparse(20, density=0.3, seed=63, diag_boost=3.0)
+    r0 = np.random.default_rng(64).standard_normal((20, 2))
+    state = block_arnoldi_start(r0, seed=0)
+    states = []
+    for _ in range(12):           # grows at steps 5 and 9, closes at 10
+        state = block_arnoldi_extend(a, state, 1)
+        states.append(state)
+    states.append(block_arnoldi_extend(a, states[1], 3))     # a branch
+    assert states[-2].invariant and states[-2].steps == 10
+    for st in states:
+        for arr in (st.basis, st.hess, st.coupling):
+            assert np.isfinite(arr).all()
+
+
+def test_projected_chain_closes_invariant_in_workspace():
+    # n = 10 beside k = 3 recycle directions leaves room for 7 basis
+    # columns: block size 2 closes at step 3, which builds one of its two
+    a = random_sparse(10, density=0.5, seed=61, diag_boost=4.0)
+    rng = np.random.default_rng(62)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((10, 3)))
+    state = block_arnoldi_start(rng.standard_normal((10, 2)), space, seed=1)
+    for _ in range(6):
+        state = block_arnoldi_extend(a, state, 1)
+    assert state.invariant and state.steps == 3
+    assert state.basis.shape == (10, 7)
+    assert state.hess.shape == (7, 6) and state.coupling.shape == (3, 6)
+    ad = a.to_dense()
+    c = space.c
+    proj = np.eye(10) - c @ c.conj().T
+    rel = np.linalg.norm(proj @ ad @ state.w - state.basis @ state.hess)
+    assert rel <= 1e-9 * a.frobenius_norm
+    assert np.linalg.norm(state.coupling - c.conj().T @ ad @ state.w) \
+        <= 1e-10 * a.frobenius_norm
+    both = np.hstack([state.basis, c])
+    assert np.linalg.norm(both.conj().T @ both - np.eye(10)) <= 1e-10
+
+
+def test_no_qr_probe_at_block_size_one(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qr called")
+
+    monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+    a = random_sparse(30, density=0.2, seed=8, diag_boost=5.0)
+    b = np.random.default_rng(9).standard_normal(30)
+    state = block_arnoldi(a, b, 6)
+    assert state.steps == 6
+    fam = ShiftedFamily(a, [0.0, 0.3, 1.0], np.tile(b[:, None], (1, 3)),
+                        None)
+    cfg = SolverConfig(cycle_length=8, tolerance=1e-9, max_cycles=50)
+    for solve in (sgmres, sfom):
+        _, rep = solve(fam, cfg)
+        assert all(rep.converged)
+
+
+def test_replacement_seed_keys_pinned():
+    rng = np.random.default_rng(61)
+    v, w = rng.standard_normal(12), rng.standard_normal(12)
+    block = np.column_stack([v, w, 2.0 * v])
+    start = block_arnoldi_start(block, seed=7)
+    assert start.replacements == (Replacement(0, 2, (7, 0, 2, 0)),)
+    # on the identity every later candidate is dependent
+    state = block_arnoldi(SparseMatrix.identity(12), block, 2, seed=7)
+    assert state.replacements == start.replacements + tuple(
+        Replacement(step, col, (7, step, col, 0))
+        for step in (1, 2) for col in range(3))

@@ -44,6 +44,21 @@ def test_detect_collinear_near_collinear():
     assert detect_collinear(r, tol=1e-12)
 
 
+def test_detect_collinear_matches_pairwise_loop():
+    # the vectorized sines resolve the same largest pairwise sine as the
+    # pairwise loop, well below the default tolerance
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+    for eps in (1e-14, 1e-13, 1e-11):
+        r = (v[:, None] * rng.uniform(1.0, 2.0, 12)
+             + eps * rng.standard_normal((40, 12)))
+        worst = max(_sin_angle(r[:, i], r[:, j])
+                    for i in range(12) for j in range(i + 1, 12))
+        assert detect_collinear(r, tol=2.0 * worst)
+        assert not detect_collinear(r, tol=0.5 * worst)
+        assert detect_collinear(r) == (eps < 1e-12)
+
+
 def test_detect_collinear_zero_column_errors():
     r = np.zeros((4, 2))
     r[:, 0] = 1.0
