@@ -12,8 +12,8 @@ from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
                       block_arnoldi_extend, block_arnoldi_start,
                       subspace_equality_angle)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
-from .block_solvers import (DecollinearizeStrategy, decollinearize,
-                            detect_collinear, sbfom, sbgmres)
+from .block_solvers import (DecollinearizeStrategy, detect_collinear, sbfom,
+                            sbgmres)
 from .dense import (EigenPairs, hessenberg_eigen, hessenberg_least_squares,
                     solve_small_dense)
 from .errors import (BreakdownError, CollinearityError, ConfigError,
@@ -40,7 +40,7 @@ __all__ = [
     "Replacement", "ShiftKrylovError", "ShiftedFamily", "SingularMatrixError",
     "SolveReport", "SolverConfig", "SparseMatrix", "add_shift",
     "block_arnoldi", "block_arnoldi_extend", "block_arnoldi_start",
-    "block_matvec", "decollinearize", "detect_collinear", "fom_restarted",
+    "block_matvec", "detect_collinear", "fom_restarted",
     "generate_convection_diffusion", "gmres_restarted", "hessenberg_eigen",
     "hessenberg_least_squares", "load_recycle_space", "matvec",
     "oblique_project_shift", "orthogonal_residual_projection",

@@ -11,7 +11,11 @@ system is driven by the same operator applications.  Within a cycle one
 :class:`.dense.ShiftedBandQR` state holds every active shift's QR factor,
 updated by one block column per step; each step's residual estimates are
 read off it, and each active shift's subproblem is solved once, at cycle
-end.  Every solve iterates in its family's working dtype (real for a real
+end.  The recycled method adds a recycle space ``(U, C)``; without one
+the space is empty (k = 0), and one cycle-end update serves every k.  A
+shift whose projection or subproblem is singular keeps its previous
+iterate for the cycle, with a note, and the rest of the family goes on.
+Every solve iterates in its family's working dtype (real for a real
 family, see :class:`.sparse.ShiftedFamily`), made complex by a complex
 recycle space.
 """
@@ -26,7 +30,7 @@ from .arnoldi import block_arnoldi_extend, block_arnoldi_start
 from .dense import (ShiftedBandQR, hessenberg_least_squares,
                     solve_small_dense)
 from .errors import (CollinearityError, DimensionError, NearSingularError,
-                     ShiftKrylovError)
+                     ShiftKrylovError, SingularMatrixError)
 from .recycling import (RecycleSpace, assemble_augmented, augmentation_blocks,
                         oblique_project_shift, shifted_hessenberg,
                         update_recycle_space)
@@ -94,9 +98,7 @@ class DecollinearizeStrategy:
 def _nonzero_collinear(r):
     norms = np.linalg.norm(r, axis=0)
     cols = np.nonzero(norms > 0.0)[0]
-    if len(cols) < 2:
-        return False
-    return detect_collinear(r[:, cols])
+    return len(cols) > 1 and detect_collinear(r[:, cols])
 
 
 def _reference_direction(r):
@@ -208,31 +210,6 @@ def _apply_strategy(family, x, r, strategy, report):
         f"residuals remain collinear after {_STRATEGY_RETRIES} attempts")
 
 
-def decollinearize(family: ShiftedFamily, strategy: DecollinearizeStrategy):
-    """Public wrapper: returns updated (x0, r0, fragment report).
-
-    Precondition: the family's initial residuals are collinear (checked).
-    """
-    x = family.initial_guess.copy()
-    r = family.residual_block(x) if np.any(x) else family.rhs.copy()
-    if family.n_shifts > 1 and not _nonzero_collinear(r):
-        raise CollinearityError("initial residuals are not collinear; "
-                                "no strategy is needed")
-    fragment = SolveReport(method=f"decollinearize-{strategy.tag}",
-                           shifts=family.shifts.copy(),
-                           rhs_norms=np.linalg.norm(family.rhs, axis=0),
-                           seed=strategy.seed)
-    if np.any(family.initial_guess):
-        fragment.block_matvecs += 1
-        fragment.matvecs += family.n_shifts
-    x, r, iters = _apply_strategy(family, x, r, strategy, fragment)
-    fragment.cycles = 1 if iters or strategy.tag == "random-x0" else 0
-    resid = np.linalg.norm(r, axis=0)
-    for i in range(family.n_shifts):
-        fragment.record(i, 0, iters, resid[i], False)
-    return x, r, fragment
-
-
 def _start(family: ShiftedFamily, cfg: SolverConfig, method):
     """State of a restarted solve before its first cycle.
 
@@ -311,7 +288,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     ``kind`` selects the subproblem: ``"gmres"`` (minimum residual, tall
     least squares) or ``"fom"`` (Galerkin, square solve).  With a recycle
     ``space`` (or a positive ``recycle_k`` and updates enabled) each cycle
-    is augmented; recycling requires ``kind == "gmres"``.
+    is augmented; recycling requires ``kind == "gmres"``.  Each cycle ends
+    with ``x += W y + U z`` and ``r -= [W_{j+1} C Uhat] (G y)`` per shift,
+    ``G`` its shifted augmented matrix, for every k including 0.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -352,44 +331,51 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         cycle += 1
         report.cycles = cycle
         resid_at_start = resid.copy()
+        active = ~converged
 
         if k_now > 0:
-            for i in np.nonzero(~converged)[0]:
-                r_hat, x_hat = oblique_project_shift(
-                    cur_space, shifts[i], r[:, i], x[:, i], a)
-                overlap = np.linalg.norm(cur_space.c.conj().T @ r_hat)
-                if overlap > 1e-13 * max(np.linalg.norm(r_hat), 1e-300):
+            for i in np.nonzero(active)[0]:
+                try:
                     r_hat, x_hat = oblique_project_shift(
-                        cur_space, shifts[i], r_hat, x_hat, a)
+                        cur_space, shifts[i], r[:, i], x[:, i], a)
+                    overlap = np.linalg.norm(cur_space.c.conj().T @ r_hat)
+                    if overlap > 1e-13 * max(np.linalg.norm(r_hat), 1e-300):
+                        r_hat, x_hat = oblique_project_shift(
+                            cur_space, shifts[i], r_hat, x_hat, a)
+                except NearSingularError:
+                    # the shift sits this cycle out with its iterate
+                    report.note(f"cycle {cycle}: no oblique projection for "
+                                f"shift index {i}; kept previous "
+                                "approximation")
+                    active[i] = False
+                    continue
                 r[:, i] = r_hat
                 x[:, i] = x_hat
             r_true = None
             resid = np.linalg.norm(r, axis=0)
-            newly = resid <= targets
+            converged = converged | (resid <= targets)
             for i in range(ell):
-                report.record(i, cycle, iteration, resid[i],
-                              bool(converged[i] or newly[i]))
-            converged = converged | newly
-            if converged.all():
+                report.record(i, cycle, iteration, resid[i], converged[i])
+            active &= ~converged
+            # nothing changes in later cycles when no shift can be solved
+            if not active.any():
                 break
 
-        active = ~converged
         idx = np.nonzero(active)[0]
-        arn = block_arnoldi_start(r, cur_space if k_now > 0 else None,
+        arn = block_arnoldi_start(r, cur_space,
                                   seed=_cycle_seed(cfg.seed, cycle))
         qr = ShiftedBandQR(shifts[idx], arn.s0[:, idx].T, ell, k_now,
                            cfg.cycle_length)
         rho = resid.copy()
-        blocks = None
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
             report.block_matvecs += 1
             report.matvecs += ell
             iteration += 1
             j = arn.steps
-            cols = slice((j - 1) * ell, j * ell)
-            qr.append(arn.hess[:j * ell, cols], arn.hess[j * ell:, cols],
-                      arn.coupling[:, cols])
+            new = slice((j - 1) * ell, j * ell)
+            qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
+                      arn.coupling[:, new])
             if k_now > 0:
                 blocks = augmentation_blocks(
                     cur_space, arn.basis,
@@ -399,56 +385,45 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         f"cycle {cycle} step {j}: recycle directions "
                         f"{list(blocks.padded)} numerically contained in "
                         "the Krylov space")
-                rho[idx] = qr.augmented_residual(blocks.p, blocks.q2,
-                                                 blocks.n_factor)
+                est = qr.augmented_residual(blocks.p, blocks.q2,
+                                            blocks.n_factor)
             elif kind == "gmres":
-                rho[idx] = qr.residual()
+                est = qr.residual()
             else:
-                est, singular = qr.galerkin_residual(_SINGULAR_RTOL)
-                # a singular shift's estimate keeps its previous value
-                rho[idx[~singular]] = est[~singular]
+                est, _ = qr.galerkin_residual(_SINGULAR_RTOL)
+            # a singular shift's estimate (NaN) keeps its previous value
+            ok = ~np.isnan(est)
+            rho[idx[ok]] = est[ok]
+            done = converged | (active & (rho <= targets))
             for i in range(ell):
-                if active[i]:
-                    report.record(i, cycle, iteration, rho[i],
-                                  bool(rho[i] <= targets[i]))
-                else:
-                    report.record(i, cycle, iteration, resid[i], True)
+                report.record(i, cycle, iteration, rho[i], done[i])
             if np.all(rho[active] <= targets[active]) or arn.invariant:
                 break
 
-        j_end = arn.steps
-        w = arn.basis[:, :j_end * ell]
-        concat = None
-        if k_now > 0:
-            concat = np.hstack([arn.basis, cur_space.c, blocks.u_hat])
+        # one update for every k: an empty space adds no columns or rows
+        if k_now == 0:
+            blocks = augmentation_blocks(cur_space, arn.basis)
+        rows, cols = arn.hess.shape
         for i in idx:
-            sigma = shifts[i]
-            if k_now > 0:
-                g_mat = assemble_augmented(arn.hess, arn.coupling, blocks,
-                                           ell, sigma)
-            else:
-                g_mat = shifted_hessenberg(arn.hess, ell, sigma)
+            g_mat = assemble_augmented(arn.hess, arn.coupling, blocks, ell,
+                                       shifts[i])
             g_vec = np.zeros(g_mat.shape[0], dtype=g_mat.dtype)
             g_vec[:ell] = arn.s0[:, i]
-            if kind == "gmres":
-                y, _ = hessenberg_least_squares(g_mat, g_vec)
-            else:
-                try:
-                    y, _ = solve_small_dense(g_mat[:j_end * ell, :],
-                                             g_vec[:j_end * ell])
-                except NearSingularError:
-                    report.note(f"cycle {cycle}: no Galerkin iterate for "
-                                f"shift index {i}; kept previous "
-                                "approximation")
-                    continue
-            if k_now > 0:
-                yk = y[:j_end * ell]
-                z = y[j_end * ell:]
-                x[:, i] = x[:, i] + cur_space.u @ z + w @ yk
-                r[:, i] = concat @ (g_vec - g_mat @ y)
-            else:
-                x[:, i] = x[:, i] + w @ y
-                r[:, i] = r[:, i] - arn.basis @ (g_mat @ y)
+            try:
+                if kind == "gmres":
+                    y, _ = hessenberg_least_squares(g_mat, g_vec)
+                else:
+                    y, _ = solve_small_dense(g_mat[:cols], g_vec[:cols])
+            except (SingularMatrixError, NearSingularError):
+                name = "Galerkin" if kind == "fom" else "least-squares"
+                report.note(f"cycle {cycle}: no {name} iterate for shift "
+                            f"index {i}; kept previous approximation")
+                continue
+            gy = g_mat @ y
+            x[:, i] += arn.w @ y[:cols] + cur_space.u @ y[cols:]
+            r[:, i] -= (arn.basis @ gy[:rows]
+                        + cur_space.c @ gy[rows:rows + k_now]
+                        + blocks.u_hat @ gy[rows + k_now:])
         for rec in arn.replacements:
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))
@@ -461,19 +436,14 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         f"{np.nonzero(stalled)[0].tolist()}")
 
         if recycle_update and recycle_k > 0:
-            if recycle_k > j_end * ell + (cur_space.k if recycle_source == "augmented" else 0):
-                report.note(f"cycle {cycle}: only {j_end * ell} candidate "
-                            f"directions, recycle space kept")
-            else:
-                try:
-                    cur_space = update_recycle_space(
-                        arn, recycle_mode, recycle_k,
-                        cur_space if k_now > 0 else None,
-                        source=recycle_source)
-                    k_now = cur_space.k
-                except (ShiftKrylovError, np.linalg.LinAlgError) as exc:
-                    report.note(f"cycle {cycle}: recycle update failed "
-                                f"({exc}); space kept")
+            try:
+                cur_space = update_recycle_space(
+                    arn, recycle_mode, recycle_k, cur_space,
+                    source=recycle_source)
+                k_now = cur_space.k
+            except (ShiftKrylovError, np.linalg.LinAlgError) as exc:
+                report.note(f"cycle {cycle}: recycle update failed "
+                            f"({exc}); space kept")
 
     _finish(family, report, x, targets, r_true)
     return x, report, cur_space

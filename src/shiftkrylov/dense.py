@@ -92,21 +92,21 @@ def solve_small_dense(m, rhs):
 
 def _adjoint_q_factors(blocks):
     """``Q*`` of the complete QR ``Q R`` of each tall block of a stack,
-    and each block's largest ``|R_kk|``.  One LAPACK ``geqrf`` and
+    and each block's ``|R_kk|``.  One LAPACK ``geqrf`` and
     ``orgqr`` (``ungqr`` for complex blocks) per block: at these sizes that
     is cheaper than one batched ``np.linalg.qr`` call."""
     p, rows, cols = blocks.shape
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
                                                  (blocks,))
     qh = np.empty((p, rows, rows), dtype=blocks.dtype)
-    diag_max = np.empty(p)
+    diag = np.empty((p, cols))
     for i in range(p):
         r, tau = geqrf(blocks[i])[:2]
-        diag_max[i] = np.abs(np.diagonal(r)).max()
+        diag[i] = np.abs(np.diagonal(r))
         full = np.zeros((rows, rows), dtype=blocks.dtype)
         full[:, :cols] = r
         qh[i] = orgqr(full, tau, overwrite_a=True)[0].conj().T
-    return qh, diag_max
+    return qh, diag
 
 
 class ShiftedBandQR:
@@ -151,6 +151,7 @@ class ShiftedBandQR:
         self.g[:, :ell] = rhs
         self._pivot = self._g_pivot = self._sub = None
         self._diag_max = np.zeros(p)
+        self._diag_min = np.full(p, np.inf)
         self._pivot_scale = self._diag_max
 
     def append(self, h_col, sub, b_col):
@@ -171,21 +172,26 @@ class ShiftedBandQR:
         live[:, ell + k:] = sub
         self._pivot, self._g_pivot, self._sub = live[:, :ell].copy(), \
             self.g[:, :ell].copy(), sub
-        qh, diag_max = _adjoint_q_factors(live)
+        qh, diag = _adjoint_q_factors(live)
         keep = qh[:, ell:]              # the rows the next step carries
         self.carry = k + c
         self.m[:, :k + c, :cols] = keep[..., :ell + k] @ m
         self.m[:, :k + c, cols:cols + c] = keep[..., ell + k:]
         self.g[:, :k + c] = (keep[..., :ell + k] @ self.g[..., None])[..., 0]
         self._pivot_scale = self._diag_max
-        self._diag_max = np.maximum(self._diag_max, diag_max)
+        self._diag_max = np.maximum(self._diag_max, diag.max(axis=1))
+        self._diag_min = np.minimum(self._diag_min, diag.min(axis=1))
         self.steps = t + 1
 
     def residual(self):
         """Per shift, the least-squares residual norm
         ``min_y ||[rhs_i; 0] - [Hbar_j + sigma_i [I; 0]; B_j] y||``: the
-        norm of the carried entries of ``g``."""
-        return np.linalg.norm(self.g[:, :self.carry], axis=1)
+        norm of the carried entries of ``g``.  It is NaN for a shift
+        whose triangle has an exactly zero diagonal entry: that problem is
+        singular and ``g`` misses part of its residual."""
+        rho = np.linalg.norm(self.g[:, :self.carry], axis=1)
+        rho[self._diag_min == 0.0] = np.nan
+        return rho
 
     def galerkin_residual(self, rtol):
         """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
@@ -205,7 +211,8 @@ class ShiftedBandQR:
     def augmented_residual(self, p, q2, n_factor):
         """Per shift, the least-squares residual norm of the augmented
         matrix ``[[Hbar_j + sigma I, sigma P], [B_j, I + sigma Q2],
-        [0, sigma N]]`` (see :func:`.recycling.assemble_augmented`).
+        [0, sigma N]]`` (see :func:`.recycling.assemble_augmented`), NaN
+        when its band part is singular (see :meth:`residual`).
 
         The k recycle columns are rotated by every stored factor; the
         norm is the last diagonal entry of the QR of the
@@ -220,7 +227,9 @@ class ShiftedBandQR:
         tail[:, :carry, k] = self.g[:, :carry]
         tail[:, carry:, :k] = sig * n_factor
         geqrf, = scipy.linalg.get_lapack_funcs(("geqrf",), (tail,))
-        return np.array([abs(geqrf(t)[0][k, k]) for t in tail])
+        rho = np.array([abs(geqrf(t)[0][k, k]) for t in tail])
+        rho[self._diag_min == 0.0] = np.nan
+        return rho
 
 
 class ShiftedGivensQR:

@@ -291,7 +291,7 @@ def assemble_augmented(hess, coupling, blocks: AugmentationBlocks,
     k = blocks.q2.shape[0]
     rows_h, cols_h = h_sigma.shape
     g = np.zeros((rows_h + 2 * k, cols_h + k),
-                 dtype=np.result_type(h_sigma, coupling, blocks.p))
+                 dtype=np.result_type(h_sigma, coupling, blocks.p), order="F")
     g[:rows_h, :cols_h] = h_sigma
     g[:rows_h, cols_h:] = sigma * blocks.p
     g[rows_h:rows_h + k, :cols_h] = coupling

@@ -76,9 +76,5 @@ class SolveReport:
     def n_shifts(self):
         return len(self.shifts)
 
-    @property
-    def all_converged(self):
-        return bool(all(self.converged)) if self.converged else False
-
     def note(self, text):
         self.notes.append(str(text))

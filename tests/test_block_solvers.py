@@ -3,7 +3,7 @@ import pytest
 
 from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          ShiftedFamily, SolverConfig, SparseMatrix,
-                         add_shift, block_arnoldi, decollinearize,
+                         add_shift, block_arnoldi,
                          detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
                          hessenberg_least_squares, rsbgmres, sbfom,
@@ -66,57 +66,104 @@ def test_detect_collinear_zero_column_errors():
         detect_collinear(r)
 
 
-def test_decollinearize_single_system_noop():
+_APPLY_STRATEGY = block_solvers._apply_strategy
+
+
+def _strategy_run(monkeypatch, solver, fam, strategy, cfg=None):
+    """Run ``solver`` with ``strategy`` and return ``(x, report, seen)``:
+    ``seen`` holds a copy of each ``(x, r, iterations)`` the strategy
+    handed to the engine."""
+    seen = []
+
+    def spy(*args):
+        x, r, iters = _APPLY_STRATEGY(*args)
+        seen.append((x.copy(), r.copy(), iters))
+        return x, r, iters
+
+    monkeypatch.setattr(block_solvers, "_apply_strategy", spy)
+    cfg = cfg or SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20)
+    x, rep = solver(fam, cfg, strategy)
+    return x, rep, seen
+
+
+def _strategy_row(rep, fam):
+    """The cycle-0 rows the strategy rewrote (the last cycle-0 row of
+    every shift)."""
+    return [[row for row in rep.rows if row[0] == i and row[1] == 0][-1]
+            for i in range(fam.n_shifts)]
+
+
+def test_strategy_single_system_noop(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 6.0))
     fam = ShiftedFamily(a, [0.5], np.ones((5, 1)), None)
-    x0, r0, frag = decollinearize(fam, DecollinearizeStrategy("random-x0"))
-    assert np.array_equal(x0, fam.initial_guess)
-    assert np.array_equal(r0, fam.rhs)
-    assert frag.matvecs == 0
+    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam,
+                                 DecollinearizeStrategy("random-x0"))
+    x_plain, rep_plain = sbgmres(fam, SolverConfig(
+        cycle_length=6, tolerance=1e-8, max_cycles=20))
+    # no strategy runs on one system: 0 extra matvecs, same solve
+    assert seen == []
+    assert rep.rows == rep_plain.rows and np.array_equal(x, x_plain)
+    assert not rep.notes
 
 
-def test_decollinearize_gmres_cycle():
+def test_strategy_gmres_cycle(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
     strat = DecollinearizeStrategy("gmres-cycle", m_init=4, seed=3)
-    x0, r0, frag = decollinearize(fam, strat)
+    _, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, strat)
+    (x0, r0, iters), = seen
     assert not detect_collinear(r0)
     assert _sin_angle(r0[:, 0], r0[:, 1]) > 1e-6
-    assert frag.matvecs == 4
+    # the strategy costs m_init matvecs before the first cycle
+    assert iters == 4
+    assert all(row[2:5] == (4, 4, 0) for row in _strategy_row(rep, fam))
     # consistency of the updated pair
     expect = fam.rhs - a.to_dense() @ x0 - x0 * fam.shifts[None, :]
     assert np.allclose(r0, expect, atol=1e-12)
+    assert "decollinearized with gmres-cycle" in rep.notes
 
 
-def test_decollinearize_random_x0_deterministic():
+def test_strategy_random_x0_deterministic(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
     strat = DecollinearizeStrategy("random-x0", m_init=1, seed=11)
-    x1, r1, _ = decollinearize(fam, strat)
-    x2, r2, _ = decollinearize(fam, strat)
-    assert np.array_equal(x1, x2) and np.array_equal(r1, r2)
-    assert not detect_collinear(r1)
+    x1, rep1, seen1 = _strategy_run(monkeypatch, sbgmres, fam, strat)
+    x2, rep2, seen2 = _strategy_run(monkeypatch, sbgmres, fam, strat)
+    (xs1, rs1, _), = seen1
+    (xs2, rs2, _), = seen2
+    assert np.array_equal(xs1, xs2) and np.array_equal(rs1, rs2)
+    assert rep1.rows == rep2.rows and np.array_equal(x1, x2)
+    assert not detect_collinear(rs1)
+    assert "decollinearized with random-x0" in rep1.notes
 
 
-def test_decollinearize_fom_random_block():
+def test_strategy_fom_random_block(monkeypatch):
     a = generate_convection_diffusion(6, 10.0)
     b = np.tile(np.random.default_rng(5).standard_normal((36, 1)), (1, 3))
     fam = ShiftedFamily(a, [1e-3, 1e-2, 1e-1], b, None)
     strat = DecollinearizeStrategy("fom-random-block", m_init=5, seed=2)
-    x0, r0, frag = decollinearize(fam, strat)
+    _, rep, seen = _strategy_run(monkeypatch, sbfom, fam, strat)
+    (x0, r0, _), = seen
     assert not detect_collinear(r0)
-    assert frag.block_matvecs == 5 and frag.matvecs == 15
-    expect = fam.residual_block(x0)
-    assert np.allclose(r0, expect, atol=1e-10)
+    # m_init block matvecs of block size 3 before the first cycle
+    assert all(row[3:5] == (15, 5) for row in _strategy_row(rep, fam))
+    assert np.allclose(r0, fam.residual_block(x0), atol=1e-10)
+    assert "decollinearized with fom-random-block" in rep.notes
 
 
-def test_decollinearize_requires_collinear_input():
+def test_strategy_skipped_for_non_collinear_input(monkeypatch):
     a = SparseMatrix.identity(4)
     fam = ShiftedFamily(a, [0.0, 1.0], np.eye(4)[:, :2], None)
-    with pytest.raises(CollinearityError):
-        decollinearize(fam, DecollinearizeStrategy("random-x0"))
+    cfg = SolverConfig(cycle_length=3, tolerance=1e-8, max_cycles=5)
+    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam,
+                                 DecollinearizeStrategy("random-x0"), cfg)
+    x_plain, rep_plain = sbgmres(fam, cfg)
+    # independent residuals need no strategy: no note, no extra matvecs
+    assert seen == []
+    assert not any("decollinearized" in note for note in rep.notes)
+    assert rep.rows == rep_plain.rows and np.array_equal(x, x_plain)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +473,30 @@ def test_converged_flags_match_true_residual(name, case):
         assert rep.converged[i] == (true <= target)
         assert rep.final_residuals[i] == pytest.approx(
             true, rel=1e-10, abs=1e-14)
+
+
+@pytest.mark.parametrize("name,subproblem", [("sbgmres", "least-squares"),
+                                              ("sbfom", "Galerkin"),
+                                              ("rsbgmres", "least-squares")])
+def test_singular_shift_keeps_its_iterate_and_spares_the_family(name,
+                                                                subproblem):
+    # A - I is singular and the block Krylov space of [e1 e2] closes after
+    # one step, so shift -1 meets an exactly singular square relation at
+    # every cycle end; shift 0.5 is solved exactly all the same
+    a = SparseMatrix.diagonal(np.array([1.0, 2.0, 3.0]))
+    fam = ShiftedFamily(a, [-1.0, 0.5], np.eye(3)[:, :2], None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=5)
+    if name == "rsbgmres":
+        x, rep, _ = rsbgmres(fam, cfg, None, k=1)
+    else:
+        x, rep = getattr(block_solvers, name)(fam, cfg)
+    assert rep.converged == [False, True]
+    assert rep.notes[0] == (f"cycle 1: no {subproblem} iterate for shift "
+                            "index 0; kept previous approximation")
+    # e1 is orthogonal to the range of A - I: the best residual is 1
+    assert rep.final_residuals[0] == pytest.approx(1.0)
+    assert rep.final_residuals[1] <= 1e-8
+    assert not any(row[6] for row in rep.rows if row[0] == 0)
 
 
 def test_drift_note_names_worst_active_shift():

@@ -264,6 +264,15 @@ def test_shifted_band_qr_flags_singular_galerkin_system():
     assert np.allclose(qr.residual(), [1.0, 1.0 / np.sqrt(2.0)])
 
 
+def test_shifted_band_qr_marks_singular_least_squares_unknown():
+    # H = [[1]] closes square: at shift -1 the 1 x 1 system is exactly
+    # singular, and its carried right-hand side (no rows) would read 0
+    qr = ShiftedBandQR([-1.0, 0.5], [[1.0], [1.0]], 1, 0, 1)
+    qr.append([[1.0]], np.zeros((0, 1)), np.zeros((0, 1)))
+    rho = qr.residual()
+    assert np.isnan(rho[0]) and rho[1] == 0.0
+
+
 def test_solve_identity():
     x, resid = solve_small_dense(np.eye(2), np.array([3.0, 4.0]))
     assert np.array_equal(x, [3.0, 4.0]) and resid == 0.0

@@ -118,6 +118,23 @@ def test_oblique_near_singular_raises():
                               np.zeros(12, dtype=complex), a)
 
 
+def test_rsbgmres_shift_without_oblique_projection_keeps_its_iterate():
+    # C = U = e1, so C* (C + sigma U) = 1 + sigma vanishes at sigma = -1:
+    # that shift keeps its iterate at every cycle, the other converges
+    a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
+    space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
+    fam = ShiftedFamily(a, [-1.0, 0.5], np.ones((4, 2)), None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20)
+    x, rep, _ = rsbgmres(fam, cfg, space, update=False)
+    assert rep.converged == [False, True]
+    assert rep.notes[0] == ("cycle 1: no oblique projection for shift index "
+                            "0; kept previous approximation")
+    assert np.all(x[:, 0] == 0.0)
+    assert not any(row[6] for row in rep.rows if row[0] == 0)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
+
+
 def test_augmented_operator_zero_shift_collapses():
     a = random_sparse(18, seed=16, diag_boost=4.0)
     space = _space(a, 3)
