@@ -367,6 +367,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         qr = ShiftedBandQR(shifts[idx], arn.s0[:, idx].T, ell, k_now,
                            cfg.cycle_length)
         rho = resid.copy()
+        blocks, noted = None, ()
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
             report.block_matvecs += 1
@@ -379,12 +380,13 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             if k_now > 0:
                 blocks = augmentation_blocks(
                     cur_space, arn.basis,
-                    pad_seed=_cycle_seed(cfg.seed, cycle) + j)
-                if blocks.padded:
+                    pad_seed=_cycle_seed(cfg.seed, cycle) + j, prev=blocks)
+                if blocks.padded and blocks.padded != noted:
                     report.note(
                         f"cycle {cycle} step {j}: recycle directions "
                         f"{list(blocks.padded)} numerically contained in "
                         "the Krylov space")
+                noted = blocks.padded
                 est = qr.augmented_residual(blocks.p, blocks.q2,
                                             blocks.n_factor)
             elif kind == "gmres":

@@ -189,11 +189,14 @@ class AugmentationBlocks:
     """QR-correction blocks shared by all shifts at one inner step.
 
     Factors ``[W_{j+1}  C  U] = [W_{j+1}  C  Uhat] T`` where T stacks
-    ``p = W_{j+1}* U``, ``q2 = C* U`` and the triangular ``n_factor`` of
-    the remainder, so ``[W_{j+1}  C  Uhat]`` has orthonormal columns.
+    ``p = W_{j+1}* U``, ``q2 = C* U`` and the upper triangular
+    ``n_factor`` of the remainder, so ``[W_{j+1}  C  Uhat]`` has
+    orthonormal columns.  ``remainder`` is ``D = U - W_{j+1} p - C q2``,
+    the part of U that the next step's basis block is taken out of (see
+    :func:`augmentation_blocks`), and ``Uhat n_factor`` is its QR.
     ``padded`` lists recycle directions that were numerically contained
     in span([W C]) and whose ``Uhat`` column is a filler direction with a
-    zero ``n_factor`` column (the factorization stays exact).
+    zero diagonal entry in ``n_factor`` (the factorization stays exact).
     """
 
     p: np.ndarray
@@ -201,73 +204,94 @@ class AugmentationBlocks:
     u_hat: np.ndarray
     n_factor: np.ndarray
     padded: tuple = ()
+    remainder: np.ndarray | None = None
 
 
 _CONTAINED_TOL = 1e-13
 
 
-def augmentation_blocks(space: RecycleSpace, w_basis,
-                        pad_seed=None) -> AugmentationBlocks:
-    """Orthogonalize U against [W C] (two passes) and QR the remainder.
+def _absorb(block, d):
+    """Take span(block) out of ``d`` in place with two passes of
+    ``d -= block (block* d)`` (BCGS2) and return the summed
+    coefficients ``block* d``."""
+    coef = block.conj().T @ d
+    d -= block @ coef
+    again = block.conj().T @ d
+    d -= block @ again
+    return coef + again
 
-    A recycle direction whose remainder falls below ``1e-13`` of its own
-    norm is numerically contained in span([W C]).  With ``pad_seed`` set,
-    such a column of ``Uhat`` is replaced by a reproducible random filler
-    orthogonal to everything and its triangular column is zeroed, which
-    keeps the factorization exact; without a seed this raises
-    :class:`NearSingularError` advising a smaller k.  When ``[W C]`` and
-    the earlier ``Uhat`` columns already span the whole space, no filler
-    exists and the column stays zero.  The blocks take the dtype of
-    ``w_basis`` and the space together.
+
+def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
+                        prev=None) -> AugmentationBlocks:
+    """Orthogonalize U against [W C] and QR the remainder.
+
+    ``prev`` holds the blocks of an earlier step of the same Arnoldi
+    chain: only the columns of ``w_basis`` after its ``p`` rows are taken
+    out of its carried remainder, one block at a time, so a cycle costs
+    O(m) block updates.  Without ``prev`` the remainder starts from U,
+    which gives up C and then all of ``w_basis`` as one block.  Every
+    block goes in two passes (BCGS2), and one LAPACK QR of the n x k
+    remainder gives ``Uhat`` and ``n_factor`` (one more QR per padded
+    direction, below).
+
+    A recycle direction whose diagonal entry falls to ``1e-13`` of its
+    own norm is numerically contained in span([W C]).  With ``pad_seed``
+    set, such a column of ``Uhat`` is a reproducible random filler
+    orthogonal to ``[W C]`` and the ``Uhat`` columns before it, and its
+    ``n_factor`` column holds only its coefficients on those earlier
+    columns, which keeps the factorization exact; without a seed this
+    raises :class:`NearSingularError` advising a smaller k.  When ``[W C]``
+    and the earlier ``Uhat`` columns already span the whole space, no
+    filler exists and the column stays zero.  The blocks take the dtype
+    of ``w_basis`` and the space together.
     """
     w_basis = np.asarray(w_basis)
     u, c = space.u, space.c
-    k = space.k
     dtype = np.result_type(w_basis, u)
-    p = np.zeros((w_basis.shape[1], k), dtype=dtype)
-    q2 = np.zeros((k, k), dtype=dtype)
-    d = u.astype(dtype)
-    for _pass in range(2):
-        cw = w_basis.conj().T @ d
-        p += cw
-        d = d - w_basis @ cw
-        cc = c.conj().T @ d
-        q2 += cc
-        d = d - c @ cc
-    u_norms = np.linalg.norm(u, axis=0)
-    u_hat = np.zeros((u.shape[0], k), dtype=dtype)
-    n_factor = np.zeros((k, k), dtype=dtype)
-    padded = []
-    for col in range(k):
-        w = d[:, col].copy()
+    if prev is None:
+        d = u.astype(dtype)
+        q2 = _absorb(c, d)
+        p = np.zeros((0, space.k), dtype=dtype)
+    else:
+        d = prev.remainder.copy()
+        q2, p = prev.q2, prev.p
+    p = np.vstack([p, _absorb(w_basis[:, p.shape[0]:], d)])
+    tol = _CONTAINED_TOL * np.maximum(np.linalg.norm(u, axis=0), 1e-300)
+    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
+    m, padded = d, []
+    while True:
+        qr, tau = geqrf(m)[:2]
+        n_factor = np.triu(qr[:space.k])
+        diag = np.abs(np.diagonal(n_factor))
+        after = padded[-1] + 1 if padded else 0
+        contained = np.nonzero(diag[after:] <= tol[after:])[0]
+        if not contained.size:
+            break
+        col = after + int(contained[0])
+        if pad_seed is None:
+            raise NearSingularError(
+                f"recycle direction {col} is numerically contained in "
+                "span([W C]); reduce k")
+        # the Householder columns from here on are not orthogonal to
+        # [W C]: put a filler in this column and QR once more
+        rng = np.random.default_rng(np.random.SeedSequence((pad_seed, col)))
+        f = rng.standard_normal(u.shape[0]).astype(dtype)
+        # the column's diagonal entry is now the filler's, on its scale
+        tol[col] = _CONTAINED_TOL * np.linalg.norm(f)
         for _pass in range(2):
-            for i in range(col):
-                coef = np.vdot(u_hat[:, i], w)
-                n_factor[i, col] += coef
-                w -= coef * u_hat[:, i]
-        nrm = np.linalg.norm(w)
-        if nrm <= _CONTAINED_TOL * max(u_norms[col], 1e-300):
-            if pad_seed is None:
-                raise NearSingularError(
-                    f"recycle direction {col} is numerically contained in "
-                    "span([W C]); reduce k")
-            rng = np.random.default_rng(
-                np.random.SeedSequence((pad_seed, col)))
-            w = rng.standard_normal(u.shape[0]).astype(dtype)
-            w_norm = np.linalg.norm(w)
-            for _pass in range(2):
-                w -= w_basis @ (w_basis.conj().T @ w)
-                w -= c @ (c.conj().T @ w)
-                w -= u_hat[:, :col] @ (u_hat[:, :col].conj().T @ w)
-            nrm = np.linalg.norm(w)
-            w = w / nrm if nrm > _CONTAINED_TOL * w_norm else np.zeros_like(w)
-            n_factor[col, col] = 0.0
-            padded.append(col)
-        else:
-            n_factor[col, col] = nrm
-            w /= nrm
-        u_hat[:, col] = w
-    return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded))
+            f -= w_basis @ (w_basis.conj().T @ f)
+            f -= c @ (c.conj().T @ f)
+        m = m.copy() if m is d else m
+        m[:, col] = f
+        padded.append(col)
+    u_hat = orgqr(qr, tau, overwrite_a=True)[0]
+    if padded:
+        # an exhausted filler leaves its column zero; a padded direction
+        # keeps its coefficients on the Uhat columns before it
+        u_hat[:, padded] *= diag[padded] > tol[padded]
+        above = np.arange(space.k)[:, None] < np.array(padded)
+        n_factor[:, padded] = above * (u_hat.conj().T @ d[:, padded])
+    return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d)
 
 
 def shifted_hessenberg(hess, block_size, sigma):

@@ -1,7 +1,8 @@
 """Property-based checks of the band QR that the block engine reads its
 per-step residual estimates from: on generated families, every estimate
 equals the residual of the dense (augmented) least-squares problem,
-solved from scratch at that step.
+solved from scratch at that step.  The recycle blocks are carried from
+step to step, as the block engine carries them.
 
 Generated inputs cover complex and near-duplicate shifts, block Krylov
 spaces that exhaust the ambient dimension (n <= m L, so the relation
@@ -70,6 +71,7 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
     arn = block_arnoldi_start(r0, space, seed=1)
     qr = ShiftedBandQR(shifts, arn.s0.T, ell, k, steps)
     checked = 0
+    blocks = None
     for _ in range(steps):
         if arn.invariant:
             break
@@ -79,7 +81,8 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
         qr.append(arn.hess[:j * ell, cols], arn.hess[j * ell:, cols],
                   arn.coupling[:, cols])
         if k:
-            blocks = augmentation_blocks(space, arn.basis, pad_seed=j)
+            blocks = augmentation_blocks(space, arn.basis, pad_seed=j,
+                                         prev=blocks)
             estimates = qr.augmented_residual(blocks.p, blocks.q2,
                                               blocks.n_factor)
         else:

@@ -9,6 +9,7 @@ from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
                          orthogonal_residual_projection, rgmres_baseline,
                          rsbgmres, save_recycle_space, sbgmres,
                          update_recycle_space)
+from shiftkrylov.arnoldi import block_arnoldi_extend, block_arnoldi_start
 from shiftkrylov.recycling import (assemble_augmented, augmentation_blocks,
                                    shifted_hessenberg)
 
@@ -208,6 +209,63 @@ def test_augmented_relation_random_shift():
     lhs = (ad + sigma * np.eye(22)) @ np.hstack([arn.w, space.u])
     rel = np.linalg.norm(lhs - concat @ g_bar)
     assert rel <= 1e-9 * (a.frobenius_norm + abs(sigma))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_carried_augmentation_blocks_equal_the_one_shot_call(dtype):
+    # a projected chain with L = 3, k = 4; recycle direction 2 is put in
+    # the first three basis blocks, so it is contained, and padded, from
+    # step 2 on (the factorization does not need C = A U for it)
+    n, ell, k = 60, 3, 4
+    a = random_sparse(n, seed=30, diag_boost=4.0)
+    rng = np.random.default_rng(31)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        if dtype == np.complex128:
+            z = z + 1j * rng.standard_normal(shape)
+        return z
+
+    space = RecycleSpace.from_basis(a, draw(n, k))
+    states = [block_arnoldi_start(draw(n, ell), space, seed=0)]
+    for _ in range(12):
+        states.append(block_arnoldi_extend(a, states[-1], 1))
+    u = space.u.copy()
+    u[:, 2] = states[-1].basis[:, :3 * ell] @ draw(3 * ell)
+    space = RecycleSpace(u, space.c)
+    blocks = None
+    for j, arn in enumerate(states[1:], start=1):
+        blocks = augmentation_blocks(space, arn.basis, pad_seed=j,
+                                     prev=blocks)
+        fresh = augmentation_blocks(space, arn.basis, pad_seed=j)
+        assert blocks.u_hat.dtype == dtype
+        assert blocks.padded == fresh.padded == ((2,) if j >= 2 else ())
+        for carried, ref in ((blocks.p, fresh.p), (blocks.q2, fresh.q2)):
+            assert np.linalg.norm(carried - ref) <= 1e-12 * np.linalg.norm(ref)
+        wc = np.hstack([arn.basis, space.c])
+        rebuilt = (wc @ np.vstack([blocks.p, blocks.q2])
+                   + blocks.u_hat @ blocks.n_factor)
+        assert np.linalg.norm(rebuilt - u) <= 1e-12 * np.linalg.norm(u)
+        gram = blocks.u_hat.conj().T @ blocks.u_hat
+        assert np.linalg.norm(gram - np.eye(k)) <= 1e-12
+        assert np.linalg.norm(wc.conj().T @ blocks.u_hat) <= 1e-12
+
+
+def test_padding_is_noted_once_per_cycle():
+    # e1 is an eigenvector of the diagonal A, so recycle direction 0 lies
+    # in span(C) and is padded at every step of every cycle
+    a = SparseMatrix.diagonal(np.linspace(1.0, 100.0, 50))
+    basis = np.random.default_rng(32).standard_normal((50, 3))
+    basis[:, 0] = np.eye(50)[:, 0]
+    space = RecycleSpace.from_basis(a, basis)
+    fam = ShiftedFamily(a, [0.1, 0.5], np.ones((50, 2)), None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=30)
+    _, rep, _ = rsbgmres(fam, cfg, space, update=False)
+    assert rep.cycles >= 3
+    padding = [n for n in rep.notes if "numerically contained" in n]
+    assert padding == [f"cycle {c} step 1: recycle directions [0] "
+                       "numerically contained in the Krylov space"
+                       for c in range(1, rep.cycles + 1)]
 
 
 def test_rsbgmres_k0_identical_to_sbgmres():
