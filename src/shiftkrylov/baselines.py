@@ -9,10 +9,11 @@ they are cheap (one vector per step serves every shift) but only apply
 when all shifted residuals are scalar multiples of one another, and they
 must preserve that collinearity at every restart.  Both run on one
 restart driver, :func:`_collinear_cycles`; they differ only in two hooks,
-the per-step residual estimate and the cycle-end coefficients.  Their
-small problems live in one :class:`.dense.ShiftedGivensQR` state per
-cycle, updated at each step for every shift together rather than
-refactored per shift.
+the per-step residual estimate and the cycle-end coefficients.  Each
+cycle's per-step estimates come from one :class:`.dense.ShiftedBandQR`
+state at block size one, the state the block engine uses, updated at each
+step for every shift together rather than refactored per shift; each
+cycle ends with one batched dense solve over the solved shifts.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .arnoldi import block_arnoldi_extend, block_arnoldi_start
 from .block_solvers import (_SINGULAR_RTOL, _end_cycle, _finish,
                             _nonzero_collinear, _reference_direction,
                             _run_cycles, _start, _unit_relation)
-from .dense import ShiftedGivensQR
+from .dense import ShiftedBandQR
 from .errors import CollinearityError
+from .recycling import shifted_hessenberg
 from .report import SolverConfig
 from .sparse import ShiftedFamily, SparseMatrix, add_shift
 
@@ -86,6 +88,15 @@ def _solve_alone(family, cfg, report, x, alone, cycles, iteration):
     return len(idx) > 0
 
 
+def _solve_e1(stack, beta):
+    """``z_i`` with ``stack[i] z_i = beta_i e_1`` for every i, in one
+    batched solve; one column per i.  The step hooks' singular masks leave
+    out every exactly singular system."""
+    rhs = np.zeros(stack.shape[:2] + (1,), dtype=np.result_type(stack, beta))
+    rhs[:, 0, 0] = beta
+    return np.linalg.solve(stack, rhs)[..., 0].T
+
+
 def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
                       solo_cfg):
     """The restart loop of the collinear methods.
@@ -93,16 +104,19 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     Each cycle's Krylov space starts from the unit residual ``v1`` of
     shift ``base`` on ``A + sigma_base I`` or, for ``base`` None, from the
     largest residual on ``A``; every shift is one row of a
-    :class:`ShiftedGivensQR` state with right-hand side ``v1* r_i``.  Two
-    hooks make the method.  ``step(qr, base, sub)``, given the step's
-    subdiagonal entry (0 after a happy breakdown), returns per shift the
-    coefficient ``c_i`` of its residual ``c_i W d`` and the mask of shifts
-    with no iterate.  ``end(qr, base, idx, c)`` returns the cycle-end
-    coefficients of the shifts ``idx`` (one column each) and the unit
-    direction ``d`` (j+1 entries).  A shift with no iterate keeps its
-    previous one, with the note ``skip_note``, and leaves the family, which
-    cannot go on without its base; shifts that left unconverged are then
-    solved alone by restarted GMRES under ``solo_cfg``.
+    :class:`.dense.ShiftedBandQR` state at block size one, with offset
+    ``d_i = sigma_i - sigma_base`` and right-hand side ``beta_i = v1* r_i``.
+    Two hooks make the method.  ``step(qr, base)`` returns per shift the
+    residual estimate and the mask of shifts with no iterate.
+    ``end(qr, base, h, d, beta)`` returns, for the solved shifts' offsets
+    ``d`` and right-hand sides ``beta`` over the Hessenberg matrix ``h``
+    (square after a happy breakdown), their coefficients ``y_i`` (one
+    column each) and, unless ``h`` is square, the coefficients ``c_i``
+    and unit direction ``u`` of their residuals ``c_i W u``; a square
+    relation leaves no residual.  A shift with no iterate keeps its
+    previous one, with the note ``skip_note``, and leaves the family,
+    which cannot go on without its base; shifts that left unconverged are
+    then solved alone by restarted GMRES under ``solo_cfg``.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, method)
     if not converged.all() and np.count_nonzero(resid) > 1 \
@@ -112,6 +126,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             "use a block method for unrelated right-hand sides")
     shift0 = 0.0 if base is None else family.shifts[base]
     a = family.matrix if base is None else add_shift(family.matrix, shift0)
+    offsets = family.shifts - shift0
     iteration = cycle = 0
     r_true = None
     left = np.zeros(family.n_shifts, dtype=bool)
@@ -122,14 +137,14 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         if base is None:
             v1, _ = _reference_direction(r[:, ~left])
         else:
-            beta = np.linalg.norm(r[:, base])
-            if beta == 0.0:
+            norm = np.linalg.norm(r[:, base])
+            if norm == 0.0:
                 report.note(f"cycle {cycle}: base residual vanished exactly")
                 break
-            v1 = r[:, base] / beta
+            v1 = r[:, base] / norm
         arn = block_arnoldi_start(v1)
-        qr = ShiftedGivensQR(family.shifts - shift0, v1.conj() @ r,
-                             cfg.cycle_length)
+        beta = v1.conj() @ r
+        qr = ShiftedBandQR(offsets, beta[:, None], 1, 0, cfg.cycle_length)
         rho = resid.copy()
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
@@ -137,11 +152,10 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             iteration += 1
             j = arn.steps
             basis, hb, breakdown = _unit_relation(arn)
-            sub = 0.0 if breakdown else hb[j, j - 1]
-            qr.append(hb[:j, j - 1], sub)
-            coef, singular = step(qr, base, sub)
+            qr.append(hb[:j, j - 1:], hb[j:, j - 1:], arn.coupling[:, j - 1:])
+            est, singular = step(qr, base)
             ok = active & ~singular
-            rho[ok] = np.abs(coef[ok])
+            rho[ok] = est[ok]
             # a converged shift repeats its residual, a singular one keeps
             # its previous estimate, and a shift that left records no row
             done = converged | (ok & (rho <= targets))
@@ -157,10 +171,9 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             solved[base] = not singular[base]
         idx = np.nonzero(solved)[0]
         if len(idx):
-            y, d = end(qr, base, idx, coef)
+            y, c, u = end(qr, base, hb, offsets[idx], beta[idx])
             x[:, idx] += basis[:, :j] @ y
-            # after a breakdown the basis has j columns and d = e_{j+1}
-            r[:, idx] = np.outer(basis @ d[:basis.shape[1]], coef[idx])
+            r[:, idx] = 0.0 if breakdown else np.outer(basis @ u, c)
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
         left |= active & singular
@@ -173,28 +186,34 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     return x, report
 
 
-def _sgmres_step(qr, base, sub):
-    """``t_i = g_i[j] / (q_i* q_b)``, with ``r_i = t_i r_base`` at the
+def _sgmres_step(qr, base):
+    """``|t_i| = |g_i / (q_i* q_b)|``, with ``r_i = t_i r_base`` at the
     collinear iterate, and the shifts whose collinearity system (after a
-    happy breakdown, also whose square system) is singular."""
-    j = qr.steps
-    overlap = qr.q[:, :j + 1].conj() @ qr.q[base, :j + 1]
-    singular = np.abs(overlap) <= _SINGULAR_RTOL
-    if sub == 0.0:
-        singular |= qr.galerkin_singular(_SINGULAR_RTOL)
-    t = np.zeros(len(overlap), dtype=qr.g.dtype)
-    np.divide(qr.g[:, j], overlap, out=t, where=~singular)
-    return t, singular
+    happy breakdown, whose square system) is singular."""
+    if qr.carry == 0:
+        # the relation closed square: every residual vanishes
+        _, singular = qr.galerkin_residual(_SINGULAR_RTOL)
+        return np.zeros(len(singular)), singular
+    q = qr.residual_directions()[..., 0]
+    overlap = np.abs(q.conj() @ q[base])
+    singular = overlap <= _SINGULAR_RTOL
+    est = np.zeros(len(overlap))
+    np.divide(np.abs(qr.g[:, 0]), overlap, out=est, where=~singular)
+    return est, singular
 
 
-def _sgmres_end(qr, base, idx, t):
-    """``y_i = R_i^-1 (g_i - t_i Q_i* q_b)``; the residuals lie along
-    ``W q_b``."""
-    j = qr.steps
-    q_b = qr.q[base, :j + 1]
-    qh_qb = qr.apply_adjoint(q_b)
-    return np.column_stack([qr.solve(i, qr.g[i, :j] - t[i] * qh_qb[i, :j])
-                            for i in idx]), q_b
+def _sgmres_end(qr, base, h, d, beta):
+    """Solve ``[Hbar_j + d_i [I; 0], q_b] [y_i; t_i] = beta_i e_1``; the
+    residuals ``t_i W q_b`` lie along ``W q_b``.  After a happy breakdown
+    the system is ``(H_j + d_i I) y_i = beta_i e_1``."""
+    stack = shifted_hessenberg(h, 1, d)
+    j = stack.shape[2]
+    if len(h) == j:
+        return _solve_e1(stack, beta), None, None
+    q_b = qr.residual_directions()[base, :, 0]
+    border = np.broadcast_to(q_b[:, None], (len(d), j + 1, 1))
+    sol = _solve_e1(np.concatenate((stack, border), axis=2), beta)
+    return sol[:j], sol[j], q_b
 
 
 def sgmres(family: ShiftedFamily, cfg: SolverConfig):
@@ -203,13 +222,14 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig):
     One system, the base (the smallest shift in modulus, typically the
     hardest), is minimized per cycle over the Krylov space of its own
     shifted operator.  Every other shifted iterate keeps its residual a
-    scalar multiple ``t_i`` of the base residual, read off the shared
-    :class:`ShiftedGivensQR` state (the base at offset 0) through the unit
-    direction ``q_b`` of the base residual.  A happy breakdown gives the
-    exact square solve through the same formulas.  The collinear iterate
-    exists for positive-real matrices and positive real shifts; a shift
-    whose collinearity system is singular keeps its previous iterate for
-    that cycle, with a note.  Returns ``(x, report)``.
+    scalar multiple ``t_i`` of the base residual.  Per step ``|t_i|`` is
+    read off the shared :class:`.dense.ShiftedBandQR` state (the base at
+    offset 0) through the unit residual directions ``q_i``; at cycle end
+    one batched solve of the bordered systems gives ``y_i`` and ``t_i``.
+    A happy breakdown gives the exact square solve.  The collinear
+    iterate exists for positive-real matrices and positive real shifts; a
+    shift whose collinearity system is singular keeps its previous
+    iterate for that cycle, with a note.  Returns ``(x, report)``.
     """
     base = int(np.argmin(np.abs(family.shifts)))
     return _collinear_cycles(family, cfg, "sgmres", base, _sgmres_step,
@@ -217,19 +237,20 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig):
                              "no collinear update for shift index {}", cfg)
 
 
-def _sfom_step(qr, base, sub):
-    """``-h_{j+1,j} y_j``, the last Galerkin coefficient ``y_j`` scaled to
-    the residual along ``v_{j+1}``, and the singular Galerkin systems."""
-    singular = qr.galerkin_singular(_SINGULAR_RTOL)
-    y_last = np.zeros(len(singular), dtype=qr.g.dtype)
-    np.divide(qr.g_pivot, qr.pivot, out=y_last, where=~singular)
-    return -sub * y_last, singular
+def _sfom_step(qr, base):
+    """``|h_{j+1,j} y_j|``, the Galerkin residual norm, and the singular
+    Galerkin systems."""
+    return qr.galerkin_residual(_SINGULAR_RTOL)
 
 
-def _sfom_end(qr, base, idx, coef):
-    """The Galerkin solutions; the residuals lie along ``v_{j+1}``."""
-    return (np.column_stack([qr.galerkin_solve(i) for i in idx]),
-            np.eye(qr.steps + 1)[-1])
+def _sfom_end(qr, base, h, d, beta):
+    """The Galerkin solutions of ``(H_j + d_i I) y_i = beta_i e_1``; the
+    residuals ``-h_{j+1,j} y_j v_{j+1}`` lie along ``v_{j+1}``."""
+    j = h.shape[1]
+    y = _solve_e1(shifted_hessenberg(h[:j], 1, d), beta)
+    if len(h) == j:
+        return y, None, None
+    return y, -h[j, j - 1] * y[-1], np.eye(j + 1)[j]
 
 
 def sfom(family: ShiftedFamily, cfg: SolverConfig):
@@ -237,7 +258,9 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
 
     Each shift gets the Galerkin solve with its own diagonal shift of the
     square Hessenberg block of one shared Krylov basis, with residual
-    estimate ``|h_{j+1,j}| |y_j|``.  The FOM residual at cycle end is
+    estimate ``|h_{j+1,j}| |y_j|`` read off the shared
+    :class:`.dense.ShiftedBandQR` state; at cycle end one batched solve
+    gives every ``y_i``.  The FOM residual at cycle end is
     ``-h_{j+1,j} y_j v_{j+1}``, parallel to the next Arnoldi vector, so
     collinearity survives every restart without extra work.  A shift
     whose Galerkin system is singular keeps its previous iterate for that

@@ -1,13 +1,11 @@
 """Small dense kernels on Krylov coefficient data: the per-shift
 Hessenberg least squares, small solves and a Hessenberg eigensolver for
 Ritz extraction, each one LAPACK call plus the checks and bookkeeping
-its callers rely on; and two QR factors of the shifted coefficient
-matrices of a whole family, each updated one Arnoldi step at a time
-instead of refactored: :class:`ShiftedBandQR`, the band QR of the
-(projected, augmented) block Hessenberg matrices from which the block
-engine reads every step's residual estimates, and
-:class:`ShiftedGivensQR`, the Givens QR of a block-size-one Hessenberg
-matrix for the collinear baselines.
+its callers rely on; and :class:`ShiftedBandQR`, the QR factor of the
+shifted (projected, augmented) block Hessenberg matrices of a whole
+family, updated one Arnoldi step at a time instead of refactored, from
+which every solver reads its per-step residual estimates: the block
+engine at any block size, the collinear baselines at block size one.
 
 Every kernel works in the dtype of its input, real or complex, and takes
 its LAPACK routines for that dtype.
@@ -92,21 +90,23 @@ def solve_small_dense(m, rhs):
 
 def _adjoint_q_factors(blocks):
     """``Q*`` of the complete QR ``Q R`` of each tall block of a stack,
-    and each block's ``|R_kk|``.  One LAPACK ``geqrf`` and
-    ``orgqr`` (``ungqr`` for complex blocks) per block: at these sizes that
-    is cheaper than one batched ``np.linalg.qr`` call."""
+    and each block's ``|R_kk|``.  A stack of more than one block takes
+    one batched ``np.linalg.qr`` call, far cheaper than a Python loop of
+    LAPACK calls over the blocks; a single block takes one direct
+    ``geqrf`` and ``orgqr`` (``ungqr`` for complex blocks), which skips
+    the batched call's fixed overhead."""
     p, rows, cols = blocks.shape
+    if p > 1:
+        q, r = np.linalg.qr(blocks, mode="complete")
+        return (q.conj().transpose(0, 2, 1),
+                np.abs(np.diagonal(r, axis1=1, axis2=2)))
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
                                                  (blocks,))
-    qh = np.empty((p, rows, rows), dtype=blocks.dtype)
-    diag = np.empty((p, cols))
-    for i in range(p):
-        r, tau = geqrf(blocks[i])[:2]
-        diag[i] = np.abs(np.diagonal(r))
-        full = np.zeros((rows, rows), dtype=blocks.dtype)
-        full[:, :cols] = r
-        qh[i] = orgqr(full, tau, overwrite_a=True)[0].conj().T
-    return qh, diag
+    r, tau = geqrf(blocks[0])[:2]
+    full = np.zeros((rows, rows), dtype=blocks.dtype)
+    full[:, :cols] = r
+    qh = orgqr(full, tau, overwrite_a=True)[0].conj().T
+    return qh[None], np.abs(np.diagonal(r))[None]
 
 
 class ShiftedBandQR:
@@ -126,11 +126,11 @@ class ShiftedBandQR:
     the carried entries of the rotated right-hand side, whose norm is
     the least-squares residual.  A new column is rotated by all earlier
     factors with one product by ``m``, and ``Q_t`` updates ``m`` with
-    another, so a step costs O(1) array operations and one LAPACK QR per
-    shift.  The latest step's pivot block and right-hand side before its
-    factorization, with its subdiagonal block, are kept for the Galerkin
-    estimate.  The state takes the dtype of the shifts and right-hand
-    sides together.
+    another, so a step costs O(1) array operations, among them one QR
+    of the stack of live blocks.  The latest step's pivot block and
+    right-hand side before its factorization, with its subdiagonal block,
+    are kept for the Galerkin estimate.  The state takes the dtype of the
+    shifts and right-hand sides together.
     """
 
     def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps):
@@ -193,6 +193,16 @@ class ShiftedBandQR:
         rho[self._diag_min == 0.0] = np.nan
         return rho
 
+    def residual_directions(self):
+        """Per shift, the orthonormal columns whose combination by the
+        carried entries of ``g`` is the least-squares residual, over the
+        rows of ``[B_j; Hbar_j]`` (coupling rows first): the conjugated
+        carried rows of ``m``.  At block size one and k = 0 this is the
+        unit residual direction ``q_i``, one column, and no column once
+        the relation closed square."""
+        rows = self.steps * self.block_size + self.carry
+        return self.m[:, :self.carry, :rows].conj().transpose(0, 2, 1)
+
     def galerkin_residual(self, rtol):
         """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
         square Galerkin system ``(H_j + sigma_i I) y = [rhs_i; 0]``
@@ -230,110 +240,6 @@ class ShiftedBandQR:
         rho = np.array([abs(geqrf(t)[0][k, k]) for t in tail])
         rho[self._diag_min == 0.0] = np.nan
         return rho
-
-
-class ShiftedGivensQR:
-    """Givens QR of ``Hbar_j + d_i [I; 0]`` for every shift offset ``d_i``
-    at once, updated one Arnoldi step at a time.
-
-    ``Hbar_j`` is the (j+1) x j Hessenberg matrix of a block-size-one
-    Arnoldi process and ``rhs[i] e_1`` the right-hand side of shift i.
-    Every array has a leading shift axis: the rotations ``c`` (real) and
-    ``s``, which act on a row pair ``(x, y)`` as
-    ``(c x + s y, -conj(s) x + c y)``; the triangular factor ``r``; the
-    rotated right-hand side ``g = Q_i* rhs_i e_1``, whose last entry is
-    the least-squares residual; and ``q = Q_i e_{j+1}``, the unit
-    direction of that residual.  ``pivot`` and ``g_pivot`` keep the last
-    diagonal entry of the triangle and of ``g`` before the latest
-    rotation: the factor of the square Galerkin system
-    ``(H_j + d_i I) y = rhs_i e_1``.  One step costs O(j) vector
-    operations over the shift axis, with no refactorization.  The state
-    takes the dtype of the offsets and right-hand sides together; for
-    real data ``s`` is real and each rotation is a real Givens rotation.
-    """
-
-    def __init__(self, offsets, rhs, max_steps):
-        self.offsets = np.asarray(offsets)
-        dtype = np.result_type(self.offsets, np.asarray(rhs), np.float64)
-        p = len(self.offsets)
-        self.steps = 0
-        self.c = np.zeros((p, max_steps))
-        self.s = np.zeros((p, max_steps), dtype=dtype)
-        self.r = np.zeros((p, max_steps, max_steps), dtype=dtype)
-        self.g = np.zeros((p, max_steps + 1), dtype=dtype)
-        self.g[:, 0] = rhs
-        self.q = np.zeros((p, max_steps + 1), dtype=dtype)
-        self.q[:, 0] = 1.0
-        self.pivot = np.zeros(p, dtype=dtype)
-        self.g_pivot = np.zeros(p, dtype=dtype)
-        self._diag_max = np.zeros(p)
-        self._pivot_scale = np.zeros(p)
-
-    def _rotate(self, w, k):
-        """Apply every shift's rotation ``k`` to rows ``k, k+1`` of ``w``."""
-        c, s = self.c[:, k], self.s[:, k]
-        x, y = w[:, k].copy(), w[:, k + 1]
-        w[:, k] = c * x + s * y
-        w[:, k + 1] = c * y - s.conj() * x
-
-    def append(self, h_col, sub):
-        """Add Hessenberg column j+1: ``h_col`` holds its j+1 entries on
-        and above the diagonal (shared by every shift) and ``sub`` the
-        subdiagonal entry, 0 after a happy breakdown."""
-        j = self.steps
-        col = np.tile(np.asarray(h_col, dtype=self.g.dtype),
-                      (len(self.offsets), 1))
-        col[:, j] += self.offsets
-        for k in range(j):
-            self._rotate(col, k)
-        a = col[:, j].copy()
-        abs_a = np.abs(a)
-        nrm = np.hypot(abs_a, abs(sub))
-        phase = np.ones_like(a)
-        np.divide(a, abs_a, out=phase, where=abs_a > 0)
-        c = np.ones_like(abs_a)
-        s = np.zeros_like(a)
-        np.divide(abs_a, nrm, out=c, where=nrm > 0)
-        np.divide(phase * np.conj(sub), nrm, out=s, where=nrm > 0)
-        self.c[:, j], self.s[:, j] = c, s
-        self.pivot, self.g_pivot = a, self.g[:, j].copy()
-        col[:, j] = phase * nrm
-        self.r[:, :j + 1, j] = col
-        self._pivot_scale = np.maximum(self._diag_max, abs_a)
-        self._diag_max = np.maximum(self._diag_max, nrm)
-        self.g[:, j + 1] = -s.conj() * self.g_pivot
-        self.g[:, j] = c * self.g_pivot
-        self.q[:, :j + 1] *= -s[:, None]
-        self.q[:, j + 1] = c
-        self.steps = j + 1
-
-    def galerkin_singular(self, rtol):
-        """Per shift, whether the square Galerkin factor is singular to
-        working precision: ``|pivot| <= rtol * max |diagonal|``."""
-        return np.abs(self.pivot) <= rtol * self._pivot_scale
-
-    def apply_adjoint(self, v):
-        """``Q_i* v`` for every shift, for one vector ``v`` of j+1 entries."""
-        w = np.tile(np.asarray(v, dtype=self.g.dtype), (len(self.offsets), 1))
-        for k in range(self.steps):
-            self._rotate(w, k)
-        return w
-
-    def solve(self, i, rhs):
-        """Solve ``R_i y = rhs`` with shift i's j x j triangular factor."""
-        j = self.steps
-        return scipy.linalg.solve_triangular(self.r[i, :j, :j], rhs,
-                                             check_finite=False)
-
-    def galerkin_solve(self, i):
-        """Solve the square Galerkin system ``(H_j + d_i I) y = rhs_i e_1``
-        from the triangle and right-hand side before the latest rotation."""
-        j = self.steps
-        tri = self.r[i, :j, :j].copy()
-        tri[j - 1, j - 1] = self.pivot[i]
-        rhs = self.g[i, :j].copy()
-        rhs[j - 1] = self.g_pivot[i]
-        return scipy.linalg.solve_triangular(tri, rhs, check_finite=False)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError("shift list must be non-empty")
         if self.multiplier <= 0:
             raise ConfigError("multiplier must be positive")
+        if self.group_size < 1:
+            raise ConfigError("[run] group_size must be >= 1")
         if self.rhs_mode not in RHS_MODES:
             raise ConfigError(f"unknown rhs mode '{self.rhs_mode}'")
         for m in self.methods:
@@ -112,7 +114,8 @@ def load_config(path) -> ExperimentConfig:
         raw = parser.get(section, key)
         try:
             if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+                # only 1/0, true/false, yes/no and on/off; ValueError else
+                return parser.getboolean(section, key)
             return cast(raw)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {key}: {exc}")

@@ -295,10 +295,13 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
 
 
 def shifted_hessenberg(hess, block_size, sigma):
-    """``Hbar + sigma [I; 0]`` for a (steps+1)L x steps*L band Hessenberg."""
-    h = np.array(hess, dtype=np.result_type(hess, sigma), copy=True)
-    cols = h.shape[1]
-    h[:cols, :] += sigma * np.eye(cols)
+    """``Hbar + sigma [I; 0]`` for a (steps+1)L x steps*L band Hessenberg;
+    for a vector of shifts, the stack of one such matrix per shift."""
+    sigma = np.asarray(sigma)
+    h = np.array(np.broadcast_to(hess, sigma.shape + np.shape(hess)),
+                 dtype=np.result_type(hess, sigma), copy=True)
+    diag = np.arange(h.shape[-1])
+    h[..., diag, diag] += sigma[..., None]
     return h
 
 

@@ -5,7 +5,7 @@ from shiftkrylov import (DimensionError, NearSingularError,
                          SingularMatrixError, block_arnoldi,
                          generate_convection_diffusion, hessenberg_eigen,
                          hessenberg_least_squares, solve_small_dense)
-from shiftkrylov.dense import ShiftedBandQR, ShiftedGivensQR
+from shiftkrylov.dense import ShiftedBandQR, _adjoint_q_factors
 from shiftkrylov.recycling import (AugmentationBlocks, assemble_augmented,
                                    shifted_hessenberg)
 # the thin QR with a real non-negative diagonal that builds recycle spaces
@@ -133,7 +133,7 @@ def test_hessenberg_ls_dimension_errors(h, g):
         hessenberg_least_squares(h, g)
 
 
-def test_shifted_givens_qr_against_dense_oracles():
+def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
     # a complex Hessenberg relation whose last step breaks down (zero
     # subdiagonal); three shift offsets, one per right-hand-side scale
     rng = np.random.default_rng(7)
@@ -145,40 +145,79 @@ def test_shifted_givens_qr_against_dense_oracles():
     hbar[np.arange(1, m + 1), np.arange(m)] = sub
     offsets = np.array([0.0, 0.5, 2.0 + 1.0j])
     rhs = np.array([1.0, -2.0, 0.5j])
-    qr = ShiftedGivensQR(offsets, rhs, m)
+    qr = ShiftedBandQR(offsets, rhs[:, None], 1, 0, m)
     for j in range(1, m + 1):
-        qr.append(hbar[:j, j - 1], hbar[j, j - 1])
-        assert not qr.galerkin_singular(1e-14).any()
+        # the breakdown closes the relation square: no subdiagonal row
+        rows = j + 1 if j < m else j
+        qr.append(hbar[:j, j - 1:j], hbar[j:rows, j - 1:j], np.zeros((0, 1)))
+        resid, directions = qr.residual(), qr.residual_directions()
+        galerkin, singular = qr.galerkin_residual(1e-14)
+        assert not singular.any()
         for i, d in enumerate(offsets):
-            h = hbar[:j + 1, :j] + d * np.eye(j + 1, j)
-            g = np.zeros(j + 1, dtype=complex)
+            h = hbar[:rows, :j] + d * np.eye(rows, j)
+            g = np.zeros(rows, dtype=complex)
             g[0] = rhs[i]
             y = np.linalg.lstsq(h, g, rcond=None)[0]
             z = g - h @ y
-            assert np.allclose(qr.solve(i, qr.g[i, :j]), y, rtol=1e-12,
-                               atol=1e-12 * np.abs(y).max())
-            assert np.isclose(abs(qr.g[i, j]), np.linalg.norm(z),
+            assert np.isclose(resid[i], np.linalg.norm(z),
                               rtol=0, atol=1e-13 * abs(rhs[i]))
-            # q_i is the unit residual direction, g's tail its coefficient
-            assert np.allclose(qr.g[i, j] * qr.q[i, :j + 1], z, atol=1e-13)
-            assert np.allclose(qr.apply_adjoint(z)[i],
-                               np.eye(j + 1)[j] * qr.g[i, j], atol=1e-13)
+            # q_i is the unit residual direction, g its coefficient
+            assert np.allclose(directions[i] @ qr.g[i, :qr.carry], z,
+                               atol=1e-13)
+            if rows > j:
+                assert np.isclose(np.linalg.norm(directions[i]), 1.0,
+                                  rtol=1e-13)
             y_sq = np.linalg.solve(h[:j], g[:j])
-            assert np.allclose(qr.galerkin_solve(i), y_sq, rtol=1e-12,
-                               atol=1e-12 * np.abs(y_sq).max())
-            assert np.isclose(qr.g_pivot[i] / qr.pivot[i], y_sq[-1],
-                              rtol=1e-12)
-    # the breakdown closed the relation: the residual is exactly zero
-    assert np.all(qr.g[:, m] == 0.0)
+            z_sq = np.linalg.norm(h[j:] @ y_sq)
+            assert np.isclose(galerkin[i], z_sq, rtol=1e-12,
+                              atol=1e-13 * abs(rhs[i]))
+    # the breakdown closed the relation: no residual direction is left
+    # and the residual is exactly zero
+    assert qr.residual_directions().shape == (3, m, 0)
+    assert np.all(qr.residual() == 0.0)
 
 
-def test_shifted_givens_qr_flags_singular_galerkin_system():
+def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
     # H = [[0], [1]]: the 1 x 1 Galerkin system is singular at offset 0
     # but not at offset 1; the least-squares factor stays regular
-    qr = ShiftedGivensQR([0.0, 1.0], [1.0, 1.0], 2)
-    qr.append([0.0], 1.0)
-    assert qr.galerkin_singular(1e-14).tolist() == [True, False]
-    assert np.all(np.abs(np.diagonal(qr.r[:, :1, :1], axis1=1, axis2=2)) > 0)
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 2)
+    qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
+    rho, singular = qr.galerkin_residual(1e-14)
+    assert singular.tolist() == [True, False]
+    assert np.isnan(rho[0]) and rho[1] == pytest.approx(1.0)
+    assert np.all(np.isfinite(qr.residual()))
+    for i, d in enumerate([0.0, 1.0]):
+        h = np.array([[d], [1.0]])
+        z = np.array([1.0, 0.0]) - h @ np.linalg.lstsq(
+            h, [1.0, 0.0], rcond=None)[0]
+        assert qr.residual()[i] == pytest.approx(np.linalg.norm(z))
+        assert np.allclose(qr.residual_directions()[i] @ qr.g[i], z,
+                           atol=1e-15)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_batched_adjoint_q_factors_match_the_single_block_path(dtype):
+    # a stack goes through one batched np.linalg.qr, a single block through
+    # geqrf/orgqr; both are Householder QR, so they agree to rounding
+    blocks = _complex_vector(4 * 5 * 2, seed=4).reshape(4, 5, 2)
+    blocks = (blocks if dtype is np.complex128 else blocks.real).astype(dtype)
+    qh, diag = _adjoint_q_factors(blocks)
+    for i, block in enumerate(blocks):
+        qh_i, diag_i = _adjoint_q_factors(block[None])
+        assert np.allclose(qh[i], qh_i[0], rtol=0, atol=1e-13)
+        assert np.allclose(diag[i], diag_i[0], rtol=1e-13)
+        r = qh[i] @ block
+        assert np.allclose(r[2:], 0.0, atol=1e-13)
+        assert np.allclose(np.abs(np.diagonal(r)), diag[i], rtol=1e-13)
+
+
+def test_shifted_hessenberg_stack_matches_scalar_calls():
+    hess = _complex_vector(5 * 4, seed=9).reshape(5, 4)
+    shifts = np.array([0.0, 1.5, -2.0 + 0.5j])
+    stack = shifted_hessenberg(hess, 1, shifts)
+    assert stack.shape == (3, 5, 4)
+    for sigma, h in zip(shifts, stack):
+        assert np.array_equal(h, shifted_hessenberg(hess, 1, sigma))
 
 
 def _band_relation(ell, k, steps, closing_rows, seed):

@@ -79,6 +79,27 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig(multiplier=0.0)
     with pytest.raises(ConfigError):
         ExperimentConfig(shifts=())
+    with pytest.raises(ConfigError, match="group_size"):
+        ExperimentConfig(group_size=0)
+
+
+def _with_relative(path, section, word):
+    """The test config with ``relative = word`` in ``section``."""
+    if section != "solver":
+        return _write_config(path, f"[{section}]\nrelative = {word}\n")
+    text = _write_config(path).read_text()
+    path.write_text(text.replace("seed = 11", f"seed = 11\nrelative = {word}"))
+    return path
+
+
+@pytest.mark.parametrize("section", ["solver", "solver.sbgmres"])
+def test_boolean_keys_accept_only_boolean_words(tmp_path, section):
+    path = tmp_path / "c.ini"
+    for word, value in [("yes", True), ("OFF", False), ("0", False)]:
+        cfg = load_config(_with_relative(path, section, word))
+        assert cfg.solver_for("sbgmres").relative is value
+    with pytest.raises(ConfigError, match=rf"\[{section}\] relative"):
+        load_config(_with_relative(path, section, "Flase"))
 
 
 def test_rhs_modes():
@@ -243,6 +264,17 @@ def test_cli_run_and_exit_codes(tmp_path):
     bad = tmp_path / "bad.ini"
     bad.write_text("[methods]\nnames = bogus\n", encoding="ascii")
     assert main(["run", "--config", str(bad)]) == 1
+
+
+def test_cli_rejects_zero_group_size(tmp_path, capsys):
+    cfg_path = _write_config(tmp_path / "c.ini")
+    cfg_path.write_text(cfg_path.read_text().replace("group_size = 8",
+                                                     "group_size = 0"))
+    code = main(["run", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "group_size" in err and "Traceback" not in err
 
 
 def test_cli_solver_failure_exit_code(tmp_path):
