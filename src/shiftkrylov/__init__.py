@@ -14,12 +14,10 @@ from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
 from .block_solvers import (DecollinearizeStrategy, detect_collinear, sbfom,
                             sbgmres)
-from .dense import (EigenPairs, hessenberg_eigen, hessenberg_least_squares,
-                    solve_small_dense)
+from .dense import EigenPairs, hessenberg_eigen
 from .errors import (BreakdownError, CollinearityError, ConfigError,
                      DimensionError, EigenConvergenceError,
-                     MatrixMarketError, NearSingularError, ShiftKrylovError,
-                     SingularMatrixError)
+                     MatrixMarketError, NearSingularError, ShiftKrylovError)
 from .recycling import (RecycleSpace, load_recycle_space,
                         oblique_project_shift,
                         orthogonal_residual_projection, rgmres_baseline,
@@ -37,15 +35,14 @@ __all__ = [
     "BlockArnoldiState", "BreakdownError", "CollinearityError", "ConfigError",
     "DecollinearizeStrategy", "DimensionError", "EigenConvergenceError",
     "EigenPairs", "MatrixMarketError", "NearSingularError", "RecycleSpace",
-    "Replacement", "ShiftKrylovError", "ShiftedFamily", "SingularMatrixError",
-    "SolveReport", "SolverConfig", "SparseMatrix", "add_shift",
-    "block_arnoldi", "block_arnoldi_extend", "block_arnoldi_start",
-    "block_matvec", "detect_collinear", "fom_restarted",
-    "generate_convection_diffusion", "gmres_restarted", "hessenberg_eigen",
-    "hessenberg_least_squares", "load_recycle_space", "matvec",
+    "Replacement", "ShiftKrylovError", "ShiftedFamily", "SolveReport",
+    "SolverConfig", "SparseMatrix", "add_shift", "block_arnoldi",
+    "block_arnoldi_extend", "block_arnoldi_start", "block_matvec",
+    "detect_collinear", "fom_restarted", "generate_convection_diffusion",
+    "gmres_restarted", "hessenberg_eigen", "load_recycle_space", "matvec",
     "oblique_project_shift", "orthogonal_residual_projection",
     "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
     "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",
-    "shift_rebase", "solve_small_dense", "subspace_equality_angle",
-    "update_recycle_space", "write_dense_matrix_market", "write_matrix_market",
+    "shift_rebase", "subspace_equality_angle", "update_recycle_space",
+    "write_dense_matrix_market", "write_matrix_market",
 ]

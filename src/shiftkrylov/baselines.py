@@ -13,7 +13,7 @@ the per-step residual estimate and the cycle-end coefficients.  Each
 cycle's per-step estimates come from one :class:`.dense.ShiftedBandQR`
 state at block size one, the state the block engine uses, updated at each
 step for every shift together rather than refactored per shift; each
-cycle ends with one batched dense solve over the solved shifts.
+cycle ends with one batched solve from the same factor.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .block_solvers import (_SINGULAR_RTOL, _end_cycle, _finish,
                             _run_cycles, _start, _unit_relation)
 from .dense import ShiftedBandQR
 from .errors import CollinearityError
-from .recycling import shifted_hessenberg
 from .report import SolverConfig
 from .sparse import ShiftedFamily, SparseMatrix, add_shift
 
@@ -88,15 +87,6 @@ def _solve_alone(family, cfg, report, x, alone, cycles, iteration):
     return len(idx) > 0
 
 
-def _solve_e1(stack, beta):
-    """``z_i`` with ``stack[i] z_i = beta_i e_1`` for every i, in one
-    batched solve; one column per i.  The step hooks' singular masks leave
-    out every exactly singular system."""
-    rhs = np.zeros(stack.shape[:2] + (1,), dtype=np.result_type(stack, beta))
-    rhs[:, 0, 0] = beta
-    return np.linalg.solve(stack, rhs)[..., 0].T
-
-
 def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
                       solo_cfg):
     """The restart loop of the collinear methods.
@@ -108,15 +98,15 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     ``d_i = sigma_i - sigma_base`` and right-hand side ``beta_i = v1* r_i``.
     Two hooks make the method.  ``step(qr, base)`` returns per shift the
     residual estimate and the mask of shifts with no iterate.
-    ``end(qr, base, h, d, beta)`` returns, for the solved shifts' offsets
-    ``d`` and right-hand sides ``beta`` over the Hessenberg matrix ``h``
-    (square after a happy breakdown), their coefficients ``y_i`` (one
-    column each) and, unless ``h`` is square, the coefficients ``c_i``
-    and unit direction ``u`` of their residuals ``c_i W u``; a square
-    relation leaves no residual.  A shift with no iterate keeps its
-    previous one, with the note ``skip_note``, and leaves the family,
-    which cannot go on without its base; shifts that left unconverged are
-    then solved alone by restarted GMRES under ``solo_cfg``.
+    ``end(qr, base, h, beta)`` returns per shift, over the Hessenberg
+    matrix ``h`` (square after a happy breakdown), the coefficients
+    ``y_i`` (one row each) from one solve on ``qr`` and, unless ``h`` is
+    square, the coefficients ``c_i`` and unit direction ``u`` of the
+    residuals ``c_i W u``; a square relation leaves no residual.  A shift
+    with no iterate keeps its previous one, with the note ``skip_note``,
+    and leaves the family, which cannot go on without its base; shifts
+    that left unconverged are then solved alone by restarted GMRES under
+    ``solo_cfg``.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, method)
     if not converged.all() and np.count_nonzero(resid) > 1 \
@@ -128,7 +118,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     a = family.matrix if base is None else add_shift(family.matrix, shift0)
     offsets = family.shifts - shift0
     iteration = cycle = 0
-    r_true = None
+    r_true = qr = None
     left = np.zeros(family.n_shifts, dtype=bool)
     while cycle < cfg.max_cycles and not (converged | left).all():
         cycle += 1
@@ -144,7 +134,8 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             v1 = r[:, base] / norm
         arn = block_arnoldi_start(v1)
         beta = v1.conj() @ r
-        qr = ShiftedBandQR(offsets, beta[:, None], 1, 0, cfg.cycle_length)
+        args = offsets, beta[:, None], 1, 0, cfg.cycle_length
+        qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
@@ -171,9 +162,9 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             solved[base] = not singular[base]
         idx = np.nonzero(solved)[0]
         if len(idx):
-            y, c, u = end(qr, base, hb, offsets[idx], beta[idx])
-            x[:, idx] += basis[:, :j] @ y
-            r[:, idx] = 0.0 if breakdown else np.outer(basis @ u, c)
+            y, c, u = end(qr, base, hb, beta)
+            x[:, idx] += basis[:, :j] @ y[idx].T
+            r[:, idx] = 0.0 if breakdown else np.outer(basis @ u, c[idx])
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
         left |= active & singular
@@ -186,34 +177,41 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     return x, report
 
 
+def _collinearity(qr, base):
+    """Per shift, ``t_i = g_i / (q_i* q_b)`` (``r_i = t_i r_base`` at the
+    collinear iterate; ``q_i`` the unit residual direction, ``g_i`` its
+    coefficient), whether ``[Hbar_j + d_i [I; 0], q_b]`` is singular (its
+    determinant is ``det(R_i) q_i* q_b``), and ``q_b``."""
+    # the carried row of each Q_i* (block size one, k = 0) is q_i*
+    q = qr.q[:, qr.steps, :qr.steps + 1].conj()
+    overlap = q.conj() @ q[base]
+    singular = np.isnan(qr.residual()) | (np.abs(overlap) <= _SINGULAR_RTOL)
+    t = np.zeros(len(q), dtype=np.result_type(qr.g, overlap))
+    np.divide(qr.g[:, qr.steps], overlap, out=t, where=~singular)
+    return t, singular, q[base]
+
+
 def _sgmres_step(qr, base):
-    """``|t_i| = |g_i / (q_i* q_b)|``, with ``r_i = t_i r_base`` at the
-    collinear iterate, and the shifts whose collinearity system (after a
-    happy breakdown, whose square system) is singular."""
+    """``|t_i|`` and the singular shifts; after a happy breakdown every
+    residual vanishes and the square systems decide."""
     if qr.carry == 0:
-        # the relation closed square: every residual vanishes
         _, singular = qr.galerkin_residual(_SINGULAR_RTOL)
         return np.zeros(len(singular)), singular
-    q = qr.residual_directions()[..., 0]
-    overlap = np.abs(q.conj() @ q[base])
-    singular = overlap <= _SINGULAR_RTOL
-    est = np.zeros(len(overlap))
-    np.divide(np.abs(qr.g[:, 0]), overlap, out=est, where=~singular)
-    return est, singular
+    t, singular, _ = _collinearity(qr, base)
+    return np.abs(t), singular
 
 
-def _sgmres_end(qr, base, h, d, beta):
-    """Solve ``[Hbar_j + d_i [I; 0], q_b] [y_i; t_i] = beta_i e_1``; the
-    residuals ``t_i W q_b`` lie along ``W q_b``.  After a happy breakdown
-    the system is ``(H_j + d_i I) y_i = beta_i e_1``."""
-    stack = shifted_hessenberg(h, 1, d)
-    j = stack.shape[2]
-    if len(h) == j:
-        return _solve_e1(stack, beta), None, None
-    q_b = qr.residual_directions()[base, :, 0]
-    border = np.broadcast_to(q_b[:, None], (len(d), j + 1, 1))
-    sol = _solve_e1(np.concatenate((stack, border), axis=2), beta)
-    return sol[:j], sol[j], q_b
+def _sgmres_end(qr, base, h, beta):
+    """``[Hbar_j + d_i [I; 0], q_b] [y_i; t_i] = beta_i e_1``, solved as
+    the least squares of ``beta_i e_1 - t_i q_b``, which the first block
+    reaches exactly; the residuals ``t_i W q_b`` lie along ``W q_b``.
+    After a happy breakdown, ``(H_j + d_i I) y_i = beta_i e_1``."""
+    if qr.carry == 0:
+        return qr.solve()[0], None, None
+    t, _, q_b = _collinearity(qr, base)
+    rhs = np.outer(-t, q_b)
+    rhs[:, 0] += beta
+    return qr.solve(rhs)[0], t, q_b
 
 
 def sgmres(family: ShiftedFamily, cfg: SolverConfig):
@@ -243,14 +241,14 @@ def _sfom_step(qr, base):
     return qr.galerkin_residual(_SINGULAR_RTOL)
 
 
-def _sfom_end(qr, base, h, d, beta):
+def _sfom_end(qr, base, h, beta):
     """The Galerkin solutions of ``(H_j + d_i I) y_i = beta_i e_1``; the
     residuals ``-h_{j+1,j} y_j v_{j+1}`` lie along ``v_{j+1}``."""
     j = h.shape[1]
-    y = _solve_e1(shifted_hessenberg(h[:j], 1, d), beta)
+    y = qr.solve()[0]
     if len(h) == j:
         return y, None, None
-    return y, -h[j, j - 1] * y[-1], np.eye(j + 1)[j]
+    return y, -h[j, j - 1] * y[:, -1], np.eye(j + 1)[j]
 
 
 def sfom(family: ShiftedFamily, cfg: SolverConfig):

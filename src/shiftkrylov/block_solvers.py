@@ -7,17 +7,16 @@ then solves one small shifted subproblem per shift: a tall least-squares
 problem for the minimum-residual method, a square Galerkin system for the
 orthogonal-residual method.  The subproblems share the band Hessenberg
 data and differ only by ``sigma I`` on the square part, so every shifted
-system is driven by the same operator applications.  Within a cycle one
-:class:`.dense.ShiftedBandQR` state holds every active shift's QR factor,
-updated by one block column per step; each step's residual estimates are
-read off it, and each active shift's subproblem is solved once, at cycle
-end.  The recycled method adds a recycle space ``(U, C)``; without one
-the space is empty (k = 0), and one cycle-end update serves every k.  A
-shift whose projection or subproblem is singular keeps its previous
-iterate for the cycle, with a note, and the rest of the family goes on.
-Every solve iterates in its family's working dtype (real for a real
-family, see :class:`.sparse.ShiftedFamily`), made complex by a complex
-recycle space.
+system is driven by the same operator applications.  One
+:class:`.dense.ShiftedBandQR` state per cycle, updated by one block
+column per step, gives every active shift's residual estimates and, in
+one solve at cycle end, its iterate.  The recycled method adds a recycle
+space ``(U, C)``; without one the space is empty (k = 0).  A shift with
+no oblique projection is solved over the Krylov space alone; a shift
+whose last estimate is NaN (a singular subproblem) keeps its iterate for
+the cycle, with a note, and the rest of the family goes on.  Every solve
+iterates in its family's working dtype (real for a real family, see
+:class:`.sparse.ShiftedFamily`), made complex by a complex recycle space.
 """
 
 from __future__ import annotations
@@ -27,13 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .dense import (ShiftedBandQR, hessenberg_least_squares,
-                    solve_small_dense)
+from .dense import ShiftedBandQR
 from .errors import (CollinearityError, DimensionError, NearSingularError,
-                     ShiftKrylovError, SingularMatrixError)
-from .recycling import (RecycleSpace, assemble_augmented, augmentation_blocks,
-                        oblique_project_shift, shifted_hessenberg,
-                        update_recycle_space)
+                     ShiftKrylovError)
+from .recycling import (RecycleSpace, augmentation_blocks,
+                        oblique_project_shift, update_recycle_space)
 from .report import SolveReport, SolverConfig
 from .sparse import ShiftedFamily
 
@@ -123,56 +120,46 @@ def _unit_relation(arn):
     return arn.basis[:, :rows], arn.hess[:rows, :], rows == j
 
 
-def _strategy_gmres_cycle(family, x, r, m_init, report):
-    """One shared single-vector cycle; every shifted residual is
-    minimized over it through its own shifted Hessenberg problem."""
-    a = family.matrix
+def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
+    """One cycle over a space all shifts share, solved from one shifted QR
+    state: without ``seed_key`` (``gmres-cycle``) the least squares over
+    the Krylov space of the common residual direction, with one
+    (``fom-random-block``) the Galerkin solve over the block space of that
+    direction and random columns seeded by ``seed_key``."""
     v1, beta = _reference_direction(r)
-    arn = block_arnoldi_start(v1)
+    block = v1[:, None]
+    if seed_key is not None:
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+        block = np.column_stack(
+            (block, rng.standard_normal((family.n, family.n_shifts - 1))))
+    ell = block.shape[1]
+    arn = block_arnoldi_start(block)
+    qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]), ell, 0,
+                       m_init)
     for _ in range(m_init):
-        arn = block_arnoldi_extend(a, arn, 1)
-        basis, hess, breakdown = _unit_relation(arn)
-        if breakdown:
+        arn = block_arnoldi_extend(family.matrix, arn, 1)
+        j = arn.steps
+        basis, hess, closed = _unit_relation(arn) if ell == 1 \
+            else (arn.basis, arn.hess, arn.invariant)
+        new = slice((j - 1) * ell, j * ell)
+        qr.append(hess[:j * ell, new], hess[j * ell:, new],
+                  arn.coupling[:, new])
+        if closed:
             break
-    j = arn.steps
-    report.matvecs += j
-    for i in range(family.n_shifts):
-        h_sigma = shifted_hessenberg(hess, 1, family.shifts[i])
-        g = np.zeros(h_sigma.shape[0], dtype=np.result_type(h_sigma, beta))
-        g[0] = beta[i]
-        y, _ = hessenberg_least_squares(h_sigma, g)
-        x[:, i] += basis[:, :j] @ y
-        r[:, i] -= basis @ (h_sigma @ y)
-    return x, r, j
-
-
-def _strategy_fom_block(family, x, r, m_init, seed_key, report):
-    """One Galerkin cycle over the block space grown from the common
-    residual direction and random companion columns."""
-    a = family.matrix
-    ell = family.n_shifts
-    v1, beta = _reference_direction(r)
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    block = np.empty((family.n, ell), dtype=r.dtype)
-    block[:, 0] = v1
-    block[:, 1:] = rng.standard_normal((family.n, ell - 1))
-    arn = block_arnoldi_extend(a, block_arnoldi_start(block), m_init)
-    report.block_matvecs += arn.steps
-    report.matvecs += arn.steps * ell
-    j = arn.steps
-    g = np.zeros(j * ell, dtype=arn.s0.dtype)
-    g[:ell] = arn.s0[:, 0]
-    for i in range(ell):
-        h_sigma = shifted_hessenberg(arn.hess, ell, family.shifts[i])
-        try:
-            y, _ = solve_small_dense(h_sigma[:j * ell, :], g)
-        except NearSingularError:
-            report.note(f"fom-random-block: singular Galerkin system for "
-                        f"shift index {i}; update skipped")
-            continue
-        y = beta[i] * y
-        x[:, i] += arn.w @ y
-        r[:, i] -= arn.basis @ (h_sigma @ y)
+    report.matvecs += j * ell
+    if seed_key is None:
+        tag, kind, skipped = "gmres-cycle", "least-squares", \
+            np.isnan(qr.residual())
+    else:
+        report.block_matvecs += j
+        tag, kind, skipped = "fom-random-block", "Galerkin", \
+            qr.galerkin_residual(_SINGULAR_RTOL)[1]
+    for i in np.nonzero(skipped)[0]:
+        report.note(f"{tag}: singular {kind} system for shift index {i}; "
+                    "update skipped")
+    y, image = qr.solve()
+    x += basis[:, :j * ell] @ y.T
+    r -= basis @ image.T
     return x, r, j
 
 
@@ -191,13 +178,10 @@ def _apply_strategy(family, x, r, strategy, report):
             report.block_matvecs += 1
             report.matvecs += family.n_shifts
             iters = 0
-        elif tag == "gmres-cycle":
-            x, r, iters = _strategy_gmres_cycle(
-                family, x, r, strategy.m_init, report)
         else:
-            x, r, iters = _strategy_fom_block(
-                family, x, r, strategy.m_init, (strategy.seed, attempt),
-                report)
+            x, r, iters = _strategy_cycle(
+                family, x, r, strategy.m_init, report,
+                None if tag == "gmres-cycle" else (strategy.seed, attempt))
         total_iters += iters
         if not _nonzero_collinear(r):
             report.note(f"decollinearized with {tag}")
@@ -238,24 +222,27 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
 
 
 def _end_cycle(family: ShiftedFamily, report, cycle, x, r, converged,
-               targets, active):
-    """Cycle-end bookkeeping: recurrence residual norms and the converged
-    update, then the true residual (counted in ``extra_matvecs``) with a
-    note when an ``active`` shift's recurrence residual drifted from it.
-
-    Returns ``(resid, converged, r_true)``.
+               targets, active, restart=False):
+    """Cycle-end bookkeeping: the true residual (counted in
+    ``extra_matvecs``), with a note when an ``active`` shift's recurrence
+    residual ``r`` drifted from it (with ``restart`` that column of ``r``
+    is replaced in place by the true one), then the residual norms and
+    the converged update.  Returns ``(resid, converged, r_true)``.
     """
-    resid = np.linalg.norm(r, axis=0)
-    converged = converged | (resid <= targets)
     r_true = family.residual_block(x)
     report.extra_matvecs += family.n_shifts
     drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
         report.rhs_norms, 1e-300)
-    if np.any(drift[active] > _DRIFT_TOL):
+    drifted = active & (drift > _DRIFT_TOL)
+    if np.any(drifted):
         worst = int(np.argmax(np.where(active, drift, -np.inf)))
         report.note(f"cycle {cycle}: recurrence residual drifted "
                     f"{drift[worst]:.2e} from the true residual for "
                     f"shift index {worst}")
+        if restart:
+            r[:, drifted] = r_true[:, drifted]
+    resid = np.linalg.norm(r, axis=0)
+    converged = converged | (resid <= targets)
     return resid, converged, r_true
 
 
@@ -289,8 +276,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     least squares) or ``"fom"`` (Galerkin, square solve).  With a recycle
     ``space`` (or a positive ``recycle_k`` and updates enabled) each cycle
     is augmented; recycling requires ``kind == "gmres"``.  Each cycle ends
-    with ``x += W y + U z`` and ``r -= [W_{j+1} C Uhat] (G y)`` per shift,
-    ``G`` its shifted augmented matrix, for every k including 0.
+    with one solve on its :class:`.dense.ShiftedBandQR` state, then
+    ``x += [W U] [y; z]`` and ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G``
+    the shifted augmented matrix, for every k including 0.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -326,12 +314,15 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         for i in range(ell):
             report.record(i, 0, iteration, resid[i], converged[i])
 
-    cycle = 0
+    cycle, qr = 0, None
     while cycle < cfg.max_cycles and not converged.all():
         cycle += 1
         report.cycles = cycle
         resid_at_start = resid.copy()
         active = ~converged
+        # shifts with no oblique projection: solved over the Krylov space
+        # alone, their part in span(C) a right-hand side on the coupling rows
+        alone = np.zeros(ell, dtype=bool)
 
         if k_now > 0:
             for i in np.nonzero(active)[0]:
@@ -343,11 +334,10 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         r_hat, x_hat = oblique_project_shift(
                             cur_space, shifts[i], r_hat, x_hat, a)
                 except NearSingularError:
-                    # the shift sits this cycle out with its iterate
                     report.note(f"cycle {cycle}: no oblique projection for "
-                                f"shift index {i}; kept previous "
-                                "approximation")
-                    active[i] = False
+                                f"shift index {i}; solved over the Krylov "
+                                "space alone")
+                    alone[i] = True
                     continue
                 r[:, i] = r_hat
                 x[:, i] = x_hat
@@ -357,15 +347,16 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             for i in range(ell):
                 report.record(i, cycle, iteration, resid[i], converged[i])
             active &= ~converged
-            # nothing changes in later cycles when no shift can be solved
             if not active.any():
                 break
 
         idx = np.nonzero(active)[0]
         arn = block_arnoldi_start(r, cur_space,
                                   seed=_cycle_seed(cfg.seed, cycle))
-        qr = ShiftedBandQR(shifts[idx], arn.s0[:, idx].T, ell, k_now,
-                           cfg.cycle_length)
+        rhs = np.concatenate(
+            (arn.s0[:, idx], cur_space.c.conj().T @ (r[:, idx] * alone[idx])))
+        args = shifts[idx], rhs.T, ell, k_now, cfg.cycle_length
+        qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
         blocks, noted = None, ()
         for _j in range(cfg.cycle_length):
@@ -388,7 +379,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         "the Krylov space")
                 noted = blocks.padded
                 est = qr.augmented_residual(blocks.p, blocks.q2,
-                                            blocks.n_factor)
+                                            blocks.n_factor, alone[idx])
             elif kind == "gmres":
                 est = qr.residual()
             else:
@@ -402,35 +393,24 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             if np.all(rho[active] <= targets[active]) or arn.invariant:
                 break
 
+        name = "Galerkin" if kind == "fom" else "least-squares"
+        for i in idx[np.isnan(est)]:
+            report.note(f"cycle {cycle}: no {name} iterate for shift index "
+                        f"{i}; kept previous approximation")
         # one update for every k: an empty space adds no columns or rows
-        if k_now == 0:
-            blocks = augmentation_blocks(cur_space, arn.basis)
+        y, image = qr.solve()
         rows, cols = arn.hess.shape
-        for i in idx:
-            g_mat = assemble_augmented(arn.hess, arn.coupling, blocks, ell,
-                                       shifts[i])
-            g_vec = np.zeros(g_mat.shape[0], dtype=g_mat.dtype)
-            g_vec[:ell] = arn.s0[:, i]
-            try:
-                if kind == "gmres":
-                    y, _ = hessenberg_least_squares(g_mat, g_vec)
-                else:
-                    y, _ = solve_small_dense(g_mat[:cols], g_vec[:cols])
-            except (SingularMatrixError, NearSingularError):
-                name = "Galerkin" if kind == "fom" else "least-squares"
-                report.note(f"cycle {cycle}: no {name} iterate for shift "
-                            f"index {i}; kept previous approximation")
-                continue
-            gy = g_mat @ y
-            x[:, i] += arn.w @ y[:cols] + cur_space.u @ y[cols:]
-            r[:, i] -= (arn.basis @ gy[:rows]
-                        + cur_space.c @ gy[rows:rows + k_now]
-                        + blocks.u_hat @ gy[rows + k_now:])
+        u_hat = blocks.u_hat if k_now else cur_space.c
+        x[:, idx] += arn.w @ y[:, :cols].T + cur_space.u @ y[:, cols:].T
+        r[:, idx] -= (cur_space.c @ image[:, :k_now].T
+                      + arn.basis @ image[:, k_now:k_now + rows].T
+                      + u_hat @ image[:, k_now + rows:].T)
         for rec in arn.replacements:
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
-                                              converged, targets, active)
+                                              converged, targets, active,
+                                              restart=True)
         stalled = active & (resid > targets) & \
             (resid_at_start - resid < _STAGNATION_TOL * resid_at_start)
         if np.any(stalled):

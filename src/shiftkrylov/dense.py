@@ -1,11 +1,8 @@
-"""Small dense kernels on Krylov coefficient data: the per-shift
-Hessenberg least squares, small solves and a Hessenberg eigensolver for
-Ritz extraction, each one LAPACK call plus the checks and bookkeeping
-its callers rely on; and :class:`ShiftedBandQR`, the QR factor of the
-shifted (projected, augmented) block Hessenberg matrices of a whole
-family, updated one Arnoldi step at a time instead of refactored, from
-which every solver reads its per-step residual estimates: the block
-engine at any block size, the collinear baselines at block size one.
+"""Small dense kernels on Krylov coefficient data: :class:`ShiftedBandQR`,
+the QR factor of the shifted (projected, augmented) block Hessenberg
+matrices of a whole family, updated one Arnoldi step at a time, from
+which every solver reads its per-step residual estimates and solves its
+cycle-end subproblems; and a Hessenberg eigensolver for Ritz extraction.
 
 Every kernel works in the dtype of its input, real or complex, and takes
 its LAPACK routines for that dtype.
@@ -13,146 +10,99 @@ its LAPACK routines for that dtype.
 
 from __future__ import annotations
 
-import warnings
-
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (DimensionError, EigenConvergenceError, NearSingularError,
-                     SingularMatrixError)
-
-
-def hessenberg_least_squares(h, g):
-    """Solve ``min_y || g - h y ||_2`` for ``h`` with at least as many
-    rows as columns, such as the tall (or, after a happy breakdown,
-    square) band-Hessenberg and bordered matrices of (augmented) block
-    Arnoldi.
-
-    One LAPACK QR of the bordered matrix ``[h g]`` gives the triangular
-    factor R: ``y`` solves the leading triangle against the last column,
-    and the residual norm is ``|R[cols, cols]|``, read off directly
-    rather than recomputed (0 for a square ``h``).  Returns
-    ``(y, residual_norm)``.  An exactly zero diagonal entry of the
-    triangle raises :class:`SingularMatrixError` naming the last such
-    column.
-    """
-    a = np.asarray(h)
-    b = np.asarray(g).ravel()
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise DimensionError("expected at least as many rows as columns")
-    if len(b) != a.shape[0]:
-        raise DimensionError("right-hand side length does not match")
-    rows, cols = a.shape
-    r = scipy.linalg.qr(np.column_stack([a, b]), mode="r",
-                        overwrite_a=True, check_finite=False)[0]
-    zero = np.nonzero(np.diag(r)[:cols] == 0.0)[0]
-    if zero.size:
-        c = int(zero[-1])
-        raise SingularMatrixError(
-            f"triangular factor is singular at column {c}", column=c)
-    y = scipy.linalg.solve_triangular(r[:cols, :cols], r[:cols, cols],
-                                      check_finite=False)
-    resid = float(abs(r[cols, cols])) if rows > cols else 0.0
-    return y, resid
-
-
-def solve_small_dense(m, rhs):
-    """Solve ``m x = rhs`` by partial-pivoted elimination.
-
-    Returns ``(x, residual_frobenius)``.  A pivot that is singular to
-    working precision raises :class:`NearSingularError`, which signals
-    nonexistence of a Galerkin iterate for that cycle.
-    """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("solve_small_dense expects a square matrix")
-    b = np.asarray(rhs)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError("right-hand side rows do not match matrix")
-    with warnings.catch_warnings():
-        # singularity is detected and raised below; silence the LAPACK echo
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    d = np.abs(np.diag(lu))
-    if d.size and (d.min() == 0.0 or d.min() <= 1e-14 * d.max()):
-        raise NearSingularError(
-            f"pivot ratio {0.0 if d.max() == 0 else d.min() / d.max():.3e} "
-            "is singular to working precision")
-    x = scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-    resid = float(np.linalg.norm(a @ x - b))
-    return (x[:, 0] if vec else x), resid
+from .errors import DimensionError, EigenConvergenceError
 
 
 def _adjoint_q_factors(blocks):
-    """``Q*`` of the complete QR ``Q R`` of each tall block of a stack,
-    and each block's ``|R_kk|``.  A stack of more than one block takes
-    one batched ``np.linalg.qr`` call, far cheaper than a Python loop of
-    LAPACK calls over the blocks; a single block takes one direct
-    ``geqrf`` and ``orgqr`` (``ungqr`` for complex blocks), which skips
-    the batched call's fixed overhead."""
+    """``Q*`` of the complete QR ``Q R`` of each tall block of a stack and
+    the leading square triangle of ``R``: one batched ``np.linalg.qr`` for
+    a stack, one direct ``geqrf``/``orgqr`` (skipping the batched call's
+    fixed overhead) for a single block."""
     p, rows, cols = blocks.shape
     if p > 1:
         q, r = np.linalg.qr(blocks, mode="complete")
-        return (q.conj().transpose(0, 2, 1),
-                np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        return q.conj().transpose(0, 2, 1), r[:, :cols]
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
                                                  (blocks,))
     r, tau = geqrf(blocks[0])[:2]
     full = np.zeros((rows, rows), dtype=blocks.dtype)
     full[:, :cols] = r
     qh = orgqr(full, tau, overwrite_a=True)[0].conj().T
-    return qh[None], np.abs(np.diagonal(r))[None]
+    # geqrf leaves its reflectors below the triangle
+    upper = np.arange(cols) >= np.arange(cols)[:, None]
+    return qh[None], (r[:cols] * upper)[None]
+
+
+def _solve(a, b):
+    """``a_i x_i = b_i`` for a stack of square systems and vectors."""
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
+def _apply(a, b):
+    """``a_i b_i`` for a stack of matrices and vectors."""
+    return (a @ b[..., None])[..., 0]
 
 
 class ShiftedBandQR:
-    """QR of ``[Hbar_j + sigma_i [I; 0]; B_j]`` for every shift
-    ``sigma_i`` of a family at once, updated one block column per block
-    Arnoldi step.  It keeps no triangle.
+    """QR of ``G_i = [B_j; Hbar_j + sigma_i [I; 0]]`` for every shift
+    ``sigma_i`` of a family at once, one block column per block Arnoldi
+    step, and the solve of every shift's subproblem from it.
 
-    ``Hbar_j`` is the (j+1)L x jL band Hessenberg matrix of a block
-    Arnoldi process with block size L, ``B_j`` its k x jL coupling rows
-    (k = 0 without a recycle space) and ``[rhs_i; 0]`` the right-hand
-    side of shift i.  Step t factors the live (2L+k) x L block: the L
-    pivot and k coupling rows carried from the steps before, and the L
-    new subdiagonal rows.  Its unitary factor ``Q_t`` leaves the first L
-    rows finished, so the state keeps only the carried rows, with a
-    leading shift axis: ``m``, the carried rows of ``Q_t* ... Q_0*``
-    over the rows of ``[B_j; Hbar_j]`` (coupling rows first), and ``g``,
-    the carried entries of the rotated right-hand side, whose norm is
-    the least-squares residual.  A new column is rotated by all earlier
-    factors with one product by ``m``, and ``Q_t`` updates ``m`` with
-    another, so a step costs O(1) array operations, among them one QR
-    of the stack of live blocks.  The latest step's pivot block and
-    right-hand side before its factorization, with its subdiagonal block,
-    are kept for the Galerkin estimate.  The state takes the dtype of the
-    shifts and right-hand sides together.
+    ``Hbar_j`` is the (j+1)L x jL band Hessenberg matrix of block size L,
+    ``B_j`` its k x jL coupling rows; ``rhs_i`` is shift i's right-hand
+    side on the first L rows of ``Hbar_j``, then optionally on the
+    coupling rows.  Step t factors the live block (the L + k rows carried
+    from the steps before and the new subdiagonal rows) by a ``Q_t`` that
+    finishes its first L rows.  Per shift the state keeps ``q``, the rows
+    of ``Q_t* ... Q_0*`` over the rows of ``G_i`` (coupling rows first),
+    the tL finished rows then the carried ones; ``g``, the right-hand
+    side rotated alike, whose carried entries' norm is the least-squares
+    residual; and ``r``, the triangle of ``G_i`` in the finished rows.
+    One product by ``q`` gives a new column's triangle entries and live
+    block, one more applies ``Q_t``: O(1) array operations per step for
+    the family.  Each estimate is NaN for a shift whose subproblem is
+    singular, and :meth:`solve` solves the subproblem of the estimate
+    read last.  The dtype is that of the shifts and right-hand sides.
     """
 
     def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps):
+        self._buf = np.empty(0)
+        self.restart(shifts, rhs, block_size, coupling_rows, max_steps)
+
+    def restart(self, shifts, rhs, block_size, coupling_rows, max_steps):
+        """Start over as a new state would, in this one's memory where it
+        is large enough: a restarted solver then allocates no fresh pages
+        per cycle.  Returns the state."""
         self.shifts = np.asarray(shifts)
-        dtype = np.result_type(self.shifts, np.asarray(rhs), np.float64)
+        rhs = np.asarray(rhs)
+        dtype = np.result_type(self.shifts, rhs, np.float64)
         p = len(self.shifts)
         self.block_size = ell = int(block_size)
         self.coupling_rows = k = int(coupling_rows)
         self.steps = 0
         self.carry = ell + k
+        rows, tri = k + (max_steps + 1) * ell, max_steps * ell
+        n_q, n_r = p * (tri + ell + k) * rows, p * tri * tri
+        if len(self._buf) < n_q + n_r or self._buf.dtype != dtype:
+            self._buf = np.empty(n_q + n_r, dtype=dtype)
+        self._buf[:n_q + n_r] = 0.0
+        self.q = self._buf[:n_q].reshape(p, tri + ell + k, rows)
+        self.r = self._buf[n_q:n_q + n_r].reshape(p, tri, tri)
         # before the first step the carried rows are H rows 0..L-1, then
         # the coupling rows
-        self.m = np.zeros((p, ell + k, k + (max_steps + 1) * ell),
-                          dtype=dtype)
-        self.m[:, np.arange(ell), k + np.arange(ell)] = 1.0
-        self.m[:, ell + np.arange(k), np.arange(k)] = 1.0
-        self.g = np.zeros((p, ell + k), dtype=dtype)
-        self.g[:, :ell] = rhs
-        self._pivot = self._g_pivot = self._sub = None
-        self._diag_max = np.zeros(p)
-        self._diag_min = np.full(p, np.inf)
-        self._pivot_scale = self._diag_max
+        self.q[:, np.arange(ell), k + np.arange(ell)] = 1.0
+        self.q[:, ell + np.arange(k), np.arange(k)] = 1.0
+        self.g = np.zeros((p, tri + ell + k), dtype=dtype)
+        self.g[:, :rhs.shape[1]] = rhs
+        # the smallest and largest |r_ii| so far, and before the latest step
+        self._diag_min, self._diag_max = np.full(p, np.inf), np.zeros(p)
+        self._pivot = self._g_pivot = self._sub = self._read = None
+        return self
 
     def append(self, h_col, sub, b_col):
         """Add block column t+1: ``h_col`` holds its (t+1)L rows on and
@@ -163,83 +113,145 @@ class ShiftedBandQR:
         ell, k, t = self.block_size, self.coupling_rows, self.steps
         sub = np.asarray(sub)
         c = sub.shape[0]
-        cols = k + (t + 1) * ell
-        m = self.m[:, :, :cols]
-        live = np.empty((len(self.shifts), ell + k + c, ell), dtype=m.dtype)
-        live[:, :ell + k] = m @ np.concatenate((b_col, h_col))
+        top, cols = t * ell, k + (t + 1) * ell
         d = k + t * ell                 # column of the diagonal block
-        live[:, :ell + k] += self.shifts[:, None, None] * m[..., d:d + ell]
+        q = self.q[:, :top + ell + k, :cols]
+        # the column rotated by every earlier factor: the triangle's part
+        # in the finished rows, the live block's in the carried ones
+        col = q @ np.concatenate((b_col, h_col))
+        col += self.shifts[:, None, None] * q[..., d:d + ell]
+        live = np.empty((len(self.shifts), ell + k + c, ell), dtype=col.dtype)
+        live[:, :ell + k] = col[:, top:]
         live[:, ell + k:] = sub
-        self._pivot, self._g_pivot, self._sub = live[:, :ell].copy(), \
-            self.g[:, :ell].copy(), sub
-        qh, diag = _adjoint_q_factors(live)
-        keep = qh[:, ell:]              # the rows the next step carries
-        self.carry = k + c
-        self.m[:, :k + c, :cols] = keep[..., :ell + k] @ m
-        self.m[:, :k + c, cols:cols + c] = keep[..., ell + k:]
-        self.g[:, :k + c] = (keep[..., :ell + k] @ self.g[..., None])[..., 0]
-        self._pivot_scale = self._diag_max
-        self._diag_max = np.maximum(self._diag_max, diag.max(axis=1))
+        self._pivot, self._g_pivot, self._sub = live[:, :ell], \
+            self.g[:, top:top + ell].copy(), sub
+        qh, tri = _adjoint_q_factors(live)
+        col[:, top:top + ell] = tri
+        self.r[:, :top + ell, top:top + ell] = col[:, :top + ell]
+        self._before = self._diag_min, self._diag_max
+        diag = np.abs(np.diagonal(tri, 0, 1, 2))
         self._diag_min = np.minimum(self._diag_min, diag.min(axis=1))
+        self._diag_max = np.maximum(self._diag_max, diag.max(axis=1))
+        # Q_t* on the carried rows; the new subdiagonal rows enter as
+        # identity rows with a zero right-hand side
+        rows = slice(top, top + ell + k + c)
+        self.q[:, rows, :cols] = qh[..., :ell + k] @ q[:, top:]
+        self.q[:, rows, cols:cols + c] = qh[..., ell + k:]
+        self.g[:, rows] = _apply(qh[..., :ell + k],
+                                 self.g[:, top:top + ell + k])
+        self.carry = k + c
         self.steps = t + 1
 
     def residual(self):
-        """Per shift, the least-squares residual norm
-        ``min_y ||[rhs_i; 0] - [Hbar_j + sigma_i [I; 0]; B_j] y||``: the
-        norm of the carried entries of ``g``.  It is NaN for a shift
-        whose triangle has an exactly zero diagonal entry: that problem is
-        singular and ``g`` misses part of its residual."""
-        rho = np.linalg.norm(self.g[:, :self.carry], axis=1)
+        """Per shift, ``min_y ||rhs_i - G_i y||``, the norm of the carried
+        entries of ``g``; NaN where the triangle has an exactly zero
+        diagonal entry (a singular problem, whose ``g`` misses part of its
+        residual)."""
+        top = self.steps * self.block_size
+        rho = np.linalg.norm(self.g[:, top:top + self.carry], axis=1)
         rho[self._diag_min == 0.0] = np.nan
+        self._read = ("least-squares", np.isnan(rho))
         return rho
-
-    def residual_directions(self):
-        """Per shift, the orthonormal columns whose combination by the
-        carried entries of ``g`` is the least-squares residual, over the
-        rows of ``[B_j; Hbar_j]`` (coupling rows first): the conjugated
-        carried rows of ``m``.  At block size one and k = 0 this is the
-        unit residual direction ``q_i``, one column, and no column once
-        the relation closed square."""
-        rows = self.steps * self.block_size + self.carry
-        return self.m[:, :self.carry, :rows].conj().transpose(0, 2, 1)
 
     def galerkin_residual(self, rtol):
         """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
-        square Galerkin system ``(H_j + sigma_i I) y = [rhs_i; 0]``
-        (k = 0), and whether it is singular to working precision: the
-        smallest singular value of ``P_j`` is at most ``rtol`` times the
-        largest of ``P_j``'s norm and the triangle's earlier diagonal.  A
-        singular shift's norm is NaN."""
+        Galerkin system ``(H_j + sigma_i I) y = rhs_i`` (k = 0), and
+        whether it is singular (its norm then NaN): the pivot block's
+        smallest singular value is at most ``rtol`` times the largest of
+        its norm and the triangle's earlier diagonal, or that is 0."""
+        low, high = self._before
         sv = np.linalg.svd(self._pivot, compute_uv=False)
-        singular = sv[:, -1] <= rtol * np.maximum(self._pivot_scale, sv[:, 0])
+        singular = (sv[:, -1] <= rtol * np.maximum(high, sv[:, 0])) | (
+            low == 0.0)
         ok = ~singular
-        y = np.linalg.solve(self._pivot[ok], self._g_pivot[ok, :, None])
+        y = _solve(self._pivot[ok], self._g_pivot[ok])
         rho = np.full(len(self.shifts), np.nan)
-        rho[ok] = np.linalg.norm(self._sub @ y, axis=(1, 2))
+        rho[ok] = np.linalg.norm(_apply(self._sub, y), axis=1)
+        self._read = ("Galerkin", singular)
         return rho, singular
 
-    def augmented_residual(self, p, q2, n_factor):
+    def augmented_residual(self, p, q2, n_factor, alone):
         """Per shift, the least-squares residual norm of the augmented
-        matrix ``[[Hbar_j + sigma I, sigma P], [B_j, I + sigma Q2],
-        [0, sigma N]]`` (see :func:`.recycling.assemble_augmented`), NaN
-        when its band part is singular (see :meth:`residual`).
-
-        The k recycle columns are rotated by every stored factor; the
-        norm is the last diagonal entry of the QR of the
-        (L + 2k) x (k + 1) tail they leave beside the carried entries of
-        ``g``.
+        matrix ``[[B_j, I + sigma Q2], [Hbar_j + sigma [I; 0], sigma P],
+        [0, sigma N]]`` (the rows of ``G_i``, then of ``Uhat``): the last
+        diagonal entry of the QR of the (L + 2k) x (k + 1) tail that the
+        rotated recycle columns leave beside the carried entries of ``g``,
+        one batched QR for the family.  A shift marked in the mask
+        ``alone`` has no recycle columns (:meth:`residual`).  NaN where the
+        band triangle or the tail's first k columns have an exactly zero
+        diagonal entry.
         """
         k, carry = self.coupling_rows, self.carry
-        m = self.m[:, :carry, :k + p.shape[0]]
+        top = self.steps * self.block_size
+        qc = self.q[:, top:top + carry, :top + carry]
         sig = self.shifts[:, None, None]
-        tail = np.zeros((len(self.shifts), carry + k, k + 1), dtype=m.dtype)
-        tail[:, :carry, :k] = m[..., :k] + sig * (m @ np.concatenate((q2, p)))
-        tail[:, :carry, k] = self.g[:, :carry]
+        tail = np.zeros((len(self.shifts), carry + k, k + 1),
+                        dtype=np.result_type(qc, p))
+        turned = np.concatenate((q2, p))
+        tail[:, :carry, :k] = qc[..., :k] + sig * (qc @ turned)
+        tail[:, :carry, k] = self.g[:, top:top + carry]
         tail[:, carry:, :k] = sig * n_factor
-        geqrf, = scipy.linalg.get_lapack_funcs(("geqrf",), (tail,))
-        rho = np.array([abs(geqrf(t)[0][k, k]) for t in tail])
-        rho[self._diag_min == 0.0] = np.nan
+        # R of each tail in the upper triangle of the transposed raw factor
+        raw = np.linalg.qr(tail, mode="raw")[0]
+        diag = np.abs(np.diagonal(raw, axis1=1, axis2=2))
+        rho = diag[:, k].copy()
+        rho[alone] = np.linalg.norm(tail[alone, :carry, k], axis=1)
+        singular = (self._diag_min == 0.0) | (
+            ~alone & np.any(diag[:, :k] == 0.0, axis=1))
+        rho[singular] = np.nan
+        self._read = ("augmented", singular, turned, tail, raw, alone)
         return rho
+
+    def solve(self, rhs=None):
+        """Per shift, the coefficients ``y_i`` of the subproblem whose
+        estimate was read last and their image ``G_i y_i`` (rows of
+        ``G_i``, then of ``Uhat``), both zero where it was NaN, by one
+        back substitution on the kept triangles: ``y = R^-1 g_top``, for
+        Galerkin with the latest pivot block as the last diagonal block;
+        an augmented solve first takes the recycle coefficients ``z`` (0
+        for a shift alone) from the tail triangle, then ``y = R^-1 (g_top
+        - T_top z)``, ``z`` after ``y``.  ``rhs`` replaces a least-squares
+        solve's right-hand sides."""
+        kind, skip, *recycle = self._read
+        ell, k = self.block_size, self.coupling_rows
+        top, rows = self.steps * ell, self.steps * ell + self.carry
+        q = self.q[:, :rows, :rows]
+        g = self.g[:, :rows].copy() if rhs is None else _apply(q, rhs)
+        y, z, tz = g[:, :top], np.zeros((len(g), 0)), 0.0
+        on_uhat = z                     # sigma N z, on the rows of Uhat
+        if kind == "augmented":
+            turned, tail, raw, alone = recycle
+            fit = ~(skip | alone)
+            tri = np.triu(raw[fit].transpose(0, 2, 1)[:, :k + 1])
+            z = np.zeros((len(g), k), dtype=tail.dtype)
+            z[fit] = _solve(tri[:, :k, :k], tri[:, :k, k])
+            # the recycle columns rotated by every factor, times z
+            tz = _apply(q[..., :k] + self.shifts[:, None, None] * (
+                q @ turned), z)
+            y -= tz[:, :top]
+            on_uhat = _apply(tail[:, self.carry:, :k], z)
+        elif kind == "Galerkin":
+            y[:, -ell:] = self._g_pivot
+        # back substitution in chunks of whole blocks, about 32 columns
+        # each: one small batched LU per chunk, a skipped shift's on I
+        width = ell * -(-32 // ell)
+        for stop in range(top, 0, -width):
+            cols = slice(max(stop - width, 0), stop)
+            diag = self.r[:, cols, cols].copy()
+            if kind == "Galerkin" and stop == top:
+                diag[:, -ell:, -ell:] = self._pivot
+            diag[skip] = np.eye(len(diag[0]))
+            y[:, cols] = _solve(diag, y[:, cols])
+            y[:, :cols.start] -= _apply(self.r[:, :cols.start, cols],
+                                        y[:, cols])
+        # G_i y_i rotated is [R y; 0], plus the recycle part
+        rotated = np.zeros_like(g)
+        rotated[:, :top] = _apply(self.r[:, :top, :top], y)
+        image = np.concatenate(
+            (_apply(q.conj().transpose(0, 2, 1), rotated + tz), on_uhat), 1)
+        keep = ~skip[:, None]
+        return (np.where(keep, np.concatenate((y, z), axis=1), 0.0),
+                np.where(keep, image, 0.0))
 
 
 @dataclass(frozen=True)

@@ -22,20 +22,9 @@ class MatrixMarketError(ShiftKrylovError):
         self.line = line
 
 
-class SingularMatrixError(ShiftKrylovError):
-    """Raised when a triangular factor is exactly singular.
-
-    ``column`` names the deficient column.
-    """
-
-    def __init__(self, message, column=None):
-        super().__init__(message)
-        self.column = column
-
-
 class NearSingularError(ShiftKrylovError):
-    """Raised when a square solve meets a pivot that is singular to
-    working precision, or a projector system is too ill conditioned."""
+    """Raised when a projector system or a recycle basis is singular to
+    working precision."""
 
 
 class BreakdownError(ShiftKrylovError):

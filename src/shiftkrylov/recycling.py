@@ -1,6 +1,6 @@
 """Subspace recycling: the recycle-space pair (U, C), orthogonal and
-oblique residual projections, the shifted augmented coefficient matrix,
-and Ritz-based space updates.
+oblique residual projections, the QR-correction blocks of the augmented
+basis, and Ritz-based space updates.
 
 The recycle space stores a basis U together with its image C = A U, where
 C has orthonormal columns.  For a shifted system the pair gives rise to an
@@ -16,6 +16,7 @@ enters as the real basis ``[Re v, Im v]`` of its span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -83,6 +84,11 @@ class RecycleSpace:
     @property
     def k(self):
         return self.u.shape[1]
+
+    @cached_property
+    def u_norms(self):
+        """The column norms of ``u``, computed once per space."""
+        return np.linalg.norm(self.u, axis=0)
 
     @classmethod
     def empty(cls, n, provenance="initial"):
@@ -256,7 +262,7 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
         d = prev.remainder.copy()
         q2, p = prev.q2, prev.p
     p = np.vstack([p, _absorb(w_basis[:, p.shape[0]:], d)])
-    tol = _CONTAINED_TOL * np.maximum(np.linalg.norm(u, axis=0), 1e-300)
+    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
     m, padded = d, []
     while True:
@@ -292,39 +298,6 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
         above = np.arange(space.k)[:, None] < np.array(padded)
         n_factor[:, padded] = above * (u_hat.conj().T @ d[:, padded])
     return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d)
-
-
-def shifted_hessenberg(hess, block_size, sigma):
-    """``Hbar + sigma [I; 0]`` for a (steps+1)L x steps*L band Hessenberg;
-    for a vector of shifts, the stack of one such matrix per shift."""
-    sigma = np.asarray(sigma)
-    h = np.array(np.broadcast_to(hess, sigma.shape + np.shape(hess)),
-                 dtype=np.result_type(hess, sigma), copy=True)
-    diag = np.arange(h.shape[-1])
-    h[..., diag, diag] += sigma[..., None]
-    return h
-
-
-def assemble_augmented(hess, coupling, blocks: AugmentationBlocks,
-                       block_size, sigma):
-    """The shifted augmented coefficient matrix
-
-    ``[[Hbar + sigma I, sigma W* U], [B, I + sigma C* U], [0, sigma N]]``
-
-    mapping coefficients of ``[W_j  U]`` to coefficients of
-    ``[W_{j+1}  C  Uhat]``.
-    """
-    h_sigma = shifted_hessenberg(hess, block_size, sigma)
-    k = blocks.q2.shape[0]
-    rows_h, cols_h = h_sigma.shape
-    g = np.zeros((rows_h + 2 * k, cols_h + k),
-                 dtype=np.result_type(h_sigma, coupling, blocks.p), order="F")
-    g[:rows_h, :cols_h] = h_sigma
-    g[:rows_h, cols_h:] = sigma * blocks.p
-    g[rows_h:rows_h + k, :cols_h] = coupling
-    g[rows_h:rows_h + k, cols_h:] = np.eye(k) + sigma * blocks.q2
-    g[rows_h + k:, cols_h:] = sigma * blocks.n_factor
-    return g
 
 
 def _harmonic_matrix(h_sq, h_last):

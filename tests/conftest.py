@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from shiftkrylov import SparseMatrix
+from shiftkrylov.dense import ShiftedBandQR
 
 
 def random_sparse(n, density=0.2, seed=0, diag_boost=0.0):
@@ -52,6 +53,32 @@ def projected_sylvester_powers(ad, c_basis, dtilde, f, j):
         blocks.append(cur)
     q, _ = np.linalg.qr(np.hstack(blocks))
     return q
+
+
+def band_qr(hbar, coupling, block_size, shifts, rhs):
+    """A :class:`ShiftedBandQR` state fed every block column of the band
+    Hessenberg relation ``hbar`` with ``coupling`` rows, one step at a
+    time, as the solvers feed it."""
+    ell = block_size
+    steps = hbar.shape[1] // ell
+    qr = ShiftedBandQR(shifts, rhs, ell, coupling.shape[0], steps)
+    for t in range(steps):
+        new = slice(t * ell, (t + 1) * ell)
+        qr.append(hbar[:(t + 1) * ell, new],
+                  hbar[(t + 1) * ell:(t + 2) * ell, new], coupling[:, new])
+    return qr
+
+
+def augmented_matrix(hbar, coupling, p, q2, n_factor, sigma):
+    """The shifted augmented matrix built from its definition,
+    ``[[Hbar + sigma [I; 0], sigma P], [B, I + sigma Q2], [0, sigma N]]``:
+    it maps coefficients on ``[W_j U]`` to coefficients on
+    ``[W_{j+1} C Uhat]``."""
+    k = q2.shape[0]
+    return np.block([
+        [hbar + sigma * np.eye(*hbar.shape), sigma * p],
+        [coupling, np.eye(k) + sigma * q2],
+        [np.zeros((k, hbar.shape[1])), sigma * n_factor]])
 
 
 @pytest.fixture

@@ -6,13 +6,13 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          add_shift, block_arnoldi,
                          detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
-                         hessenberg_least_squares, rsbgmres, sbfom,
-                         sbgmres, sfom, sgmres, solve_small_dense)
+                         rsbgmres, sbfom, sbgmres, sfom, sgmres)
 import shiftkrylov.block_solvers as block_solvers
 from shiftkrylov.block_solvers import _end_cycle, _start
-from shiftkrylov.recycling import RecycleSpace, shifted_hessenberg
+from shiftkrylov.dense import ShiftedBandQR
+from shiftkrylov.recycling import RecycleSpace
 
-from conftest import random_sparse
+from conftest import band_qr, random_sparse
 
 
 def _sin_angle(u, v):
@@ -241,10 +241,11 @@ def test_kronecker_decoupling_oracle(m, ell):
     vec_g = g_block.T.reshape(-1)  # column stacking of g columns
     y_coupled = np.linalg.lstsq(big, vec_g, rcond=None)[0].reshape(ell, jl).T
 
-    for i, sigma in enumerate(shifts):
-        h_sigma = shifted_hessenberg(arn.hess, ell, sigma)
-        y_i, _ = hessenberg_least_squares(h_sigma, g_block[:, i])
-        assert np.linalg.norm(y_i - y_coupled[:, i]) <= 1e-10 * \
+    qr = band_qr(arn.hess, arn.coupling, ell, shifts, arn.s0.T)
+    qr.residual()
+    y = qr.solve()[0]
+    for i in range(ell):
+        assert np.linalg.norm(y[i] - y_coupled[:, i]) <= 1e-10 * \
             max(1.0, np.linalg.norm(y_coupled[:, i]))
 
     # square (Galerkin) version decouples exactly as well
@@ -252,10 +253,10 @@ def test_kronecker_decoupling_oracle(m, ell):
         + np.kron(np.diag(shifts), np.eye(jl))
     y_sq = np.linalg.solve(big_sq, g_block[:jl, :].T.reshape(-1))
     y_sq = y_sq.reshape(ell, jl).T
-    for i, sigma in enumerate(shifts):
-        h_sigma = shifted_hessenberg(arn.hess, ell, sigma)
-        y_i, _ = solve_small_dense(h_sigma[:jl, :], g_block[:jl, i])
-        assert np.linalg.norm(y_i - y_sq[:, i]) <= 1e-10 * \
+    qr.galerkin_residual(1e-14)
+    y = qr.solve()[0]
+    for i in range(ell):
+        assert np.linalg.norm(y[i] - y_sq[:, i]) <= 1e-10 * \
             max(1.0, np.linalg.norm(y_sq[:, i]))
 
 
@@ -401,21 +402,21 @@ def test_step_estimate_matches_true_residual_of_shorter_cycle(name):
 
 @pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres"])
 def test_engine_factors_each_shift_once_per_cycle(name, monkeypatch):
-    # every step's estimate comes from the updated band QR, so the dense
-    # kernel runs only at cycle end, at most once per active shift
+    # every step's estimate comes from the updated band QR, and every
+    # active shift's iterate from one solve on it at cycle end
     calls = [0]
-    for kernel in ("hessenberg_least_squares", "solve_small_dense"):
-        def counted(*args, _original=getattr(block_solvers, kernel)):
-            calls[-1] += 1
-            return _original(*args)
 
-        monkeypatch.setattr(block_solvers, kernel, counted)
+    def counted(*args, _original=ShiftedBandQR.solve):
+        calls[-1] += 1
+        return _original(*args)
+
+    monkeypatch.setattr(ShiftedBandQR, "solve", counted)
     active_per_cycle = []
 
-    def end_cycle(*args, _original=block_solvers._end_cycle):
+    def end_cycle(*args, _original=block_solvers._end_cycle, **kwargs):
         active_per_cycle.append(int(np.count_nonzero(args[7])))
         calls.append(0)
-        return _original(*args)
+        return _original(*args, **kwargs)
 
     monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
     a = generate_convection_diffusion(7, 15.0)
@@ -428,7 +429,7 @@ def test_engine_factors_each_shift_once_per_cycle(name, monkeypatch):
     else:
         _, rep = {"sbgmres": sbgmres, "sbfom": sbfom}[name](fam, cfg)
     assert rep.cycles > 1 and len(active_per_cycle) == rep.cycles
-    assert all(0 < c <= act for c, act in zip(calls, active_per_cycle))
+    assert calls == [1] * rep.cycles + [0]
 
 
 # ---------------------------------------------------------------------------
@@ -514,3 +515,85 @@ def test_drift_note_names_worst_active_shift():
     _end_cycle(fam, report, 1, x, r, converged, targets, ~converged)
     assert report.notes == ["cycle 1: recurrence residual drifted 1.00e-06 "
                             "from the true residual for shift index 1"]
+
+
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres", "sfom"])
+def test_cycle_end_skips_exactly_the_shifts_with_nan_estimates(name,
+                                                               monkeypatch):
+    # A - I is singular: shift -1 meets an exactly singular subproblem; at
+    # every cycle end the solve leaves exactly the shifts whose last step
+    # estimate was NaN, and each of them gets a skip note
+    last, solves = {}, []
+    for method in ("residual", "galerkin_residual", "augmented_residual"):
+        def read(self, *args, _original=getattr(ShiftedBandQR, method)):
+            out = _original(self, *args)
+            last[id(self)] = np.isnan(out[0] if isinstance(out, tuple)
+                                      else out)
+            return out
+
+        monkeypatch.setattr(ShiftedBandQR, method, read)
+
+    def solve(self, *args, _original=ShiftedBandQR.solve):
+        y, image = _original(self, *args)
+        solves.append((last[id(self)], ~y.any(axis=1)))
+        return y, image
+
+    monkeypatch.setattr(ShiftedBandQR, "solve", solve)
+    a = SparseMatrix.diagonal(np.array([1.0, 2.0, 3.0]))
+    b = np.ones((3, 2)) if name == "sfom" else np.eye(3)[:, :2]
+    fam = ShiftedFamily(a, [-1.0, 0.5], b, None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=5)
+    if name == "rsbgmres":
+        _, rep, _ = rsbgmres(fam, cfg, None, k=1)
+    else:
+        _, rep = {"sbgmres": sbgmres, "sbfom": sbfom, "sfom": sfom}[name](
+            fam, cfg)
+    nan_count = sum(int(nan.sum()) for nan, _ in solves)
+    assert nan_count > 0
+    assert all(np.array_equal(nan, zero) for nan, zero in solves)
+    skip_notes = [n for n in rep.notes
+                  if "iterate for shift" in n or "update skipped" in n]
+    assert len(skip_notes) == nan_count
+
+
+def test_drifted_shift_restarts_from_the_true_residual(monkeypatch):
+    # cycle 1's update of shift 1 moves its iterate but not its recurrence
+    # residual, which then drifts from the true one: cycle 2 must start
+    # from the true residual, and the solve still ends truly converged
+    ends, starts = [], []
+
+    def solve(self, *args, _original=ShiftedBandQR.solve):
+        y, image = _original(self, *args)
+        if not ends:
+            y[1, 0] += 1e-3
+        return y, image
+
+    def end_cycle(family, report, cycle, x, r, *args,
+                  _original=block_solvers._end_cycle, **kwargs):
+        out = _original(family, report, cycle, x, r, *args, **kwargs)
+        ends.append(x.copy())
+        return out
+
+    def start(r0, *args, _original=block_solvers.block_arnoldi_start,
+              **kwargs):
+        starts.append(np.array(r0))
+        return _original(r0, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedBandQR, "solve", solve)
+    monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
+    monkeypatch.setattr(block_solvers, "block_arnoldi_start", start)
+    a = generate_convection_diffusion(7, 15.0)
+    b = np.random.default_rng(44).standard_normal((49, 3))
+    fam = ShiftedFamily(a, [1e-3, 0.4, 2.0], b, None)
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=40)
+    x, rep = sbgmres(fam, cfg)
+    assert rep.notes[0].startswith("cycle 1: recurrence residual drifted")
+    assert rep.notes[0].endswith("shift index 1")
+    true_after_1 = fam.residual_block(ends[0])[:, 1]
+    assert np.linalg.norm(starts[1][:, 1] - true_after_1) \
+        <= 1e-12 * np.linalg.norm(true_after_1)
+    ad = a.to_dense()
+    for i, sigma in enumerate(fam.shifts):
+        true = np.linalg.norm(b[:, i] - (ad + sigma * np.eye(49)) @ x[:, i])
+        assert rep.converged[i] == (true <= 1e-8 * np.linalg.norm(b[:, i]))
+    assert all(rep.converged)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from shiftkrylov import (DimensionError, NearSingularError,
-                         SingularMatrixError, block_arnoldi,
-                         generate_convection_diffusion, hessenberg_eigen,
-                         hessenberg_least_squares, solve_small_dense)
+from shiftkrylov import (DimensionError, block_arnoldi,
+                         generate_convection_diffusion, hessenberg_eigen)
 from shiftkrylov.dense import ShiftedBandQR, _adjoint_q_factors
-from shiftkrylov.recycling import (AugmentationBlocks, assemble_augmented,
-                                   shifted_hessenberg)
+from shiftkrylov.recycling import AugmentationBlocks
+
+from conftest import augmented_matrix, band_qr
 # the thin QR with a real non-negative diagonal that builds recycle spaces
 from shiftkrylov.recycling import _qr
 
@@ -43,15 +42,21 @@ def test_qr_requires_tall():
 
 
 def test_hessenberg_ls_exact():
-    y, resid = hessenberg_least_squares(np.array([[1.0], [0.0]]),
-                                        np.array([2.0, 0.0]))
-    assert np.allclose(y, [2.0]) and resid == pytest.approx(0.0, abs=1e-15)
+    # Hbar = [[1], [0]]: the right-hand side lies in the range
+    qr = ShiftedBandQR([0.0], [[2.0]], 1, 0, 1)
+    qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
+    assert qr.residual()[0] == pytest.approx(0.0, abs=1e-15)
+    y, image = qr.solve()
+    assert np.allclose(y, [[2.0]]) and np.allclose(image, [[2.0, 0.0]])
 
 
 def test_hessenberg_ls_pure_residual():
-    y, resid = hessenberg_least_squares(np.array([[1.0], [0.0]]),
-                                        np.array([0.0, 3.0]))
-    assert np.allclose(y, [0.0]) and resid == pytest.approx(3.0)
+    # Hbar = [[0], [1]]: the right-hand side is orthogonal to the range
+    qr = ShiftedBandQR([0.0], [[3.0]], 1, 0, 1)
+    qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
+    assert qr.residual()[0] == pytest.approx(3.0)
+    y, image = qr.solve()
+    assert np.allclose(y, 0.0) and np.allclose(image, 0.0)
 
 
 def _band_hessenberg(rows, cols, band, seed):
@@ -69,42 +74,56 @@ def _complex_vector(n, seed):
 
 def _block_large_n_case():
     """The shifted subproblem of one sbgmres cycle at L=4, m=30: a complex
-    124 x 120 band-Hessenberg with band 4 and ``g = [S0 e_1; 0]``."""
+    124 x 120 band Hessenberg relation at shift 0.5 with right-hand side
+    ``S0 e_1``."""
     a = generate_convection_diffusion(12, 40.0)
     rng = np.random.default_rng(14)
     r0 = rng.standard_normal((144, 4)) + 1j * rng.standard_normal((144, 4))
     arn = block_arnoldi(a, r0, 30)
-    g = np.zeros(124, dtype=complex)
-    g[:4] = arn.s0[:, 0]
-    return shifted_hessenberg(arn.hess, 4, 0.5), g
+    return arn.hess, arn.coupling, 4, 0.5, arn.s0[:, 0]
 
 
 def _small_residual_case():
-    """A right-hand side whose least-squares residual is 1e-12 of its norm."""
-    h = _band_hessenberg(12, 8, 2, seed=11)
-    q = np.linalg.qr(h, mode="complete")[0]
-    e = q[:, 8:] @ _complex_vector(4, seed=12)   # orthogonal to range(h)
-    g = h @ _complex_vector(8, seed=13)
-    return h, g + 1e-12 * np.linalg.norm(g) * e / np.linalg.norm(e)
+    """A block-size-one relation whose least-squares residual is about
+    1e-12 of its right-hand side: ``Hbar y0`` is a multiple of ``e_1``
+    but for a last subdiagonal entry of 1e-12."""
+    h = _band_hessenberg(9, 8, 1, seed=11)
+    y0 = _complex_vector(8, seed=13)
+    for i in range(1, 9):
+        h[i, i - 1] = -(h[i, i:] @ y0[i:]) / y0[i - 1]
+    h[8, 7] = 1e-12
+    return h, np.zeros((0, 8)), 1, 0.0, np.array([h[0] @ y0])
 
 
 _LS_CASES = {
-    "band2-12x8": lambda: (_band_hessenberg(12, 8, 2, seed=9),
-                           np.random.default_rng(10).standard_normal(12)),
+    # L = 2 with two coupling rows, each with a right-hand side entry
+    "band2-12x8": lambda: (*_band_relation(2, 2, 4, 2, seed=9), 2, 0.3,
+                           np.random.default_rng(10).standard_normal(4)
+                           + 0.5j),
     "band4-124x120": _block_large_n_case,
+    # a block-size-one relation closed square by a happy breakdown
     "square-8x8": lambda: (_band_hessenberg(8, 8, 1, seed=16),
-                           _complex_vector(8, seed=17)),
+                           np.zeros((0, 8)), 1, 0.0,
+                           _complex_vector(1, seed=17)),
     "residual-1e-12": _small_residual_case,
 }
 
 
 @pytest.mark.parametrize("case", list(_LS_CASES))
 def test_hessenberg_ls_against_lstsq(case):
-    h, g = _LS_CASES[case]()
-    y, resid = hessenberg_least_squares(h, g)
-    # independent oracle: LAPACK's SVD-based least squares
+    hbar, coupling, ell, sigma, rhs = _LS_CASES[case]()
+    k = len(coupling)
+    qr = band_qr(hbar, coupling, ell, [sigma], rhs[None])
+    resid = qr.residual()[0]
+    y, image = (v[0] for v in qr.solve())
+    # independent oracle: LAPACK's SVD-based least squares over the rows
+    # [B; Hbar + sigma [I; 0]], the coupling right-hand side first
+    h = np.vstack([coupling, hbar + sigma * np.eye(*hbar.shape)])
+    g = np.zeros(len(h), dtype=complex)
+    g[k:k + ell], g[:k] = rhs[:ell], rhs[ell:]
     y_ls = np.linalg.lstsq(h, g, rcond=None)[0]
     assert np.linalg.norm(y - y_ls) <= 1e-12 * np.linalg.norm(y_ls)
+    assert np.linalg.norm(image - h @ y_ls) <= 1e-12 * np.linalg.norm(g)
     # residual norm contract: the norm read off the factor matches the
     # explicitly recomputed residual, also when it is tiny next to ||g||
     explicit = np.linalg.norm(g - h @ y)
@@ -117,20 +136,24 @@ def test_hessenberg_ls_against_lstsq(case):
 
 
 def test_hessenberg_ls_singular_column_named():
-    h = np.zeros((3, 2))
-    h[0, 0] = 1.0
-    with pytest.raises(SingularMatrixError) as err:
-        hessenberg_least_squares(h, np.ones(3))
-    assert err.value.column == 1
+    # Hbar = [[1, 0], [0, 0], [0, 0]]: column 1 is zero, so the kept
+    # triangle's diagonal entry 1 is exactly zero; the estimate is NaN and
+    # the solve leaves the shift alone
+    qr = ShiftedBandQR([0.0], [[1.0]], 1, 0, 2)
+    qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
+    qr.append([[0.0], [0.0]], [[0.0]], np.zeros((0, 1)))
+    assert np.nonzero(np.diagonal(qr.r[0]) == 0.0)[0].tolist() == [1]
+    assert np.isnan(qr.residual()[0])
+    y, image = qr.solve()
+    assert not np.any(y) and not np.any(image)
 
 
-@pytest.mark.parametrize("h, g", [
-    (np.ones((2, 3)), np.ones(2)),    # fewer rows than columns
-    (np.ones((3, 2)), np.ones(4)),    # right-hand side length mismatch
-], ids=["rows-lt-cols", "length-mismatch"])
-def test_hessenberg_ls_dimension_errors(h, g):
-    with pytest.raises(DimensionError):
-        hessenberg_least_squares(h, g)
+def _residual_directions(qr):
+    """The conjugated carried rows of the state's ``q``: combined by the
+    carried entries of ``g`` they give the least-squares residual."""
+    top = qr.steps * qr.block_size
+    rows = top + qr.carry
+    return qr.q[:, top:rows, :rows].conj().transpose(0, 2, 1)
 
 
 def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
@@ -150,7 +173,8 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
         # the breakdown closes the relation square: no subdiagonal row
         rows = j + 1 if j < m else j
         qr.append(hbar[:j, j - 1:j], hbar[j:rows, j - 1:j], np.zeros((0, 1)))
-        resid, directions = qr.residual(), qr.residual_directions()
+        resid, directions = qr.residual(), _residual_directions(qr)
+        carried = qr.g[:, j:j + qr.carry]
         galerkin, singular = qr.galerkin_residual(1e-14)
         assert not singular.any()
         for i, d in enumerate(offsets):
@@ -162,8 +186,7 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
             assert np.isclose(resid[i], np.linalg.norm(z),
                               rtol=0, atol=1e-13 * abs(rhs[i]))
             # q_i is the unit residual direction, g its coefficient
-            assert np.allclose(directions[i] @ qr.g[i, :qr.carry], z,
-                               atol=1e-13)
+            assert np.allclose(directions[i] @ carried[i], z, atol=1e-13)
             if rows > j:
                 assert np.isclose(np.linalg.norm(directions[i]), 1.0,
                                   rtol=1e-13)
@@ -173,7 +196,7 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
                               atol=1e-13 * abs(rhs[i]))
     # the breakdown closed the relation: no residual direction is left
     # and the residual is exactly zero
-    assert qr.residual_directions().shape == (3, m, 0)
+    assert _residual_directions(qr).shape == (3, m, 0)
     assert np.all(qr.residual() == 0.0)
 
 
@@ -191,7 +214,7 @@ def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
         z = np.array([1.0, 0.0]) - h @ np.linalg.lstsq(
             h, [1.0, 0.0], rcond=None)[0]
         assert qr.residual()[i] == pytest.approx(np.linalg.norm(z))
-        assert np.allclose(qr.residual_directions()[i] @ qr.g[i], z,
+        assert np.allclose(_residual_directions(qr)[i] @ qr.g[i, 1:2], z,
                            atol=1e-15)
 
 
@@ -201,23 +224,15 @@ def test_batched_adjoint_q_factors_match_the_single_block_path(dtype):
     # geqrf/orgqr; both are Householder QR, so they agree to rounding
     blocks = _complex_vector(4 * 5 * 2, seed=4).reshape(4, 5, 2)
     blocks = (blocks if dtype is np.complex128 else blocks.real).astype(dtype)
-    qh, diag = _adjoint_q_factors(blocks)
+    qh, tri = _adjoint_q_factors(blocks)
     for i, block in enumerate(blocks):
-        qh_i, diag_i = _adjoint_q_factors(block[None])
+        qh_i, tri_i = _adjoint_q_factors(block[None])
         assert np.allclose(qh[i], qh_i[0], rtol=0, atol=1e-13)
-        assert np.allclose(diag[i], diag_i[0], rtol=1e-13)
+        assert np.allclose(tri[i], tri_i[0], rtol=0, atol=1e-13)
+        assert np.array_equal(tri_i[0], np.triu(tri_i[0]))
         r = qh[i] @ block
         assert np.allclose(r[2:], 0.0, atol=1e-13)
-        assert np.allclose(np.abs(np.diagonal(r)), diag[i], rtol=1e-13)
-
-
-def test_shifted_hessenberg_stack_matches_scalar_calls():
-    hess = _complex_vector(5 * 4, seed=9).reshape(5, 4)
-    shifts = np.array([0.0, 1.5, -2.0 + 0.5j])
-    stack = shifted_hessenberg(hess, 1, shifts)
-    assert stack.shape == (3, 5, 4)
-    for sigma, h in zip(shifts, stack):
-        assert np.array_equal(h, shifted_hessenberg(hess, 1, sigma))
+        assert np.allclose(r[:2], tri[i], rtol=0, atol=1e-13)
 
 
 def _band_relation(ell, k, steps, closing_rows, seed):
@@ -241,6 +256,11 @@ def _band_relation(ell, k, steps, closing_rows, seed):
     coupling = rng.standard_normal((k, steps * ell)) \
         + 1j * rng.standard_normal((k, steps * ell))
     return hbar, coupling
+
+
+def _lstsq_residual(h, g):
+    """``min_y ||g - h y||`` by LAPACK's SVD-based least squares."""
+    return np.linalg.norm(g - h @ np.linalg.lstsq(h, g, rcond=None)[0])
 
 
 @pytest.mark.parametrize("k", [0, 4])
@@ -268,25 +288,26 @@ def test_shifted_band_qr_against_dense_oracles(ell, k):
         resid = qr.residual()
         galerkin, singular = qr.galerkin_residual(1e-14) if k == 0 \
             else (None, None)
-        augmented = qr.augmented_residual(blocks.p, blocks.q2,
-                                          blocks.n_factor) if k else None
+        augmented = qr.augmented_residual(
+            blocks.p, blocks.q2, blocks.n_factor,
+            np.zeros(3, dtype=bool)) if k else None
         for i, sigma in enumerate(shifts):
-            h = np.vstack([shifted_hessenberg(hj, ell, sigma), bj])
+            h = np.vstack([hj + sigma * np.eye(*hj.shape), bj])
             g = np.zeros(h.shape[0], dtype=complex)
             g[:ell] = rhs[i]
             tol = 1e-12 * np.linalg.norm(g)
-            assert abs(resid[i] - hessenberg_least_squares(h, g)[1]) <= tol
+            assert abs(resid[i] - _lstsq_residual(h, g)) <= tol
             if k == 0:
-                y, _ = solve_small_dense(h[:j * ell], g[:j * ell])
+                y = np.linalg.solve(h[:j * ell], g[:j * ell])
                 assert not singular[i]
                 assert abs(galerkin[i] - np.linalg.norm(h[j * ell:] @ y)) \
                     <= tol
             else:
-                aug = assemble_augmented(hj, bj, blocks, ell, sigma)
+                aug = augmented_matrix(hj, bj, blocks.p, blocks.q2,
+                                       blocks.n_factor, sigma)
                 g_aug = np.zeros(aug.shape[0], dtype=complex)
                 g_aug[:ell] = rhs[i]
-                assert abs(augmented[i]
-                           - hessenberg_least_squares(aug, g_aug)[1]) <= tol
+                assert abs(augmented[i] - _lstsq_residual(aug, g_aug)) <= tol
     if k == 0 and closing == 0:
         # a relation closed square is solved exactly
         assert np.all(resid <= 1e-12 * np.linalg.norm(rhs, axis=1))
@@ -312,13 +333,23 @@ def test_shifted_band_qr_marks_singular_least_squares_unknown():
     assert np.isnan(rho[0]) and rho[1] == 0.0
 
 
+def _galerkin_solve(h_col, shifts, rhs):
+    """The Galerkin solve of one block step that closes square: the
+    square ``h_col + sigma_i I`` against ``rhs_i`` for every shift."""
+    ell = len(h_col)
+    qr = ShiftedBandQR(shifts, rhs, ell, 0, 1)
+    qr.append(h_col, np.zeros((0, ell)), np.zeros((0, ell)))
+    rho, singular = qr.galerkin_residual(1e-14)
+    return qr.solve()[0], rho, singular
+
+
 def test_solve_identity():
-    x, resid = solve_small_dense(np.eye(2), np.array([3.0, 4.0]))
-    assert np.array_equal(x, [3.0, 4.0]) and resid == 0.0
+    x, rho, _ = _galerkin_solve(np.eye(2), [0.0], [[3.0, 4.0]])
+    assert np.array_equal(x, [[3.0, 4.0]]) and rho[0] == 0.0
 
 
 def test_solve_diagonal():
-    x, _ = solve_small_dense(np.diag([2.0, 4.0]), np.eye(2))
+    x, _, _ = _galerkin_solve(np.diag([2.0, 4.0]), [0.0, 0.0], np.eye(2))
     assert np.allclose(x, np.diag([0.5, 0.25]), atol=1e-15)
 
 
@@ -326,15 +357,134 @@ def test_solve_random_residual():
     rng = np.random.default_rng(13)
     m = rng.standard_normal((10, 10)) + 10 * np.eye(10)
     rhs = rng.standard_normal((10, 2))
-    x, resid = solve_small_dense(m, rhs)
-    assert resid <= 1e-10 * np.linalg.norm(rhs)
-    assert np.linalg.norm(m @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    x, rho, _ = _galerkin_solve(m, [0.0, 0.0], rhs.T)
+    assert np.all(rho == 0.0)
+    assert np.linalg.norm(m @ x.T - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
-def test_solve_near_singular_raises():
-    m = np.array([[1.0, 0.0], [0.0, 1e-16]])
-    with pytest.raises(NearSingularError):
-        solve_small_dense(m, np.ones(2))
+def _state_rows(hbar, coupling, shifts, rhs, ell):
+    """Dense ``G_i = [B; Hbar + sigma_i [I; 0]]`` and the right-hand sides
+    ``[rhs_coupling; rhs_H; 0]`` of a state, rows in the state's order."""
+    k = len(coupling)
+    mats = [np.vstack([coupling, hbar + s * np.eye(*hbar.shape)])
+            for s in shifts]
+    g = np.zeros((len(shifts), k + len(hbar)), dtype=np.result_type(rhs))
+    g[:, k:k + ell], g[:, :k] = rhs[:, :ell], rhs[:, ell:]
+    return mats, g
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("ell", [1, 4])
+def test_band_qr_solve_against_dense_oracles(ell, k, dtype):
+    # every shift's cycle-end solve from the kept triangle, against
+    # numpy.linalg.lstsq (least squares, augmented) and numpy.linalg.solve
+    # (Galerkin) on matrices built from their definitions
+    steps = 5
+    hbar, coupling = _band_relation(ell, k, steps, ell, seed=7 * ell + k)
+    rng = np.random.default_rng(11)
+    shifts = np.array([0.0, 0.7, -1.3])
+    rhs = rng.standard_normal((3, ell + k))
+    if dtype is np.complex128:
+        shifts = shifts + np.array([0.0, 0.5j, -0.25j])
+        rhs = rhs + 1j * rng.standard_normal((3, ell + k))
+    else:
+        hbar, coupling = hbar.real.copy(), coupling.real.copy()
+    rhs[[0, 2], ell:] = 0.0      # only shift 1 has coupling entries
+    qr = band_qr(hbar, coupling, ell, shifts, rhs)
+    mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
+    qr.residual()
+    y, image = qr.solve()
+    assert y.dtype == image.dtype == np.result_type(dtype, np.float64)
+    for i, (h, gi) in enumerate(zip(mats, g)):
+        y_ls = np.linalg.lstsq(h, gi, rcond=None)[0]
+        assert np.linalg.norm(y[i] - y_ls) <= 1e-10 * np.linalg.norm(y_ls)
+        assert np.linalg.norm(image[i] - h @ y_ls) \
+            <= 1e-10 * np.linalg.norm(gi)
+    jl = steps * ell
+    if k == 0:
+        qr.galerkin_residual(1e-14)
+        y, image = qr.solve()
+        for i, (h, gi) in enumerate(zip(mats, g)):
+            y_g = np.linalg.solve(h[:jl], gi[:jl])
+            assert np.linalg.norm(y[i] - y_g) <= 1e-10 * np.linalg.norm(y_g)
+            assert np.linalg.norm(image[i] - h @ y_g) \
+                <= 1e-10 * np.linalg.norm(h @ y_g)
+        return
+    # augmented, shift 1 over the Krylov space alone with its coupling
+    # right-hand side
+    p = rng.standard_normal((len(hbar), k)).astype(dtype)
+    q2 = rng.standard_normal((k, k)).astype(dtype)
+    n_factor = np.triu(rng.standard_normal((k, k)))
+    alone = np.array([False, True, False])
+    est = qr.augmented_residual(p, q2, n_factor, alone)
+    y, image = qr.solve()
+    rows = len(hbar)
+    for i, sigma in enumerate(shifts):
+        if alone[i]:
+            h, gi = np.hstack([mats[i], np.zeros((k + rows, k))]), g[i]
+            h = np.vstack([h, np.zeros((k, jl + k))])
+            gi = np.concatenate([gi, np.zeros(k)])
+        else:
+            aug = augmented_matrix(hbar, coupling, p, q2, n_factor, sigma)
+            # the state orders the rows [C, W_{j+1}, Uhat]
+            order = np.r_[rows:rows + k, :rows, rows + k:rows + 2 * k]
+            h, gi = aug[order], np.concatenate([g[i], np.zeros(k)])
+        y_ls = np.linalg.lstsq(h[:, :jl] if alone[i] else h, gi,
+                               rcond=None)[0]
+        if alone[i]:
+            y_ls = np.concatenate([y_ls, np.zeros(k)])
+        assert np.linalg.norm(y[i] - y_ls) <= 1e-10 * np.linalg.norm(y_ls)
+        assert np.linalg.norm(image[i] - h @ y_ls) \
+            <= 1e-10 * np.linalg.norm(gi)
+        assert abs(est[i] - np.linalg.norm(gi - h @ y_ls)) \
+            <= 1e-10 * np.linalg.norm(gi)
+
+
+@pytest.mark.parametrize("ell", [1, 4])
+def test_band_qr_solve_on_relation_closed_square(ell):
+    # a happy breakdown closes the relation square: the least-squares and
+    # Galerkin solves are both the exact square solve, with no residual
+    steps = 4
+    hbar, coupling = _band_relation(ell, 0, steps, 0, seed=5 + ell)
+    shifts = np.array([0.2, 1.0 - 0.5j])
+    rhs = np.random.default_rng(3).standard_normal((2, ell)) + 0.5j
+    qr = band_qr(hbar, coupling, ell, shifts, rhs)
+    mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
+    assert np.all(qr.residual() == 0.0)
+    y_ls, image = qr.solve()
+    assert np.array_equal(qr.galerkin_residual(1e-14)[0], [0.0, 0.0])
+    y_g = qr.solve()[0]
+    for i, (h, gi) in enumerate(zip(mats, g)):
+        y_sq = np.linalg.solve(h, gi)
+        for y in (y_ls[i], y_g[i]):
+            assert np.linalg.norm(y - y_sq) <= 1e-10 * np.linalg.norm(y_sq)
+        assert np.linalg.norm(image[i] - gi) <= 1e-10 * np.linalg.norm(gi)
+
+
+def test_band_qr_solve_skips_exactly_singular_shift():
+    # Hbar = [[1, 2], [0, 3], [0, 1]] with a zero subdiagonal entry: at
+    # shift -1 the first column of Hbar + sigma [I; 0] vanishes, so the
+    # triangle's first diagonal entry is exactly zero; the Galerkin pivot
+    # of the second step (3 - 1 = 2) is regular all the same, and only the
+    # zero entry flags that shift's square system as singular too
+    hbar = np.array([[1.0, 2.0], [0.0, 3.0], [0.0, 1.0]])
+    shifts = np.array([-1.0, 0.5])
+    rhs = np.array([[1.0], [2.0]])
+    qr = band_qr(hbar, np.zeros((0, 2)), 1, shifts, rhs)
+    mats, g = _state_rows(hbar, np.zeros((0, 2)), shifts, rhs, 1)
+    rho = qr.residual()
+    assert np.isnan(rho[0]) and np.isfinite(rho[1])
+    y, image = qr.solve()
+    assert not np.any(y[0]) and not np.any(image[0])
+    y_ls = np.linalg.lstsq(mats[1], g[1], rcond=None)[0]
+    assert np.linalg.norm(y[1] - y_ls) <= 1e-12 * np.linalg.norm(y_ls)
+    rho, singular = qr.galerkin_residual(1e-14)
+    assert singular.tolist() == [True, False] and np.isnan(rho[0])
+    y, _ = qr.solve()
+    assert not np.any(y[0])
+    y_g = np.linalg.solve(mats[1][:2], g[1][:2])
+    assert np.linalg.norm(y[1] - y_g) <= 1e-12 * np.linalg.norm(y_g)
 
 
 def test_eigen_diagonal_largest():

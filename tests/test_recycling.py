@@ -10,10 +10,9 @@ from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
                          rsbgmres, save_recycle_space, sbgmres,
                          update_recycle_space)
 from shiftkrylov.arnoldi import block_arnoldi_extend, block_arnoldi_start
-from shiftkrylov.recycling import (assemble_augmented, augmentation_blocks,
-                                   shifted_hessenberg)
+from shiftkrylov.recycling import augmentation_blocks
 
-from conftest import random_sparse
+from conftest import augmented_matrix, random_sparse
 
 
 def _space(a, k, seed=0):
@@ -119,19 +118,25 @@ def test_oblique_near_singular_raises():
                               np.zeros(12, dtype=complex), a)
 
 
-def test_rsbgmres_shift_without_oblique_projection_keeps_its_iterate():
+def test_rsbgmres_shift_without_oblique_projection_is_solved_over_krylov():
     # C = U = e1, so C* (C + sigma U) = 1 + sigma vanishes at sigma = -1:
-    # that shift keeps its iterate at every cycle, the other converges
+    # that shift is minimized over the Krylov space alone at every cycle
+    # (with U it is exactly singular, since (A - I) U = 0), reaches its
+    # least-squares minimum |b_1| = 1 over the range of A - I, and no
+    # longer holds the other shift back: 0.5 converges at cycle 4 after
+    # 8 products, as beside a healthy shift, not at cycle 7 after 14
     a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
     space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
-    fam = ShiftedFamily(a, [-1.0, 0.5], np.ones((4, 2)), None)
+    fam = ShiftedFamily(a, [0.5, -1.0], np.ones((4, 2)), None)
     cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20)
     x, rep, _ = rsbgmres(fam, cfg, space, update=False)
-    assert rep.converged == [False, True]
+    assert rep.converged == [True, False]
     assert rep.notes[0] == ("cycle 1: no oblique projection for shift index "
-                            "0; kept previous approximation")
-    assert np.all(x[:, 0] == 0.0)
-    assert not any(row[6] for row in rep.rows if row[0] == 0)
+                            "1; solved over the Krylov space alone")
+    first = next(row for row in rep.rows if row[0] == 0 and row[6])
+    assert first[1:4] == (4, 4, 8)
+    assert not any(row[6] for row in rep.rows if row[0] == 1)
+    assert rep.final_residuals[1] == pytest.approx(1.0, rel=1e-12)
     true = np.linalg.norm(fam.residual_block(x), axis=0)
     assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
@@ -144,7 +149,8 @@ def test_augmented_operator_zero_shift_collapses():
     r0 -= space.c @ (space.c.conj().T @ r0)
     arn = block_arnoldi(a, r0, 3, projector=space, seed=0)
     blocks = augmentation_blocks(space, arn.basis)
-    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, 0.0)
+    g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
+                             blocks.n_factor, 0.0)
     k = 3
     # bottom sigma*N block vanishes
     assert np.linalg.norm(g_bar[-k:, :]) == 0.0
@@ -163,8 +169,9 @@ def test_augmented_operator_empty_space_is_plain_hessenberg():
     # no recycle directions: the unprojected state carries a 0 x 3L
     # coupling, so there are no coupling rows and no trailing columns
     assert arn.coupling.shape == (0, arn.hess.shape[1])
-    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, 0.25)
-    assert np.array_equal(g_bar, shifted_hessenberg(arn.hess, 2, 0.25))
+    g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
+                             blocks.n_factor, 0.25)
+    assert np.array_equal(g_bar, arn.hess + 0.25 * np.eye(*arn.hess.shape))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -203,7 +210,8 @@ def test_augmented_relation_random_shift():
     arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
     sigma = 0.3
     blocks = augmentation_blocks(space, arn.basis)
-    g_bar = assemble_augmented(arn.hess, arn.coupling, blocks, 2, sigma)
+    g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
+                             blocks.n_factor, sigma)
     ad = a.to_dense()
     concat = np.hstack([arn.basis, space.c, blocks.u_hat])
     lhs = (ad + sigma * np.eye(22)) @ np.hstack([arn.w, space.u])
