@@ -2,8 +2,9 @@
 
 Block size one is the single-vector process.  Each new block is
 orthogonalized by two passes of block classical Gram-Schmidt against the
-whole basis (stable for full-rank blocks: Carson, Lund, Rozloznik &
-Thomas, LAA 2022), then by a two-pass column-wise QR inside the block.
+whole basis (BCGS2, stable for full-rank blocks: Carson, Lund, Rozloznik
+& Thomas, LAA 2022), each product one in-place BLAS ``gemm``, then by one
+Householder QR inside the block.
 The basis takes the dtype of the start block (and of the recycle image
 basis, when given): real input gives a real process.
 The process supports an optional projection against a recycle space (the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import BreakdownError, DimensionError
 from .sparse import SparseMatrix, block_matvec
@@ -143,19 +144,26 @@ class _Workspace:
         return out
 
 
-def _random_direction(n, seed_key):
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    return rng.standard_normal(n)
+def _project_out(z, *blocks):
+    """Two passes of block classical Gram-Schmidt (BCGS2) of the
+    column-major block ``z`` against each orthonormal block in turn,
+    in place: each pass runs ``h = V* z; z -= V h`` per block as two BLAS
+    ``gemm`` calls, so neither product allocates an n-row temporary.
 
-
-def _orthogonalize(z, against_blocks):
-    """Two-pass MGS of the single vector ``z`` against each block."""
+    ``z`` must be Fortran-contiguous and of a dtype that holds every
+    block's; either may be empty.  Returns each block's summed
+    coefficients ``V* z`` over both passes.
+    """
+    gemm, = get_blas_funcs(("gemm",), (z,))
+    coefs = [np.zeros((blk.shape[1], z.shape[1]), dtype=z.dtype)
+             for blk in blocks]
     for _pass in range(2):
-        for blk in against_blocks:
-            if blk is None or blk.shape[1] == 0:
-                continue
-            z = z - blk @ (blk.conj().T @ z)
-    return z
+        for blk, coef in zip(blocks, coefs):
+            if blk.size and z.size:
+                h = gemm(1.0, blk, z, trans_a=2)
+                gemm(-1.0, blk, h, 1.0, z, overwrite_c=True)
+                coef += h
+    return coefs
 
 
 def _replacement_vector(n, prev, step, column, seed, log):
@@ -163,8 +171,9 @@ def _replacement_vector(n, prev, step, column, seed, log):
     is real unless a block of ``prev`` is complex."""
     for attempt in range(_REPLACE_RETRIES):
         seed_key = (seed, step, column, attempt)
-        z = _random_direction(n, seed_key)
-        z = _orthogonalize(z, prev)
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+        z = rng.standard_normal((n, 1)).astype(np.result_type(*prev))
+        _project_out(z, *prev)
         nrm = np.linalg.norm(z)
         if nrm > 1e-8 * np.sqrt(n):
             log.append(Replacement(step, column, seed_key))
@@ -175,60 +184,71 @@ def _replacement_vector(n, prev, step, column, seed, log):
 
 
 def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
-    """Column-wise QR of the block ``z`` (already orthogonal to
-    ``prev_blocks``) into the n x L buffer ``v``, replacing dependent
-    columns by random directions.
+    """QR of the block ``z`` (already orthogonal to ``prev_blocks``) into
+    the n x L buffer ``v``, replacing dependent columns by random
+    directions.
 
     ``scale`` is the Frobenius norm of the raw candidate block before any
     orthogonalization; when every new direction is below the breakdown
     threshold relative to it, the whole block is dependent (an invariant
-    subspace was hit).  Otherwise a column is dependent when its diagonal
-    entry falls below ``tol`` times the largest one, which a LAPACK QR
-    probe finds (at L = 1 it is the norm of ``z``, and only the breakdown
-    test can fire).  Fills ``v`` with orthonormal columns and returns
-    ``r``, upper triangular with zero diagonal at replaced columns, so
-    the Arnoldi relation stays exact to the threshold.
+    subspace was hit) and counts as zero.  Otherwise a column is dependent
+    when its diagonal entry in a LAPACK Householder QR falls below ``tol``
+    times the largest one (at L = 1 the entry is the norm of ``z``, and
+    only the breakdown test can fire).  A block with no dependent column
+    keeps that factorization: ``Q`` comes from ``orgqr``/``ungqr``, and
+    its columns and the rows of ``r`` are scaled by the diagonal's phase.
+    A block with one is orthogonalized column by column in two passes, a
+    dependent column replaced as it is met.  Fills ``v`` with orthonormal
+    columns and returns ``r``, upper triangular with a real non-negative
+    diagonal that is zero at replaced columns, so the Arnoldi relation
+    stays exact to the threshold.
     """
     n, ell = z.shape
-    if ell == 1:
-        ref = float(np.linalg.norm(z))
-    else:
-        geqrf, = get_lapack_funcs(("geqrf",), (z,))
-        ref = float(np.abs(np.diagonal(geqrf(z)[0])).max())
-    all_dependent = ref <= BREAKDOWN_RTOL * scale
     r = np.zeros((ell, ell), dtype=z.dtype)
+    if ell == 1:
+        ref = low = float(np.linalg.norm(z))
+    else:
+        # factor in v itself, which the column-wise path below overwrites
+        geqrf, orgqr = get_lapack_funcs(("geqrf", "orgqr"), (z,))
+        v[...] = z
+        qr, tau = geqrf(v, overwrite_a=True)[:2]
+        diag = qr.diagonal().copy()
+        mags = np.abs(diag)
+        ref, low = float(mags.max()), float(mags.min())
+    if ref <= BREAKDOWN_RTOL * scale:
+        z = np.zeros_like(z)    # rounding noise: every column is replaced
+    elif low > tol * ref:
+        if ell == 1:
+            np.divide(z, ref, out=v)
+            r[0, 0] = ref
+        else:
+            phase = diag / mags
+            r[...] = np.triu(qr[:ell]) * phase.conj()[:, None]
+            np.fill_diagonal(r, mags)
+            v[...] = orgqr(qr, tau, overwrite_a=True)[0]
+            v *= phase
+        return r
     for c in range(ell):
-        w = z[:, c].copy()
-        for _pass in range(2):
-            for i in range(c):
-                coef = np.vdot(v[:, i], w)
-                r[i, c] += coef
-                w -= coef * v[:, i]
+        w = z[:, c:c + 1].copy(order="F")
+        r[:c, c:c + 1], = _project_out(w, v[:, :c])
         nrm = np.linalg.norm(w)
-        if all_dependent or nrm <= tol * ref:
+        if nrm <= tol * ref:
             try:
-                w = _replacement_vector(n, list(prev_blocks) + [v[:, :c]],
+                w = _replacement_vector(n, [*prev_blocks, v[:, :c]],
                                         step, c, seed, log)
             except BreakdownError:
                 # a replacement draw only fails when the basis together
                 # with the columns built so far already spans the whole
                 # space, so the span is invariant; finish the coefficient
-                # rows of the not-yet-processed candidates (column c was
-                # already orthogonalized above) and hand the partial block
-                # back for a closed relation
-                for cc in range(c + 1, ell):
-                    wc = z[:, cc].copy()
-                    for _pass in range(2):
-                        for i in range(c):
-                            coef = np.vdot(v[:, i], wc)
-                            r[i, cc] += coef
-                            wc -= coef * v[:, i]
+                # rows of the not-yet-processed candidates and hand the
+                # partial block back for a closed relation
+                rest = z[:, c + 1:].copy(order="F")
+                r[:c, c + 1:], = _project_out(rest, v[:, :c])
                 raise _InvariantSubspace(c, r[:c, :])
-            r[c, c] = 0.0
         else:
             r[c, c] = nrm
             w = w / nrm
-        v[:, c] = w
+        v[:, c:c + 1] = w
     return r
 
 
@@ -253,20 +273,22 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     k = c_basis.shape[1] if c_basis is not None else 0
     dtype = np.result_type(r0, np.float64,
                            *([c_basis] if c_basis is not None else []))
-    r0 = r0.astype(dtype, copy=False)
     if ell + k > n:
         raise DimensionError(
             f"initial block is {n} x {ell}"
             + (f" beside {k} recycle directions" if k else "")
             + f": {ell + k} orthonormal columns do not fit in {n} rows")
+    z = np.array(r0, dtype=dtype, order="F")
+    # measured before the projection, so a block inside span(C) reads as
+    # dependent rather than as normalized rounding noise
+    scale = float(np.linalg.norm(z))
     if k:
-        r0 = np.column_stack(
-            [_orthogonalize(r0[:, i].copy(), [c_basis]) for i in range(ell)])
+        c_basis = np.asarray(c_basis, dtype=dtype, order="F")
+        _project_out(z, c_basis)
     log: list[Replacement] = []
-    prev = [c_basis] if c_basis is not None else []
     v1 = np.zeros((n, ell), dtype=dtype, order="F")
-    s0 = _block_qr_replace(r0, v1, prev, 0, dep_tol, seed, log,
-                           scale=float(np.linalg.norm(r0)))
+    s0 = _block_qr_replace(z, v1, [c_basis] if k else [], 0, dep_tol, seed,
+                           log, scale)
     v1.flags.writeable = False
     return BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
@@ -287,7 +309,8 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         return state
     ell = state.block_size
     c_basis = state.projector_c
-    k = c_basis.shape[1] if c_basis is not None else 0
+    if c_basis is None:
+        c_basis = np.zeros((state.basis.shape[0], 0))
     j = state.steps
     dtype = np.result_type(state.basis, a.values)
     ws = state._ws
@@ -300,35 +323,24 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     trailing = ell
     for _ in range(steps):
         basis = ws.basis[:, :(j + 1) * ell]
-        z = block_matvec(a, basis[:, j * ell:])
+        cols = slice(j * ell, (j + 1) * ell)
+        z = np.asfortranarray(block_matvec(a, basis[:, cols]))
         raw_scale = max(float(np.linalg.norm(z)), a.frobenius_norm)
-        ws.hess[:, j * ell:(j + 1) * ell] = 0.0
-        h_col = ws.hess[:(j + 1) * ell, j * ell:(j + 1) * ell]
-        b_col = ws.coupling[:, j * ell:(j + 1) * ell]
-        b_col[...] = 0.0
-        # two passes of block classical Gram-Schmidt; V* Z is formed as
-        # (Z* V)* so only the small block is conjugated, not the basis
-        for _pass in range(2):
-            if k:
-                cc = (z.conj().T @ c_basis).conj().T
-                b_col += cc
-                z -= c_basis @ cc
-            h = (z.conj().T @ basis).conj().T
-            h_col += h
-            z -= basis @ h
-        prev = ([c_basis] if k else []) + [basis]
+        ws.coupling[:, cols], ws.hess[:(j + 1) * ell, cols] = _project_out(
+            z, c_basis, basis)
+        ws.hess[(j + 1) * ell:, cols] = 0.0
         try:
             r_new = _block_qr_replace(
-                z, ws.basis[:, (j + 1) * ell:(j + 2) * ell], prev, j + 1,
-                state.dep_tol, state.seed, log, scale=raw_scale)
+                z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
+                [c_basis, basis], j + 1, state.dep_tol, state.seed, log,
+                scale=raw_scale)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
             # partial basis block the step built before the ambient space
             # ran out (possibly none, in which case the coefficient matrix
             # becomes square)
             trailing, r_new = sig.built, sig.r_partial
-        ws.hess[(j + 1) * ell:(j + 1) * ell + trailing,
-                j * ell:(j + 1) * ell] = r_new
+        ws.hess[(j + 1) * ell:(j + 1) * ell + trailing, cols] = r_new
         j += 1
         if trailing < ell:
             break
@@ -336,9 +348,9 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     basis, hess, coupling = ws.views(j, ell, trailing)
     return BlockArnoldiState(
         basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
-        replacements=tuple(log), coupling=coupling, projector_c=c_basis,
-        seed=state.seed, dep_tol=state.dep_tol, invariant=trailing < ell,
-        _ws=ws)
+        replacements=tuple(log), coupling=coupling,
+        projector_c=state.projector_c, seed=state.seed,
+        dep_tol=state.dep_tol, invariant=trailing < ell, _ws=ws)
 
 
 def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *, seed=0,

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import BlockArnoldiState
+from .arnoldi import BlockArnoldiState, _project_out
 from .dense import _conjugate_closed_cut, _real_pair_basis, hessenberg_eigen
 from .errors import DimensionError, EigenConvergenceError, NearSingularError
 from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
@@ -216,17 +216,6 @@ class AugmentationBlocks:
 _CONTAINED_TOL = 1e-13
 
 
-def _absorb(block, d):
-    """Take span(block) out of ``d`` in place with two passes of
-    ``d -= block (block* d)`` (BCGS2) and return the summed
-    coefficients ``block* d``."""
-    coef = block.conj().T @ d
-    d -= block @ coef
-    again = block.conj().T @ d
-    d -= block @ again
-    return coef + again
-
-
 def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
                         prev=None) -> AugmentationBlocks:
     """Orthogonalize U against [W C] and QR the remainder.
@@ -255,13 +244,13 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
     u, c = space.u, space.c
     dtype = np.result_type(w_basis, u)
     if prev is None:
-        d = u.astype(dtype)
-        q2 = _absorb(c, d)
+        d = np.array(u, dtype=dtype, order="F")
+        q2, = _project_out(d, c)
         p = np.zeros((0, space.k), dtype=dtype)
     else:
-        d = prev.remainder.copy()
+        d = prev.remainder.copy(order="F")
         q2, p = prev.q2, prev.p
-    p = np.vstack([p, _absorb(w_basis[:, p.shape[0]:], d)])
+    p = np.vstack([p, *_project_out(d, w_basis[:, p.shape[0]:])])
     tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
     m, padded = d, []
@@ -281,14 +270,12 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
         # the Householder columns from here on are not orthogonal to
         # [W C]: put a filler in this column and QR once more
         rng = np.random.default_rng(np.random.SeedSequence((pad_seed, col)))
-        f = rng.standard_normal(u.shape[0]).astype(dtype)
+        f = rng.standard_normal((u.shape[0], 1)).astype(dtype)
         # the column's diagonal entry is now the filler's, on its scale
         tol[col] = _CONTAINED_TOL * np.linalg.norm(f)
-        for _pass in range(2):
-            f -= w_basis @ (w_basis.conj().T @ f)
-            f -= c @ (c.conj().T @ f)
+        _project_out(f, w_basis, c)
         m = m.copy() if m is d else m
-        m[:, col] = f
+        m[:, col:col + 1] = f
         padded.append(col)
     u_hat = orgqr(qr, tau, overwrite_a=True)[0]
     if padded:

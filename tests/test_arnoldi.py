@@ -6,7 +6,7 @@ from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
                          SolverConfig, SparseMatrix, block_arnoldi,
                          block_arnoldi_extend, block_arnoldi_start, sfom,
                          sgmres, subspace_equality_angle)
-from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement
+from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
 from shiftkrylov.block_solvers import _unit_relation
 
 from conftest import (block_krylov_powers, projected_sylvester_powers,
@@ -406,3 +406,104 @@ def test_replacement_seed_keys_pinned():
     assert state.replacements == start.replacements + tuple(
         Replacement(step, col, (7, step, col, 0))
         for step in (1, 2) for col in range(3))
+
+
+def test_start_block_in_recycle_span_is_replaced_whole():
+    # a start block inside span(C) leaves only rounding noise once
+    # projected; measured against the raw block it is all dependent, so
+    # every column is a logged replacement and the start factor is zero
+    n = 30
+    a = random_sparse(n, density=0.3, seed=74, diag_boost=3.0)
+    rng = np.random.default_rng(75)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((n, 4)))
+    r0 = space.c @ rng.standard_normal((4, 3))
+    state = block_arnoldi_start(r0, space, seed=6)
+    assert state.replacements == tuple(
+        Replacement(0, col, (6, 0, col, 0)) for col in range(3))
+    assert np.all(state.s0 == 0.0)
+    both = np.hstack([space.c, state.basis])
+    assert np.linalg.norm(both.conj().T @ both - np.eye(7)) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the in-place BCGS2 kernel and the Householder block QR
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ell", [1, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("projected", [False, True])
+def test_thirty_steps_orthonormal_exact_with_nonnegative_diagonals(
+        ell, dtype, projected):
+    n, m = 200, 30
+    rng = np.random.default_rng(71)
+    ad = random_sparse(n, density=0.05, seed=72, diag_boost=2.0).to_dense()
+    r0 = rng.standard_normal((n, ell))
+    if dtype is np.complex128:
+        ad = ad + 1j * random_sparse(n, density=0.05, seed=73).to_dense()
+        r0 = r0 + 1j * rng.standard_normal((n, ell))
+    a = SparseMatrix.from_dense(ad)
+    space = (RecycleSpace.from_basis(a, rng.standard_normal((n, 3)))
+             if projected else RecycleSpace.empty(n))
+    state = block_arnoldi(a, r0, m, projector=space, seed=0)
+    assert state.steps == m and state.basis.dtype == dtype
+    assert not state.replacements
+    both = np.hstack([space.c, state.basis])
+    assert np.linalg.norm(
+        np.eye(both.shape[1]) - both.conj().T @ both) <= 1e-13
+    # (I - C C*) A W = W_{j+1} Hbar with coupling rows C* A W
+    resid = ad @ state.w - space.c @ state.coupling \
+        - state.basis @ state.hess
+    assert np.linalg.norm(resid) <= 1e-13 * a.frobenius_norm
+    # the start factor and every subdiagonal block are upper triangular
+    # with a real non-negative diagonal
+    tris = [state.s0] + [
+        state.hess[(t + 1) * ell:(t + 2) * ell, t * ell:(t + 1) * ell]
+        for t in range(m)]
+    for tri in tris:
+        assert np.all(np.tril(tri, -1) == 0.0)
+        diag = np.diagonal(tri)
+        assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
+
+
+def test_extend_with_one_dependent_candidate_column_is_replaced():
+    # A e4 = A e1, so the first candidate block A [e1 .. e4] has one
+    # dependent column, which the column-wise path replaces
+    n = 40
+    ad = random_sparse(n, density=0.3, seed=76, diag_boost=3.0).to_dense()
+    ad[:, 3] = ad[:, 0]
+    a = SparseMatrix.from_dense(ad)
+    state = block_arnoldi(a, np.eye(n)[:, :4], 3, seed=5)
+    assert state.replacements == (Replacement(1, 3, (5, 1, 3, 0)),)
+    sub = state.hess[4:8, :4]
+    assert sub[3, 3] == 0.0 and np.all(np.diagonal(sub)[:3] > 0.0)
+    assert np.all(np.tril(sub, -1) == 0.0)
+    gram = state.basis.T @ state.basis
+    assert np.linalg.norm(gram - np.eye(16)) <= 1e-13
+    resid = ad @ state.w - state.basis @ state.hess
+    assert np.linalg.norm(resid) <= 1e-13 * a.frobenius_norm
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_project_out_matches_two_plain_passes(dtype):
+    rng = np.random.default_rng(77)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is np.complex128 \
+            else x
+
+    c = np.linalg.qr(draw(50, 3))[0]
+    v = np.linalg.qr(draw(50, 8))[0]
+    z0 = draw(50, 4)
+    ref, coefs = z0.copy(), [0.0, 0.0]
+    for _pass in range(2):
+        for i, blk in enumerate((c, v)):
+            h = blk.conj().T @ ref
+            ref = ref - blk @ h
+            coefs[i] = coefs[i] + h
+    z = np.array(z0, order="F")
+    got_c, empty, got_v = _project_out(z, c, v[:, :0], v)
+    assert np.abs(z - ref).max() <= 1e-13
+    assert np.abs(got_c - coefs[0]).max() <= 1e-13
+    assert np.abs(got_v - coefs[1]).max() <= 1e-13
+    assert empty.shape == (0, 4) and got_v.dtype == dtype
