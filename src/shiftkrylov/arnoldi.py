@@ -18,14 +18,16 @@ key that reproduces it.
 
 The basis, Hessenberg matrix and coupling rows of one chain of states
 live in one preallocated column-major workspace that each step writes in
-place; a state holds read-only prefix views of it.  Capacity grows
-geometrically, and extending a state that is not the newest of its
+place; a state holds read-only prefix views of it.  A caller that knows
+the chain's length passes it to :func:`block_arnoldi_start`, and the
+chain allocates its workspace once; otherwise capacity grows
+geometrically.  Extending a state that is not the newest of its
 workspace first copies its prefix, so a returned state never changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
@@ -253,13 +255,16 @@ def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
 
 
 def block_arnoldi_start(r0, projector=None, *, seed=0,
-                        dep_tol=DEPENDENCY_TOL) -> BlockArnoldiState:
+                        dep_tol=DEPENDENCY_TOL,
+                        capacity=None) -> BlockArnoldiState:
     """Reduced QR of the initial block, with dependent-column replacement.
 
     ``projector`` is a recycle space (anything with an orthonormal image
     basis attribute ``c``); when given, the initial block is first
     orthogonalized against ``C`` so the augmented basis stays orthonormal.
     The state takes the dtype of ``r0`` and ``C`` (at least float64).
+    With ``capacity`` the chain's workspace is allocated here for that
+    many steps.
     """
     r0 = np.asarray(r0)
     if r0.ndim == 1:
@@ -290,11 +295,14 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
     s0 = _block_qr_replace(z, v1, [c_basis] if k else [], 0, dep_tol, seed,
                            log, scale)
     v1.flags.writeable = False
-    return BlockArnoldiState(
+    state = BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
         block_size=ell, steps=0, replacements=tuple(log),
         coupling=np.zeros((k, 0), dtype=dtype),
         projector_c=c_basis, seed=seed, dep_tol=dep_tol)
+    if capacity:
+        state = replace(state, _ws=_Workspace(state, capacity, dtype))
+    return state
 
 
 def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,

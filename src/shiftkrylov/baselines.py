@@ -58,9 +58,9 @@ def _solve_alone(family, cfg, report, x, alone, cycles, iteration):
     """Run restarted GMRES on each shift in ``alone`` by itself, from its
     current iterate, for the ``cycles`` left of the budget, and merge the
     result into ``report`` and ``x``; a note names the cycle length.  Its
-    rows are offset by the shared loop's cycle and iteration counts and
-    by the products counted so far.  Returns whether any shift was
-    solved."""
+    recorded points are offset by the shared loop's cycle and iteration
+    counts and by the products counted so far.  Returns whether any shift
+    was solved."""
     budget = cfg.max_cycles - cycles
     idx = np.nonzero(alone)[0] if budget > 0 else []
     longest = 0
@@ -73,10 +73,7 @@ def _solve_alone(family, cfg, report, x, alone, cycles, iteration):
         xi, sub, _ = _run_cycles(fam, replace(cfg, max_cycles=budget),
                                  kind="gmres", method=report.method)
         x[:, i] = xi[:, 0]
-        for (_, cyc, it, mv, bmv, res, conv) in sub.rows:
-            report.rows.append((int(i), cycles + cyc, iteration + it,
-                                report.matvecs + mv,
-                                report.block_matvecs + bmv, res, conv))
+        report.absorb(sub, i, cycles, iteration)
         report.matvecs += sub.matvecs
         report.block_matvecs += sub.block_matvecs
         report.extra_matvecs += sub.extra_matvecs
@@ -106,7 +103,8 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     with no iterate keeps its previous one, with the note ``skip_note``,
     and leaves the family, which cannot go on without its base; shifts
     that left unconverged are then solved alone by restarted GMRES under
-    ``solo_cfg``.
+    ``solo_cfg``.  Each step records one point for the family, in which a
+    shift that left is not recorded.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, method)
     if not converged.all() and np.count_nonzero(resid) > 1 \
@@ -132,7 +130,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
                 report.note(f"cycle {cycle}: base residual vanished exactly")
                 break
             v1 = r[:, base] / norm
-        arn = block_arnoldi_start(v1)
+        arn = block_arnoldi_start(v1, capacity=cfg.cycle_length)
         beta = v1.conj() @ r
         args = offsets, beta[:, None], 1, 0, cfg.cycle_length
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
@@ -148,10 +146,10 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             ok = active & ~singular
             rho[ok] = est[ok]
             # a converged shift repeats its residual, a singular one keeps
-            # its previous estimate, and a shift that left records no row
-            done = converged | (ok & (rho <= targets))
-            for i in np.nonzero(active | converged)[0]:
-                report.record(i, cycle, iteration, rho[i], done[i])
+            # its previous estimate, and a shift that left is not recorded
+            report.record_step(cycle, iteration, rho,
+                               converged | (ok & (rho <= targets)),
+                               active | converged)
             if np.all(rho[active] <= targets[active]) or breakdown:
                 break
         for i in np.nonzero(active & singular)[0]:

@@ -133,7 +133,7 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
         block = np.column_stack(
             (block, rng.standard_normal((family.n, family.n_shifts - 1))))
     ell = block.shape[1]
-    arn = block_arnoldi_start(block)
+    arn = block_arnoldi_start(block, capacity=m_init)
     qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]), ell, 0,
                        m_init)
     for _ in range(m_init):
@@ -198,7 +198,7 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
     """State of a restarted solve before its first cycle.
 
     Returns ``(report, targets, x, r, resid, converged)``: the report with
-    the cycle-0 rows recorded, the per-shift residual targets, the initial
+    the cycle-0 point recorded, the per-shift residual targets, the initial
     iterate and residual block (one counted block product when the initial
     guess is nonzero), the residual norms and the converged flags.
     """
@@ -216,8 +216,7 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
         r = family.rhs.copy()
     resid = np.linalg.norm(r, axis=0)
     converged = resid <= targets
-    for i in range(family.n_shifts):
-        report.record(i, 0, 0, resid[i], converged[i])
+    report.record_step(0, 0, resid, converged)
     return report, targets, x, r, resid, converged
 
 
@@ -278,7 +277,11 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     is augmented; recycling requires ``kind == "gmres"``.  Each cycle ends
     with one solve on its :class:`.dense.ShiftedBandQR` state, then
     ``x += [W U] [y; z]`` and ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G``
-    the shifted augmented matrix, for every k including 0.
+    the shifted augmented matrix, for every k including 0.  The report
+    gets one point for the whole family at the start, after a
+    decollinearizing rewrite, after each cycle's oblique projection and
+    after each step; each cycle's Arnoldi chain allocates its workspace
+    once, for ``cfg.cycle_length`` steps.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -310,9 +313,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         resid = np.linalg.norm(r, axis=0)
         converged = resid <= targets
         # a decollinearizing restart rewrites the cycle-0 state; random-x0
-        # consumes no iterations, so its row shares the iteration index
-        for i in range(ell):
-            report.record(i, 0, iteration, resid[i], converged[i])
+        # consumes no iterations, so its record shares the iteration index
+        report.record_step(0, iteration, resid, converged)
 
     cycle, qr = 0, None
     while cycle < cfg.max_cycles and not converged.all():
@@ -344,15 +346,15 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             r_true = None
             resid = np.linalg.norm(r, axis=0)
             converged = converged | (resid <= targets)
-            for i in range(ell):
-                report.record(i, cycle, iteration, resid[i], converged[i])
+            report.record_step(cycle, iteration, resid, converged)
             active &= ~converged
             if not active.any():
                 break
 
         idx = np.nonzero(active)[0]
         arn = block_arnoldi_start(r, cur_space,
-                                  seed=_cycle_seed(cfg.seed, cycle))
+                                  seed=_cycle_seed(cfg.seed, cycle),
+                                  capacity=cfg.cycle_length)
         rhs = np.concatenate(
             (arn.s0[:, idx], cur_space.c.conj().T @ (r[:, idx] * alone[idx])))
         args = shifts[idx], rhs.T, ell, k_now, cfg.cycle_length
@@ -387,9 +389,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             # a singular shift's estimate (NaN) keeps its previous value
             ok = ~np.isnan(est)
             rho[idx[ok]] = est[ok]
-            done = converged | (active & (rho <= targets))
-            for i in range(ell):
-                report.record(i, cycle, iteration, rho[i], done[i])
+            report.record_step(cycle, iteration, rho,
+                               converged | (active & (rho <= targets)))
             if np.all(rho[active] <= targets[active]) or arn.invariant:
                 break
 

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import configparser
 import csv
+import io
 import statistics
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -279,12 +281,19 @@ class MethodResult:
         summary can be recomputed from the file alone."""
         worst = 0.0
         for u in self.units:
-            last = {}
-            for row in u.report.rows:
-                last[row[0]] = row[5]
-            if last:
-                worst = max(worst, max(last.values()))
+            st = u.report.steps
+            last, seen = _last_recorded(st.resid, st.recorded)
+            if len(last) and seen[-1].any():
+                worst = max(worst, float(last[-1, seen[-1]].max()))
         return worst
+
+
+def _last_recorded(resid, recorded):
+    """Per row of ``resid``, each shift's value at its latest recorded
+    row up to there, and whether it has one yet."""
+    pos = np.where(recorded, np.arange(len(resid))[:, None], -1)
+    np.maximum.accumulate(pos, axis=0, out=pos)
+    return resid[pos, np.arange(resid.shape[1])], pos >= 0
 
 
 def _strategy_for(cfg: ExperimentConfig, solver: SolverConfig):
@@ -366,12 +375,17 @@ def run_method(method, cfg: ExperimentConfig, a: SparseMatrix,
     raise ConfigError(f"unknown method '{method}'")
 
 
-def _fmt(v):
-    if isinstance(v, complex):
-        return repr(v.real) if v.imag == 0.0 else repr(v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _shift_label(sigma):
+    sigma = complex(sigma)
+    return repr(sigma.real) if sigma.imag == 0.0 else repr(sigma)
+
+
+def _quoted(*fields):
+    """``fields`` as one line of a QUOTE_MINIMAL csv writer, unended."""
+    buf = io.StringIO()
+    csv.writer(buf, quoting=csv.QUOTE_MINIMAL,
+               lineterminator="").writerow(fields)
+    return buf.getvalue()
 
 
 def write_method_csv(path, method, units, shifts):
@@ -388,19 +402,28 @@ def write_method_csv(path, method, units, shifts):
         mv_off = bmv_off = 0
         for unit in units:
             rep = unit.report
-            labels = [_fmt(complex(shifts[g])) for g in unit.shift_indices]
-            # report rows hold Python floats, which _fmt writes by repr
-            writer.writerows(
-                [method, labels[si], cyc, it, mv + mv_off, bmv + bmv_off,
-                 repr(res), int(conv)]
-                for (si, cyc, it, mv, bmv, res, conv) in rep.rows)
+            st = rep.steps
+            # one line per recorded shift per point, in recorded order
+            at, si = np.nonzero(st.recorded)
+            # the text fields are quoted once per shift; numbers need none
+            lead = [_quoted(method, _shift_label(shifts[g]))
+                    for g in unit.shift_indices]
+            handle.writelines(map(
+                "{},{},{},{},{},{!r},{}\n".format,
+                map(lead.__getitem__, si.tolist()), st.cycle[at].tolist(),
+                st.iteration[at].tolist(), (st.matvecs[at] + mv_off).tolist(),
+                (st.block_matvecs[at] + bmv_off).tolist(),
+                st.resid[at, si].tolist(),
+                st.converged[at, si].astype(int).tolist()))
             mv_off += rep.matvecs
             bmv_off += rep.block_matvecs
 
 
 def write_joint_csv(path, method, units):
     """Joint residual curves: Frobenius norm over a unit's shifts divided
-    by the Frobenius norm of its right-hand-side block, per iteration."""
+    by the Frobenius norm of its right-hand-side block, per (cycle,
+    iteration) point once every shift has a recorded residual, each
+    shift's latest; the squares are summed in shift order, one by one."""
     with open(path, "w", newline="", encoding="ascii") as handle:
         writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL,
                             lineterminator="\n")
@@ -409,18 +432,21 @@ def write_joint_csv(path, method, units):
         for uidx, unit in enumerate(units):
             rep = unit.report
             bnorm = float(np.linalg.norm(rep.rhs_norms))
-            points = {}
-            for (si, cyc, it, _mv, _bmv, res, _c) in rep.rows:
-                points.setdefault((cyc, it), {})[si] = res
-            last = [None] * rep.n_shifts
-            for (cyc, it) in sorted(points):
-                for si, res in points[(cyc, it)].items():
-                    last[si] = res
-                if any(v is None for v in last):
-                    continue
-                joint = float(np.sqrt(sum(v * v for v in last)))
-                writer.writerow([method, uidx, cyc, it,
-                                 _fmt(joint / bnorm if bnorm else joint)])
+            st = rep.steps
+            order = np.lexsort((st.iteration, st.cycle))    # stable
+            cyc, it = st.cycle[order], st.iteration[order]
+            last, seen = _last_recorded(st.resid[order],
+                                        st.recorded[order])
+            # the last record of each point, once every shift has a value
+            ends = np.ones(len(cyc), dtype=bool)
+            ends[:-1] = (cyc[1:] != cyc[:-1]) | (it[1:] != it[:-1])
+            ends &= seen.all(axis=1)
+            last = last[ends]
+            joint = np.sqrt(np.add.accumulate(last * last, axis=1)[:, -1])
+            writer.writerows(zip(
+                repeat(method), repeat(uidx), cyc[ends].tolist(),
+                it[ends].tolist(),
+                map(repr, (joint / bnorm if bnorm else joint).tolist())))
 
 
 BLOCK_METHODS = ("sbgmres", "sbfom", "rsbgmres", "rsbgmres-ritz",

@@ -1,8 +1,15 @@
-"""Solver configuration and the per-solve instrumentation record."""
+"""Solver configuration and the per-solve instrumentation record.
+
+A :class:`SolveReport` holds one record per step for the whole shift
+family: the cycle, the iteration and the product counters, and one row
+of per-shift values (residual norms, converged and recorded flags),
+returned as arrays by :attr:`SolveReport.steps`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,15 +39,28 @@ class SolverConfig:
             raise DimensionError("max_cycles must be >= 1")
 
 
+class Steps(NamedTuple):
+    """A report's points as arrays, one row per point: the cycle, the
+    iteration (cumulative across cycles) and the product totals there,
+    then per shift the residual norm (NaN where not recorded), the
+    converged flag and whether the shift was recorded."""
+
+    cycle: np.ndarray
+    iteration: np.ndarray
+    matvecs: np.ndarray
+    block_matvecs: np.ndarray
+    resid: np.ndarray
+    converged: np.ndarray
+    recorded: np.ndarray
+
+
 @dataclass
 class SolveReport:
     """Instrumented history of one (family) solve.
 
-    ``rows`` holds one tuple per shift per recorded point:
-    ``(shift_index, cycle, iteration, matvecs, block_matvecs, resid_norm,
-    converged)`` where ``iteration`` counts Krylov steps cumulatively
-    across cycles and ``matvecs``/``block_matvecs`` are the totals at that
-    point.  ``extra_matvecs`` counts diagnostic products (true-residual
+    Every solver records one point per step for the whole family
+    (:meth:`record_step`); :attr:`steps` returns them as arrays.
+    ``extra_matvecs`` counts diagnostic products (true-residual
     verification, recycle-space re-basing) that are not part of the
     iteration itself.  ``final_residuals`` and ``converged`` come from the
     true residual ``b_i - (A + sigma_i I) x_i`` of the returned solution.
@@ -49,7 +69,6 @@ class SolveReport:
     method: str
     shifts: np.ndarray
     rhs_norms: np.ndarray
-    rows: list = field(default_factory=list)
     matvecs: int = 0
     block_matvecs: int = 0
     extra_matvecs: int = 0
@@ -59,18 +78,63 @@ class SolveReport:
     replacements: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     seed: int = 0
+    _points: list = field(default_factory=list, repr=False)
 
-    def record(self, shift_index, cycle, iteration, resid_norm, converged):
-        self.rows.append((int(shift_index), int(cycle), int(iteration),
-                          int(self.matvecs), int(self.block_matvecs),
-                          float(resid_norm), bool(converged)))
+    def record_step(self, cycle, iteration, resid, converged, recorded=None):
+        """Record one point for the whole family at the current counters:
+        per shift the residual norm and converged flag, for the shifts in
+        the mask ``recorded`` (all by default)."""
+        if recorded is None:
+            resid, recorded = np.asarray(resid, dtype=float), \
+                [True] * self.n_shifts
+        else:
+            recorded = np.asarray(recorded, dtype=bool)
+            resid = np.where(recorded, resid, np.nan)
+            recorded = recorded.tolist()
+        # kept as Python lists: thousands of small long-lived numpy buffers
+        # would sit between the solver's large temporaries on the C heap
+        # and keep it from shrinking (about 6 MB of peak RSS on smooth-param)
+        self._points.append((cycle, iteration, self.matvecs,
+                             self.block_matvecs, resid.tolist(),
+                             np.asarray(converged, dtype=bool).tolist(),
+                             recorded))
 
-    def history(self, shift_index):
-        """Residual norms for one shift, in recorded order."""
-        return np.array([r[5] for r in self.rows if r[0] == shift_index])
+    def absorb(self, sub, shift_index, cycle, iteration):
+        """Append the points of ``sub``, the report of shift
+        ``shift_index`` solved alone, as that shift's: cycles and
+        iterations offset by ``cycle`` and ``iteration``, counters by this
+        report's totals."""
+        mask = np.arange(self.n_shifts) == shift_index
+        self._points.extend(
+            (cycle + cyc, iteration + it, self.matvecs + mv,
+             self.block_matvecs + bmv,
+             np.where(mask, res[0], np.nan).tolist(),
+             (mask & conv[0]).tolist(), (mask & seen[0]).tolist())
+            for cyc, it, mv, bmv, res, conv, seen in sub._points)
 
-    def iterations(self, shift_index):
-        return np.array([r[2] for r in self.rows if r[0] == shift_index])
+    @property
+    def steps(self):
+        """The recorded points as :class:`Steps` arrays."""
+        shape = (len(self._points), self.n_shifts)
+        cols = list(zip(*self._points)) or [()] * 7
+        return Steps(*(np.array(c, dtype=np.int64) for c in cols[:4]),
+                     np.array(cols[4], dtype=float).reshape(shape),
+                     *(np.array(c, dtype=bool).reshape(shape)
+                       for c in cols[5:]))
+
+    @property
+    def rows(self):
+        """Read-only per-shift view of :attr:`steps`: one tuple
+        ``(shift_index, cycle, iteration, matvecs, block_matvecs,
+        resid_norm, converged)`` per recorded shift per point, in recorded
+        order."""
+        st = self.steps
+        at, shift = np.nonzero(st.recorded)
+        return tuple(zip(shift.tolist(), st.cycle[at].tolist(),
+                         st.iteration[at].tolist(), st.matvecs[at].tolist(),
+                         st.block_matvecs[at].tolist(),
+                         st.resid[at, shift].tolist(),
+                         st.converged[at, shift].tolist()))
 
     @property
     def n_shifts(self):

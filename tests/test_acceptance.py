@@ -153,11 +153,13 @@ def test_criterion_04_dominance():
         cfg = SolverConfig(cycle_length=n + 10, tolerance=1e-9,
                            max_cycles=1, seed=1)
         _, rep_b = sbgmres(fam, cfg)
+        st_b = rep_b.steps
         for i, sigma in enumerate(shifts):
             _, rep_s = gmres_restarted(add_shift(a, sigma), b[:, i],
                                        None, cfg)
-            hb = rep_b.history(i)
-            hs = rep_s.history(0)
+            st_s = rep_s.steps
+            hb = st_b.resid[st_b.recorded[:, i], i]
+            hs = st_s.resid[st_s.recorded[:, 0], 0]
             upto = min(len(hb), len(hs))
             assert np.all(hb[:upto] <= hs[:upto] * (1 + 1e-8) + 1e-12), \
                 f"dominance violated: grid {grid}, shift {sigma}"

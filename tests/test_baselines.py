@@ -30,7 +30,8 @@ def test_gmres_grade_exact_convergence():
     cfg = SolverConfig(cycle_length=5, tolerance=1e-12)
     x, rep = gmres_restarted(a, b, None, cfg)
     assert rep.converged == [True] and rep.cycles == 1
-    assert rep.iterations(0).max() == 5
+    st = rep.steps
+    assert st.iteration[st.recorded[:, 0]].max() == 5
     # dense oracle
     assert np.allclose(x, np.linalg.solve(a.to_dense(), b), atol=1e-10)
 
@@ -51,7 +52,8 @@ def test_gmres_monotone_history():
     b = np.random.default_rng(1).standard_normal(64)
     cfg = SolverConfig(cycle_length=10, tolerance=1e-10, max_cycles=40)
     _, rep = gmres_restarted(a, b, None, cfg)
-    hist = rep.history(0)
+    st = rep.steps
+    hist = st.resid[st.recorded[:, 0], 0]
     assert np.all(np.diff(hist) <= 1e-12 * hist[0])
 
 
@@ -184,7 +186,8 @@ def test_sfom_shared_basis_matvec_identity():
     fam3 = ShiftedFamily(a, [1e-3, 1e-2, 1e-1], b3, None)
     _, rep3 = sfom(fam3, cfg)
     assert rep3.converged == [True, True, True]
-    iters = max(rep3.iterations(i).max() for i in range(3))
+    st = rep3.steps
+    iters = max(st.iteration[st.recorded[:, i]].max() for i in range(3))
     assert rep3.matvecs == iters
 
 

@@ -7,6 +7,7 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
                          rsbgmres, sbfom, sbgmres, sfom, sgmres)
+import shiftkrylov.arnoldi as arnoldi
 import shiftkrylov.block_solvers as block_solvers
 from shiftkrylov.block_solvers import _end_cycle, _start
 from shiftkrylov.dense import ShiftedBandQR
@@ -295,12 +296,14 @@ def test_dominance_over_single_vector_gmres():
     fam = ShiftedFamily(a, shifts, b, None)
     cfg = SolverConfig(cycle_length=70, tolerance=1e-9, max_cycles=1, seed=0)
     _, rep_b = sbgmres(fam, cfg)
+    st_b = rep_b.steps
     for i, sigma in enumerate(shifts):
         _, rep_s = gmres_restarted(add_shift(a, sigma), b[:, i], None, cfg)
-        hб = rep_b.history(i)
-        hs = rep_s.history(0)
-        upto = min(len(hб), len(hs))
-        assert np.all(hб[:upto] <= hs[:upto] * (1 + 1e-8) + 1e-12)
+        st_s = rep_s.steps
+        hb = st_b.resid[st_b.recorded[:, i], i]
+        hs = st_s.resid[st_s.recorded[:, 0], 0]
+        upto = min(len(hb), len(hs))
+        assert np.all(hb[:upto] <= hs[:upto] * (1 + 1e-8) + 1e-12)
 
 
 def test_residual_update_consistency():
@@ -597,3 +600,55 @@ def test_drifted_shift_restarts_from_the_true_residual(monkeypatch):
         true = np.linalg.norm(b[:, i] - (ad + sigma * np.eye(49)) @ x[:, i])
         assert rep.converged[i] == (true <= 1e-8 * np.linalg.norm(b[:, i]))
     assert all(rep.converged)
+
+
+def _step_cases():
+    a = generate_convection_diffusion(8, 20.0)
+    rng = np.random.default_rng(12)
+    cfg = SolverConfig(cycle_length=8, tolerance=1e-8, max_cycles=40)
+    fam = ShiftedFamily(a, [1e-3, 1e-2, 0.1, 1.0],
+                        rng.standard_normal((64, 4)), None)
+    yield "sbgmres", sbgmres(fam, cfg)[1]
+    b = np.tile(rng.standard_normal((64, 1)), (1, 8))
+    fam = ShiftedFamily(a, np.linspace(1e-3, 2.0, 8), b, None)
+    yield "sgmres", sgmres(fam, cfg)[1]
+    fam = ShiftedFamily(a, [1e-3, 0.1, 1.0], rng.standard_normal((64, 3)),
+                        None)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((64, 3)))
+    yield "rsbgmres", rsbgmres(fam, cfg, space)[1]
+
+
+def test_one_record_per_step_for_the_whole_family():
+    # one point at the start, one per Krylov step and, with a recycle
+    # space, one per cycle for the oblique projection; the per-shift view
+    # keeps the row count of a report with one row per shift per point
+    # (192, 360 and 138 rows, as such a report held for these solves)
+    rows = {"sbgmres": 192, "sgmres": 360, "rsbgmres": 138}
+    for name, rep in _step_cases():
+        st = rep.steps
+        iterations = rep.matvecs if name == "sgmres" else rep.block_matvecs
+        points = 1 + iterations + (rep.cycles if name == "rsbgmres" else 0)
+        assert st.iteration[-1] == iterations
+        assert len(st.cycle) == points and st.resid.shape == \
+            (points, rep.n_shifts) and st.recorded.all()
+        assert len(rep.rows) == rows[name] == points * rep.n_shifts
+
+
+def test_each_cycle_allocates_one_workspace(monkeypatch):
+    built = []
+
+    class Counted(arnoldi._Workspace):
+        __slots__ = ()
+
+        def __init__(self, state, cap, dtype):
+            built.append(cap)
+            super().__init__(state, cap, dtype)
+
+    monkeypatch.setattr(arnoldi, "_Workspace", Counted)
+    a = generate_convection_diffusion(8, 20.0)
+    b = np.random.default_rng(13).standard_normal((64, 3))
+    fam = ShiftedFamily(a, [1e-3, 0.1, 1.0], b, None)
+    _, rep = sbgmres(fam, SolverConfig(cycle_length=10, tolerance=1e-15,
+                                       max_cycles=3))
+    assert rep.cycles == 3 and rep.block_matvecs == 30
+    assert built == [10, 10, 10]

@@ -1,17 +1,20 @@
 import csv
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from shiftkrylov import ConfigError, generate_convection_diffusion
+from shiftkrylov import (ConfigError, DecollinearizeStrategy, ShiftedFamily,
+                         SparseMatrix, generate_convection_diffusion, sbgmres,
+                         sfom, sgmres)
 from shiftkrylov.cli import main
 from shiftkrylov.harness import (ExperimentConfig, RunUnit, build_rhs,
                                  load_config, run_experiment,
                                  run_smooth_parameter_protocol,
                                  run_variability_study,
                                  solution_subspace_dimension, smooth_rhs,
-                                 write_method_csv)
+                                 write_joint_csv, write_method_csv)
 from shiftkrylov.report import SolveReport, SolverConfig
 
 
@@ -400,6 +403,32 @@ def _reference_method_csv(path, method, units, shifts):
             bmv_off += rep.block_matvecs
 
 
+def _reference_joint_csv(path, method, units):
+    """The row-wise joint writer the joint CSV is pinned to: per sorted
+    (cycle, iteration) point the latest residual of every shift, summed
+    in shift order."""
+    with open(path, "w", newline="", encoding="ascii") as handle:
+        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL,
+                            lineterminator="\n")
+        writer.writerow(["method", "unit", "cycle", "iteration",
+                         "joint_resid_frob"])
+        for uidx, unit in enumerate(units):
+            rep = unit.report
+            bnorm = float(np.linalg.norm(rep.rhs_norms))
+            points = {}
+            for (si, cyc, it, _mv, _bmv, res, _c) in rep.rows:
+                points.setdefault((cyc, it), {})[si] = res
+            last = [None] * rep.n_shifts
+            for (cyc, it) in sorted(points):
+                for si, res in points[(cyc, it)].items():
+                    last[si] = res
+                if any(v is None for v in last):
+                    continue
+                joint = float(np.sqrt(sum(v * v for v in last)))
+                writer.writerow([method, uidx, cyc, it,
+                                 repr(joint / bnorm if bnorm else joint)])
+
+
 def test_method_csv_bytes_match_reference_formatter(tmp_path):
     shifts = np.array([1e-3, 0.5 - 0.25j, 2.0])
     units = []
@@ -408,12 +437,80 @@ def test_method_csv_bytes_match_reference_formatter(tmp_path):
         for step in range(3):
             rep.matvecs += len(idx)
             rep.block_matvecs += 1
-            for i in range(len(idx)):
-                res = 1e-300 if step == 2 else 0.1 / (step + 1) + i
-                rep.record(i, 1, step, res, step == 2)
+            res = np.full(len(idx), 1e-300) if step == 2 \
+                else 0.1 / (step + 1) + np.arange(len(idx))
+            rep.record_step(1, step, res, np.full(len(idx), step == 2))
         units.append(RunUnit(idx, rep))
     write_method_csv(tmp_path / "new.csv", "sbgmres", units, shifts)
     _reference_method_csv(tmp_path / "ref.csv", "sbgmres", units, shifts)
     text = (tmp_path / "new.csv").read_bytes()
     assert text == (tmp_path / "ref.csv").read_bytes()
     assert b"(0.5-0.25j)" in text and b"1e-300" in text and b",2.0," in text
+
+
+def _collinear_family(shifts):
+    a = generate_convection_diffusion(6, 10.0)
+    b = np.random.default_rng(3).standard_normal((a.n_rows, 1))
+    return ShiftedFamily(a, shifts, np.tile(b, (1, len(shifts))), None)
+
+
+def _skip_family():
+    # shift -2 has no collinear iterate at cycle 1 (sgmres) and shift 0 a
+    # singular Galerkin system at cycle 2 (sfom)
+    a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    b = np.array([[1.0, 1.0], [0.0, 0.0]])
+    return ShiftedFamily(a, [0.0, -2.0], b, None)
+
+
+def _unit(rep):
+    return RunUnit(list(range(rep.n_shifts)), rep)
+
+
+def _csv_case(name):
+    """(units, shifts) of one report layout the CSV writers must handle,
+    after a check that the layout is really there."""
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=30, seed=4)
+    if name == "decollinearized-complex":
+        fam = _collinear_family([1e-3, 0.5 - 0.25j, 2.0])
+        _, rep = sbgmres(fam, cfg)
+        assert any(r[1] == 0 and r[2] > 0 for r in rep.rows)
+        return [_unit(rep)], fam.shifts
+    if name == "repeated-point":
+        fam = _collinear_family([1e-2, 0.3])
+        _, rep = sbgmres(fam, cfg, DecollinearizeStrategy("random-x0"))
+        points = [(r[1], r[2]) for r in rep.rows if r[0] == 0]
+        assert len(set(points)) < len(points)
+        return [_unit(rep)], fam.shifts
+    if name in ("sgmres-alone", "sfom-alone"):
+        fam = _skip_family()
+        run = sgmres if name == "sgmres-alone" else sfom
+        _, rep = run(fam, replace(cfg, cycle_length=1, tolerance=1e-6,
+                                  max_cycles=45))
+        assert any("left the shared family" in note for note in rep.notes)
+        return [_unit(rep)], fam.shifts
+    assert name == "unrecorded-shift"
+    fam = _collinear_family([1e-3, 0.2, 0.7])
+    _, solved = sbgmres(fam, cfg)
+    never = SolveReport("sbgmres", fam.shifts, np.ones(3))
+    for step in range(3):
+        never.matvecs += 2
+        never.record_step(1, step, [0.5 / (step + 1), 7.0, 1e-300],
+                          [False, False, step == 2], [True, False, True])
+    assert not any(r[0] == 1 for r in never.rows)
+    return [_unit(solved), _unit(never)], fam.shifts
+
+
+@pytest.mark.parametrize("name", ["decollinearized-complex",
+                                  "repeated-point", "sgmres-alone",
+                                  "sfom-alone", "unrecorded-shift"])
+def test_csv_bytes_match_row_wise_reference(tmp_path, name):
+    units, shifts = _csv_case(name)
+    write_method_csv(tmp_path / "new.csv", "m", units, shifts)
+    _reference_method_csv(tmp_path / "ref.csv", "m", units, shifts)
+    assert (tmp_path / "new.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
+    write_joint_csv(tmp_path / "new_joint.csv", "m", units)
+    _reference_joint_csv(tmp_path / "ref_joint.csv", "m", units)
+    joint = (tmp_path / "new_joint.csv").read_bytes()
+    assert joint == (tmp_path / "ref_joint.csv").read_bytes()
+    assert joint.count(b"\n") > 1
