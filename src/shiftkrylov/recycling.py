@@ -225,9 +225,9 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
     out of its carried remainder, one block at a time, so a cycle costs
     O(m) block updates.  Without ``prev`` the remainder starts from U,
     which gives up C and then all of ``w_basis`` as one block.  Every
-    block goes in two passes (BCGS2), and one LAPACK QR of the n x k
-    remainder gives ``Uhat`` and ``n_factor`` (one more QR per padded
-    direction, below).
+    block goes in two passes of the Arnoldi process's chunked block
+    Gram-Schmidt (BMGS2), and one LAPACK QR of the n x k remainder gives
+    ``Uhat`` and ``n_factor`` (one more QR per padded direction, below).
 
     A recycle direction whose diagonal entry falls to ``1e-13`` of its
     own norm is numerically contained in span([W C]).  With ``pad_seed``

@@ -6,6 +6,7 @@ from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
                          SolverConfig, SparseMatrix, block_arnoldi,
                          block_arnoldi_extend, block_arnoldi_start, sfom,
                          sgmres, subspace_equality_angle)
+import shiftkrylov.arnoldi as arnoldi
 from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
 from shiftkrylov.block_solvers import _unit_relation
 
@@ -426,15 +427,33 @@ def test_start_block_in_recycle_span_is_replaced_whole():
 
 
 # ---------------------------------------------------------------------------
-# the in-place BCGS2 kernel and the Householder block QR
+# the in-place chunked BMGS2 kernel and the Householder block QR
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("ell", [1, 4])
+def _draw(rng, dtype, *shape):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if dtype is np.complex128 \
+        else x
+
+
+def _chunk_columns(monkeypatch, cols, n, dtype):
+    """Cap the kernel's column chunks at ``cols`` columns of ``n`` rows
+    (a fractional count rounds down); None keeps the default budget."""
+    if cols is not None:
+        monkeypatch.setattr(arnoldi, "_CHUNK_BYTES",
+                            int(cols * n * np.dtype(dtype).itemsize))
+
+
+@pytest.mark.parametrize("ell, chunk_cols", [
+    pytest.param(1, None, id="1"), pytest.param(4, None, id="4"),
+    pytest.param(1, 3, id="1-chunks3"), pytest.param(4, 3, id="4-chunks3")])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("projected", [False, True])
 def test_thirty_steps_orthonormal_exact_with_nonnegative_diagonals(
-        ell, dtype, projected):
+        ell, chunk_cols, dtype, projected, monkeypatch):
+    # 3-column chunks straddle the 4-column blocks and split C
     n, m = 200, 30
+    _chunk_columns(monkeypatch, chunk_cols, n, dtype)
     rng = np.random.default_rng(71)
     ad = random_sparse(n, density=0.05, seed=72, diag_boost=2.0).to_dense()
     r0 = rng.standard_normal((n, ell))
@@ -483,18 +502,19 @@ def test_extend_with_one_dependent_candidate_column_is_replaced():
     assert np.linalg.norm(resid) <= 1e-13 * a.frobenius_norm
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_project_out_matches_two_plain_passes(dtype):
+@pytest.mark.parametrize("dtype, chunk_cols", [
+    pytest.param(np.float64, None, id="float64"),
+    pytest.param(np.complex128, None, id="complex128"),
+    pytest.param(np.float64, 2.5, id="float64-chunks2"),
+    pytest.param(np.complex128, 2.5, id="complex128-chunks2")])
+def test_project_out_matches_two_plain_passes(dtype, chunk_cols,
+                                              monkeypatch):
+    # 2-column chunks split c into 2 + 1 columns and v into four
+    _chunk_columns(monkeypatch, chunk_cols, 50, dtype)
     rng = np.random.default_rng(77)
-
-    def draw(*shape):
-        x = rng.standard_normal(shape)
-        return x + 1j * rng.standard_normal(shape) if dtype is np.complex128 \
-            else x
-
-    c = np.linalg.qr(draw(50, 3))[0]
-    v = np.linalg.qr(draw(50, 8))[0]
-    z0 = draw(50, 4)
+    c = np.linalg.qr(_draw(rng, dtype, 50, 3))[0]
+    v = np.linalg.qr(_draw(rng, dtype, 50, 8))[0]
+    z0 = _draw(rng, dtype, 50, 4)
     ref, coefs = z0.copy(), [0.0, 0.0]
     for _pass in range(2):
         for i, blk in enumerate((c, v)):
@@ -507,3 +527,22 @@ def test_project_out_matches_two_plain_passes(dtype):
     assert np.abs(got_c - coefs[0]).max() <= 1e-13
     assert np.abs(got_v - coefs[1]).max() <= 1e-13
     assert empty.shape == (0, 4) and got_v.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_project_out_near_dependent_candidate_stays_orthogonal(
+        dtype, monkeypatch):
+    # the candidate lies in span(V) up to 1e-8, so almost all of it
+    # cancels; both passes sweep every chunk in turn, and the second
+    # removes what the first pass's rounding left in span(V).  Running
+    # both passes on one chunk before the next leaves the later chunks'
+    # rounding in the earlier chunks' span, about 1e-9 of the result
+    n, k = 400, 60
+    _chunk_columns(monkeypatch, 16, n, dtype)
+    rng = np.random.default_rng(78)
+    v = np.asfortranarray(np.linalg.qr(_draw(rng, dtype, n, k))[0])
+    z = np.asfortranarray(v @ _draw(rng, dtype, k, 4)
+                          + 1e-8 * _draw(rng, dtype, n, 4))
+    _project_out(z, v)
+    q = z / np.linalg.norm(z, axis=0)
+    assert np.abs(v.conj().T @ q).max() <= 1e-14

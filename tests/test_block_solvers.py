@@ -652,3 +652,45 @@ def test_each_cycle_allocates_one_workspace(monkeypatch):
                                        max_cycles=3))
     assert rep.cycles == 3 and rep.block_matvecs == 30
     assert built == [10, 10, 10]
+
+
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres"])
+def test_chunked_gram_schmidt_solves_as_whole_blocks(name, monkeypatch):
+    # the same solve with the Gram-Schmidt kernel's blocks whole and cut
+    # into 3-column chunks, which straddle the 4-column basis blocks and
+    # split the 5-column recycle image C; no test problem crosses the
+    # default budget
+    a = generate_convection_diffusion(10, 20.0)
+    rng = np.random.default_rng(41)
+    fam = ShiftedFamily(a, [1e-3, 0.3, 2.0, 10.0],
+                        rng.standard_normal((100, 4)), None)
+    cfg = SolverConfig(cycle_length=12, tolerance=1e-9, max_cycles=30)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((100, 5)))
+    errors = []
+
+    def extend(*args, _original=block_solvers.block_arnoldi_extend):
+        state = _original(*args)
+        c = state.projector_c
+        both = np.hstack([state.basis[:, :0] if c is None else c,
+                          state.basis])
+        errors.append(np.linalg.norm(
+            np.eye(both.shape[1]) - both.conj().T @ both))
+        return state
+
+    monkeypatch.setattr(block_solvers, "block_arnoldi_extend", extend)
+
+    def solve():
+        if name == "rsbgmres":
+            return rsbgmres(fam, cfg, space, k=5)[:2]
+        return {"sbgmres": sbgmres, "sbfom": sbfom}[name](fam, cfg)
+
+    x_whole, rep_whole = solve()
+    monkeypatch.setattr(arnoldi, "_CHUNK_BYTES", 3 * 100 * 8)
+    errors.clear()
+    x, rep = solve()
+    assert rep.matvecs == rep_whole.matvecs and rep.cycles > 1
+    assert rep.converged == rep_whole.converged
+    assert np.all(np.linalg.norm(x - x_whole, axis=0)
+                  <= 1e-10 * np.linalg.norm(x_whole, axis=0))
+    # every step's [C W], the basis that closes each cycle among them
+    assert len(errors) == rep.block_matvecs and max(errors) <= 1e-13
