@@ -9,8 +9,7 @@ with a command-line interface.
 """
 
 from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
-                      block_arnoldi_extend, block_arnoldi_start,
-                      subspace_equality_angle)
+                      block_arnoldi_extend, block_arnoldi_start)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
 from .block_solvers import (DecollinearizeStrategy, detect_collinear, sbfom,
                             sbgmres)
@@ -19,9 +18,8 @@ from .errors import (BreakdownError, CollinearityError, ConfigError,
                      DimensionError, EigenConvergenceError,
                      MatrixMarketError, NearSingularError, ShiftKrylovError)
 from .recycling import (RecycleSpace, load_recycle_space,
-                        oblique_project_shift,
-                        orthogonal_residual_projection, rgmres_baseline,
-                        rsbgmres, save_recycle_space, shift_rebase,
+                        oblique_project_shift, rgmres_baseline, rsbgmres,
+                        save_recycle_space, shift_rebase,
                         update_recycle_space)
 from .report import SolveReport, SolverConfig
 from .sparse import (ShiftedFamily, SparseMatrix, add_shift, block_matvec,
@@ -40,9 +38,8 @@ __all__ = [
     "block_arnoldi_extend", "block_arnoldi_start", "block_matvec",
     "detect_collinear", "fom_restarted", "generate_convection_diffusion",
     "gmres_restarted", "hessenberg_eigen", "load_recycle_space", "matvec",
-    "oblique_project_shift", "orthogonal_residual_projection",
-    "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
-    "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",
-    "shift_rebase", "subspace_equality_angle", "update_recycle_space",
+    "oblique_project_shift", "read_dense_matrix_market", "read_matrix_market",
+    "rgmres_baseline", "rsbgmres", "save_recycle_space", "sbfom", "sbgmres",
+    "sfom", "sgmres", "shift_rebase", "update_recycle_space",
     "write_dense_matrix_market", "write_matrix_market",
 ]

@@ -99,7 +99,6 @@ class BlockArnoldiState:
     coupling: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     projector_c: np.ndarray | None = None
     seed: int = 0
-    dep_tol: float = DEPENDENCY_TOL
     invariant: bool = False
     _ws: _Workspace | None = field(default=None, repr=False, compare=False)
 
@@ -203,7 +202,7 @@ def _replacement_vector(n, prev, step, column, seed, log):
         f"column {column}; space appears exhausted")
 
 
-def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
+def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
     """QR of the block ``z`` (already orthogonal to ``prev_blocks``) into
     the n x L buffer ``v``, replacing dependent columns by random
     directions.
@@ -212,16 +211,16 @@ def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
     orthogonalization; when every new direction is below the breakdown
     threshold relative to it, the whole block is dependent (an invariant
     subspace was hit) and counts as zero.  Otherwise a column is dependent
-    when its diagonal entry in a LAPACK Householder QR falls below ``tol``
-    times the largest one (at L = 1 the entry is the norm of ``z``, and
-    only the breakdown test can fire).  A block with no dependent column
-    keeps that factorization: ``Q`` comes from ``orgqr``/``ungqr``, and
-    its columns and the rows of ``r`` are scaled by the diagonal's phase.
-    A block with one is orthogonalized column by column in two passes, a
-    dependent column replaced as it is met.  Fills ``v`` with orthonormal
-    columns and returns ``r``, upper triangular with a real non-negative
-    diagonal that is zero at replaced columns, so the Arnoldi relation
-    stays exact to the threshold.
+    when its diagonal entry in a LAPACK Householder QR falls below
+    ``DEPENDENCY_TOL`` times the largest one (at L = 1 the entry is the
+    norm of ``z``, and only the breakdown test can fire).  A block with no
+    dependent column keeps that factorization: ``Q`` comes from
+    ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
+    by the diagonal's phase.  A block with one is orthogonalized column by
+    column in two passes, a dependent column replaced as it is met.  Fills
+    ``v`` with orthonormal columns and returns ``r``, upper triangular
+    with a real non-negative diagonal that is zero at replaced columns, so
+    the Arnoldi relation stays exact to the threshold.
     """
     n, ell = z.shape
     r = np.zeros((ell, ell), dtype=z.dtype)
@@ -237,7 +236,7 @@ def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
         ref, low = float(mags.max()), float(mags.min())
     if ref <= BREAKDOWN_RTOL * scale:
         z = np.zeros_like(z)    # rounding noise: every column is replaced
-    elif low > tol * ref:
+    elif low > DEPENDENCY_TOL * ref:
         if ell == 1:
             np.divide(z, ref, out=v)
             r[0, 0] = ref
@@ -252,7 +251,7 @@ def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
         w = z[:, c:c + 1].copy(order="F")
         r[:c, c:c + 1], = _project_out(w, v[:, :c])
         nrm = np.linalg.norm(w)
-        if nrm <= tol * ref:
+        if nrm <= DEPENDENCY_TOL * ref:
             try:
                 w = _replacement_vector(n, [*prev_blocks, v[:, :c]],
                                         step, c, seed, log)
@@ -273,7 +272,6 @@ def _block_qr_replace(z, v, prev_blocks, step, tol, seed, log, scale):
 
 
 def block_arnoldi_start(r0, projector=None, *, seed=0,
-                        dep_tol=DEPENDENCY_TOL,
                         capacity=None) -> BlockArnoldiState:
     """Reduced QR of the initial block, with dependent-column replacement.
 
@@ -310,14 +308,14 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
         _project_out(z, c_basis)
     log: list[Replacement] = []
     v1 = np.zeros((n, ell), dtype=dtype, order="F")
-    s0 = _block_qr_replace(z, v1, [c_basis] if k else [], 0, dep_tol, seed,
-                           log, scale)
+    s0 = _block_qr_replace(z, v1, [c_basis] if k else [], 0, seed, log,
+                           scale)
     v1.flags.writeable = False
     state = BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
         block_size=ell, steps=0, replacements=tuple(log),
         coupling=np.zeros((k, 0), dtype=dtype),
-        projector_c=c_basis, seed=seed, dep_tol=dep_tol)
+        projector_c=c_basis, seed=seed)
     if capacity:
         state = replace(state, _ws=_Workspace(state, capacity, dtype))
     return state
@@ -358,8 +356,7 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         try:
             r_new = _block_qr_replace(
                 z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
-                [c_basis, basis], j + 1, state.dep_tol, state.seed, log,
-                scale=raw_scale)
+                [c_basis, basis], j + 1, state.seed, log, scale=raw_scale)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
             # partial basis block the step built before the ambient space
@@ -376,11 +373,11 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
         replacements=tuple(log), coupling=coupling,
         projector_c=state.projector_c, seed=state.seed,
-        dep_tol=state.dep_tol, invariant=trailing < ell, _ws=ws)
+        invariant=trailing < ell, _ws=ws)
 
 
-def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *, seed=0,
-                  dep_tol=DEPENDENCY_TOL) -> BlockArnoldiState:
+def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *,
+                  seed=0) -> BlockArnoldiState:
     """Build ``m`` steps of the (optionally projected) block Arnoldi
     process for the block Krylov space generated by ``r0``."""
     r0 = np.asarray(r0)
@@ -388,25 +385,6 @@ def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *, seed=0,
         r0 = r0[:, None]
     if r0.shape[0] != a.n_rows:
         raise DimensionError("r0 must be an n x L block")
-    state = block_arnoldi_start(r0, projector, seed=seed, dep_tol=dep_tol)
+    state = block_arnoldi_start(r0, projector, seed=seed)
     return block_arnoldi_extend(a, state, m)
 
-
-def subspace_equality_angle(x, y) -> float:
-    """Largest principal angle between the spans of two orthonormal blocks.
-
-    Computed from the singular values of the orthogonal complement
-    projection, which stays accurate for small angles.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    if x.shape[1] != y.shape[1]:
-        raise DimensionError("blocks must have the same number of columns")
-    resid = y - x @ (x.conj().T @ y)
-    s = np.linalg.svd(resid, compute_uv=False)
-    smax = min(1.0, float(s.max()) if s.size else 0.0)
-    return float(np.arcsin(smax))

@@ -23,10 +23,10 @@ from dataclasses import replace
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .block_solvers import (_SINGULAR_RTOL, _end_cycle, _finish,
-                            _nonzero_collinear, _reference_direction,
-                            _run_cycles, _start, _unit_relation)
-from .dense import ShiftedBandQR
+from .block_solvers import (_end_cycle, _finish, _nonzero_collinear,
+                            _reference_direction, _run_cycles, _start,
+                            _unit_relation)
+from .dense import _SINGULAR_RTOL, ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
 from .sparse import ShiftedFamily, SparseMatrix, add_shift
@@ -193,7 +193,7 @@ def _sgmres_step(qr, base):
     """``|t_i|`` and the singular shifts; after a happy breakdown every
     residual vanishes and the square systems decide."""
     if qr.carry == 0:
-        _, singular = qr.galerkin_residual(_SINGULAR_RTOL)
+        _, singular = qr.galerkin_residual()
         return np.zeros(len(singular)), singular
     t, singular, _ = _collinearity(qr, base)
     return np.abs(t), singular
@@ -236,7 +236,7 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig):
 def _sfom_step(qr, base):
     """``|h_{j+1,j} y_j|``, the Galerkin residual norm, and the singular
     Galerkin systems."""
-    return qr.galerkin_residual(_SINGULAR_RTOL)
+    return qr.galerkin_residual()
 
 
 def _sfom_end(qr, base, h, beta):

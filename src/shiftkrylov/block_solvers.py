@@ -38,7 +38,7 @@ COLLINEAR_TOL = 1e-12
 _STRATEGY_RETRIES = 3
 _DRIFT_TOL = 1e-8
 _STAGNATION_TOL = 1e-14
-_SINGULAR_RTOL = 1e-14
+STRATEGY_TAGS = ("random-x0", "gmres-cycle", "fom-random-block")
 
 
 def detect_collinear(r, tol=COLLINEAR_TOL):
@@ -86,7 +86,7 @@ class DecollinearizeStrategy:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tag not in ("random-x0", "gmres-cycle", "fom-random-block"):
+        if self.tag not in STRATEGY_TAGS:
             raise DimensionError(f"unknown strategy '{self.tag}'")
         if self.m_init < 1:
             raise DimensionError("m_init must be >= 1")
@@ -153,7 +153,7 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     else:
         report.block_matvecs += j
         tag, kind, skipped = "fom-random-block", "Galerkin", \
-            qr.galerkin_residual(_SINGULAR_RTOL)[1]
+            qr.galerkin_residual()[1]
     for i in np.nonzero(skipped)[0]:
         report.note(f"{tag}: singular {kind} system for shift index {i}; "
                     "update skipped")
@@ -165,8 +165,6 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
 
 def _apply_strategy(family, x, r, strategy, report):
     """Render residual columns non-collinear; returns iterations used."""
-    if family.n_shifts == 1:
-        return x, r, 0
     tag = strategy.tag
     total_iters = 0
     for attempt in range(_STRATEGY_RETRIES):
@@ -204,7 +202,7 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
     """
     rhs_norms = np.linalg.norm(family.rhs, axis=0)
     report = SolveReport(method=method, shifts=family.shifts.copy(),
-                         rhs_norms=rhs_norms, seed=cfg.seed)
+                         rhs_norms=rhs_norms)
     targets = cfg.tolerance * rhs_norms if cfg.relative \
         else np.full(family.n_shifts, cfg.tolerance)
     x = family.initial_guess.copy()
@@ -268,29 +266,25 @@ def _cycle_seed(seed, cycle):
 def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 strategy=None, space=None, recycle_k=0,
                 recycle_mode="ritz-largest", recycle_source="hessenberg",
-                recycle_update=False, method="sbgmres"):
+                method="sbgmres"):
     """Restarted shifted block Krylov engine.
 
     ``kind`` selects the subproblem: ``"gmres"`` (minimum residual, tall
     least squares) or ``"fom"`` (Galerkin, square solve).  With a recycle
-    ``space`` (or a positive ``recycle_k`` and updates enabled) each cycle
-    is augmented; recycling requires ``kind == "gmres"``.  Each cycle ends
-    with one solve on its :class:`.dense.ShiftedBandQR` state, then
-    ``x += [W U] [y; z]`` and ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G``
-    the shifted augmented matrix, for every k including 0.  The report
-    gets one point for the whole family at the start, after a
-    decollinearizing rewrite, after each cycle's oblique projection and
-    after each step; each cycle's Arnoldi chain allocates its workspace
-    once, for ``cfg.cycle_length`` steps.
+    ``space`` each cycle is augmented, and each cycle end refreshes the
+    space to ``recycle_k`` directions if that is positive; recycling
+    requires ``kind == "gmres"``.  Each cycle ends with one solve on its
+    :class:`.dense.ShiftedBandQR` state, then ``x += [W U] [y; z]`` and
+    ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G`` the shifted augmented
+    matrix, for every k including 0.  The report gets one point for the
+    whole family at the start, after a decollinearizing rewrite, after
+    each cycle's oblique projection and after each step; each cycle's
+    Arnoldi chain allocates its workspace once, for ``cfg.cycle_length``
+    steps.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
     """
-    if kind not in ("gmres", "fom"):
-        raise DimensionError(f"unknown solver kind '{kind}'")
-    if kind == "fom" and (recycle_k > 0 or (space is not None and space.k > 0)):
-        raise DimensionError("recycling is only supported for the "
-                             "minimum-residual (gmres) subproblem")
     a = family.matrix
     ell = family.n_shifts
     shifts = family.shifts
@@ -385,7 +379,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             elif kind == "gmres":
                 est = qr.residual()
             else:
-                est, _ = qr.galerkin_residual(_SINGULAR_RTOL)
+                est, _ = qr.galerkin_residual()
             # a singular shift's estimate (NaN) keeps its previous value
             ok = ~np.isnan(est)
             rho[idx[ok]] = est[ok]
@@ -418,7 +412,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             report.note(f"cycle {cycle}: stagnation for shift indices "
                         f"{np.nonzero(stalled)[0].tolist()}")
 
-        if recycle_update and recycle_k > 0:
+        if recycle_k > 0:
             try:
                 cur_space = update_recycle_space(
                     arn, recycle_mode, recycle_k, cur_space,

@@ -17,6 +17,8 @@ import scipy.linalg
 
 from .errors import DimensionError, EigenConvergenceError
 
+_SINGULAR_RTOL = 1e-14   # relative singular-value floor of a small system
+
 
 def _adjoint_q_factors(blocks):
     """``Q*`` of the complete QR ``Q R`` of each tall block of a stack and
@@ -153,16 +155,16 @@ class ShiftedBandQR:
         self._read = ("least-squares", np.isnan(rho))
         return rho
 
-    def galerkin_residual(self, rtol):
+    def galerkin_residual(self):
         """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
         Galerkin system ``(H_j + sigma_i I) y = rhs_i`` (k = 0), and
-        whether it is singular (its norm then NaN): the pivot block's
-        smallest singular value is at most ``rtol`` times the largest of
+        whether it is singular (NaN norm): the pivot block's smallest
+        singular value is at most ``_SINGULAR_RTOL`` times the largest of
         its norm and the triangle's earlier diagonal, or that is 0."""
         low, high = self._before
         sv = np.linalg.svd(self._pivot, compute_uv=False)
-        singular = (sv[:, -1] <= rtol * np.maximum(high, sv[:, 0])) | (
-            low == 0.0)
+        scale = np.maximum(high, sv[:, 0])
+        singular = (sv[:, -1] <= _SINGULAR_RTOL * scale) | (low == 0.0)
         ok = ~singular
         y = _solve(self._pivot[ok], self._g_pivot[ok])
         rho = np.full(len(self.shifts), np.nan)
@@ -256,12 +258,11 @@ class ShiftedBandQR:
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigenpairs of a small matrix with their ordering tag and the
-    per-pair residual norms ``||M v - lambda v||`` kept for checking."""
+    """Eigenpairs of a small matrix with the per-pair residual norms
+    ``||M v - lambda v||`` kept for checking."""
 
     values: np.ndarray
     vectors: np.ndarray
-    ordering: str
     residuals: np.ndarray
 
 
@@ -335,7 +336,7 @@ def hessenberg_eigen(h, want, count):
     try:
         vals, vecs = scipy.linalg.eig(a, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigenConvergenceError(f"QR iteration failed: {exc}", partial=None)
+        raise EigenConvergenceError(f"QR iteration failed: {exc}")
     key = np.lexsort((vals.imag, vals.real, np.abs(vals)))
     if want == "largest":
         key = key[::-1]
@@ -347,5 +348,4 @@ def hessenberg_eigen(h, want, count):
     if real:
         vals, vecs, source = _real_pair_basis(vals, vecs)
         residuals = residuals[source]
-    ordering = "by-modulus-descending" if want == "largest" else "by-modulus-ascending"
-    return EigenPairs(vals, vecs, ordering, residuals)
+    return EigenPairs(vals, vecs, residuals)

@@ -40,14 +40,7 @@ class CollinearityError(ShiftKrylovError):
 
 
 class EigenConvergenceError(ShiftKrylovError):
-    """Raised when the eigensolver fails to converge.
-
-    ``partial`` holds whatever pairs were computed, possibly none.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when the eigensolver fails to converge."""
 
 
 class ConfigError(ShiftKrylovError):

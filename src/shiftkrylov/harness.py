@@ -16,7 +16,7 @@ import io
 import statistics
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -25,10 +25,12 @@ import scipy.sparse
 
 from . import __version__
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
-from .block_solvers import DecollinearizeStrategy, sbfom, sbgmres
+from .block_solvers import (STRATEGY_TAGS, DecollinearizeStrategy, sbfom,
+                            sbgmres)
 from .errors import ConfigError, ShiftKrylovError
-from .recycling import (RecycleSpace, load_recycle_space, rgmres_baseline,
-                        rsbgmres, shift_rebase)
+from .recycling import (EXTRACTION_SOURCES, RECYCLE_MODES, RecycleSpace,
+                        load_recycle_space, rgmres_baseline, rsbgmres,
+                        shift_rebase)
 from .report import SolveReport, SolverConfig
 from .sparse import (ShiftedFamily, SparseMatrix, add_shift,
                      generate_convection_diffusion, read_dense_matrix_market,
@@ -39,6 +41,7 @@ KNOWN_METHODS = ("seq-gmres", "seq-fom", "seq-rgmres", "sgmres", "sfom",
                  "rsbgmres-harmonic")
 RHS_MODES = ("shared-random", "unrelated-random", "smooth-parameter",
              "from-file")
+SMOOTH_SEED_METHODS = ("seq-gmres", "sbgmres")
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,17 @@ class ExperimentConfig:
             raise ConfigError("multiplier must be positive")
         if self.group_size < 1:
             raise ConfigError("[run] group_size must be >= 1")
-        if self.rhs_mode not in RHS_MODES:
-            raise ConfigError(f"unknown rhs mode '{self.rhs_mode}'")
-        for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"unknown method '{m}' "
-                                  f"(known: {', '.join(KNOWN_METHODS)})")
+        for key, value, known in (
+                *(("[methods] names", m, KNOWN_METHODS) for m in self.methods),
+                ("[rhs] mode", self.rhs_mode, RHS_MODES),
+                ("[solver] strategy", self.strategy, STRATEGY_TAGS),
+                ("[recycle] mode", self.recycle_mode, RECYCLE_MODES),
+                ("[recycle] source", self.recycle_source, EXTRACTION_SOURCES),
+                ("[smooth] seed_method", self.smooth_seed_method,
+                 SMOOTH_SEED_METHODS)):
+            if value not in known:
+                raise ConfigError(f"{key}: unknown value '{value}' "
+                                  f"(known: {', '.join(known)})")
 
     def solver_for(self, method):
         return self.per_method.get(method, self.solver)
@@ -102,82 +110,73 @@ def _parse_list(text):
     return [p for p in (t.strip() for t in text.split(",")) if p]
 
 
+def _parse_interval(text):
+    vals = [_parse_scalar(v) for v in _parse_list(text)]
+    if len(vals) != 2:
+        raise ConfigError("expected 'low, high'")
+    return float(np.real(vals[0])), float(np.real(vals[1]))
+
+
+# (section, key) -> (ExperimentConfig field, parser); defaults on the fields
+_CONFIG_KEYS = {
+    ("problem", "source"): ("source", str),
+    ("problem", "path"): ("matrix_path", str),
+    ("problem", "grid_m"): ("grid_m", int),
+    ("problem", "convection"): ("convection", float),
+    ("shifts", "values"): (
+        "shifts", lambda text: tuple(map(_parse_scalar, _parse_list(text)))),
+    ("rhs", "mode"): ("rhs_mode", str),
+    ("rhs", "path"): ("rhs_path", str),
+    ("rhs", "seed"): ("rhs_seed", int),
+    ("methods", "names"): ("methods", lambda text: tuple(_parse_list(text))),
+    ("solver", "strategy"): ("strategy", str),
+    ("solver", "m_init"): ("m_init", int),
+    ("recycle", "k"): ("recycle_k", int),
+    ("recycle", "mode"): ("recycle_mode", str),
+    ("recycle", "source"): ("recycle_source", str),
+    ("recycle", "initial_space"): ("initial_space_path", str),
+    ("run", "group_size"): ("group_size", int),
+    ("run", "multiplier"): ("multiplier", float),
+    ("run", "out"): ("out_dir", str),
+    ("smooth", "count"): ("smooth_count", int),
+    ("smooth", "interval"): ("smooth_interval", _parse_interval),
+    ("smooth", "n_seed"): ("smooth_n_seed", int),
+    ("smooth", "seed_method"): ("smooth_seed_method", str),
+}
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file; raises ConfigError with the
     section and key that failed."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file '{path}'")
 
-    def get(section, key, default=None, cast=str):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
+    def get(section, key, cast):
         try:
             if cast is bool:
                 # only 1/0, true/false, yes/no and on/off; ValueError else
                 return parser.getboolean(section, key)
-            return cast(raw)
+            return cast(parser.get(section, key))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"[{section}] {key}: {exc}")
 
-    source = get("problem", "source", "generate")
-    kwargs = dict(
-        source=source,
-        matrix_path=get("problem", "path"),
-        grid_m=get("problem", "grid_m", 24, int),
-        convection=get("problem", "convection", 40.0, float),
-        rhs_mode=get("rhs", "mode", "unrelated-random"),
-        rhs_path=get("rhs", "path"),
-        rhs_seed=get("rhs", "seed", 7, int),
-        strategy=get("solver", "strategy", "gmres-cycle"),
-        recycle_k=get("recycle", "k", 8, int),
-        recycle_mode=get("recycle", "mode", "ritz-largest"),
-        recycle_source=get("recycle", "source", "hessenberg"),
-        initial_space_path=get("recycle", "initial_space"),
-        group_size=get("run", "group_size", 8, int),
-        multiplier=get("run", "multiplier", 3.3, float),
-        out_dir=get("run", "out", "out"),
-        smooth_count=get("smooth", "count", 100, int),
-        smooth_n_seed=get("smooth", "n_seed", 10, int),
-        smooth_seed_method=get("smooth", "seed_method", "seq-gmres"),
-    )
-    if parser.has_option("shifts", "values"):
-        kwargs["shifts"] = tuple(
-            _parse_scalar(v) for v in _parse_list(parser.get("shifts", "values")))
-    if parser.has_option("methods", "names"):
-        kwargs["methods"] = tuple(_parse_list(parser.get("methods", "names")))
-    if parser.has_option("smooth", "interval"):
-        vals = [_parse_scalar(v) for v in
-                _parse_list(parser.get("smooth", "interval"))]
-        if len(vals) != 2:
-            raise ConfigError("[smooth] interval: expected 'low, high'")
-        kwargs["smooth_interval"] = (float(np.real(vals[0])),
-                                     float(np.real(vals[1])))
-    m_init = get("solver", "m_init", None, int)
-    kwargs["m_init"] = m_init
-
     def solver_from(section, fallback: SolverConfig):
-        return SolverConfig(
-            cycle_length=get(section, "cycle_length", fallback.cycle_length, int),
-            tolerance=get(section, "tolerance", fallback.tolerance, float),
-            max_cycles=get(section, "max_cycles", fallback.max_cycles, int),
-            seed=get(section, "seed", fallback.seed, int),
-            relative=get(section, "relative", fallback.relative, bool),
-        )
+        # a SolverConfig key parses as the type of its field's default
+        return replace(fallback, **{
+            f.name: get(section, f.name, type(f.default))
+            for f in fields(SolverConfig)
+            if parser.has_option(section, f.name)})
 
-    base_solver = solver_from("solver", SolverConfig())
-    per_method = {}
-    for section in parser.sections():
-        if section.startswith("solver."):
-            per_method[section.split(".", 1)[1]] = solver_from(section, base_solver)
-    kwargs["solver"] = base_solver
-    kwargs["per_method"] = per_method
+    kwargs = {name: get(section, key, cast)
+              for (section, key), (name, cast) in _CONFIG_KEYS.items()
+              if parser.has_option(section, key)}
+    kwargs["solver"] = solver_from("solver", SolverConfig())
+    kwargs["per_method"] = {
+        section.split(".", 1)[1]: solver_from(section, kwargs["solver"])
+        for section in parser.sections() if section.startswith("solver.")}
     try:
         return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
 
@@ -257,10 +256,6 @@ class MethodResult:
     @property
     def extra_matvecs(self):
         return sum(u.report.extra_matvecs for u in self.units)
-
-    @property
-    def total_matvecs(self):
-        return self.matvecs + self.extra_matvecs
 
     @property
     def cycles(self):
@@ -500,14 +495,18 @@ def write_manifest(path, cfg: ExperimentConfig, results, elapsed,
             put(f"{prefix}.extra_matvecs", res.extra_matvecs)
             replaced = sum(len(u.report.replacements) for u in res.units)
             put(f"{prefix}.replacements", replaced)
-            pure_block = res.method in ("sbgmres", "sbfom") and replaced == 0
-            if pure_block:
-                ell_total = sum(
-                    len(u.shift_indices) * u.report.block_matvecs
-                    for u in res.units)
+            if res.method in ("sbgmres", "sbfom") and replaced == 0:
+                # L products per block product after each unit's last
+                # cycle-0 record (where gmres-cycle counts single vectors)
+                expected = 0
+                for u in res.units:
+                    st = u.report.steps
+                    at = np.nonzero(st.cycle == 0)[0][-1]
+                    expected += st.matvecs[at] + len(u.shift_indices) * (
+                        u.report.block_matvecs - st.block_matvecs[at])
                 put(f"{prefix}.matvec_identity",
-                    "ok" if ell_total == res.matvecs else
-                    f"mismatch ({ell_total} != {res.matvecs})")
+                    "ok" if expected == res.matvecs else
+                    f"mismatch ({expected} != {res.matvecs})")
         if extra:
             for key, value in extra.items():
                 put(key, value)
@@ -578,10 +577,7 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
     for t in range(trials):
         seed = base_solver.seed + t if vary_seeds else base_solver.seed
         solver = replace(base_solver, seed=seed)
-        strategy = DecollinearizeStrategy(
-            cfg.strategy,
-            m_init=cfg.m_init if cfg.m_init is not None else solver.cycle_length,
-            seed=seed)
+        strategy = _strategy_for(cfg, solver)
         try:
             _, rep = run_fam(family, solver, strategy)
         except ShiftKrylovError as exc:

@@ -29,6 +29,8 @@ from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
                      write_dense_matrix_market)
 
 OBLIQUE_COND_LIMIT = 1e12
+RECYCLE_MODES = ("ritz-largest", "harmonic-ritz-smallest")
+EXTRACTION_SOURCES = ("hessenberg", "augmented")
 
 
 def _qr(m):
@@ -102,8 +104,8 @@ class RecycleSpace:
 
         Computes ``A @ basis``, orthonormalizes the image by QR and folds
         the triangular factor back into ``u`` so that ``c = A u`` holds
-        exactly in exact arithmetic.  With ``drop_tol`` set, columns whose
-        image is numerically dependent are dropped instead of raising.
+        exactly in exact arithmetic.  With ``drop_tol`` < 1 set, columns
+        whose image is numerically dependent are dropped instead of raising.
         """
         basis = working_array("basis", basis)
         if basis.ndim == 1:
@@ -117,10 +119,8 @@ class RecycleSpace:
         if drop_tol is not None and dmax > 0.0:
             keep = d > drop_tol * dmax
             if not np.all(keep):
-                basis = basis[:, keep]
-                if basis.shape[1] == 0:
-                    return cls.empty(a.n_rows, provenance)
-                image = block_matvec(a, basis)
+                # a block product's columns are exact single products
+                basis, image = basis[:, keep], image[:, keep]
                 q, r = _qr(image)
                 d = np.abs(np.diag(r))
                 dmax = d.max()
@@ -152,16 +152,6 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
     u = space.u @ scipy.linalg.solve_triangular(
         r, np.eye(r.shape[0], dtype=r.dtype))
     return RecycleSpace(u, q, space.provenance)
-
-
-def orthogonal_residual_projection(space: RecycleSpace, r):
-    """Apply ``I - C C*`` to the columns of ``r``."""
-    r = np.asarray(r)
-    if space.k == 0:
-        return r.copy()
-    if r.shape[0] != space.c.shape[0]:
-        raise DimensionError("row count does not match the recycle space")
-    return r - space.c @ (space.c.conj().T @ r)
 
 
 def oblique_project_shift(space: RecycleSpace, sigma, r, x, a: SparseMatrix):
@@ -216,7 +206,7 @@ class AugmentationBlocks:
 _CONTAINED_TOL = 1e-13
 
 
-def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
+def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
                         prev=None) -> AugmentationBlocks:
     """Orthogonalize U against [W C] and QR the remainder.
 
@@ -230,12 +220,11 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
     ``Uhat`` and ``n_factor`` (one more QR per padded direction, below).
 
     A recycle direction whose diagonal entry falls to ``1e-13`` of its
-    own norm is numerically contained in span([W C]).  With ``pad_seed``
-    set, such a column of ``Uhat`` is a reproducible random filler
+    own norm is numerically contained in span([W C]).  Such a column of
+    ``Uhat`` is a random filler, reproducible from ``pad_seed``,
     orthogonal to ``[W C]`` and the ``Uhat`` columns before it, and its
     ``n_factor`` column holds only its coefficients on those earlier
-    columns, which keeps the factorization exact; without a seed this
-    raises :class:`NearSingularError` advising a smaller k.  When ``[W C]``
+    columns, which keeps the factorization exact.  When ``[W C]``
     and the earlier ``Uhat`` columns already span the whole space, no
     filler exists and the column stays zero.  The blocks take the dtype
     of ``w_basis`` and the space together.
@@ -263,10 +252,6 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed=None,
         if not contained.size:
             break
         col = after + int(contained[0])
-        if pad_seed is None:
-            raise NearSingularError(
-                f"recycle direction {col} is numerically contained in "
-                "span([W C]); reduce k")
         # the Householder columns from here on are not orthogonal to
         # [W C]: put a filler in this column and QR once more
         rng = np.random.default_rng(np.random.SeedSequence((pad_seed, col)))
@@ -317,10 +302,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     pair enters as the real basis ``[Re v, Im v]`` of its span (the
     convention of Morgan's GMRES-DR and of GCRO-DR).
     """
-    if mode not in ("ritz-largest", "harmonic-ritz-smallest"):
-        raise DimensionError(f"unknown recycle mode '{mode}'")
-    if source not in ("hessenberg", "augmented"):
-        raise DimensionError(f"unknown extraction source '{source}'")
+    _check_extraction(mode, source)
     if k == 0:
         return RecycleSpace.empty(arn.basis.shape[0], provenance=mode)
     ell = arn.block_size
@@ -394,16 +376,22 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     return RecycleSpace(u_new, c_new, provenance=mode)
 
 
+def _check_extraction(mode, source):
+    if mode not in RECYCLE_MODES:
+        raise DimensionError(f"unknown recycle mode '{mode}'")
+    if source not in EXTRACTION_SOURCES:
+        raise DimensionError(f"unknown extraction source '{source}'")
+
+
 def save_recycle_space(path, space: RecycleSpace):
     """Serialize U to a dense Matrix Market array file (C is recomputed on
     load to re-establish the invariants)."""
     write_dense_matrix_market(path, space.u)
 
 
-def load_recycle_space(path, a: SparseMatrix, provenance="initial",
-                       drop_tol=None) -> RecycleSpace:
+def load_recycle_space(path, a: SparseMatrix, drop_tol=None) -> RecycleSpace:
     basis = read_dense_matrix_market(path)
-    return RecycleSpace.from_basis(a, basis, provenance, drop_tol=drop_tol)
+    return RecycleSpace.from_basis(a, basis, drop_tol=drop_tol)
 
 
 def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
@@ -419,20 +407,21 @@ def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
     Ritz data per ``mode`` unless ``update`` is False.
 
     With ``space=None`` (or k = 0) the first cycle runs unaugmented and is
-    identical to plain shifted block GMRES.  Returns
-    ``(x, report, updated_space)``.
+    identical to plain shifted block GMRES.  An unknown ``mode`` or
+    ``source`` raises at entry.  Returns ``(x, report, updated_space)``.
     """
     from .block_solvers import _run_cycles
+    _check_extraction(mode, source)
     target_k = k if k is not None else (space.k if space is not None else 0)
     return _run_cycles(family, cfg, kind="gmres", strategy=strategy,
-                       space=space, recycle_k=target_k, recycle_mode=mode,
-                       recycle_source=source, recycle_update=update,
+                       space=space, recycle_k=target_k if update else 0,
+                       recycle_mode=mode, recycle_source=source,
                        method="rsbgmres")
 
 
 def rgmres_baseline(a: SparseMatrix, b, x0, cfg,
                     space: RecycleSpace | None = None, *, k=None,
-                    mode="harmonic-ritz-smallest", update=True):
+                    mode="harmonic-ritz-smallest"):
     """Single-system recycled GMRES (the sequential comparator).
 
     Runs the recycled engine on the one-shift family with shift zero, so
@@ -441,7 +430,6 @@ def rgmres_baseline(a: SparseMatrix, b, x0, cfg,
     ``(x, report, updated_space)``.
     """
     family = ShiftedFamily(a, [0.0], b, x0)
-    x, rep, out_space = rsbgmres(family, cfg, space, k=k, mode=mode,
-                                 update=update)
+    x, rep, out_space = rsbgmres(family, cfg, space, k=k, mode=mode)
     rep.method = "rgmres"
     return x[:, 0], rep, out_space

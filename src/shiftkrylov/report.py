@@ -77,7 +77,6 @@ class SolveReport:
     final_residuals: list = field(default_factory=list)
     replacements: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    seed: int = 0
     _points: list = field(default_factory=list, repr=False)
 
     def record_step(self, cycle, iteration, resid, converged, recorded=None):

@@ -6,13 +6,13 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from shiftkrylov import (RecycleSpace, ShiftedFamily, SolverConfig,
                          add_shift, block_arnoldi,
                          fom_restarted, generate_convection_diffusion,
-                         gmres_restarted, oblique_project_shift,
-                         orthogonal_residual_projection, rsbgmres, sbfom,
-                         sbgmres, sfom, sgmres, subspace_equality_angle)
+                         gmres_restarted, oblique_project_shift, rsbgmres,
+                         sbfom, sbgmres, sfom, sgmres)
 from shiftkrylov.harness import (ExperimentConfig, build_rhs, run_experiment,
                                  run_method, run_smooth_parameter_protocol,
                                  smooth_rhs)
@@ -80,7 +80,7 @@ def test_criterion_02_shift_invariance():
         plain = block_arnoldi(a, r0, j, seed=0)
         shifted_a = add_shift(a, sigma)
         moved = block_arnoldi(shifted_a, r0, j, seed=0)
-        assert subspace_equality_angle(plain.w, moved.w) <= 1e-8
+        assert subspace_angles(plain.w, moved.w).max() <= 1e-8
         # projected Sylvester-operator invariance
         k = 3
         space = _space_from_random(a, k, seed=300 + trial)
@@ -91,7 +91,7 @@ def test_criterion_02_shift_invariance():
         q_syl = projected_sylvester_powers(ad, space.c, dtilde, v, j)
         q_mat = projected_sylvester_powers(ad, space.c,
                                            np.zeros((ell, ell)), v, j)
-        assert subspace_equality_angle(q_syl, q_mat) <= 1e-8
+        assert subspace_angles(q_syl, q_mat).max() <= 1e-8
     elapsed = time.monotonic() - t0
     assert elapsed < budget
     _report(2, "block Krylov shift invariance and projected Sylvester "
@@ -225,7 +225,7 @@ def test_criterion_06_oblique_projector_suite():
         resid = b - (ad + sigma * np.eye(30)) @ x1
         assert np.linalg.norm(resid - r1) <= 1e-8 * np.linalg.norm(b)
         if sigma == 0.0:
-            expect = orthogonal_residual_projection(space, r[:, None])[:, 0]
+            expect = r - space.c @ (space.c.conj().T @ r)
             assert np.linalg.norm(r1 - expect) <= 1e-12 * np.linalg.norm(r)
     elapsed = time.monotonic() - t0
     assert elapsed < budget
@@ -359,7 +359,7 @@ def test_criterion_09_qualitative_table_ordering():
         for meth in methods:
             res = run_method(meth, cfg, a, fam)
             assert res.converged_count == 4, (meth, grid)
-            totals[meth] = res.total_matvecs
+            totals[meth] = res.matvecs + res.extra_matvecs
         wins_block += totals["sbgmres"] < totals["seq-gmres"]
         wins_recycle += totals["rsbgmres-ritz"] <= totals["sbgmres"]
         harmonic_report.append(

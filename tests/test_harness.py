@@ -14,7 +14,8 @@ from shiftkrylov.harness import (ExperimentConfig, RunUnit, build_rhs,
                                  run_smooth_parameter_protocol,
                                  run_variability_study,
                                  solution_subspace_dimension, smooth_rhs,
-                                 write_joint_csv, write_method_csv)
+                                 write_joint_csv, write_manifest,
+                                 write_method_csv)
 from shiftkrylov.report import SolveReport, SolverConfig
 
 
@@ -86,23 +87,58 @@ def test_config_validation_errors(tmp_path):
         ExperimentConfig(group_size=0)
 
 
-def _with_relative(path, section, word):
-    """The test config with ``relative = word`` in ``section``."""
-    if section != "solver":
-        return _write_config(path, f"[{section}]\nrelative = {word}\n")
+def _set_key(path, section, key, value):
+    """The test config with ``key = value`` in ``section``."""
     text = _write_config(path).read_text()
-    path.write_text(text.replace("seed = 11", f"seed = 11\nrelative = {word}"))
+    head = f"[{section}]\n"
+    line = f"{key} = {value}\n"
+    text = text.replace(head, head + line) if head in text \
+        else text + head + line
+    path.write_text(text, encoding="ascii")
     return path
+
+
+@pytest.mark.parametrize("section, key, field, typo, known", [
+    ("solver", "strategy", "strategy", "gmres-cycel", "fom-random-block"),
+    ("recycle", "mode", "recycle_mode", "ritz-larg",
+     "harmonic-ritz-smallest"),
+    ("recycle", "source", "recycle_source", "augmnted", "augmented"),
+    ("smooth", "seed_method", "smooth_seed_method", "sbgmress", "sbgmres"),
+])
+def test_unknown_names_are_config_errors_naming_the_key(
+        tmp_path, section, key, field, typo, known):
+    path = tmp_path / "c.ini"
+    assert getattr(load_config(_set_key(path, section, key, known)),
+                   field) == known
+    _set_key(path, section, key, typo)
+    with pytest.raises(ConfigError,
+                       match=rf"^\[{section}\] {key}: unknown value '{typo}'"):
+        load_config(path)
+    # caught before any solve: a mistyped recycle mode used to run as k = 0
+    assert main(["inspect", "--config", str(path)]) == 1
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_smooth_interval_parsing(tmp_path):
+    path = tmp_path / "c.ini"
+    cfg = load_config(_set_key(path, "smooth", "interval", "0.5, 3"))
+    assert cfg.smooth_interval == (0.5, 3.0)
+    for bad in ("1, 2, 3", "1"):
+        with pytest.raises(ConfigError,
+                           match=r"\[smooth\] interval: expected 'low, high'"):
+            load_config(_set_key(path, "smooth", "interval", bad))
 
 
 @pytest.mark.parametrize("section", ["solver", "solver.sbgmres"])
 def test_boolean_keys_accept_only_boolean_words(tmp_path, section):
     path = tmp_path / "c.ini"
     for word, value in [("yes", True), ("OFF", False), ("0", False)]:
-        cfg = load_config(_with_relative(path, section, word))
+        cfg = load_config(_set_key(path, section, "relative", word))
         assert cfg.solver_for("sbgmres").relative is value
     with pytest.raises(ConfigError, match=rf"\[{section}\] relative"):
-        load_config(_with_relative(path, section, "Flase"))
+        load_config(_set_key(path, section, "relative", "Flase"))
 
 
 def test_rhs_modes():
@@ -230,6 +266,24 @@ def test_smooth_protocol_all_seeded(tmp_path):
     assert outcome["n_seed"] == 6
 
 
+def test_smooth_protocol_sbgmres_seed_solve(tmp_path):
+    solver = SolverConfig(cycle_length=12, tolerance=1e-8, max_cycles=60)
+    outcome = {
+        method: run_smooth_parameter_protocol(ExperimentConfig(
+            out_dir=str(tmp_path / method), grid_m=6, convection=10.0,
+            smooth_count=8, smooth_n_seed=4, group_size=4, solver=solver,
+            smooth_seed_method=method))
+        for method in ("seq-gmres", "sbgmres")}
+    # the four seed systems solved together by one sbgmres call
+    a = generate_convection_diffusion(6, 10.0)
+    shifts = np.random.default_rng(7).uniform(1.0, 2.0, 8)[:4]
+    rhs = np.column_stack([smooth_rhs(36, s) for s in shifts])
+    _, rep = sbgmres(ShiftedFamily(a, shifts, rhs, None), solver)
+    assert outcome["sbgmres"]["seed_matvecs"] == rep.matvecs
+    assert rep.matvecs != outcome["seq-gmres"]["seed_matvecs"]
+    assert outcome["sbgmres"]["recycle_dim"] == 4
+
+
 def test_smooth_protocol_subspace_dimension_oracle(tmp_path):
     cfg = ExperimentConfig(out_dir=str(tmp_path / "s"), grid_m=8,
                            convection=10.0, smooth_count=12, smooth_n_seed=4,
@@ -299,6 +353,24 @@ def test_cli_io_error_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_exit_codes_of_errors_raised_during_run(tmp_path, capsys):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 3 1\n1 x 2.0\n", encoding="ascii")
+    cfg_path = _write_config(tmp_path / "c.ini")
+    text = cfg_path.read_text()
+    out = ["--out", str(tmp_path / "o")]
+    cfg_path.write_text(text.replace(
+        "source = generate", f"source = matrix-market\npath = {bad}"))
+    assert main(["run", "--config", str(cfg_path), *out]) == 3
+    assert "input error: line 3" in capsys.readouterr().err
+    # matrix-market without a path: a ConfigError raised by the run
+    cfg_path.write_text(text.replace("source = generate",
+                                     "source = matrix-market"))
+    assert main(["run", "--config", str(cfg_path), *out]) == 1
+    assert "config error: [problem] path" in capsys.readouterr().err
+
+
 def test_cli_method_and_multiplier_overrides(tmp_path):
     cfg_path = _write_config(tmp_path / "c.ini")
     out = tmp_path / "ovr"
@@ -326,6 +398,37 @@ def test_manifest_matvec_identity(tmp_path):
     text = (tmp_path / "m" / "manifest.txt").read_text()
     assert "method.sbgmres.matvec_identity = ok" in text
     assert "config.rhs_seed = 7" in text
+
+
+def _identity_run(tmp_path):
+    """sbgmres and sbfom on a shared right-hand side, decollinearized by
+    the default gmres-cycle strategy."""
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "m"), grid_m=10,
+                           shifts=(1e-3, 0.1, 1.0), rhs_mode="shared-random",
+                           methods=("sbgmres", "sbfom"),
+                           solver=SolverConfig(cycle_length=10))
+    results, failures = run_experiment(cfg)
+    assert failures == []
+    return cfg, results
+
+
+def test_manifest_matvec_identity_counts_strategy_products(tmp_path):
+    cfg, results = _identity_run(tmp_path)
+    # the strategy's single-vector products are in matvecs, not in
+    # block_matvecs
+    assert all(res.matvecs > 3 * res.block_matvecs for res in results)
+    text = (tmp_path / "m" / "manifest.txt").read_text()
+    assert "method.sbgmres.matvec_identity = ok\n" in text
+    assert "method.sbfom.matvec_identity = ok\n" in text
+
+
+def test_manifest_matvec_identity_flags_inconsistent_counters(tmp_path):
+    cfg, results = _identity_run(tmp_path)
+    results[1].units[0].report.matvecs += 1
+    write_manifest(tmp_path / "manifest.txt", cfg, results, 0.0)
+    text = (tmp_path / "manifest.txt").read_text()
+    assert "method.sbgmres.matvec_identity = ok\n" in text
+    assert "method.sbfom.matvec_identity = mismatch" in text
 
 
 def test_from_file_rhs_and_matrix_market_problem(tmp_path):

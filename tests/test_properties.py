@@ -89,7 +89,7 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
                                               np.zeros(ell, dtype=bool))
         else:
             estimates = qr.residual()
-            galerkin, singular = qr.galerkin_residual(1e-14)
+            galerkin, singular = qr.galerkin_residual()
         for i, sigma in enumerate(shifts):
             g_mat = augmented_matrix(arn.hess, arn.coupling, blocks.p,
                                      blocks.q2, blocks.n_factor, sigma) if k \
