@@ -265,8 +265,7 @@ def _cycle_seed(seed, cycle):
 
 def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 strategy=None, space=None, recycle_k=0,
-                recycle_mode="ritz-largest", recycle_source="hessenberg",
-                method="sbgmres"):
+                recycle_mode="ritz-largest", method="sbgmres"):
     """Restarted shifted block Krylov engine.
 
     ``kind`` selects the subproblem: ``"gmres"`` (minimum residual, tall
@@ -414,9 +413,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
 
         if recycle_k > 0:
             try:
-                cur_space = update_recycle_space(
-                    arn, recycle_mode, recycle_k, cur_space,
-                    source=recycle_source)
+                cur_space = update_recycle_space(arn, recycle_mode,
+                                                 recycle_k, cur_space)
                 k_now = cur_space.k
             except (ShiftKrylovError, np.linalg.LinAlgError) as exc:
                 report.note(f"cycle {cycle}: recycle update failed "

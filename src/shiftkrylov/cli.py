@@ -96,7 +96,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-    except ConfigError as exc:
+    except ShiftKrylovError as exc:     # a ConfigError, or a bad override
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -27,10 +27,9 @@ from . import __version__
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
 from .block_solvers import (STRATEGY_TAGS, DecollinearizeStrategy, sbfom,
                             sbgmres)
-from .errors import ConfigError, ShiftKrylovError
-from .recycling import (EXTRACTION_SOURCES, RECYCLE_MODES, RecycleSpace,
-                        load_recycle_space, rgmres_baseline, rsbgmres,
-                        shift_rebase)
+from .errors import ConfigError, DimensionError, ShiftKrylovError
+from .recycling import (RECYCLE_MODES, RecycleSpace, load_recycle_space,
+                        rgmres_baseline, rsbgmres, shift_rebase)
 from .report import SolveReport, SolverConfig
 from .sparse import (ShiftedFamily, SparseMatrix, add_shift,
                      generate_convection_diffusion, read_dense_matrix_market,
@@ -42,6 +41,7 @@ KNOWN_METHODS = ("seq-gmres", "seq-fom", "seq-rgmres", "sgmres", "sfom",
 RHS_MODES = ("shared-random", "unrelated-random", "smooth-parameter",
              "from-file")
 SMOOTH_SEED_METHODS = ("seq-gmres", "sbgmres")
+PROBLEM_SOURCES = ("generate", "matrix-market")
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,8 @@ class ExperimentConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     per_method: dict = field(default_factory=dict)
     strategy: str = "gmres-cycle"
-    m_init: int | None = None
     recycle_k: int = 8
     recycle_mode: str = "ritz-largest"
-    recycle_source: str = "hessenberg"
     initial_space_path: str | None = None
     group_size: int = 8
     multiplier: float = 3.3
@@ -74,20 +72,30 @@ class ExperimentConfig:
     smooth_seed_method: str = "seq-gmres"
 
     def __post_init__(self):
-        if not self.methods:
-            raise ConfigError("at least one method is required")
-        if not self.shifts:
-            raise ConfigError("shift list must be non-empty")
-        if self.multiplier <= 0:
-            raise ConfigError("multiplier must be positive")
-        if self.group_size < 1:
-            raise ConfigError("[run] group_size must be >= 1")
+        fin = np.isfinite
+        for what, ok in (
+                ("[methods] names: none given", self.methods),
+                ("[shifts] values must be given and finite",
+                 len(self.shifts) and fin(self.shifts).all()),
+                ("[problem] grid_m must be >= 2", self.grid_m >= 2),
+                ("[problem] convection must be finite", fin(self.convection)),
+                ("[rhs] seed must be >= 0", self.rhs_seed >= 0),
+                ("[recycle] k must be >= 0", self.recycle_k >= 0),
+                ("[run] group_size must be >= 1", self.group_size >= 1),
+                ("[run] multiplier must be positive and finite",
+                 0 < self.multiplier < np.inf),
+                ("[smooth] count must be >= 1", self.smooth_count >= 1),
+                ("[smooth] n_seed must be >= 0", self.smooth_n_seed >= 0),
+                ("[smooth] interval must be finite",
+                 fin(self.smooth_interval).all())):
+            if not ok:
+                raise ConfigError(what)
         for key, value, known in (
                 *(("[methods] names", m, KNOWN_METHODS) for m in self.methods),
+                ("[problem] source", self.source, PROBLEM_SOURCES),
                 ("[rhs] mode", self.rhs_mode, RHS_MODES),
                 ("[solver] strategy", self.strategy, STRATEGY_TAGS),
                 ("[recycle] mode", self.recycle_mode, RECYCLE_MODES),
-                ("[recycle] source", self.recycle_source, EXTRACTION_SOURCES),
                 ("[smooth] seed_method", self.smooth_seed_method,
                  SMOOTH_SEED_METHODS)):
             if value not in known:
@@ -130,10 +138,8 @@ _CONFIG_KEYS = {
     ("rhs", "seed"): ("rhs_seed", int),
     ("methods", "names"): ("methods", lambda text: tuple(_parse_list(text))),
     ("solver", "strategy"): ("strategy", str),
-    ("solver", "m_init"): ("m_init", int),
     ("recycle", "k"): ("recycle_k", int),
     ("recycle", "mode"): ("recycle_mode", str),
-    ("recycle", "source"): ("recycle_source", str),
     ("recycle", "initial_space"): ("initial_space_path", str),
     ("run", "group_size"): ("group_size", int),
     ("run", "multiplier"): ("multiplier", float),
@@ -148,9 +154,24 @@ _CONFIG_KEYS = {
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file; raises ConfigError with the
     section and key that failed."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file '{path}'")
+    # no DEFAULT section: "[DEFAULT]" is then an unknown section, too
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       default_section="")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file '{path}'")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file '{path}': {exc}")
+    solver_keys = {f.name for f in fields(SolverConfig)}
+    known = {f"solver.{m}": solver_keys for m in KNOWN_METHODS}
+    for section, key in (*_CONFIG_KEYS, *(("solver", k) for k in solver_keys)):
+        known.setdefault(section, set()).add(key)
+    for section in parser.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser.options(section):
+            if key not in known[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key")
 
     def get(section, key, cast):
         try:
@@ -163,10 +184,13 @@ def load_config(path) -> ExperimentConfig:
 
     def solver_from(section, fallback: SolverConfig):
         # a SolverConfig key parses as the type of its field's default
-        return replace(fallback, **{
-            f.name: get(section, f.name, type(f.default))
-            for f in fields(SolverConfig)
-            if parser.has_option(section, f.name)})
+        try:
+            return replace(fallback, **{
+                f.name: get(section, f.name, type(f.default))
+                for f in fields(SolverConfig)
+                if parser.has_option(section, f.name)})
+        except DimensionError as exc:
+            raise ConfigError(f"[{section}] {exc}")
 
     kwargs = {name: get(section, key, cast)
               for (section, key), (name, cast) in _CONFIG_KEYS.items()
@@ -184,11 +208,9 @@ def load_config(path) -> ExperimentConfig:
 def build_problem(cfg: ExperimentConfig) -> SparseMatrix:
     if cfg.source == "generate":
         return generate_convection_diffusion(cfg.grid_m, cfg.convection)
-    if cfg.source == "matrix-market":
-        if not cfg.matrix_path:
-            raise ConfigError("[problem] path is required for matrix-market")
-        return read_matrix_market(cfg.matrix_path)
-    raise ConfigError(f"unknown problem source '{cfg.source}'")
+    if not cfg.matrix_path:
+        raise ConfigError("[problem] path is required for matrix-market")
+    return read_matrix_market(cfg.matrix_path)
 
 
 def smooth_rhs(n, sigma):
@@ -223,7 +245,6 @@ def build_rhs(cfg: ExperimentConfig, a: SparseMatrix, shifts) -> np.ndarray:
         if b.shape != (n, ell):
             raise ConfigError(f"rhs block is {b.shape}, expected ({n}, {ell})")
         return b
-    raise ConfigError(f"unknown rhs mode '{cfg.rhs_mode}'")
 
 
 def _groups(n_items, size):
@@ -292,8 +313,7 @@ def _last_recorded(resid, recorded):
 
 
 def _strategy_for(cfg: ExperimentConfig, solver: SolverConfig):
-    m_init = cfg.m_init if cfg.m_init is not None else solver.cycle_length
-    return DecollinearizeStrategy(cfg.strategy, m_init=m_init,
+    return DecollinearizeStrategy(cfg.strategy, m_init=solver.cycle_length,
                                   seed=solver.seed)
 
 
@@ -362,8 +382,7 @@ def run_method(method, cfg: ExperimentConfig, a: SparseMatrix,
             sub = ShiftedFamily(a, shifts[grp], family.rhs[:, grp],
                                 family.initial_guess[:, grp])
             _, rep, space = rsbgmres(sub, solver, space, k=cfg.recycle_k,
-                                     mode=mode, source=cfg.recycle_source,
-                                     strategy=strategy)
+                                     mode=mode, strategy=strategy)
             rep.method = method
             result.units.append(RunUnit(grp, rep))
         return result

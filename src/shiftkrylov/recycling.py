@@ -22,29 +22,31 @@ import numpy as np
 import scipy.linalg
 
 from .arnoldi import BlockArnoldiState, _project_out
-from .dense import _conjugate_closed_cut, _real_pair_basis, hessenberg_eigen
-from .errors import DimensionError, EigenConvergenceError, NearSingularError
+from .dense import hessenberg_eigen
+from .errors import DimensionError, NearSingularError
 from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
                      read_dense_matrix_market, working_array,
                      write_dense_matrix_market)
 
 OBLIQUE_COND_LIMIT = 1e12
 RECYCLE_MODES = ("ritz-largest", "harmonic-ritz-smallest")
-EXTRACTION_SOURCES = ("hessenberg", "augmented")
 
 
-def _qr(m):
-    """Thin QR ``m = q r`` with a real non-negative diagonal in ``r``.
+def _fold(u, image, floor, provenance, message):
+    """The space ``(u R^-1, Q)`` of the thin QR ``image = Q R``, ``image``
+    the image of ``u``: ``C = A U`` holds whenever ``image = A u`` does.
 
-    The sign convention makes ``q`` unique for full-rank ``m``, so the
-    image basis of a recycle space does not depend on LAPACK's choice of
-    reflector signs: each column of ``q`` is scaled by the phase of its
-    diagonal entry, ``sign(d)`` for real data.  Requires at least as many
-    rows as columns.
+    ``R`` gets a real non-negative diagonal (each column of ``Q`` scaled
+    by the phase of its diagonal entry), so ``Q`` does not depend on
+    LAPACK's reflector signs.  A diagonal entry at or below its column's
+    ``floor``, a small multiple of a bound on that column's image (an
+    operator norm estimate times the column norm of ``u``), raises
+    :class:`NearSingularError` with ``message``.  A basis wider than it
+    is tall raises :class:`DimensionError`.
     """
-    if m.shape[0] < m.shape[1]:
+    if image.shape[0] < image.shape[1]:
         raise DimensionError("QR of a recycle image needs n_rows >= n_cols")
-    q, r = scipy.linalg.qr(m, mode="economic", check_finite=False)
+    q, r = scipy.linalg.qr(image, mode="economic", check_finite=False)
     d = np.diag(r)
     if np.iscomplexobj(d):
         phase = np.exp(1j * np.angle(d))    # 1 where d == 0
@@ -52,7 +54,10 @@ def _qr(m):
         phase = np.where(d < 0, -1.0, 1.0)
     r = r * phase.conj()[:, None]
     r[np.diag_indices_from(r)] = np.abs(d)
-    return q * phase, r
+    if not np.all(np.abs(d) > floor):
+        raise NearSingularError(message)
+    u = u @ scipy.linalg.solve_triangular(r, np.eye(len(r), dtype=r.dtype))
+    return RecycleSpace(u, q * phase, provenance)
 
 
 @dataclass(frozen=True)
@@ -100,12 +105,10 @@ class RecycleSpace:
     @classmethod
     def from_basis(cls, a: SparseMatrix, basis, provenance="initial",
                    drop_tol=None):
-        """Build a valid space from raw basis vectors.
-
-        Computes ``A @ basis``, orthonormalizes the image by QR and folds
-        the triangular factor back into ``u`` so that ``c = A u`` holds
-        exactly in exact arithmetic.  With ``drop_tol`` < 1 set, columns
-        whose image is numerically dependent are dropped instead of raising.
+        """Build a valid space from raw basis vectors by :func:`_fold` of
+        ``A @ basis``, whose floor is ``1e-15 ||A||_F`` times each column
+        norm.  With ``drop_tol`` < 1 set, columns whose QR diagonal entry
+        falls to ``drop_tol`` times the largest are dropped first.
         """
         basis = working_array("basis", basis)
         if basis.ndim == 1:
@@ -113,23 +116,17 @@ class RecycleSpace:
         if basis.shape[1] == 0:
             return cls.empty(a.n_rows, provenance)
         image = block_matvec(a, basis)
-        q, r = _qr(image)
-        d = np.abs(np.diag(r))
-        dmax = d.max() if d.size else 0.0
-        if drop_tol is not None and dmax > 0.0:
-            keep = d > drop_tol * dmax
-            if not np.all(keep):
-                # a block product's columns are exact single products
-                basis, image = basis[:, keep], image[:, keep]
-                q, r = _qr(image)
-                d = np.abs(np.diag(r))
-                dmax = d.max()
-        if dmax == 0.0 or d.min() <= 1e-14 * dmax:
-            raise NearSingularError(
-                "A @ basis is numerically rank deficient; reduce k or pass "
-                "drop_tol to prune dependent directions")
-        u = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
-        return cls(basis @ u, q, provenance)
+        if drop_tol is not None and image.shape[0] >= image.shape[1]:
+            d = np.abs(np.diag(scipy.linalg.qr(image, mode="r")[0]))
+            keep = d >= drop_tol * d.max()
+            # a block product's columns are exact single products
+            basis, image = basis[:, keep], image[:, keep]
+        # ||A||_F can exceed ||A||_2 by sqrt(n): a lower multiple of it
+        return _fold(basis, image,
+                     1e-15 * a.frobenius_norm * np.linalg.norm(basis, axis=0),
+                     provenance,
+                     "A @ basis is numerically rank deficient; reduce k or "
+                     "pass drop_tol to prune dependent directions")
 
 
 def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
@@ -142,16 +139,10 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
     """
     if space.k == 0 or delta == 0.0:
         return space
-    image = space.c + delta * space.u
-    q, r = _qr(image)
-    d = np.abs(np.diag(r))
-    if d.max() == 0.0 or d.min() <= 1e-14 * d.max():
-        raise NearSingularError(
-            f"shifted image C + {delta} U is numerically rank deficient; "
-            "refresh the recycle space")
-    u = space.u @ scipy.linalg.solve_triangular(
-        r, np.eye(r.shape[0], dtype=r.dtype))
-    return RecycleSpace(u, q, space.provenance)
+    return _fold(space.u, space.c + delta * space.u,
+                 1e-14 * (1.0 + abs(delta) * space.u_norms), space.provenance,
+                 f"shifted image C + {delta} U is numerically rank "
+                 "deficient; refresh the recycle space")
 
 
 def oblique_project_shift(space: RecycleSpace, sigma, r, x, a: SparseMatrix):
@@ -272,115 +263,64 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
     return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d)
 
 
-def _harmonic_matrix(h_sq, h_last):
-    """Square Hessenberg block plus the standard low-rank correction whose
-    eigenpairs are the harmonic Ritz pairs."""
-    ell = h_last.shape[0]
-    m = np.array(h_sq, dtype=np.result_type(h_sq, h_last), copy=True)
-    rhs = np.zeros((m.shape[0], ell), dtype=m.dtype)
-    rhs[-ell:, :] = h_last.conj().T @ h_last
-    corr = np.linalg.solve(h_sq.conj().T, rhs)
-    m[:, -ell:] += corr
-    return m
-
-
 def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
-                         space: RecycleSpace | None = None,
-                         source: str = "hessenberg") -> RecycleSpace:
+                         space: RecycleSpace | None = None) -> RecycleSpace:
     """Extract a fresh k-dimensional recycle space from a cycle's data.
 
-    ``mode`` is ``"ritz-largest"`` or ``"harmonic-ritz-smallest"``.  The
-    default ``source`` extracts from the (projected) square Hessenberg
-    block and lifts through W; ``source="augmented"`` solves the
-    generalized problem over the pair [W U].  The returned space satisfies
-    C = A U and C* C = I without any new operator applications: the image
-    is reconstructed through the Arnoldi relation.
+    ``"ritz-largest"`` lifts through W the Ritz vectors of the largest
+    Ritz values of the square Hessenberg block.  ``"harmonic-ritz-smallest"``
+    takes the harmonic Ritz vectors of the smallest harmonic Ritz values
+    over [W U], U the ``space`` that ``arn`` was projected against, by
+    GCRO-DR's pencil (Parks et al., SISC 2006): with ``A [W U] = [W_{j+1}
+    C] G``, ``G* G g = theta G* [W_{j+1} C]* [W U] g``, so the previous
+    space carries over where it still serves.  With ``G = Q R`` that is
+    the standard eigenproblem of ``Q* [W_{j+1} C]* [W U] R^-1`` for
+    ``1/theta`` and ``R g``: one QR iteration, not a QZ iteration.  The
+    image comes through
+    the Arnoldi relation, with no new operator products; a candidate
+    whose image is negligible beside ``||[Hbar; B]||`` times its norm
+    raises :class:`NearSingularError`.
 
-    Real data gives a real space.  Its Ritz pairs come from a real
-    eigensolve; a conjugate pair that the cut at k would split is dropped
-    whole, so such a space has k - 1 columns (k + 1 when k = 1), and each
-    pair enters as the real basis ``[Re v, Im v]`` of its span (the
+    Real data gives a real space: a conjugate pair that the cut at k
+    would split is dropped whole (k - 1 columns, k + 1 when k = 1), and
+    each pair enters as the real basis ``[Re v, Im v]`` of its span (the
     convention of Morgan's GMRES-DR and of GCRO-DR).
     """
-    _check_extraction(mode, source)
+    _check_mode(mode)
+    n, rows = arn.basis.shape
     if k == 0:
-        return RecycleSpace.empty(arn.basis.shape[0], provenance=mode)
-    ell = arn.block_size
+        return RecycleSpace.empty(n, provenance=mode)
     j = arn.steps
     if j < 1:
         raise DimensionError("arnoldi state has no steps to extract from")
-    h_sq = arn.hess[:j * ell, :]
-    h_last = arn.hess[j * ell:(j + 1) * ell, (j - 1) * ell:]
-    w = arn.w
-    k_aug = space.k if (space is not None and arn.projector_c is not None) else 0
-    n_cand = j * ell + (k_aug if source == "augmented" else 0)
-    if k > n_cand:
-        raise DimensionError(
-            f"requested k={k} exceeds the {n_cand} available directions")
-
-    if source == "hessenberg" or k_aug == 0:
-        if mode == "ritz-largest":
-            pairs = hessenberg_eigen(h_sq, "largest", k)
-        else:
-            try:
-                m = _harmonic_matrix(h_sq, h_last)
-            except np.linalg.LinAlgError as exc:
-                raise EigenConvergenceError(
-                    f"harmonic correction failed: {exc}")
-            pairs = hessenberg_eigen(m, "smallest", k)
-        coeff = pairs.vectors
-        y = w @ coeff
-        image = arn.basis @ (arn.hess @ coeff)
-        if k_aug:
-            image = image + space.c @ (arn.coupling @ coeff)
+    jl = j * arn.block_size
+    hess, b = arn.hess, arn.coupling
+    c = arn.projector_c if arn.projector_c is not None else np.zeros((n, 0))
+    if mode == "ritz-largest":
+        wy = hessenberg_eigen(hess[:jl], "largest", k).vectors
+        y = arn.w @ wy
+        image = arn.basis @ (hess @ wy) + c @ (b @ wy)
     else:
-        u, c = space.u, space.c
-        p = arn.basis.conj().T @ u
-        q2 = c.conj().T @ u
-        b = arn.coupling
-        wj_u = p[:j * ell, :]
-        if mode == "ritz-largest":
-            a_side = np.block([[h_sq, np.zeros((j * ell, k_aug))],
-                               [q2.conj().T @ b + p.conj().T @ arn.hess,
-                                q2.conj().T]])
-            b_side = np.block([[np.eye(j * ell), wj_u],
-                               [wj_u.conj().T, u.conj().T @ u]])
-            vals, vecs = scipy.linalg.eig(a_side, b_side, check_finite=False)
-            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))[::-1]
-        else:
-            gram = np.block(
-                [[b.conj().T @ b + arn.hess.conj().T @ arn.hess, b.conj().T],
-                 [b, np.eye(k_aug)]])
-            mixed = np.block([[h_sq.conj().T,
-                               b.conj().T @ q2 + arn.hess.conj().T @ p],
-                              [np.zeros((k_aug, j * ell)), q2]])
-            vals, vecs = scipy.linalg.eig(gram, mixed, check_finite=False)
-            key = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-        if np.iscomplexobj(p):
-            coeff = vecs[:, key[:k]]
-        else:
-            sel = _conjugate_closed_cut(vals, key, k)
-            coeff = _real_pair_basis(vals[sel], vecs[:, sel])[1]
-        wy = coeff[:j * ell, :]
-        uz = coeff[j * ell:, :]
-        y = w @ wy + u @ uz
-        image = arn.basis @ (arn.hess @ wy) + c @ (b @ wy + uz)
-
-    c_new, r_new = _qr(image)
-    d = np.abs(np.diag(r_new))
-    if d.size == 0 or d.max() == 0.0 or d.min() <= 1e-12 * d.max():
-        raise NearSingularError(
-            "lifted candidate images are rank deficient; keep previous space")
-    u_new = y @ scipy.linalg.solve_triangular(
-        r_new, np.eye(r_new.shape[0], dtype=r_new.dtype))
-    return RecycleSpace(u_new, c_new, provenance=mode)
+        u = space.u if space is not None and len(b) else np.zeros((n, 0))
+        ku = u.shape[1]
+        # G, and v = [W_{j+1} C]* [W U]
+        g = np.block([[hess, np.zeros((rows, ku))], [b, np.eye(len(b), ku)]])
+        v = np.block([[np.eye(rows, jl), arn.basis.conj().T @ u],
+                      [np.zeros((len(b), jl)), c.conj().T @ u]])
+        q, r = np.linalg.qr(g)
+        m = scipy.linalg.solve_triangular(r, (q.conj().T @ v).T, trans="T")
+        coeff = scipy.linalg.solve_triangular(
+            r, hessenberg_eigen(m.T, "largest", k).vectors)
+        y = arn.w @ coeff[:jl] + u @ coeff[jl:]
+        image = arn.basis @ (g[:rows] @ coeff) + c @ (g[rows:] @ coeff)
+    scale = 1e-12 * np.hypot(np.linalg.norm(hess), np.linalg.norm(b))
+    return _fold(y, image, scale * np.linalg.norm(y, axis=0), mode,
+                 "lifted candidate images are rank deficient")
 
 
-def _check_extraction(mode, source):
+def _check_mode(mode):
     if mode not in RECYCLE_MODES:
         raise DimensionError(f"unknown recycle mode '{mode}'")
-    if source not in EXTRACTION_SOURCES:
-        raise DimensionError(f"unknown extraction source '{source}'")
 
 
 def save_recycle_space(path, space: RecycleSpace):
@@ -395,8 +335,7 @@ def load_recycle_space(path, a: SparseMatrix, drop_tol=None) -> RecycleSpace:
 
 
 def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
-             mode="ritz-largest", source="hessenberg", update=True,
-             strategy=None):
+             mode="ritz-largest", update=True, strategy=None):
     """Recycled shifted block GMRES over one augmented block Krylov space.
 
     Each cycle obliquely projects every active shifted residual into the
@@ -407,16 +346,15 @@ def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
     Ritz data per ``mode`` unless ``update`` is False.
 
     With ``space=None`` (or k = 0) the first cycle runs unaugmented and is
-    identical to plain shifted block GMRES.  An unknown ``mode`` or
-    ``source`` raises at entry.  Returns ``(x, report, updated_space)``.
+    identical to plain shifted block GMRES.  An unknown ``mode`` raises
+    at entry.  Returns ``(x, report, updated_space)``.
     """
     from .block_solvers import _run_cycles
-    _check_extraction(mode, source)
+    _check_mode(mode)
     target_k = k if k is not None else (space.k if space is not None else 0)
     return _run_cycles(family, cfg, kind="gmres", strategy=strategy,
                        space=space, recycle_k=target_k if update else 0,
-                       recycle_mode=mode, recycle_source=source,
-                       method="rsbgmres")
+                       recycle_mode=mode, method="rsbgmres")
 
 
 def rgmres_baseline(a: SparseMatrix, b, x0, cfg,

@@ -33,10 +33,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.cycle_length < 1:
             raise DimensionError("cycle_length must be >= 1")
-        if self.tolerance <= 0:
-            raise DimensionError("tolerance must be positive")
+        if not 0 < self.tolerance < np.inf:
+            raise DimensionError("tolerance must be positive and finite")
         if self.max_cycles < 1:
             raise DimensionError("max_cycles must be >= 1")
+        if self.seed < 0:
+            raise DimensionError("seed must be >= 0")
 
 
 class Steps(NamedTuple):

@@ -8,37 +8,51 @@ from shiftkrylov.recycling import AugmentationBlocks
 
 from conftest import augmented_matrix, band_qr
 # the thin QR with a real non-negative diagonal that builds recycle spaces
-from shiftkrylov.recycling import _qr
+from shiftkrylov.errors import NearSingularError
+from shiftkrylov.recycling import _fold
 
 
 def test_qr_identity():
-    q, r = _qr(np.eye(3))
-    assert np.allclose(q, np.eye(3), atol=1e-15)
-    assert np.allclose(r, np.eye(3), atol=1e-15)
+    space = _fold(np.eye(3), np.eye(3), 0.0, "initial", "")
+    assert np.allclose(space.c, np.eye(3), atol=1e-15)
+    assert np.allclose(space.u, np.eye(3), atol=1e-15)
 
 
 def test_qr_single_column_normalization():
-    q, r = _qr(np.array([[0.0], [3.0], [4.0]]))
-    assert np.allclose(r, [[5.0]], atol=1e-14)
-    assert np.allclose(q, [[0.0], [0.6], [0.8]], atol=1e-14)
+    u = np.array([[1.0], [0.0], [0.0]])
+    space = _fold(u, np.array([[0.0], [3.0], [4.0]]), 0.0, "initial", "")
+    # R = [[5]] is folded into u
+    assert np.allclose(space.c, [[0.0], [0.6], [0.8]], atol=1e-14)
+    assert np.allclose(space.u, u / 5.0, atol=1e-14)
 
 
 def test_qr_reconstruction_random():
     rng = np.random.default_rng(6)
     m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    q, r = _qr(m)
+    u = rng.standard_normal((6, 3))
+    space = _fold(u, m, 0.0, "initial", "")
+    q = space.c
+    r = q.conj().T @ m
     scale = np.linalg.norm(m)
     assert np.linalg.norm(q @ r - m) <= 1e-12 * scale
     assert np.linalg.norm(q.conj().T @ q - np.eye(3)) <= 1e-12
-    # sign convention: real non-negative diagonal
+    # sign convention: real non-negative diagonal, and R^-1 folded into u
     d = np.diag(r)
-    assert np.all(d.imag == 0) and np.all(d.real >= 0)
-    assert np.allclose(np.tril(r, -1), 0)
+    assert np.all(np.abs(d.imag) <= 1e-12 * scale) and np.all(d.real >= 0)
+    assert np.allclose(np.tril(r, -1), 0, atol=1e-12 * scale)
+    assert np.linalg.norm(space.u @ r - u) <= 1e-12 * np.linalg.norm(u)
 
 
 def test_qr_requires_tall():
     with pytest.raises(DimensionError):
-        _qr(np.ones((2, 3)))
+        _fold(np.ones((2, 3)), np.ones((2, 3)), 0.0, "initial", "")
+
+
+def test_fold_raises_at_its_floor_per_column():
+    image = np.diag([2.0, 1e-3, 1.0])
+    assert _fold(np.eye(3), image, [1.0, 1e-4, 0.5], "initial", "").k == 3
+    with pytest.raises(NearSingularError, match="column 2"):
+        _fold(np.eye(3), image, [1.0, 1e-2, 0.5], "initial", "column 2")
 
 
 def test_hessenberg_ls_exact():

@@ -1,15 +1,21 @@
 import csv
+import re
 import statistics
-from dataclasses import replace
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shiftkrylov import (ConfigError, DecollinearizeStrategy, ShiftedFamily,
                          SparseMatrix, generate_convection_diffusion, sbgmres,
                          sfom, sgmres)
 from shiftkrylov.cli import main
-from shiftkrylov.harness import (ExperimentConfig, RunUnit, build_rhs,
+from shiftkrylov.harness import (_CONFIG_KEYS, ExperimentConfig, RunUnit,
+                                 build_rhs,
                                  load_config, run_experiment,
                                  run_smooth_parameter_protocol,
                                  run_variability_study,
@@ -17,6 +23,10 @@ from shiftkrylov.harness import (ExperimentConfig, RunUnit, build_rhs,
                                  write_joint_csv, write_manifest,
                                  write_method_csv)
 from shiftkrylov.report import SolveReport, SolverConfig
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
 
 
 def _write_config(path, extra=""):
@@ -88,13 +98,18 @@ def test_config_validation_errors(tmp_path):
 
 
 def _set_key(path, section, key, value):
-    """The test config with ``key = value`` in ``section``."""
+    """The test config with ``key = value`` in ``section``, in place of
+    the key's line there if it has one."""
     text = _write_config(path).read_text()
     head = f"[{section}]\n"
     line = f"{key} = {value}\n"
-    text = text.replace(head, head + line) if head in text \
-        else text + head + line
-    path.write_text(text, encoding="ascii")
+    if head not in text:
+        text += head
+    before, after = text.split(head)
+    body, bracket, rest = after.partition("[")
+    body = re.sub(rf"^{key} = .*\n", "", body, flags=re.M)
+    path.write_text(before + head + line + body + bracket + rest,
+                    encoding="ascii")
     return path
 
 
@@ -102,7 +117,6 @@ def _set_key(path, section, key, value):
     ("solver", "strategy", "strategy", "gmres-cycel", "fom-random-block"),
     ("recycle", "mode", "recycle_mode", "ritz-larg",
      "harmonic-ritz-smallest"),
-    ("recycle", "source", "recycle_source", "augmnted", "augmented"),
     ("smooth", "seed_method", "smooth_seed_method", "sbgmress", "sbgmres"),
 ])
 def test_unknown_names_are_config_errors_naming_the_key(
@@ -119,6 +133,92 @@ def test_unknown_names_are_config_errors_naming_the_key(
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("recycle", "source", "augmented"),     # removed: one extraction per mode
+    ("solver", "m_init", "4"),              # removed: the cycle length rules
+    ("solver", "cycle_lenght", "5"),
+    ("solver.sbgmres", "strategy", "random-x0"),
+    ("problem", "grid", "8"),
+])
+def test_unknown_keys_are_config_errors_naming_the_key(tmp_path, section, key,
+                                                       value, capsys):
+    path = _set_key(tmp_path / "c.ini", section, key, value)
+    with pytest.raises(ConfigError,
+                       match=rf"^\[{section}\] {key}: unknown key"):
+        load_config(path)
+    assert main(["inspect", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[solvr]\ncycle_length = 5\n", r"unknown section \[solvr\]"),
+    ("[solver.sbgmress]\ncycle_length = 5\n",
+     r"unknown section \[solver.sbgmress\]"),
+    ("[DEFAULT]\nseed = 3\n", r"unknown section \[DEFAULT\]"),
+    ("[solver]\nseed = 3\n", "cannot parse.*'solver' already exists"),
+    ("[smooth]\ncount = 2\ncount = 3\n",
+     "cannot parse.*'count'.*already exists"),
+], ids=["section", "method-section", "default-section", "duplicate-section",
+        "duplicate-key"])
+def test_malformed_config_files_are_config_errors(tmp_path, text, message):
+    path = _write_config(tmp_path / "c.ini", text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+    assert main(["inspect", "--config", str(path)]) == 1
+    path.write_text("cycle_length = 5\n" + path.read_text())
+    with pytest.raises(ConfigError, match="cannot parse.*no section header"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("solver", "cycle_length", "0", "cycle_length must be >= 1"),
+    ("solver.sbgmres", "cycle_length", "0", "cycle_length must be >= 1"),
+    ("solver", "tolerance", "0", "tolerance must be positive and finite"),
+    ("solver.sbgmres", "tolerance", "nan",
+     "tolerance must be positive and finite"),
+    ("solver", "max_cycles", "0", "max_cycles must be >= 1"),
+    ("solver", "seed", "-1", "seed must be >= 0"),
+    ("run", "multiplier", "nan", "multiplier must be positive and finite"),
+    ("problem", "convection", "inf", "convection must be finite"),
+    ("problem", "grid_m", "1", "grid_m must be >= 2"),
+    ("shifts", "values", "1e-3, nan", "values must be given and finite"),
+    ("rhs", "seed", "-1", "seed must be >= 0"),
+    ("recycle", "k", "-1", "k must be >= 0"),
+    ("smooth", "n_seed", "-1", "n_seed must be >= 0"),
+    ("smooth", "count", "0", "count must be >= 1"),
+    ("smooth", "interval", "1, inf", "interval must be finite"),
+])
+def test_out_of_range_values_are_config_errors_naming_the_key(
+        tmp_path, section, key, value, message):
+    path = _set_key(tmp_path / "c.ini", section, key, value)
+    with pytest.raises(ConfigError, match=rf"^\[{section}\] .*{message}"):
+        load_config(path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    path = _write_config(tmp_path / "c.ini")
+    assert main(["inspect", "--config", str(path), "--seed", "-1"]) == 1
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+
+
+_SOLVER_KEYS = [(s, f.name) for s in ("solver", "solver.sbgmres")
+                for f in fields(SolverConfig)]
+
+
+@SETTINGS
+@given(st.sampled_from(sorted(_CONFIG_KEYS) + _SOLVER_KEYS),
+       st.sampled_from(["0", "-1", "nan", "inf", ""]))
+def test_inspect_never_raises_on_an_edge_value(section_key, value):
+    section, key = section_key
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _set_key(Path(tmp) / "c.ini", section, key, value)
+        assert main(["inspect", "--config", str(path)]) in (0, 1)
 
 
 def test_smooth_interval_parsing(tmp_path):

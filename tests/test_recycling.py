@@ -383,11 +383,12 @@ def test_shift_rebase_rejects_a_rank_deficient_shifted_image():
 
 
 @pytest.mark.parametrize("typo", [{"mode": "ritz-larg"},
-                                  {"source": "augmnted"}])
+                                  {"source": "augmented"}])
 def test_unknown_recycle_mode_or_source_raises_before_any_product(
         typo, monkeypatch):
     # a mistyped name used to reach the cycle-end update, whose error the
-    # engine keeps as a note, so the solve silently ran with k = 0
+    # engine keeps as a note, so the solve silently ran with k = 0; each
+    # mode has one extraction, so a source is no keyword at all
     def no_product(*args):
         raise AssertionError("an operator product ran before the check")
 
@@ -396,11 +397,14 @@ def test_unknown_recycle_mode_or_source_raises_before_any_product(
     b = np.random.default_rng(3).standard_normal((25, 2))
     fam = ShiftedFamily(a, [0.1, 0.2], b, None)
     cfg = SolverConfig(cycle_length=5, tolerance=1e-8, max_cycles=3)
-    with pytest.raises(DimensionError, match="unknown"):
-        rsbgmres(fam, cfg, None, k=4, **typo)
     if "mode" in typo:
         with pytest.raises(DimensionError, match="unknown recycle mode"):
+            rsbgmres(fam, cfg, None, k=4, **typo)
+        with pytest.raises(DimensionError, match="unknown recycle mode"):
             rgmres_baseline(a, b[:, 0], None, cfg, k=4, **typo)
+    else:
+        with pytest.raises(TypeError, match="'source'"):
+            rsbgmres(fam, cfg, None, k=4, **typo)
 
 
 def test_sequential_rgmres_total_not_worse_than_gmres():
@@ -456,7 +460,7 @@ def test_update_recycle_space_k0_empty():
     assert space.k == 0 and space.provenance == "harmonic-ritz-smallest"
 
 
-def test_update_recycle_space_harmonic_and_augmented_sources():
+def test_update_recycle_space_keeps_the_space_invariants_in_both_modes():
     a = random_sparse(20, seed=33, diag_boost=5.0)
     space = _space(a, 3, seed=34)
     rng = np.random.default_rng(35)
@@ -465,13 +469,75 @@ def test_update_recycle_space_harmonic_and_augmented_sources():
     arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
     ad = a.to_dense()
     for mode in ("ritz-largest", "harmonic-ritz-smallest"):
-        for source in ("hessenberg", "augmented"):
-            out = update_recycle_space(arn, mode, 3, space, source=source)
-            assert out.k == 3
-            assert np.linalg.norm(ad @ out.u - out.c) \
-                <= 1e-9 * a.frobenius_norm
-            gram = out.c.conj().T @ out.c
-            assert np.linalg.norm(gram - np.eye(3)) <= 1e-9
+        out = update_recycle_space(arn, mode, 3, space)
+        assert out.k == 3
+        assert np.linalg.norm(ad @ out.u - out.c) <= 1e-9 * a.frobenius_norm
+        gram = out.c.conj().T @ out.c
+        assert np.linalg.norm(gram - np.eye(3)) <= 1e-9
+        # one extraction per mode: no source to choose
+        with pytest.raises(TypeError):
+            update_recycle_space(arn, mode, 3, space, source="augmented")
+
+
+def test_harmonic_refresh_keeps_an_exact_invariant_space():
+    # U = [e1 e2] spans the eigenvectors of the two smallest eigenvalues:
+    # the extraction over [W U] finds them again, whereas one over the
+    # Krylov block alone (orthogonal to C = U here) cannot
+    d = np.concatenate(([0.5, 0.7], np.linspace(5.0, 50.0, 38)))
+    a = SparseMatrix.diagonal(d)
+    space = RecycleSpace.from_basis(a, np.eye(40)[:, :2])
+    r0 = np.random.default_rng(39).standard_normal((40, 2))
+    r0 -= space.c @ (space.c.T @ r0)
+    arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
+    out = update_recycle_space(arn, "harmonic-ritz-smallest", 2, space)
+    assert out.k == 2
+    assert subspace_angles(out.u, np.eye(40)[:, :2]).max() <= 1e-8
+
+
+def test_harmonic_refresh_without_space_matches_a_dense_oracle():
+    # with no recycle columns the harmonic Ritz vectors are W g for the
+    # smallest eigenpairs of H + H^-* E h* h E^T (h the last subdiagonal
+    # block, E the last L unit columns)
+    a = random_sparse(30, seed=40, diag_boost=3.0)
+    rng = np.random.default_rng(41)
+    ell, m, k = 2, 5, 3
+    r0 = rng.standard_normal((30, ell)) + 1j * rng.standard_normal((30, ell))
+    arn = block_arnoldi(a, r0, m, seed=0)
+    jl = m * ell
+    h_sq, h = arn.hess[:jl], arn.hess[jl:, jl - ell:]
+    e = np.eye(jl)[:, -ell:]
+    dense = h_sq + np.linalg.solve(h_sq.conj().T, e @ h.conj().T @ h @ e.T)
+    vals, vecs = np.linalg.eig(dense)
+    order = np.lexsort((vals.imag, vals.real, np.abs(vals)))[:k]
+    out = update_recycle_space(arn, "harmonic-ritz-smallest", k)
+    assert subspace_angles(out.u, arn.w @ vecs[:, order]).max() <= 1e-8
+    ad = a.to_dense()
+    assert np.linalg.norm(ad @ out.u - out.c) <= 1e-9 * a.frobenius_norm
+
+
+def test_refresh_raises_on_a_direction_whose_image_vanishes():
+    # A has the null vector e1, which the Krylov space of e1 + e2 + e3
+    # holds: at k = 1 the rank test used to compare R's one diagonal
+    # entry with itself and folded 1 / R ~ 1e15 into U
+    a = SparseMatrix.diagonal(np.arange(6.0))
+    v = np.zeros((6, 1))
+    v[:3] = 1.0
+    arn = block_arnoldi(a, v, 3, seed=0)
+    try:
+        out = update_recycle_space(arn, "harmonic-ritz-smallest", 1)
+    except NearSingularError:
+        pass
+    else:
+        assert np.linalg.norm(a.to_dense() @ out.u - out.c) \
+            <= 1e-9 * a.frobenius_norm
+    # the engine keeps its previous (empty) space and says so
+    fam = ShiftedFamily(a, [0.5], v, None)
+    cfg = SolverConfig(cycle_length=3, tolerance=1e-10, max_cycles=3)
+    _, rep, space = rsbgmres(fam, cfg, None, k=1,
+                             mode="harmonic-ritz-smallest")
+    assert rep.converged == [True]
+    assert space.k == 0
+    assert any("recycle update failed" in note for note in rep.notes)
 
 
 def test_ritz_values_approach_extremes():
