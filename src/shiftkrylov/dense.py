@@ -1,8 +1,10 @@
 """Small dense kernels on Krylov coefficient data: :class:`ShiftedBandQR`,
 the QR factor of the shifted (projected, augmented) block Hessenberg
-matrices of a whole family, updated one Arnoldi step at a time, from
-which every solver reads its per-step residual estimates and solves its
-cycle-end subproblems; and a Hessenberg eigensolver for Ritz extraction.
+matrices of a whole family, updated one Arnoldi step at a time (by one
+batched Householder QR per step, or at block size one without coupling
+rows by one Givens rotation per shift), from which every solver reads its
+per-step residual estimates and solves its cycle-end subproblems; and a
+Hessenberg eigensolver for Ritz extraction.
 
 Every kernel works in the dtype of its input, real or complex, and takes
 its LAPACK routines for that dtype.
@@ -18,26 +20,6 @@ import scipy.linalg
 from .errors import DimensionError, EigenConvergenceError
 
 _SINGULAR_RTOL = 1e-14   # relative singular-value floor of a small system
-
-
-def _adjoint_q_factors(blocks):
-    """``Q*`` of the complete QR ``Q R`` of each tall block of a stack and
-    the leading square triangle of ``R``: one batched ``np.linalg.qr`` for
-    a stack, one direct ``geqrf``/``orgqr`` (skipping the batched call's
-    fixed overhead) for a single block."""
-    p, rows, cols = blocks.shape
-    if p > 1:
-        q, r = np.linalg.qr(blocks, mode="complete")
-        return q.conj().transpose(0, 2, 1), r[:, :cols]
-    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"),
-                                                 (blocks,))
-    r, tau = geqrf(blocks[0])[:2]
-    full = np.zeros((rows, rows), dtype=blocks.dtype)
-    full[:, :cols] = r
-    qh = orgqr(full, tau, overwrite_a=True)[0].conj().T
-    # geqrf leaves its reflectors below the triangle
-    upper = np.arange(cols) >= np.arange(cols)[:, None]
-    return qh[None], (r[:cols] * upper)[None]
 
 
 def _solve(a, b):
@@ -60,7 +42,10 @@ class ShiftedBandQR:
     side on the first L rows of ``Hbar_j``, then optionally on the
     coupling rows.  Step t factors the live block (the L + k rows carried
     from the steps before and the new subdiagonal rows) by a ``Q_t`` that
-    finishes its first L rows.  Per shift the state keeps ``q``, the rows
+    finishes its first L rows: the complete QR of every shift's block in
+    one batched LAPACK call or, at L = 1 with k = 0 (single-vector GMRES
+    and FOM and the collinear methods), one closed-form Givens rotation
+    per shift on a 2 x 1 column.  Per shift the state keeps ``q``, the rows
     of ``Q_t* ... Q_0*`` over the rows of ``G_i`` (coupling rows first),
     the tL finished rows then the carried ones; ``g``, the right-hand
     side rotated alike, whose carried entries' norm is the least-squares
@@ -114,26 +99,40 @@ class ShiftedBandQR:
         coupling rows."""
         ell, k, t = self.block_size, self.coupling_rows, self.steps
         sub = np.asarray(sub)
-        c = sub.shape[0]
-        top, cols = t * ell, k + (t + 1) * ell
+        self._g_pivot = self.g[:, t * ell:(t + 1) * ell].copy()
+        self._sub, self._before = sub, (self._diag_min, self._diag_max)
+        if ell == 1 and k == 0:
+            low = high = self._givens_step(np.asarray(h_col)[:, 0], sub)
+        else:
+            low, high = self._householder_step(
+                np.concatenate((b_col, h_col)), sub)
+        self._diag_min = np.minimum(self._diag_min, low)
+        self._diag_max = np.maximum(self._diag_max, high)
+        self.carry = k + len(sub)
+        self.steps = t + 1
+
+    def _householder_step(self, h, sub):
+        """Step t for the block column ``h`` (coupling rows first) over
+        ``sub``: rotate it by every earlier factor, which gives the
+        triangle's part in the finished rows and the live block in the
+        carried ones, and finish the live block by the complete QR of
+        each shift's block, one batched LAPACK call, whose ``Q_t*`` goes
+        onto the carried rows of ``q`` and ``g``.  Returns the smallest
+        and largest |diagonal entry| of each shift's new triangle block."""
+        ell, k, t = self.block_size, self.coupling_rows, self.steps
+        c, top, cols = len(sub), t * ell, k + (t + 1) * ell
         d = k + t * ell                 # column of the diagonal block
         q = self.q[:, :top + ell + k, :cols]
-        # the column rotated by every earlier factor: the triangle's part
-        # in the finished rows, the live block's in the carried ones
-        col = q @ np.concatenate((b_col, h_col))
+        col = q @ h
         col += self.shifts[:, None, None] * q[..., d:d + ell]
         live = np.empty((len(self.shifts), ell + k + c, ell), dtype=col.dtype)
         live[:, :ell + k] = col[:, top:]
         live[:, ell + k:] = sub
-        self._pivot, self._g_pivot, self._sub = live[:, :ell], \
-            self.g[:, top:top + ell].copy(), sub
-        qh, tri = _adjoint_q_factors(live)
-        col[:, top:top + ell] = tri
+        self._pivot = live[:, :ell]
+        qt, tri = np.linalg.qr(live, mode="complete")
+        qh = qt.conj().transpose(0, 2, 1)
+        col[:, top:top + ell] = tri[:, :ell]
         self.r[:, :top + ell, top:top + ell] = col[:, :top + ell]
-        self._before = self._diag_min, self._diag_max
-        diag = np.abs(np.diagonal(tri, 0, 1, 2))
-        self._diag_min = np.minimum(self._diag_min, diag.min(axis=1))
-        self._diag_max = np.maximum(self._diag_max, diag.max(axis=1))
         # Q_t* on the carried rows; the new subdiagonal rows enter as
         # identity rows with a zero right-hand side
         rows = slice(top, top + ell + k + c)
@@ -141,8 +140,46 @@ class ShiftedBandQR:
         self.q[:, rows, cols:cols + c] = qh[..., ell + k:]
         self.g[:, rows] = _apply(qh[..., :ell + k],
                                  self.g[:, top:top + ell + k])
-        self.carry = k + c
-        self.steps = t + 1
+        diag = np.abs(np.diagonal(tri, 0, 1, 2))
+        return diag.min(axis=1), diag.max(axis=1)
+
+    def _givens_step(self, h, sub):
+        """Step t at block size one with k = 0 for the column ``h`` over
+        the subdiagonal entry ``b`` in ``sub`` (none when the relation
+        closed): rotate it by every earlier factor, which gives the
+        triangle's part in rows 0..t-1 and the live entry ``a`` in row t,
+        and finish it by one Givens rotation per shift,
+        ``Q_t* = [[c, s], [-s*, c*]]`` with ``c = a* / nu``, ``s = b* / nu``
+        and ``nu = |(a, b)|``, which sends ``(a, b)`` to ``(nu, 0)`` for
+        complex ``a`` and ``b`` alike, applied to the carried row of ``q``
+        and ``g``.  A zero column (``nu = 0``) gets the identity, ``c = 1``
+        and ``s = 0``, and its zero diagonal entry marks the shift
+        singular.  Returns ``nu``, each shift's new diagonal entry."""
+        t = self.steps
+        q = self.q[:, :t + 1, :t + 1]
+        col = q @ h
+        col += self.shifts[:, None] * q[:, :, t]
+        a = col[:, t]
+        self._pivot = a[:, None, None].copy()
+        b = sub[0, 0] if len(sub) else 0.0
+        nu = np.hypot(np.abs(a), abs(b))
+        zero = nu == 0.0
+        scale = nu + zero
+        cos, sin = (a.conj() + zero) / scale, np.conj(b) / scale
+        col[:, t] = nu
+        self.r[:, :t + 1, t] = col
+        # the new subdiagonal row t + 1 enters as an identity row with a
+        # zero right-hand side; both rows are zero right of column t + 1
+        row, g = self.q[:, t, :t + 2], self.g
+        if len(sub):
+            below = -sin.conj()
+            np.multiply(row, below[:, None], out=self.q[:, t + 1, :t + 2])
+            self.q[:, t + 1, t + 1] = cos.conj()
+            g[:, t + 1] = below * g[:, t]
+        row *= cos[:, None]
+        row[:, t + 1] = sin
+        g[:, t] *= cos
+        return nu
 
     def residual(self):
         """Per shift, ``min_y ||rhs_i - G_i y||``, the norm of the carried
@@ -150,7 +187,10 @@ class ShiftedBandQR:
         diagonal entry (a singular problem, whose ``g`` misses part of its
         residual)."""
         top = self.steps * self.block_size
-        rho = np.linalg.norm(self.g[:, top:top + self.carry], axis=1)
+        if self.carry == 1:
+            rho = np.abs(self.g[:, top])
+        else:
+            rho = np.linalg.norm(self.g[:, top:top + self.carry], axis=1)
         rho[self._diag_min == 0.0] = np.nan
         self._read = ("least-squares", np.isnan(rho))
         return rho
@@ -162,13 +202,22 @@ class ShiftedBandQR:
         singular value is at most ``_SINGULAR_RTOL`` times the largest of
         its norm and the triangle's earlier diagonal, or that is 0."""
         low, high = self._before
-        sv = np.linalg.svd(self._pivot, compute_uv=False)
-        scale = np.maximum(high, sv[:, 0])
-        singular = (sv[:, -1] <= _SINGULAR_RTOL * scale) | (low == 0.0)
-        ok = ~singular
-        y = _solve(self._pivot[ok], self._g_pivot[ok])
         rho = np.full(len(self.shifts), np.nan)
-        rho[ok] = np.linalg.norm(_apply(self._sub, y), axis=1)
+        if self.block_size == 1:
+            # the pivot is one entry per shift, its own singular value
+            pivot = np.abs(self._pivot[:, 0, 0])
+            singular = (pivot <= _SINGULAR_RTOL * np.maximum(high, pivot)) \
+                | (low == 0.0)
+            sub = abs(self._sub[0, 0]) if len(self._sub) else 0.0
+            np.divide(sub * np.abs(self._g_pivot[:, 0]), pivot, out=rho,
+                      where=~singular)
+        else:
+            sv = np.linalg.svd(self._pivot, compute_uv=False)
+            scale = np.maximum(high, sv[:, 0])
+            singular = (sv[:, -1] <= _SINGULAR_RTOL * scale) | (low == 0.0)
+            ok = ~singular
+            y = _solve(self._pivot[ok], self._g_pivot[ok])
+            rho[ok] = np.linalg.norm(_apply(self._sub, y), axis=1)
         self._read = ("Galerkin", singular)
         return rho, singular
 

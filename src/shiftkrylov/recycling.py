@@ -181,9 +181,12 @@ class AugmentationBlocks:
     orthonormal columns.  ``remainder`` is ``D = U - W_{j+1} p - C q2``,
     the part of U that the next step's basis block is taken out of (see
     :func:`augmentation_blocks`), and ``Uhat n_factor`` is its QR.
-    ``padded`` lists recycle directions that were numerically contained
-    in span([W C]) and whose ``Uhat`` column is a filler direction with a
-    zero diagonal entry in ``n_factor`` (the factorization stays exact).
+    ``padded`` lists, in increasing order, recycle directions that were
+    numerically contained in span([W C]) and whose ``Uhat`` column is a
+    filler direction with a zero diagonal entry in ``n_factor`` (the
+    factorization stays exact); ``filler`` holds those fillers, taken out
+    of [W C] and carried to the next step like the remainder, and
+    ``filler_tol`` their containment thresholds.
     """
 
     p: np.ndarray
@@ -192,6 +195,8 @@ class AugmentationBlocks:
     n_factor: np.ndarray
     padded: tuple = ()
     remainder: np.ndarray | None = None
+    filler: np.ndarray | None = None
+    filler_tol: np.ndarray | None = None
 
 
 _CONTAINED_TOL = 1e-13
@@ -203,46 +208,59 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
 
     ``prev`` holds the blocks of an earlier step of the same Arnoldi
     chain: only the columns of ``w_basis`` after its ``p`` rows are taken
-    out of its carried remainder, one block at a time, so a cycle costs
-    O(m) block updates.  Without ``prev`` the remainder starts from U,
-    which gives up C and then all of ``w_basis`` as one block.  Every
-    block goes in two passes of the Arnoldi process's chunked block
-    Gram-Schmidt (BMGS2), and one LAPACK QR of the n x k remainder gives
-    ``Uhat`` and ``n_factor`` (one more QR per padded direction, below).
+    out of its carried remainder and fillers, one block at a time, so a
+    cycle costs O(m) block updates.  Without ``prev`` the remainder starts
+    from U, which gives up C and then all of ``w_basis`` as one block.
+    Every block goes in two passes of the Arnoldi process's chunked block
+    Gram-Schmidt (BMGS2), and one LAPACK QR of the n x k remainder, with
+    the carried fillers in their columns, gives ``Uhat`` and ``n_factor``
+    (one more QR per newly padded direction, below).
 
     A recycle direction whose diagonal entry falls to ``1e-13`` of its
     own norm is numerically contained in span([W C]).  Such a column of
-    ``Uhat`` is a random filler, reproducible from ``pad_seed``,
-    orthogonal to ``[W C]`` and the ``Uhat`` columns before it, and its
-    ``n_factor`` column holds only its coefficients on those earlier
-    columns, which keeps the factorization exact.  When ``[W C]``
-    and the earlier ``Uhat`` columns already span the whole space, no
-    filler exists and the column stays zero.  The blocks take the dtype
-    of ``w_basis`` and the space together.
+    ``Uhat`` is a random filler, reproducible from ``pad_seed`` of the
+    step where the direction first became contained, orthogonal to
+    ``[W C]`` and the ``Uhat`` columns before it, and its ``n_factor``
+    column holds only its coefficients on those earlier columns, which
+    keeps the factorization exact.  A contained direction stays so as the
+    basis grows (its remainder only loses components), so it keeps its
+    filler for the rest of the chain; the least-squares problem does not
+    depend on which filler spans the complement.  When ``[W C]`` and the
+    earlier ``Uhat`` columns already span the whole space, no filler
+    exists and the column stays zero.  The blocks take the dtype of
+    ``w_basis`` and the space together.
     """
     w_basis = np.asarray(w_basis)
     u, c = space.u, space.c
     dtype = np.result_type(w_basis, u)
+    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
     if prev is None:
         d = np.array(u, dtype=dtype, order="F")
         q2, = _project_out(d, c)
         p = np.zeros((0, space.k), dtype=dtype)
+        padded = []
     else:
         d = prev.remainder.copy(order="F")
         q2, p = prev.q2, prev.p
-    p = np.vstack([p, *_project_out(d, w_basis[:, p.shape[0]:])])
-    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
+        padded = list(prev.padded)
+    new = w_basis[:, p.shape[0]:]
+    p = np.vstack([p, *_project_out(d, new)])
+    m = d
+    if padded:
+        filler = prev.filler.copy(order="F")
+        _project_out(filler, new)
+        m = d.copy(order="F")
+        m[:, padded], tol[padded] = filler, prev.filler_tol
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
-    m, padded = d, []
     while True:
         qr, tau = geqrf(m)[:2]
         n_factor = np.triu(qr[:space.k])
         diag = np.abs(np.diagonal(n_factor))
-        after = padded[-1] + 1 if padded else 0
-        contained = np.nonzero(diag[after:] <= tol[after:])[0]
-        if not contained.size:
+        contained = diag <= tol
+        contained[padded] = False
+        if not contained.any():
             break
-        col = after + int(contained[0])
+        col = int(np.argmax(contained))
         # the Householder columns from here on are not orthogonal to
         # [W C]: put a filler in this column and QR once more
         rng = np.random.default_rng(np.random.SeedSequence((pad_seed, col)))
@@ -252,7 +270,7 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
         _project_out(f, w_basis, c)
         m = m.copy() if m is d else m
         m[:, col:col + 1] = f
-        padded.append(col)
+        padded = sorted(padded + [col])
     u_hat = orgqr(qr, tau, overwrite_a=True)[0]
     if padded:
         # an exhausted filler leaves its column zero; a padded direction
@@ -260,7 +278,8 @@ def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
         u_hat[:, padded] *= diag[padded] > tol[padded]
         above = np.arange(space.k)[:, None] < np.array(padded)
         n_factor[:, padded] = above * (u_hat.conj().T @ d[:, padded])
-    return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d)
+    return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d,
+                              m[:, padded], tol[padded])
 
 
 def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from shiftkrylov import (DimensionError, block_arnoldi,
                          generate_convection_diffusion, hessenberg_eigen)
-from shiftkrylov.dense import ShiftedBandQR, _adjoint_q_factors
+from shiftkrylov.dense import ShiftedBandQR
 from shiftkrylov.recycling import AugmentationBlocks
 
 from conftest import augmented_matrix, band_qr
@@ -170,18 +172,32 @@ def _residual_directions(qr):
     return qr.q[:, top:rows, :rows].conj().transpose(0, 2, 1)
 
 
-def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
+_UNIT_CASES = {
+    # three shift offsets, one per right-hand-side scale
+    "three-offsets": (np.array([0.0, 0.5, 2.0 + 1.0j]),
+                      np.array([1.0, -2.0, 0.5j]), None),
+    # the shared-rhs benchmark's family: 32 real shifts over five decades,
+    # and one complex subdiagonal entry, which a Givens rotation for real
+    # subdiagonals would get wrong
+    "shared-rhs": (np.geomspace(1e-3, 1e2, 32),
+                   np.linspace(1.0, 2.0, 32) * (1.0 - 0.5j), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNIT_CASES))
+def test_shifted_band_qr_at_block_size_one_against_dense_oracles(case):
     # a complex Hessenberg relation whose last step breaks down (zero
-    # subdiagonal); three shift offsets, one per right-hand-side scale
+    # subdiagonal)
+    offsets, rhs, complex_sub = _UNIT_CASES[case]
     rng = np.random.default_rng(7)
     m = 7
     hbar = np.triu(rng.standard_normal((m + 1, m))
                    + 1j * rng.standard_normal((m + 1, m)), -1)
-    sub = np.abs(np.diagonal(hbar, -1)).copy()
+    sub = np.abs(np.diagonal(hbar, -1)).astype(complex)
     sub[-1] = 0.0
+    if complex_sub is not None:
+        sub[complex_sub] *= np.exp(0.7j)
     hbar[np.arange(1, m + 1), np.arange(m)] = sub
-    offsets = np.array([0.0, 0.5, 2.0 + 1.0j])
-    rhs = np.array([1.0, -2.0, 0.5j])
     qr = ShiftedBandQR(offsets, rhs[:, None], 1, 0, m)
     for j in range(1, m + 1):
         # the breakdown closes the relation square: no subdiagonal row
@@ -210,8 +226,13 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles():
                               atol=1e-13 * abs(rhs[i]))
     # the breakdown closed the relation: no residual direction is left
     # and the residual is exactly zero
-    assert _residual_directions(qr).shape == (3, m, 0)
+    assert _residual_directions(qr).shape == (len(offsets), m, 0)
     assert np.all(qr.residual() == 0.0)
+    # and the solve is each shift's square solve
+    y = qr.solve()[0]
+    for i, d in enumerate(offsets):
+        y_sq = np.linalg.solve(hbar[:m] + d * np.eye(m), np.eye(m)[0] * rhs[i])
+        assert np.linalg.norm(y[i] - y_sq) <= 1e-12 * np.linalg.norm(y_sq)
 
 
 def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
@@ -230,23 +251,6 @@ def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
         assert qr.residual()[i] == pytest.approx(np.linalg.norm(z))
         assert np.allclose(_residual_directions(qr)[i] @ qr.g[i, 1:2], z,
                            atol=1e-15)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_batched_adjoint_q_factors_match_the_single_block_path(dtype):
-    # a stack goes through one batched np.linalg.qr, a single block through
-    # geqrf/orgqr; both are Householder QR, so they agree to rounding
-    blocks = _complex_vector(4 * 5 * 2, seed=4).reshape(4, 5, 2)
-    blocks = (blocks if dtype is np.complex128 else blocks.real).astype(dtype)
-    qh, tri = _adjoint_q_factors(blocks)
-    for i, block in enumerate(blocks):
-        qh_i, tri_i = _adjoint_q_factors(block[None])
-        assert np.allclose(qh[i], qh_i[0], rtol=0, atol=1e-13)
-        assert np.allclose(tri[i], tri_i[0], rtol=0, atol=1e-13)
-        assert np.array_equal(tri_i[0], np.triu(tri_i[0]))
-        r = qh[i] @ block
-        assert np.allclose(r[2:], 0.0, atol=1e-13)
-        assert np.allclose(r[:2], tri[i], rtol=0, atol=1e-13)
 
 
 def _band_relation(ell, k, steps, closing_rows, seed):
@@ -345,6 +349,34 @@ def test_shifted_band_qr_marks_singular_least_squares_unknown():
     qr.append([[1.0]], np.zeros((0, 1)), np.zeros((0, 1)))
     rho = qr.residual()
     assert np.isnan(rho[0]) and rho[1] == 0.0
+
+
+def test_zero_live_column_gives_nan_estimates_and_a_zero_solve():
+    # Hbar = [[1, 0], [0, 0], [0, 0]]: at offset 0 the second column
+    # vanishes, so step 2's rotation meets a zero live entry over a zero
+    # subdiagonal entry; at offset 1 it meets 1 over 0.  Both factor
+    # without a warning, in real arithmetic
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [3.0]], 1, 0, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
+        qr.append([[0.0], [0.0]], [[0.0]], np.zeros((0, 1)))
+        rho = qr.residual()
+        y_ls, image_ls = qr.solve()
+        galerkin, singular = qr.galerkin_residual()
+        y_g, image_g = qr.solve()
+    assert qr.q.dtype == qr.g.dtype == qr.r.dtype == np.float64
+    assert rho.dtype == galerkin.dtype == y_ls.dtype == y_g.dtype \
+        == np.float64
+    assert np.isnan(rho[0]) and np.isnan(galerkin[0])
+    assert singular.tolist() == [True, False]
+    for y, image in ((y_ls, image_ls), (y_g, image_g)):
+        assert not np.any(y[0]) and not np.any(image[0])
+    # offset 1: Hbar + [I; 0] = [[2, 0], [0, 1], [0, 0]], right-hand side
+    # 3 e_1, solved exactly by y = (1.5, 0) in both senses
+    assert rho[1] == 0.0 and galerkin[1] == 0.0
+    assert np.allclose(y_ls[1], [1.5, 0.0]) and np.allclose(y_g[1], [1.5, 0.0])
+    assert np.allclose(image_ls[1], [3.0, 0.0, 0.0])
 
 
 def _galerkin_solve(h_col, shifts, rhs):

@@ -231,9 +231,15 @@ def test_carried_augmentation_blocks_equal_the_one_shot_call(dtype):
     space = RecycleSpace(u, space.c)
     blocks = None
     for j, arn in enumerate(states[1:], start=1):
+        prev = blocks
         blocks = augmentation_blocks(space, arn.basis, pad_seed=j,
-                                     prev=blocks)
+                                     prev=prev)
         fresh = augmentation_blocks(space, arn.basis, pad_seed=j)
+        if j > 2:
+            # a carried filler is not drawn again: the step's seed is unused
+            other = augmentation_blocks(space, arn.basis, pad_seed=j + 100,
+                                        prev=prev)
+            assert np.array_equal(other.u_hat, blocks.u_hat)
         assert blocks.u_hat.dtype == dtype
         assert blocks.padded == fresh.padded == ((2,) if j >= 2 else ())
         for carried, ref in ((blocks.p, fresh.p), (blocks.q2, fresh.q2)):
