@@ -149,10 +149,11 @@ class _Workspace:
 
 @cache
 def _routine(name, dtype):
-    """The BLAS (or, for ``geqrf`` and ``orgqr``, LAPACK) routine ``name``
-    for column-major operands of ``dtype``, looked up once."""
+    """The BLAS (or, for ``geqrf``, ``orgqr`` and ``trtrs``, LAPACK)
+    routine ``name`` for column-major operands of ``dtype``, looked up
+    once."""
     probe = (np.empty((1, 1), dtype=dtype, order="F"),)
-    if name in ("geqrf", "orgqr"):
+    if name in ("geqrf", "orgqr", "trtrs"):
         return get_lapack_funcs(name, probe)
     return get_blas_funcs(name, probe)
 
@@ -230,8 +231,9 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
     the n x L buffer ``v``, replacing dependent columns by random
     directions.
 
-    ``scale`` is the Frobenius norm of the raw candidate block before any
-    orthogonalization; when every new direction is below the breakdown
+    ``scale`` bounds the Frobenius norm of the raw candidate block before
+    any orthogonalization (the start block's own norm, ``||A||_F`` for an
+    Arnoldi step); when every new direction is below the breakdown
     threshold relative to it, the whole block is dependent (an invariant
     subspace was hit) and counts as zero.  Otherwise a column is dependent
     when its diagonal entry in a LAPACK Householder QR falls below
@@ -371,16 +373,18 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         basis = ws.basis[:, :(j + 1) * ell]
         cols = slice(j * ell, (j + 1) * ell)
         z = np.asfortranarray(block_matvec(a, basis[:, cols]))
-        raw_scale = max(_norm(z), a.frobenius_norm)
         coefs = _project_out(z, *proj, basis)
         ws.hess[:(j + 1) * ell, cols] = coefs[-1]
         if proj:
             ws.coupling[:, cols] = coefs[0]
         ws.hess[(j + 1) * ell:, cols] = 0.0
         try:
+            # the raw block's norm needs no pass over it: the basis block
+            # V is orthonormal, so ||A V||_F <= ||A||_F ||V||_2 = ||A||_F
             r_new = _block_qr_replace(
                 z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
-                [*proj, basis], j + 1, state.seed, log, scale=raw_scale)
+                [*proj, basis], j + 1, state.seed, log,
+                scale=a.frobenius_norm)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
             # partial basis block the step built before the ambient space

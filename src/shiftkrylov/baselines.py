@@ -23,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
-from .block_solvers import (_end_cycle, _finish, _nonzero_collinear,
-                            _reference_direction, _run_cycles, _start,
-                            _unit_relation)
+from .block_solvers import (_add_products, _end_cycle, _finish,
+                            _nonzero_collinear, _reference_direction,
+                            _run_cycles, _start, _unit_relation)
 from .dense import _SINGULAR_RTOL, ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
@@ -123,7 +123,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         report.cycles = cycle
         active = ~converged & ~left
         if base is None:
-            v1, _ = _reference_direction(r[:, ~left])
+            v1, _ = _reference_direction(r, ~left)
         else:
             norm = np.linalg.norm(r[:, base])
             if norm == 0.0:
@@ -158,11 +158,16 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         if base is not None:
             # the base residual starts the next cycle, converged or not
             solved[base] = not singular[base]
-        idx = np.nonzero(solved)[0]
-        if len(idx):
+        if solved.any():
+            # every column at once: a shift not solved this cycle gets
+            # zero coefficients and keeps its residual column
             y, c, u = end(qr, base, hb, beta)
-            x[:, idx] += basis[:, :j] @ y[idx].T
-            r[:, idx] = 0.0 if breakdown else np.outer(basis @ u, c[idx])
+            y[~solved] = 0.0
+            _add_products(x, 1.0, (basis[:, :j], y))
+            if breakdown:
+                np.copyto(r, 0.0, where=solved)
+            else:
+                np.multiply((basis @ u)[:, None], c, out=r, where=solved)
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
         left |= active & singular

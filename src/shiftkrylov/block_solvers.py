@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arnoldi import block_arnoldi_extend, block_arnoldi_start
+from .arnoldi import _routine, block_arnoldi_extend, block_arnoldi_start
 from .dense import ShiftedBandQR
 from .errors import (CollinearityError, DimensionError, NearSingularError,
                      ShiftKrylovError)
@@ -44,6 +44,12 @@ STRATEGY_TAGS = ("random-x0", "gmres-cycle", "fom-random-block")
 def detect_collinear(r, tol=COLLINEAR_TOL):
     """True iff all pairwise sines of angles between columns are <= tol.
 
+    The sines against the first column decide almost every block in one
+    O(p n) pass: one above ``tol`` is a failing pair, and when none is
+    above ``tol / 2`` every pair passes, because the angle between lines
+    is a metric and ``sin(2 asin(tol / 2)) <= tol``.  Only in between do
+    the later columns' sweeps run.
+
     A zero column raises :class:`CollinearityError`: that system is
     already solved and the caller must drop it before asking.
     """
@@ -55,9 +61,16 @@ def detect_collinear(r, tol=COLLINEAR_TOL):
         raise CollinearityError(
             f"column {int(np.nonzero(norms == 0.0)[0][0])} is zero; the "
             "system is already solved and must be dropped")
+    return _collinear_columns(r, norms, norms > 0.0, tol)
+
+
+def _collinear_columns(r, norms, cols, tol):
+    """:func:`detect_collinear` of the columns of ``r`` in the mask
+    ``cols``, all nonzero, with the column norms ``norms`` of ``r``."""
     # one contiguous row per unit column, and one reused buffer for the
     # differences, so each column's pass touches no fresh memory
-    units = np.divide(r.T, norms[:, None], order="C")
+    units = r.T[cols]
+    units /= norms[cols, None]
     diff = np.empty_like(units)
     for i in range(len(units) - 1):
         # sines ||u_i - (u_j* u_i) u_j|| against every later column u_j;
@@ -65,8 +78,11 @@ def detect_collinear(r, tol=COLLINEAR_TOL):
         later, d = units[i + 1:], diff[i + 1:]
         np.multiply(later, (later @ units[i].conj()).conj()[:, None], out=d)
         d -= units[i]
-        if np.linalg.norm(d, axis=1).max() > tol:
+        worst = np.linalg.norm(d, axis=1).max()
+        if worst > tol:
             return False
+        if i == 0 and worst <= 0.5 * tol:
+            return True
     return True
 
 
@@ -93,19 +109,50 @@ class DecollinearizeStrategy:
 
 
 def _nonzero_collinear(r):
+    """Whether the nonzero columns of ``r``, at least two, are collinear."""
     norms = np.linalg.norm(r, axis=0)
-    cols = np.nonzero(norms > 0.0)[0]
-    return len(cols) > 1 and detect_collinear(r[:, cols])
+    cols = norms > 0.0
+    return np.count_nonzero(cols) > 1 and _collinear_columns(
+        r, norms, cols, COLLINEAR_TOL)
 
 
-def _reference_direction(r):
+def _reference_direction(r, among=None):
+    """The unit direction ``v1`` of the largest column of ``r``, of those
+    in the mask ``among`` when given, and ``v1* r``."""
     norms = np.linalg.norm(r, axis=0)
+    if among is not None:
+        norms[~among] = 0.0
     ref = int(np.argmax(norms))
     if norms[ref] == 0.0:
         raise CollinearityError("all residual columns are zero")
     v1 = r[:, ref] / norms[ref]
     beta = v1.conj() @ r
     return v1, beta
+
+
+def _add_products(out, alpha, *terms):
+    """``out += alpha sum_i w_i y_i^T`` in place over all of ``out``'s
+    columns, for the pairs ``(w_i, y_i)``: one BLAS ``gemm`` per term with
+    columns, accumulating into the transpose of the C-ordered block
+    ``out``, so no n x p product or sum is formed.  A zero row of ``y_i``
+    leaves its column of ``out`` bit-identical."""
+    gemm = _routine("gemm", out.dtype)
+    c = out.T
+    for w, y in terms:
+        if w.shape[1]:
+            fortran = w.flags.f_contiguous
+            c = gemm(alpha, y, w if fortran else w.T, 1.0, c,
+                     trans_b=int(fortran), overwrite_c=True)
+    if not np.may_share_memory(c, out):
+        out[...] = c.T          # a block that is not C-ordered was copied
+
+
+def _scatter_rows(a, idx, p):
+    """The p-row array holding the rows of ``a`` at ``idx``, zero
+    elsewhere."""
+    out = np.zeros((p, a.shape[1]), dtype=a.dtype)
+    out[idx] = a
+    return out
 
 
 def _unit_relation(arn):
@@ -237,7 +284,7 @@ def _end_cycle(family: ShiftedFamily, report, cycle, x, r, converged,
                     f"{drift[worst]:.2e} from the true residual for "
                     f"shift index {worst}")
         if restart:
-            r[:, drifted] = r_true[:, drifted]
+            np.copyto(r, r_true, where=drifted)
     resid = np.linalg.norm(r, axis=0)
     converged = converged | (resid <= targets)
     return resid, converged, r_true
@@ -349,7 +396,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                                   seed=_cycle_seed(cfg.seed, cycle),
                                   capacity=cfg.cycle_length)
         rhs = np.concatenate(
-            (arn.s0[:, idx], cur_space.c.conj().T @ (r[:, idx] * alone[idx])))
+            (arn.s0[:, idx], (cur_space.c.conj().T @ r)[:, idx] * alone[idx]))
         args = shifts[idx], rhs.T, ell, k_now, cfg.cycle_length
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
@@ -391,14 +438,17 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         for i in idx[np.isnan(est)]:
             report.note(f"cycle {cycle}: no {name} iterate for shift index "
                         f"{i}; kept previous approximation")
-        # one update for every k: an empty space adds no columns or rows
-        y, image = qr.solve()
+        # one update for every k, in every column: an empty space adds no
+        # columns or rows, and a shift not solved this cycle gets zero
+        # coefficients
+        y, image = (_scatter_rows(c, idx, ell) for c in qr.solve())
         rows, cols = arn.hess.shape
         u_hat = blocks.u_hat if k_now else cur_space.c
-        x[:, idx] += arn.w @ y[:, :cols].T + cur_space.u @ y[:, cols:].T
-        r[:, idx] -= (cur_space.c @ image[:, :k_now].T
-                      + arn.basis @ image[:, k_now:k_now + rows].T
-                      + u_hat @ image[:, k_now + rows:].T)
+        _add_products(x, 1.0, (arn.w, y[:, :cols]),
+                      (cur_space.u, y[:, cols:]))
+        _add_products(r, -1.0, (cur_space.c, image[:, :k_now]),
+                      (arn.basis, image[:, k_now:k_now + rows]),
+                      (u_hat, image[:, k_now + rows:]))
         for rec in arn.replacements:
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))

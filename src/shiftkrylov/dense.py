@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .arnoldi import _routine
 from .errors import DimensionError, EigenConvergenceError
 
 _SINGULAR_RTOL = 1e-14   # relative singular-value floor of a small system
@@ -30,6 +31,15 @@ def _solve(a, b):
 def _apply(a, b):
     """``a_i b_i`` for a stack of matrices and vectors."""
     return (a @ b[..., None])[..., 0]
+
+
+def _upper_solve(r, b, which):
+    """``b_i = R_i^-1 b_i`` in place for each ``i`` in ``which``, ``R_i``
+    the upper triangle of ``r[i]`` (only it is read): one LAPACK
+    ``trtrs`` per system."""
+    trtrs = _routine("trtrs", np.result_type(r, b))
+    for i in which:
+        b[i] = trtrs(r[i], b[i, :, None])[0][:, 0]
 
 
 class ShiftedBandQR:
@@ -257,12 +267,13 @@ class ShiftedBandQR:
         """Per shift, the coefficients ``y_i`` of the subproblem whose
         estimate was read last and their image ``G_i y_i`` (rows of
         ``G_i``, then of ``Uhat``), both zero where it was NaN, by one
-        back substitution on the kept triangles: ``y = R^-1 g_top``, for
-        Galerkin with the latest pivot block as the last diagonal block;
-        an augmented solve first takes the recycle coefficients ``z`` (0
-        for a shift alone) from the tail triangle, then ``y = R^-1 (g_top
-        - T_top z)``, ``z`` after ``y``.  ``rhs`` replaces a least-squares
-        solve's right-hand sides."""
+        back substitution on the kept triangles, one LAPACK ``trtrs`` per
+        shift: ``y = R^-1 g_top``; for Galerkin the latest pivot block
+        stands in for the last diagonal block and is solved first; an
+        augmented solve first takes the recycle coefficients ``z`` (0 for a
+        shift alone) from the tail triangle, then ``y = R^-1 (g_top - T_top
+        z)``, ``z`` after ``y``.  ``rhs`` replaces a least-squares solve's
+        right-hand sides."""
         kind, skip, *recycle = self._read
         ell, k = self.block_size, self.coupling_rows
         top, rows = self.steps * ell, self.steps * ell + self.carry
@@ -270,29 +281,42 @@ class ShiftedBandQR:
         g = self.g[:, :rows].copy() if rhs is None else _apply(q, rhs)
         y, z, tz = g[:, :top], np.zeros((len(g), 0)), 0.0
         on_uhat = z                     # sigma N z, on the rows of Uhat
+        solved = np.nonzero(~skip)[0]
+        tri = top                       # order of R's triangle left to solve
         if kind == "augmented":
             turned, tail, raw, alone = recycle
-            fit = ~(skip | alone)
-            tri = np.triu(raw[fit].transpose(0, 2, 1)[:, :k + 1])
+            # the tail's R is the upper triangle of each raw factor's
+            # transpose
+            fit = np.nonzero(~(skip | alone))[0]
             z = np.zeros((len(g), k), dtype=tail.dtype)
-            z[fit] = _solve(tri[:, :k, :k], tri[:, :k, k])
+            z[fit] = raw[fit, k, :k]
+            _upper_solve(raw[:, :k, :k].transpose(0, 2, 1), z, fit)
             # the recycle columns rotated by every factor, times z
             tz = _apply(q[..., :k] + self.shifts[:, None, None] * (
                 q @ turned), z)
             y -= tz[:, :top]
             on_uhat = _apply(tail[:, self.carry:, :k], z)
         elif kind == "Galerkin":
-            y[:, -ell:] = self._g_pivot
-        # back substitution in chunks of whole blocks, about 32 columns
-        # each: one small batched LU per chunk, a skipped shift's on I
+            # the latest pivot block stands in for R's last diagonal block
+            tri -= ell
+            if ell == 1:
+                y[solved, tri] = self._g_pivot[solved, 0] \
+                    / self._pivot[solved, 0, 0]
+            else:
+                y[solved, tri:] = _solve(self._pivot[solved],
+                                         self._g_pivot[solved])
+            y[:, :tri] -= _apply(self.r[:, :tri, tri:top], y[:, tri:])
+        # back substitution over chunks of whole blocks, about 32 columns
+        # each, from the last: one trtrs per shift on the chunk's triangle,
+        # then one batched product for the rows above it.  The chunks keep
+        # one order of the sums on purpose: with nearly dependent
+        # right-hand sides rounding here can decide a convergence step (one
+        # trtrs per shift on the whole triangle moves perfbench's
+        # smooth-param at seed 2 by one block step of its sbgmres group)
         width = ell * -(-32 // ell)
-        for stop in range(top, 0, -width):
+        for stop in range(tri, 0, -width):
             cols = slice(max(stop - width, 0), stop)
-            diag = self.r[:, cols, cols].copy()
-            if kind == "Galerkin" and stop == top:
-                diag[:, -ell:, -ell:] = self._pivot
-            diag[skip] = np.eye(len(diag[0]))
-            y[:, cols] = _solve(diag, y[:, cols])
+            _upper_solve(self.r[:, cols, cols], y[:, cols], solved)
             y[:, :cols.start] -= _apply(self.r[:, :cols.start, cols],
                                         y[:, cols])
         # G_i y_i rotated is [R y; 0], plus the recycle part

@@ -80,6 +80,9 @@ class SolveReport:
     replacements: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     _points: list = field(default_factory=list, repr=False)
+    # the built :attr:`steps`, until the next point is recorded
+    _steps: Steps | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def record_step(self, cycle, iteration, resid, converged, recorded=None):
         """Record one point for the whole family at the current counters:
@@ -95,6 +98,7 @@ class SolveReport:
         # kept as Python lists: thousands of small long-lived numpy buffers
         # would sit between the solver's large temporaries on the C heap
         # and keep it from shrinking (about 6 MB of peak RSS on smooth-param)
+        self._steps = None
         self._points.append((cycle, iteration, self.matvecs,
                              self.block_matvecs, resid.tolist(),
                              np.asarray(converged, dtype=bool).tolist(),
@@ -106,6 +110,7 @@ class SolveReport:
         iterations offset by ``cycle`` and ``iteration``, counters by this
         report's totals."""
         mask = np.arange(self.n_shifts) == shift_index
+        self._steps = None
         self._points.extend(
             (cycle + cyc, iteration + it, self.matvecs + mv,
              self.block_matvecs + bmv,
@@ -115,13 +120,18 @@ class SolveReport:
 
     @property
     def steps(self):
-        """The recorded points as :class:`Steps` arrays."""
-        shape = (len(self._points), self.n_shifts)
-        cols = list(zip(*self._points)) or [()] * 7
-        return Steps(*(np.array(c, dtype=np.int64) for c in cols[:4]),
-                     np.array(cols[4], dtype=float).reshape(shape),
-                     *(np.array(c, dtype=bool).reshape(shape)
-                       for c in cols[5:]))
+        """The recorded points as read-only :class:`Steps` arrays, built
+        once per set of points."""
+        if self._steps is None:
+            shape = (len(self._points), self.n_shifts)
+            cols = list(zip(*self._points)) or [()] * 7
+            self._steps = Steps(
+                *(np.array(c, dtype=np.int64) for c in cols[:4]),
+                np.array(cols[4], dtype=float).reshape(shape),
+                *(np.array(c, dtype=bool).reshape(shape) for c in cols[5:]))
+            for arr in self._steps:
+                arr.flags.writeable = False
+        return self._steps
 
     @property
     def rows(self):

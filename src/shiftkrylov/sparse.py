@@ -210,9 +210,16 @@ class ShiftedFamily:
         return self.matrix.n_rows
 
     def residual_block(self, x):
-        """``B - A X - X D`` for the current approximation block ``x``."""
+        """``B - (A X + X D)`` for the current approximation block ``x``,
+        ``X D`` added in the block product's own array.  The result is a
+        fresh array: returned, the product's array read about 40% more
+        page faults per perfbench shared-rhs sample, its long life keeping
+        the allocator from reusing the short-lived temporaries' memory."""
         x = np.asarray(x)
-        return self.rhs - block_matvec(self.matrix, x) - x * self.shifts[None, :]
+        out = block_matvec(self.matrix, x).astype(
+            np.result_type(x, self.rhs), copy=False)
+        out += x * self.shifts
+        return self.rhs - out
 
 
 def generate_convection_diffusion(grid_m: int, convection: float) -> SparseMatrix:

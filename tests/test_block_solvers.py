@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          ShiftedFamily, SolverConfig, SparseMatrix,
@@ -8,6 +12,7 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
                          generate_convection_diffusion, gmres_restarted,
                          rsbgmres, sbfom, sbgmres, sfom, sgmres)
 import shiftkrylov.arnoldi as arnoldi
+import shiftkrylov.baselines as baselines
 import shiftkrylov.block_solvers as block_solvers
 from shiftkrylov.block_solvers import _end_cycle, _start
 from shiftkrylov.dense import ShiftedBandQR
@@ -58,6 +63,69 @@ def test_detect_collinear_matches_pairwise_loop():
         assert detect_collinear(r, tol=2.0 * worst)
         assert not detect_collinear(r, tol=0.5 * worst)
         assert detect_collinear(r) == (eps < 1e-12)
+
+
+@st.composite
+def _near_collinear_blocks(draw):
+    """``(r, tol)``: columns ``alpha_j (cos t_j e + sin t_j w_j)`` for one
+    unit ``e``, real or complex, each ``w_j`` a unit vector orthogonal to
+    ``e``.  The sines ``sin t_j`` are noise at a scale from 1e-15 to 1e-10,
+    or near ``tol / 2`` and ``tol``; the ``w_j`` are independent, or one
+    direction with random signs, so that two columns in the band between
+    the two bounds can fail only against each other."""
+    n = draw(st.integers(3, 40))
+    p = draw(st.integers(2, 8))
+    complex_ = draw(st.booleans())
+    tol = draw(st.sampled_from([1e-12, 1e-10]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector(size):
+        v = rng.standard_normal(size)
+        return v + 1j * rng.standard_normal(size) if complex_ else v
+
+    e = vector(n)
+    e /= np.linalg.norm(e)
+    w = vector((n, p))
+    if draw(st.booleans()):
+        w = w[:, :1] * rng.choice([-1.0, 1.0], p)
+    w -= np.outer(e, e.conj() @ w)
+    w /= np.linalg.norm(w, axis=0)
+    if draw(st.booleans()):
+        sines = 10.0 ** draw(st.floats(-15.0, -10.0)) * rng.uniform(0, 1, p)
+    else:
+        factors = draw(st.lists(
+            st.sampled_from([0.0, 0.3, 0.45, 0.55, 0.7, 0.9, 1.1, 1.5]),
+            min_size=p, max_size=p))
+        sines = tol * np.array(factors) * rng.uniform(0.98, 1.02, p)
+    cols = np.sqrt(1.0 - sines**2) * e[:, None] + sines * w
+    scale = rng.uniform(0.1, 10.0, p)
+    if complex_:
+        scale = scale * np.exp(2j * np.pi * rng.uniform(0, 1, p))
+    return cols * scale, tol
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_near_collinear_blocks())
+def test_detect_collinear_agrees_with_pairwise_reference(case):
+    # the one-reference test gives the answer of every pairwise sine,
+    # when no pair lies within rounding of the tolerance
+    r, tol = case
+    p = r.shape[1]
+    worst = max(_sin_angle(r[:, i], r[:, j])
+                for i in range(p) for j in range(i + 1, p))
+    assume(abs(worst - tol) > 1e-2 * tol)
+    assert detect_collinear(r, tol) == (worst <= tol)
+
+
+@pytest.mark.parametrize("sign,collinear", [(-1.0, False), (1.0, True)])
+def test_detect_collinear_band_runs_the_pairwise_sweep(sign, collinear):
+    # both sines against the first column lie between tol/2 and tol, so
+    # only the pair of the other two decides: 1.25 tol apart on opposite
+    # sides of it, 0.05 tol apart on the same side
+    tol = 1e-12
+    e, w = np.eye(30)[0], np.eye(30)[1]
+    r = np.column_stack([e, e + 0.6 * tol * w, e + sign * 0.65 * tol * w])
+    assert detect_collinear(r, tol) == collinear
 
 
 def test_detect_collinear_zero_column_errors():
@@ -557,6 +625,81 @@ def test_cycle_end_skips_exactly_the_shifts_with_nan_estimates(name,
     skip_notes = [n for n in rep.notes
                   if "iterate for shift" in n or "update skipped" in n]
     assert len(skip_notes) == nan_count
+
+
+_SKIP_NOTE = re.compile(r"cycle (\d+): (?:no \S+ (?:iterate|update)|"
+                        r"singular Galerkin system) for shift index (\d+)")
+
+
+def _frozen_family(name, case):
+    """A family and config whose solve by ``name`` leaves shifts out of
+    cycle-end updates: ``singular`` skips a shift with an exactly singular
+    subproblem, ``staggered`` has shifts that converge cycles apart."""
+    if case == "staggered":
+        a = generate_convection_diffusion(6, 5.0)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal((36, 4))
+        if name in ("sgmres", "sfom"):
+            b = np.outer(b[:, 0], [1.0, 2.0, -1.0, 0.5])
+        return (ShiftedFamily(a, [1e-3, 0.5, 5.0, 50.0], b, None),
+                SolverConfig(cycle_length=3, tolerance=1e-10, max_cycles=40))
+    if name in ("sgmres", "sfom"):
+        # shift -2 has no collinear iterate at cycle 1, and shift 0 a
+        # singular Galerkin system at cycle 2 (see test_baselines.py)
+        a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        fam = ShiftedFamily(a, [0.0, -2.0], np.array([[1.0, 1.0], [0.0, 0.0]]),
+                            None)
+        return fam, SolverConfig(cycle_length=1, tolerance=1e-6,
+                                 max_cycles=45)
+    # A - I is singular: shift -1 meets an exactly singular subproblem at
+    # every cycle end
+    a = SparseMatrix.diagonal(np.array([1.0, 2.0, 3.0]))
+    return (ShiftedFamily(a, [-1.0, 0.5], np.eye(3)[:, :2], None),
+            SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=5))
+
+
+@pytest.mark.parametrize("case", ["singular", "staggered"])
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "sgmres", "sfom"])
+def test_cycle_end_leaves_unsolved_columns_bit_identical(name, case,
+                                                         monkeypatch):
+    # the cycle-end update runs over every column; a shift that converged
+    # earlier or whose subproblem was skipped this cycle gets zero
+    # coefficients, and its iterate and residual columns keep every bit
+    fam, cfg = _frozen_family(name, case)
+    ends = []
+
+    def end_cycle(family, report, cycle, x, r, converged, targets, active,
+                  *args, _original=block_solvers._end_cycle, **kwargs):
+        entry = (x.copy(), r.copy())
+        out = _original(family, report, cycle, x, r, converged, targets,
+                        active, *args, **kwargs)
+        if family is fam:       # not a shift solved alone afterwards
+            ends.append((cycle, active.copy(), entry, (x.copy(), r.copy())))
+        return out
+
+    monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
+    monkeypatch.setattr(baselines, "_end_cycle", end_cycle)
+    solver = {"sbgmres": sbgmres, "sbfom": sbfom, "sgmres": sgmres,
+              "sfom": sfom}[name]
+    _, rep = solver(fam, cfg)
+    skipped = {(int(c), int(i)) for c, i in
+               (m.groups() for m in map(_SKIP_NOTE.match, rep.notes) if m)}
+    if case == "singular":
+        assert skipped
+    checked = 0
+    for (_, _, _, before), (cycle, active, after, _) in zip(ends, ends[1:]):
+        frozen = ~active
+        for c, i in skipped:
+            frozen[i] |= c == cycle
+        if name == "sgmres":
+            # the base residual starts every cycle, so it is always updated
+            base = int(np.argmin(np.abs(fam.shifts)))
+            frozen[base] = (cycle, base) in skipped
+        for i in np.nonzero(frozen)[0]:
+            for old, new in zip(before, after):
+                assert old[:, i].tobytes() == new[:, i].tobytes()
+            checked += 1
+    assert checked > 0
 
 
 def test_drifted_shift_restarts_from_the_true_residual(monkeypatch):

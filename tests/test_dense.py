@@ -508,6 +508,64 @@ def test_band_qr_solve_on_relation_closed_square(ell):
         assert np.linalg.norm(image[i] - gi) <= 1e-10 * np.linalg.norm(gi)
 
 
+@pytest.mark.parametrize("skipped", [False, True])
+@pytest.mark.parametrize("p,ell,k,steps", [(32, 1, 0, 30), (1, 1, 0, 20),
+                                           (4, 4, 0, 30), (4, 4, 10, 30),
+                                           (10, 10, 0, 20)])
+def test_band_qr_solve_at_solver_shapes(p, ell, k, steps, skipped):
+    # the solvers' shapes (shared-rhs, the gmres seed solves, block-large-n
+    # with and without recycling, smooth-param's sbgmres group), each back
+    # substitution over several column chunks: every shift's least-squares,
+    # Galerkin and augmented solve against LAPACK's dense lstsq and solve.
+    # A skipped shift's first column of G vanishes exactly, so its
+    # estimate is NaN and its coefficients and image are zero
+    hbar, coupling = _band_relation(ell, k, steps, ell, seed=p + ell + k)
+    rng = np.random.default_rng(p + k)
+    shifts = rng.uniform(-0.5, 2.0, p) + 0.3j * rng.standard_normal(p)
+    rhs = rng.standard_normal((p, ell + k)) + 0j
+    skip = p // 2 if skipped else -1
+    if skipped:
+        hbar[:, 0] = 0.0
+        hbar[0, 0] = -shifts[skip]
+        coupling[:, 0] = 0.0
+    qr = band_qr(hbar, coupling, ell, shifts, rhs)
+    mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
+    jl, rows = steps * ell, len(hbar)
+    if k:
+        blk = rng.standard_normal((rows, k)) + 1j * rng.standard_normal(
+            (rows, k))
+        q2 = rng.standard_normal((k, k))
+        n_factor = np.triu(rng.standard_normal((k, k)))
+        order = np.r_[rows:rows + k, :rows, rows + k:rows + 2 * k]
+        mats = [augmented_matrix(hbar, coupling, blk, q2, n_factor,
+                                 sigma)[order] for sigma in shifts]
+        g = np.hstack([g, np.zeros((p, k))])
+        reads = [("augmented", lambda: qr.augmented_residual(
+            blk, q2, n_factor, np.zeros(p, dtype=bool)))]
+    else:
+        reads = [("least-squares", qr.residual),
+                 ("Galerkin", lambda: qr.galerkin_residual()[0])]
+    for kind, read in reads:
+        est = read()
+        y, image = qr.solve()
+        for i, (h, gi) in enumerate(zip(mats, g)):
+            if i == skip:
+                assert np.isnan(est[i])
+                assert not y[i].any() and not image[i].any()
+                continue
+            if kind == "Galerkin":
+                y_ref = np.linalg.solve(h[:jl], gi[:jl])
+            else:
+                y_ref = np.linalg.lstsq(h, gi, rcond=None)[0]
+            # both solutions are backward stable: their distance scales
+            # with the condition number
+            tol = 1e-14 * np.linalg.cond(h[:jl] if kind == "Galerkin" else h)
+            assert np.linalg.norm(y[i] - y_ref) \
+                <= tol * np.linalg.norm(y_ref)
+            assert np.linalg.norm(image[i] - h @ y_ref) \
+                <= tol * np.linalg.norm(h @ y_ref)
+
+
 def test_band_qr_solve_skips_exactly_singular_shift():
     # Hbar = [[1, 2], [0, 3], [0, 1]] with a zero subdiagonal entry: at
     # shift -1 the first column of Hbar + sigma [I; 0] vanishes, so the

@@ -717,3 +717,25 @@ def test_csv_bytes_match_row_wise_reference(tmp_path, name):
     joint = (tmp_path / "new_joint.csv").read_bytes()
     assert joint == (tmp_path / "ref_joint.csv").read_bytes()
     assert joint.count(b"\n") > 1
+
+
+def test_report_steps_built_once_per_set_of_points():
+    # the harness reads steps for every output it writes: the arrays are
+    # built once, read-only, and rebuilt after a new point or absorbed
+    # sub-report
+    rep = SolveReport("sgmres", np.array([0.1, 1.0]), np.ones(2))
+    rep.record_step(0, 0, [1.0, 2.0], [False, False])
+    first = rep.steps
+    assert rep.steps is first
+    with pytest.raises(ValueError):
+        first.resid[0, 0] = 0.0
+    rep.record_step(1, 1, [0.5, 0.25], [False, True], [True, False])
+    assert rep.steps is not first and len(rep.steps.cycle) == 2
+    assert np.isnan(rep.steps.resid[1, 1])
+    sub = SolveReport("gmres", np.array([1.0]), np.ones(1))
+    sub.record_step(0, 0, [0.25], [False])
+    second = rep.steps
+    rep.absorb(sub, 1, 1, 1)
+    assert rep.steps is not second
+    assert rep.steps.iteration.tolist() == [0, 1, 1]
+    assert rep.steps.recorded[2].tolist() == [False, True]

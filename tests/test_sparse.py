@@ -262,3 +262,32 @@ def test_family_residual_block():
     fam = ShiftedFamily(a, shifts, b, x)
     expect = b - a.to_dense() @ x - x * shifts[None, :]
     assert np.allclose(fam.residual_block(x), expect, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["real", "complex shifts", "complex matrix",
+                                  "complex iterate"])
+def test_residual_block_against_dense_reference(case):
+    # b_i - (A + sigma_i I) x_i column by column with dense matrices; the
+    # residual is complex when the family or the iterate is: a real
+    # iterate of complex shifts, a complex iterate of a real family (as a
+    # complex recycle space makes it)
+    rng = np.random.default_rng(8)
+    n, p = 30, 5
+    a = random_sparse(n, density=0.3, seed=8)
+    if case == "complex matrix":
+        a = SparseMatrix.from_dense(a.to_dense() * (1.0 - 0.5j))
+    shifts = rng.standard_normal(p)
+    if case == "complex shifts":
+        shifts = shifts + 1j * rng.standard_normal(p)
+    b = rng.standard_normal((n, p))
+    fam = ShiftedFamily(a, shifts, b, None)
+    x = rng.standard_normal((n, p))
+    if case in ("complex matrix", "complex iterate"):
+        x = x + 1j * rng.standard_normal((n, p))
+    r = fam.residual_block(x)
+    assert r.dtype == np.result_type(x, fam.rhs)
+    dense = a.to_dense()
+    for i in range(p):
+        expect = b[:, i] - (dense + shifts[i] * np.eye(n)) @ x[:, i]
+        assert np.linalg.norm(r[:, i] - expect) \
+            <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(x[:, i])
