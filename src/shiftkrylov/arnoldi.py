@@ -12,9 +12,9 @@ image basis ``C``), in which case every operator application is
 ``(I - C C*) A`` and the removed components are accumulated as coupling
 rows ``B_j = C* A W_j``.
 
-Dependent block candidates are replaced by fresh pseudo-random vectors so
-the block size never shrinks; every replacement is logged with the seed
-key that reproduces it.
+A step whose whole candidate block vanishes closes the relation; other
+dependent candidates are replaced by fresh pseudo-random vectors so the
+block size never shrinks, each logged with the seed key that reproduces it.
 
 The basis, Hessenberg matrix and coupling rows of one chain of states
 live in one preallocated column-major workspace that each step writes in
@@ -54,8 +54,8 @@ class Replacement:
 
 
 class _InvariantSubspace(Exception):
-    """Internal signal: every candidate direction is dependent and no
-    replacement direction exists; the span is operator-invariant.
+    """Internal signal: the span is operator-invariant, because a step's
+    whole candidate block vanished or no replacement direction exists.
 
     ``built`` counts the columns the failing step did build before the
     ambient space ran out (0 for a clean closing) and ``r_partial`` holds
@@ -79,11 +79,11 @@ class BlockArnoldiState:
     relation is ``(I - C C*) A W_j = W_{j+1} Hbar_j``; otherwise
     ``coupling`` is 0 x steps*L and ``A W_j = W_{j+1} Hbar_j``.
 
-    When the span becomes operator-invariant and the ambient space is
-    exhausted, the state closes with ``invariant=True``: ``basis`` then
-    has steps*L columns, ``hess`` is square and the relation holds with
-    no trailing block.  At block size one this is a happy breakdown that
-    exhausted the space; an earlier one leaves a zero subdiagonal entry.
+    When the span becomes operator-invariant (a step's candidate block
+    vanishes, or the ambient space runs out partway through it), the
+    state closes with ``invariant=True``: the relation holds with no
+    further block, and ``hess`` is square after a vanished block.  At
+    block size one this is the happy breakdown.
 
     ``basis``, ``hess`` and ``coupling`` are read-only; after the first
     step they are views into a column-major workspace shared along one
@@ -234,12 +234,13 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
     ``scale`` bounds the Frobenius norm of the raw candidate block before
     any orthogonalization (the start block's own norm, ``||A||_F`` for an
     Arnoldi step); when every new direction is below the breakdown
-    threshold relative to it, the whole block is dependent (an invariant
-    subspace was hit) and counts as zero.  Otherwise a column is dependent
-    when its diagonal entry in a LAPACK Householder QR falls below
-    ``DEPENDENCY_TOL`` times the largest one (at L = 1 the entry is the
-    norm of ``z``, and only the breakdown test can fire).  A block with no
-    dependent column keeps that factorization: ``Q`` comes from
+    threshold relative to it, the whole block is dependent: an Arnoldi
+    step hit an invariant subspace and raises :class:`_InvariantSubspace`,
+    and a start block (``step`` 0) counts as zero.  Otherwise a column is
+    dependent when its diagonal entry in a LAPACK Householder QR falls
+    below ``DEPENDENCY_TOL`` times the largest one (at L = 1 the entry is
+    the norm of ``z``, and only the breakdown test can fire).  A block
+    with no dependent column keeps that factorization: ``Q`` comes from
     ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
     by the diagonal's phase.  A block with one is orthogonalized column by
     column in two passes, a dependent column replaced as it is met.  Fills
@@ -260,6 +261,8 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
         mags = np.abs(diag)
         ref, low = float(mags.max()), float(mags.min())
     if ref <= BREAKDOWN_RTOL * scale:
+        if step:
+            raise _InvariantSubspace(0, r[:0])
         z = np.zeros_like(z)    # rounding noise: every column is replaced
     elif low > DEPENDENCY_TOL * ref:
         if ell == 1:
@@ -387,9 +390,8 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
                 scale=a.frobenius_norm)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
-            # partial basis block the step built before the ambient space
-            # ran out (possibly none, in which case the coefficient matrix
-            # becomes square)
+            # partial basis block the step built (none when the block
+            # vanished whole, and the coefficient matrix becomes square)
             trailing, r_new = sig.built, sig.r_partial
         ws.hess[(j + 1) * ell:(j + 1) * ell + trailing, cols] = r_new
         j += 1

@@ -25,7 +25,7 @@ import numpy as np
 from .arnoldi import block_arnoldi_extend, block_arnoldi_start
 from .block_solvers import (_add_products, _end_cycle, _finish,
                             _nonzero_collinear, _reference_direction,
-                            _run_cycles, _start, _unit_relation)
+                            _run_cycles, _start)
 from .dense import _SINGULAR_RTOL, ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
@@ -140,8 +140,8 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             report.matvecs += 1
             iteration += 1
             j = arn.steps
-            basis, hb, breakdown = _unit_relation(arn)
-            qr.append(hb[:j, j - 1:], hb[j:, j - 1:], arn.coupling[:, j - 1:])
+            qr.append(arn.hess[:j, j - 1:], arn.hess[j:, j - 1:],
+                      arn.coupling[:, j - 1:])
             est, singular = step(qr, base)
             ok = active & ~singular
             rho[ok] = est[ok]
@@ -150,7 +150,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             report.record_step(cycle, iteration, rho,
                                converged | (ok & (rho <= targets)),
                                active | converged)
-            if np.all(rho[active] <= targets[active]) or breakdown:
+            if np.all(rho[active] <= targets[active]) or arn.invariant:
                 break
         for i in np.nonzero(active & singular)[0]:
             report.note(f"cycle {cycle}: " + skip_note.format(i))
@@ -161,13 +161,13 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         if solved.any():
             # every column at once: a shift not solved this cycle gets
             # zero coefficients and keeps its residual column
-            y, c, u = end(qr, base, hb, beta)
+            y, c, u = end(qr, base, arn.hess, beta)
             y[~solved] = 0.0
-            _add_products(x, 1.0, (basis[:, :j], y))
-            if breakdown:
+            _add_products(x, 1.0, (arn.w, y))
+            if arn.invariant:
                 np.copyto(r, 0.0, where=solved)
             else:
-                np.multiply((basis @ u)[:, None], c, out=r, where=solved)
+                np.multiply((arn.basis @ u)[:, None], c, out=r, where=solved)
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active)
         left |= active & singular

@@ -155,18 +155,6 @@ def _scatter_rows(a, idx, p):
     return out
 
 
-def _unit_relation(arn):
-    """Basis, Hessenberg matrix and happy-breakdown flag of a
-    block-size-one Arnoldi state, with ``A basis[:, :steps] = basis hess``.
-    The last step broke down when the relation closed square
-    (``invariant``) or left an exact zero subdiagonal entry (the vanished
-    direction was replaced); the exact square leading relation is then
-    returned, else the tall one."""
-    j = arn.steps
-    rows = j if arn.invariant or arn.hess[j, j - 1] == 0.0 else j + 1
-    return arn.basis[:, :rows], arn.hess[:rows, :], rows == j
-
-
 def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     """One cycle over a space all shifts share, solved from one shifted QR
     state: without ``seed_key`` (``gmres-cycle``) the least squares over
@@ -186,12 +174,10 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     for _ in range(m_init):
         arn = block_arnoldi_extend(family.matrix, arn, 1)
         j = arn.steps
-        basis, hess, closed = _unit_relation(arn) if ell == 1 \
-            else (arn.basis, arn.hess, arn.invariant)
         new = slice((j - 1) * ell, j * ell)
-        qr.append(hess[:j * ell, new], hess[j * ell:, new],
+        qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
                   arn.coupling[:, new])
-        if closed:
+        if arn.invariant:
             break
     report.matvecs += j * ell
     if seed_key is None:
@@ -205,8 +191,8 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
         report.note(f"{tag}: singular {kind} system for shift index {i}; "
                     "update skipped")
     y, image = qr.solve()
-    x += basis[:, :j * ell] @ y.T
-    r -= basis @ image.T
+    x += arn.w @ y.T
+    r -= arn.basis @ image.T
     return x, r, j
 
 
@@ -411,9 +397,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
                       arn.coupling[:, new])
             if k_now > 0:
-                blocks = augmentation_blocks(
-                    cur_space, arn.basis,
-                    pad_seed=_cycle_seed(cfg.seed, cycle) + j, prev=blocks)
+                blocks = augmentation_blocks(cur_space, arn.basis,
+                                             prev=blocks)
                 if blocks.padded and blocks.padded != noted:
                     report.note(
                         f"cycle {cycle} step {j}: recycle directions "

@@ -234,24 +234,25 @@ class ShiftedBandQR:
     def augmented_residual(self, p, q2, n_factor, alone):
         """Per shift, the least-squares residual norm of the augmented
         matrix ``[[B_j, I + sigma Q2], [Hbar_j + sigma [I; 0], sigma P],
-        [0, sigma N]]`` (the rows of ``G_i``, then of ``Uhat``): the last
-        diagonal entry of the QR of the (L + 2k) x (k + 1) tail that the
-        rotated recycle columns leave beside the carried entries of ``g``,
-        one batched QR for the family.  A shift marked in the mask
-        ``alone`` has no recycle columns (:meth:`residual`).  NaN where the
-        band triangle or the tail's first k columns have an exactly zero
-        diagonal entry.
+        [0, sigma N]]`` (the rows of ``G_i``, then one per row of N): the
+        last diagonal entry of the QR of the tail that the rotated recycle
+        columns leave beside the carried entries of ``g`` (zero rows pad
+        it to k + 1 rows), one batched QR for the family.  A shift marked
+        in ``alone`` has no recycle columns (:meth:`residual`).  NaN where
+        the band triangle or the tail's first k columns have an exactly
+        zero diagonal entry.
         """
         k, carry = self.coupling_rows, self.carry
         top = self.steps * self.block_size
         qc = self.q[:, top:top + carry, :top + carry]
         sig = self.shifts[:, None, None]
-        tail = np.zeros((len(self.shifts), carry + k, k + 1),
+        uhat_rows = slice(carry, carry + len(n_factor))
+        tail = np.zeros((len(self.shifts), max(uhat_rows.stop, k + 1), k + 1),
                         dtype=np.result_type(qc, p))
         turned = np.concatenate((q2, p))
         tail[:, :carry, :k] = qc[..., :k] + sig * (qc @ turned)
         tail[:, :carry, k] = self.g[:, top:top + carry]
-        tail[:, carry:, :k] = sig * n_factor
+        tail[:, uhat_rows, :k] = sig * n_factor
         # R of each tail in the upper triangle of the transposed raw factor
         raw = np.linalg.qr(tail, mode="raw")[0]
         diag = np.abs(np.diagonal(raw, axis1=1, axis2=2))
@@ -260,7 +261,8 @@ class ShiftedBandQR:
         singular = (self._diag_min == 0.0) | (
             ~alone & np.any(diag[:, :k] == 0.0, axis=1))
         rho[singular] = np.nan
-        self._read = ("augmented", singular, turned, tail, raw, alone)
+        self._read = ("augmented", singular, turned, tail, raw, alone,
+                      uhat_rows)
         return rho
 
     def solve(self, rhs=None):
@@ -284,7 +286,7 @@ class ShiftedBandQR:
         solved = np.nonzero(~skip)[0]
         tri = top                       # order of R's triangle left to solve
         if kind == "augmented":
-            turned, tail, raw, alone = recycle
+            turned, tail, raw, alone, uhat_rows = recycle
             # the tail's R is the upper triangle of each raw factor's
             # transpose
             fit = np.nonzero(~(skip | alone))[0]
@@ -295,7 +297,7 @@ class ShiftedBandQR:
             tz = _apply(q[..., :k] + self.shifts[:, None, None] * (
                 q @ turned), z)
             y -= tz[:, :top]
-            on_uhat = _apply(tail[:, self.carry:, :k], z)
+            on_uhat = _apply(tail[:, uhat_rows, :k], z)
         elif kind == "Galerkin":
             # the latest pivot block stands in for R's last diagonal block
             tri -= ell

@@ -176,17 +176,12 @@ class AugmentationBlocks:
     """QR-correction blocks shared by all shifts at one inner step.
 
     Factors ``[W_{j+1}  C  U] = [W_{j+1}  C  Uhat] T`` where T stacks
-    ``p = W_{j+1}* U``, ``q2 = C* U`` and the upper triangular
-    ``n_factor`` of the remainder, so ``[W_{j+1}  C  Uhat]`` has
-    orthonormal columns.  ``remainder`` is ``D = U - W_{j+1} p - C q2``,
-    the part of U that the next step's basis block is taken out of (see
-    :func:`augmentation_blocks`), and ``Uhat n_factor`` is its QR.
-    ``padded`` lists, in increasing order, recycle directions that were
-    numerically contained in span([W C]) and whose ``Uhat`` column is a
-    filler direction with a zero diagonal entry in ``n_factor`` (the
-    factorization stays exact); ``filler`` holds those fillers, taken out
-    of [W C] and carried to the next step like the remainder, and
-    ``filler_tol`` their containment thresholds.
+    ``p = W_{j+1}* U``, ``q2 = C* U`` and the k' x k ``n_factor``, and
+    ``[W_{j+1}  C  Uhat]`` has orthonormal columns.  ``remainder`` is
+    ``D = U - W_{j+1} p - C q2`` (see :func:`augmentation_blocks`) and
+    ``Uhat n_factor`` its QR.  ``padded`` lists, in increasing order, the
+    recycle directions numerically contained in span([W C Uhat]); they
+    have no ``Uhat`` column, so k' = k - len(padded).
     """
 
     p: np.ndarray
@@ -195,91 +190,64 @@ class AugmentationBlocks:
     n_factor: np.ndarray
     padded: tuple = ()
     remainder: np.ndarray | None = None
-    filler: np.ndarray | None = None
-    filler_tol: np.ndarray | None = None
 
 
 _CONTAINED_TOL = 1e-13
 
 
-def augmentation_blocks(space: RecycleSpace, w_basis, pad_seed,
+def augmentation_blocks(space: RecycleSpace, w_basis,
                         prev=None) -> AugmentationBlocks:
     """Orthogonalize U against [W C] and QR the remainder.
 
     ``prev`` holds the blocks of an earlier step of the same Arnoldi
     chain: only the columns of ``w_basis`` after its ``p`` rows are taken
-    out of its carried remainder and fillers, one block at a time, so a
-    cycle costs O(m) block updates.  Without ``prev`` the remainder starts
-    from U, which gives up C and then all of ``w_basis`` as one block.
-    Every block goes in two passes of the Arnoldi process's chunked block
-    Gram-Schmidt (BMGS2), and one LAPACK QR of the n x k remainder, with
-    the carried fillers in their columns, gives ``Uhat`` and ``n_factor``
-    (one more QR per newly padded direction, below).
+    out of its carried remainder, one block at a time, so a cycle costs
+    O(m) block updates.  Without ``prev`` the remainder starts from U,
+    which gives up C and then all of ``w_basis`` as one block.  Every
+    block goes in two passes of the Arnoldi process's chunked block
+    Gram-Schmidt (BMGS2), and one LAPACK QR of the remainder's columns
+    gives ``Uhat`` and ``n_factor``.
 
     A recycle direction whose diagonal entry falls to ``1e-13`` of its
-    own norm is numerically contained in span([W C]).  Such a column of
-    ``Uhat`` is a random filler, reproducible from ``pad_seed`` of the
-    step where the direction first became contained, orthogonal to
-    ``[W C]`` and the ``Uhat`` columns before it, and its ``n_factor``
-    column holds only its coefficients on those earlier columns, which
-    keeps the factorization exact.  A contained direction stays so as the
-    basis grows (its remainder only loses components), so it keeps its
-    filler for the rest of the chain; the least-squares problem does not
-    depend on which filler spans the complement.  When ``[W C]`` and the
-    earlier ``Uhat`` columns already span the whole space, no filler
-    exists and the column stays zero.  The blocks take the dtype of
-    ``w_basis`` and the space together.
+    own norm is numerically contained in span([W C]) and the ``Uhat``
+    columns before it, so it adds nothing to the space the shifted
+    residuals are minimized over: it gets no ``Uhat`` column, the QR runs
+    again without it, and its ``n_factor`` column is ``Uhat* D``.  Once
+    contained a direction stays so (its remainder only loses components
+    as the basis grows), so the QR leaves out those ``prev`` lists.  The
+    blocks take the dtype of ``w_basis`` and the space together.
     """
     w_basis = np.asarray(w_basis)
     u, c = space.u, space.c
     dtype = np.result_type(w_basis, u)
-    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
+    keep = np.ones(space.k, dtype=bool)
     if prev is None:
         d = np.array(u, dtype=dtype, order="F")
         q2, = _project_out(d, c)
         p = np.zeros((0, space.k), dtype=dtype)
-        padded = []
     else:
         d = prev.remainder.copy(order="F")
         q2, p = prev.q2, prev.p
-        padded = list(prev.padded)
-    new = w_basis[:, p.shape[0]:]
-    p = np.vstack([p, *_project_out(d, new)])
-    m = d
-    if padded:
-        filler = prev.filler.copy(order="F")
-        _project_out(filler, new)
-        m = d.copy(order="F")
-        m[:, padded], tol[padded] = filler, prev.filler_tol
+        keep[list(prev.padded)] = False
+    p = np.vstack([p, *_project_out(d, w_basis[:, p.shape[0]:])])
+    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
     while True:
-        qr, tau = geqrf(m)[:2]
-        n_factor = np.triu(qr[:space.k])
-        diag = np.abs(np.diagonal(n_factor))
-        contained = diag <= tol
-        contained[padded] = False
+        cols = np.nonzero(keep)[0]
+        qr, tau = geqrf(d if keep.all() else d[:, cols])[:2]
+        r = np.triu(qr[:len(cols)])
+        contained = np.abs(np.diagonal(r)) <= tol[cols]
         if not contained.any():
             break
-        col = int(np.argmax(contained))
-        # the Householder columns from here on are not orthogonal to
-        # [W C]: put a filler in this column and QR once more
-        rng = np.random.default_rng(np.random.SeedSequence((pad_seed, col)))
-        f = rng.standard_normal((u.shape[0], 1)).astype(dtype)
-        # the column's diagonal entry is now the filler's, on its scale
-        tol[col] = _CONTAINED_TOL * np.linalg.norm(f)
-        _project_out(f, w_basis, c)
-        m = m.copy() if m is d else m
-        m[:, col:col + 1] = f
-        padded = sorted(padded + [col])
+        # the Householder columns after it are taken against its rounding
+        # noise: drop it and judge them again
+        keep[cols[np.argmax(contained)]] = False
     u_hat = orgqr(qr, tau, overwrite_a=True)[0]
-    if padded:
-        # an exhausted filler leaves its column zero; a padded direction
-        # keeps its coefficients on the Uhat columns before it
-        u_hat[:, padded] *= diag[padded] > tol[padded]
-        above = np.arange(space.k)[:, None] < np.array(padded)
-        n_factor[:, padded] = above * (u_hat.conj().T @ d[:, padded])
-    return AugmentationBlocks(p, q2, u_hat, n_factor, tuple(padded), d,
-                              m[:, padded], tol[padded])
+    n_factor = np.empty((len(cols), space.k), dtype=dtype)
+    n_factor[:, keep] = r
+    n_factor[:, ~keep] = u_hat.conj().T @ d[:, ~keep]
+    return AugmentationBlocks(p, q2, u_hat, n_factor,
+                              tuple(np.nonzero(~keep)[0].tolist()), d)
 
 
 def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,

@@ -239,25 +239,15 @@ def generate_convection_diffusion(grid_m: int, convection: float) -> SparseMatri
     off = -h_inv * h_inv
     east = off + convection * h_inv / 2.0
     west = off - convection * h_inv / 2.0
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for i in range(m):          # grid row (y direction)
-        for j in range(m):      # grid column (x direction)
-            k = i * m + j
-            put(k, k, diag)
-            if j > 0:
-                put(k, k - 1, west)
-            if j < m - 1:
-                put(k, k + 1, east)
-            if i > 0:
-                put(k, k - m, off)
-            if i < m - 1:
-                put(k, k + m, off)
+    k = np.arange(m * m).reshape(m, m)     # unknown i m + j at grid (i, j)
+    # (row, column, value) of the diagonal, then of the couplings to the
+    # west and east (grid column j -+ 1) and the south and north (row i -+ 1)
+    parts = [(k, k, diag), (k[:, 1:], k[:, :-1], west),
+             (k[:, :-1], k[:, 1:], east), (k[1:], k[:-1], off),
+             (k[:-1], k[1:], off)]
+    rows = np.concatenate([r.ravel() for r, _, _ in parts])
+    cols = np.concatenate([c.ravel() for _, c, _ in parts])
+    vals = np.concatenate([np.full(r.size, v) for r, _, v in parts])
     return SparseMatrix.from_coo(m * m, m * m, rows, cols, vals)
 
 

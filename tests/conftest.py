@@ -73,12 +73,12 @@ def augmented_matrix(hbar, coupling, p, q2, n_factor, sigma):
     """The shifted augmented matrix built from its definition,
     ``[[Hbar + sigma [I; 0], sigma P], [B, I + sigma Q2], [0, sigma N]]``:
     it maps coefficients on ``[W_j U]`` to coefficients on
-    ``[W_{j+1} C Uhat]``."""
+    ``[W_{j+1} C Uhat]``, whose ``Uhat`` has one column per row of N."""
     k = q2.shape[0]
     return np.block([
         [hbar + sigma * np.eye(*hbar.shape), sigma * p],
         [coupling, np.eye(k) + sigma * q2],
-        [np.zeros((k, hbar.shape[1])), sigma * n_factor]])
+        [np.zeros((len(n_factor), hbar.shape[1])), sigma * n_factor]])
 
 
 @pytest.fixture

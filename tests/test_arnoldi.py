@@ -8,7 +8,6 @@ from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
                          sgmres)
 import shiftkrylov.arnoldi as arnoldi
 from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
-from shiftkrylov.block_solvers import _unit_relation
 
 from conftest import (block_krylov_powers, projected_sylvester_powers,
                       random_sparse, sylvester_powers)
@@ -22,14 +21,13 @@ def test_identity_breaks_down_immediately():
     a = SparseMatrix.identity(4)
     v = np.array([1.0, 2.0, 0.0, -1.0])
     state = block_arnoldi_extend(a, block_arnoldi_start(v), 1)
-    # the vanished direction was replaced, leaving an exact zero
-    # subdiagonal entry
-    assert state.hess[1, 0] == 0.0
-    assert [rec.step for rec in state.replacements] == [1]
-    basis, hess, breakdown = _unit_relation(state)
-    assert breakdown and state.steps == 1
-    assert hess.shape == (1, 1) and basis.shape == (4, 1)
-    assert hess[0, 0] == pytest.approx(1.0)
+    # the new direction vanished: the relation closes square at step 1,
+    # with no replacement
+    assert state.invariant and state.steps == 1 and not state.replacements
+    assert state.hess.shape == (1, 1) and state.basis.shape == (4, 1)
+    assert state.hess[0, 0] == pytest.approx(1.0)
+    # a closed state extends no further
+    assert block_arnoldi_extend(a, state, 3) is state
 
 
 def test_grade_equals_distinct_eigenvalues():
@@ -38,8 +36,7 @@ def test_grade_equals_distinct_eigenvalues():
     state = block_arnoldi(a, v, 5)
     # no replacement exists in the exhausted space: the relation closes
     assert state.invariant and state.steps == 2
-    basis, hess, breakdown = _unit_relation(state)
-    assert breakdown and hess.shape == (2, 2) and basis.shape == (2, 2)
+    assert state.hess.shape == (2, 2) and state.basis.shape == (2, 2)
     # the basis spans the whole space
     assert np.linalg.matrix_rank(state.basis) == 2
 
@@ -48,8 +45,8 @@ def test_arnoldi_relation_random():
     a = random_sparse(20, density=0.3, seed=2)
     v = np.random.default_rng(3).standard_normal(20)
     state = block_arnoldi(a, v, 5)
-    basis, hess, breakdown = _unit_relation(state)
-    assert not breakdown and hess.shape == (6, 5) and basis.shape == (20, 6)
+    assert not state.invariant
+    assert state.hess.shape == (6, 5) and state.basis.shape == (20, 6)
     ad = a.to_dense()
     rel = np.linalg.norm(ad @ state.basis[:, :5] - state.basis @ state.hess)
     assert rel <= 1e-10 * a.frobenius_norm
@@ -84,14 +81,13 @@ def test_block_initial_dependence_replaced():
 
 def test_block_identity_grade_one():
     a = SparseMatrix.identity(6)
-    r0 = np.random.default_rng(4).standard_normal((6, 2))
-    state = block_arnoldi(a, r0, 1, seed=5)
-    ell = 2
-    h11 = state.hess[:ell, :ell]
-    assert np.allclose(h11, np.eye(2), atol=1e-12)
-    # every candidate column was dependent after one application
-    cols = [rec.column for rec in state.replacements if rec.step == 1]
-    assert sorted(cols) == [0, 1]
+    r0 = np.random.default_rng(4).standard_normal((6, 3))
+    state = block_arnoldi(a, r0, 2, seed=5)
+    # every candidate column was dependent after one application: the
+    # relation closes square at step 1, with no replacement
+    assert state.invariant and state.steps == 1 and not state.replacements
+    assert state.hess.shape == (3, 3) and state.basis.shape == (6, 3)
+    assert np.allclose(state.hess, np.eye(3), atol=1e-12)
 
 
 def test_block_start_replaces_near_dependent_column():
@@ -392,11 +388,15 @@ def test_replacement_seed_keys_pinned():
     block = np.column_stack([v, w, 2.0 * v])
     start = block_arnoldi_start(block, seed=7)
     assert start.replacements == (Replacement(0, 2, (7, 0, 2, 0)),)
-    # on the identity every later candidate is dependent
-    state = block_arnoldi(SparseMatrix.identity(12), block, 2, seed=7)
+    # A = I + e12 e12^T moves the basis by one direction, so the step-1
+    # candidate block has rank one and its last two columns are replaced;
+    # at step 2 the whole block vanishes and the relation closes
+    a = SparseMatrix.diagonal(np.r_[np.ones(11), 2.0])
+    state = block_arnoldi(a, block, 3, seed=7)
     assert state.replacements == start.replacements + tuple(
-        Replacement(step, col, (7, step, col, 0))
-        for step in (1, 2) for col in range(3))
+        Replacement(1, col, (7, 1, col, 0)) for col in (1, 2))
+    assert state.invariant and state.steps == 2
+    assert state.hess.shape == (6, 6)
 
 
 def test_start_block_in_recycle_span_is_replaced_whole():

@@ -269,6 +269,25 @@ def test_sgmres_singular_collinearity_system_skips_only_that_shift():
     assert np.allclose(x[:, 0], [0.5, 0.0]) and np.all(x[:, 1] == 0.0)
 
 
+def test_sgmres_base_that_leaves_ends_the_shared_family():
+    # A + 0.5 I is singular with b = e1 in its null space, so the base
+    # (shift 0.5, the smallest) has no iterate at cycle 1 and leaves; the
+    # family cannot go on without it, so every shift not converged leaves
+    # too (shift 2.0 was solved exactly in the same cycle)
+    a = SparseMatrix.diagonal([-0.5, 1.0, 2.0, 3.0])
+    fam = ShiftedFamily(a, [0.5, 2.0], np.tile(np.eye(4)[:, :1], (1, 2)),
+                        None)
+    x, rep = sgmres(fam, SolverConfig(cycle_length=3, max_cycles=4))
+    assert rep.notes[0] == "cycle 1: no collinear update for shift index 0"
+    assert rep.notes[1].startswith("shift index 0 left the shared family")
+    assert not any("shift index 1" in note for note in rep.notes)
+    assert np.all(x[:, 0] == 0.0)
+    assert np.abs(x[:, 1] - [1.0 / 1.5, 0.0, 0.0, 0.0]).max() <= 1e-15
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert rep.converged == [bool(t <= 1e-8) for t in true] == [False, True]
+    assert rep.final_residuals == list(true)
+
+
 def _skip_family():
     # the family of the test above: shift -2 has no collinear iterate
     a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -6,11 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
-                         ShiftedFamily, SolverConfig, SparseMatrix,
-                         add_shift, block_arnoldi,
+                         DimensionError, ShiftedFamily, SolverConfig,
+                         SparseMatrix, add_shift, block_arnoldi,
+                         block_arnoldi_extend, block_arnoldi_start,
                          detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
-                         rsbgmres, sbfom, sbgmres, sfom, sgmres)
+                         hessenberg_eigen, rsbgmres, sbfom, sbgmres, sfom,
+                         sgmres, update_recycle_space)
 import shiftkrylov.arnoldi as arnoldi
 import shiftkrylov.baselines as baselines
 import shiftkrylov.block_solvers as block_solvers
@@ -837,3 +839,39 @@ def test_chunked_gram_schmidt_solves_as_whole_blocks(name, monkeypatch):
                   <= 1e-10 * np.linalg.norm(x_whole, axis=0))
     # every step's [C W], the basis that closes each cycle among them
     assert len(errors) == rep.block_matvecs and max(errors) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
+# public input checks
+# ---------------------------------------------------------------------------
+
+_EYE4 = SparseMatrix.identity(4)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: DecollinearizeStrategy("bogus"), "strategy 'bogus'",
+                 id="strategy-tag"),
+    pytest.param(lambda: DecollinearizeStrategy(m_init=0), "m_init",
+                 id="strategy-m_init"),
+    pytest.param(lambda: hessenberg_eigen(np.ones((2, 3)), "largest", 1),
+                 "square matrix", id="eigen-not-square"),
+    pytest.param(lambda: hessenberg_eigen(np.eye(2), "middle", 1),
+                 "ordering 'middle'", id="eigen-ordering"),
+    pytest.param(lambda: hessenberg_eigen(np.eye(2), "largest", 0),
+                 "count", id="eigen-count"),
+    pytest.param(lambda: block_arnoldi_start(np.zeros((4, 0))),
+                 "initial block", id="arnoldi-empty-block"),
+    pytest.param(lambda: block_arnoldi_extend(
+        _EYE4, block_arnoldi_start(np.ones(4)), steps=0), "steps",
+                 id="arnoldi-zero-steps"),
+    pytest.param(lambda: block_arnoldi(_EYE4, np.ones((3, 1)), 2), "r0",
+                 id="arnoldi-rows"),
+    pytest.param(lambda: RecycleSpace(np.eye(4)[:, :2], np.eye(4)[:, :1]),
+                 "u and c", id="space-shapes"),
+    pytest.param(lambda: update_recycle_space(
+        block_arnoldi_start(np.ones(4)), "ritz-largest", 1),
+                 "arnoldi state", id="update-zero-steps")])
+def test_public_input_checks_raise_dimension_error_naming_the_input(call,
+                                                                    name):
+    with pytest.raises(DimensionError, match=name):
+        call()

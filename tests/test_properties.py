@@ -82,8 +82,7 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
         qr.append(arn.hess[:j * ell, cols], arn.hess[j * ell:, cols],
                   arn.coupling[:, cols])
         if k:
-            blocks = augmentation_blocks(space, arn.basis, pad_seed=j,
-                                         prev=blocks)
+            blocks = augmentation_blocks(space, arn.basis, prev=blocks)
             estimates = qr.augmented_residual(blocks.p, blocks.q2,
                                               blocks.n_factor,
                                               np.zeros(ell, dtype=bool))

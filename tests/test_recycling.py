@@ -135,7 +135,7 @@ def test_augmented_operator_zero_shift_collapses():
     r0 = rng.standard_normal((18, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
     arn = block_arnoldi(a, r0, 3, projector=space, seed=0)
-    blocks = augmentation_blocks(space, arn.basis, pad_seed=0)
+    blocks = augmentation_blocks(space, arn.basis)
     g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
                              blocks.n_factor, 0.0)
     k = 3
@@ -152,8 +152,7 @@ def test_augmented_operator_empty_space_is_plain_hessenberg():
     a = random_sparse(18, seed=18, diag_boost=4.0)
     r0 = np.random.default_rng(19).standard_normal((18, 2))
     arn = block_arnoldi(a, r0, 3, seed=0)
-    blocks = augmentation_blocks(RecycleSpace.empty(18), arn.basis,
-                                 pad_seed=0)
+    blocks = augmentation_blocks(RecycleSpace.empty(18), arn.basis)
     # no recycle directions: the unprojected state carries a 0 x 3L
     # coupling, so there are no coupling rows and no trailing columns
     assert arn.coupling.shape == (0, arn.hess.shape[1])
@@ -163,21 +162,40 @@ def test_augmented_operator_empty_space_is_plain_hessenberg():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_padding_filler_stays_zero_when_the_space_is_exhausted(dtype):
-    # n = 2: [W C] = [e1 e2] spans everything, so U = e2 is contained and
-    # no filler direction is left; the Uhat column stays zero and
-    # [W C U] = [W C Uhat] T holds exactly
+def test_contained_direction_leaves_uhat_when_the_space_is_exhausted(dtype):
+    # n = 2: [W C] = [e1 e2] spans everything, so U = e2 is contained:
+    # Uhat has no column, N is 0 x 1 and [W C U] = [W C Uhat] T holds
+    # exactly, whether the blocks are carried from the step before or not
     phase = 1.0 if dtype == np.float64 else 1j
     e1, e2 = np.eye(2)[:, :1].astype(dtype), np.eye(2)[:, 1:]
     space = RecycleSpace(phase * e2, phase * e2)
-    blocks = augmentation_blocks(space, e1, pad_seed=7)
-    assert blocks.padded == (0,)
-    assert blocks.u_hat.dtype == dtype
-    assert np.array_equal(blocks.u_hat, np.zeros((2, 1)))
-    assert np.array_equal(blocks.n_factor, np.zeros((1, 1)))
-    rebuilt = (e1 @ blocks.p + space.c @ blocks.q2
-               + blocks.u_hat @ blocks.n_factor)
-    assert np.array_equal(rebuilt, space.u)
+    start = augmentation_blocks(space, e1[:, :0])
+    for blocks in (augmentation_blocks(space, e1),
+                   augmentation_blocks(space, e1, prev=start)):
+        assert blocks.padded == (0,)
+        assert blocks.u_hat.dtype == dtype
+        assert blocks.u_hat.shape == (2, 0)
+        assert blocks.n_factor.shape == (0, 1)
+        rebuilt = (e1 @ blocks.p + space.c @ blocks.q2
+                   + blocks.u_hat @ blocks.n_factor)
+        assert np.array_equal(rebuilt, space.u)
+
+
+def test_rsbgmres_solves_exactly_when_every_direction_is_contained():
+    # U = C = e2 is an eigenvector of A = diag(3, 1); the projected
+    # residual is e1, whose Krylov space closes at step 1, so [W C] is
+    # the whole space, Uhat is empty and the tail of the augmented
+    # least squares is padded with a zero row
+    a = SparseMatrix.diagonal([3.0, 1.0])
+    e2 = np.eye(2)[:, 1:]
+    fam = ShiftedFamily(a, [0.5], np.ones((2, 1)), None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-12, max_cycles=2)
+    x, rep, _ = rsbgmres(fam, cfg, RecycleSpace(e2, e2), update=False)
+    assert rep.converged == [True] and rep.cycles == 1
+    assert rep.matvecs == 1
+    assert np.abs(x[:, 0] - [1.0 / 3.5, 1.0 / 1.5]).max() <= 1e-15
+    assert rep.notes == ["cycle 1 step 1: recycle directions [0] "
+                         "numerically contained in the Krylov space"]
 
 
 @pytest.mark.parametrize("argument", ["u", "c"])
@@ -197,7 +215,7 @@ def test_augmented_relation_random_shift():
     r0 -= space.c @ (space.c.conj().T @ r0)
     arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
     sigma = 0.3
-    blocks = augmentation_blocks(space, arn.basis, pad_seed=0)
+    blocks = augmentation_blocks(space, arn.basis)
     g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
                              blocks.n_factor, sigma)
     ad = a.to_dense()
@@ -210,8 +228,9 @@ def test_augmented_relation_random_shift():
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_carried_augmentation_blocks_equal_the_one_shot_call(dtype):
     # a projected chain with L = 3, k = 4; recycle direction 2 is put in
-    # the first three basis blocks, so it is contained, and padded, from
-    # step 2 on (the factorization does not need C = A U for it)
+    # the first three basis blocks, so it is contained, and has no Uhat
+    # column, from step 2 on (the factorization does not need C = A U
+    # for it)
     n, ell, k = 60, 3, 4
     a = random_sparse(n, seed=30, diag_boost=4.0)
     rng = np.random.default_rng(31)
@@ -231,31 +250,28 @@ def test_carried_augmentation_blocks_equal_the_one_shot_call(dtype):
     space = RecycleSpace(u, space.c)
     blocks = None
     for j, arn in enumerate(states[1:], start=1):
-        prev = blocks
-        blocks = augmentation_blocks(space, arn.basis, pad_seed=j,
-                                     prev=prev)
-        fresh = augmentation_blocks(space, arn.basis, pad_seed=j)
-        if j > 2:
-            # a carried filler is not drawn again: the step's seed is unused
-            other = augmentation_blocks(space, arn.basis, pad_seed=j + 100,
-                                        prev=prev)
-            assert np.array_equal(other.u_hat, blocks.u_hat)
+        blocks = augmentation_blocks(space, arn.basis, prev=blocks)
+        fresh = augmentation_blocks(space, arn.basis)
         assert blocks.u_hat.dtype == dtype
         assert blocks.padded == fresh.padded == ((2,) if j >= 2 else ())
-        for carried, ref in ((blocks.p, fresh.p), (blocks.q2, fresh.q2)):
+        assert blocks.u_hat.shape == (n, k - len(blocks.padded))
+        assert blocks.n_factor.shape == (k - len(blocks.padded), k)
+        for carried, ref in ((blocks.p, fresh.p), (blocks.q2, fresh.q2),
+                             (blocks.u_hat, fresh.u_hat),
+                             (blocks.n_factor, fresh.n_factor)):
             assert np.linalg.norm(carried - ref) <= 1e-12 * np.linalg.norm(ref)
         wc = np.hstack([arn.basis, space.c])
         rebuilt = (wc @ np.vstack([blocks.p, blocks.q2])
                    + blocks.u_hat @ blocks.n_factor)
         assert np.linalg.norm(rebuilt - u) <= 1e-12 * np.linalg.norm(u)
-        gram = blocks.u_hat.conj().T @ blocks.u_hat
-        assert np.linalg.norm(gram - np.eye(k)) <= 1e-12
-        assert np.linalg.norm(wc.conj().T @ blocks.u_hat) <= 1e-12
+        both = np.hstack([wc, blocks.u_hat])
+        gram = both.conj().T @ both
+        assert np.linalg.norm(gram - np.eye(len(gram))) <= 1e-12
 
 
 def test_padding_is_noted_once_per_cycle():
     # e1 is an eigenvector of the diagonal A, so recycle direction 0 lies
-    # in span(C) and is padded at every step of every cycle
+    # in span(C) and is contained at every step of every cycle
     a = SparseMatrix.diagonal(np.linspace(1.0, 100.0, 50))
     basis = np.random.default_rng(32).standard_normal((50, 3))
     basis[:, 0] = np.eye(50)[:, 0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from shiftkrylov import (DimensionError, MatrixMarketError, ShiftedFamily,
                          SparseMatrix, add_shift, block_matvec,
@@ -188,6 +189,25 @@ def test_generator_small_stencil_oracle():
                        [-9.0, 0.0, 36.0, -9.0],
                        [0.0, -9.0, -9.0, 36.0]])
     assert np.array_equal(a, expect)
+
+
+@pytest.mark.parametrize("m, conv", [(2, 7.0), (5, 20.0), (9, -13.0)])
+def test_generator_matches_kronecker_sum_bit_for_bit(m, conv):
+    # the operator as the Kronecker sum I (x) Tx + Ty (x) I of the 1-D
+    # stencils, Tx with the centered convection term: the same entries,
+    # bit for bit, in the same CSR arrays
+    h2 = (m + 1.0) ** 2
+    ones = np.ones(m - 1)
+    ty = np.diag(np.full(m, 2.0 * h2)) - h2 * (np.diag(ones, 1)
+                                               + np.diag(ones, -1))
+    tx = ty + conv * (m + 1.0) / 2.0 * (np.diag(ones, 1) - np.diag(ones, -1))
+    expect = np.kron(np.eye(m), tx) + np.kron(ty, np.eye(m))
+    a = generate_convection_diffusion(m, conv)
+    assert np.array_equal(a.to_dense(), expect)
+    csr = scipy.sparse.csr_matrix(expect)
+    assert np.array_equal(a.row_offsets, csr.indptr)
+    assert np.array_equal(a.col_indices, csr.indices)
+    assert np.array_equal(a.values, csr.data)
 
 
 def test_generator_symmetric_without_convection():
