@@ -132,7 +132,8 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             v1 = r[:, base] / norm
         arn = block_arnoldi_start(v1, capacity=cfg.cycle_length)
         beta = v1.conj() @ r
-        args = offsets, beta[:, None], 1, 0, cfg.cycle_length
+        args = (offsets, beta[:, None], 1, 0, cfg.cycle_length,
+                a.frobenius_norm)
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
         for _j in range(cfg.cycle_length):

@@ -2,21 +2,25 @@
 strategies for rendering collinear initial residuals independent, and the
 restart engine they (and the recycled variant) run on.
 
-One cycle builds the block Krylov space of the current residual block,
-then solves one small shifted subproblem per shift: a tall least-squares
-problem for the minimum-residual method, a square Galerkin system for the
-orthogonal-residual method.  The subproblems share the band Hessenberg
-data and differ only by ``sigma I`` on the square part, so every shifted
-system is driven by the same operator applications.  One
-:class:`.dense.ShiftedBandQR` state per cycle, updated by one block
-column per step, gives every active shift's residual estimates and, in
-one solve at cycle end, its iterate.  The recycled method adds a recycle
-space ``(U, C)``; without one the space is empty (k = 0).  A shift with
-no oblique projection is solved over the Krylov space alone; a shift
-whose last estimate is NaN (a singular subproblem) keeps its iterate for
-the cycle, with a note, and the rest of the family goes on.  Every solve
-iterates in its family's working dtype (real for a real family, see
-:class:`.sparse.ShiftedFamily`), made complex by a complex recycle space.
+One cycle builds the block Krylov space of the residual columns of the
+shifts still unconverged when it starts (a converged shift costs no more
+products), then solves one small shifted subproblem per active shift: a
+tall least-squares problem for the minimum-residual method, a square
+Galerkin system for the orthogonal-residual method.  The subproblems
+share the band Hessenberg data and differ only by ``sigma I`` on the
+square part, so every shifted system is driven by the same operator
+applications.  One :class:`.dense.ShiftedBandQR` state per cycle,
+updated by one block column per step, gives every active shift's
+residual estimates and, in one solve at cycle end, its iterate.  The
+recycled method adds a recycle space ``(U, C)``; without one the space
+is empty (k = 0).  A shift with no oblique projection is solved over the
+Krylov space alone; a shift whose last estimate is NaN (a singular
+subproblem) keeps its iterate for the cycle, with a note, and the rest
+of the family goes on.  A cycle in which no active shift progressed
+ends the solve when the next one could not progress either.  Every
+solve iterates in its family's working dtype (real for a real family,
+see :class:`.sparse.ShiftedFamily`), made complex by a complex recycle
+space.
 """
 
 from __future__ import annotations
@@ -170,7 +174,7 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     ell = block.shape[1]
     arn = block_arnoldi_start(block, capacity=m_init)
     qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]), ell, 0,
-                       m_init)
+                       m_init, family.matrix.frobenius_norm)
     for _ in range(m_init):
         arn = block_arnoldi_extend(family.matrix, arn, 1)
         j = arn.steps
@@ -308,7 +312,18 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     requires ``kind == "gmres"``.  Each cycle ends with one solve on its
     :class:`.dense.ShiftedBandQR` state, then ``x += [W U] [y; z]`` and
     ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G`` the shifted augmented
-    matrix, for every k including 0.  The report gets one point for the
+    matrix, for every k including 0.  A cycle's block holds the residual
+    columns of the shifts unconverged as the cycle starts (a shift its
+    oblique projection converges keeps its column for that cycle), and
+    each block product counts that many matvecs; ``report.block_widths``
+    records the width per cycle.  The solve ends, with a note naming the
+    shifts that leave, after a cycle in which no active shift progressed
+    and the next cycle could not either: for ``"gmres"``, each active
+    shift converged or met the ``_STAGNATION_TOL`` test and the next
+    cycle searches inside this one's space (the recycle space kept, or
+    drawn from a closed unaugmented Krylov space); for ``"fom"``, whose
+    residual is not monotone, no column of the block changed, so the
+    next cycle would repeat this one.  The report gets one point for the
     whole family at the start, after a decollinearizing rewrite, after
     each cycle's oblique projection and after each step; each cycle's
     Arnoldi chain allocates its workspace once, for ``cfg.cycle_length``
@@ -348,6 +363,11 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         report.cycles = cycle
         resid_at_start = resid.copy()
         active = ~converged
+        # the cycle's block holds the columns of the shifts unconverged as
+        # it starts, those its oblique projection converges included
+        in_block = active.copy()
+        block = np.nonzero(in_block)[0]
+        report.block_widths.append(len(block))
         # shifts with no oblique projection: solved over the Krylov space
         # alone, their part in span(C) a right-hand side on the coupling rows
         alone = np.zeros(ell, dtype=bool)
@@ -378,23 +398,26 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 break
 
         idx = np.nonzero(active)[0]
-        arn = block_arnoldi_start(r, cur_space,
+        width = len(block)
+        arn = block_arnoldi_start(r[:, block], cur_space,
                                   seed=_cycle_seed(cfg.seed, cycle),
                                   capacity=cfg.cycle_length)
         rhs = np.concatenate(
-            (arn.s0[:, idx], (cur_space.c.conj().T @ r)[:, idx] * alone[idx]))
-        args = shifts[idx], rhs.T, ell, k_now, cfg.cycle_length
+            (arn.s0[:, np.searchsorted(block, idx)],
+             (cur_space.c.conj().T @ r[:, idx]) * alone[idx]))
+        args = (shifts[idx], rhs.T, width, k_now, cfg.cycle_length,
+                a.frobenius_norm)
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
         blocks, noted = None, ()
         for _j in range(cfg.cycle_length):
             arn = block_arnoldi_extend(a, arn, 1)
             report.block_matvecs += 1
-            report.matvecs += ell
+            report.matvecs += width
             iteration += 1
             j = arn.steps
-            new = slice((j - 1) * ell, j * ell)
-            qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
+            new = slice((j - 1) * width, j * width)
+            qr.append(arn.hess[:j * width, new], arn.hess[j * width:, new],
                       arn.coupling[:, new])
             if k_now > 0:
                 blocks = augmentation_blocks(cur_space, arn.basis,
@@ -446,6 +469,10 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             report.note(f"cycle {cycle}: stagnation for shift indices "
                         f"{np.nonzero(stalled)[0].tolist()}")
 
+        # the next cycle searches inside this one's space when it keeps the
+        # recycle space, or when this cycle closed an unaugmented Krylov
+        # space, which holds any recycle space drawn from it
+        inside = recycle_k == 0 or (k_now == 0 and arn.invariant)
         if recycle_k > 0:
             try:
                 cur_space = update_recycle_space(arn, recycle_mode,
@@ -454,6 +481,23 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             except (ShiftKrylovError, np.linalg.LinAlgError) as exc:
                 report.note(f"cycle {cycle}: recycle update failed "
                             f"({exc}); space kept")
+        if kind == "gmres":
+            # a minimum residual that did not fall over this cycle's space
+            # cannot fall over one inside it, and the next block holds the
+            # stalled columns alone, all but unchanged
+            stuck = stalled & inside
+            rest = active & ~converged
+        else:
+            # a Galerkin residual is not monotone: only a cycle that left
+            # every column of its block as it was, and that the next would
+            # repeat, shows that no shift progresses
+            stuck = in_block & ~y.any(axis=1)
+            rest = in_block
+        if np.any(stuck) and not np.any(rest & ~stuck):
+            report.note(f"cycle {cycle}: no active shift progressed; shift "
+                        f"indices {np.nonzero(stuck)[0].tolist()} leave "
+                        "and the solve ends")
+            break
 
     _finish(family, report, x, targets, r_true)
     return x, report, cur_space

@@ -65,17 +65,23 @@ class ShiftedBandQR:
     the family.  Each estimate is NaN for a shift whose subproblem is
     singular, and :meth:`solve` solves the subproblem of the estimate
     read last.  The dtype is that of the shifts and right-hand sides.
+    ``norm``, the Frobenius norm of the operator behind ``Hbar_j``, scales
+    the singular test of a width-one Galerkin pivot from the first step.
     """
 
-    def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps):
+    def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps,
+                 norm):
         self._buf = np.empty(0)
-        self.restart(shifts, rhs, block_size, coupling_rows, max_steps)
+        self.restart(shifts, rhs, block_size, coupling_rows, max_steps, norm)
 
-    def restart(self, shifts, rhs, block_size, coupling_rows, max_steps):
+    def restart(self, shifts, rhs, block_size, coupling_rows, max_steps,
+                norm):
         """Start over as a new state would, in this one's memory where it
         is large enough: a restarted solver then allocates no fresh pages
         per cycle.  Returns the state."""
         self.shifts = np.asarray(shifts)
+        # bounds ||H_j + sigma_i I|| at every step, the first included
+        self._scale = norm + np.abs(self.shifts)
         rhs = np.asarray(rhs)
         dtype = np.result_type(self.shifts, rhs, np.float64)
         p = len(self.shifts)
@@ -210,14 +216,15 @@ class ShiftedBandQR:
         Galerkin system ``(H_j + sigma_i I) y = rhs_i`` (k = 0), and
         whether it is singular (NaN norm): the pivot block's smallest
         singular value is at most ``_SINGULAR_RTOL`` times the largest of
-        its norm and the triangle's earlier diagonal, or that is 0."""
+        its norm and the triangle's earlier diagonal (at width one, and
+        ``norm + |sigma_i|``), or that is 0."""
         low, high = self._before
         rho = np.full(len(self.shifts), np.nan)
         if self.block_size == 1:
             # the pivot is one entry per shift, its own singular value
             pivot = np.abs(self._pivot[:, 0, 0])
-            singular = (pivot <= _SINGULAR_RTOL * np.maximum(high, pivot)) \
-                | (low == 0.0)
+            scale = np.maximum(np.maximum(high, pivot), self._scale)
+            singular = (pivot <= _SINGULAR_RTOL * scale) | (low == 0.0)
             sub = abs(self._sub[0, 0]) if len(self._sub) else 0.0
             np.divide(sub * np.abs(self._g_pivot[:, 0]), pivot, out=rho,
                       where=~singular)

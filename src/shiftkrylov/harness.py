@@ -515,14 +515,17 @@ def write_manifest(path, cfg: ExperimentConfig, results, elapsed,
             replaced = sum(len(u.report.replacements) for u in res.units)
             put(f"{prefix}.replacements", replaced)
             if res.method in ("sbgmres", "sbfom") and replaced == 0:
-                # L products per block product after each unit's last
-                # cycle-0 record (where gmres-cycle counts single vectors)
+                # after each unit's last cycle-0 record (where gmres-cycle
+                # counts single vectors), one product per column of each
+                # block product, at the block width its cycle recorded
                 expected = 0
                 for u in res.units:
                     st = u.report.steps
                     at = np.nonzero(st.cycle == 0)[0][-1]
-                    expected += st.matvecs[at] + len(u.shift_indices) * (
-                        u.report.block_matvecs - st.block_matvecs[at])
+                    widths = np.array([0, *u.report.block_widths])
+                    expected += st.matvecs[at] + int(
+                        widths[st.cycle[at + 1:]]
+                        @ np.diff(st.block_matvecs[at:]))
                 put(f"{prefix}.matvec_identity",
                     "ok" if expected == res.matvecs else
                     f"mismatch ({expected} != {res.matvecs})")

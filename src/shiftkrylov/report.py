@@ -64,8 +64,13 @@ class SolveReport:
     (:meth:`record_step`); :attr:`steps` returns them as arrays.
     ``extra_matvecs`` counts diagnostic products (true-residual
     verification, recycle-space re-basing) that are not part of the
-    iteration itself.  ``final_residuals`` and ``converged`` come from the
-    true residual ``b_i - (A + sigma_i I) x_i`` of the returned solution.
+    iteration itself.  ``block_widths`` holds, per cycle of the block
+    restart engine, the width of that cycle's block: the number of shifts
+    unconverged as the cycle starts (recorded also for a cycle that ends
+    at its oblique projection, before any block product).
+    ``final_residuals`` and
+    ``converged`` come from the true residual ``b_i - (A + sigma_i I)
+    x_i`` of the returned solution.
     """
 
     method: str
@@ -75,6 +80,7 @@ class SolveReport:
     block_matvecs: int = 0
     extra_matvecs: int = 0
     cycles: int = 0
+    block_widths: list = field(default_factory=list)
     converged: list = field(default_factory=list)
     final_residuals: list = field(default_factory=list)
     replacements: list = field(default_factory=list)

@@ -58,10 +58,12 @@ def projected_sylvester_powers(ad, c_basis, dtilde, f, j):
 def band_qr(hbar, coupling, block_size, shifts, rhs):
     """A :class:`ShiftedBandQR` state fed every block column of the band
     Hessenberg relation ``hbar`` with ``coupling`` rows, one step at a
-    time, as the solvers feed it."""
+    time, as the solvers feed it; ``hbar`` stands for its operator in
+    the singular tests."""
     ell = block_size
     steps = hbar.shape[1] // ell
-    qr = ShiftedBandQR(shifts, rhs, ell, coupling.shape[0], steps)
+    qr = ShiftedBandQR(shifts, rhs, ell, coupling.shape[0], steps,
+                       np.linalg.norm(hbar))
     for t in range(steps):
         new = slice(t * ell, (t + 1) * ell)
         qr.append(hbar[:(t + 1) * ell, new],

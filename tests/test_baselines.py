@@ -288,6 +288,38 @@ def test_sgmres_base_that_leaves_ends_the_shared_family():
     assert rep.final_residuals == list(true)
 
 
+def test_sgmres_shift_solved_alone_stops_when_it_stalls():
+    # the family above: the base leaves at cycle 1, and alone its Krylov
+    # space closes on a singular system at once, so it stalls; it stops
+    # there instead of running every cycle left of the cap
+    a = SparseMatrix.diagonal([-0.5, 1.0, 2.0, 3.0])
+    fam = ShiftedFamily(a, [0.5, 2.0], np.tile(np.eye(4)[:, :1], (1, 2)),
+                        None)
+    x, rep = sgmres(fam, SolverConfig(cycle_length=3, max_cycles=10))
+    assert rep.cycles == 2
+    assert rep.notes[-1] == ("shift index 0 alone: cycle 1: no active shift "
+                             "progressed; shift indices [0] leave and the "
+                             "solve ends")
+    assert rep.converged == [False, True]
+    assert rep.final_residuals[0] == pytest.approx(1.0)
+
+
+def test_sgmres_tiny_first_galerkin_pivot_is_singular():
+    # as above with b = ones: cycle 2's Krylov space closes after one step
+    # on a base pivot of about 1e-30, which the singular test measures
+    # against ||A + 0.5 I||_F, not against itself.  The base keeps its
+    # iterate and leaves, instead of returning y ~ 1e30
+    a = SparseMatrix.diagonal([-0.5, 1.0, 2.0, 3.0])
+    fam = ShiftedFamily(a, [0.5, 2.0], np.ones((4, 2)), None)
+    x, rep = sgmres(fam, SolverConfig(cycle_length=3))
+    assert "cycle 2: no collinear update for shift index 0" in rep.notes
+    assert not any("drifted" in note for note in rep.notes)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert rep.final_residuals == list(true)
+    assert rep.converged == [False, True]
+    assert rep.final_residuals[0] <= np.linalg.norm(fam.rhs[:, 0])
+
+
 def _skip_family():
     # the family of the test above: shift -2 has no collinear iterate
     a = SparseMatrix.from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))

@@ -668,7 +668,9 @@ def test_cycle_end_leaves_unsolved_columns_bit_identical(name, case,
     # earlier or whose subproblem was skipped this cycle gets zero
     # coefficients, and its iterate and residual columns keep every bit
     fam, cfg = _frozen_family(name, case)
-    ends = []
+    # cycle 1 starts from the zero iterate and the right-hand sides (no
+    # family here is decollinearized)
+    ends = [(0, None, None, (np.zeros_like(fam.rhs), fam.rhs.copy()))]
 
     def end_cycle(family, report, cycle, x, r, converged, targets, active,
                   *args, _original=block_solvers._end_cycle, **kwargs):
@@ -702,6 +704,128 @@ def test_cycle_end_leaves_unsolved_columns_bit_identical(name, case,
                 assert old[:, i].tobytes() == new[:, i].tobytes()
             checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres"])
+def test_block_holds_the_columns_of_the_unconverged_shifts(name,
+                                                          monkeypatch):
+    # the shifts converge cycles apart: each cycle's block starts from the
+    # columns of the shifts not converged when the cycle starts, and each
+    # of its block products counts one product per column
+    fam, cfg = _frozen_family(name, "staggered")
+    widths = []
+
+    def start(r0, *args, _original=block_solvers.block_arnoldi_start,
+              **kwargs):
+        widths.append(np.asarray(r0).shape[1])
+        return _original(r0, *args, **kwargs)
+
+    monkeypatch.setattr(block_solvers, "block_arnoldi_start", start)
+    if name == "rsbgmres":
+        _, rep, _ = rsbgmres(fam, cfg, None, k=2)
+    else:
+        _, rep = getattr(block_solvers, name)(fam, cfg)
+    assert rep.converged == [True] * 4
+    assert len(widths) == rep.cycles and widths == rep.block_widths
+    assert widths[0] == 4 and widths[-1] < 4
+    st = rep.steps
+    products = np.diff(st.block_matvecs)
+    for cycle, width in enumerate(widths, 1):
+        # the last point of the cycle before
+        before = np.nonzero(st.cycle < cycle)[0][-1]
+        assert width == np.count_nonzero(~st.converged[before])
+    at = np.nonzero(st.cycle == 0)[0][-1]
+    per_cycle = np.bincount(st.cycle[at + 1:], weights=products[at:],
+                            minlength=rep.cycles + 1)[1:]
+    assert rep.matvecs == st.matvecs[at] + int(np.dot(widths, per_cycle))
+
+
+def test_shift_converged_by_its_projection_keeps_its_column_that_cycle():
+    # U holds shift 0's solution, so cycle 1's oblique projection solves
+    # shift 0; its column stays in cycle 1's block, which the cycle's start
+    # fixes, and leaves cycle 2's
+    a = generate_convection_diffusion(5, 3.0)
+    b = np.random.default_rng(2).standard_normal((25, 2))
+    fam = ShiftedFamily(a, [0.5, 2.0], b, None)
+    exact = np.linalg.solve(a.to_dense() + 0.5 * np.eye(25), b[:, 0])
+    space = RecycleSpace.from_basis(a, exact[:, None])
+    cfg = SolverConfig(cycle_length=3, tolerance=1e-10, max_cycles=40)
+    _, rep, _ = rsbgmres(fam, cfg, space, update=False)
+    st = rep.steps
+    projected = np.nonzero(st.cycle == 1)[0][0]
+    assert st.block_matvecs[projected] == 0
+    assert st.converged[projected].tolist() == [True, False]
+    assert rep.block_widths[:2] == [2, 1] and rep.converged == [True, True]
+    widths = np.array([0, *rep.block_widths])
+    assert rep.matvecs == int(widths[st.cycle[1:]] @ np.diff(st.block_matvecs))
+
+
+def test_galerkin_residual_that_grows_does_not_end_the_solve():
+    # FOM(1) on A = [[1, 10], [0, 1]], b = e2: cycle 1 moves the residual
+    # from 1 to 10, a Galerkin step and no stagnation; cycle 2 starts from
+    # -10 e1, an eigenvector, and solves exactly
+    a = SparseMatrix.from_dense(np.array([[1.0, 10.0], [0.0, 1.0]]))
+    fam = ShiftedFamily(a, [0.0], np.array([[0.0], [1.0]]), None)
+    x, rep = sbfom(fam, SolverConfig(cycle_length=1, max_cycles=10))
+    assert rep.steps.resid[:, 0].tolist() == [1.0, 10.0, 0.0]
+    assert rep.cycles == 2 and rep.converged == [True]
+    assert np.allclose(x[:, 0], [-10.0, 1.0])
+
+
+def test_stall_exit_waits_while_the_recycle_space_moves():
+    # the kept-shift family below with the recycle space refreshed at each
+    # cycle end: the next cycle searches a space this one did not, so a
+    # stalled shift does not end the solve, which runs to its cap
+    a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
+    fam = ShiftedFamily(a, [0.5, -1.0], np.ones((4, 2)), None)
+    space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=8)
+    _, rep, _ = rsbgmres(fam, cfg, space)
+    assert any("stagnation" in note for note in rep.notes)
+    assert not any("leave" in note for note in rep.notes)
+    assert rep.cycles == 8 and rep.converged == [True, False]
+
+
+def _hopeless_family(case):
+    """A solve returning ``(x, report)`` of a family with one shift
+    that can never converge, the family and that shift's index; the cycle
+    cap is far above what the solve needs."""
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20)
+    if case == "kept-shift":
+        # C = U = e1 and (A - I) U = 0: shift -1 is solved over the
+        # Krylov space alone, and its best residual is |b_1| = 1
+        a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
+        fam = ShiftedFamily(a, [0.5, -1.0], np.ones((4, 2)), None)
+        space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
+        return (lambda: rsbgmres(fam, cfg, space, update=False)[:2]), fam, 1
+    fam, _ = _frozen_family(case, "singular")
+    if case == "rsbgmres":
+        return (lambda: rsbgmres(fam, cfg, None, k=1)[:2]), fam, 0
+    return (lambda: getattr(block_solvers, case)(fam, cfg)), fam, 0
+
+
+@pytest.mark.parametrize("case", ["kept-shift", "sbgmres", "sbfom",
+                                  "rsbgmres"])
+def test_hopeless_shift_leaves_and_the_solve_ends(case):
+    # once the one shift that progresses has converged, the hopeless shift
+    # stalls alone in the next block at the latest, leaves, and the solve
+    # ends at most one cycle after that shift converged; its flag and
+    # residual still come from the true residual
+    solve, fam, hopeless = _hopeless_family(case)
+    x, rep = solve()
+    other = 1 - hopeless
+    done = next(row[1] for row in rep.rows if row[0] == other and row[6])
+    assert rep.cycles <= done + 1
+    assert rep.notes[-1] == (
+        f"cycle {rep.cycles}: no active shift progressed; shift indices "
+        f"[{hopeless}] leave and the solve ends")
+    assert rep.converged[other] and not rep.converged[hopeless]
+    assert rep.final_residuals[hopeless] == pytest.approx(1.0, rel=1e-12)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
+    if case == "kept-shift":
+        # 40 products when the shift stayed in the block to the cycle cap
+        assert rep.matvecs < 40
 
 
 def test_drifted_shift_restarts_from_the_true_residual(monkeypatch):

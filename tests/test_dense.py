@@ -59,7 +59,7 @@ def test_fold_raises_at_its_floor_per_column():
 
 def test_hessenberg_ls_exact():
     # Hbar = [[1], [0]]: the right-hand side lies in the range
-    qr = ShiftedBandQR([0.0], [[2.0]], 1, 0, 1)
+    qr = ShiftedBandQR([0.0], [[2.0]], 1, 0, 1, norm=1.0)
     qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
     assert qr.residual()[0] == pytest.approx(0.0, abs=1e-15)
     y, image = qr.solve()
@@ -68,7 +68,7 @@ def test_hessenberg_ls_exact():
 
 def test_hessenberg_ls_pure_residual():
     # Hbar = [[0], [1]]: the right-hand side is orthogonal to the range
-    qr = ShiftedBandQR([0.0], [[3.0]], 1, 0, 1)
+    qr = ShiftedBandQR([0.0], [[3.0]], 1, 0, 1, norm=1.0)
     qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
     assert qr.residual()[0] == pytest.approx(3.0)
     y, image = qr.solve()
@@ -155,7 +155,7 @@ def test_hessenberg_ls_singular_column_named():
     # Hbar = [[1, 0], [0, 0], [0, 0]]: column 1 is zero, so the kept
     # triangle's diagonal entry 1 is exactly zero; the estimate is NaN and
     # the solve leaves the shift alone
-    qr = ShiftedBandQR([0.0], [[1.0]], 1, 0, 2)
+    qr = ShiftedBandQR([0.0], [[1.0]], 1, 0, 2, norm=1.0)
     qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
     qr.append([[0.0], [0.0]], [[0.0]], np.zeros((0, 1)))
     assert np.nonzero(np.diagonal(qr.r[0]) == 0.0)[0].tolist() == [1]
@@ -198,7 +198,8 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles(case):
     if complex_sub is not None:
         sub[complex_sub] *= np.exp(0.7j)
     hbar[np.arange(1, m + 1), np.arange(m)] = sub
-    qr = ShiftedBandQR(offsets, rhs[:, None], 1, 0, m)
+    qr = ShiftedBandQR(offsets, rhs[:, None], 1, 0, m,
+                       norm=np.linalg.norm(hbar))
     for j in range(1, m + 1):
         # the breakdown closes the relation square: no subdiagonal row
         rows = j + 1 if j < m else j
@@ -238,7 +239,7 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles(case):
 def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
     # H = [[0], [1]]: the 1 x 1 Galerkin system is singular at offset 0
     # but not at offset 1; the least-squares factor stays regular
-    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 2)
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 2, norm=1.0)
     qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
     rho, singular = qr.galerkin_residual()
     assert singular.tolist() == [True, False]
@@ -290,7 +291,8 @@ def test_shifted_band_qr_against_dense_oracles(ell, k):
     shifts = np.array([0.0, 0.7, 2.0 - 1.5j])
     rhs = np.random.default_rng(5).standard_normal((3, ell)) + 0.5j
     rng = np.random.default_rng(8)
-    qr = ShiftedBandQR(shifts, rhs, ell, k, steps)
+    qr = ShiftedBandQR(shifts, rhs, ell, k, steps,
+                       norm=np.linalg.norm(hbar))
     for j in range(1, steps + 1):
         rows = (j + 1) * ell if j < steps else j * ell + closing
         cols = slice((j - 1) * ell, j * ell)
@@ -334,7 +336,7 @@ def test_shifted_band_qr_against_dense_oracles(ell, k):
 def test_shifted_band_qr_flags_singular_galerkin_system():
     # H = [[0], [1]]: the 1 x 1 Galerkin system is singular at shift 0
     # but not at shift 1; the least-squares estimate stays exact
-    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 1)
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [1.0]], 1, 0, 1, norm=1.0)
     qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
     rho, singular = qr.galerkin_residual()
     assert singular.tolist() == [True, False]
@@ -342,10 +344,21 @@ def test_shifted_band_qr_flags_singular_galerkin_system():
     assert np.allclose(qr.residual(), [1.0, 1.0 / np.sqrt(2.0)])
 
 
+def test_width_one_galerkin_pivot_is_measured_against_the_operator():
+    # H = [[1e-30]] closes square at the first step, where the triangle
+    # has no earlier diagonal: the pivot is singular beside ||A||_F = 1,
+    # for every shift small beside it
+    qr = ShiftedBandQR([0.0, 1e-20], [[1.0], [1.0]], 1, 0, 1, norm=1.0)
+    qr.append([[1e-30]], np.zeros((0, 1)), np.zeros((0, 1)))
+    rho, singular = qr.galerkin_residual()
+    assert singular.tolist() == [True, True] and np.isnan(rho).all()
+    assert not np.any(qr.solve()[0])
+
+
 def test_shifted_band_qr_marks_singular_least_squares_unknown():
     # H = [[1]] closes square: at shift -1 the 1 x 1 system is exactly
     # singular, and its carried right-hand side (no rows) would read 0
-    qr = ShiftedBandQR([-1.0, 0.5], [[1.0], [1.0]], 1, 0, 1)
+    qr = ShiftedBandQR([-1.0, 0.5], [[1.0], [1.0]], 1, 0, 1, norm=1.0)
     qr.append([[1.0]], np.zeros((0, 1)), np.zeros((0, 1)))
     rho = qr.residual()
     assert np.isnan(rho[0]) and rho[1] == 0.0
@@ -356,7 +369,7 @@ def test_zero_live_column_gives_nan_estimates_and_a_zero_solve():
     # vanishes, so step 2's rotation meets a zero live entry over a zero
     # subdiagonal entry; at offset 1 it meets 1 over 0.  Both factor
     # without a warning, in real arithmetic
-    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [3.0]], 1, 0, 2)
+    qr = ShiftedBandQR([0.0, 1.0], [[1.0], [3.0]], 1, 0, 2, norm=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
@@ -383,7 +396,8 @@ def _galerkin_solve(h_col, shifts, rhs):
     """The Galerkin solve of one block step that closes square: the
     square ``h_col + sigma_i I`` against ``rhs_i`` for every shift."""
     ell = len(h_col)
-    qr = ShiftedBandQR(shifts, rhs, ell, 0, 1)
+    qr = ShiftedBandQR(shifts, rhs, ell, 0, 1,
+                       norm=np.linalg.norm(h_col))
     qr.append(h_col, np.zeros((0, ell)), np.zeros((0, ell)))
     rho, singular = qr.galerkin_residual()
     return qr.solve()[0], rho, singular

@@ -531,6 +531,24 @@ def test_manifest_matvec_identity_flags_inconsistent_counters(tmp_path):
     assert "method.sbfom.matvec_identity = mismatch" in text
 
 
+def test_manifest_matvec_identity_follows_the_narrowing_block(tmp_path):
+    # unrelated right-hand sides whose shifts converge cycles apart: a
+    # cycle's block holds only its unconverged shifts, so the identity
+    # must count each block product at its cycle's recorded width
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "m"), grid_m=10,
+                           shifts=(1e-3, 0.1, 10.0),
+                           rhs_mode="unrelated-random",
+                           methods=("sbgmres", "sbfom"),
+                           solver=SolverConfig(cycle_length=5))
+    results, failures = run_experiment(cfg)
+    assert failures == []
+    widths = [w for u in results[0].units for w in u.report.block_widths]
+    assert min(widths) < 3
+    text = (tmp_path / "m" / "manifest.txt").read_text()
+    assert "method.sbgmres.matvec_identity = ok\n" in text
+    assert "method.sbfom.matvec_identity = ok\n" in text
+
+
 def test_from_file_rhs_and_matrix_market_problem(tmp_path):
     import numpy as np
     from shiftkrylov import (generate_convection_diffusion,

@@ -70,7 +70,7 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
     ell = len(shifts)
     k = space.k if space is not None else 0
     arn = block_arnoldi_start(r0, space, seed=1)
-    qr = ShiftedBandQR(shifts, arn.s0.T, ell, k, steps)
+    qr = ShiftedBandQR(shifts, arn.s0.T, ell, k, steps, a.frobenius_norm)
     checked = 0
     blocks = None
     for _ in range(steps):
