@@ -37,7 +37,6 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .errors import BreakdownError, DimensionError
 from .sparse import SparseMatrix, block_matvec
 
-BREAKDOWN_RTOL = 1e-14   # happy-breakdown threshold, relative to ||A||_F
 DEPENDENCY_TOL = 1e-10   # relative diagonal threshold for dependent columns
 _REPLACE_RETRIES = 3
 
@@ -158,6 +157,13 @@ def _routine(name, dtype):
     return get_blas_funcs(name, probe)
 
 
+def _negligible(value, scale):
+    """Whether ``value <= 1e-14 * scale``, elementwise: the one rule that
+    calls a small system singular or a block broken down.  ``scale``
+    bounds the norm of the data behind ``value``; each caller states it."""
+    return value <= 1e-14 * scale
+
+
 def _norm(z):
     """The Frobenius norm of the column-major block ``z``, the square root
     of one BLAS ``dot`` (``dotc`` when complex), without
@@ -233,13 +239,14 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
 
     ``scale`` bounds the Frobenius norm of the raw candidate block before
     any orthogonalization (the start block's own norm, ``||A||_F`` for an
-    Arnoldi step); when every new direction is below the breakdown
-    threshold relative to it, the whole block is dependent: an Arnoldi
-    step hit an invariant subspace and raises :class:`_InvariantSubspace`,
-    and a start block (``step`` 0) counts as zero.  Otherwise a column is
-    dependent when its diagonal entry in a LAPACK Householder QR falls
-    below ``DEPENDENCY_TOL`` times the largest one (at L = 1 the entry is
-    the norm of ``z``, and only the breakdown test can fire).  A block
+    Arnoldi step).  When ``ref``, the block's largest column norm
+    (``||R e_c||`` in a LAPACK Householder QR ``z = Q R``; a leading noise
+    column parallel to a live one leaves every ``|r_cc|`` at noise level),
+    is :func:`_negligible` beside it, an Arnoldi step hit an invariant
+    subspace and raises :class:`_InvariantSubspace`, and a start block
+    (``step`` 0) counts as zero.  Otherwise a column is dependent when its
+    diagonal entry falls below ``DEPENDENCY_TOL * ref`` (at L = 1 ``ref``
+    is the norm of ``z``, and only the breakdown test can fire).  A block
     with no dependent column keeps that factorization: ``Q`` comes from
     ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
     by the diagonal's phase.  A block with one is orthogonalized column by
@@ -259,8 +266,8 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
         qr, tau = geqrf(v, overwrite_a=True)[:2]
         diag = qr.diagonal().copy()
         mags = np.abs(diag)
-        ref, low = float(mags.max()), float(mags.min())
-    if ref <= BREAKDOWN_RTOL * scale:
+        ref, low = np.linalg.norm(np.triu(qr[:ell]), axis=0).max(), mags.min()
+    if _negligible(ref, scale):
         if step:
             raise _InvariantSubspace(0, r[:0])
         z = np.zeros_like(z)    # rounding noise: every column is replaced

@@ -22,11 +22,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arnoldi import block_arnoldi_extend, block_arnoldi_start
+from .arnoldi import _negligible, block_arnoldi_extend, block_arnoldi_start
 from .block_solvers import (_add_products, _end_cycle, _finish,
                             _nonzero_collinear, _reference_direction,
                             _run_cycles, _start)
-from .dense import _SINGULAR_RTOL, ShiftedBandQR
+from .dense import ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
 from .sparse import ShiftedFamily, SparseMatrix, add_shift
@@ -189,7 +189,7 @@ def _collinearity(qr, base):
     # the carried row of each Q_i* (block size one, k = 0) is q_i*
     q = qr.q[:, qr.steps, :qr.steps + 1].conj()
     overlap = q.conj() @ q[base]
-    singular = np.isnan(qr.residual()) | (np.abs(overlap) <= _SINGULAR_RTOL)
+    singular = np.isnan(qr.residual()) | _negligible(np.abs(overlap), 1.0)
     t = np.zeros(len(q), dtype=np.result_type(qr.g, overlap))
     np.divide(qr.g[:, qr.steps], overlap, out=t, where=~singular)
     return t, singular, q[base]

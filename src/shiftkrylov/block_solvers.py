@@ -327,7 +327,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     whole family at the start, after a decollinearizing rewrite, after
     each cycle's oblique projection and after each step; each cycle's
     Arnoldi chain allocates its workspace once, for ``cfg.cycle_length``
-    steps.
+    steps.  For ``"gmres"`` a shift whose true residual rose past the drift
+    tolerance (rounding) gets its cycle-start iterate back, with a note.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -362,6 +363,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         cycle += 1
         report.cycles = cycle
         resid_at_start = resid.copy()
+        kept = (x.copy(), r.copy()) if kind == "gmres" else None
         active = ~converged
         # the cycle's block holds the columns of the shifts unconverged as
         # it starts, those its oblique projection converges included
@@ -463,6 +465,14 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
                                               converged, targets, active,
                                               restart=True)
+        worse = kept is not None and active & (np.linalg.norm(
+            r_true, axis=0) > resid_at_start + _DRIFT_TOL * report.rhs_norms)
+        if np.any(worse):
+            report.note(f"cycle {cycle}: true residual rose for shift "
+                        f"indices {np.nonzero(worse)[0].tolist()}; kept "
+                        "previous approximation")
+            x[:, worse], r[:, worse] = kept[0][:, worse], kept[1][:, worse]
+            resid[worse], r_true = resid_at_start[worse], None
         stalled = active & (resid > targets) & \
             (resid_at_start - resid < _STAGNATION_TOL * resid_at_start)
         if np.any(stalled):

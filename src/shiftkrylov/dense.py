@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import _routine
+from .arnoldi import _negligible, _routine
 from .errors import DimensionError, EigenConvergenceError
-
-_SINGULAR_RTOL = 1e-14   # relative singular-value floor of a small system
 
 
 def _solve(a, b):
@@ -63,10 +61,10 @@ class ShiftedBandQR:
     One product by ``q`` gives a new column's triangle entries and live
     block, one more applies ``Q_t``: O(1) array operations per step for
     the family.  Each estimate is NaN for a shift whose subproblem is
-    singular, and :meth:`solve` solves the subproblem of the estimate
-    read last.  The dtype is that of the shifts and right-hand sides.
-    ``norm``, the Frobenius norm of the operator behind ``Hbar_j``, scales
-    the singular test of a width-one Galerkin pivot from the first step.
+    singular (:func:`.arnoldi._negligible` beside ``norm + |sigma_i|``,
+    ``norm`` the Frobenius norm of the operator behind ``Hbar_j``), and
+    :meth:`solve` solves the subproblem of the estimate read last.  The
+    dtype is that of the shifts and right-hand sides.
     """
 
     def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps,
@@ -102,8 +100,8 @@ class ShiftedBandQR:
         self.q[:, ell + np.arange(k), np.arange(k)] = 1.0
         self.g = np.zeros((p, tri + ell + k), dtype=dtype)
         self.g[:, :rhs.shape[1]] = rhs
-        # the smallest and largest |r_ii| so far, and before the latest step
-        self._diag_min, self._diag_max = np.full(p, np.inf), np.zeros(p)
+        # the smallest |r_ii| so far, and before the latest step
+        self._diag_min = np.full(p, np.inf)
         self._pivot = self._g_pivot = self._sub = self._read = None
         return self
 
@@ -116,14 +114,12 @@ class ShiftedBandQR:
         ell, k, t = self.block_size, self.coupling_rows, self.steps
         sub = np.asarray(sub)
         self._g_pivot = self.g[:, t * ell:(t + 1) * ell].copy()
-        self._sub, self._before = sub, (self._diag_min, self._diag_max)
+        self._sub, self._before = sub, self._diag_min
         if ell == 1 and k == 0:
-            low = high = self._givens_step(np.asarray(h_col)[:, 0], sub)
+            low = self._givens_step(np.asarray(h_col)[:, 0], sub)
         else:
-            low, high = self._householder_step(
-                np.concatenate((b_col, h_col)), sub)
+            low = self._householder_step(np.concatenate((b_col, h_col)), sub)
         self._diag_min = np.minimum(self._diag_min, low)
-        self._diag_max = np.maximum(self._diag_max, high)
         self.carry = k + len(sub)
         self.steps = t + 1
 
@@ -134,7 +130,7 @@ class ShiftedBandQR:
         carried ones, and finish the live block by the complete QR of
         each shift's block, one batched LAPACK call, whose ``Q_t*`` goes
         onto the carried rows of ``q`` and ``g``.  Returns the smallest
-        and largest |diagonal entry| of each shift's new triangle block."""
+        |diagonal entry| of each shift's new triangle block."""
         ell, k, t = self.block_size, self.coupling_rows, self.steps
         c, top, cols = len(sub), t * ell, k + (t + 1) * ell
         d = k + t * ell                 # column of the diagonal block
@@ -156,8 +152,7 @@ class ShiftedBandQR:
         self.q[:, rows, cols:cols + c] = qh[..., ell + k:]
         self.g[:, rows] = _apply(qh[..., :ell + k],
                                  self.g[:, top:top + ell + k])
-        diag = np.abs(np.diagonal(tri, 0, 1, 2))
-        return diag.min(axis=1), diag.max(axis=1)
+        return np.abs(np.diagonal(tri, 0, 1, 2)).min(axis=1)
 
     def _givens_step(self, h, sub):
         """Step t at block size one with k = 0 for the column ``h`` over
@@ -199,39 +194,35 @@ class ShiftedBandQR:
 
     def residual(self):
         """Per shift, ``min_y ||rhs_i - G_i y||``, the norm of the carried
-        entries of ``g``; NaN where the triangle has an exactly zero
-        diagonal entry (a singular problem, whose ``g`` misses part of its
-        residual)."""
+        entries of ``g``; NaN where a diagonal entry of the triangle is
+        :func:`.arnoldi._negligible` beside the shift's scale (a singular
+        problem, whose ``g`` misses part of its residual)."""
         top = self.steps * self.block_size
         if self.carry == 1:
             rho = np.abs(self.g[:, top])
         else:
             rho = np.linalg.norm(self.g[:, top:top + self.carry], axis=1)
-        rho[self._diag_min == 0.0] = np.nan
+        rho[_negligible(self._diag_min, self._scale)] = np.nan
         self._read = ("least-squares", np.isnan(rho))
         return rho
 
     def galerkin_residual(self):
         """Per shift, the residual norm ``||S_j P_j^-1 g_pivot||`` of the
         Galerkin system ``(H_j + sigma_i I) y = rhs_i`` (k = 0), and
-        whether it is singular (NaN norm): the pivot block's smallest
-        singular value is at most ``_SINGULAR_RTOL`` times the largest of
-        its norm and the triangle's earlier diagonal (at width one, and
-        ``norm + |sigma_i|``), or that is 0."""
-        low, high = self._before
+        whether it is singular (NaN norm): the smaller of the pivot
+        block's smallest singular value and the triangle's earlier
+        diagonal is :func:`.arnoldi._negligible` beside the shift's scale."""
         rho = np.full(len(self.shifts), np.nan)
         if self.block_size == 1:
             # the pivot is one entry per shift, its own singular value
-            pivot = np.abs(self._pivot[:, 0, 0])
-            scale = np.maximum(np.maximum(high, pivot), self._scale)
-            singular = (pivot <= _SINGULAR_RTOL * scale) | (low == 0.0)
+            piv = np.abs(self._pivot[:, 0, 0])
+            singular = _negligible(np.minimum(piv, self._before), self._scale)
             sub = abs(self._sub[0, 0]) if len(self._sub) else 0.0
-            np.divide(sub * np.abs(self._g_pivot[:, 0]), pivot, out=rho,
+            np.divide(sub * np.abs(self._g_pivot[:, 0]), piv, out=rho,
                       where=~singular)
         else:
-            sv = np.linalg.svd(self._pivot, compute_uv=False)
-            scale = np.maximum(high, sv[:, 0])
-            singular = (sv[:, -1] <= _SINGULAR_RTOL * scale) | (low == 0.0)
+            sv = np.linalg.svd(self._pivot, compute_uv=False)[:, -1]
+            singular = _negligible(np.minimum(sv, self._before), self._scale)
             ok = ~singular
             y = _solve(self._pivot[ok], self._g_pivot[ok])
             rho[ok] = np.linalg.norm(_apply(self._sub, y), axis=1)
@@ -245,10 +236,10 @@ class ShiftedBandQR:
         last diagonal entry of the QR of the tail that the rotated recycle
         columns leave beside the carried entries of ``g`` (zero rows pad
         it to k + 1 rows), one batched QR for the family.  A shift marked
-        in ``alone`` has no recycle columns (:meth:`residual`).  NaN where
-        the band triangle or the tail's first k columns have an exactly
-        zero diagonal entry.
-        """
+        in ``alone``, or whose tail has a diagonal entry negligible beside
+        ``1 + |sigma_i| ||[Q2; P; N] e_j||`` (recycle column j adds nothing
+        beyond the band), has no recycle columns.  NaN where the band
+        triangle is singular (:meth:`residual`)."""
         k, carry = self.coupling_rows, self.carry
         top = self.steps * self.block_size
         qc = self.q[:, top:top + carry, :top + carry]
@@ -263,10 +254,12 @@ class ShiftedBandQR:
         # R of each tail in the upper triangle of the transposed raw factor
         raw = np.linalg.qr(tail, mode="raw")[0]
         diag = np.abs(np.diagonal(raw, axis1=1, axis2=2))
+        u_norms = np.linalg.norm(np.concatenate((turned, n_factor)), axis=0)
+        alone = alone | np.any(_negligible(
+            diag[:, :k], 1.0 + np.abs(self.shifts)[:, None] * u_norms), axis=1)
         rho = diag[:, k].copy()
         rho[alone] = np.linalg.norm(tail[alone, :carry, k], axis=1)
-        singular = (self._diag_min == 0.0) | (
-            ~alone & np.any(diag[:, :k] == 0.0, axis=1))
+        singular = _negligible(self._diag_min, self._scale)
         rho[singular] = np.nan
         self._read = ("augmented", singular, turned, tail, raw, alone,
                       uhat_rows)

@@ -21,40 +21,37 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .arnoldi import BlockArnoldiState, _project_out
+from .arnoldi import BlockArnoldiState, _negligible, _project_out
 from .dense import hessenberg_eigen
 from .errors import DimensionError, NearSingularError
 from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
                      read_dense_matrix_market, working_array,
                      write_dense_matrix_market)
 
-OBLIQUE_COND_LIMIT = 1e12
 RECYCLE_MODES = ("ritz-largest", "harmonic-ritz-smallest")
 
 
-def _fold(u, image, floor, provenance, message):
+def _fold(u, image, scale, provenance, message):
     """The space ``(u R^-1, Q)`` of the thin QR ``image = Q R``, ``image``
     the image of ``u``: ``C = A U`` holds whenever ``image = A u`` does.
 
     ``R`` gets a real non-negative diagonal (each column of ``Q`` scaled
     by the phase of its diagonal entry), so ``Q`` does not depend on
-    LAPACK's reflector signs.  A diagonal entry at or below its column's
-    ``floor``, a small multiple of a bound on that column's image (an
-    operator norm estimate times the column norm of ``u``), raises
-    :class:`NearSingularError` with ``message``.  A basis wider than it
-    is tall raises :class:`DimensionError`.
+    LAPACK's reflector signs.  A diagonal entry negligible beside its
+    column's ``scale`` (:func:`.arnoldi._negligible`), a bound on that
+    column's image (an operator norm estimate times the column norm of
+    ``u``), raises :class:`NearSingularError` with ``message``.  A basis
+    wider than it is tall raises :class:`DimensionError`.
     """
     if image.shape[0] < image.shape[1]:
         raise DimensionError("QR of a recycle image needs n_rows >= n_cols")
     q, r = scipy.linalg.qr(image, mode="economic", check_finite=False)
     d = np.diag(r)
-    if np.iscomplexobj(d):
-        phase = np.exp(1j * np.angle(d))    # 1 where d == 0
-    else:
-        phase = np.where(d < 0, -1.0, 1.0)
+    phase = np.exp(1j * np.angle(d)) if np.iscomplexobj(d) \
+        else np.where(d < 0, -1.0, 1.0)     # 1 where d == 0
     r = r * phase.conj()[:, None]
     r[np.diag_indices_from(r)] = np.abs(d)
-    if not np.all(np.abs(d) > floor):
+    if np.any(_negligible(np.abs(d), scale)):
         raise NearSingularError(message)
     u = u @ scipy.linalg.solve_triangular(r, np.eye(len(r), dtype=r.dtype))
     return RecycleSpace(u, q * phase, provenance)
@@ -106,10 +103,9 @@ class RecycleSpace:
     def from_basis(cls, a: SparseMatrix, basis, provenance="initial",
                    drop_tol=None):
         """Build a valid space from raw basis vectors by :func:`_fold` of
-        ``A @ basis``, whose floor is ``1e-15 ||A||_F`` times each column
-        norm.  With ``drop_tol`` < 1 set, columns whose QR diagonal entry
-        falls to ``drop_tol`` times the largest are dropped first.
-        """
+        ``A @ basis``, whose scale is ``||A||_F`` times each column norm.
+        With ``drop_tol`` < 1 set, columns whose QR diagonal entry falls to
+        ``drop_tol`` times the largest are dropped first."""
         basis = working_array("basis", basis)
         if basis.ndim == 1:
             basis = basis[:, None]
@@ -121,12 +117,10 @@ class RecycleSpace:
             keep = d >= drop_tol * d.max()
             # a block product's columns are exact single products
             basis, image = basis[:, keep], image[:, keep]
-        # ||A||_F can exceed ||A||_2 by sqrt(n): a lower multiple of it
-        return _fold(basis, image,
-                     1e-15 * a.frobenius_norm * np.linalg.norm(basis, axis=0),
-                     provenance,
-                     "A @ basis is numerically rank deficient; reduce k or "
-                     "pass drop_tol to prune dependent directions")
+        return _fold(basis, image, a.frobenius_norm * np.linalg.norm(
+            basis, axis=0), provenance, "A @ basis is numerically rank "
+            "deficient; reduce k or pass drop_tol to prune dependent "
+            "directions")
 
 
 def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
@@ -140,7 +134,7 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
     if space.k == 0 or delta == 0.0:
         return space
     return _fold(space.u, space.c + delta * space.u,
-                 1e-14 * (1.0 + abs(delta) * space.u_norms), space.provenance,
+                 1.0 + abs(delta) * space.u_norms, space.provenance,
                  f"shifted image C + {delta} U is numerically rank "
                  "deficient; refresh the recycle space")
 
@@ -150,18 +144,18 @@ def oblique_project_shift(space: RecycleSpace, sigma, r, x, a: SparseMatrix):
 
     Returns ``(r_hat, x_hat)`` with ``r_hat`` orthogonal to span(C) and
     ``b - (A + sigma I) x_hat = r_hat`` preserved, using only U, C and a
-    k x k solve of ``C* (C + sigma U)``.  A projector system with
-    condition estimate beyond 1e12 raises :class:`NearSingularError`; the
-    recycle space should be refreshed for that shift.  The results take
-    the dtype of the inputs and the space together.
+    k x k solve of ``m = C* (C + sigma U)``.  An ``m`` whose smallest
+    singular value is :func:`.arnoldi._negligible` beside its bound
+    ``1 + |sigma| ||U||_F`` raises :class:`NearSingularError`.  The
+    results take the dtype of the inputs and the space together.
     """
-    r = np.asarray(r).ravel()
-    x = np.asarray(x).ravel()
+    r, x = np.asarray(r).ravel(), np.asarray(x).ravel()
     if space.k == 0:
         return r.copy(), x.copy()
     c, u = space.c, space.u
     m = c.conj().T @ (c + sigma * u)
-    if np.linalg.cond(m) > OBLIQUE_COND_LIMIT:
+    if _negligible(np.linalg.svd(m, compute_uv=False)[-1],
+                   1.0 + abs(sigma) * np.linalg.norm(space.u_norms)):
         raise NearSingularError(
             f"oblique projector for shift {sigma} is near singular; "
             "refresh the recycle space")
@@ -192,9 +186,6 @@ class AugmentationBlocks:
     remainder: np.ndarray | None = None
 
 
-_CONTAINED_TOL = 1e-13
-
-
 def augmentation_blocks(space: RecycleSpace, w_basis,
                         prev=None) -> AugmentationBlocks:
     """Orthogonalize U against [W C] and QR the remainder.
@@ -208,11 +199,12 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
     Gram-Schmidt (BMGS2), and one LAPACK QR of the remainder's columns
     gives ``Uhat`` and ``n_factor``.
 
-    A recycle direction whose diagonal entry falls to ``1e-13`` of its
-    own norm is numerically contained in span([W C]) and the ``Uhat``
-    columns before it, so it adds nothing to the space the shifted
-    residuals are minimized over: it gets no ``Uhat`` column, the QR runs
-    again without it, and its ``n_factor`` column is ``Uhat* D``.  Once
+    A recycle direction whose diagonal entry is negligible beside its own
+    norm (:func:`.arnoldi._negligible`) is numerically contained in
+    span([W C]) and the ``Uhat`` columns before it, so it adds nothing to
+    the space the shifted residuals are minimized over: it gets no
+    ``Uhat`` column, the QR runs again without it, and its ``n_factor``
+    column is ``Uhat* D``.  Once
     contained a direction stays so (its remainder only loses components
     as the basis grows), so the QR leaves out those ``prev`` lists.  The
     blocks take the dtype of ``w_basis`` and the space together.
@@ -230,13 +222,12 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
         q2, p = prev.q2, prev.p
         keep[list(prev.padded)] = False
     p = np.vstack([p, *_project_out(d, w_basis[:, p.shape[0]:])])
-    tol = _CONTAINED_TOL * np.maximum(space.u_norms, 1e-300)
     geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
     while True:
         cols = np.nonzero(keep)[0]
         qr, tau = geqrf(d if keep.all() else d[:, cols])[:2]
         r = np.triu(qr[:len(cols)])
-        contained = np.abs(np.diagonal(r)) <= tol[cols]
+        contained = _negligible(np.abs(np.diagonal(r)), space.u_norms[cols])
         if not contained.any():
             break
         # the Householder columns after it are taken against its rounding
@@ -263,10 +254,9 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     space carries over where it still serves.  With ``G = Q R`` that is
     the standard eigenproblem of ``Q* [W_{j+1} C]* [W U] R^-1`` for
     ``1/theta`` and ``R g``: one QR iteration, not a QZ iteration.  The
-    image comes through
-    the Arnoldi relation, with no new operator products; a candidate
-    whose image is negligible beside ``||[Hbar; B]||`` times its norm
-    raises :class:`NearSingularError`.
+    image comes through the Arnoldi relation, with no new products; a
+    candidate whose image is :func:`.arnoldi._negligible` beside
+    ``||[Hbar; B]||`` times its norm raises :class:`NearSingularError`.
 
     Real data gives a real space: a conjugate pair that the cut at k
     would split is dropped whole (k - 1 columns, k + 1 when k = 1), and
@@ -300,7 +290,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
             r, hessenberg_eigen(m.T, "largest", k).vectors)
         y = arn.w @ coeff[:jl] + u @ coeff[jl:]
         image = arn.basis @ (g[:rows] @ coeff) + c @ (g[rows:] @ coeff)
-    scale = 1e-12 * np.hypot(np.linalg.norm(hess), np.linalg.norm(b))
+    scale = np.hypot(np.linalg.norm(hess), np.linalg.norm(b))
     return _fold(y, image, scale * np.linalg.norm(y, axis=0), mode,
                  "lifted candidate images are rank deficient")
 

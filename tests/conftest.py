@@ -21,6 +21,17 @@ def random_sparse(n, density=0.2, seed=0, diag_boost=0.0):
     return SparseMatrix.from_dense(a)
 
 
+def noise_led_family():
+    """``(A, R)``: A = [[-1, -1, -1], [-1, 0, 0], [-1, 0, 0]] and a start
+    block whose first column leads with -1e-16.  The first block Arnoldi
+    step's candidate block has a noise first column parallel to its live
+    second one, so both diagonal entries of its unpivoted QR are noise.
+    ``A`` is singular; ``A + 0.5 I`` has condition number 3."""
+    a = np.array([[-1.0, -1.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    r0 = np.array([[-1e-16, -1.6], [0.34, 1.5], [-0.34, -1.1]])
+    return a, r0
+
+
 def block_krylov_powers(ad, r0, j):
     """Brute-force basis of the block Krylov space span{R, AR, ..&}."""
     blocks = [r0]

@@ -9,8 +9,9 @@ from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
 import shiftkrylov.arnoldi as arnoldi
 from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
 
-from conftest import (block_krylov_powers, projected_sylvester_powers,
-                      random_sparse, sylvester_powers)
+from conftest import (block_krylov_powers, noise_led_family,
+                      projected_sylvester_powers, random_sparse,
+                      sylvester_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,18 @@ def test_partial_invariant_closing_mid_block():
     assert rel <= 1e-9 * a.frobenius_norm
     gram = state.basis.conj().T @ state.basis
     assert np.linalg.norm(gram - np.eye(n_cols)) <= 1e-10
+
+
+def test_noise_column_does_not_hide_a_live_one_from_the_breakdown_test():
+    # the candidate block's largest column is live, so the step does not
+    # close the relation square on it, though both diagonal entries of its
+    # unpivoted QR are noise (a square close left a relation error of 1.5)
+    a, r0 = noise_led_family()
+    mat = SparseMatrix.from_dense(a)
+    state = block_arnoldi_extend(mat, block_arnoldi_start(r0), 1)
+    assert state.hess.shape == (3, 2)
+    rel = np.linalg.norm(a @ state.w - state.basis @ state.hess)
+    assert rel <= 1e-13 * mat.frobenius_norm
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from shiftkrylov.block_solvers import _end_cycle, _start
 from shiftkrylov.dense import ShiftedBandQR
 from shiftkrylov.recycling import RecycleSpace
 
-from conftest import band_qr, random_sparse
+from conftest import band_qr, noise_led_family, random_sparse
 
 
 def _sin_angle(u, v):
@@ -438,6 +438,38 @@ def test_solvers_exact_when_space_exhausted_mid_block():
         assert rep.converged == [True, True, True]
         true = fam.residual_block(x)
         assert np.linalg.norm(true) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("cycle_length", [1, 3])
+def test_noise_led_candidate_block_leaves_no_residual_above_its_rhs(
+        cycle_length):
+    # from x0 = 0 a minimum-residual solve returns no iterate worse than
+    # zero; a relation closed square on the candidate's live column gave
+    # true residuals of 1.7e15 and 161 against 0.48 and 2.45
+    a, r0 = noise_led_family()
+    fam = ShiftedFamily(SparseMatrix.from_dense(a), [0.0, 0.5], r0, None)
+    cfg = SolverConfig(cycle_length=cycle_length, max_cycles=10)
+    x, rep = sbgmres(fam, cfg)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert np.all(true <= np.linalg.norm(r0, axis=0))
+    assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
+
+
+def test_minimum_residual_cycle_that_raised_a_true_residual_is_undone():
+    # A = diag(1, ..., 6) is exactly singular at shifts -1 and -2; after
+    # the gmres-cycle rewrite of the shared right-hand side, cycle 1's
+    # updates raised both true residuals (to 1.0024 and 1.68) through
+    # rounding: both shifts keep the iterates the cycle started from
+    a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
+    fam = ShiftedFamily(a, [-1.0, -2.0, 0.5], np.ones((6, 3)), None)
+    x, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
+    assert ("cycle 1: true residual rose for shift indices [0, 1]; kept "
+            "previous approximation") in rep.notes
+    start = rep.steps.resid[1]          # the point the rewrite recorded
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    assert np.all(true[:2] <= start[:2] + 1e-8 * np.sqrt(6.0))
+    assert rep.converged == [False, False, True]
+    assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,13 @@ def test_qr_requires_tall():
 
 
 def test_fold_raises_at_its_floor_per_column():
+    # each column's floor is 1e-14 times its scale: 1, 1e-4 then 1e-2, 0.5
     image = np.diag([2.0, 1e-3, 1.0])
-    assert _fold(np.eye(3), image, [1.0, 1e-4, 0.5], "initial", "").k == 3
+    assert _fold(np.eye(3), image, np.array([1e14, 1e10, 5e13]), "initial",
+                 "").k == 3
     with pytest.raises(NearSingularError, match="column 2"):
-        _fold(np.eye(3), image, [1.0, 1e-2, 0.5], "initial", "column 2")
+        _fold(np.eye(3), image, np.array([1e14, 1e12, 5e13]), "initial",
+              "column 2")
 
 
 def test_hessenberg_ls_exact():
@@ -364,6 +367,16 @@ def test_shifted_band_qr_marks_singular_least_squares_unknown():
     assert np.isnan(rho[0]) and rho[1] == 0.0
 
 
+def test_least_squares_pivot_at_rounding_level_is_singular():
+    # Hbar = [[1e-17], [0]] beside ||A||_F = 1: the pivot is noise, so the
+    # estimate is unknown and the shift gets no update, not y = 1e17
+    qr = ShiftedBandQR([0.0], [[1.0]], 1, 0, 1, norm=1.0)
+    qr.append([[1e-17]], [[0.0]], np.zeros((0, 1)))
+    assert np.isnan(qr.residual()[0])
+    y, image = qr.solve()
+    assert not y.any() and not image.any()
+
+
 def test_zero_live_column_gives_nan_estimates_and_a_zero_solve():
     # Hbar = [[1, 0], [0, 0], [0, 0]]: at offset 0 the second column
     # vanishes, so step 2's rotation meets a zero live entry over a zero
@@ -499,6 +512,36 @@ def test_band_qr_solve_against_dense_oracles(ell, k, dtype):
             <= 1e-10 * np.linalg.norm(gi)
         assert abs(est[i] - np.linalg.norm(gi - h @ y_ls)) \
             <= 1e-10 * np.linalg.norm(gi)
+
+
+def test_recycle_column_inside_the_band_is_solved_over_the_band_alone():
+    # k = 1: at shift 0.5 the recycle column of the augmented matrix is
+    # the combination G e_1 - G e_2 of band columns (N = 0), so it adds
+    # nothing and that shift is solved over the band alone, z = 0, at the
+    # augmented matrix's own minimum; at shift -0.3 it is a true column
+    hbar = np.array([[1.0, 2.0], [0.5, 1.0], [0.0, 0.25]])
+    coupling = np.array([[0.3, -0.2]])
+    shifts = np.array([0.5, -0.3])
+    rhs = np.array([[1.0, 0.0], [2.0, 0.0]])
+    band = np.vstack([hbar + 0.5 * np.eye(3, 2), coupling]) @ [1.0, -1.0]
+    p, q2 = band[:3, None] / 0.5, (band[3:, None] - 1.0) / 0.5
+    n_factor = np.zeros((0, 1))
+    qr = band_qr(hbar, coupling, 1, shifts, rhs)
+    mats, g = _state_rows(hbar, coupling, shifts, rhs, 1)
+    est = qr.augmented_residual(p, q2, n_factor, np.zeros(2, dtype=bool))
+    y, image = qr.solve()
+    order = np.r_[3, :3]            # the state orders the rows [C, W_3]
+    for i, sigma in enumerate(shifts):
+        aug = augmented_matrix(hbar, coupling, p, q2, n_factor,
+                               sigma)[order]
+        y_ls = np.linalg.lstsq(aug, g[i], rcond=None)[0]
+        assert abs(est[i] - np.linalg.norm(g[i] - aug @ y_ls)) <= 1e-12
+        assert np.linalg.norm(image[i] - aug @ y[i]) <= 1e-12
+        assert np.linalg.norm(image[i] - aug @ y_ls) <= 1e-12
+    assert y[0, 2] == 0.0 and y[1, 2] != 0.0
+    y_band = np.linalg.lstsq(mats[0], g[0], rcond=None)[0]
+    assert np.allclose(y[0, :2], y_band, rtol=1e-12, atol=0)
+    assert est[0] == pytest.approx(_lstsq_residual(mats[0], g[0]), rel=1e-12)
 
 
 @pytest.mark.parametrize("ell", [1, 4])

@@ -105,6 +105,17 @@ def test_oblique_near_singular_raises():
                               np.zeros(12, dtype=complex), a)
 
 
+def test_oblique_system_at_k_one_is_measured_against_its_scale():
+    # C = U = e1 and sigma = -1 + 1e-15: the 1 x 1 system C* (C + sigma U)
+    # is rounding noise beside its bound 1 + |sigma| ||U||_F = 2, though
+    # its condition number is 1; solving it scaled the iterate by 1e15
+    a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
+    space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
+    with pytest.raises(NearSingularError):
+        oblique_project_shift(space, -1.0 + 1e-15, np.ones(4), np.zeros(4),
+                              a)
+
+
 def test_rsbgmres_shift_without_oblique_projection_is_solved_over_krylov():
     # C = U = e1, so C* (C + sigma U) = 1 + sigma vanishes at sigma = -1:
     # that shift is minimized over the Krylov space alone at every cycle

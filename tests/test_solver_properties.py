@@ -7,13 +7,21 @@ on any family.  On every generated family a solve
   into an error, fails the check);
 - flags a shift converged only if its true residual, recomputed here from
   the dense matrix, meets the target to within a factor 1 + 1e-6;
-- gives the identical iterate and report rows when rerun.
+- gives the identical iterate and report rows when rerun;
+- for the minimum-residual methods (``sbgmres``, which at one shift is
+  ``gmres_restarted``'s path, ``rsbgmres`` and ``sgmres`` at its base
+  shift), returns from x0 = 0 no iterate whose true residual exceeds
+  ``||b_i||``.
 
 Generated families have complex, near-duplicate and zero shifts, and
 collinear, zero or rank-deficient right-hand sides; small n with long
 cycles lets the Krylov space exhaust the ambient dimension.  Examples are
-derandomized and bounded so the module runs in a few seconds.
+derandomized and bounded so the module runs in a few seconds; the
+environment variable ``SHIFTKRYLOV_PROPERTY_EXAMPLES`` raises the number
+of examples per test from 40 for a longer sweep.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -24,7 +32,11 @@ from shiftkrylov import (RecycleSpace, ShiftedFamily, ShiftKrylovError,
                          SolverConfig, SparseMatrix, rsbgmres, sbfom, sbgmres,
                          sfom, sgmres)
 
-SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+from conftest import noise_led_family
+
+SETTINGS = settings(max_examples=int(os.environ.get(
+                        "SHIFTKRYLOV_PROPERTY_EXAMPLES", "40")),
+                    deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -40,11 +52,13 @@ def _solve(method, family, cfg, k):
         return sbgmres(family, cfg)
     if method == "sbfom":
         return sbfom(family, cfg)
-    if k < 0:
-        space = RecycleSpace.from_basis(
-            family.matrix, np.eye(family.n, -k)[:, ::-1], drop_tol=1e-10)
-        return rsbgmres(family, cfg, space, update=False)[:2]
-    return rsbgmres(family, cfg, None, k=k)[:2]
+    # a pair (start, k) starts from a space of `start` unit vectors and
+    # refreshes it to k directions per cycle (keeps it when k = 0)
+    start, k = k if isinstance(k, tuple) else (max(-k, 0), max(k, 0))
+    space = RecycleSpace.from_basis(
+        family.matrix, np.eye(family.n, start)[:, ::-1],
+        drop_tol=1e-10) if start else None
+    return rsbgmres(family, cfg, space, k=k, update=k > 0)[:2]
 
 
 @st.composite
@@ -109,6 +123,21 @@ IDENTITY = (np.eye(3), np.array([-1.0, 0.5]), np.outer(np.ones(3), [1, 2.0]),
 ORTHOGONAL = (np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.0, -2.0]),
               np.array([[1.0, 1.0], [0.0, 0.0]]),
               SolverConfig(cycle_length=1, max_cycles=2), 0)
+# A = diag(1, 2, 3, 4) from the space U = C = e1, refreshed each cycle:
+# at shift -1 the 1 x 1 oblique system 1 + sigma vanishes (true residuals
+# of 9.04, and 6.3e48 within two cycles, against ||b|| = 2); beside shift
+# 0.5, shift -1's least-squares pivots fall to rounding level (3.68)
+_DIAG = np.diag(np.arange(1.0, 5.0))
+ONE_SHIFT = (_DIAG, np.array([-1.0]), np.ones((4, 1)),
+             SolverConfig(cycle_length=4, max_cycles=20), (1, 1))
+ONE_SHIFT_TWO_CYCLES = (*ONE_SHIFT[:3],
+                        SolverConfig(cycle_length=4, max_cycles=2), (1, 1))
+KEPT_SHIFT = (_DIAG, np.array([0.5, -1.0]), np.ones((4, 2)),
+              SolverConfig(cycle_length=4, max_cycles=20), (1, 1))
+# a candidate block whose noise column hid its live one (1.7e15 and 161)
+_NOISE_A, _NOISE_R = noise_led_family()
+NOISE_LED = (_NOISE_A, np.array([0.0, 0.5]), _NOISE_R,
+             SolverConfig(cycle_length=1, max_cycles=6), 0)
 
 
 def _check(method, problem):
@@ -153,3 +182,50 @@ def test_collinear_solvers_fail_cleanly_and_flag_truthfully(method, problem):
 def test_block_solvers_fail_cleanly_and_flag_truthfully(method, problem):
     a, shifts, rhs, cfg, k = problem
     _check(method, (a, shifts, rhs, cfg, k if method == "rsbgmres" else 0))
+
+
+def _check_never_worse_than_zero(method, problem):
+    """From x0 = 0, a minimum-residual method returns no iterate whose
+    true residual exceeds ``||b_i||`` (``sgmres`` minimizes its base shift
+    only).  A solve that a random initial guess or the
+    ``fom-random-block`` fallback decollinearized is exempt: neither
+    rewrite minimizes."""
+    a, shifts, rhs, cfg, k = problem
+    family = ShiftedFamily(SparseMatrix.from_dense(a), shifts, rhs, None)
+    try:
+        x, report = _solve(method, family, cfg, k)
+    except ShiftKrylovError:
+        return
+    if any("random-x0" in note or "fom-random-block" in note
+           for note in report.notes):
+        return
+    cols = [int(np.argmin(np.abs(shifts)))] if method == "sgmres" \
+        else range(len(shifts))
+    for i in cols:
+        true = np.linalg.norm(rhs[:, i] - a @ x[:, i] - shifts[i] * x[:, i])
+        bound = np.linalg.norm(rhs[:, i]) * (1 + 1e-6) + 1e-12
+        assert true <= bound, (i, true, bound)
+
+
+@pytest.mark.parametrize("method", ["sbgmres", "rsbgmres"])
+@SETTINGS
+@given(problem=problems(collinear=False))
+@example(problem=IDENTITY)
+@example(problem=ORTHOGONAL)
+@example(problem=ONE_SHIFT)
+@example(problem=ONE_SHIFT_TWO_CYCLES)
+@example(problem=KEPT_SHIFT)
+@example(problem=NOISE_LED)
+def test_block_minimum_residual_never_returns_worse_than_zero(method,
+                                                              problem):
+    a, shifts, rhs, cfg, k = problem
+    _check_never_worse_than_zero(
+        method, (a, shifts, rhs, cfg, k if method == "rsbgmres" else 0))
+
+
+@SETTINGS
+@given(problem=problems(collinear=True))
+@example(problem=IDENTITY)
+@example(problem=ORTHOGONAL)
+def test_sgmres_base_shift_never_returns_worse_than_zero(problem):
+    _check_never_worse_than_zero("sgmres", problem)
