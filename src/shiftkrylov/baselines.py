@@ -13,7 +13,8 @@ the per-step residual estimate and the cycle-end coefficients.  Each
 cycle's per-step estimates come from one :class:`.dense.ShiftedBandQR`
 state at block size one, the state the block engine uses, updated at each
 step for every shift together rather than refactored per shift; each
-cycle ends with one batched solve from the same factor.
+cycle ends with one batched solve from the same factor, and the true
+residual of the updated iterates starts the next cycle.
 """
 
 from __future__ import annotations
@@ -95,11 +96,10 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     ``d_i = sigma_i - sigma_base`` and right-hand side ``beta_i = v1* r_i``.
     Two hooks make the method.  ``step(qr, base)`` returns per shift the
     residual estimate and the mask of shifts with no iterate.
-    ``end(qr, base, h, beta)`` returns per shift, over the Hessenberg
-    matrix ``h`` (square after a happy breakdown), the coefficients
-    ``y_i`` (one row each) from one solve on ``qr`` and, unless ``h`` is
-    square, the coefficients ``c_i`` and unit direction ``u`` of the
-    residuals ``c_i W u``; a square relation leaves no residual.  A shift
+    ``end(qr, base, beta)`` returns per shift the coefficients ``y_i``
+    (one row each) from one solve on ``qr``.  Each cycle ends with
+    ``x += W y`` and the true residual of ``x``, collinear up to rounding,
+    from which the next cycle starts.  A shift
     with no iterate keeps its previous one, with the note ``skip_note``,
     and leaves the family, which cannot go on without its base; shifts
     that left unconverged are then solved alone by restarted GMRES under
@@ -161,16 +161,13 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             solved[base] = not singular[base]
         if solved.any():
             # every column at once: a shift not solved this cycle gets
-            # zero coefficients and keeps its residual column
-            y, c, u = end(qr, base, arn.hess, beta)
+            # zero coefficients and keeps its iterate
+            y = end(qr, base, beta)
             y[~solved] = 0.0
-            _add_products(x, 1.0, (arn.w, y))
-            if arn.invariant:
-                np.copyto(r, 0.0, where=solved)
-            else:
-                np.multiply((arn.basis @ u)[:, None], c, out=r, where=solved)
-        resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
-                                              converged, targets, active)
+            _add_products(x, (arn.w, y))
+        resid, converged = _end_cycle(family, report, x, r, converged,
+                                      targets)
+        r_true = r
         left |= active & singular
         if base is not None and left[base]:
             left |= ~converged
@@ -205,17 +202,17 @@ def _sgmres_step(qr, base):
     return np.abs(t), singular
 
 
-def _sgmres_end(qr, base, h, beta):
-    """``[Hbar_j + d_i [I; 0], q_b] [y_i; t_i] = beta_i e_1``, solved as
-    the least squares of ``beta_i e_1 - t_i q_b``, which the first block
-    reaches exactly; the residuals ``t_i W q_b`` lie along ``W q_b``.
-    After a happy breakdown, ``(H_j + d_i I) y_i = beta_i e_1``."""
+def _sgmres_end(qr, base, beta):
+    """``[Hbar_j + d_i [I; 0], q_b] [y_i; t_i] = beta_i e_1``, solved for
+    ``y_i`` as the least squares of ``beta_i e_1 - t_i q_b``, which the
+    first block reaches exactly.  After a happy breakdown,
+    ``(H_j + d_i I) y_i = beta_i e_1``."""
     if qr.carry == 0:
-        return qr.solve()[0], None, None
+        return qr.solve()
     t, _, q_b = _collinearity(qr, base)
     rhs = np.outer(-t, q_b)
     rhs[:, 0] += beta
-    return qr.solve(rhs)[0], t, q_b
+    return qr.solve(rhs)
 
 
 def sgmres(family: ShiftedFamily, cfg: SolverConfig):
@@ -227,7 +224,7 @@ def sgmres(family: ShiftedFamily, cfg: SolverConfig):
     scalar multiple ``t_i`` of the base residual.  Per step ``|t_i|`` is
     read off the shared :class:`.dense.ShiftedBandQR` state (the base at
     offset 0) through the unit residual directions ``q_i``; at cycle end
-    one batched solve of the bordered systems gives ``y_i`` and ``t_i``.
+    one batched solve of the bordered systems gives every ``y_i``.
     A happy breakdown gives the exact square solve.  The collinear
     iterate exists for positive-real matrices and positive real shifts; a
     shift whose collinearity system is singular keeps its previous
@@ -245,14 +242,9 @@ def _sfom_step(qr, base):
     return qr.galerkin_residual()
 
 
-def _sfom_end(qr, base, h, beta):
-    """The Galerkin solutions of ``(H_j + d_i I) y_i = beta_i e_1``; the
-    residuals ``-h_{j+1,j} y_j v_{j+1}`` lie along ``v_{j+1}``."""
-    j = h.shape[1]
-    y = qr.solve()[0]
-    if len(h) == j:
-        return y, None, None
-    return y, -h[j, j - 1] * y[:, -1], np.eye(j + 1)[j]
+def _sfom_end(qr, base, beta):
+    """The Galerkin solutions of ``(H_j + d_i I) y_i = beta_i e_1``."""
+    return qr.solve()
 
 
 def sfom(family: ShiftedFamily, cfg: SolverConfig):
@@ -264,7 +256,8 @@ def sfom(family: ShiftedFamily, cfg: SolverConfig):
     :class:`.dense.ShiftedBandQR` state; at cycle end one batched solve
     gives every ``y_i``.  The FOM residual at cycle end is
     ``-h_{j+1,j} y_j v_{j+1}``, parallel to the next Arnoldi vector, so
-    collinearity survives every restart without extra work.  A shift
+    collinearity survives every restart; the next cycle starts from the
+    true residual, which holds it up to rounding.  A shift
     whose Galerkin system is singular keeps its previous iterate for that
     cycle, with a note, and leaves the family.  It is then solved alone
     by restarted GMRES, not FOM, with cycles one step longer: alone it

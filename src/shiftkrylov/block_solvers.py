@@ -11,16 +11,17 @@ share the band Hessenberg data and differ only by ``sigma I`` on the
 square part, so every shifted system is driven by the same operator
 applications.  One :class:`.dense.ShiftedBandQR` state per cycle,
 updated by one block column per step, gives every active shift's
-residual estimates and, in one solve at cycle end, its iterate.  The
-recycled method adds a recycle space ``(U, C)``; without one the space
-is empty (k = 0).  A shift with no oblique projection is solved over the
-Krylov space alone; a shift whose last estimate is NaN (a singular
-subproblem) keeps its iterate for the cycle, with a note, and the rest
-of the family goes on.  A cycle in which no active shift progressed
-ends the solve when the next one could not progress either.  Every
-solve iterates in its family's working dtype (real for a real family,
-see :class:`.sparse.ShiftedFamily`), made complex by a complex recycle
-space.
+residual estimates and, in one solve at cycle end, its iterate; the true
+residual of the iterates, computed at every cycle end, starts the next
+cycle.  The recycled method adds a recycle space ``(U, C)``; without one
+the space is empty (k = 0).  A shift with no oblique projection is
+solved over the Krylov space alone; a shift whose last estimate is NaN
+(a singular subproblem) keeps its iterate for the cycle, with a note,
+and the rest of the family goes on.  A cycle in which no active shift
+progressed ends the solve when the next one could not progress either.
+Every solve iterates in its family's working dtype (real for a real
+family, see :class:`.sparse.ShiftedFamily`), made complex by a complex
+recycle space.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def _reference_direction(r, among=None):
     return v1, beta
 
 
-def _add_products(out, alpha, *terms):
-    """``out += alpha sum_i w_i y_i^T`` in place over all of ``out``'s
+def _add_products(out, *terms):
+    """``out += sum_i w_i y_i^T`` in place over all of ``out``'s
     columns, for the pairs ``(w_i, y_i)``: one BLAS ``gemm`` per term with
     columns, accumulating into the transpose of the C-ordered block
     ``out``, so no n x p product or sum is formed.  A zero row of ``y_i``
@@ -145,7 +146,7 @@ def _add_products(out, alpha, *terms):
     for w, y in terms:
         if w.shape[1]:
             fortran = w.flags.f_contiguous
-            c = gemm(alpha, y, w if fortran else w.T, 1.0, c,
+            c = gemm(1.0, y, w if fortran else w.T, 1.0, c,
                      trans_b=int(fortran), overwrite_c=True)
     if not np.may_share_memory(c, out):
         out[...] = c.T          # a block that is not C-ordered was copied
@@ -194,9 +195,11 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     for i in np.nonzero(skipped)[0]:
         report.note(f"{tag}: singular {kind} system for shift index {i}; "
                     "update skipped")
-    y, image = qr.solve()
-    x += arn.w @ y.T
-    r -= arn.basis @ image.T
+    # the residual through the Arnoldi relation, (A + sigma_i I) W y_i =
+    # W_{j+1} Hbar y_i + sigma_i W y_i, at no further product
+    y = qr.solve().T
+    x += arn.w @ y
+    r -= arn.basis @ (arn.hess @ y) + arn.w @ (y * family.shifts)
     return x, r, j
 
 
@@ -255,29 +258,16 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
     return report, targets, x, r, resid, converged
 
 
-def _end_cycle(family: ShiftedFamily, report, cycle, x, r, converged,
-               targets, active, restart=False):
-    """Cycle-end bookkeeping: the true residual (counted in
-    ``extra_matvecs``), with a note when an ``active`` shift's recurrence
-    residual ``r`` drifted from it (with ``restart`` that column of ``r``
-    is replaced in place by the true one), then the residual norms and
-    the converged update.  Returns ``(resid, converged, r_true)``.
+def _end_cycle(family: ShiftedFamily, report, x, r, converged, targets):
+    """Cycle-end bookkeeping: the true residual of ``x`` (counted in
+    ``extra_matvecs``) written into ``r``, from which the next cycle
+    starts, then its norms and the converged update.  Returns
+    ``(resid, converged)``.
     """
-    r_true = family.residual_block(x)
+    r[...] = family.residual_block(x)
     report.extra_matvecs += family.n_shifts
-    drift = np.linalg.norm(r_true - r, axis=0) / np.maximum(
-        report.rhs_norms, 1e-300)
-    drifted = active & (drift > _DRIFT_TOL)
-    if np.any(drifted):
-        worst = int(np.argmax(np.where(active, drift, -np.inf)))
-        report.note(f"cycle {cycle}: recurrence residual drifted "
-                    f"{drift[worst]:.2e} from the true residual for "
-                    f"shift index {worst}")
-        if restart:
-            np.copyto(r, r_true, where=drifted)
     resid = np.linalg.norm(r, axis=0)
-    converged = converged | (resid <= targets)
-    return resid, converged, r_true
+    return resid, converged | (resid <= targets)
 
 
 def _finish(family: ShiftedFamily, report, x, targets, r_true):
@@ -286,14 +276,25 @@ def _finish(family: ShiftedFamily, report, x, targets, r_true):
 
     ``r_true`` is the true residual of ``x`` from the last cycle end, or
     None when the solve left the loop without one; it is then computed
-    here and counted in ``extra_matvecs``.
+    here and counted in ``extra_matvecs``.  A shift whose last recorded
+    point claims convergence that its final flag denies (its last cycle
+    was undone) gets one more point for the family, at the last point's
+    cycle and iteration, with the true residual norms and final flags.
     """
     if r_true is None:
         r_true = family.residual_block(x)
         report.extra_matvecs += family.n_shifts
     true = np.linalg.norm(r_true, axis=0)
-    report.converged = [bool(t <= g) for t, g in zip(true, targets)]
-    report.final_residuals = [float(t) for t in true]
+    final = true <= targets
+    report.converged = final.tolist()
+    report.final_residuals = true.tolist()
+    if final.all():
+        return
+    st = report.steps
+    last = len(st.cycle) - 1 - np.argmax(st.recorded[::-1], axis=0)
+    if np.any(st.converged[last, np.arange(len(final))] & ~final):
+        report.record_step(int(st.cycle[-1]), int(st.iteration[-1]), true,
+                           final)
 
 
 def _cycle_seed(seed, cycle):
@@ -310,9 +311,9 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     ``space`` each cycle is augmented, and each cycle end refreshes the
     space to ``recycle_k`` directions if that is positive; recycling
     requires ``kind == "gmres"``.  Each cycle ends with one solve on its
-    :class:`.dense.ShiftedBandQR` state, then ``x += [W U] [y; z]`` and
-    ``r -= [C W_{j+1} Uhat] G [y; z]``, ``G`` the shifted augmented
-    matrix, for every k including 0.  A cycle's block holds the residual
+    :class:`.dense.ShiftedBandQR` state, then ``x += [W U] [y; z]`` for
+    every k including 0, and the true residual of ``x`` (:func:`_end_cycle`)
+    starts the next cycle.  A cycle's block holds the residual
     columns of the shifts unconverged as the cycle starts (a shift its
     oblique projection converges keeps its column for that cycle), and
     each block product counts that many matvecs; ``report.block_widths``
@@ -328,7 +329,8 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     each cycle's oblique projection and after each step; each cycle's
     Arnoldi chain allocates its workspace once, for ``cfg.cycle_length``
     steps.  For ``"gmres"`` a shift whose true residual rose past the drift
-    tolerance (rounding) gets its cycle-start iterate back, with a note.
+    tolerance (rounding) gets its cycle-start iterate and residual back,
+    with a note.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -378,11 +380,11 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             for i in np.nonzero(active)[0]:
                 try:
                     r_hat, x_hat = oblique_project_shift(
-                        cur_space, shifts[i], r[:, i], x[:, i], a)
+                        cur_space, shifts[i], r[:, i], x[:, i])
                     overlap = np.linalg.norm(cur_space.c.conj().T @ r_hat)
                     if overlap > 1e-13 * max(np.linalg.norm(r_hat), 1e-300):
                         r_hat, x_hat = oblique_project_shift(
-                            cur_space, shifts[i], r_hat, x_hat, a)
+                            cur_space, shifts[i], r_hat, x_hat)
                 except NearSingularError:
                     report.note(f"cycle {cycle}: no oblique projection for "
                                 f"shift index {i}; solved over the Krylov "
@@ -451,22 +453,17 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         # one update for every k, in every column: an empty space adds no
         # columns or rows, and a shift not solved this cycle gets zero
         # coefficients
-        y, image = (_scatter_rows(c, idx, ell) for c in qr.solve())
-        rows, cols = arn.hess.shape
-        u_hat = blocks.u_hat if k_now else cur_space.c
-        _add_products(x, 1.0, (arn.w, y[:, :cols]),
-                      (cur_space.u, y[:, cols:]))
-        _add_products(r, -1.0, (cur_space.c, image[:, :k_now]),
-                      (arn.basis, image[:, k_now:k_now + rows]),
-                      (u_hat, image[:, k_now + rows:]))
+        y = _scatter_rows(qr.solve(), idx, ell)
+        cols = arn.w.shape[1]
+        _add_products(x, (arn.w, y[:, :cols]), (cur_space.u, y[:, cols:]))
         for rec in arn.replacements:
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))
-        resid, converged, r_true = _end_cycle(family, report, cycle, x, r,
-                                              converged, targets, active,
-                                              restart=True)
-        worse = kept is not None and active & (np.linalg.norm(
-            r_true, axis=0) > resid_at_start + _DRIFT_TOL * report.rhs_norms)
+        resid, converged = _end_cycle(family, report, x, r, converged,
+                                      targets)
+        r_true = r
+        worse = kept is not None and active & (
+            resid > resid_at_start + _DRIFT_TOL * report.rhs_norms)
         if np.any(worse):
             report.note(f"cycle {cycle}: true residual rose for shift "
                         f"indices {np.nonzero(worse)[0].tolist()}; kept "

@@ -63,8 +63,9 @@ class ShiftedBandQR:
     the family.  Each estimate is NaN for a shift whose subproblem is
     singular (:func:`.arnoldi._negligible` beside ``norm + |sigma_i|``,
     ``norm`` the Frobenius norm of the operator behind ``Hbar_j``), and
-    :meth:`solve` solves the subproblem of the estimate read last.  The
-    dtype is that of the shifts and right-hand sides.
+    :meth:`solve` returns the coefficients of the subproblem of the
+    estimate read last.  The dtype is that of the shifts and right-hand
+    sides.
     """
 
     def __init__(self, shifts, rhs, block_size, coupling_rows, max_steps,
@@ -261,15 +262,13 @@ class ShiftedBandQR:
         rho[alone] = np.linalg.norm(tail[alone, :carry, k], axis=1)
         singular = _negligible(self._diag_min, self._scale)
         rho[singular] = np.nan
-        self._read = ("augmented", singular, turned, tail, raw, alone,
-                      uhat_rows)
+        self._read = ("augmented", singular, turned, raw, alone)
         return rho
 
     def solve(self, rhs=None):
         """Per shift, the coefficients ``y_i`` of the subproblem whose
-        estimate was read last and their image ``G_i y_i`` (rows of
-        ``G_i``, then of ``Uhat``), both zero where it was NaN, by one
-        back substitution on the kept triangles, one LAPACK ``trtrs`` per
+        estimate was read last, zero where it was NaN, by one back
+        substitution on the kept triangles, one LAPACK ``trtrs`` per
         shift: ``y = R^-1 g_top``; for Galerkin the latest pivot block
         stands in for the last diagonal block and is solved first; an
         augmented solve first takes the recycle coefficients ``z`` (0 for a
@@ -278,26 +277,23 @@ class ShiftedBandQR:
         right-hand sides."""
         kind, skip, *recycle = self._read
         ell, k = self.block_size, self.coupling_rows
-        top, rows = self.steps * ell, self.steps * ell + self.carry
-        q = self.q[:, :rows, :rows]
-        g = self.g[:, :rows].copy() if rhs is None else _apply(q, rhs)
-        y, z, tz = g[:, :top], np.zeros((len(g), 0)), 0.0
-        on_uhat = z                     # sigma N z, on the rows of Uhat
+        top = self.steps * ell
+        q = self.q[:, :top, :top + self.carry]
+        y = self.g[:, :top].copy() if rhs is None else _apply(q, rhs)
+        z = np.zeros((len(y), 0))
         solved = np.nonzero(~skip)[0]
         tri = top                       # order of R's triangle left to solve
         if kind == "augmented":
-            turned, tail, raw, alone, uhat_rows = recycle
+            turned, raw, alone = recycle
             # the tail's R is the upper triangle of each raw factor's
             # transpose
             fit = np.nonzero(~(skip | alone))[0]
-            z = np.zeros((len(g), k), dtype=tail.dtype)
+            z = np.zeros((len(y), k), dtype=raw.dtype)
             z[fit] = raw[fit, k, :k]
             _upper_solve(raw[:, :k, :k].transpose(0, 2, 1), z, fit)
             # the recycle columns rotated by every factor, times z
-            tz = _apply(q[..., :k] + self.shifts[:, None, None] * (
+            y -= _apply(q[..., :k] + self.shifts[:, None, None] * (
                 q @ turned), z)
-            y -= tz[:, :top]
-            on_uhat = _apply(tail[:, uhat_rows, :k], z)
         elif kind == "Galerkin":
             # the latest pivot block stands in for R's last diagonal block
             tri -= ell
@@ -321,14 +317,7 @@ class ShiftedBandQR:
             _upper_solve(self.r[:, cols, cols], y[:, cols], solved)
             y[:, :cols.start] -= _apply(self.r[:, :cols.start, cols],
                                         y[:, cols])
-        # G_i y_i rotated is [R y; 0], plus the recycle part
-        rotated = np.zeros_like(g)
-        rotated[:, :top] = _apply(self.r[:, :top, :top], y)
-        image = np.concatenate(
-            (_apply(q.conj().transpose(0, 2, 1), rotated + tz), on_uhat), 1)
-        keep = ~skip[:, None]
-        return (np.where(keep, np.concatenate((y, z), axis=1), 0.0),
-                np.where(keep, image, 0.0))
+        return np.where(~skip[:, None], np.concatenate((y, z), axis=1), 0.0)
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,7 @@ def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
                  "deficient; refresh the recycle space")
 
 
-def oblique_project_shift(space: RecycleSpace, sigma, r, x, a: SparseMatrix):
+def oblique_project_shift(space: RecycleSpace, sigma, r, x):
     """Obliquely project one shifted residual and update its approximation.
 
     Returns ``(r_hat, x_hat)`` with ``r_hat`` orthogonal to span(C) and
@@ -173,14 +173,14 @@ class AugmentationBlocks:
     ``p = W_{j+1}* U``, ``q2 = C* U`` and the k' x k ``n_factor``, and
     ``[W_{j+1}  C  Uhat]`` has orthonormal columns.  ``remainder`` is
     ``D = U - W_{j+1} p - C q2`` (see :func:`augmentation_blocks`) and
-    ``Uhat n_factor`` its QR.  ``padded`` lists, in increasing order, the
+    ``Uhat n_factor`` its QR; ``Uhat`` itself is never formed, since the
+    solvers need only T.  ``padded`` lists, in increasing order, the
     recycle directions numerically contained in span([W C Uhat]); they
     have no ``Uhat`` column, so k' = k - len(padded).
     """
 
     p: np.ndarray
     q2: np.ndarray
-    u_hat: np.ndarray
     n_factor: np.ndarray
     padded: tuple = ()
     remainder: np.ndarray | None = None
@@ -196,18 +196,19 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
     O(m) block updates.  Without ``prev`` the remainder starts from U,
     which gives up C and then all of ``w_basis`` as one block.  Every
     block goes in two passes of the Arnoldi process's chunked block
-    Gram-Schmidt (BMGS2), and one LAPACK QR of the remainder's columns
-    gives ``Uhat`` and ``n_factor``.
+    Gram-Schmidt (BMGS2), and one LAPACK ``geqrf`` of the remainder's
+    columns gives ``n_factor``.
 
     A recycle direction whose diagonal entry is negligible beside its own
     norm (:func:`.arnoldi._negligible`) is numerically contained in
     span([W C]) and the ``Uhat`` columns before it, so it adds nothing to
     the space the shifted residuals are minimized over: it gets no
-    ``Uhat`` column, the QR runs again without it, and its ``n_factor``
-    column is ``Uhat* D``.  Once
-    contained a direction stays so (its remainder only loses components
-    as the basis grows), so the QR leaves out those ``prev`` lists.  The
-    blocks take the dtype of ``w_basis`` and the space together.
+    ``Uhat`` column, and the QR runs again with it ordered after the
+    others, so its ``n_factor`` column, ``Uhat* D``, is read off the same
+    triangle.  Once contained a direction stays so (its remainder only
+    loses components as the basis grows), so the QR starts from those
+    ``prev`` lists.  The blocks take the dtype of ``w_basis`` and the
+    space together.
     """
     w_basis = np.asarray(w_basis)
     u, c = space.u, space.c
@@ -222,22 +223,22 @@ def augmentation_blocks(space: RecycleSpace, w_basis,
         q2, p = prev.q2, prev.p
         keep[list(prev.padded)] = False
     p = np.vstack([p, *_project_out(d, w_basis[:, p.shape[0]:])])
-    geqrf, orgqr = scipy.linalg.get_lapack_funcs(("geqrf", "orgqr"), (d,))
+    geqrf = scipy.linalg.get_lapack_funcs("geqrf", (d,))
     while True:
         cols = np.nonzero(keep)[0]
-        qr, tau = geqrf(d if keep.all() else d[:, cols])[:2]
-        r = np.triu(qr[:len(cols)])
+        order = np.concatenate((cols, np.nonzero(~keep)[0]))
+        # the rows of R over the kept columns; Householder QR makes those
+        # over the contained columns after them Uhat* D
+        r = np.triu(geqrf(d if keep.all() else d[:, order])[0][:len(cols)])
         contained = _negligible(np.abs(np.diagonal(r)), space.u_norms[cols])
         if not contained.any():
             break
         # the Householder columns after it are taken against its rounding
         # noise: drop it and judge them again
         keep[cols[np.argmax(contained)]] = False
-    u_hat = orgqr(qr, tau, overwrite_a=True)[0]
     n_factor = np.empty((len(cols), space.k), dtype=dtype)
-    n_factor[:, keep] = r
-    n_factor[:, ~keep] = u_hat.conj().T @ d[:, ~keep]
-    return AugmentationBlocks(p, q2, u_hat, n_factor,
+    n_factor[:, order] = r
+    return AugmentationBlocks(p, q2, n_factor,
                               tuple(np.nonzero(~keep)[0].tolist()), d)
 
 

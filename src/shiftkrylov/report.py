@@ -62,12 +62,14 @@ class SolveReport:
 
     Every solver records one point per step for the whole family
     (:meth:`record_step`); :attr:`steps` returns them as arrays.
-    ``extra_matvecs`` counts diagnostic products (true-residual
-    verification, recycle-space re-basing) that are not part of the
-    iteration itself.  ``block_widths`` holds, per cycle of the block
-    restart engine, the width of that cycle's block: the number of shifts
-    unconverged as the cycle starts (recorded also for a cycle that ends
-    at its oblique projection, before any block product).
+    ``extra_matvecs`` counts the products that are not part of the
+    iteration itself: the true residual of the iterates at every cycle
+    end, which also starts the next cycle, and at the end of a solve that
+    left its loop without one.
+    ``block_widths`` holds, per cycle of the block restart engine, the
+    width of that cycle's block: the number of shifts unconverged as the
+    cycle starts (recorded also for a cycle that ends at its oblique
+    projection, before any block product).
     ``final_residuals`` and
     ``converged`` come from the true residual ``b_i - (A + sigma_i I)
     x_i`` of the returned solution.

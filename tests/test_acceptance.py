@@ -188,7 +188,7 @@ def test_criterion_05_rsbgmres_optimality():
         r_hat = np.empty((n, 2), dtype=complex)
         for i, s in enumerate(shifts):
             r_hat[:, i], _ = oblique_project_shift(
-                space, s, b[:, i], np.zeros(n, dtype=complex), a)
+                space, s, b[:, i], np.zeros(n, dtype=complex))
         arn = block_arnoldi(a, r_hat, m, projector=space, seed=0)
         for i, s in enumerate(shifts):
             basis = np.hstack([space.u, arn.w])
@@ -214,11 +214,11 @@ def test_criterion_06_oblique_projector_suite():
         r = rng.standard_normal(30).astype(complex)
         x = rng.standard_normal(30).astype(complex)
         b = r + (ad + sigma * np.eye(30)) @ x
-        r1, x1 = oblique_project_shift(space, sigma, r, x, a)
+        r1, x1 = oblique_project_shift(space, sigma, r, x)
         # range/kernel containment
         assert np.abs(space.c.conj().T @ r1).max() <= 1e-12 * np.linalg.norm(r)
         # idempotence
-        r2, x2 = oblique_project_shift(space, sigma, r1, x1, a)
+        r2, x2 = oblique_project_shift(space, sigma, r1, x1)
         assert np.linalg.norm(r2 - r1) <= 1e-12 * max(1.0, np.linalg.norm(r1))
         assert np.linalg.norm(x2 - x1) <= 1e-12 * max(1.0, np.linalg.norm(x1))
         # consistency of the pair

@@ -16,8 +16,8 @@ from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
 import shiftkrylov.arnoldi as arnoldi
 import shiftkrylov.baselines as baselines
 import shiftkrylov.block_solvers as block_solvers
-from shiftkrylov.block_solvers import _end_cycle, _start
 from shiftkrylov.dense import ShiftedBandQR
+from shiftkrylov.harness import MethodResult, RunUnit
 from shiftkrylov.recycling import RecycleSpace
 
 from conftest import band_qr, noise_led_family, random_sparse
@@ -314,7 +314,7 @@ def test_kronecker_decoupling_oracle(m, ell):
 
     qr = band_qr(arn.hess, arn.coupling, ell, shifts, arn.s0.T)
     qr.residual()
-    y = qr.solve()[0]
+    y = qr.solve()
     for i in range(ell):
         assert np.linalg.norm(y[i] - y_coupled[:, i]) <= 1e-10 * \
             max(1.0, np.linalg.norm(y_coupled[:, i]))
@@ -325,7 +325,7 @@ def test_kronecker_decoupling_oracle(m, ell):
     y_sq = np.linalg.solve(big_sq, g_block[:jl, :].T.reshape(-1))
     y_sq = y_sq.reshape(ell, jl).T
     qr.galerkin_residual()
-    y = qr.solve()[0]
+    y = qr.solve()
     for i in range(ell):
         assert np.linalg.norm(y[i] - y_sq[:, i]) <= 1e-10 * \
             max(1.0, np.linalg.norm(y_sq[:, i]))
@@ -472,6 +472,21 @@ def test_minimum_residual_cycle_that_raised_a_true_residual_is_undone():
     assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
 
+def test_undone_cycle_leaves_no_row_claiming_a_convergence_it_lost():
+    # the family above: cycle 1's last step records shifts 0 and 1 as
+    # converged at residual 0.0 before the cycle end undoes their updates,
+    # so a last point with their true residuals and final flags follows,
+    # and the summary's worst residual reads from it
+    a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
+    fam = ShiftedFamily(a, [-1.0, -2.0, 0.5], np.ones((6, 3)), None)
+    _, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
+    last = {row[0]: row for row in rep.rows}
+    for i in range(3):
+        assert last[i][5:] == (rep.final_residuals[i], rep.converged[i])
+    unit = RunUnit([0, 1, 2], rep)
+    assert MethodResult("sbgmres", [unit]).worst_residual >= 1.05
+
+
 # ---------------------------------------------------------------------------
 # per-step estimates from the updated band QR
 # ---------------------------------------------------------------------------
@@ -519,7 +534,8 @@ def test_engine_factors_each_shift_once_per_cycle(name, monkeypatch):
     active_per_cycle = []
 
     def end_cycle(*args, _original=block_solvers._end_cycle, **kwargs):
-        active_per_cycle.append(int(np.count_nonzero(args[7])))
+        # the active shifts are those not converged as the cycle ends
+        active_per_cycle.append(int(np.count_nonzero(~args[4])))
         calls.append(0)
         return _original(*args, **kwargs)
 
@@ -605,23 +621,6 @@ def test_singular_shift_keeps_its_iterate_and_spares_the_family(name,
     assert not any(row[6] for row in rep.rows if row[0] == 0)
 
 
-def test_drift_note_names_worst_active_shift():
-    # shift 0 is already converged and drifted by 1.0, shift 1 is active
-    # and drifted by 1e-6: the note must name shift 1
-    n = 4
-    b = np.zeros((n, 2))
-    b[0] = 1.0
-    fam = ShiftedFamily(SparseMatrix.identity(n), [0.0, 1.0], b, None)
-    cfg = SolverConfig(tolerance=1e-12)
-    report, targets, x, r, _, _ = _start(fam, cfg, "test")
-    r[1, 0] = -1.0
-    r[1, 1] = -1e-6
-    converged = np.array([True, False])
-    _end_cycle(fam, report, 1, x, r, converged, targets, ~converged)
-    assert report.notes == ["cycle 1: recurrence residual drifted 1.00e-06 "
-                            "from the true residual for shift index 1"]
-
-
 @pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres", "sfom"])
 def test_cycle_end_skips_exactly_the_shifts_with_nan_estimates(name,
                                                                monkeypatch):
@@ -639,9 +638,9 @@ def test_cycle_end_skips_exactly_the_shifts_with_nan_estimates(name,
         monkeypatch.setattr(ShiftedBandQR, method, read)
 
     def solve(self, *args, _original=ShiftedBandQR.solve):
-        y, image = _original(self, *args)
+        y = _original(self, *args)
         solves.append((last[id(self)], ~y.any(axis=1)))
-        return y, image
+        return y
 
     monkeypatch.setattr(ShiftedBandQR, "solve", solve)
     a = SparseMatrix.diagonal(np.array([1.0, 2.0, 3.0]))
@@ -704,13 +703,12 @@ def test_cycle_end_leaves_unsolved_columns_bit_identical(name, case,
     # family here is decollinearized)
     ends = [(0, None, None, (np.zeros_like(fam.rhs), fam.rhs.copy()))]
 
-    def end_cycle(family, report, cycle, x, r, converged, targets, active,
-                  *args, _original=block_solvers._end_cycle, **kwargs):
-        entry = (x.copy(), r.copy())
-        out = _original(family, report, cycle, x, r, converged, targets,
-                        active, *args, **kwargs)
+    def end_cycle(family, report, x, r, converged, *args,
+                  _original=block_solvers._end_cycle):
+        entry, active = (x.copy(), r.copy()), ~converged
+        out = _original(family, report, x, r, converged, *args)
         if family is fam:       # not a shift solved alone afterwards
-            ends.append((cycle, active.copy(), entry, (x.copy(), r.copy())))
+            ends.append((report.cycles, active, entry, (x.copy(), r.copy())))
         return out
 
     monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
@@ -726,7 +724,9 @@ def test_cycle_end_leaves_unsolved_columns_bit_identical(name, case,
     for (_, _, _, before), (cycle, active, after, _) in zip(ends, ends[1:]):
         frozen = ~active
         for c, i in skipped:
-            frozen[i] |= c == cycle
+            # a collinear method's skipped shift leaves the family
+            frozen[i] |= c == cycle or (name in ("sgmres", "sfom")
+                                        and c < cycle)
         if name == "sgmres":
             # the base residual starts every cycle, so it is always updated
             base = int(np.argmin(np.abs(fam.shifts)))
@@ -860,46 +860,75 @@ def test_hopeless_shift_leaves_and_the_solve_ends(case):
         assert rep.matvecs < 40
 
 
-def test_drifted_shift_restarts_from_the_true_residual(monkeypatch):
-    # cycle 1's update of shift 1 moves its iterate but not its recurrence
-    # residual, which then drifts from the true one: cycle 2 must start
-    # from the true residual, and the solve still ends truly converged
-    ends, starts = [], []
+@pytest.mark.parametrize("name", ["sbgmres", "sbfom", "rsbgmres", "sgmres",
+                                  "sfom"])
+def test_drifted_shift_restarts_from_the_true_residual(name, monkeypatch):
+    # cycle 1's coefficients are scaled by 1 + 1e-10, which moves every
+    # iterate off the residual a recurrence would carry by less than any
+    # drift tolerance: cycle 2 must start from the true residual all the
+    # same, and the solve still ends truly converged
+    ends, starts, projected = [], [], {}
 
     def solve(self, *args, _original=ShiftedBandQR.solve):
-        y, image = _original(self, *args)
-        if not ends:
-            y[1, 0] += 1e-3
-        return y, image
+        y = _original(self, *args)
+        return y if ends else y * (1.0 + 1e-10)
 
-    def end_cycle(family, report, cycle, x, r, *args,
-                  _original=block_solvers._end_cycle, **kwargs):
-        out = _original(family, report, cycle, x, r, *args, **kwargs)
+    def end_cycle(family, report, x, *args,
+                  _original=block_solvers._end_cycle):
+        out = _original(family, report, x, *args)
         ends.append(x.copy())
         return out
 
     def start(r0, *args, _original=block_solvers.block_arnoldi_start,
               **kwargs):
-        starts.append(np.array(r0))
+        if len(ends) == 1:
+            starts.append(np.array(r0))
         return _original(r0, *args, **kwargs)
 
+    def project(space, sigma, r, x,
+                _original=block_solvers.oblique_project_shift):
+        if len(ends) == 1:
+            # the first projection of each shift in cycle 2 gets its start
+            projected.setdefault(sigma, np.array(r))
+        return _original(space, sigma, r, x)
+
     monkeypatch.setattr(ShiftedBandQR, "solve", solve)
-    monkeypatch.setattr(block_solvers, "_end_cycle", end_cycle)
-    monkeypatch.setattr(block_solvers, "block_arnoldi_start", start)
+    for module in (block_solvers, baselines):
+        monkeypatch.setattr(module, "_end_cycle", end_cycle)
+        monkeypatch.setattr(module, "block_arnoldi_start", start)
+    monkeypatch.setattr(block_solvers, "oblique_project_shift", project)
     a = generate_convection_diffusion(7, 15.0)
-    b = np.random.default_rng(44).standard_normal((49, 3))
+    rng = np.random.default_rng(44)
+    collinear = name in ("sgmres", "sfom")
+    b = np.outer(rng.standard_normal(49), [1.0, 2.0, -0.5]) if collinear \
+        else rng.standard_normal((49, 3))
     fam = ShiftedFamily(a, [1e-3, 0.4, 2.0], b, None)
-    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=40)
-    x, rep = sbgmres(fam, cfg)
-    assert rep.notes[0].startswith("cycle 1: recurrence residual drifted")
-    assert rep.notes[0].endswith("shift index 1")
-    true_after_1 = fam.residual_block(ends[0])[:, 1]
-    assert np.linalg.norm(starts[1][:, 1] - true_after_1) \
-        <= 1e-12 * np.linalg.norm(true_after_1)
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=100)
+    solver = {"sbgmres": sbgmres, "sbfom": sbfom, "sgmres": sgmres,
+              "sfom": sfom}.get(name)
+    if solver is None:
+        x, rep, _ = rsbgmres(fam, cfg, None, k=2)
+    else:
+        x, rep = solver(fam, cfg)
+    true = fam.residual_block(ends[0])
+    if collinear:
+        # the start vector is the unit base residual (the smallest shift)
+        # for sgmres, the unit largest residual for sfom
+        ref = 0 if name == "sgmres" else int(np.argmax(
+            np.linalg.norm(true, axis=0)))
+        gaps = [np.linalg.norm(starts[0] - true[:, ref]
+                               / np.linalg.norm(true[:, ref]))]
+    else:
+        begun = starts[0] if name != "rsbgmres" else np.column_stack(
+            [projected[s] for s in fam.shifts])
+        assert begun.shape == true.shape
+        gaps = np.linalg.norm(begun - true, axis=0) \
+            / np.linalg.norm(true, axis=0)
+    assert max(gaps) <= 1e-12
     ad = a.to_dense()
     for i, sigma in enumerate(fam.shifts):
-        true = np.linalg.norm(b[:, i] - (ad + sigma * np.eye(49)) @ x[:, i])
-        assert rep.converged[i] == (true <= 1e-8 * np.linalg.norm(b[:, i]))
+        res = np.linalg.norm(b[:, i] - (ad + sigma * np.eye(49)) @ x[:, i])
+        assert rep.converged[i] == (res <= 1e-8 * np.linalg.norm(b[:, i]))
     assert all(rep.converged)
 
 

@@ -65,8 +65,7 @@ def test_hessenberg_ls_exact():
     qr = ShiftedBandQR([0.0], [[2.0]], 1, 0, 1, norm=1.0)
     qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
     assert qr.residual()[0] == pytest.approx(0.0, abs=1e-15)
-    y, image = qr.solve()
-    assert np.allclose(y, [[2.0]]) and np.allclose(image, [[2.0, 0.0]])
+    assert np.allclose(qr.solve(), [[2.0]])
 
 
 def test_hessenberg_ls_pure_residual():
@@ -74,8 +73,7 @@ def test_hessenberg_ls_pure_residual():
     qr = ShiftedBandQR([0.0], [[3.0]], 1, 0, 1, norm=1.0)
     qr.append([[0.0]], [[1.0]], np.zeros((0, 1)))
     assert qr.residual()[0] == pytest.approx(3.0)
-    y, image = qr.solve()
-    assert np.allclose(y, 0.0) and np.allclose(image, 0.0)
+    assert np.allclose(qr.solve(), 0.0)
 
 
 def _band_hessenberg(rows, cols, band, seed):
@@ -134,7 +132,7 @@ def test_hessenberg_ls_against_lstsq(case):
     k = len(coupling)
     qr = band_qr(hbar, coupling, ell, [sigma], rhs[None])
     resid = qr.residual()[0]
-    y, image = (v[0] for v in qr.solve())
+    y = qr.solve()[0]
     # independent oracle: LAPACK's SVD-based least squares over the rows
     # [B; Hbar + sigma [I; 0]], the coupling right-hand side first
     h = np.vstack([coupling, hbar + sigma * np.eye(*hbar.shape)])
@@ -142,7 +140,6 @@ def test_hessenberg_ls_against_lstsq(case):
     g[k:k + ell], g[:k] = rhs[:ell], rhs[ell:]
     y_ls = np.linalg.lstsq(h, g, rcond=None)[0]
     assert np.linalg.norm(y - y_ls) <= 1e-12 * np.linalg.norm(y_ls)
-    assert np.linalg.norm(image - h @ y_ls) <= 1e-12 * np.linalg.norm(g)
     # residual norm contract: the norm read off the factor matches the
     # explicitly recomputed residual, also when it is tiny next to ||g||
     explicit = np.linalg.norm(g - h @ y)
@@ -163,8 +160,7 @@ def test_hessenberg_ls_singular_column_named():
     qr.append([[0.0], [0.0]], [[0.0]], np.zeros((0, 1)))
     assert np.nonzero(np.diagonal(qr.r[0]) == 0.0)[0].tolist() == [1]
     assert np.isnan(qr.residual()[0])
-    y, image = qr.solve()
-    assert not np.any(y) and not np.any(image)
+    assert not np.any(qr.solve())
 
 
 def _residual_directions(qr):
@@ -233,7 +229,7 @@ def test_shifted_band_qr_at_block_size_one_against_dense_oracles(case):
     assert _residual_directions(qr).shape == (len(offsets), m, 0)
     assert np.all(qr.residual() == 0.0)
     # and the solve is each shift's square solve
-    y = qr.solve()[0]
+    y = qr.solve()
     for i, d in enumerate(offsets):
         y_sq = np.linalg.solve(hbar[:m] + d * np.eye(m), np.eye(m)[0] * rhs[i])
         assert np.linalg.norm(y[i] - y_sq) <= 1e-12 * np.linalg.norm(y_sq)
@@ -306,7 +302,6 @@ def test_shifted_band_qr_against_dense_oracles(ell, k):
         blocks = AugmentationBlocks(
             p=_complex_vector(rows * k, seed=j).reshape(rows, k),
             q2=_complex_vector(k * k, seed=20 + j).reshape(k, k),
-            u_hat=np.zeros((1, k)),
             n_factor=np.triu(rng.standard_normal((k, k))))
         resid = qr.residual()
         galerkin, singular = qr.galerkin_residual() if k == 0 \
@@ -355,7 +350,7 @@ def test_width_one_galerkin_pivot_is_measured_against_the_operator():
     qr.append([[1e-30]], np.zeros((0, 1)), np.zeros((0, 1)))
     rho, singular = qr.galerkin_residual()
     assert singular.tolist() == [True, True] and np.isnan(rho).all()
-    assert not np.any(qr.solve()[0])
+    assert not np.any(qr.solve())
 
 
 def test_shifted_band_qr_marks_singular_least_squares_unknown():
@@ -373,8 +368,7 @@ def test_least_squares_pivot_at_rounding_level_is_singular():
     qr = ShiftedBandQR([0.0], [[1.0]], 1, 0, 1, norm=1.0)
     qr.append([[1e-17]], [[0.0]], np.zeros((0, 1)))
     assert np.isnan(qr.residual()[0])
-    y, image = qr.solve()
-    assert not y.any() and not image.any()
+    assert not qr.solve().any()
 
 
 def test_zero_live_column_gives_nan_estimates_and_a_zero_solve():
@@ -388,21 +382,20 @@ def test_zero_live_column_gives_nan_estimates_and_a_zero_solve():
         qr.append([[1.0]], [[0.0]], np.zeros((0, 1)))
         qr.append([[0.0], [0.0]], [[0.0]], np.zeros((0, 1)))
         rho = qr.residual()
-        y_ls, image_ls = qr.solve()
+        y_ls = qr.solve()
         galerkin, singular = qr.galerkin_residual()
-        y_g, image_g = qr.solve()
+        y_g = qr.solve()
     assert qr.q.dtype == qr.g.dtype == qr.r.dtype == np.float64
     assert rho.dtype == galerkin.dtype == y_ls.dtype == y_g.dtype \
         == np.float64
     assert np.isnan(rho[0]) and np.isnan(galerkin[0])
     assert singular.tolist() == [True, False]
-    for y, image in ((y_ls, image_ls), (y_g, image_g)):
-        assert not np.any(y[0]) and not np.any(image[0])
+    for y in (y_ls, y_g):
+        assert not np.any(y[0])
     # offset 1: Hbar + [I; 0] = [[2, 0], [0, 1], [0, 0]], right-hand side
     # 3 e_1, solved exactly by y = (1.5, 0) in both senses
     assert rho[1] == 0.0 and galerkin[1] == 0.0
     assert np.allclose(y_ls[1], [1.5, 0.0]) and np.allclose(y_g[1], [1.5, 0.0])
-    assert np.allclose(image_ls[1], [3.0, 0.0, 0.0])
 
 
 def _galerkin_solve(h_col, shifts, rhs):
@@ -413,7 +406,7 @@ def _galerkin_solve(h_col, shifts, rhs):
                        norm=np.linalg.norm(h_col))
     qr.append(h_col, np.zeros((0, ell)), np.zeros((0, ell)))
     rho, singular = qr.galerkin_residual()
-    return qr.solve()[0], rho, singular
+    return qr.solve(), rho, singular
 
 
 def test_solve_identity():
@@ -467,22 +460,18 @@ def test_band_qr_solve_against_dense_oracles(ell, k, dtype):
     qr = band_qr(hbar, coupling, ell, shifts, rhs)
     mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
     qr.residual()
-    y, image = qr.solve()
-    assert y.dtype == image.dtype == np.result_type(dtype, np.float64)
+    y = qr.solve()
+    assert y.dtype == np.result_type(dtype, np.float64)
     for i, (h, gi) in enumerate(zip(mats, g)):
         y_ls = np.linalg.lstsq(h, gi, rcond=None)[0]
         assert np.linalg.norm(y[i] - y_ls) <= 1e-10 * np.linalg.norm(y_ls)
-        assert np.linalg.norm(image[i] - h @ y_ls) \
-            <= 1e-10 * np.linalg.norm(gi)
     jl = steps * ell
     if k == 0:
         qr.galerkin_residual()
-        y, image = qr.solve()
+        y = qr.solve()
         for i, (h, gi) in enumerate(zip(mats, g)):
             y_g = np.linalg.solve(h[:jl], gi[:jl])
             assert np.linalg.norm(y[i] - y_g) <= 1e-10 * np.linalg.norm(y_g)
-            assert np.linalg.norm(image[i] - h @ y_g) \
-                <= 1e-10 * np.linalg.norm(h @ y_g)
         return
     # augmented, shift 1 over the Krylov space alone with its coupling
     # right-hand side
@@ -491,7 +480,7 @@ def test_band_qr_solve_against_dense_oracles(ell, k, dtype):
     n_factor = np.triu(rng.standard_normal((k, k)))
     alone = np.array([False, True, False])
     est = qr.augmented_residual(p, q2, n_factor, alone)
-    y, image = qr.solve()
+    y = qr.solve()
     rows = len(hbar)
     for i, sigma in enumerate(shifts):
         if alone[i]:
@@ -508,8 +497,6 @@ def test_band_qr_solve_against_dense_oracles(ell, k, dtype):
         if alone[i]:
             y_ls = np.concatenate([y_ls, np.zeros(k)])
         assert np.linalg.norm(y[i] - y_ls) <= 1e-10 * np.linalg.norm(y_ls)
-        assert np.linalg.norm(image[i] - h @ y_ls) \
-            <= 1e-10 * np.linalg.norm(gi)
         assert abs(est[i] - np.linalg.norm(gi - h @ y_ls)) \
             <= 1e-10 * np.linalg.norm(gi)
 
@@ -529,15 +516,14 @@ def test_recycle_column_inside_the_band_is_solved_over_the_band_alone():
     qr = band_qr(hbar, coupling, 1, shifts, rhs)
     mats, g = _state_rows(hbar, coupling, shifts, rhs, 1)
     est = qr.augmented_residual(p, q2, n_factor, np.zeros(2, dtype=bool))
-    y, image = qr.solve()
+    y = qr.solve()
     order = np.r_[3, :3]            # the state orders the rows [C, W_3]
     for i, sigma in enumerate(shifts):
         aug = augmented_matrix(hbar, coupling, p, q2, n_factor,
                                sigma)[order]
         y_ls = np.linalg.lstsq(aug, g[i], rcond=None)[0]
         assert abs(est[i] - np.linalg.norm(g[i] - aug @ y_ls)) <= 1e-12
-        assert np.linalg.norm(image[i] - aug @ y[i]) <= 1e-12
-        assert np.linalg.norm(image[i] - aug @ y_ls) <= 1e-12
+        assert np.linalg.norm(aug @ y[i] - aug @ y_ls) <= 1e-12
     assert y[0, 2] == 0.0 and y[1, 2] != 0.0
     y_band = np.linalg.lstsq(mats[0], g[0], rcond=None)[0]
     assert np.allclose(y[0, :2], y_band, rtol=1e-12, atol=0)
@@ -555,14 +541,13 @@ def test_band_qr_solve_on_relation_closed_square(ell):
     qr = band_qr(hbar, coupling, ell, shifts, rhs)
     mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
     assert np.all(qr.residual() == 0.0)
-    y_ls, image = qr.solve()
+    y_ls = qr.solve()
     assert np.array_equal(qr.galerkin_residual()[0], [0.0, 0.0])
-    y_g = qr.solve()[0]
+    y_g = qr.solve()
     for i, (h, gi) in enumerate(zip(mats, g)):
         y_sq = np.linalg.solve(h, gi)
         for y in (y_ls[i], y_g[i]):
             assert np.linalg.norm(y - y_sq) <= 1e-10 * np.linalg.norm(y_sq)
-        assert np.linalg.norm(image[i] - gi) <= 1e-10 * np.linalg.norm(gi)
 
 
 @pytest.mark.parametrize("skipped", [False, True])
@@ -575,7 +560,7 @@ def test_band_qr_solve_at_solver_shapes(p, ell, k, steps, skipped):
     # substitution over several column chunks: every shift's least-squares,
     # Galerkin and augmented solve against LAPACK's dense lstsq and solve.
     # A skipped shift's first column of G vanishes exactly, so its
-    # estimate is NaN and its coefficients and image are zero
+    # estimate is NaN and its coefficients are zero
     hbar, coupling = _band_relation(ell, k, steps, ell, seed=p + ell + k)
     rng = np.random.default_rng(p + k)
     shifts = rng.uniform(-0.5, 2.0, p) + 0.3j * rng.standard_normal(p)
@@ -604,11 +589,11 @@ def test_band_qr_solve_at_solver_shapes(p, ell, k, steps, skipped):
                  ("Galerkin", lambda: qr.galerkin_residual()[0])]
     for kind, read in reads:
         est = read()
-        y, image = qr.solve()
+        y = qr.solve()
         for i, (h, gi) in enumerate(zip(mats, g)):
             if i == skip:
                 assert np.isnan(est[i])
-                assert not y[i].any() and not image[i].any()
+                assert not y[i].any()
                 continue
             if kind == "Galerkin":
                 y_ref = np.linalg.solve(h[:jl], gi[:jl])
@@ -619,8 +604,6 @@ def test_band_qr_solve_at_solver_shapes(p, ell, k, steps, skipped):
             tol = 1e-14 * np.linalg.cond(h[:jl] if kind == "Galerkin" else h)
             assert np.linalg.norm(y[i] - y_ref) \
                 <= tol * np.linalg.norm(y_ref)
-            assert np.linalg.norm(image[i] - h @ y_ref) \
-                <= tol * np.linalg.norm(h @ y_ref)
 
 
 def test_band_qr_solve_skips_exactly_singular_shift():
@@ -636,13 +619,13 @@ def test_band_qr_solve_skips_exactly_singular_shift():
     mats, g = _state_rows(hbar, np.zeros((0, 2)), shifts, rhs, 1)
     rho = qr.residual()
     assert np.isnan(rho[0]) and np.isfinite(rho[1])
-    y, image = qr.solve()
-    assert not np.any(y[0]) and not np.any(image[0])
+    y = qr.solve()
+    assert not np.any(y[0])
     y_ls = np.linalg.lstsq(mats[1], g[1], rcond=None)[0]
     assert np.linalg.norm(y[1] - y_ls) <= 1e-12 * np.linalg.norm(y_ls)
     rho, singular = qr.galerkin_residual()
     assert singular.tolist() == [True, False] and np.isnan(rho[0])
-    y, _ = qr.solve()
+    y = qr.solve()
     assert not np.any(y[0])
     y_g = np.linalg.solve(mats[1][:2], g[1][:2])
     assert np.linalg.norm(y[1] - y_g) <= 1e-12 * np.linalg.norm(y_g)
