@@ -18,11 +18,16 @@ block size never shrinks, each logged with the seed key that reproduces it.
 
 The basis, Hessenberg matrix and coupling rows of one chain of states
 live in one preallocated column-major workspace that each step writes in
-place; a state holds read-only prefix views of it.  A caller that knows
-the chain's length passes it to :func:`block_arnoldi_start`, and the
-chain allocates its workspace once; otherwise capacity grows
-geometrically.  Extending a state that is not the newest of its
-workspace first copies its prefix, so a returned state never changes.
+place: the operator product goes into the workspace's product block and
+the Gram-Schmidt coefficients straight into their Hessenberg and
+coupling columns.  The workspace makes one read-only view of each array
+when it is allocated; the state a step returns holds prefix slices of
+those views, so a step copies no coefficients and sets no flags.  A
+caller that knows the chain's length passes it to
+:func:`block_arnoldi_start`, and the chain allocates its workspace once;
+otherwise capacity grows geometrically.  Extending a state that is not
+the newest of its workspace first copies its prefix, so a returned state
+never changes.
 """
 
 from __future__ import annotations
@@ -57,14 +62,13 @@ class _InvariantSubspace(Exception):
     whole candidate block vanished or no replacement direction exists.
 
     ``built`` counts the columns the failing step did build before the
-    ambient space ran out (0 for a clean closing) and ``r_partial`` holds
-    their coefficient rows.
+    ambient space ran out (0 for a clean closing); their coefficient rows
+    are already written.
     """
 
-    def __init__(self, built, r_partial):
+    def __init__(self, built):
         super().__init__("invariant subspace")
         self.built = built
-        self.r_partial = r_partial
 
 
 @dataclass(frozen=True)
@@ -84,11 +88,14 @@ class BlockArnoldiState:
     further block, and ``hess`` is square after a vanished block.  At
     block size one this is the happy breakdown.
 
-    ``basis``, ``hess`` and ``coupling`` are read-only; after the first
-    step they are views into a column-major workspace shared along one
-    chain of extensions.  Only the newest state of a workspace extends in
-    place; extending an older one copies its prefix into a new workspace
-    first, so no state ever sees its arrays change.
+    ``basis``, ``hess`` and ``coupling`` are read-only.  A start state
+    holds arrays of its own.  A state returned by an extension holds
+    prefix slices of the read-only views its workspace, a column-major
+    buffer shared along one chain of extensions, makes once when it is
+    allocated; the slices are taken as the state is returned.  Only the
+    newest state of a workspace extends in place; extending an older one
+    copies its prefix into a new workspace first, so no state ever sees
+    its arrays change.
     """
 
     basis: np.ndarray
@@ -112,38 +119,43 @@ class BlockArnoldiState:
 class _Workspace:
     """Column-major buffers of one chain of block Arnoldi states, sized
     for ``cap`` steps: the n x (cap+1)L basis, the (cap+1)L x cap*L
-    Hessenberg matrix and the k x cap*L coupling rows.  ``steps`` is the
-    step count of the newest state written into it."""
+    Hessenberg matrix and the k x cap*L coupling rows, one read-only view
+    of each that every state of the chain slices, and the C-ordered
+    n x L block that receives each step's operator product.  ``steps`` is
+    the step count of the newest state written into it."""
 
-    __slots__ = ("basis", "hess", "coupling", "cap", "steps")
+    __slots__ = ("basis", "hess", "coupling", "product", "_read_only",
+                 "cap", "steps")
 
     def __init__(self, state, cap, dtype):
         """A workspace holding a copy of ``state``'s arrays."""
         ell, j = state.block_size, state.steps
         n, k = state.basis.shape[0], state.coupling.shape[0]
-        # left uninitialized: a step writes every column a view will
-        # cover, each Hessenberg column in full (zeros below the band), so
-        # only the columns in use are ever touched
+        # the basis and coupling rows are left uninitialized, since a
+        # step writes every column a view will cover; each step writes its
+        # Hessenberg column on and above the subdiagonal block, whose
+        # zeros below come from here
         self.basis = np.empty((n, (cap + 1) * ell), dtype=dtype, order="F")
-        self.hess = np.empty(((cap + 1) * ell, cap * ell), dtype=dtype,
+        self.hess = np.zeros(((cap + 1) * ell, cap * ell), dtype=dtype,
                              order="F")
         self.coupling = np.empty((k, cap * ell), dtype=dtype, order="F")
+        self.product = np.empty((n, ell), dtype=dtype)
         self.basis[:, :(j + 1) * ell] = state.basis
         self.hess[:(j + 1) * ell, :j * ell] = state.hess
-        self.hess[(j + 1) * ell:, :j * ell] = 0.0
         self.coupling[:, :j * ell] = state.coupling
+        self._read_only = tuple(arr.view() for arr in (
+            self.basis, self.hess, self.coupling))
+        for arr in self._read_only:
+            arr.flags.writeable = False
         self.cap = cap
         self.steps = j
 
     def views(self, steps, ell, trailing):
         """Read-only (basis, hess, coupling) of the state after ``steps``
         steps whose last basis block has ``trailing`` columns."""
-        rows = steps * ell + trailing
-        out = (self.basis[:, :rows], self.hess[:rows, :steps * ell],
-               self.coupling[:, :steps * ell])
-        for arr in out:
-            arr.flags.writeable = False
-        return out
+        rows, cols = steps * ell + trailing, steps * ell
+        basis, hess, coupling = self._read_only
+        return basis[:, :rows], hess[:rows, :cols], coupling[:, :cols]
 
 
 @cache
@@ -182,7 +194,7 @@ def _norm(z):
 _CHUNK_BYTES = 1 << 20
 
 
-def _project_out(z, *blocks):
+def _project_out(z, *blocks, out=None):
     """Two passes of block modified Gram-Schmidt (BMGS2) of the
     column-major block ``z`` against each orthonormal block in turn, in
     place.  Each pass sweeps every column chunk (at most ``_CHUNK_BYTES``)
@@ -190,14 +202,16 @@ def _project_out(z, *blocks):
     calls, so neither product allocates an n-row temporary.
 
     ``z`` must be Fortran-contiguous and of a dtype that holds every
-    block's; either may be empty.  Returns each block's summed
-    coefficients ``V* z`` over both passes.
+    block's; either may be empty.  Writes each block's coefficients
+    ``V* z``, the first pass's plus the second's, into ``out`` (one array
+    per block, allocated when None) and returns it.
     """
     gemm = _routine("gemm", z.dtype)
-    coefs = [np.zeros((blk.shape[1], z.shape[1]), dtype=z.dtype)
-             for blk in blocks]
+    if out is None:
+        out = [np.empty((blk.shape[1], z.shape[1]), dtype=z.dtype)
+               for blk in blocks]
     chunks = []
-    for blk, coef in zip(blocks, coefs):
+    for blk, coef in zip(blocks, out):
         if blk.nbytes <= _CHUNK_BYTES:
             chunks.append((blk, coef))
             continue
@@ -205,14 +219,20 @@ def _project_out(z, *blocks):
         chunks += [(blk[:, lo:lo + width], coef[lo:lo + width])
                    for lo in range(0, blk.shape[1], width)]
     # pass-major: running both passes on a chunk before the next would
-    # leave the later chunks' rounding in the earlier chunks' span
-    for _pass in range(2):
+    # leave the later chunks' rounding in the earlier chunks' span.  The
+    # gemm arguments are positional, (alpha, a, b, beta, c, trans_a,
+    # trans_b, overwrite_c): f2py's keyword parsing costs about 0.5 us a
+    # call, as much as the product at n = 400
+    for first in (True, False):
         for blk, coef in chunks:
-            if blk.size and z.size:
-                h = gemm(1.0, blk, z, trans_a=2)
-                gemm(-1.0, blk, h, 1.0, z, overwrite_c=True)
-                coef += h
-    return coefs
+            if blk.size and z.size:     # an empty side has no coefficients
+                h = gemm(1.0, blk, z, 0.0, None, 2)         # V* z
+                gemm(-1.0, blk, h, 1.0, z, 0, 0, 1)         # z -= V h
+                if first:
+                    coef[...] = h
+                else:
+                    coef += h
+    return out
 
 
 def _replacement_vector(n, prev, step, column, seed, log):
@@ -232,10 +252,10 @@ def _replacement_vector(n, prev, step, column, seed, log):
         f"column {column}; space appears exhausted")
 
 
-def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
+def _block_qr_replace(z, v, r, prev_blocks, step, seed, log, scale):
     """QR of the block ``z`` (already orthogonal to ``prev_blocks``) into
-    the n x L buffer ``v``, replacing dependent columns by random
-    directions.
+    the n x L buffer ``v`` and the L x L block ``r``, zero on entry,
+    replacing dependent columns by random directions.
 
     ``scale`` bounds the Frobenius norm of the raw candidate block before
     any orthogonalization (the start block's own norm, ``||A||_F`` for an
@@ -251,12 +271,13 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
     ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
     by the diagonal's phase.  A block with one is orthogonalized column by
     column in two passes, a dependent column replaced as it is met.  Fills
-    ``v`` with orthonormal columns and returns ``r``, upper triangular
-    with a real non-negative diagonal that is zero at replaced columns, so
-    the Arnoldi relation stays exact to the threshold.
+    ``v`` with orthonormal columns and ``r`` with an upper triangle whose
+    real non-negative diagonal is zero at replaced columns, so the Arnoldi
+    relation stays exact to the threshold.  A raised
+    :class:`_InvariantSubspace` leaves the rows of the columns it built
+    in ``r``.
     """
     n, ell = z.shape
-    r = np.zeros((ell, ell), dtype=z.dtype)
     if ell == 1:
         ref = low = _norm(z)
     else:
@@ -269,7 +290,7 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
         ref, low = np.linalg.norm(np.triu(qr[:ell]), axis=0).max(), mags.min()
     if _negligible(ref, scale):
         if step:
-            raise _InvariantSubspace(0, r[:0])
+            raise _InvariantSubspace(0)
         z = np.zeros_like(z)    # rounding noise: every column is replaced
     elif low > DEPENDENCY_TOL * ref:
         if ell == 1:
@@ -281,10 +302,10 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
             np.fill_diagonal(r, mags)
             v[...] = orgqr(qr, tau, overwrite_a=True)[0]
             v *= phase
-        return r
+        return
     for c in range(ell):
         w = z[:, c:c + 1].copy(order="F")
-        r[:c, c:c + 1], = _project_out(w, v[:, :c])
+        _project_out(w, v[:, :c], out=[r[:c, c:c + 1]])
         nrm = np.linalg.norm(w)
         if nrm <= DEPENDENCY_TOL * ref:
             try:
@@ -294,16 +315,15 @@ def _block_qr_replace(z, v, prev_blocks, step, seed, log, scale):
                 # a replacement draw only fails when the basis together
                 # with the columns built so far already spans the whole
                 # space, so the span is invariant; finish the coefficient
-                # rows of the not-yet-processed candidates and hand the
-                # partial block back for a closed relation
+                # rows of the not-yet-processed candidates and signal a
+                # relation closed on the partial block
                 rest = z[:, c + 1:].copy(order="F")
-                r[:c, c + 1:], = _project_out(rest, v[:, :c])
-                raise _InvariantSubspace(c, r[:c, :])
+                _project_out(rest, v[:, :c], out=[r[:c, c + 1:]])
+                raise _InvariantSubspace(c)
         else:
             r[c, c] = nrm
             w = w / nrm
         v[:, c:c + 1] = w
-    return r
 
 
 def block_arnoldi_start(r0, projector=None, *, seed=0,
@@ -343,8 +363,8 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
         _project_out(z, c_basis)
     log: list[Replacement] = []
     v1 = np.zeros((n, ell), dtype=dtype, order="F")
-    s0 = _block_qr_replace(z, v1, [c_basis] if k else [], 0, seed, log,
-                           scale)
+    s0 = np.zeros((ell, ell), dtype=dtype)
+    _block_qr_replace(z, v1, s0, [c_basis] if k else [], 0, seed, log, scale)
     v1.flags.writeable = False
     state = BlockArnoldiState(
         basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
@@ -382,35 +402,32 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     for _ in range(steps):
         basis = ws.basis[:, :(j + 1) * ell]
         cols = slice(j * ell, (j + 1) * ell)
-        z = np.asfortranarray(block_matvec(a, basis[:, cols]))
-        coefs = _project_out(z, *proj, basis)
-        ws.hess[:(j + 1) * ell, cols] = coefs[-1]
-        if proj:
-            ws.coupling[:, cols] = coefs[0]
-        ws.hess[(j + 1) * ell:, cols] = 0.0
+        # the product in the workspace's C-ordered block, which at L = 1
+        # is column-major too and is orthogonalized where it lies
+        z = np.asfortranarray(block_matvec(a, basis[:, cols],
+                                           out=ws.product))
+        coefs = (ws.coupling[:, cols], ws.hess[:(j + 1) * ell, cols])
+        _project_out(z, *proj, basis, out=coefs[1 - len(proj):])
         try:
             # the raw block's norm needs no pass over it: the basis block
             # V is orthonormal, so ||A V||_F <= ||A||_F ||V||_2 = ||A||_F
-            r_new = _block_qr_replace(
-                z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
-                [*proj, basis], j + 1, state.seed, log,
-                scale=a.frobenius_norm)
+            _block_qr_replace(z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
+                              ws.hess[(j + 1) * ell:(j + 2) * ell, cols],
+                              [*proj, basis], j + 1, state.seed, log,
+                              scale=a.frobenius_norm)
         except _InvariantSubspace as sig:
             # close the relation on the invariant span with whatever
             # partial basis block the step built (none when the block
             # vanished whole, and the coefficient matrix becomes square)
-            trailing, r_new = sig.built, sig.r_partial
-        ws.hess[(j + 1) * ell:(j + 1) * ell + trailing, cols] = r_new
+            trailing = sig.built
         j += 1
         if trailing < ell:
             break
     ws.steps = j
     basis, hess, coupling = ws.views(j, ell, trailing)
     return BlockArnoldiState(
-        basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
-        replacements=tuple(log), coupling=coupling,
-        projector_c=state.projector_c, seed=state.seed,
-        invariant=trailing < ell, _ws=ws)
+        basis, hess, state.s0, ell, j, tuple(log), coupling,
+        state.projector_c, state.seed, trailing < ell, ws)
 
 
 def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *,

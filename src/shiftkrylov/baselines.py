@@ -117,6 +117,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     offsets = family.shifts - shift0
     iteration = cycle = 0
     r_true = qr = None
+    work = np.empty_like(r)
     left = np.zeros(family.n_shifts, dtype=bool)
     while cycle < cfg.max_cycles and not (converged | left).all():
         cycle += 1
@@ -148,10 +149,10 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             rho[ok] = est[ok]
             # a converged shift repeats its residual, a singular one keeps
             # its previous estimate, and a shift that left is not recorded
-            report.record_step(cycle, iteration, rho,
-                               converged | (ok & (rho <= targets)),
+            met = rho <= targets
+            report.record_step(cycle, iteration, rho, converged | (ok & met),
                                active | converged)
-            if np.all(rho[active] <= targets[active]) or arn.invariant:
+            if met[active].all() or arn.invariant:
                 break
         for i in np.nonzero(active & singular)[0]:
             report.note(f"cycle {cycle}: " + skip_note.format(i))
@@ -166,7 +167,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             y[~solved] = 0.0
             _add_products(x, (arn.w, y))
         resid, converged = _end_cycle(family, report, x, r, converged,
-                                      targets)
+                                      targets, work)
         r_true = r
         left |= active & singular
         if base is not None and left[base]:

@@ -258,15 +258,20 @@ def _start(family: ShiftedFamily, cfg: SolverConfig, method):
     return report, targets, x, r, resid, converged
 
 
-def _end_cycle(family: ShiftedFamily, report, x, r, converged, targets):
+def _end_cycle(family: ShiftedFamily, report, x, r, converged, targets,
+               work):
     """Cycle-end bookkeeping: the true residual of ``x`` (counted in
     ``extra_matvecs``) written into ``r``, from which the next cycle
-    starts, then its norms and the converged update.  Returns
+    starts, then its norms and the converged update.  ``work``, a block
+    shaped like ``r`` that the solve keeps across cycles, holds ``X D``
+    and then the squares the norms sum, the operations of
+    ``np.linalg.norm(r, axis=0)`` in the same order.  Returns
     ``(resid, converged)``.
     """
-    r[...] = family.residual_block(x)
+    family.residual_block(x, out=r, work=work)
     report.extra_matvecs += family.n_shifts
-    resid = np.linalg.norm(r, axis=0)
+    squares = np.multiply(r.conj(), r, out=work).real
+    resid = np.sqrt(np.add.reduce(squares, axis=0))
     return resid, converged | (resid <= targets)
 
 
@@ -347,6 +352,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     # a complex recycle space makes a real family's iterates complex
     dtype = np.result_type(x, cur_space.u)
     x, r = x.astype(dtype, copy=False), r.astype(dtype, copy=False)
+    work = np.empty_like(r)
 
     if not converged.all() and ell > 1 and k_now == 0 \
             and _nonzero_collinear(r):
@@ -441,9 +447,11 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             # a singular shift's estimate (NaN) keeps its previous value
             ok = ~np.isnan(est)
             rho[idx[ok]] = est[ok]
-            report.record_step(cycle, iteration, rho,
-                               converged | (active & (rho <= targets)))
-            if np.all(rho[active] <= targets[active]) or arn.invariant:
+            # every shift is converged or active, so a cycle whose shifts
+            # are all done has every active shift at its target
+            done = converged | (active & (rho <= targets))
+            report.record_step(cycle, iteration, rho, done)
+            if np.count_nonzero(done) == ell or arn.invariant:
                 break
 
         name = "Galerkin" if kind == "fom" else "least-squares"
@@ -460,7 +468,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             report.replacements.append((cycle, rec.step, rec.column,
                                         rec.seed_key))
         resid, converged = _end_cycle(family, report, x, r, converged,
-                                      targets)
+                                      targets, work)
         r_true = r
         worse = kept is not None and active & (
             resid > resid_at_start + _DRIFT_TOL * report.rhs_norms)

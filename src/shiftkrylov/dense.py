@@ -90,16 +90,19 @@ class ShiftedBandQR:
         self.carry = ell + k
         rows, tri = k + (max_steps + 1) * ell, max_steps * ell
         n_q, n_r = p * (tri + ell + k) * rows, p * tri * tri
-        if len(self._buf) < n_q + n_r or self._buf.dtype != dtype:
-            self._buf = np.empty(n_q + n_r, dtype=dtype)
-        self._buf[:n_q + n_r] = 0.0
+        end = n_q + n_r + p * (tri + ell + k)
+        if len(self._buf) < end or self._buf.dtype != dtype:
+            self._buf = np.empty(end, dtype=dtype)
+        self._buf[:end] = 0.0
         self.q = self._buf[:n_q].reshape(p, tri + ell + k, rows)
         self.r = self._buf[n_q:n_q + n_r].reshape(p, tri, tri)
+        self.g = self._buf[n_q + n_r:end].reshape(p, tri + ell + k)
         # before the first step the carried rows are H rows 0..L-1, then
         # the coupling rows
-        self.q[:, np.arange(ell), k + np.arange(ell)] = 1.0
-        self.q[:, ell + np.arange(k), np.arange(k)] = 1.0
-        self.g = np.zeros((p, tri + ell + k), dtype=dtype)
+        for i in range(ell):
+            self.q[:, i, k + i] = 1.0
+        for i in range(k):
+            self.q[:, ell + i, i] = 1.0
         self.g[:, :rhs.shape[1]] = rhs
         # the smallest |r_ii| so far, and before the latest step
         self._diag_min = np.full(p, np.inf)
@@ -171,15 +174,16 @@ class ShiftedBandQR:
         q = self.q[:, :t + 1, :t + 1]
         col = q @ h
         col += self.shifts[:, None] * q[:, :, t]
+        self._pivot = col[:, t:, None]
         a = col[:, t]
-        self._pivot = a[:, None, None].copy()
         b = sub[0, 0] if len(sub) else 0.0
         nu = np.hypot(np.abs(a), abs(b))
         zero = nu == 0.0
         scale = nu + zero
         cos, sin = (a.conj() + zero) / scale, np.conj(b) / scale
-        col[:, t] = nu
-        self.r[:, :t + 1, t] = col
+        r = self.r[:, :t + 1, t]
+        r[...] = col
+        r[:, t] = nu
         # the new subdiagonal row t + 1 enters as an identity row with a
         # zero right-hand side; both rows are zero right of column t + 1
         row, g = self.q[:, t, :t + 2], self.g
@@ -187,7 +191,7 @@ class ShiftedBandQR:
             below = -sin.conj()
             np.multiply(row, below[:, None], out=self.q[:, t + 1, :t + 2])
             self.q[:, t + 1, t + 1] = cos.conj()
-            g[:, t + 1] = below * g[:, t]
+            np.multiply(below, g[:, t], out=g[:, t + 1])
         row *= cos[:, None]
         row[:, t + 1] = sin
         g[:, t] *= cos

@@ -355,6 +355,44 @@ def test_workspace_views_never_expose_unwritten_entries(monkeypatch):
             assert np.isfinite(arr).all()
 
 
+@pytest.mark.parametrize("projected", [False, True])
+def test_extension_keeps_what_the_benchmark_tracer_reads(projected):
+    # perfbench's tracer reads, after each block_arnoldi_extend call, the
+    # input state's steps, replacements, basis.shape, block_size and
+    # projector_c and the result's steps and replacements; the start
+    # block's second column repeats its first, so the chain carries a
+    # replacement, and capacity 2 makes the third extension regrow
+    a = random_sparse(30, density=0.2, seed=65, diag_boost=3.0)
+    rng = np.random.default_rng(66)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((30, 2))) \
+        if projected else None
+    v = rng.standard_normal(30)
+    r0 = np.column_stack((v, v, rng.standard_normal(30)))
+    state = block_arnoldi_start(r0, space, seed=4, capacity=2)
+    assert len(state.replacements) == 1
+    for _ in range(4):
+        read = (state.steps, state.replacements, state.basis.shape,
+                state.block_size, state.projector_c)
+        arrays = _arrays(state)
+        new = block_arnoldi_extend(a, state, 1)
+        assert (state.steps, state.replacements, state.basis.shape,
+                state.block_size) == read[:4]
+        assert state.projector_c is read[4]
+        _assert_same(state, arrays)
+        assert new.steps == state.steps + 1
+        ws = new._ws
+        rows, cols = new.basis.shape[1], new.steps * new.block_size
+        eager = block_arnoldi(a, r0, new.steps, space, seed=4)
+        for got, prefix, batch in (
+                (new.basis, ws.basis[:, :rows], eager.basis),
+                (new.hess, ws.hess[:rows, :cols], eager.hess),
+                (new.coupling, ws.coupling[:, :cols], eager.coupling)):
+            assert not got.flags.writeable
+            assert np.array_equal(got, prefix)
+            assert np.array_equal(got, batch)
+        state = new
+
+
 def test_projected_chain_closes_invariant_in_workspace():
     # n = 10 beside k = 3 recycle directions leaves room for 7 basis
     # columns: block size 2 closes at step 3, which builds one of its two

@@ -56,6 +56,16 @@ def test_block_matvec_matches_columnwise_exactly():
     for i in range(3):
         # same accumulation order: bit identical, zero ulp difference
         assert np.array_equal(out[:, i], matvec(a, x[:, i]))
+    # scipy's own product, for one column and for several, in a given
+    # C-ordered block, which must be one
+    csr = scipy.sparse.csr_matrix((a.values, a.col_indices, a.row_offsets),
+                                  shape=(8, 8))
+    for cols in (x[:, :1], x):
+        buf = np.full(cols.shape, np.nan)
+        assert block_matvec(a, cols, out=buf) is buf
+        assert np.array_equal(buf, csr @ cols)
+    with pytest.raises(DimensionError):
+        block_matvec(a, x, out=np.zeros((8, 3), order="F"))
 
 
 def test_add_shift_matches_dense():
@@ -306,6 +316,11 @@ def test_residual_block_against_dense_reference(case):
         x = x + 1j * rng.standard_normal((n, p))
     r = fam.residual_block(x)
     assert r.dtype == np.result_type(x, fam.rhs)
+    # kept blocks, as a solve passes them at every cycle end, give the
+    # same bits
+    out, work = np.full_like(r, np.nan), np.full_like(r, np.nan)
+    assert fam.residual_block(x, out=out, work=work) is out
+    assert np.array_equal(out, r)
     dense = a.to_dense()
     for i in range(p):
         expect = b[:, i] - (dense + shifts[i] * np.eye(n)) @ x[:, i]
