@@ -426,8 +426,10 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     ws.steps = j
     basis, hess, coupling = ws.views(j, ell, trailing)
     return BlockArnoldiState(
-        basis, hess, state.s0, ell, j, tuple(log), coupling,
-        state.projector_c, state.seed, trailing < ell, ws)
+        basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
+        replacements=tuple(log), coupling=coupling,
+        projector_c=state.projector_c, seed=state.seed,
+        invariant=trailing < ell, _ws=ws)
 
 
 def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *,

@@ -263,14 +263,16 @@ def _end_cycle(family: ShiftedFamily, report, x, r, converged, targets,
     """Cycle-end bookkeeping: the true residual of ``x`` (counted in
     ``extra_matvecs``) written into ``r``, from which the next cycle
     starts, then its norms and the converged update.  ``work``, a block
-    shaped like ``r`` that the solve keeps across cycles, holds ``X D``
-    and then the squares the norms sum, the operations of
-    ``np.linalg.norm(r, axis=0)`` in the same order.  Returns
+    shaped like ``r`` that the solve keeps across cycles, holds ``X D``,
+    then ``conj(r)`` and then the squares ``conj(r) * r`` the norms sum,
+    the operations of ``np.linalg.norm(r, axis=0)`` in the same order.
+    Returns
     ``(resid, converged)``.
     """
     family.residual_block(x, out=r, work=work)
     report.extra_matvecs += family.n_shifts
-    squares = np.multiply(r.conj(), r, out=work).real
+    np.conjugate(r, out=work)
+    squares = np.multiply(work, r, out=work).real
     resid = np.sqrt(np.add.reduce(squares, axis=0))
     return resid, converged | (resid <= targets)
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+# scipy's private CSR kernels; the oldest scipy that pyproject.toml
+# accepts (1.10) runs the tests in CI's floor job
 from scipy.sparse import _sparsetools
 
 from .errors import DimensionError, MatrixMarketError
@@ -136,6 +138,10 @@ def block_matvec(a: SparseMatrix, x, out=None):
     is returned.  The kernel is the one scipy's ``A @ x`` calls for that
     width (``csr_matvec`` for one column), called without ``A @ x``'s
     dispatch, which costs about as much as the product at n = 400.
+    ``csr_matvecs`` at width one makes the same additions in the same
+    order, but a width-one Krylov step of ``tools/step_cost.py`` took
+    2-4% more CPU with it (three runs of 30 pairs on a 2-vCPU VM,
+    scipy 1.17, in which it was faster in 5 to 8 pairs).
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != a.n_cols:

@@ -2,21 +2,22 @@
 
 Usage::
 
-    python3 tools/step_cost.py A B [--reps 30] [--seed 1]
+    python3 tools/step_cost.py A B [--reps 30]
 
 ``A`` and ``B`` are ``src/`` trees, each holding a ``shiftkrylov``
 package (for example the ``src/`` of a second checkout).  Both load into
 this one process under distinct package names.  One repetition runs the
-16 seed solves of perfbench's smooth-param workload (restarted GMRES,
-n = 400, cycle length 20, one shift each) with both trees, solve by
-solve, the tree that goes first alternating from solve to solve and
-from repetition to repetition, and times each solve in CPU seconds; the
-operators and right-hand sides are built before the clock starts.  The
-tool prints the CPU microseconds per step of each tree (median and
-quartiles over the repetitions), in how many repetitions B was faster,
-and each tree's matvec count, which is its step count.  Timing both
-trees in one process, tens of milliseconds apart, cancels most of the
-drift of a shared machine's speed.
+seed solves of sample 1 of perfbench's smooth-param workload at its full
+size (restarted GMRES, one shift each; 16 solves at n = 400 and cycle
+length 20), their parameters read from perfbench's workload definition,
+with both trees, solve by solve, the tree that goes first alternating
+from solve to solve and from repetition to repetition, and times each
+solve in CPU seconds; the operators and right-hand sides are built
+before the clock starts.  The tool prints the CPU microseconds per step
+of each tree (median and quartiles over the repetitions), in how many
+repetitions B was faster, and each tree's matvec count, which is its
+step count.  Timing both trees in one process, tens of milliseconds
+apart, cancels most of the drift of a shared machine's speed.
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -38,9 +39,8 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-# perfbench's smooth-param at full size: grid, shift count, seed solves,
-# cycle length
-GRID, COUNT, N_SEED, CYCLE = 20, 26, 16, 20
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 1    # perfbench's default --seed
 
 
 def load_tree(src, name):
@@ -54,19 +54,36 @@ def load_tree(src, name):
     return module
 
 
-def seed_problems(pkg, seed):
-    """The operators, right-hand sides and config of the seed solves of
-    smooth-param's sample ``seed``, built as its harness builds them."""
+def sample_configs():
+    """The harness configurations of smooth-param's full-size sample
+    ``SEED``, as perfbench's workload builds them from this checkout."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from workloads import WORKLOADS
+    workload = WORKLOADS["smooth-param"]
+    return workload.setup(SEED, workload.sizes["full"], "unused").cfgs
+
+
+def seed_problems(pkg, cfgs):
+    """The operators, right-hand sides and solver config of the seed
+    solves of ``cfgs``, built as the harness's smooth-parameter protocol
+    builds them, with ``pkg``'s own functions."""
     harness = importlib.import_module(pkg.__name__ + ".harness")
     sparse = importlib.import_module(pkg.__name__ + ".sparse")
     report = importlib.import_module(pkg.__name__ + ".report")
-    a = sparse.generate_convection_diffusion(GRID, 10.0)
-    rng = np.random.default_rng(seed)
-    shifts = rng.uniform(1.0, 2.0, COUNT)
-    cfg = report.SolverConfig(cycle_length=CYCLE, tolerance=1e-8,
-                              max_cycles=60, seed=seed)
-    return [(sparse.add_shift(a, s), harness.smooth_rhs(a.n_rows, s), cfg)
-            for s in shifts[:N_SEED]]
+    problems = []
+    for cfg in cfgs:
+        if cfg.smooth_seed_method != "seq-gmres":
+            sys.exit("step_cost: smooth-param no longer seeds with "
+                     "restarted GMRES solves")
+        a = harness.build_problem(cfg)
+        shifts = np.random.default_rng(cfg.rhs_seed).uniform(
+            *cfg.smooth_interval, cfg.smooth_count)
+        solver = report.SolverConfig(**vars(cfg.solver))
+        problems += [(sparse.add_shift(a, s), harness.smooth_rhs(a.n_rows, s),
+                      solver)
+                     for s in shifts[:min(cfg.smooth_n_seed,
+                                          cfg.smooth_count)]]
+    return problems
 
 
 def solve(pkg, problem):
@@ -83,7 +100,7 @@ def repetition(trees, flip):
     B first in every other solve (and in all the others when ``flip``).
     Returns per tree the CPU microseconds per step and the matvecs."""
     seconds, matvecs = {"A": 0.0, "B": 0.0}, {"A": 0, "B": 0}
-    for i in range(N_SEED):
+    for i in range(len(trees["A"][1])):
         for label in ("BA" if (i + flip) % 2 else "AB"):
             pkg, problems = trees[label]
             cpu, mv = solve(pkg, problems[i])
@@ -102,14 +119,14 @@ def main(argv=None):
     parser.add_argument("a", help="src/ tree A (the reference)")
     parser.add_argument("b", help="src/ tree B (the change)")
     parser.add_argument("--reps", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.reps < 2:
         parser.error("--reps must be >= 2")
+    cfgs = sample_configs()
     trees = {}
     for label, src in (("A", args.a), ("B", args.b)):
         pkg = load_tree(src, f"shiftkrylov_step_cost_{label.lower()}")
-        trees[label] = (pkg, seed_problems(pkg, args.seed))
+        trees[label] = (pkg, seed_problems(pkg, cfgs))
     repetition(trees, 0)            # warm-up: imports, LAPACK look-ups
     per_step = {"A": [], "B": []}
     for rep in range(args.reps):
