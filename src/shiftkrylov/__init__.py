@@ -11,8 +11,7 @@ with a command-line interface.
 from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
                       block_arnoldi_extend, block_arnoldi_start)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
-from .block_solvers import (DecollinearizeStrategy, detect_collinear, sbfom,
-                            sbgmres)
+from .block_solvers import detect_collinear, sbfom, sbgmres
 from .dense import EigenPairs, hessenberg_eigen
 from .errors import (BreakdownError, CollinearityError, ConfigError,
                      DimensionError, EigenConvergenceError,
@@ -31,15 +30,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockArnoldiState", "BreakdownError", "CollinearityError", "ConfigError",
-    "DecollinearizeStrategy", "DimensionError", "EigenConvergenceError",
-    "EigenPairs", "MatrixMarketError", "NearSingularError", "RecycleSpace",
-    "Replacement", "ShiftKrylovError", "ShiftedFamily", "SolveReport",
-    "SolverConfig", "SparseMatrix", "add_shift", "block_arnoldi",
-    "block_arnoldi_extend", "block_arnoldi_start", "block_matvec",
-    "detect_collinear", "fom_restarted", "generate_convection_diffusion",
-    "gmres_restarted", "hessenberg_eigen", "load_recycle_space", "matvec",
-    "oblique_project_shift", "read_dense_matrix_market", "read_matrix_market",
-    "rgmres_baseline", "rsbgmres", "save_recycle_space", "sbfom", "sbgmres",
-    "sfom", "sgmres", "shift_rebase", "update_recycle_space",
-    "write_dense_matrix_market", "write_matrix_market",
+    "DimensionError", "EigenConvergenceError", "EigenPairs",
+    "MatrixMarketError", "NearSingularError", "RecycleSpace", "Replacement",
+    "ShiftKrylovError", "ShiftedFamily", "SolveReport", "SolverConfig",
+    "SparseMatrix", "add_shift", "block_arnoldi", "block_arnoldi_extend",
+    "block_arnoldi_start", "block_matvec", "detect_collinear", "fom_restarted",
+    "generate_convection_diffusion", "gmres_restarted", "hessenberg_eigen",
+    "load_recycle_space", "matvec", "oblique_project_shift",
+    "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
+    "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",
+    "shift_rebase", "update_recycle_space", "write_dense_matrix_market",
+    "write_matrix_market",
 ]

@@ -20,20 +20,20 @@ The basis, Hessenberg matrix and coupling rows of one chain of states
 live in one preallocated column-major workspace that each step writes in
 place: the operator product goes into the workspace's product block and
 the Gram-Schmidt coefficients straight into their Hessenberg and
-coupling columns.  The workspace makes one read-only view of each array
-when it is allocated; the state a step returns holds prefix slices of
-those views, so a step copies no coefficients and sets no flags.  A
-caller that knows the chain's length passes it to
-:func:`block_arnoldi_start`, and the chain allocates its workspace once;
-otherwise capacity grows geometrically.  Extending a state that is not
-the newest of its workspace first copies its prefix, so a returned state
-never changes.
+coupling columns, as the start block's QR goes into its first basis
+block.  The workspace makes one read-only view of each array when it is
+allocated; every state of the chain holds prefix slices of those views,
+so a step copies no coefficients and sets no flags.  A caller that
+knows the chain's length passes it to :func:`block_arnoldi_start`, and
+the chain allocates its workspace once; otherwise capacity grows
+geometrically.  Extending a state that is not the newest of its
+workspace first copies its prefix, so a returned state never changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -88,10 +88,9 @@ class BlockArnoldiState:
     further block, and ``hess`` is square after a vanished block.  At
     block size one this is the happy breakdown.
 
-    ``basis``, ``hess`` and ``coupling`` are read-only.  A start state
-    holds arrays of its own.  A state returned by an extension holds
-    prefix slices of the read-only views its workspace, a column-major
-    buffer shared along one chain of extensions, makes once when it is
+    ``basis``, ``hess`` and ``coupling`` are read-only: prefix slices of
+    the read-only views its workspace, a column-major buffer shared along
+    one chain of extensions from a start state, makes once when it is
     allocated; the slices are taken as the state is returned.  Only the
     newest state of a workspace extends in place; extending an older one
     copies its prefix into a new workspace first, so no state ever sees
@@ -127,10 +126,9 @@ class _Workspace:
     __slots__ = ("basis", "hess", "coupling", "product", "_read_only",
                  "cap", "steps")
 
-    def __init__(self, state, cap, dtype):
-        """A workspace holding a copy of ``state``'s arrays."""
-        ell, j = state.block_size, state.steps
-        n, k = state.basis.shape[0], state.coupling.shape[0]
+    def __init__(self, n, ell, k, cap, dtype):
+        """An empty workspace for an n-row chain of block size ``ell``
+        beside ``k`` recycle directions."""
         # the basis and coupling rows are left uninitialized, since a
         # step writes every column a view will cover; each step writes its
         # Hessenberg column on and above the subdiagonal block, whose
@@ -140,15 +138,12 @@ class _Workspace:
                              order="F")
         self.coupling = np.empty((k, cap * ell), dtype=dtype, order="F")
         self.product = np.empty((n, ell), dtype=dtype)
-        self.basis[:, :(j + 1) * ell] = state.basis
-        self.hess[:(j + 1) * ell, :j * ell] = state.hess
-        self.coupling[:, :j * ell] = state.coupling
         self._read_only = tuple(arr.view() for arr in (
             self.basis, self.hess, self.coupling))
         for arr in self._read_only:
             arr.flags.writeable = False
         self.cap = cap
-        self.steps = j
+        self.steps = 0
 
     def views(self, steps, ell, trailing):
         """Read-only (basis, hess, coupling) of the state after ``steps``
@@ -327,15 +322,15 @@ def _block_qr_replace(z, v, r, prev_blocks, step, seed, log, scale):
 
 
 def block_arnoldi_start(r0, projector=None, *, seed=0,
-                        capacity=None) -> BlockArnoldiState:
+                        capacity=4) -> BlockArnoldiState:
     """Reduced QR of the initial block, with dependent-column replacement.
 
     ``projector`` is a recycle space (anything with an orthonormal image
     basis attribute ``c``); when given, the initial block is first
     orthogonalized against ``C`` so the augmented basis stays orthonormal.
     The state takes the dtype of ``r0`` and ``C`` (at least float64).
-    With ``capacity`` the chain's workspace is allocated here for that
-    many steps.
+    The chain's workspace is allocated here for ``capacity`` steps, and
+    the start block is factored straight into it.
     """
     r0 = np.asarray(r0)
     if r0.ndim == 1:
@@ -362,18 +357,15 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
         c_basis = np.asarray(c_basis, dtype=dtype, order="F")
         _project_out(z, c_basis)
     log: list[Replacement] = []
-    v1 = np.zeros((n, ell), dtype=dtype, order="F")
+    ws = _Workspace(n, ell, k, capacity, dtype)
     s0 = np.zeros((ell, ell), dtype=dtype)
-    _block_qr_replace(z, v1, s0, [c_basis] if k else [], 0, seed, log, scale)
-    v1.flags.writeable = False
-    state = BlockArnoldiState(
-        basis=v1, hess=np.zeros((ell, 0), dtype=dtype), s0=s0,
-        block_size=ell, steps=0, replacements=tuple(log),
-        coupling=np.zeros((k, 0), dtype=dtype),
-        projector_c=c_basis, seed=seed)
-    if capacity:
-        state = replace(state, _ws=_Workspace(state, capacity, dtype))
-    return state
+    _block_qr_replace(z, ws.basis[:, :ell], s0, [c_basis] if k else [], 0,
+                      seed, log, scale)
+    basis, hess, coupling = ws.views(0, ell, ell)
+    return BlockArnoldiState(
+        basis=basis, hess=hess, s0=s0, block_size=ell, steps=0,
+        replacements=tuple(log), coupling=coupling, projector_c=c_basis,
+        seed=seed, _ws=ws)
 
 
 def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
@@ -396,7 +388,11 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     # for the new steps; otherwise copy into one that grows geometrically
     if (ws is None or ws.steps != j or ws.cap < j + steps
             or ws.basis.dtype != dtype):
-        ws = _Workspace(state, max(j + steps, 2 * j, 4), dtype)
+        ws = _Workspace(state.basis.shape[0], ell, state.coupling.shape[0],
+                        max(j + steps, 2 * j, 4), dtype)
+        ws.basis[:, :(j + 1) * ell] = state.basis
+        ws.hess[:(j + 1) * ell, :j * ell] = state.hess
+        ws.coupling[:, :j * ell] = state.coupling
     log = list(state.replacements)
     trailing = ell
     for _ in range(steps):
@@ -441,6 +437,6 @@ def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *,
         r0 = r0[:, None]
     if r0.shape[0] != a.n_rows:
         raise DimensionError("r0 must be an n x L block")
-    state = block_arnoldi_start(r0, projector, seed=seed)
+    state = block_arnoldi_start(r0, projector, seed=seed, capacity=m)
     return block_arnoldi_extend(a, state, m)
 

@@ -2,7 +2,7 @@
 collinear-residual shifted solvers that share one single-vector Krylov
 space across all shifts.  Every basis comes from the block Arnoldi
 process at block size one, and every solver runs on the restart
-scaffold of :mod:`.block_solvers`.
+scaffold of :mod:`.block_solvers` and steps through its one step loop.
 
 The collinear methods are the comparison points for the block solvers:
 they are cheap (one vector per step serves every shift) but only apply
@@ -23,10 +23,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arnoldi import _negligible, block_arnoldi_extend, block_arnoldi_start
+from .arnoldi import _negligible, block_arnoldi_start
 from .block_solvers import (_add_products, _end_cycle, _finish,
                             _nonzero_collinear, _reference_direction,
-                            _run_cycles, _start)
+                            _run_cycles, _start, _steps)
 from .dense import ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
@@ -99,12 +99,13 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     ``end(qr, base, beta)`` returns per shift the coefficients ``y_i``
     (one row each) from one solve on ``qr``.  Each cycle ends with
     ``x += W y`` and the true residual of ``x``, collinear up to rounding,
-    from which the next cycle starts.  A shift
-    with no iterate keeps its previous one, with the note ``skip_note``,
-    and leaves the family, which cannot go on without its base; shifts
-    that left unconverged are then solved alone by restarted GMRES under
-    ``solo_cfg``.  Each step records one point for the family, in which a
-    shift that left is not recorded.
+    from which the next cycle starts.  The steps are those of the block
+    engine, :func:`.block_solvers._steps`, each counted as one matvec and
+    no block product.  A shift with no iterate keeps its previous one,
+    with the note ``skip_note``, and leaves the family, which cannot go
+    on without its base; shifts that left unconverged are then solved
+    alone by restarted GMRES under ``solo_cfg``.  Each step records one
+    point for the family, in which a shift that left is not recorded.
     """
     report, targets, x, r, resid, converged = _start(family, cfg, method)
     if not converged.all() and np.count_nonzero(resid) > 1 \
@@ -137,13 +138,9 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
                 a.frobenius_norm)
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
-        for _j in range(cfg.cycle_length):
-            arn = block_arnoldi_extend(a, arn, 1)
-            report.matvecs += 1
+        for arn in _steps(a, arn, qr, cfg.cycle_length, report,
+                          blocks=False):
             iteration += 1
-            j = arn.steps
-            qr.append(arn.hess[:j, j - 1:], arn.hess[j:, j - 1:],
-                      arn.coupling[:, j - 1:])
             est, singular = step(qr, base)
             ok = active & ~singular
             rho[ok] = est[ok]
@@ -152,7 +149,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
             met = rho <= targets
             report.record_step(cycle, iteration, rho, converged | (ok & met),
                                active | converged)
-            if met[active].all() or arn.invariant:
+            if met[active].all():
                 break
         for i in np.nonzero(active & singular)[0]:
             report.note(f"cycle {cycle}: " + skip_note.format(i))

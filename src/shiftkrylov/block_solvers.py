@@ -1,6 +1,9 @@
 """Shifted block GMRES and FOM over one shared block Krylov subspace, the
-strategies for rendering collinear initial residuals independent, and the
-restart engine they (and the recycled variant) run on.
+strategies for rendering collinear initial residuals independent (each
+named by a tag of :data:`STRATEGY_TAGS`), and the restart engine they
+(and the recycled variant) run on.  Every cycle of the package, the
+engine's, a strategy's and the collinear baselines', steps through one
+loop, :func:`_steps`.
 
 One cycle builds the block Krylov space of the residual columns of the
 shifts still unconverged when it starts (a converged shift costs no more
@@ -25,8 +28,6 @@ recycle space.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,28 +92,6 @@ def _collinear_columns(r, norms, cols, tol):
     return True
 
 
-@dataclass(frozen=True)
-class DecollinearizeStrategy:
-    """How to turn collinear initial residuals into independent ones.
-
-    ``tag`` is one of ``random-x0`` (draw a fresh random initial guess),
-    ``gmres-cycle`` (minimize every shifted residual over one shared
-    single-vector Krylov space of length ``m_init``), or
-    ``fom-random-block`` (one Galerkin cycle over a block space grown from
-    the common residual direction plus random columns).
-    """
-
-    tag: str = "gmres-cycle"
-    m_init: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tag not in STRATEGY_TAGS:
-            raise DimensionError(f"unknown strategy '{self.tag}'")
-        if self.m_init < 1:
-            raise DimensionError("m_init must be >= 1")
-
-
 def _nonzero_collinear(r):
     """Whether the nonzero columns of ``r``, at least two, are collinear."""
     norms = np.linalg.norm(r, axis=0)
@@ -160,9 +139,31 @@ def _scatter_rows(a, idx, p):
     return out
 
 
-def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
-    """One cycle over a space all shifts share, solved from one shifted QR
-    state: without ``seed_key`` (``gmres-cycle``) the least squares over
+def _steps(a, arn, qr, steps, report, blocks=True):
+    """The step loop of every cycle: up to ``steps`` block Arnoldi steps
+    on ``a`` from the state ``arn``, each counted in ``report`` (its
+    block size in ``matvecs``, and one block product when ``blocks``) and
+    appended to ``qr`` as its new block column.  Yields the state after
+    each step; the step that closes the relation is the last."""
+    ell = arn.block_size
+    for _ in range(steps):
+        arn = block_arnoldi_extend(a, arn, 1)
+        report.matvecs += ell
+        if blocks:
+            report.block_matvecs += 1
+        j = arn.steps
+        new = slice((j - 1) * ell, j * ell)
+        qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
+                  arn.coupling[:, new])
+        yield arn
+        if arn.invariant:
+            return
+
+
+def _strategy_cycle(family, x, r, steps, report, seed_key=None):
+    """One cycle of up to ``steps`` steps over a space all shifts share,
+    solved from one shifted QR state: without ``seed_key``
+    (``gmres-cycle``, single-vector products only) the least squares over
     the Krylov space of the common residual direction, with one
     (``fom-random-block``) the Galerkin solve over the block space of that
     direction and random columns seeded by ``seed_key``."""
@@ -172,24 +173,16 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
         rng = np.random.default_rng(np.random.SeedSequence(seed_key))
         block = np.column_stack(
             (block, rng.standard_normal((family.n, family.n_shifts - 1))))
-    ell = block.shape[1]
-    arn = block_arnoldi_start(block, capacity=m_init)
-    qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]), ell, 0,
-                       m_init, family.matrix.frobenius_norm)
-    for _ in range(m_init):
-        arn = block_arnoldi_extend(family.matrix, arn, 1)
-        j = arn.steps
-        new = slice((j - 1) * ell, j * ell)
-        qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
-                  arn.coupling[:, new])
-        if arn.invariant:
-            break
-    report.matvecs += j * ell
+    arn = block_arnoldi_start(block, capacity=steps)
+    qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]),
+                       block.shape[1], 0, steps, family.matrix.frobenius_norm)
+    for arn in _steps(family.matrix, arn, qr, steps, report,
+                      blocks=seed_key is not None):
+        pass
     if seed_key is None:
         tag, kind, skipped = "gmres-cycle", "least-squares", \
             np.isnan(qr.residual())
     else:
-        report.block_matvecs += j
         tag, kind, skipped = "fom-random-block", "Galerkin", \
             qr.galerkin_residual()[1]
     for i in np.nonzero(skipped)[0]:
@@ -200,17 +193,23 @@ def _strategy_cycle(family, x, r, m_init, report, seed_key=None):
     y = qr.solve().T
     x += arn.w @ y
     r -= arn.basis @ (arn.hess @ y) + arn.w @ (y * family.shifts)
-    return x, r, j
+    return x, r, arn.steps
 
 
-def _apply_strategy(family, x, r, strategy, report):
-    """Render residual columns non-collinear; returns iterations used."""
-    tag = strategy.tag
+def _apply_strategy(family, x, r, tag, cfg, report):
+    """Render residual columns non-collinear by the strategy ``tag``, one
+    of :data:`STRATEGY_TAGS`: ``random-x0`` draws a fresh random initial
+    guess, ``gmres-cycle`` minimizes every shifted residual over one
+    shared single-vector Krylov space, ``fom-random-block`` runs one
+    Galerkin cycle over a block space grown from the common residual
+    direction plus random columns.  A cycle runs up to
+    ``cfg.cycle_length`` steps and the draws are seeded by ``cfg.seed``.
+    Returns ``(x, r, iterations)``."""
     total_iters = 0
     for attempt in range(_STRATEGY_RETRIES):
         if tag == "random-x0":
             rng = np.random.default_rng(
-                np.random.SeedSequence((strategy.seed, attempt)))
+                np.random.SeedSequence((cfg.seed, attempt)))
             x = rng.standard_normal(x.shape).astype(x.dtype)
             r = family.residual_block(x)
             report.block_matvecs += 1
@@ -218,8 +217,8 @@ def _apply_strategy(family, x, r, strategy, report):
             iters = 0
         else:
             x, r, iters = _strategy_cycle(
-                family, x, r, strategy.m_init, report,
-                None if tag == "gmres-cycle" else (strategy.seed, attempt))
+                family, x, r, cfg.cycle_length, report,
+                None if tag == "gmres-cycle" else (cfg.seed, attempt))
         total_iters += iters
         if not _nonzero_collinear(r):
             report.note(f"decollinearized with {tag}")
@@ -309,7 +308,7 @@ def _cycle_seed(seed, cycle):
 
 
 def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
-                strategy=None, space=None, recycle_k=0,
+                strategy="gmres-cycle", space=None, recycle_k=0,
                 recycle_mode="ritz-largest", method="sbgmres"):
     """Restarted shifted block Krylov engine.
 
@@ -331,17 +330,22 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     cycle searches inside this one's space (the recycle space kept, or
     drawn from a closed unaugmented Krylov space); for ``"fom"``, whose
     residual is not monotone, no column of the block changed, so the
-    next cycle would repeat this one.  The report gets one point for the
-    whole family at the start, after a decollinearizing rewrite, after
-    each cycle's oblique projection and after each step; each cycle's
-    Arnoldi chain allocates its workspace once, for ``cfg.cycle_length``
-    steps.  For ``"gmres"`` a shift whose true residual rose past the drift
-    tolerance (rounding) gets its cycle-start iterate and residual back,
-    with a note.
+    next cycle would repeat this one.  An unaugmented start whose
+    residual columns are collinear is first made independent by the tag
+    ``strategy`` (:func:`_apply_strategy`), checked at entry.  The report
+    gets one point for the whole family at the start, after a
+    decollinearizing rewrite, after each cycle's oblique projection and
+    after each step of :func:`_steps`; each cycle's Arnoldi chain
+    allocates its workspace once, for ``cfg.cycle_length`` steps.  For
+    ``"gmres"`` a shift whose true residual rose past the drift tolerance
+    (rounding) gets its cycle-start iterate and residual back, with a
+    note.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
     """
+    if strategy not in STRATEGY_TAGS:
+        raise DimensionError(f"unknown strategy '{strategy}'")
     a = family.matrix
     ell = family.n_shifts
     shifts = family.shifts
@@ -358,9 +362,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
 
     if not converged.all() and ell > 1 and k_now == 0 \
             and _nonzero_collinear(r):
-        strat = strategy if strategy is not None else DecollinearizeStrategy(
-            "gmres-cycle", m_init=cfg.cycle_length, seed=cfg.seed)
-        x, r, iters = _apply_strategy(family, x, r, strat, report)
+        x, r, iters = _apply_strategy(family, x, r, strategy, cfg, report)
         iteration += iters
         resid = np.linalg.norm(r, axis=0)
         converged = resid <= targets
@@ -410,33 +412,25 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 break
 
         idx = np.nonzero(active)[0]
-        width = len(block)
         arn = block_arnoldi_start(r[:, block], cur_space,
                                   seed=_cycle_seed(cfg.seed, cycle),
                                   capacity=cfg.cycle_length)
         rhs = np.concatenate(
             (arn.s0[:, np.searchsorted(block, idx)],
              (cur_space.c.conj().T @ r[:, idx]) * alone[idx]))
-        args = (shifts[idx], rhs.T, width, k_now, cfg.cycle_length,
+        args = (shifts[idx], rhs.T, len(block), k_now, cfg.cycle_length,
                 a.frobenius_norm)
         qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
         rho = resid.copy()
         blocks, noted = None, ()
-        for _j in range(cfg.cycle_length):
-            arn = block_arnoldi_extend(a, arn, 1)
-            report.block_matvecs += 1
-            report.matvecs += width
+        for arn in _steps(a, arn, qr, cfg.cycle_length, report):
             iteration += 1
-            j = arn.steps
-            new = slice((j - 1) * width, j * width)
-            qr.append(arn.hess[:j * width, new], arn.hess[j * width:, new],
-                      arn.coupling[:, new])
             if k_now > 0:
                 blocks = augmentation_blocks(cur_space, arn.basis,
                                              prev=blocks)
                 if blocks.padded and blocks.padded != noted:
                     report.note(
-                        f"cycle {cycle} step {j}: recycle directions "
+                        f"cycle {cycle} step {arn.steps}: recycle directions "
                         f"{list(blocks.padded)} numerically contained in "
                         "the Krylov space")
                 noted = blocks.padded
@@ -453,7 +447,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             # are all done has every active shift at its target
             done = converged | (active & (rho <= targets))
             report.record_step(cycle, iteration, rho, done)
-            if np.count_nonzero(done) == ell or arn.invariant:
+            if np.count_nonzero(done) == ell:
                 break
 
         name = "Galerkin" if kind == "fom" else "least-squares"
@@ -521,19 +515,23 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
 
 
 def sbgmres(family: ShiftedFamily, cfg: SolverConfig,
-            strategy: DecollinearizeStrategy | None = None):
+            strategy: str = "gmres-cycle"):
     """Shifted block GMRES: minimize every shifted residual over the block
     Krylov space of the residual block, restarting until all shifts
-    converge.  Returns ``(x, report)``."""
+    converge.  Collinear initial residuals are first made independent by
+    ``strategy``, a tag of :data:`STRATEGY_TAGS` (see
+    :func:`_apply_strategy`); an unknown tag raises
+    :class:`DimensionError`.  Returns ``(x, report)``."""
     x, report, _ = _run_cycles(family, cfg, kind="gmres", strategy=strategy,
                                method="sbgmres")
     return x, report
 
 
 def sbfom(family: ShiftedFamily, cfg: SolverConfig,
-          strategy: DecollinearizeStrategy | None = None):
+          strategy: str = "gmres-cycle"):
     """Shifted block FOM: Galerkin condition per shift over the shared
-    block Krylov space.  Returns ``(x, report)``."""
+    block Krylov space, with ``strategy`` as in :func:`sbgmres`.  Returns
+    ``(x, report)``."""
     x, report, _ = _run_cycles(family, cfg, kind="fom", strategy=strategy,
                                method="sbfom")
     return x, report

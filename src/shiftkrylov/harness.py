@@ -25,8 +25,7 @@ import scipy.sparse
 
 from . import __version__
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
-from .block_solvers import (STRATEGY_TAGS, DecollinearizeStrategy, sbfom,
-                            sbgmres)
+from .block_solvers import STRATEGY_TAGS, sbfom, sbgmres
 from .errors import ConfigError, DimensionError, ShiftKrylovError
 from .recycling import (RECYCLE_MODES, RecycleSpace, load_recycle_space,
                         rgmres_baseline, rsbgmres, shift_rebase)
@@ -312,11 +311,6 @@ def _last_recorded(resid, recorded):
     return resid[pos, np.arange(resid.shape[1])], pos >= 0
 
 
-def _strategy_for(cfg: ExperimentConfig, solver: SolverConfig):
-    return DecollinearizeStrategy(cfg.strategy, m_init=solver.cycle_length,
-                                  seed=solver.seed)
-
-
 def _initial_space(cfg: ExperimentConfig, a: SparseMatrix):
     if cfg.initial_space_path:
         return load_recycle_space(cfg.initial_space_path, a, drop_tol=1e-12)
@@ -365,11 +359,10 @@ def run_method(method, cfg: ExperimentConfig, a: SparseMatrix,
         return result
     if method in ("sbgmres", "sbfom"):
         run_fam = sbgmres if method == "sbgmres" else sbfom
-        strategy = _strategy_for(cfg, solver)
         for grp in _groups(family.n_shifts, cfg.group_size):
             sub = ShiftedFamily(a, shifts[grp], family.rhs[:, grp],
                                 family.initial_guess[:, grp])
-            _, rep = run_fam(sub, solver, strategy)
+            _, rep = run_fam(sub, solver, cfg.strategy)
             result.units.append(RunUnit(grp, rep))
         return result
     if method.startswith("rsbgmres"):
@@ -377,12 +370,11 @@ def run_method(method, cfg: ExperimentConfig, a: SparseMatrix,
                 "rsbgmres-ritz": "ritz-largest",
                 "rsbgmres-harmonic": "harmonic-ritz-smallest"}[method]
         space = _initial_space(cfg, a)
-        strategy = _strategy_for(cfg, solver)
         for grp in _groups(family.n_shifts, cfg.group_size):
             sub = ShiftedFamily(a, shifts[grp], family.rhs[:, grp],
                                 family.initial_guess[:, grp])
             _, rep, space = rsbgmres(sub, solver, space, k=cfg.recycle_k,
-                                     mode=mode, strategy=strategy)
+                                     mode=mode, strategy=cfg.strategy)
             rep.method = method
             result.units.append(RunUnit(grp, rep))
         return result
@@ -599,9 +591,8 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
     for t in range(trials):
         seed = base_solver.seed + t if vary_seeds else base_solver.seed
         solver = replace(base_solver, seed=seed)
-        strategy = _strategy_for(cfg, solver)
         try:
-            _, rep = run_fam(family, solver, strategy)
+            _, rep = run_fam(family, solver, cfg.strategy)
         except ShiftKrylovError as exc:
             failures.append((t, str(exc)))
             rows.append((t, seed, "", "", 0))

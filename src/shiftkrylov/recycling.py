@@ -313,7 +313,7 @@ def load_recycle_space(path, a: SparseMatrix, drop_tol=None) -> RecycleSpace:
 
 
 def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
-             mode="ritz-largest", update=True, strategy=None):
+             mode="ritz-largest", update=True, strategy="gmres-cycle"):
     """Recycled shifted block GMRES over one augmented block Krylov space.
 
     Each cycle obliquely projects every active shifted residual into the
@@ -324,8 +324,10 @@ def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
     Ritz data per ``mode`` unless ``update`` is False.
 
     With ``space=None`` (or k = 0) the first cycle runs unaugmented and is
-    identical to plain shifted block GMRES.  An unknown ``mode`` raises
-    at entry.  Returns ``(x, report, updated_space)``.
+    identical to plain shifted block GMRES, collinear residuals then made
+    independent by the tag ``strategy`` as in
+    :func:`.block_solvers.sbgmres`.  An unknown ``mode`` or ``strategy``
+    raises at entry.  Returns ``(x, report, updated_space)``.
     """
     from .block_solvers import _run_cycles
     _check_mode(mode)

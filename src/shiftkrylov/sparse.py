@@ -166,15 +166,16 @@ def block_matvec(a: SparseMatrix, x, out=None):
 
 
 def add_shift(a: SparseMatrix, sigma) -> SparseMatrix:
-    """Return the explicitly shifted matrix ``A + sigma * I``."""
+    """Return the explicitly shifted matrix ``A + sigma * I``, as one CSR
+    sum: each diagonal entry is ``a_ii + sigma`` (``sigma`` where A stores
+    none), and every entry of the sum that is exactly zero, a stored zero
+    of A included, is dropped."""
     if a.n_rows != a.n_cols:
         raise DimensionError("add_shift requires a square matrix")
     n = a.n_rows
-    rows = np.concatenate([np.repeat(np.arange(n), np.diff(a.row_offsets)),
-                           np.arange(n)])
-    cols = np.concatenate([a.col_indices, np.arange(n)])
-    vals = np.concatenate([a.values, np.full(n, sigma)])
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    csr = a._csr + scipy.sparse.csr_matrix(
+        (np.full(n, sigma), np.arange(n), np.arange(n + 1)), shape=(n, n))
+    return SparseMatrix(n, n, csr.indptr, csr.indices, csr.data)
 
 
 @dataclass(frozen=True)

@@ -393,6 +393,36 @@ def test_extension_keeps_what_the_benchmark_tracer_reads(projected):
         state = new
 
 
+@pytest.mark.parametrize("projected", [False, True])
+def test_start_state_is_the_same_at_any_capacity(projected):
+    # the start block's second column repeats its first, so both states
+    # carry a replacement; capacity 3 holds 1 and 3 steps in place and
+    # makes 5 regrow, the default capacity 4 holds 1 and 3
+    a = random_sparse(30, density=0.2, seed=67, diag_boost=3.0)
+    rng = np.random.default_rng(68)
+    space = RecycleSpace.from_basis(a, rng.standard_normal((30, 2))) \
+        if projected else None
+    v = rng.standard_normal(30)
+    r0 = np.column_stack((v, v, rng.standard_normal(30)))
+    for steps in (1, 3, 5):
+        default = block_arnoldi_start(r0, space, seed=4)
+        held = block_arnoldi_start(r0, space, seed=4, capacity=3)
+        assert held._ws.cap == 3 and held._ws.steps == 0
+        assert len(held.replacements) == 1
+        assert held.replacements == default.replacements
+        for name in ("basis", "s0", "hess", "coupling"):
+            got, want = getattr(held, name), getattr(default, name)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert not held.basis.flags.writeable
+        ext_default = block_arnoldi_extend(a, default, steps)
+        ext_held = block_arnoldi_extend(a, held, steps)
+        assert (ext_held._ws is held._ws) == (steps <= 3)
+        for name in ("basis", "hess", "coupling"):
+            assert np.array_equal(getattr(ext_held, name),
+                                  getattr(ext_default, name))
+
+
 def test_projected_chain_closes_invariant_in_workspace():
     # n = 10 beside k = 3 recycle directions leaves room for 7 basis
     # columns: block size 2 closes at step 3, which builds one of its two

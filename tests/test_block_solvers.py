@@ -5,11 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftkrylov import (CollinearityError, DecollinearizeStrategy,
-                         DimensionError, ShiftedFamily, SolverConfig,
-                         SparseMatrix, add_shift, block_arnoldi,
-                         block_arnoldi_extend, block_arnoldi_start,
-                         detect_collinear, fom_restarted,
+from shiftkrylov import (CollinearityError, DimensionError, ShiftedFamily,
+                         SolveReport, SolverConfig, SparseMatrix, add_shift,
+                         block_arnoldi, block_arnoldi_extend,
+                         block_arnoldi_start, detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
                          hessenberg_eigen, rsbgmres, sbfom, sbgmres, sfom,
                          sgmres, update_recycle_space)
@@ -167,8 +166,7 @@ def _strategy_row(rep, fam):
 def test_strategy_single_system_noop(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 6.0))
     fam = ShiftedFamily(a, [0.5], np.ones((5, 1)), None)
-    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam,
-                                 DecollinearizeStrategy("random-x0"))
+    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "random-x0")
     x_plain, rep_plain = sbgmres(fam, SolverConfig(
         cycle_length=6, tolerance=1e-8, max_cycles=20))
     # no strategy runs on one system: 0 extra matvecs, same solve
@@ -181,12 +179,13 @@ def test_strategy_gmres_cycle(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
-    strat = DecollinearizeStrategy("gmres-cycle", m_init=4, seed=3)
-    _, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, strat)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20, seed=3)
+    _, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "gmres-cycle",
+                                 cfg)
     (x0, r0, iters), = seen
     assert not detect_collinear(r0)
     assert _sin_angle(r0[:, 0], r0[:, 1]) > 1e-6
-    # the strategy costs m_init matvecs before the first cycle
+    # the strategy costs cycle_length matvecs before the first cycle
     assert iters == 4
     assert all(row[2:5] == (4, 4, 0) for row in _strategy_row(rep, fam))
     # consistency of the updated pair
@@ -199,9 +198,12 @@ def test_strategy_random_x0_deterministic(monkeypatch):
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
-    strat = DecollinearizeStrategy("random-x0", m_init=1, seed=11)
-    x1, rep1, seen1 = _strategy_run(monkeypatch, sbgmres, fam, strat)
-    x2, rep2, seen2 = _strategy_run(monkeypatch, sbgmres, fam, strat)
+    cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20,
+                       seed=11)
+    x1, rep1, seen1 = _strategy_run(monkeypatch, sbgmres, fam, "random-x0",
+                                    cfg)
+    x2, rep2, seen2 = _strategy_run(monkeypatch, sbgmres, fam, "random-x0",
+                                    cfg)
     (xs1, rs1, _), = seen1
     (xs2, rs2, _), = seen2
     assert np.array_equal(xs1, xs2) and np.array_equal(rs1, rs2)
@@ -214,11 +216,12 @@ def test_strategy_fom_random_block(monkeypatch):
     a = generate_convection_diffusion(6, 10.0)
     b = np.tile(np.random.default_rng(5).standard_normal((36, 1)), (1, 3))
     fam = ShiftedFamily(a, [1e-3, 1e-2, 1e-1], b, None)
-    strat = DecollinearizeStrategy("fom-random-block", m_init=5, seed=2)
-    _, rep, seen = _strategy_run(monkeypatch, sbfom, fam, strat)
+    cfg = SolverConfig(cycle_length=5, tolerance=1e-8, max_cycles=20, seed=2)
+    _, rep, seen = _strategy_run(monkeypatch, sbfom, fam, "fom-random-block",
+                                 cfg)
     (x0, r0, _), = seen
     assert not detect_collinear(r0)
-    # m_init block matvecs of block size 3 before the first cycle
+    # cycle_length block matvecs of block size 3 before the first cycle
     assert all(row[3:5] == (15, 5) for row in _strategy_row(rep, fam))
     assert np.allclose(r0, fam.residual_block(x0), atol=1e-10)
     assert "decollinearized with fom-random-block" in rep.notes
@@ -228,13 +231,49 @@ def test_strategy_skipped_for_non_collinear_input(monkeypatch):
     a = SparseMatrix.identity(4)
     fam = ShiftedFamily(a, [0.0, 1.0], np.eye(4)[:, :2], None)
     cfg = SolverConfig(cycle_length=3, tolerance=1e-8, max_cycles=5)
-    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam,
-                                 DecollinearizeStrategy("random-x0"), cfg)
+    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "random-x0", cfg)
     x_plain, rep_plain = sbgmres(fam, cfg)
     # independent residuals need no strategy: no note, no extra matvecs
     assert seen == []
     assert not any("decollinearized" in note for note in rep.notes)
     assert rep.rows == rep_plain.rows and np.array_equal(x, x_plain)
+
+
+# A has three distinct eigenvalues, each twice: the Krylov space of a
+# generic vector closes after 3 steps, and the block space of two generic
+# columns after 3 steps too (2 + 2 + 2 columns fill n = 6), well before
+# the cycle length of 10
+_CLOSING = SparseMatrix.diagonal([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("seed_key, width, counted", [
+    pytest.param(None, 1, False, id="gmres-cycle"),
+    pytest.param((2, 0), 2, True, id="fom-random-block")])
+def test_strategy_cycle_stops_where_the_relation_closes(seed_key, width,
+                                                        counted):
+    fam = ShiftedFamily(_CLOSING, [0.5, 1.0], np.ones((6, 2)), None)
+    report = SolveReport(method="sbgmres", shifts=fam.shifts,
+                         rhs_norms=np.linalg.norm(fam.rhs, axis=0))
+    x, r, steps = block_solvers._strategy_cycle(
+        fam, np.zeros((6, 2)), fam.rhs.copy(), 10, report, seed_key)
+    assert steps == 3
+    # each step counts its own products, and a block product only for
+    # the block strategy
+    assert report.matvecs == steps * width
+    assert report.block_matvecs == (steps if counted else 0)
+    # the closed relation makes the cycle exact
+    assert np.allclose(r, fam.residual_block(x), atol=1e-12)
+    assert np.linalg.norm(r) <= 1e-10
+
+
+@pytest.mark.parametrize("solver", [sgmres, sfom], ids=["sgmres", "sfom"])
+def test_collinear_cycle_stops_where_the_relation_closes(solver):
+    fam = ShiftedFamily(_CLOSING, [0.5, 1.0], np.ones((6, 2)), None)
+    _, rep = solver(fam, SolverConfig(cycle_length=10, tolerance=1e-10))
+    assert rep.converged == [True, True] and rep.cycles == 1
+    # 3 width-one steps, none of them a block product
+    assert rep.matvecs == 3 and rep.block_matvecs == 0
+    assert rep.steps.iteration[-1] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +436,8 @@ def test_reports_reproducible_with_seed():
     b = np.tile(np.random.default_rng(6).standard_normal((36, 1)), (1, 2))
     fam = ShiftedFamily(a, [1e-3, 1e-1], b, None)
     cfg = SolverConfig(cycle_length=8, tolerance=1e-8, max_cycles=30, seed=17)
-    strat = DecollinearizeStrategy("fom-random-block", m_init=4, seed=17)
-    x1, rep1 = sbgmres(fam, cfg, strat)
-    x2, rep2 = sbgmres(fam, cfg, strat)
+    x1, rep1 = sbgmres(fam, cfg, "fom-random-block")
+    x2, rep2 = sbgmres(fam, cfg, "fom-random-block")
     assert np.array_equal(x1, x2)
     assert rep1.rows == rep2.rows
     assert rep1.notes == rep2.notes
@@ -970,9 +1008,9 @@ def test_each_cycle_allocates_one_workspace(monkeypatch):
     class Counted(arnoldi._Workspace):
         __slots__ = ()
 
-        def __init__(self, state, cap, dtype):
-            built.append(cap)
-            super().__init__(state, cap, dtype)
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.cap)
 
     monkeypatch.setattr(arnoldi, "_Workspace", Counted)
     a = generate_convection_diffusion(8, 20.0)
@@ -1034,10 +1072,10 @@ _EYE4 = SparseMatrix.identity(4)
 
 
 @pytest.mark.parametrize("call, name", [
-    pytest.param(lambda: DecollinearizeStrategy("bogus"), "strategy 'bogus'",
-                 id="strategy-tag"),
-    pytest.param(lambda: DecollinearizeStrategy(m_init=0), "m_init",
-                 id="strategy-m_init"),
+    pytest.param(lambda: sbgmres(ShiftedFamily(_EYE4, [0.0, 1.0],
+                                               np.ones((4, 2)), None),
+                                 SolverConfig(), "bogus"),
+                 "strategy 'bogus'", id="strategy-tag"),
     pytest.param(lambda: hessenberg_eigen(np.ones((2, 3)), "largest", 1),
                  "square matrix", id="eigen-not-square"),
     pytest.param(lambda: hessenberg_eigen(np.eye(2), "middle", 1),

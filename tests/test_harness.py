@@ -10,9 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftkrylov import (ConfigError, DecollinearizeStrategy, ShiftedFamily,
-                         SparseMatrix, generate_convection_diffusion, sbgmres,
-                         sfom, sgmres)
+from shiftkrylov import (ConfigError, ShiftedFamily, SparseMatrix,
+                         generate_convection_diffusion, sbgmres, sfom, sgmres)
 from shiftkrylov.cli import main
 from shiftkrylov.harness import (_CONFIG_KEYS, ExperimentConfig, RunUnit,
                                  build_rhs,
@@ -698,7 +697,7 @@ def _csv_case(name):
         return [_unit(rep)], fam.shifts
     if name == "repeated-point":
         fam = _collinear_family([1e-2, 0.3])
-        _, rep = sbgmres(fam, cfg, DecollinearizeStrategy("random-x0"))
+        _, rep = sbgmres(fam, cfg, "random-x0")
         points = [(r[1], r[2]) for r in rep.rows if r[0] == 0]
         assert len(set(points)) < len(points)
         return [_unit(rep)], fam.shifts

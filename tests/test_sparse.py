@@ -69,10 +69,25 @@ def test_block_matvec_matches_columnwise_exactly():
 
 
 def test_add_shift_matches_dense():
-    a = random_sparse(6, seed=5)
-    shifted = add_shift(a, 0.7 + 0.2j)
-    expect = a.to_dense() + (0.7 + 0.2j) * np.eye(6)
-    assert np.allclose(shifted.to_dense(), expect, atol=1e-15)
+    # a real matrix whose row 2 stores no diagonal entry, shifted by real
+    # and complex values: every entry is a_ij, or a_ii + sigma, exactly
+    dense = random_sparse(6, seed=5).to_dense()
+    dense[2, 2] = 0.0
+    a = SparseMatrix.from_dense(dense)
+    for sigma in (0.7, -2.5, 0.7 + 0.2j):
+        shifted = add_shift(a, sigma)
+        expect = dense.astype(np.result_type(dense, sigma))
+        expect[np.diag_indices(6)] += sigma
+        assert np.array_equal(shifted.to_dense(), expect)
+        assert shifted.values.dtype == expect.dtype
+        assert shifted.nnz == a.nnz + 1
+
+
+def test_add_shift_drops_an_entry_that_cancels():
+    a = SparseMatrix(2, 2, [0, 2, 3], [0, 1, 1], [1.5, 2.0, 3.0])
+    shifted = add_shift(a, -1.5)
+    assert shifted.nnz == 2
+    assert np.array_equal(shifted.to_dense(), [[0.0, 2.0], [0.0, 1.5]])
 
 
 def test_csr_invariants_validated():
