@@ -182,12 +182,13 @@ def _collinearity(qr, base):
     coefficient), whether ``[Hbar_j + d_i [I; 0], q_b]`` is singular (its
     determinant is ``det(R_i) q_i* q_b``), and ``q_b``."""
     # the carried row of each Q_i* (block size one, k = 0) is q_i*
-    q = qr.q[:, qr.steps, :qr.steps + 1].conj()
-    overlap = q.conj() @ q[base]
+    rows = qr.q[:, qr.steps, :qr.steps + 1]
+    q_b = rows[base].conj()
+    overlap = rows @ q_b
     singular = np.isnan(qr.residual()) | _negligible(np.abs(overlap), 1.0)
-    t = np.zeros(len(q), dtype=np.result_type(qr.g, overlap))
+    t = np.zeros(len(rows), dtype=np.result_type(qr.g, overlap))
     np.divide(qr.g[:, qr.steps], overlap, out=t, where=~singular)
-    return t, singular, q[base]
+    return t, singular, q_b
 
 
 def _sgmres_step(qr, base):

@@ -400,27 +400,30 @@ def write_method_csv(path, method, units, shifts):
     Counter columns are running totals across the method's units so every
     summary number can be recomputed from the file alone.
     """
+    ends = (",0\n", ",1\n")       # the converged column and line end
     with open(path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL,
-                            lineterminator="\n")
-        writer.writerow(["method", "shift", "cycle", "iteration", "matvecs",
-                         "block_matvecs", "resid_norm", "converged"])
+        handle.write("method,shift,cycle,iteration,matvecs,block_matvecs,"
+                     "resid_norm,converged\n")
         mv_off = bmv_off = 0
         for unit in units:
             rep = unit.report
             st = rep.steps
-            # one line per recorded shift per point, in recorded order
-            at, si = np.nonzero(st.recorded)
-            # the text fields are quoted once per shift; numbers need none
-            lead = [_quoted(method, _shift_label(shifts[g]))
+            # the text fields are quoted once per shift, the counters
+            # formatted once per point; one line per recorded shift per
+            # point, in recorded order, and one write per unit
+            lead = [_quoted(method, _shift_label(shifts[g])) + ","
                     for g in unit.shift_indices]
-            handle.writelines(map(
-                "{},{},{},{},{},{!r},{}\n".format,
-                map(lead.__getitem__, si.tolist()), st.cycle[at].tolist(),
-                st.iteration[at].tolist(), (st.matvecs[at] + mv_off).tolist(),
-                (st.block_matvecs[at] + bmv_off).tolist(),
-                st.resid[at, si].tolist(),
-                st.converged[at, si].astype(int).tolist()))
+            lines = []
+            for cyc, it, mv, bmv, res, conv, seen in zip(
+                    st.cycle.tolist(), st.iteration.tolist(),
+                    (st.matvecs + mv_off).tolist(),
+                    (st.block_matvecs + bmv_off).tolist(), st.resid.tolist(),
+                    st.converged.tolist(), st.recorded.tolist()):
+                point = f"{cyc},{it},{mv},{bmv},"
+                lines += ["".join((text, point, repr(value), ends[done]))
+                          for text, value, done, rec
+                          in zip(lead, res, conv, seen) if rec]
+            handle.write("".join(lines))
             mv_off += rep.matvecs
             bmv_off += rep.block_matvecs
 
@@ -431,15 +434,14 @@ def write_joint_csv(path, method, units):
     iteration) point once every shift has a recorded residual, each
     shift's latest; the squares are summed in shift order, one by one."""
     with open(path, "w", newline="", encoding="ascii") as handle:
-        writer = csv.writer(handle, quoting=csv.QUOTE_MINIMAL,
-                            lineterminator="\n")
-        writer.writerow(["method", "unit", "cycle", "iteration",
-                         "joint_resid_frob"])
+        handle.write("method,unit,cycle,iteration,joint_resid_frob\n")
         for uidx, unit in enumerate(units):
             rep = unit.report
             bnorm = float(np.linalg.norm(rep.rhs_norms))
             st = rep.steps
             order = np.lexsort((st.iteration, st.cycle))    # stable
+            # a point that records no shift is no point of the curve
+            order = order[st.recorded[order].any(axis=1)]
             cyc, it = st.cycle[order], st.iteration[order]
             last, seen = _last_recorded(st.resid[order],
                                         st.recorded[order])
@@ -449,10 +451,11 @@ def write_joint_csv(path, method, units):
             ends &= seen.all(axis=1)
             last = last[ends]
             joint = np.sqrt(np.add.accumulate(last * last, axis=1)[:, -1])
-            writer.writerows(zip(
-                repeat(method), repeat(uidx), cyc[ends].tolist(),
+            lead = f"{_quoted(method)},{uidx},"
+            handle.write("".join(map(
+                "{}{},{},{!r}\n".format, repeat(lead), cyc[ends].tolist(),
                 it[ends].tolist(),
-                map(repr, (joint / bnorm if bnorm else joint).tolist())))
+                (joint / bnorm if bnorm else joint).tolist())))
 
 
 BLOCK_METHODS = ("sbgmres", "sbfom", "rsbgmres", "rsbgmres-ritz",

@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
                          SolverConfig, SparseMatrix, block_arnoldi,
-                         block_arnoldi_extend, block_arnoldi_start, sfom,
-                         sgmres)
+                         block_arnoldi_extend, block_arnoldi_start,
+                         block_matvec, sfom, sgmres)
 import shiftkrylov.arnoldi as arnoldi
 from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
 
@@ -283,6 +285,70 @@ def _arrays(state):
 def _assert_same(state, arrays):
     for arr, kept in zip((state.basis, state.hess, state.coupling), arrays):
         assert arr.shape == kept.shape and np.array_equal(arr, kept)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+def _composed_step(a, state):
+    """One width-one step from the public product, the two Gram-Schmidt
+    passes and a division by the norm: the step's new basis column (None
+    when the candidate vanished) and Hessenberg column."""
+    j = state.steps
+    basis = np.asfortranarray(state.basis,
+                              dtype=np.result_type(state.basis, a.values))
+    z = np.asfortranarray(block_matvec(a, basis[:, j:j + 1]))
+    [h] = _project_out(z, basis)
+    nrm = arnoldi._norm(z)
+    if arnoldi._negligible(nrm, a.frobenius_norm):
+        return None, h
+    return z / nrm, np.vstack((h, [[nrm]]))
+
+
+@pytest.mark.parametrize("case", ["real", "complex-matrix", "closing"])
+def test_width_one_step_is_the_composed_step_bit_for_bit(case):
+    # a width-one step normalizes by the candidate's norm, without the
+    # block QR of wider steps: the bits of the composed step
+    rng = np.random.default_rng(67)
+    steps = 6
+    if case == "real":
+        a = random_sparse(30, density=0.2, seed=68, diag_boost=2.0)
+    elif case == "complex-matrix":
+        real = random_sparse(30, density=0.2, seed=69).to_dense()
+        a = SparseMatrix.from_dense(real + 1j * (real != 0) * rng.random())
+    else:
+        # two distinct eigenvalues: the space of a generic start closes at
+        # step 2
+        a, steps = SparseMatrix.diagonal([1.0] * 6 + [2.0] * 6), 2
+    v = rng.standard_normal(a.n_rows)       # real in every case
+    state = block_arnoldi_start(v, capacity=2)
+    for _ in range(steps):
+        column, h = _composed_step(a, state)
+        new = block_arnoldi_extend(a, state, 1)
+        j = state.steps
+        assert new.steps == j + 1 and new.block_size == 1
+        assert new.s0 is state.s0 and new.replacements == ()
+        assert new.invariant == (column is None)
+        assert new.basis.dtype == np.result_type(v, a.values)
+        assert _bits(new.basis[:, :j + 1]) \
+            == _bits(state.basis.astype(new.basis.dtype))
+        if column is None:
+            assert new.basis.shape[1] == j + 1
+            assert new.hess.shape == (j + 1, j + 1)
+        else:
+            assert _bits(new.basis[:, j + 1:]) == _bits(column)
+        assert _bits(new.hess[:, j:]) == _bits(h)
+        assert _bits(new.hess[:, :j]) == _bits(
+            np.vstack((state.hess, np.zeros((len(h) - len(state.hess), j)))))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            new.steps = 0
+        assert new.steps == j + 1
+        state = new
+        if state.invariant:
+            break
+    assert state.invariant == (case == "closing")
+    assert state.steps == steps
 
 
 def test_branching_a_chain_leaves_earlier_states_unchanged():

@@ -1087,6 +1087,9 @@ _EYE4 = SparseMatrix.identity(4)
     pytest.param(lambda: block_arnoldi_extend(
         _EYE4, block_arnoldi_start(np.ones(4)), steps=0), "steps",
                  id="arnoldi-zero-steps"),
+    pytest.param(lambda: block_arnoldi_extend(
+        SparseMatrix.identity(8), block_arnoldi_start(np.ones(4))),
+                 "matrix has 8 columns", id="arnoldi-extend-matrix"),
     pytest.param(lambda: block_arnoldi(_EYE4, np.ones((3, 1)), 2), "r0",
                  id="arnoldi-rows"),
     pytest.param(lambda: RecycleSpace(np.eye(4)[:, :2], np.eye(4)[:, :1]),
