@@ -8,14 +8,14 @@ single-vector baselines needed for comparison plus an experiment harness
 with a command-line interface.
 """
 
-from .arnoldi import (BlockArnoldiState, Replacement, block_arnoldi,
-                      block_arnoldi_extend, block_arnoldi_start)
+from .arnoldi import (BlockArnoldiState, block_arnoldi_extend,
+                      block_arnoldi_start)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
 from .block_solvers import detect_collinear, sbfom, sbgmres
 from .dense import EigenPairs, hessenberg_eigen
-from .errors import (BreakdownError, CollinearityError, ConfigError,
-                     DimensionError, EigenConvergenceError,
-                     MatrixMarketError, NearSingularError, ShiftKrylovError)
+from .errors import (CollinearityError, ConfigError, DimensionError,
+                     EigenConvergenceError, MatrixMarketError,
+                     NearSingularError, ShiftKrylovError)
 from .recycling import (RecycleSpace, load_recycle_space,
                         oblique_project_shift, rgmres_baseline, rsbgmres,
                         save_recycle_space, shift_rebase,
@@ -29,13 +29,13 @@ from .sparse import (ShiftedFamily, SparseMatrix, add_shift, block_matvec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockArnoldiState", "BreakdownError", "CollinearityError", "ConfigError",
-    "DimensionError", "EigenConvergenceError", "EigenPairs",
-    "MatrixMarketError", "NearSingularError", "RecycleSpace", "Replacement",
-    "ShiftKrylovError", "ShiftedFamily", "SolveReport", "SolverConfig",
-    "SparseMatrix", "add_shift", "block_arnoldi", "block_arnoldi_extend",
-    "block_arnoldi_start", "block_matvec", "detect_collinear", "fom_restarted",
-    "generate_convection_diffusion", "gmres_restarted", "hessenberg_eigen",
+    "BlockArnoldiState", "CollinearityError", "ConfigError", "DimensionError",
+    "EigenConvergenceError", "EigenPairs", "MatrixMarketError",
+    "NearSingularError", "RecycleSpace", "ShiftKrylovError", "ShiftedFamily",
+    "SolveReport", "SolverConfig", "SparseMatrix", "add_shift",
+    "block_arnoldi_extend", "block_arnoldi_start", "block_matvec",
+    "detect_collinear", "fom_restarted", "generate_convection_diffusion",
+    "gmres_restarted", "hessenberg_eigen",
     "load_recycle_space", "matvec", "oblique_project_shift",
     "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
     "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",

@@ -12,9 +12,11 @@ image basis ``C``), in which case every operator application is
 ``(I - C C*) A`` and the removed components are accumulated as coupling
 rows ``B_j = C* A W_j``.
 
-A step whose whole candidate block vanishes closes the relation; other
-dependent candidates are replaced by fresh pseudo-random vectors so the
-block size never shrinks, each logged with the seed key that reproduces it.
+Each QR of a candidate block, the start block's or a step's, keeps the
+block's numerical rank: a column-pivoted QR drops its dependent columns,
+so the next basis block is no wider than the block it came from, and a
+candidate of rank zero closes the relation.  Each dropped column is
+logged as a (step, column) pair.
 
 The basis, Hessenberg matrix and coupling rows of one chain of states
 live in one preallocated column-major workspace that each step writes in
@@ -37,56 +39,34 @@ from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .errors import BreakdownError, DimensionError
+from .errors import DimensionError
 from .sparse import SparseMatrix, block_matvec
 
 DEPENDENCY_TOL = 1e-10   # relative diagonal threshold for dependent columns
-_REPLACE_RETRIES = 3
-
-
-@dataclass(frozen=True)
-class Replacement:
-    """One dependent-direction replacement: at block ``step`` (0 is the
-    initial QR), basis ``column`` was redrawn from the generator seeded
-    with ``seed_key``."""
-
-    step: int
-    column: int
-    seed_key: tuple
-
-
-class _InvariantSubspace(Exception):
-    """Internal signal: the span is operator-invariant, because a step's
-    whole candidate block vanished or no replacement direction exists.
-
-    ``built`` counts the columns the failing step did build before the
-    ambient space ran out (0 for a clean closing); their coefficient rows
-    are already written.
-    """
-
-    def __init__(self, built):
-        super().__init__("invariant subspace")
-        self.built = built
 
 
 @dataclass(frozen=True)
 class BlockArnoldiState:
-    """State after ``steps`` block Arnoldi steps with block size L.
+    """State after ``steps`` block Arnoldi steps from a start block of
+    ``block_size`` (L) columns.
 
-    ``basis`` is n x (steps+1)L, ``hess`` is the band upper-Hessenberg
-    (steps+1)L x steps*L coefficient matrix and ``s0`` the L x L upper
-    triangular factor of the initial block.  When built against a
-    projector, ``coupling`` holds ``C* A W_j`` (k x steps*L) and the
-    relation is ``(I - C C*) A W_j = W_{j+1} Hbar_j``; otherwise
-    ``coupling`` is 0 x steps*L and ``A W_j = W_{j+1} Hbar_j``.
+    Basis block j has its own width L_j, the rank its QR kept, with
+    L >= L_0 >= L_1 >= ...: ``basis`` is n x (L_0 + ... + L_steps),
+    ``hess`` the band upper-Hessenberg (L_0 + ... + L_steps) x
+    (L_0 + ... + L_{steps-1}) coefficient matrix, whose subdiagonal block
+    j is L_{j+1} x L_j, and ``s0`` the L_0 x L factor of the start block,
+    ``R = W_0 s0``.  When built against a projector, ``coupling`` holds
+    ``C* A W_j`` (k rows) and the relation is ``(I - C C*) A W_j =
+    W_{j+1} Hbar_j``; otherwise ``coupling`` has no rows and ``A W_j =
+    W_{j+1} Hbar_j``.  ``replacements`` holds the (step, column) pairs of
+    the candidate columns a QR dropped (step 0 is the start block's).
 
-    When the span becomes operator-invariant (a step's candidate block
-    vanishes, or the ambient space runs out partway through it), the
-    state closes with ``invariant=True``: the relation holds with no
-    further block, and ``hess`` is square after a vanished block.  At
-    block size one this is the happy breakdown.
+    A candidate block of rank zero closes the relation: the state is then
+    ``invariant``, its span is operator-invariant and ``hess`` is square.
+    At block size one this is the happy breakdown.
 
     ``basis``, ``hess`` and ``coupling`` are read-only: prefix slices of
     the read-only views its workspace, a column-major buffer shared along
@@ -105,34 +85,39 @@ class BlockArnoldiState:
     replacements: tuple = ()
     coupling: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     projector_c: np.ndarray | None = None
-    seed: int = 0
-    invariant: bool = False
     _ws: _Workspace | None = field(default=None, repr=False, compare=False)
 
     @property
     def w(self):
-        """Basis of the block Krylov space itself (first steps*L columns)."""
-        return self.basis[:, :self.steps * self.block_size]
+        """Basis of the block Krylov space itself (all but the last
+        block)."""
+        return self.basis[:, :self.hess.shape[1]]
+
+    @property
+    def invariant(self):
+        """Whether the relation closed: the last basis block is empty."""
+        return self.basis.shape[1] == self.hess.shape[1]
 
 
 class _Workspace:
-    """Column-major buffers of one chain of block Arnoldi states, sized
-    for ``cap`` steps: the n x (cap+1)L basis, the (cap+1)L x cap*L
-    Hessenberg matrix and the k x cap*L coupling rows, one read-only view
-    of each that every state of the chain slices, and the C-ordered
-    n x L block that receives each step's operator product.  ``steps`` is
-    the step count of the newest state written into it."""
+    """Column-major buffers of one chain of block Arnoldi states from a
+    start block of ``ell`` columns, sized for ``cap`` steps: the
+    n x (cap+1)L basis, the (cap+1)L x cap*L Hessenberg matrix and the
+    k x cap*L coupling rows (each block narrows or keeps its width), one
+    read-only view of each that every state of the chain slices, and the
+    C-ordered n x L block that receives each step's operator product.
+    ``steps`` is the step count of the newest state written into it."""
 
     __slots__ = ("basis", "hess", "coupling", "product", "_read_only",
                  "cap", "steps")
 
     def __init__(self, n, ell, k, cap, dtype):
-        """An empty workspace for an n-row chain of block size ``ell``
-        beside ``k`` recycle directions."""
+        """An empty workspace for an n-row chain from ``ell`` start
+        columns beside ``k`` recycle directions."""
         # the basis and coupling rows are left uninitialized, since a
         # step writes every column a view will cover; each step writes its
-        # Hessenberg column on and above the subdiagonal block, whose
-        # zeros below come from here
+        # Hessenberg column on and above the rows of its new basis block,
+        # whose zeros below come from here
         self.basis = np.empty((n, (cap + 1) * ell), dtype=dtype, order="F")
         self.hess = np.zeros(((cap + 1) * ell, cap * ell), dtype=dtype,
                              order="F")
@@ -145,10 +130,9 @@ class _Workspace:
         self.cap = cap
         self.steps = 0
 
-    def views(self, steps, ell, trailing):
-        """Read-only (basis, hess, coupling) of the state after ``steps``
-        steps whose last basis block has ``trailing`` columns."""
-        rows, cols = steps * ell + trailing, steps * ell
+    def views(self, rows, cols):
+        """Read-only (basis, hess, coupling) of a state with ``rows``
+        basis columns, ``cols`` of them in its Krylov space."""
         basis, hess, coupling = self._read_only
         return basis[:, :rows], hess[:rows, :cols], coupling[:, :cols]
 
@@ -230,53 +214,35 @@ def _project_out(z, *blocks, out=None):
     return out
 
 
-def _replacement_vector(n, prev, step, column, seed, log):
-    """Draw a reproducible random unit vector orthogonal to ``prev``; it
-    is real unless a block of ``prev`` is complex."""
-    for attempt in range(_REPLACE_RETRIES):
-        seed_key = (seed, step, column, attempt)
-        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-        z = rng.standard_normal((n, 1)).astype(np.result_type(*prev))
-        _project_out(z, *prev)
-        nrm = np.linalg.norm(z)
-        if nrm > 1e-8 * np.sqrt(n):
-            log.append(Replacement(step, column, seed_key))
-            return z / nrm
-    raise BreakdownError(
-        f"replacement failed {_REPLACE_RETRIES} times at step {step}, "
-        f"column {column}; space appears exhausted")
-
-
-def _block_qr_replace(z, v, r, prev_blocks, step, seed, log, scale):
-    """QR of the block ``z`` (already orthogonal to ``prev_blocks``) into
-    the n x L buffer ``v`` and the L x L block ``r``, zero on entry,
-    replacing dependent columns by random directions.
+def _block_qr(z, v, r, scale, log, step):
+    """QR of the block ``z`` (already orthogonal to the basis) into the
+    n x L buffer ``v`` and the L x L block ``r``, zero on entry, keeping
+    the block's numerical rank, which it returns: ``z`` is ``v[:, :rank]
+    r[:rank]`` to the threshold, with orthonormal columns.
 
     ``scale`` bounds the Frobenius norm of the raw candidate block before
     any orthogonalization (the start block's own norm, ``||A||_F`` for an
     Arnoldi step).  When ``ref``, the block's largest column norm
     (``||R e_c||`` in a LAPACK Householder QR ``z = Q R``; a leading noise
     column parallel to a live one leaves every ``|r_cc|`` at noise level),
-    is :func:`_negligible` beside it, an Arnoldi step hit an invariant
-    subspace and raises :class:`_InvariantSubspace`, and a start block
-    (``step`` 0) counts as zero.  Otherwise a column is dependent when its
+    is :func:`_negligible` beside it, the block counts as zero: rank 0,
+    which closes the relation.  Otherwise a column is dependent when its
     diagonal entry falls below ``DEPENDENCY_TOL * ref`` (at L = 1 ``ref``
-    is the norm of ``z``, and only the breakdown test can fire).  A block
-    with no dependent column keeps that factorization: ``Q`` comes from
+    is the norm of ``z``, and only the zero test can fire).  A block with
+    no dependent column keeps that factorization: ``Q`` comes from
     ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
-    by the diagonal's phase.  A block with one is orthogonalized column by
-    column in two passes, a dependent column replaced as it is met.  Fills
-    ``v`` with orthonormal columns and ``r`` with an upper triangle whose
-    real non-negative diagonal is zero at replaced columns, so the Arnoldi
-    relation stays exact to the threshold.  A raised
-    :class:`_InvariantSubspace` leaves the rows of the columns it built
-    in ``r``.
+    by the diagonal's phase.  A block with one is factored again by a
+    column-pivoted QR (LAPACK ``geqp3``), ``z P = Q R``, which keeps the
+    leading columns of ``Q`` whose diagonal entries exceed that threshold;
+    ``r`` gets their rows of ``R P^T``, and each candidate column that
+    ``P`` moves past them is logged in ``log`` as ``(step, column)``.
+    Every kept diagonal entry of ``R`` is real and positive.
     """
-    n, ell = z.shape
+    ell = z.shape[1]
     if ell == 1:
         ref = low = _norm(z)
     else:
-        # factor in v itself, which the column-wise path below overwrites
+        # factor in v itself, which the pivoted path below overwrites
         geqrf, orgqr = _routine("geqrf", z.dtype), _routine("orgqr", z.dtype)
         v[...] = z
         qr, tau = geqrf(v, overwrite_a=True)[:2]
@@ -284,10 +250,8 @@ def _block_qr_replace(z, v, r, prev_blocks, step, seed, log, scale):
         mags = np.abs(diag)
         ref, low = np.linalg.norm(np.triu(qr[:ell]), axis=0).max(), mags.min()
     if _negligible(ref, scale):
-        if step:
-            raise _InvariantSubspace(0)
-        z = np.zeros_like(z)    # rounding noise: every column is replaced
-    elif low > DEPENDENCY_TOL * ref:
+        return 0
+    if low > DEPENDENCY_TOL * ref:
         if ell == 1:
             np.divide(z, ref, out=v)
             r[0, 0] = ref
@@ -297,33 +261,21 @@ def _block_qr_replace(z, v, r, prev_blocks, step, seed, log, scale):
             np.fill_diagonal(r, mags)
             v[...] = orgqr(qr, tau, overwrite_a=True)[0]
             v *= phase
-        return
-    for c in range(ell):
-        w = z[:, c:c + 1].copy(order="F")
-        _project_out(w, v[:, :c], out=[r[:c, c:c + 1]])
-        nrm = np.linalg.norm(w)
-        if nrm <= DEPENDENCY_TOL * ref:
-            try:
-                w = _replacement_vector(n, [*prev_blocks, v[:, :c]],
-                                        step, c, seed, log)
-            except BreakdownError:
-                # a replacement draw only fails when the basis together
-                # with the columns built so far already spans the whole
-                # space, so the span is invariant; finish the coefficient
-                # rows of the not-yet-processed candidates and signal a
-                # relation closed on the partial block
-                rest = z[:, c + 1:].copy(order="F")
-                _project_out(rest, v[:, :c], out=[r[:c, c + 1:]])
-                raise _InvariantSubspace(c)
-        else:
-            r[c, c] = nrm
-            w = w / nrm
-        v[:, c:c + 1] = w
+        return ell
+    q, tri, perm = scipy.linalg.qr(z, mode="economic", pivoting=True,
+                                   check_finite=False)
+    diag = tri.diagonal()
+    rank = int(np.count_nonzero(np.abs(diag) > DEPENDENCY_TOL * ref))
+    phase = diag[:rank] / np.abs(diag[:rank])
+    v[:, :rank] = q[:, :rank] * phase
+    r[:rank, perm] = tri[:rank] * phase.conj()[:, None]
+    log.extend((step, int(c)) for c in np.sort(perm[rank:]))
+    return rank
 
 
-def block_arnoldi_start(r0, projector=None, *, seed=0,
+def block_arnoldi_start(r0, projector=None, *,
                         capacity=4) -> BlockArnoldiState:
-    """Reduced QR of the initial block, with dependent-column replacement.
+    """Reduced QR of the initial block, keeping its numerical rank.
 
     ``projector`` is a recycle space (anything with an orthonormal image
     basis attribute ``c``); when given, the initial block is first
@@ -351,29 +303,29 @@ def block_arnoldi_start(r0, projector=None, *, seed=0,
             + f": {ell + k} orthonormal columns do not fit in {n} rows")
     z = np.array(r0, dtype=dtype, order="F")
     # measured before the projection, so a block inside span(C) reads as
-    # dependent rather than as normalized rounding noise
+    # zero rather than as normalized rounding noise
     scale = float(np.linalg.norm(z))
     if k:
         c_basis = np.asarray(c_basis, dtype=dtype, order="F")
         _project_out(z, c_basis)
-    log: list[Replacement] = []
+    log = []
     ws = _Workspace(n, ell, k, capacity, dtype)
     s0 = np.zeros((ell, ell), dtype=dtype)
-    _block_qr_replace(z, ws.basis[:, :ell], s0, [c_basis] if k else [], 0,
-                      seed, log, scale)
-    basis, hess, coupling = ws.views(0, ell, ell)
+    rank = _block_qr(z, ws.basis[:, :ell], s0, scale, log, 0)
+    basis, hess, coupling = ws.views(rank, 0)
     return BlockArnoldiState(
-        basis=basis, hess=hess, s0=s0, block_size=ell, steps=0,
+        basis=basis, hess=hess, s0=s0[:rank], block_size=ell, steps=0,
         replacements=tuple(log), coupling=coupling, projector_c=c_basis,
-        seed=seed, _ws=ws)
+        _ws=ws)
 
 
 def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
                          steps: int = 1) -> BlockArnoldiState:
     """Run ``steps`` more block Arnoldi steps, returning a new state.
 
-    The new columns take the dtype of the basis and of ``a`` together:
-    a complex matrix makes a real state complex."""
+    Each step multiplies the last basis block at its own width.  The new
+    columns take the dtype of the basis and of ``a`` together: a complex
+    matrix makes a real state complex."""
     if steps < 1:
         raise DimensionError("steps must be >= 1")
     if state.invariant:
@@ -382,61 +334,44 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
     # the recycle image basis, when the process is projected
     proj = () if state.projector_c is None else (state.projector_c,)
     j = state.steps
+    # the last basis block holds columns lo .. hi - 1
+    hi, lo = state.hess.shape
+    n = state.basis.shape[0]
     dtype = np.result_type(state.basis, a.values)
     ws = state._ws
     # write in place only as the newest state of a workspace with room
     # for the new steps; otherwise copy into one that grows geometrically
     if (ws is None or ws.steps != j or ws.cap < j + steps
             or ws.basis.dtype != dtype):
-        ws = _Workspace(state.basis.shape[0], ell, state.coupling.shape[0],
+        ws = _Workspace(n, ell, state.coupling.shape[0],
                         max(j + steps, 2 * j, 4), dtype)
-        ws.basis[:, :(j + 1) * ell] = state.basis
-        ws.hess[:(j + 1) * ell, :j * ell] = state.hess
-        ws.coupling[:, :j * ell] = state.coupling
+        ws.basis[:, :hi] = state.basis
+        ws.hess[:hi, :lo] = state.hess
+        ws.coupling[:, :lo] = state.coupling
     log = list(state.replacements)
-    trailing = ell
     for _ in range(steps):
-        basis = ws.basis[:, :(j + 1) * ell]
-        cols = slice(j * ell, (j + 1) * ell)
-        # the product in the workspace's C-ordered block, which at L = 1
-        # is column-major too and is orthogonalized where it lies
-        z = np.asfortranarray(block_matvec(a, basis[:, cols],
-                                           out=ws.product))
-        coefs = (ws.coupling[:, cols], ws.hess[:(j + 1) * ell, cols])
+        basis, width = ws.basis[:, :hi], hi - lo
+        # the product in the workspace's C-ordered block, or in its first
+        # n x width entries once the block narrowed; at width one it is
+        # column-major too and is orthogonalized where it lies
+        out = ws.product if width == ell else \
+            ws.product.reshape(-1)[:n * width].reshape(n, width)
+        z = np.asfortranarray(block_matvec(a, basis[:, lo:], out=out))
+        cols = slice(lo, hi)
+        coefs = (ws.coupling[:, cols], ws.hess[:hi, cols])
         _project_out(z, *proj, basis, out=coefs[1 - len(proj):])
-        try:
-            # the raw block's norm needs no pass over it: the basis block
-            # V is orthonormal, so ||A V||_F <= ||A||_F ||V||_2 = ||A||_F
-            _block_qr_replace(z, ws.basis[:, (j + 1) * ell:(j + 2) * ell],
-                              ws.hess[(j + 1) * ell:(j + 2) * ell, cols],
-                              [*proj, basis], j + 1, state.seed, log,
-                              scale=a.frobenius_norm)
-        except _InvariantSubspace as sig:
-            # close the relation on the invariant span with whatever
-            # partial basis block the step built (none when the block
-            # vanished whole, and the coefficient matrix becomes square)
-            trailing = sig.built
+        # the raw block's norm needs no pass over it: the basis block
+        # V is orthonormal, so ||A V||_F <= ||A||_F ||V||_2 = ||A||_F
+        rank = _block_qr(z, ws.basis[:, hi:hi + width],
+                         ws.hess[hi:hi + width, cols], a.frobenius_norm,
+                         log, j + 1)
         j += 1
-        if trailing < ell:
+        lo, hi = hi, hi + rank
+        if not rank:
             break
     ws.steps = j
-    basis, hess, coupling = ws.views(j, ell, trailing)
+    basis, hess, coupling = ws.views(hi, lo)
     return BlockArnoldiState(
         basis=basis, hess=hess, s0=state.s0, block_size=ell, steps=j,
         replacements=tuple(log), coupling=coupling,
-        projector_c=state.projector_c, seed=state.seed,
-        invariant=trailing < ell, _ws=ws)
-
-
-def block_arnoldi(a: SparseMatrix, r0, m: int, projector=None, *,
-                  seed=0) -> BlockArnoldiState:
-    """Build ``m`` steps of the (optionally projected) block Arnoldi
-    process for the block Krylov space generated by ``r0``."""
-    r0 = np.asarray(r0)
-    if r0.ndim == 1:
-        r0 = r0[:, None]
-    if r0.shape[0] != a.n_rows:
-        raise DimensionError("r0 must be an n x L block")
-    state = block_arnoldi_start(r0, projector, seed=seed, capacity=m)
-    return block_arnoldi_extend(a, state, m)
-
+        projector_c=state.projector_c, _ws=ws)

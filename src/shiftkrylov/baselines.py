@@ -109,7 +109,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
     """
     report, targets, x, r, resid, converged = _start(family, cfg, method)
     if not converged.all() and np.count_nonzero(resid) > 1 \
-            and not _nonzero_collinear(r):
+            and not _nonzero_collinear(r, resid):
         raise CollinearityError(
             f"{method} requires pairwise collinear initial residuals; "
             "use a block method for unrelated right-hand sides")
@@ -125,7 +125,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         report.cycles = cycle
         active = ~converged & ~left
         if base is None:
-            v1, _ = _reference_direction(r, ~left)
+            v1, _ = _reference_direction(r, resid, ~left)
         else:
             norm = np.linalg.norm(r[:, base])
             if norm == 0.0:

@@ -92,20 +92,20 @@ def _collinear_columns(r, norms, cols, tol):
     return True
 
 
-def _nonzero_collinear(r):
-    """Whether the nonzero columns of ``r``, at least two, are collinear."""
-    norms = np.linalg.norm(r, axis=0)
+def _nonzero_collinear(r, norms):
+    """Whether the nonzero columns of ``r``, at least two, are collinear;
+    ``norms`` holds the column norms of ``r``."""
     cols = norms > 0.0
     return np.count_nonzero(cols) > 1 and _collinear_columns(
         r, norms, cols, COLLINEAR_TOL)
 
 
-def _reference_direction(r, among=None):
-    """The unit direction ``v1`` of the largest column of ``r``, of those
-    in the mask ``among`` when given, and ``v1* r``."""
-    norms = np.linalg.norm(r, axis=0)
+def _reference_direction(r, norms, among=None):
+    """The unit direction ``v1`` of the largest column of ``r``, whose
+    column norms are ``norms``, of those in the mask ``among`` when given,
+    and ``v1* r``."""
     if among is not None:
-        norms[~among] = 0.0
+        norms = np.where(among, norms, 0.0)
     ref = int(np.argmax(norms))
     if norms[ref] == 0.0:
         raise CollinearityError("all residual columns are zero")
@@ -141,33 +141,36 @@ def _scatter_rows(a, idx, p):
 
 def _steps(a, arn, qr, steps, report, blocks=True):
     """The step loop of every cycle: up to ``steps`` block Arnoldi steps
-    on ``a`` from the state ``arn``, each counted in ``report`` (its
-    block size in ``matvecs``, and one block product when ``blocks``) and
-    appended to ``qr`` as its new block column.  Yields the state after
-    each step; the step that closes the relation is the last."""
-    ell = arn.block_size
+    on ``a`` from the state ``arn``, each counted in ``report`` (the width
+    of the block it multiplies in ``matvecs``, and one block product when
+    ``blocks``) and appended to ``qr`` as its new block column.  Yields
+    the state after each step; the step that closes the relation is the
+    last, and a start of rank zero takes none."""
     for _ in range(steps):
+        # the last basis block, empty once the relation closed
+        width = arn.basis.shape[1] - arn.hess.shape[1]
+        if not width:
+            return
         arn = block_arnoldi_extend(a, arn, 1)
-        report.matvecs += ell
+        report.matvecs += width
         if blocks:
             report.block_matvecs += 1
-        j = arn.steps
-        new = slice((j - 1) * ell, j * ell)
-        qr.append(arn.hess[:j * ell, new], arn.hess[j * ell:, new],
+        cols = arn.hess.shape[1]
+        new = slice(cols - width, cols)
+        qr.append(arn.hess[:cols, new], arn.hess[cols:, new],
                   arn.coupling[:, new])
         yield arn
-        if arn.invariant:
-            return
 
 
-def _strategy_cycle(family, x, r, steps, report, seed_key=None):
+def _strategy_cycle(family, x, r, norms, steps, report, seed_key=None):
     """One cycle of up to ``steps`` steps over a space all shifts share,
     solved from one shifted QR state: without ``seed_key``
     (``gmres-cycle``, single-vector products only) the least squares over
     the Krylov space of the common residual direction, with one
     (``fom-random-block``) the Galerkin solve over the block space of that
-    direction and random columns seeded by ``seed_key``."""
-    v1, beta = _reference_direction(r)
+    direction and random columns seeded by ``seed_key``.  ``norms`` holds
+    the column norms of the residual block ``r``."""
+    v1, beta = _reference_direction(r, norms)
     block = v1[:, None]
     if seed_key is not None:
         rng = np.random.default_rng(np.random.SeedSequence(seed_key))
@@ -175,7 +178,7 @@ def _strategy_cycle(family, x, r, steps, report, seed_key=None):
             (block, rng.standard_normal((family.n, family.n_shifts - 1))))
     arn = block_arnoldi_start(block, capacity=steps)
     qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]),
-                       block.shape[1], 0, steps, family.matrix.frobenius_norm)
+                       len(arn.s0), 0, steps, family.matrix.frobenius_norm)
     for arn in _steps(family.matrix, arn, qr, steps, report,
                       blocks=seed_key is not None):
         pass
@@ -196,7 +199,7 @@ def _strategy_cycle(family, x, r, steps, report, seed_key=None):
     return x, r, arn.steps
 
 
-def _apply_strategy(family, x, r, tag, cfg, report):
+def _apply_strategy(family, x, r, resid, tag, cfg, report):
     """Render residual columns non-collinear by the strategy ``tag``, one
     of :data:`STRATEGY_TAGS`: ``random-x0`` draws a fresh random initial
     guess, ``gmres-cycle`` minimizes every shifted residual over one
@@ -204,7 +207,8 @@ def _apply_strategy(family, x, r, tag, cfg, report):
     Galerkin cycle over a block space grown from the common residual
     direction plus random columns.  A cycle runs up to
     ``cfg.cycle_length`` steps and the draws are seeded by ``cfg.seed``.
-    Returns ``(x, r, iterations)``."""
+    ``resid`` holds the column norms of ``r``.  Returns ``(x, r, resid,
+    iterations)``."""
     total_iters = 0
     for attempt in range(_STRATEGY_RETRIES):
         if tag == "random-x0":
@@ -217,12 +221,13 @@ def _apply_strategy(family, x, r, tag, cfg, report):
             iters = 0
         else:
             x, r, iters = _strategy_cycle(
-                family, x, r, cfg.cycle_length, report,
+                family, x, r, resid, cfg.cycle_length, report,
                 None if tag == "gmres-cycle" else (cfg.seed, attempt))
         total_iters += iters
-        if not _nonzero_collinear(r):
+        resid = np.linalg.norm(r, axis=0)
+        if not _nonzero_collinear(r, resid):
             report.note(f"decollinearized with {tag}")
-            return x, r, total_iters
+            return x, r, resid, total_iters
         if tag == "gmres-cycle":
             report.note("gmres-cycle strategy left residuals collinear "
                         "(stagnation); falling back to fom-random-block")
@@ -303,10 +308,6 @@ def _finish(family: ShiftedFamily, report, x, targets, r_true):
                            final)
 
 
-def _cycle_seed(seed, cycle):
-    return seed * 1000003 + cycle
-
-
 def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 strategy="gmres-cycle", space=None, recycle_k=0,
                 recycle_mode="ritz-largest", method="sbgmres"):
@@ -361,10 +362,10 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     work = np.empty_like(r)
 
     if not converged.all() and ell > 1 and k_now == 0 \
-            and _nonzero_collinear(r):
-        x, r, iters = _apply_strategy(family, x, r, strategy, cfg, report)
+            and _nonzero_collinear(r, resid):
+        x, r, resid, iters = _apply_strategy(family, x, r, resid, strategy,
+                                             cfg, report)
         iteration += iters
-        resid = np.linalg.norm(r, axis=0)
         converged = resid <= targets
         # a decollinearizing restart rewrites the cycle-0 state; random-x0
         # consumes no iterations, so its record shares the iteration index
@@ -413,14 +414,17 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
 
         idx = np.nonzero(active)[0]
         arn = block_arnoldi_start(r[:, block], cur_space,
-                                  seed=_cycle_seed(cfg.seed, cycle),
                                   capacity=cfg.cycle_length)
         rhs = np.concatenate(
             (arn.s0[:, np.searchsorted(block, idx)],
              (cur_space.c.conj().T @ r[:, idx]) * alone[idx]))
-        args = (shifts[idx], rhs.T, len(block), k_now, cfg.cycle_length,
+        args = (shifts[idx], rhs.T, len(arn.s0), k_now, cfg.cycle_length,
                 a.frobenius_norm)
-        qr = ShiftedBandQR(*args) if qr is None else qr.restart(*args)
+        if qr is None:
+            # sized for the first cycle's whole block, the widest, so that
+            # no later cycle whose start keeps more columns reallocates
+            qr = ShiftedBandQR(*args[:2], len(block), *args[3:])
+        qr.restart(*args)
         rho = resid.copy()
         blocks, noted = None, ()
         for arn in _steps(a, arn, qr, cfg.cycle_length, report):
@@ -450,19 +454,22 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             if np.count_nonzero(done) == ell:
                 break
 
-        name = "Galerkin" if kind == "fom" else "least-squares"
-        for i in idx[np.isnan(est)]:
-            report.note(f"cycle {cycle}: no {name} iterate for shift index "
-                        f"{i}; kept previous approximation")
-        # one update for every k, in every column: an empty space adds no
-        # columns or rows, and a shift not solved this cycle gets zero
-        # coefficients
-        y = _scatter_rows(qr.solve(), idx, ell)
-        cols = arn.w.shape[1]
-        _add_products(x, (arn.w, y[:, :cols]), (cur_space.u, y[:, cols:]))
-        for rec in arn.replacements:
-            report.replacements.append((cycle, rec.step, rec.column,
-                                        rec.seed_key))
+        # a start block of rank zero, inside span(C), takes no step and
+        # leaves every iterate as it is
+        y = np.zeros((ell, 0))
+        if arn.steps:
+            name = "Galerkin" if kind == "fom" else "least-squares"
+            for i in idx[np.isnan(est)]:
+                report.note(f"cycle {cycle}: no {name} iterate for shift "
+                            f"index {i}; kept previous approximation")
+            # one update for every k, in every column: an empty space adds
+            # no columns or rows, and a shift not solved this cycle gets
+            # zero coefficients
+            y = _scatter_rows(qr.solve(), idx, ell)
+            cols = arn.w.shape[1]
+            _add_products(x, (arn.w, y[:, :cols]), (cur_space.u, y[:, cols:]))
+        report.replacements.extend((cycle, *pair)
+                                   for pair in arn.replacements)
         resid, converged = _end_cycle(family, report, x, r, converged,
                                       targets, work)
         r_true = r
@@ -481,10 +488,12 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                         f"{np.nonzero(stalled)[0].tolist()}")
 
         # the next cycle searches inside this one's space when it keeps the
-        # recycle space, or when this cycle closed an unaugmented Krylov
-        # space, which holds any recycle space drawn from it
-        inside = recycle_k == 0 or (k_now == 0 and arn.invariant)
-        if recycle_k > 0:
+        # recycle space (no refresh, or no step to refresh it from), or
+        # when this cycle closed an unaugmented Krylov space, which holds
+        # any recycle space drawn from it
+        refresh = recycle_k > 0 and arn.steps > 0
+        inside = not refresh or (k_now == 0 and arn.invariant)
+        if refresh:
             try:
                 cur_space = update_recycle_space(arn, recycle_mode,
                                                  recycle_k, cur_space)

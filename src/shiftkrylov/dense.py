@@ -45,19 +45,22 @@ class ShiftedBandQR:
     ``sigma_i`` of a family at once, one block column per block Arnoldi
     step, and the solve of every shift's subproblem from it.
 
-    ``Hbar_j`` is the (j+1)L x jL band Hessenberg matrix of block size L,
-    ``B_j`` its k x jL coupling rows; ``rhs_i`` is shift i's right-hand
-    side on the first L rows of ``Hbar_j``, then optionally on the
-    coupling rows.  Step t factors the live block (the L + k rows carried
-    from the steps before and the new subdiagonal rows) by a ``Q_t`` that
-    finishes its first L rows: the complete QR of every shift's block in
-    one batched LAPACK call or, at L = 1 with k = 0 (single-vector GMRES
-    and FOM and the collinear methods), one closed-form Givens rotation
-    per shift on a 2 x 1 column.  Per shift the state keeps ``q``, the rows
-    of ``Q_t* ... Q_0*`` over the rows of ``G_i`` (coupling rows first),
-    the tL finished rows then the carried ones; ``g``, the right-hand
-    side rotated alike, whose carried entries' norm is the least-squares
-    residual; and ``r``, the triangle of ``G_i`` in the finished rows.
+    ``Hbar_j`` is the band Hessenberg matrix of block Arnoldi, whose block
+    column t is L_t wide, L_0 = L (``block_size``) and each no wider than
+    the one before, with subdiagonal block t of L_{t+1} x L_t; ``B_j`` are
+    its k coupling rows, and ``rhs_i`` is shift i's right-hand side on the
+    first L rows of ``Hbar_j``, then optionally on the coupling rows.
+    Step t factors the live block (the L_t + k rows carried from the steps
+    before and the new subdiagonal rows) by a ``Q_t`` that finishes its
+    first L_t rows: the complete QR of every shift's block in one batched
+    LAPACK call or, at L = 1 with k = 0 (single-vector GMRES and FOM and
+    the collinear methods), one closed-form Givens rotation per shift on a
+    2 x 1 column.  Per shift the state keeps ``q``, the rows of
+    ``Q_t* ... Q_0*`` over the rows of ``G_i`` (coupling rows first), the
+    L_0 + ... + L_t finished rows then the carried ones; ``g``, the
+    right-hand side rotated alike, whose carried entries' norm is the
+    least-squares residual; and ``r``, the triangle of ``G_i`` in the
+    finished rows.
     One product by ``q`` gives a new column's triangle entries and live
     block, one more applies ``Q_t``: O(1) array operations per step for
     the family.  Each estimate is NaN for a shift whose subproblem is
@@ -88,6 +91,8 @@ class ShiftedBandQR:
         self.coupling_rows = k = int(coupling_rows)
         self.steps = 0
         self.carry = ell + k
+        # the first finished row of each block column, then the next one
+        self._bounds = [0]
         rows, tri = k + (max_steps + 1) * ell, max_steps * ell
         n_q, n_r = p * (tri + ell + k) * rows, p * tri * tri
         end = n_q + n_r + p * (tri + ell + k)
@@ -110,22 +115,24 @@ class ShiftedBandQR:
         return self
 
     def append(self, h_col, sub, b_col):
-        """Add block column t+1: ``h_col`` holds its (t+1)L rows on and
-        above the diagonal block (shared by every shift), ``sub`` its
-        upper triangular subdiagonal block (fewer rows, or none, when the
-        relation closed on an invariant span) and ``b_col`` its k
-        coupling rows."""
-        ell, k, t = self.block_size, self.coupling_rows, self.steps
+        """Add block column t+1, L_t wide: ``h_col`` holds its
+        L_0 + ... + L_t rows on and above the diagonal block (shared by
+        every shift), ``sub`` its subdiagonal block, one row per column of
+        the next basis block (none when the relation closed), and
+        ``b_col`` its k coupling rows."""
+        k, top = self.coupling_rows, self._bounds[-1]
+        width = np.shape(h_col)[1]
         sub = np.asarray(sub)
-        self._g_pivot = self.g[:, t * ell:(t + 1) * ell].copy()
+        self._g_pivot = self.g[:, top:top + width].copy()
         self._sub, self._before = sub, self._diag_min
-        if ell == 1 and k == 0:
+        if self.block_size == 1 and k == 0:
             low = self._givens_step(np.asarray(h_col)[:, 0], sub)
         else:
             low = self._householder_step(np.concatenate((b_col, h_col)), sub)
         self._diag_min = np.minimum(self._diag_min, low)
         self.carry = k + len(sub)
-        self.steps = t + 1
+        self.steps += 1
+        self._bounds.append(top + width)
 
     def _householder_step(self, h, sub):
         """Step t for the block column ``h`` (coupling rows first) over
@@ -135,9 +142,9 @@ class ShiftedBandQR:
         each shift's block, one batched LAPACK call, whose ``Q_t*`` goes
         onto the carried rows of ``q`` and ``g``.  Returns the smallest
         |diagonal entry| of each shift's new triangle block."""
-        ell, k, t = self.block_size, self.coupling_rows, self.steps
-        c, top, cols = len(sub), t * ell, k + (t + 1) * ell
-        d = k + t * ell                 # column of the diagonal block
+        k, top, ell = self.coupling_rows, self._bounds[-1], h.shape[1]
+        c, cols = len(sub), k + top + ell
+        d = k + top                     # column of the diagonal block
         q = self.q[:, :top + ell + k, :cols]
         col = q @ h
         col += self.shifts[:, None, None] * q[..., d:d + ell]
@@ -202,7 +209,7 @@ class ShiftedBandQR:
         entries of ``g``; NaN where a diagonal entry of the triangle is
         :func:`.arnoldi._negligible` beside the shift's scale (a singular
         problem, whose ``g`` misses part of its residual)."""
-        top = self.steps * self.block_size
+        top = self._bounds[-1]
         if self.carry == 1:
             rho = np.abs(self.g[:, top])
         else:
@@ -218,7 +225,7 @@ class ShiftedBandQR:
         block's smallest singular value and the triangle's earlier
         diagonal is :func:`.arnoldi._negligible` beside the shift's scale."""
         rho = np.full(len(self.shifts), np.nan)
-        if self.block_size == 1:
+        if self._pivot.shape[2] == 1:
             # the pivot is one entry per shift, its own singular value
             piv = np.abs(self._pivot[:, 0, 0])
             singular = _negligible(np.minimum(piv, self._before), self._scale)
@@ -245,8 +252,7 @@ class ShiftedBandQR:
         ``1 + |sigma_i| ||[Q2; P; N] e_j||`` (recycle column j adds nothing
         beyond the band), has no recycle columns.  NaN where the band
         triangle is singular (:meth:`residual`)."""
-        k, carry = self.coupling_rows, self.carry
-        top = self.steps * self.block_size
+        k, carry, top = self.coupling_rows, self.carry, self._bounds[-1]
         qc = self.q[:, top:top + carry, :top + carry]
         sig = self.shifts[:, None, None]
         uhat_rows = slice(carry, carry + len(n_factor))
@@ -280,8 +286,8 @@ class ShiftedBandQR:
         z)``, ``z`` after ``y``.  ``rhs`` replaces a least-squares solve's
         right-hand sides."""
         kind, skip, *recycle = self._read
-        ell, k = self.block_size, self.coupling_rows
-        top = self.steps * ell
+        k, bounds = self.coupling_rows, self._bounds
+        top = bounds[-1]
         q = self.q[:, :top, :top + self.carry]
         y = self.g[:, :top].copy() if rhs is None else _apply(q, rhs)
         z = np.zeros((len(y), 0))
@@ -300,24 +306,26 @@ class ShiftedBandQR:
                 q @ turned), z)
         elif kind == "Galerkin":
             # the latest pivot block stands in for R's last diagonal block
-            tri -= ell
-            if ell == 1:
+            bounds = bounds[:-1]
+            tri = bounds[-1]
+            if top - tri == 1:
                 y[solved, tri] = self._g_pivot[solved, 0] \
                     / self._pivot[solved, 0, 0]
             else:
                 y[solved, tri:] = _solve(self._pivot[solved],
                                          self._g_pivot[solved])
             y[:, :tri] -= _apply(self.r[:, :tri, tri:top], y[:, tri:])
-        # back substitution over chunks of whole blocks, about 32 columns
-        # each, from the last: one trtrs per shift on the chunk's triangle,
-        # then one batched product for the rows above it.  The chunks keep
-        # one order of the sums on purpose: with nearly dependent
-        # right-hand sides rounding here can decide a convergence step (one
-        # trtrs per shift on the whole triangle moves perfbench's
-        # smooth-param at seed 2 by one block step of its sbgmres group)
-        width = ell * -(-32 // ell)
-        for stop in range(tri, 0, -width):
-            cols = slice(max(stop - width, 0), stop)
+        # back substitution over chunks of whole blocks, ceil(32 / L) of
+        # them each (about 32 columns), from the last: one trtrs per shift
+        # on the chunk's triangle, then one batched product for the rows
+        # above it.  The chunks keep one order of the sums on purpose: with
+        # nearly dependent right-hand sides rounding here can decide a
+        # convergence step (one trtrs per shift on the whole triangle moves
+        # perfbench's smooth-param at seed 2 by one block step of its
+        # sbgmres group)
+        per = -(-32 // self.block_size)
+        for end in range(len(bounds) - 1, 0, -per):
+            cols = slice(bounds[max(end - per, 0)], bounds[end])
             _upper_solve(self.r[:, cols, cols], y[:, cols], solved)
             y[:, :cols.start] -= _apply(self.r[:, :cols.start, cols],
                                         y[:, cols])

@@ -27,11 +27,6 @@ class NearSingularError(ShiftKrylovError):
     working precision."""
 
 
-class BreakdownError(ShiftKrylovError):
-    """Raised when every candidate direction of a block Arnoldi step is
-    dependent and random replacement fails repeatedly."""
-
-
 class CollinearityError(ShiftKrylovError):
     """Raised for collinearity-related applicability problems: a solver
     that requires collinear residuals got unrelated ones, a residual

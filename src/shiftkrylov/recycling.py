@@ -271,8 +271,8 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     j = arn.steps
     if j < 1:
         raise DimensionError("arnoldi state has no steps to extract from")
-    jl = j * arn.block_size
     hess, b = arn.hess, arn.coupling
+    jl = hess.shape[1]
     c = arn.projector_c if arn.projector_c is not None else np.zeros((n, 0))
     if mode == "ritz-largest":
         wy = hessenberg_eigen(hess[:jl], "largest", k).vectors

@@ -69,7 +69,11 @@ class SolveReport:
     ``block_widths`` holds, per cycle of the block restart engine, the
     width of that cycle's block: the number of shifts unconverged as the
     cycle starts (recorded also for a cycle that ends at its oblique
-    projection, before any block product).
+    projection, before any block product).  A block product multiplies
+    that many columns unless a basis block lost dependent ones:
+    ``replacements`` holds one ``(cycle, step, column)`` entry per
+    candidate column a QR of the block Arnoldi process dropped (step 0 is
+    the start block, ``column`` indexes the candidate block).
     ``final_residuals`` and
     ``converged`` come from the true residual ``b_i - (A + sigma_i I)
     x_i`` of the returned solution.

@@ -8,8 +8,16 @@ equations) so the tests check against independent arithmetic.
 import numpy as np
 import pytest
 
-from shiftkrylov import SparseMatrix
+from shiftkrylov import SparseMatrix, block_arnoldi_extend, block_arnoldi_start
 from shiftkrylov.dense import ShiftedBandQR
+
+
+def block_arnoldi(a, r0, m, projector=None):
+    """``m`` steps of the (optionally projected) block Arnoldi process
+    from ``r0`` in one call, on a chain allocated for ``m`` steps: the
+    eager oracle that step-by-step extensions are compared against."""
+    return block_arnoldi_extend(
+        a, block_arnoldi_start(r0, projector, capacity=m), m)
 
 
 def random_sparse(n, density=0.2, seed=0, diag_boost=0.0):
@@ -30,6 +38,40 @@ def noise_led_family():
     a = np.array([[-1.0, -1.0, -1.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     r0 = np.array([[-1e-16, -1.6], [0.34, 1.5], [-0.34, -1.1]])
     return a, r0
+
+
+def narrowing_chain(projected=False, complex_start=False):
+    """``(A, R, C)``: a dense 12 x 12 operator, a 3-column start block
+    whose block Krylov space grows by 3, 3, 2 and 1 directions and then
+    closes, so a block Arnoldi process that keeps each block's rank runs
+    blocks of widths 3, 3, 2 and 1 and closes at step 4; and C, None or
+    the orthonormal 12 x 2 projector basis ``[e11 e12]``.
+
+    A acts on the first 9 coordinates as a symmetric matrix with
+    eigenvalues 1, ..., 9 and leaves them exactly invariant (its other
+    entries there are zeros).  R mixes, by a random invertible matrix,
+    sums of 4, 3 and 2 of those eigenvectors (complex mixing with
+    ``complex_start``), so every block lies in the first 9 coordinates
+    to the last bit and the fourth step's candidate is rounding noise.
+    With ``projected``, A adds ``C K`` for a random K: the projected
+    operator ``(I - C C*) A`` acts on the Krylov space as before, and its
+    coupling rows ``C* A W = K W`` are dense."""
+    rng = np.random.default_rng(80)
+    q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    a = np.diag(np.arange(1.0, 13.0))
+    a[:9, :9] = q @ np.diag(np.arange(1.0, 10.0)) @ q.T
+    chains = np.zeros((9, 3))
+    chains[0:4, 0] = chains[4:7, 1] = chains[7:9, 2] = 1.0
+    mix = rng.standard_normal((3, 3))
+    if complex_start:
+        mix = mix + 1j * rng.standard_normal((3, 3))
+    r0 = np.zeros((12, 3), dtype=mix.dtype)
+    r0[:9] = q @ chains @ mix
+    c = None
+    if projected:
+        c = np.eye(12)[:, 10:]
+        a = a + c @ rng.standard_normal((2, 12))
+    return a, r0, c
 
 
 def block_krylov_powers(ad, r0, j):

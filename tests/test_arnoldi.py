@@ -5,15 +5,14 @@ import pytest
 import scipy.linalg
 
 from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
-                         SolverConfig, SparseMatrix, block_arnoldi,
-                         block_arnoldi_extend, block_arnoldi_start,
-                         block_matvec, sfom, sgmres)
+                         SolverConfig, SparseMatrix, block_arnoldi_extend,
+                         block_arnoldi_start, block_matvec, sfom, sgmres)
 import shiftkrylov.arnoldi as arnoldi
-from shiftkrylov.arnoldi import DEPENDENCY_TOL, Replacement, _project_out
+from shiftkrylov.arnoldi import DEPENDENCY_TOL, _project_out
 
-from conftest import (block_krylov_powers, noise_led_family,
-                      projected_sylvester_powers, random_sparse,
-                      sylvester_powers)
+from conftest import (block_arnoldi, block_krylov_powers, narrowing_chain,
+                      noise_led_family, projected_sylvester_powers,
+                      random_sparse, sylvester_powers)
 
 
 # ---------------------------------------------------------------------------
@@ -72,20 +71,22 @@ def test_arnoldi_extend_incrementally_matches():
 # ---------------------------------------------------------------------------
 
 def test_block_initial_dependence_replaced():
-    a = random_sparse(10, seed=1)
+    # two identical columns: the start block has rank one, so the state
+    # keeps one basis column and logs the other candidate as deflated
     v = np.random.default_rng(1).standard_normal(10)
-    r0 = np.column_stack([v, v])  # two identical columns
-    state = block_arnoldi_start(r0, seed=3)
-    assert len(state.replacements) == 1
-    assert state.replacements[0].step == 0
-    gram = state.basis.conj().T @ state.basis
-    assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
+    r0 = np.column_stack([v, v])
+    state = block_arnoldi_start(r0)
+    assert state.basis.shape == (10, 1) and state.s0.shape == (1, 2)
+    assert len(state.replacements) == 1 and state.replacements[0][0] == 0
+    assert np.linalg.norm(state.basis.T @ state.basis - 1.0) <= 1e-15
+    assert np.linalg.norm(state.basis @ state.s0 - r0) \
+        <= DEPENDENCY_TOL * np.linalg.norm(r0)
 
 
 def test_block_identity_grade_one():
     a = SparseMatrix.identity(6)
     r0 = np.random.default_rng(4).standard_normal((6, 3))
-    state = block_arnoldi(a, r0, 2, seed=5)
+    state = block_arnoldi(a, r0, 2)
     # every candidate column was dependent after one application: the
     # relation closes square at step 1, with no replacement
     assert state.invariant and state.steps == 1 and not state.replacements
@@ -97,9 +98,13 @@ def test_block_start_replaces_near_dependent_column():
     rng = np.random.default_rng(17)
     m = rng.standard_normal((6, 3))
     m[:, 2] = m[:, 0] + m[:, 1] + 1e-14 * rng.standard_normal(6)
-    state = block_arnoldi_start(m, seed=0)
-    assert [rec.column for rec in state.replacements] == [2]
-    assert state.s0[2, 2] == 0.0
+    state = block_arnoldi_start(m)
+    # one of the three columns is deflated, and the two kept reproduce
+    # the block
+    assert len(state.replacements) == 1 and state.replacements[0][0] == 0
+    assert state.basis.shape == (6, 2) and state.s0.shape == (2, 3)
+    assert np.linalg.norm(state.basis @ state.s0 - m) \
+        <= DEPENDENCY_TOL * np.linalg.norm(m)
     # SVD oracle confirms the configured dependency level
     s = np.linalg.svd(m, compute_uv=False)
     assert s[2] / s[0] < DEPENDENCY_TOL
@@ -111,8 +116,13 @@ def test_block_start_dependence_scale_invariant():
     m[:, 3] = m[:, 1]  # one dependent column
     scales = np.array([1.0, 5e-3, 12.0, 0.3])
     for block in (m, m * scales[None, :]):
-        state = block_arnoldi_start(block, seed=0)
-        assert [rec.column for rec in state.replacements] == [3]
+        state = block_arnoldi_start(block)
+        # the pivoted QR keeps the larger of the two equal directions
+        assert len(state.replacements) == 1
+        assert state.replacements[0] in ((0, 1), (0, 3))
+        assert state.basis.shape == (6, 3)
+        assert np.linalg.norm(state.basis @ state.s0 - block) \
+            <= DEPENDENCY_TOL * np.linalg.norm(block)
 
 
 def test_block_start_more_columns_than_rows_raises():
@@ -129,7 +139,7 @@ def test_block_start_more_columns_than_rows_raises():
 def test_block_relation_and_rank():
     a = random_sparse(30, density=0.2, seed=8)
     r0 = np.random.default_rng(7).standard_normal((30, 2))
-    state = block_arnoldi(a, r0, 4, seed=0)
+    state = block_arnoldi(a, r0, 4)
     ad = a.to_dense()
     rel = np.linalg.norm(ad @ state.w - state.basis @ state.hess)
     assert rel <= 1e-10 * a.frobenius_norm
@@ -142,9 +152,9 @@ def test_block_relation_and_rank():
 def test_block_extend_matches_batch():
     a = random_sparse(18, density=0.3, seed=12)
     r0 = np.random.default_rng(13).standard_normal((18, 3))
-    batch = block_arnoldi(a, r0, 3, seed=1)
+    batch = block_arnoldi(a, r0, 3)
     inc = block_arnoldi_extend(
-        a, block_arnoldi_extend(a, block_arnoldi_start(r0, seed=1), 1), 2)
+        a, block_arnoldi_extend(a, block_arnoldi_start(r0), 1), 2)
     assert np.allclose(batch.basis, inc.basis, atol=1e-14)
     assert np.allclose(batch.hess, inc.hess, atol=1e-14)
 
@@ -152,7 +162,7 @@ def test_block_extend_matches_batch():
 def test_shifted_block_relation():
     a = random_sparse(24, density=0.25, seed=3)
     r0 = np.random.default_rng(11).standard_normal((24, 3))
-    state = block_arnoldi(a, r0, 4, seed=0)
+    state = block_arnoldi(a, r0, 4)
     ad = a.to_dense()
     for sigma in (0.7, -0.2 + 0.4j):
         h_sigma = state.hess + sigma * np.eye(*state.hess.shape)
@@ -164,7 +174,7 @@ def test_shifted_block_relation():
 def test_initial_residual_reconstruction():
     a = random_sparse(16, seed=6)
     r0 = np.random.default_rng(15).standard_normal((16, 3))
-    state = block_arnoldi(a, r0, 3, seed=0)
+    state = block_arnoldi(a, r0, 3)
     lift = np.zeros((state.basis.shape[1], 3), dtype=complex)
     lift[:3, :] = state.s0
     recon = state.basis @ lift
@@ -176,7 +186,7 @@ def test_block_krylov_sum_identity():
     a = random_sparse(20, density=0.3, seed=19)
     r0 = np.random.default_rng(21).standard_normal((20, 2))
     j = 3
-    state = block_arnoldi(a, r0, j, seed=0)
+    state = block_arnoldi(a, r0, j)
     ad = a.to_dense()
     brute = block_krylov_powers(ad, r0, j)
     angle = scipy.linalg.subspace_angles(state.w[:, :j * 2], brute).max()
@@ -189,8 +199,8 @@ def test_block_shift_invariance():
     sigma = 0.7
     shifted = SparseMatrix.from_dense(a.to_dense() + sigma * np.eye(25))
     j = 3
-    plain = block_arnoldi(a, r0, j, seed=0)
-    moved = block_arnoldi(shifted, r0, j, seed=0)
+    plain = block_arnoldi(a, r0, j)
+    moved = block_arnoldi(shifted, r0, j)
     angle = scipy.linalg.subspace_angles(plain.w, moved.w).max()
     assert angle <= 1e-8
 
@@ -215,7 +225,7 @@ def test_projected_block_arnoldi_relation_and_coupling():
     space = RecycleSpace.from_basis(a, rng.standard_normal((22, 3)))
     r0 = rng.standard_normal((22, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
-    state = block_arnoldi(a, r0, 4, projector=space, seed=0)
+    state = block_arnoldi(a, r0, 4, projector=space)
     ad = a.to_dense()
     proj = np.eye(22) - space.c @ space.c.conj().T
     rel = np.linalg.norm(proj @ ad @ state.w - state.basis @ state.hess)
@@ -240,26 +250,59 @@ def test_projected_sylvester_invariance():
     q_mat = projected_sylvester_powers(ad, space.c, np.zeros((2, 2)), v, j)
     assert scipy.linalg.subspace_angles(q_syl, q_mat).max() <= 1e-8
     # and both match the span built by the projected block Arnoldi process
-    state = block_arnoldi(a, v, j, projector=space, seed=0)
+    state = block_arnoldi(a, v, j, projector=space)
     assert scipy.linalg.subspace_angles(state.w, q_mat).max() <= 1e-8
 
 
 def test_partial_invariant_closing_mid_block():
-    # n = 10 with block size 3: the fourth step can only add one direction
-    # before the space is exhausted, and the relation must close exactly
-    # over the full space
+    # n = 10 with block size 3: the third step can only add one direction
+    # before the space is exhausted, so its block narrows to one column,
+    # and the fourth step multiplies that column and closes the relation
+    # square over the full space
     a = random_sparse(10, density=0.5, seed=53, diag_boost=4.0)
     r0 = np.random.default_rng(54).standard_normal((10, 3))
-    state = block_arnoldi(a, r0, 8, seed=1)
-    assert state.invariant
+    state = block_arnoldi(a, r0, 8)
+    assert state.invariant and state.steps == 4
+    assert [step for step, _ in state.replacements] == [3, 3]
     n_cols = state.basis.shape[1]
     assert n_cols == 10                      # spans the whole space
-    assert state.hess.shape == (n_cols, state.steps * 3)
+    assert state.hess.shape == (10, 10)
     ad = a.to_dense()
     rel = np.linalg.norm(ad @ state.w - state.basis @ state.hess)
     assert rel <= 1e-9 * a.frobenius_norm
     gram = state.basis.conj().T @ state.basis
     assert np.linalg.norm(gram - np.eye(n_cols)) <= 1e-10
+
+
+@pytest.mark.parametrize("complex_start", [False, True])
+@pytest.mark.parametrize("projected", [False, True])
+def test_chain_narrows_block_by_block_and_closes(projected, complex_start):
+    # blocks of widths 3, 3, 2 and 1, then a vanished candidate: after
+    # every step the (projected) relation holds over the basis so far,
+    # with coupling rows C* A W_j when projected
+    ad, r0, c = narrowing_chain(projected, complex_start)
+    a = SparseMatrix.from_dense(ad)
+    space = None if c is None else RecycleSpace(c, c)
+    state = block_arnoldi_start(r0, space)
+    assert state.s0.shape == (3, 3)
+    assert np.linalg.norm(state.basis @ state.s0 - r0) \
+        <= 1e-14 * np.linalg.norm(r0)
+    proj = np.eye(12) if c is None else np.eye(12) - c @ c.T
+    widths = []
+    while not state.invariant:
+        state = block_arnoldi_extend(a, state, 1)
+        widths.append(state.basis.shape[1] - state.hess.shape[1])
+        rel = proj @ ad @ state.w - state.basis @ state.hess
+        assert np.linalg.norm(rel) <= 1e-13 * a.frobenius_norm
+        if c is not None:
+            assert np.linalg.norm(state.coupling - c.T @ ad @ state.w) \
+                <= 1e-13 * a.frobenius_norm
+        gram = state.basis.conj().T @ state.basis
+        assert np.linalg.norm(gram - np.eye(len(gram))) <= 1e-13
+    assert widths == [3, 2, 1, 0] and state.steps == 4
+    assert state.basis.shape == (12, 9) and state.hess.shape == (9, 9)
+    assert [step for step, _ in state.replacements] == [2, 3]
+    assert state.coupling.shape == (0 if c is None else 2, 9)
 
 
 def test_noise_column_does_not_hide_a_live_one_from_the_breakdown_test():
@@ -355,7 +398,7 @@ def test_branching_a_chain_leaves_earlier_states_unchanged():
     a = random_sparse(40, density=0.2, seed=57)
     other = random_sparse(40, density=0.2, seed=56)
     r0 = np.random.default_rng(58).standard_normal((40, 2))
-    start = block_arnoldi_start(r0, seed=2)
+    start = block_arnoldi_start(r0)
     parent = block_arnoldi_extend(a, start, 2)
     kept = block_arnoldi_extend(a, parent, 1)     # same workspace, in place
     # parent is no longer the newest state of its workspace, so a branch
@@ -371,11 +414,11 @@ def test_branching_a_chain_leaves_earlier_states_unchanged():
     for state in (start, parent, kept, branch, longer, grown, again):
         assert not state.basis.flags.writeable
     fresh_branch = block_arnoldi_extend(
-        other, block_arnoldi(a, r0, 2, seed=2), 2)
+        other, block_arnoldi(a, r0, 2), 2)
     for state, fresh in ((branch, fresh_branch),
-                         (longer, block_arnoldi(a, r0, 4, seed=2)),
-                         (grown, block_arnoldi(a, r0, 7, seed=2)),
-                         (again, block_arnoldi(other, r0, 1, seed=2))):
+                         (longer, block_arnoldi(a, r0, 4)),
+                         (grown, block_arnoldi(a, r0, 7)),
+                         (again, block_arnoldi(other, r0, 1))):
         assert np.abs(state.basis - fresh.basis).max() <= 1e-12
         assert np.abs(state.hess - fresh.hess).max() <= 1e-12
 
@@ -384,10 +427,10 @@ def test_one_step_extensions_across_capacity_growth():
     n, ell, m = 150, 3, 40
     a = random_sparse(n, density=0.05, seed=59, diag_boost=2.0)
     r0 = np.random.default_rng(60).standard_normal((n, ell))
-    state = block_arnoldi_start(r0, seed=0)
+    state = block_arnoldi_start(r0)
     for _ in range(m):
         state = block_arnoldi_extend(a, state, 1)
-    batch = block_arnoldi(a, r0, m, seed=0)
+    batch = block_arnoldi(a, r0, m)
     assert state.steps == m and not state.invariant
     assert state.basis.shape == batch.basis.shape == (n, (m + 1) * ell)
     assert np.abs(state.basis - batch.basis).max() <= 1e-12
@@ -409,7 +452,7 @@ def test_workspace_views_never_expose_unwritten_entries(monkeypatch):
     monkeypatch.setattr(np, "empty", poisoned)
     a = random_sparse(20, density=0.3, seed=63, diag_boost=3.0)
     r0 = np.random.default_rng(64).standard_normal((20, 2))
-    state = block_arnoldi_start(r0, seed=0)
+    state = block_arnoldi_start(r0)
     states = []
     for _ in range(12):           # grows at steps 5 and 9, closes at 10
         state = block_arnoldi_extend(a, state, 1)
@@ -427,14 +470,14 @@ def test_extension_keeps_what_the_benchmark_tracer_reads(projected):
     # input state's steps, replacements, basis.shape, block_size and
     # projector_c and the result's steps and replacements; the start
     # block's second column repeats its first, so the chain carries a
-    # replacement, and capacity 2 makes the third extension regrow
+    # deflated column, and capacity 2 makes the third extension regrow
     a = random_sparse(30, density=0.2, seed=65, diag_boost=3.0)
     rng = np.random.default_rng(66)
     space = RecycleSpace.from_basis(a, rng.standard_normal((30, 2))) \
         if projected else None
     v = rng.standard_normal(30)
     r0 = np.column_stack((v, v, rng.standard_normal(30)))
-    state = block_arnoldi_start(r0, space, seed=4, capacity=2)
+    state = block_arnoldi_start(r0, space, capacity=2)
     assert len(state.replacements) == 1
     for _ in range(4):
         read = (state.steps, state.replacements, state.basis.shape,
@@ -447,8 +490,8 @@ def test_extension_keeps_what_the_benchmark_tracer_reads(projected):
         _assert_same(state, arrays)
         assert new.steps == state.steps + 1
         ws = new._ws
-        rows, cols = new.basis.shape[1], new.steps * new.block_size
-        eager = block_arnoldi(a, r0, new.steps, space, seed=4)
+        rows, cols = new.basis.shape[1], new.hess.shape[1]
+        eager = block_arnoldi(a, r0, new.steps, space)
         for got, prefix, batch in (
                 (new.basis, ws.basis[:, :rows], eager.basis),
                 (new.hess, ws.hess[:rows, :cols], eager.hess),
@@ -462,7 +505,7 @@ def test_extension_keeps_what_the_benchmark_tracer_reads(projected):
 @pytest.mark.parametrize("projected", [False, True])
 def test_start_state_is_the_same_at_any_capacity(projected):
     # the start block's second column repeats its first, so both states
-    # carry a replacement; capacity 3 holds 1 and 3 steps in place and
+    # carry a deflated column; capacity 3 holds 1 and 3 steps in place and
     # makes 5 regrow, the default capacity 4 holds 1 and 3
     a = random_sparse(30, density=0.2, seed=67, diag_boost=3.0)
     rng = np.random.default_rng(68)
@@ -471,8 +514,8 @@ def test_start_state_is_the_same_at_any_capacity(projected):
     v = rng.standard_normal(30)
     r0 = np.column_stack((v, v, rng.standard_normal(30)))
     for steps in (1, 3, 5):
-        default = block_arnoldi_start(r0, space, seed=4)
-        held = block_arnoldi_start(r0, space, seed=4, capacity=3)
+        default = block_arnoldi_start(r0, space)
+        held = block_arnoldi_start(r0, space, capacity=3)
         assert held._ws.cap == 3 and held._ws.steps == 0
         assert len(held.replacements) == 1
         assert held.replacements == default.replacements
@@ -491,16 +534,18 @@ def test_start_state_is_the_same_at_any_capacity(projected):
 
 def test_projected_chain_closes_invariant_in_workspace():
     # n = 10 beside k = 3 recycle directions leaves room for 7 basis
-    # columns: block size 2 closes at step 3, which builds one of its two
+    # columns: from block size 2, step 3 keeps one column and step 4
+    # closes the relation square
     a = random_sparse(10, density=0.5, seed=61, diag_boost=4.0)
     rng = np.random.default_rng(62)
     space = RecycleSpace.from_basis(a, rng.standard_normal((10, 3)))
-    state = block_arnoldi_start(rng.standard_normal((10, 2)), space, seed=1)
+    state = block_arnoldi_start(rng.standard_normal((10, 2)), space)
     for _ in range(6):
         state = block_arnoldi_extend(a, state, 1)
-    assert state.invariant and state.steps == 3
+    assert state.invariant and state.steps == 4
+    assert state.replacements == ((3, 0),)
     assert state.basis.shape == (10, 7)
-    assert state.hess.shape == (7, 6) and state.coupling.shape == (3, 6)
+    assert state.hess.shape == (7, 7) and state.coupling.shape == (3, 7)
     ad = a.to_dense()
     c = space.c
     proj = np.eye(10) - c @ c.conj().T
@@ -529,38 +574,40 @@ def test_no_qr_probe_at_block_size_one(monkeypatch):
         assert all(rep.converged)
 
 
-def test_replacement_seed_keys_pinned():
+def test_deflated_columns_pinned():
+    # the pivoted QR takes 2v first, then w, and deflates v
     rng = np.random.default_rng(61)
     v, w = rng.standard_normal(12), rng.standard_normal(12)
     block = np.column_stack([v, w, 2.0 * v])
-    start = block_arnoldi_start(block, seed=7)
-    assert start.replacements == (Replacement(0, 2, (7, 0, 2, 0)),)
+    start = block_arnoldi_start(block)
+    assert start.replacements == ((0, 0),)
     # A = I + e12 e12^T moves the basis by one direction, so the step-1
-    # candidate block has rank one and its last two columns are replaced;
-    # at step 2 the whole block vanishes and the relation closes
+    # candidate block has rank one and one of its two columns is
+    # deflated; step 2 multiplies the one column left, whose candidate
+    # vanishes, and the relation closes square
     a = SparseMatrix.diagonal(np.r_[np.ones(11), 2.0])
-    state = block_arnoldi(a, block, 3, seed=7)
-    assert state.replacements == start.replacements + tuple(
-        Replacement(1, col, (7, 1, col, 0)) for col in (1, 2))
+    state = block_arnoldi(a, block, 3)
+    assert state.replacements == ((0, 0), (1, 0))
     assert state.invariant and state.steps == 2
-    assert state.hess.shape == (6, 6)
+    assert state.basis.shape == (12, 3) and state.hess.shape == (3, 3)
+    rel = a.to_dense() @ state.w - state.basis @ state.hess
+    assert np.linalg.norm(rel) <= 1e-14 * a.frobenius_norm
 
 
-def test_start_block_in_recycle_span_is_replaced_whole():
+def test_start_block_in_recycle_span_has_rank_zero():
     # a start block inside span(C) leaves only rounding noise once
-    # projected; measured against the raw block it is all dependent, so
-    # every column is a logged replacement and the start factor is zero
+    # projected; measured against the raw block it is zero, so the state
+    # has no basis column and is closed before any step, like a step
+    # whose candidate vanishes (which logs no deflated column either)
     n = 30
     a = random_sparse(n, density=0.3, seed=74, diag_boost=3.0)
     rng = np.random.default_rng(75)
     space = RecycleSpace.from_basis(a, rng.standard_normal((n, 4)))
     r0 = space.c @ rng.standard_normal((4, 3))
-    state = block_arnoldi_start(r0, space, seed=6)
-    assert state.replacements == tuple(
-        Replacement(0, col, (6, 0, col, 0)) for col in range(3))
-    assert np.all(state.s0 == 0.0)
-    both = np.hstack([space.c, state.basis])
-    assert np.linalg.norm(both.conj().T @ both - np.eye(7)) <= 1e-13
+    state = block_arnoldi_start(r0, space)
+    assert state.basis.shape == (n, 0) and state.s0.shape == (0, 3)
+    assert state.invariant and state.steps == 0 and not state.replacements
+    assert block_arnoldi_extend(a, state, 2) is state
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +647,7 @@ def test_thirty_steps_orthonormal_exact_with_nonnegative_diagonals(
     a = SparseMatrix.from_dense(ad)
     space = (RecycleSpace.from_basis(a, rng.standard_normal((n, 3)))
              if projected else RecycleSpace.empty(n))
-    state = block_arnoldi(a, r0, m, projector=space, seed=0)
+    state = block_arnoldi(a, r0, m, projector=space)
     assert state.steps == m and state.basis.dtype == dtype
     assert not state.replacements
     both = np.hstack([space.c, state.basis])
@@ -621,20 +668,24 @@ def test_thirty_steps_orthonormal_exact_with_nonnegative_diagonals(
         assert np.all(diag.imag == 0.0) and np.all(diag.real >= 0.0)
 
 
-def test_extend_with_one_dependent_candidate_column_is_replaced():
+def test_extend_with_one_dependent_candidate_column_is_deflated():
     # A e4 = A e1, so the first candidate block A [e1 .. e4] has one
-    # dependent column, which the column-wise path replaces
+    # dependent column, which the pivoted QR deflates: blocks 1 to 3 are
+    # three columns wide
     n = 40
     ad = random_sparse(n, density=0.3, seed=76, diag_boost=3.0).to_dense()
     ad[:, 3] = ad[:, 0]
     a = SparseMatrix.from_dense(ad)
-    state = block_arnoldi(a, np.eye(n)[:, :4], 3, seed=5)
-    assert state.replacements == (Replacement(1, 3, (5, 1, 3, 0)),)
-    sub = state.hess[4:8, :4]
-    assert sub[3, 3] == 0.0 and np.all(np.diagonal(sub)[:3] > 0.0)
-    assert np.all(np.tril(sub, -1) == 0.0)
+    state = block_arnoldi(a, np.eye(n)[:, :4], 3)
+    assert state.replacements == ((1, 3),)
+    assert state.basis.shape == (n, 13) and state.hess.shape == (13, 10)
+    # the subdiagonal block is R P^T of the pivoted QR: its last column
+    # repeats its first, A e4 = A e1
+    sub = state.hess[4:7, :4]
+    assert np.linalg.norm(sub[:, 3] - sub[:, 0]) <= 1e-14 * np.abs(sub).max()
+    assert np.all(state.hess[7:, :4] == 0.0)
     gram = state.basis.T @ state.basis
-    assert np.linalg.norm(gram - np.eye(16)) <= 1e-13
+    assert np.linalg.norm(gram - np.eye(13)) <= 1e-13
     resid = ad @ state.w - state.basis @ state.hess
     assert np.linalg.norm(resid) <= 1e-13 * a.frobenius_norm
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from shiftkrylov import (CollinearityError, ShiftedFamily, SolverConfig,
-                         SparseMatrix, add_shift, block_arnoldi, fom_restarted,
+                         SparseMatrix, add_shift, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
                          matvec, sfom, sgmres)
 
-from conftest import random_sparse
+from conftest import block_arnoldi, random_sparse
 
 
 def _sin_angle(u, v):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from shiftkrylov import (CollinearityError, DimensionError, ShiftedFamily,
                          SolveReport, SolverConfig, SparseMatrix, add_shift,
-                         block_arnoldi, block_arnoldi_extend,
-                         block_arnoldi_start, detect_collinear, fom_restarted,
+                         block_arnoldi_extend, block_arnoldi_start,
+                         detect_collinear, fom_restarted,
                          generate_convection_diffusion, gmres_restarted,
                          hessenberg_eigen, rsbgmres, sbfom, sbgmres, sfom,
                          sgmres, update_recycle_space)
@@ -19,7 +19,7 @@ from shiftkrylov.dense import ShiftedBandQR
 from shiftkrylov.harness import MethodResult, RunUnit
 from shiftkrylov.recycling import RecycleSpace
 
-from conftest import band_qr, noise_led_family, random_sparse
+from conftest import band_qr, block_arnoldi, noise_led_family, random_sparse
 
 
 def _sin_angle(u, v):
@@ -146,9 +146,9 @@ def _strategy_run(monkeypatch, solver, fam, strategy, cfg=None):
     seen = []
 
     def spy(*args):
-        x, r, iters = _APPLY_STRATEGY(*args)
+        x, r, resid, iters = _APPLY_STRATEGY(*args)
         seen.append((x.copy(), r.copy(), iters))
-        return x, r, iters
+        return x, r, resid, iters
 
     monkeypatch.setattr(block_solvers, "_apply_strategy", spy)
     cfg = cfg or SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20)
@@ -255,7 +255,8 @@ def test_strategy_cycle_stops_where_the_relation_closes(seed_key, width,
     report = SolveReport(method="sbgmres", shifts=fam.shifts,
                          rhs_norms=np.linalg.norm(fam.rhs, axis=0))
     x, r, steps = block_solvers._strategy_cycle(
-        fam, np.zeros((6, 2)), fam.rhs.copy(), 10, report, seed_key)
+        fam, np.zeros((6, 2)), fam.rhs.copy(),
+        np.linalg.norm(fam.rhs, axis=0), 10, report, seed_key)
     assert steps == 3
     # each step counts its own products, and a block product only for
     # the block strategy
@@ -338,7 +339,7 @@ def test_kronecker_decoupling_oracle(m, ell):
     a = random_sparse(20, density=0.4, seed=m + ell, diag_boost=4.0)
     shifts = rng.standard_normal(ell) + 1.5
     r0 = rng.standard_normal((20, ell))
-    arn = block_arnoldi(a, r0, m, seed=0)
+    arn = block_arnoldi(a, r0, m)
     jl = m * ell
     rows = (m + 1) * ell
     pad = np.zeros((rows, jl))
@@ -387,7 +388,7 @@ def test_sbgmres_matches_block_gmres_oracle():
         # from the shifted matrix itself and minimize over the explicit
         # image of the basis
         shifted = add_shift(a, sigma)
-        arn = block_arnoldi(shifted, b, m, seed=99)
+        arn = block_arnoldi(shifted, b, m)
         w = arn.w
         image = shifted.to_dense() @ w
         y, *_ = np.linalg.lstsq(image, b[:, i], rcond=None)
@@ -493,20 +494,41 @@ def test_noise_led_candidate_block_leaves_no_residual_above_its_rhs(
     assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
 
+def test_exhausted_ambient_space_closes_square():
+    # in R^3 the start block keeps both columns, step 1's candidate has
+    # rank one, and step 2 multiplies that one column and closes the
+    # relation over all of R^3: one cycle leaves shift 0.5 no worse than
+    # GMRES(3) on that shift alone (the space closed on the partial block
+    # left it at 1.6165 after 100 cycles and 200 products)
+    a, r0 = noise_led_family()
+    mat = SparseMatrix.from_dense(a)
+    fam = ShiftedFamily(mat, [0.0, 0.5], r0, None)
+    cfg = SolverConfig(cycle_length=3, max_cycles=1)
+    x, rep = sbgmres(fam, cfg)
+    true = np.linalg.norm(fam.residual_block(x), axis=0)
+    alone = add_shift(mat, 0.5)
+    x1, _ = gmres_restarted(alone, r0[:, 1], None, cfg)
+    gmres = np.linalg.norm(r0[:, 1] - alone.to_dense() @ x1)
+    assert true[1] <= gmres * (1.0 + 1e-8) + 1e-14 * np.linalg.norm(r0[:, 1])
+    assert rep.matvecs == 3 and rep.converged[1]
+
+
 def test_minimum_residual_cycle_that_raised_a_true_residual_is_undone():
     # A = diag(1, ..., 6) is exactly singular at shifts -1 and -2; after
     # the gmres-cycle rewrite of the shared right-hand side, cycle 1's
-    # updates raised both true residuals (to 1.0024 and 1.68) through
-    # rounding: both shifts keep the iterates the cycle started from
+    # updates raised both true residuals (to 13.2 and 62.9) through
+    # rounding: both shifts keep the iterates the cycle started from.
+    # (Beside a third shift 0.5, cycle 1 deflates two step-1 columns and
+    # reads both subproblems as singular, so no update raises them.)
     a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
-    fam = ShiftedFamily(a, [-1.0, -2.0, 0.5], np.ones((6, 3)), None)
+    fam = ShiftedFamily(a, [-1.0, -2.0], np.ones((6, 2)), None)
     x, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
     assert ("cycle 1: true residual rose for shift indices [0, 1]; kept "
             "previous approximation") in rep.notes
     start = rep.steps.resid[1]          # the point the rewrite recorded
     true = np.linalg.norm(fam.residual_block(x), axis=0)
-    assert np.all(true[:2] <= start[:2] + 1e-8 * np.sqrt(6.0))
-    assert rep.converged == [False, False, True]
+    assert np.all(true <= start + 1e-8 * np.sqrt(6.0))
+    assert rep.converged == [False, False]
     assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
 
@@ -516,12 +538,12 @@ def test_undone_cycle_leaves_no_row_claiming_a_convergence_it_lost():
     # so a last point with their true residuals and final flags follows,
     # and the summary's worst residual reads from it
     a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
-    fam = ShiftedFamily(a, [-1.0, -2.0, 0.5], np.ones((6, 3)), None)
+    fam = ShiftedFamily(a, [-1.0, -2.0], np.ones((6, 2)), None)
     _, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
     last = {row[0]: row for row in rep.rows}
-    for i in range(3):
+    for i in range(2):
         assert last[i][5:] == (rep.final_residuals[i], rep.converged[i])
-    unit = RunUnit([0, 1, 2], rep)
+    unit = RunUnit([0, 1], rep)
     assert MethodResult("sbgmres", [unit]).worst_residual >= 1.05
 
 
@@ -813,7 +835,9 @@ def test_block_holds_the_columns_of_the_unconverged_shifts(name,
 def test_shift_converged_by_its_projection_keeps_its_column_that_cycle():
     # U holds shift 0's solution, so cycle 1's oblique projection solves
     # shift 0; its column stays in cycle 1's block, which the cycle's start
-    # fixes, and leaves cycle 2's
+    # fixes, and leaves cycle 2's.  That column is zero to rounding, so
+    # the start block's QR drops it and cycle 1's products multiply one
+    # column
     a = generate_convection_diffusion(5, 3.0)
     b = np.random.default_rng(2).standard_normal((25, 2))
     fam = ShiftedFamily(a, [0.5, 2.0], b, None)
@@ -826,7 +850,8 @@ def test_shift_converged_by_its_projection_keeps_its_column_that_cycle():
     assert st.block_matvecs[projected] == 0
     assert st.converged[projected].tolist() == [True, False]
     assert rep.block_widths[:2] == [2, 1] and rep.converged == [True, True]
-    widths = np.array([0, *rep.block_widths])
+    assert rep.replacements == [(1, 0, 0)]
+    widths = np.array([0, 1, *rep.block_widths[1:]])
     assert rep.matvecs == int(widths[st.cycle[1:]] @ np.diff(st.block_matvecs))
 
 
@@ -843,17 +868,27 @@ def test_galerkin_residual_that_grows_does_not_end_the_solve():
 
 
 def test_stall_exit_waits_while_the_recycle_space_moves():
-    # the kept-shift family below with the recycle space refreshed at each
-    # cycle end: the next cycle searches a space this one did not, so a
-    # stalled shift does not end the solve, which runs to its cap
+    # the kept-shift family below at cycle length 2, with the recycle
+    # space refreshed at each cycle end: the next cycle searches a space
+    # this one did not, so a stalled shift does not end the solve, which
+    # runs to its cap
     a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
     fam = ShiftedFamily(a, [0.5, -1.0], np.ones((4, 2)), None)
     space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
-    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=8)
+    cfg = SolverConfig(cycle_length=2, tolerance=1e-8, max_cycles=8)
     _, rep, _ = rsbgmres(fam, cfg, space)
     assert any("stagnation" in note for note in rep.notes)
     assert not any("leave" in note for note in rep.notes)
     assert rep.cycles == 8 and rep.converged == [True, False]
+    # at cycle length 4, cycle 1's one kept column closes its Krylov
+    # space; by cycle 3 the stalled residual lies in the refreshed
+    # span(C), so the start block has rank zero, no step can move the
+    # space, and the shift leaves
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=8)
+    _, rep, _ = rsbgmres(fam, cfg, space)
+    assert rep.cycles == 3 and rep.converged == [True, False]
+    assert rep.notes[-1] == ("cycle 3: no active shift progressed; shift "
+                             "indices [1] leave and the solve ends")
 
 
 def _hopeless_family(case):
@@ -1090,8 +1125,9 @@ _EYE4 = SparseMatrix.identity(4)
     pytest.param(lambda: block_arnoldi_extend(
         SparseMatrix.identity(8), block_arnoldi_start(np.ones(4))),
                  "matrix has 8 columns", id="arnoldi-extend-matrix"),
-    pytest.param(lambda: block_arnoldi(_EYE4, np.ones((3, 1)), 2), "r0",
-                 id="arnoldi-rows"),
+    pytest.param(lambda: block_arnoldi_extend(
+        _EYE4, block_arnoldi_start(np.ones((3, 1)))),
+                 r"block has shape \(3, 1\)", id="arnoldi-rows"),
     pytest.param(lambda: RecycleSpace(np.eye(4)[:, :2], np.eye(4)[:, :1]),
                  "u and c", id="space-shapes"),
     pytest.param(lambda: update_recycle_space(

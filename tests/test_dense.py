@@ -3,12 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from shiftkrylov import (DimensionError, block_arnoldi,
+from shiftkrylov import (DimensionError, RecycleSpace, SparseMatrix,
+                         block_arnoldi_extend, block_arnoldi_start,
                          generate_convection_diffusion, hessenberg_eigen)
 from shiftkrylov.dense import ShiftedBandQR
 from shiftkrylov.recycling import AugmentationBlocks
 
-from conftest import augmented_matrix, band_qr
+from conftest import (augmented_matrix, band_qr, block_arnoldi,
+                      narrowing_chain)
 # the thin QR with a real non-negative diagonal that builds recycle spaces
 from shiftkrylov.errors import NearSingularError
 from shiftkrylov.recycling import _fold
@@ -256,9 +258,8 @@ def test_shifted_band_qr_at_block_size_one_flags_singular_galerkin_system():
 def _band_relation(ell, k, steps, closing_rows, seed):
     """A random complex band Hessenberg relation of block size ``ell``
     with k coupling rows: block column 1's subdiagonal block has a zero
-    diagonal entry (a replaced column), and the last block column closes
-    on ``closing_rows`` < ``ell`` subdiagonal rows, as when the relation
-    closes on an invariant span."""
+    diagonal entry, and the last block column closes on ``closing_rows``
+    <= ``ell`` subdiagonal rows."""
     rng = np.random.default_rng(seed)
     rows = steps * ell + closing_rows
     hbar = np.zeros((rows, steps * ell), dtype=complex)
@@ -548,6 +549,68 @@ def test_band_qr_solve_on_relation_closed_square(ell):
         y_sq = np.linalg.solve(h, gi)
         for y in (y_ls[i], y_g[i]):
             assert np.linalg.norm(y - y_sq) <= 1e-10 * np.linalg.norm(y_sq)
+
+
+@pytest.mark.parametrize("complex_start", [False, True])
+@pytest.mark.parametrize("projected", [False, True])
+def test_band_qr_on_a_narrowing_band_against_dense_oracles(projected,
+                                                           complex_start):
+    # the band of a chain whose blocks narrow 3, 3, 2, 1 and close, fed
+    # one block column per step as the solvers feed it: after every step
+    # each estimate and solve equals the dense least squares (augmented
+    # at k = 2) or the dense Galerkin solve of [B; Hbar + sigma [I; 0]]
+    ad, r0, c = narrowing_chain(projected, complex_start)
+    a = SparseMatrix.from_dense(ad)
+    arn = block_arnoldi_start(r0, None if c is None else RecycleSpace(c, c))
+    k, ell = arn.coupling.shape[0], len(arn.s0)
+    shifts = np.array([0.0, 0.7, -1.3 + 0.5j])
+    rhs = np.zeros((3, ell + k), dtype=arn.s0.dtype)
+    rhs[:, :ell] = arn.s0.T
+    qr = ShiftedBandQR(shifts, rhs, ell, k, 6, a.frobenius_norm)
+    rng = np.random.default_rng(9)
+    while not arn.invariant:
+        width = arn.basis.shape[1] - arn.hess.shape[1]
+        arn = block_arnoldi_extend(a, arn, 1)
+        cols = arn.hess.shape[1]
+        new = slice(cols - width, cols)
+        qr.append(arn.hess[:cols, new], arn.hess[cols:, new],
+                  arn.coupling[:, new])
+        hbar, coupling = arn.hess, arn.coupling
+        mats, g = _state_rows(hbar, coupling, shifts, rhs, ell)
+        rows = len(hbar)
+        tol = 1e-12 * np.linalg.norm(rhs)
+        if k == 0:
+            resid = qr.residual()
+            y = qr.solve()
+            for i, (h, gi) in enumerate(zip(mats, g)):
+                y_ls = np.linalg.lstsq(h, gi, rcond=None)[0]
+                assert abs(resid[i] - _lstsq_residual(h, gi)) <= tol
+                assert np.linalg.norm(y[i] - y_ls) \
+                    <= 1e-10 * np.linalg.norm(y_ls)
+            galerkin, singular = qr.galerkin_residual()
+            y = qr.solve()
+            assert not singular.any()
+            for i, (h, gi) in enumerate(zip(mats, g)):
+                y_g = np.linalg.solve(h[:cols], gi[:cols])
+                assert abs(galerkin[i] - np.linalg.norm(h[cols:] @ y_g)) \
+                    <= tol
+                assert np.linalg.norm(y[i] - y_g) \
+                    <= 1e-10 * np.linalg.norm(y_g)
+            continue
+        p = rng.standard_normal((rows, k)).astype(hbar.dtype)
+        q2 = rng.standard_normal((k, k))
+        n_factor = np.triu(rng.standard_normal((k, k)))
+        est = qr.augmented_residual(p, q2, n_factor, np.zeros(3, dtype=bool))
+        y = qr.solve()
+        for i, sigma in enumerate(shifts):
+            aug = augmented_matrix(hbar, coupling, p, q2, n_factor, sigma)
+            g_aug = np.zeros(len(aug), dtype=complex)
+            g_aug[:ell] = rhs[i, :ell]
+            y_ls = np.linalg.lstsq(aug, g_aug, rcond=None)[0]
+            assert abs(est[i] - np.linalg.norm(g_aug - aug @ y_ls)) <= tol
+            assert np.linalg.norm(y[i] - y_ls) <= 1e-10 * np.linalg.norm(y_ls)
+    assert qr.steps == arn.steps == 4
+    assert arn.hess.shape == (9, 9)
 
 
 @pytest.mark.parametrize("skipped", [False, True])

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from shiftkrylov import (RecycleSpace, ShiftedFamily, SolverConfig,
-                         block_arnoldi, generate_convection_diffusion,
-                         rsbgmres, sbfom, sbgmres, sfom, sgmres,
-                         update_recycle_space)
+                         generate_convection_diffusion, rsbgmres, sbfom,
+                         sbgmres, sfom, sgmres, update_recycle_space)
 from shiftkrylov.dense import hessenberg_eigen
 
-from conftest import random_sparse
+from conftest import block_arnoldi, random_sparse
 
 THETA = 0.7
 SHIFTS = [0.05, 0.5, 2.0, 8.0]

@@ -69,7 +69,7 @@ def test_every_estimate_equals_dense_least_squares_residual(family):
     a, r0, shifts, space, steps = family
     ell = len(shifts)
     k = space.k if space is not None else 0
-    arn = block_arnoldi_start(r0, space, seed=1)
+    arn = block_arnoldi_start(r0, space)
     qr = ShiftedBandQR(shifts, arn.s0.T, ell, k, steps, a.frobenius_norm)
     checked = 0
     blocks = None

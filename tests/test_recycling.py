@@ -4,7 +4,6 @@ from scipy.linalg import subspace_angles
 
 from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
                          ShiftedFamily, SolverConfig, SparseMatrix, add_shift,
-                         block_arnoldi,
                          generate_convection_diffusion, gmres_restarted,
                          load_recycle_space, oblique_project_shift,
                          rgmres_baseline, rsbgmres, save_recycle_space,
@@ -12,7 +11,7 @@ from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
 from shiftkrylov.arnoldi import block_arnoldi_extend, block_arnoldi_start
 from shiftkrylov.recycling import augmentation_blocks
 
-from conftest import augmented_matrix, random_sparse
+from conftest import augmented_matrix, block_arnoldi, random_sparse
 
 
 def _u_hat(blocks):
@@ -129,8 +128,11 @@ def test_rsbgmres_shift_without_oblique_projection_is_solved_over_krylov():
     # that shift is minimized over the Krylov space alone at every cycle
     # (with U it is exactly singular, since (A - I) U = 0), reaches its
     # least-squares minimum |b_1| = 1 over the range of A - I, and no
-    # longer holds the other shift back: 0.5 converges at cycle 4 after
-    # 8 products, as beside a healthy shift, not at cycle 7 after 14
+    # longer holds the other shift back.  Both projected residuals are
+    # (0, 1, 1, 1), so cycle 1's start block keeps one column: shift 0.5
+    # converges in cycle 1 after 3 products (at cycle 4 after 8 when the
+    # dependent column was replaced by a random one, and at cycle 7 after
+    # 14 when the shift without a projection held it back)
     a = SparseMatrix.diagonal(np.arange(1.0, 5.0))
     space = RecycleSpace.from_basis(a, np.eye(4)[:, :1])
     fam = ShiftedFamily(a, [0.5, -1.0], np.ones((4, 2)), None)
@@ -140,7 +142,7 @@ def test_rsbgmres_shift_without_oblique_projection_is_solved_over_krylov():
     assert rep.notes[0] == ("cycle 1: no oblique projection for shift index "
                             "1; solved over the Krylov space alone")
     first = next(row for row in rep.rows if row[0] == 0 and row[6])
-    assert first[1:4] == (4, 4, 8)
+    assert first[1:4] == (1, 3, 3)
     assert not any(row[6] for row in rep.rows if row[0] == 1)
     assert rep.final_residuals[1] == pytest.approx(1.0, rel=1e-12)
     true = np.linalg.norm(fam.residual_block(x), axis=0)
@@ -153,7 +155,7 @@ def test_augmented_operator_zero_shift_collapses():
     rng = np.random.default_rng(17)
     r0 = rng.standard_normal((18, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
-    arn = block_arnoldi(a, r0, 3, projector=space, seed=0)
+    arn = block_arnoldi(a, r0, 3, projector=space)
     blocks = augmentation_blocks(space, arn.basis)
     g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
                              blocks.n_factor, 0.0)
@@ -170,7 +172,7 @@ def test_augmented_operator_zero_shift_collapses():
 def test_augmented_operator_empty_space_is_plain_hessenberg():
     a = random_sparse(18, seed=18, diag_boost=4.0)
     r0 = np.random.default_rng(19).standard_normal((18, 2))
-    arn = block_arnoldi(a, r0, 3, seed=0)
+    arn = block_arnoldi(a, r0, 3)
     blocks = augmentation_blocks(RecycleSpace.empty(18), arn.basis)
     # no recycle directions: the unprojected state carries a 0 x 3L
     # coupling, so there are no coupling rows and no trailing columns
@@ -231,7 +233,7 @@ def test_augmented_relation_random_shift():
     rng = np.random.default_rng(21)
     r0 = rng.standard_normal((22, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
-    arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
+    arn = block_arnoldi(a, r0, 4, projector=space)
     sigma = 0.3
     blocks = augmentation_blocks(space, arn.basis)
     g_bar = augmented_matrix(arn.hess, arn.coupling, blocks.p, blocks.q2,
@@ -260,7 +262,7 @@ def test_carried_augmentation_blocks_equal_the_one_shot_call(dtype):
         return z
 
     space = RecycleSpace.from_basis(a, draw(n, k))
-    states = [block_arnoldi_start(draw(n, ell), space, seed=0)]
+    states = [block_arnoldi_start(draw(n, ell), space)]
     for _ in range(12):
         states.append(block_arnoldi_extend(a, states[-1], 1))
     u = space.u.copy()
@@ -362,7 +364,7 @@ def test_rsbgmres_cycle_end_optimality():
     for i, s in enumerate(shifts):
         r_hat[:, i], x_hat[:, i] = oblique_project_shift(
             space, s, b[:, i], np.zeros(n, dtype=complex))
-    arn = block_arnoldi(a, r_hat, m, projector=space, seed=0)
+    arn = block_arnoldi(a, r_hat, m, projector=space)
     for i, s in enumerate(shifts):
         basis = np.hstack([space.u, arn.w])
         image = (ad + s * np.eye(n)) @ basis
@@ -482,7 +484,7 @@ def test_update_recycle_space_ritz_directions():
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     rng = np.random.default_rng(31)
     r0 = rng.standard_normal((8, 2))
-    arn = block_arnoldi(a, r0, 4, seed=0)   # full grade: span is all of C^8
+    arn = block_arnoldi(a, r0, 4)   # full grade: span is all of C^8
     space = update_recycle_space(arn, "ritz-largest", 2)
     assert space.provenance == "ritz-largest"
     # at full grade the Ritz pairs are exact: directions e8, e7
@@ -496,7 +498,7 @@ def test_update_recycle_space_ritz_directions():
 def test_update_recycle_space_k0_empty():
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     r0 = np.random.default_rng(32).standard_normal((8, 2))
-    arn = block_arnoldi(a, r0, 2, seed=0)
+    arn = block_arnoldi(a, r0, 2)
     space = update_recycle_space(arn, "harmonic-ritz-smallest", 0)
     assert space.k == 0 and space.provenance == "harmonic-ritz-smallest"
 
@@ -507,7 +509,7 @@ def test_update_recycle_space_keeps_the_space_invariants_in_both_modes():
     rng = np.random.default_rng(35)
     r0 = rng.standard_normal((20, 2)).astype(complex)
     r0 -= space.c @ (space.c.conj().T @ r0)
-    arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
+    arn = block_arnoldi(a, r0, 4, projector=space)
     ad = a.to_dense()
     for mode in ("ritz-largest", "harmonic-ritz-smallest"):
         out = update_recycle_space(arn, mode, 3, space)
@@ -529,7 +531,7 @@ def test_harmonic_refresh_keeps_an_exact_invariant_space():
     space = RecycleSpace.from_basis(a, np.eye(40)[:, :2])
     r0 = np.random.default_rng(39).standard_normal((40, 2))
     r0 -= space.c @ (space.c.T @ r0)
-    arn = block_arnoldi(a, r0, 4, projector=space, seed=0)
+    arn = block_arnoldi(a, r0, 4, projector=space)
     out = update_recycle_space(arn, "harmonic-ritz-smallest", 2, space)
     assert out.k == 2
     assert subspace_angles(out.u, np.eye(40)[:, :2]).max() <= 1e-8
@@ -543,7 +545,7 @@ def test_harmonic_refresh_without_space_matches_a_dense_oracle():
     rng = np.random.default_rng(41)
     ell, m, k = 2, 5, 3
     r0 = rng.standard_normal((30, ell)) + 1j * rng.standard_normal((30, ell))
-    arn = block_arnoldi(a, r0, m, seed=0)
+    arn = block_arnoldi(a, r0, m)
     jl = m * ell
     h_sq, h = arn.hess[:jl], arn.hess[jl:, jl - ell:]
     e = np.eye(jl)[:, -ell:]
@@ -563,7 +565,7 @@ def test_refresh_raises_on_a_direction_whose_image_vanishes():
     a = SparseMatrix.diagonal(np.arange(6.0))
     v = np.zeros((6, 1))
     v[:3] = 1.0
-    arn = block_arnoldi(a, v, 3, seed=0)
+    arn = block_arnoldi(a, v, 3)
     try:
         out = update_recycle_space(arn, "harmonic-ritz-smallest", 1)
     except NearSingularError:
@@ -585,7 +587,7 @@ def test_ritz_values_approach_extremes():
     # largest Ritz values of the diagonal operator approach {8, 7}
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     v = np.random.default_rng(36).standard_normal((8, 1))
-    arn = block_arnoldi(a, v, 8, seed=0)
+    arn = block_arnoldi(a, v, 8)
     from shiftkrylov import hessenberg_eigen
     j = arn.steps
     pairs = hessenberg_eigen(arn.hess[:j, :], "largest", 2)
