@@ -11,20 +11,18 @@ with a command-line interface.
 from .arnoldi import (BlockArnoldiState, block_arnoldi_extend,
                       block_arnoldi_start)
 from .baselines import fom_restarted, gmres_restarted, sfom, sgmres
-from .block_solvers import detect_collinear, sbfom, sbgmres
+from .block_solvers import sbfom, sbgmres
 from .dense import EigenPairs, hessenberg_eigen
 from .errors import (CollinearityError, ConfigError, DimensionError,
                      EigenConvergenceError, MatrixMarketError,
                      NearSingularError, ShiftKrylovError)
 from .recycling import (RecycleSpace, load_recycle_space,
                         oblique_project_shift, rgmres_baseline, rsbgmres,
-                        save_recycle_space, shift_rebase,
-                        update_recycle_space)
+                        shift_rebase, update_recycle_space)
 from .report import SolveReport, SolverConfig
 from .sparse import (ShiftedFamily, SparseMatrix, add_shift, block_matvec,
-                     generate_convection_diffusion, matvec,
-                     read_dense_matrix_market, read_matrix_market,
-                     write_dense_matrix_market, write_matrix_market)
+                     generate_convection_diffusion, read_dense_matrix_market,
+                     read_matrix_market)
 
 __version__ = "0.1.0"
 
@@ -34,11 +32,9 @@ __all__ = [
     "NearSingularError", "RecycleSpace", "ShiftKrylovError", "ShiftedFamily",
     "SolveReport", "SolverConfig", "SparseMatrix", "add_shift",
     "block_arnoldi_extend", "block_arnoldi_start", "block_matvec",
-    "detect_collinear", "fom_restarted", "generate_convection_diffusion",
-    "gmres_restarted", "hessenberg_eigen",
-    "load_recycle_space", "matvec", "oblique_project_shift",
+    "fom_restarted", "generate_convection_diffusion", "gmres_restarted",
+    "hessenberg_eigen", "load_recycle_space", "oblique_project_shift",
     "read_dense_matrix_market", "read_matrix_market", "rgmres_baseline",
-    "rsbgmres", "save_recycle_space", "sbfom", "sbgmres", "sfom", "sgmres",
-    "shift_rebase", "update_recycle_space", "write_dense_matrix_market",
-    "write_matrix_market",
+    "rsbgmres", "sbfom", "sbgmres", "sfom", "sgmres", "shift_rebase",
+    "update_recycle_space",
 ]

@@ -150,8 +150,8 @@ def _routine(name, dtype):
 
 def _negligible(value, scale):
     """Whether ``value <= 1e-14 * scale``, elementwise: the one rule that
-    calls a small system singular or a block broken down.  ``scale``
-    bounds the norm of the data behind ``value``; each caller states it."""
+    calls a small system singular.  ``scale`` bounds the norm of the data
+    behind ``value``; each caller states it."""
     return value <= 1e-14 * scale
 
 
@@ -220,25 +220,29 @@ def _block_qr(z, v, r, scale, log, step):
     the block's numerical rank, which it returns: ``z`` is ``v[:, :rank]
     r[:rank]`` to the threshold, with orthonormal columns.
 
-    ``scale`` bounds the Frobenius norm of the raw candidate block before
-    any orthogonalization (the start block's own norm, ``||A||_F`` for an
-    Arnoldi step).  When ``ref``, the block's largest column norm
-    (``||R e_c||`` in a LAPACK Householder QR ``z = Q R``; a leading noise
-    column parallel to a live one leaves every ``|r_cc|`` at noise level),
-    is :func:`_negligible` beside it, the block counts as zero: rank 0,
-    which closes the relation.  Otherwise a column is dependent when its
+    ``scale`` is the Frobenius norm of the raw candidate block before any
+    orthogonalization (the start block before its projection, the
+    operator product of an Arnoldi step).  When ``ref``, the block's
+    largest column norm (``||R e_c||`` in a LAPACK Householder QR ``z = Q
+    R``; a leading noise column parallel to a live one leaves every
+    ``|r_cc|`` at noise level), is at most ``DEPENDENCY_TOL * scale``,
+    the block counts as zero: rank 0, which closes the relation.  The
+    zero test and deflation share that threshold, so the rounding that
+    deflation dropped from one block cannot come back as a live
+    direction of a later one.  Otherwise a column is dependent when its
     diagonal entry falls below ``DEPENDENCY_TOL * ref`` (at L = 1 ``ref``
     is the norm of ``z``, and only the zero test can fire).  A block with
     no dependent column keeps that factorization: ``Q`` comes from
     ``orgqr``/``ungqr``, and its columns and the rows of ``r`` are scaled
-    by the diagonal's phase.  A block with one is factored again by a
-    column-pivoted QR (LAPACK ``geqp3``), ``z P = Q R``, which keeps the
-    leading columns of ``Q`` whose diagonal entries exceed that threshold;
-    ``r`` gets their rows of ``R P^T``, and each candidate column that
-    ``P`` moves past them is logged in ``log`` as ``(step, column)``.
-    Every kept diagonal entry of ``R`` is real and positive.
+    by the diagonal's phase.  A block with one, or with more columns than
+    rows, is factored again by a column-pivoted QR (LAPACK ``geqp3``),
+    ``z P = Q R``, which keeps the leading columns of ``Q`` whose
+    diagonal entries exceed that threshold; ``r`` gets their rows of ``R
+    P^T``, and each candidate column that ``P`` moves past them is logged
+    in ``log`` as ``(step, column)``.  Every kept diagonal entry of ``R``
+    is real and positive.
     """
-    ell = z.shape[1]
+    n, ell = z.shape
     if ell == 1:
         ref = low = _norm(z)
     else:
@@ -248,8 +252,9 @@ def _block_qr(z, v, r, scale, log, step):
         qr, tau = geqrf(v, overwrite_a=True)[:2]
         diag = qr.diagonal().copy()
         mags = np.abs(diag)
-        ref, low = np.linalg.norm(np.triu(qr[:ell]), axis=0).max(), mags.min()
-    if _negligible(ref, scale):
+        ref = np.linalg.norm(np.triu(qr[:ell]), axis=0).max()
+        low = mags.min() if n >= ell else 0.0
+    if ref <= DEPENDENCY_TOL * scale:
         return 0
     if low > DEPENDENCY_TOL * ref:
         if ell == 1:
@@ -281,8 +286,10 @@ def block_arnoldi_start(r0, projector=None, *,
     basis attribute ``c``); when given, the initial block is first
     orthogonalized against ``C`` so the augmented basis stays orthonormal.
     The state takes the dtype of ``r0`` and ``C`` (at least float64).
-    The chain's workspace is allocated here for ``capacity`` steps, and
-    the start block is factored straight into it.
+    A block with more columns than the ``n - k`` rows left beside the k
+    recycle directions keeps at most ``n - k`` of them.  The chain's
+    workspace is allocated here for ``capacity`` steps, and the start
+    block is factored straight into it.
     """
     r0 = np.asarray(r0)
     if r0.ndim == 1:
@@ -296,11 +303,6 @@ def block_arnoldi_start(r0, projector=None, *,
     k = c_basis.shape[1] if c_basis is not None else 0
     dtype = np.result_type(r0, np.float64,
                            *([c_basis] if c_basis is not None else []))
-    if ell + k > n:
-        raise DimensionError(
-            f"initial block is {n} x {ell}"
-            + (f" beside {k} recycle directions" if k else "")
-            + f": {ell + k} orthonormal columns do not fit in {n} rows")
     z = np.array(r0, dtype=dtype, order="F")
     # measured before the projection, so a block inside span(C) reads as
     # zero rather than as normalized rounding noise
@@ -359,12 +361,10 @@ def block_arnoldi_extend(a: SparseMatrix, state: BlockArnoldiState,
         z = np.asfortranarray(block_matvec(a, basis[:, lo:], out=out))
         cols = slice(lo, hi)
         coefs = (ws.coupling[:, cols], ws.hess[:hi, cols])
+        scale = _norm(z)
         _project_out(z, *proj, basis, out=coefs[1 - len(proj):])
-        # the raw block's norm needs no pass over it: the basis block
-        # V is orthonormal, so ||A V||_F <= ||A||_F ||V||_2 = ||A||_F
         rank = _block_qr(z, ws.basis[:, hi:hi + width],
-                         ws.hess[hi:hi + width, cols], a.frobenius_norm,
-                         log, j + 1)
+                         ws.hess[hi:hi + width, cols], scale, log, j + 1)
         j += 1
         lo, hi = hi, hi + rank
         if not rank:

@@ -47,32 +47,17 @@ _STAGNATION_TOL = 1e-14
 STRATEGY_TAGS = ("random-x0", "gmres-cycle", "fom-random-block")
 
 
-def detect_collinear(r, tol=COLLINEAR_TOL):
-    """True iff all pairwise sines of angles between columns are <= tol.
+def _collinear_columns(r, norms, cols, tol):
+    """True iff all pairwise sines of angles between the columns of ``r``
+    in the mask ``cols``, all nonzero, are <= tol; ``norms`` holds the
+    column norms of ``r``.
 
     The sines against the first column decide almost every block in one
     O(p n) pass: one above ``tol`` is a failing pair, and when none is
     above ``tol / 2`` every pair passes, because the angle between lines
     is a metric and ``sin(2 asin(tol / 2)) <= tol``.  Only in between do
     the later columns' sweeps run.
-
-    A zero column raises :class:`CollinearityError`: that system is
-    already solved and the caller must drop it before asking.
     """
-    r = np.asarray(r)
-    if r.ndim == 1:
-        r = r[:, None]
-    norms = np.linalg.norm(r, axis=0)
-    if np.any(norms == 0.0):
-        raise CollinearityError(
-            f"column {int(np.nonzero(norms == 0.0)[0][0])} is zero; the "
-            "system is already solved and must be dropped")
-    return _collinear_columns(r, norms, norms > 0.0, tol)
-
-
-def _collinear_columns(r, norms, cols, tol):
-    """:func:`detect_collinear` of the columns of ``r`` in the mask
-    ``cols``, all nonzero, with the column norms ``norms`` of ``r``."""
     # one contiguous row per unit column, and one reused buffer for the
     # differences, so each column's pass touches no fresh memory
     units = r.T[cols]

@@ -385,14 +385,12 @@ def _real_pair_basis(vals, vecs):
     return values, vectors, source
 
 
-def hessenberg_eigen(h, want, count):
-    """Return ``count`` eigenpairs of a square (band) Hessenberg matrix.
-
-    ``want`` selects the ordering: ``"largest"`` or ``"smallest"`` by
-    modulus.  Ties break on (real, imag) ascending so results are
-    deterministic.  The QR iteration is delegated to LAPACK, which runs
-    shifted QR sweeps on the Hessenberg form and recovers vectors by back
-    substitution / inverse iteration.
+def hessenberg_eigen(h, count):
+    """Return the ``count`` eigenpairs of largest modulus of a square
+    (band) Hessenberg matrix, largest first.  Ties break on (real, imag)
+    descending so results are deterministic.  The QR iteration is
+    delegated to LAPACK, which runs shifted QR sweeps on the Hessenberg
+    form and recovers vectors by back substitution / inverse iteration.
 
     For a real matrix the eigenproblem is solved in real arithmetic, a
     conjugate pair split by ``count`` is dropped whole (so ``count - 1``
@@ -404,8 +402,6 @@ def hessenberg_eigen(h, want, count):
     a = np.asarray(h)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError("hessenberg_eigen expects a square matrix")
-    if want not in ("largest", "smallest"):
-        raise DimensionError(f"unknown ordering '{want}'")
     count = int(count)
     if count < 1 or count > a.shape[0]:
         raise DimensionError("count must be in [1, n]")
@@ -413,9 +409,7 @@ def hessenberg_eigen(h, want, count):
         vals, vecs = scipy.linalg.eig(a, check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigenConvergenceError(f"QR iteration failed: {exc}")
-    key = np.lexsort((vals.imag, vals.real, np.abs(vals)))
-    if want == "largest":
-        key = key[::-1]
+    key = np.lexsort((vals.imag, vals.real, np.abs(vals)))[::-1]
     real = not np.iscomplexobj(a)
     key = _conjugate_closed_cut(vals, key, count) if real else key[:count]
     vals = vals[key]

@@ -29,9 +29,9 @@ class NearSingularError(ShiftKrylovError):
 
 class CollinearityError(ShiftKrylovError):
     """Raised for collinearity-related applicability problems: a solver
-    that requires collinear residuals got unrelated ones, a residual
-    column is identically zero, or residuals stay collinear after all
-    retries of a decollinearizing strategy."""
+    that requires collinear residuals got unrelated ones, every residual
+    column is zero, so no reference direction exists, or residuals stay
+    collinear after all retries of a decollinearizing strategy."""
 
 
 class EigenConvergenceError(ShiftKrylovError):

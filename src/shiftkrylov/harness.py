@@ -313,7 +313,7 @@ def _last_recorded(resid, recorded):
 
 def _initial_space(cfg: ExperimentConfig, a: SparseMatrix):
     if cfg.initial_space_path:
-        return load_recycle_space(cfg.initial_space_path, a, drop_tol=1e-12)
+        return load_recycle_space(cfg.initial_space_path, a)
     return None
 
 
@@ -562,10 +562,9 @@ def run_experiment(cfg: ExperimentConfig):
     return results, failures
 
 
-def run_variability_study(cfg: ExperimentConfig, trials: int,
-                          vary_seeds: bool = True):
-    """Repeat one randomized solve with distinct seeds and collect the
-    spread of matvec counts.
+def run_variability_study(cfg: ExperimentConfig, trials: int):
+    """Repeat one randomized solve with distinct seeds, trial t at the
+    configured seed plus t, and collect the spread of matvec counts.
 
     The first configured method is run (must be a block method) with the
     configured random strategy.  Writes ``variability.csv`` and
@@ -592,8 +591,7 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
     rows = []
     failures = []
     for t in range(trials):
-        seed = base_solver.seed + t if vary_seeds else base_solver.seed
-        solver = replace(base_solver, seed=seed)
+        solver = replace(base_solver, seed=base_solver.seed + t)
         try:
             _, rep = run_fam(family, solver, cfg.strategy)
         except ShiftKrylovError as exc:
@@ -602,7 +600,7 @@ def run_variability_study(cfg: ExperimentConfig, trials: int,
             continue
         ok = int(all(rep.converged))
         counts.append(rep.matvecs)
-        rows.append((t, seed, rep.matvecs, rep.block_matvecs, ok))
+        rows.append((t, solver.seed, rep.matvecs, rep.block_matvecs, ok))
     with open(out / "variability.csv", "w", newline="",
               encoding="ascii") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -701,7 +699,7 @@ def run_smooth_parameter_protocol(cfg: ExperimentConfig):
             cols.append(x_i)
         sols = np.column_stack(cols) if cols else np.zeros((n, 0))
 
-    space = RecycleSpace.from_basis(a, sols, "solutions", drop_tol=1e-12) \
+    space = RecycleSpace.from_basis(a, sols, "solutions") \
         if n_seed else RecycleSpace.empty(n, "solutions")
 
     groups = _groups(cfg.smooth_count - n_seed, cfg.group_size)

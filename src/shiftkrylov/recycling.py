@@ -25,10 +25,12 @@ from .arnoldi import BlockArnoldiState, _negligible, _project_out
 from .dense import hessenberg_eigen
 from .errors import DimensionError, NearSingularError
 from .sparse import (ShiftedFamily, SparseMatrix, block_matvec,
-                     read_dense_matrix_market, working_array,
-                     write_dense_matrix_market)
+                     read_dense_matrix_market, working_array)
 
 RECYCLE_MODES = ("ritz-largest", "harmonic-ritz-smallest")
+# relative QR diagonal entry of ``A @ basis`` below which
+# :meth:`RecycleSpace.from_basis` drops a column
+DROP_TOL = 1e-12
 
 
 def _fold(u, image, scale, provenance, message):
@@ -100,27 +102,27 @@ class RecycleSpace:
         return cls(z, z, provenance)
 
     @classmethod
-    def from_basis(cls, a: SparseMatrix, basis, provenance="initial",
-                   drop_tol=None):
+    def from_basis(cls, a: SparseMatrix, basis, provenance="initial"):
         """Build a valid space from raw basis vectors by :func:`_fold` of
         ``A @ basis``, whose scale is ``||A||_F`` times each column norm.
-        With ``drop_tol`` < 1 set, columns whose QR diagonal entry falls to
-        ``drop_tol`` times the largest are dropped first."""
+        Columns whose QR diagonal entry of ``A @ basis`` falls to
+        :data:`DROP_TOL` times the largest are dropped first, so a
+        dependent basis gives a narrower space; one that still holds a
+        negligible direction raises :class:`NearSingularError`."""
         basis = working_array("basis", basis)
         if basis.ndim == 1:
             basis = basis[:, None]
         if basis.shape[1] == 0:
             return cls.empty(a.n_rows, provenance)
         image = block_matvec(a, basis)
-        if drop_tol is not None and image.shape[0] >= image.shape[1]:
+        if image.shape[0] >= image.shape[1]:
             d = np.abs(np.diag(scipy.linalg.qr(image, mode="r")[0]))
-            keep = d >= drop_tol * d.max()
+            keep = d >= DROP_TOL * d.max()
             # a block product's columns are exact single products
             basis, image = basis[:, keep], image[:, keep]
         return _fold(basis, image, a.frobenius_norm * np.linalg.norm(
             basis, axis=0), provenance, "A @ basis is numerically rank "
-            "deficient; reduce k or pass drop_tol to prune dependent "
-            "directions")
+            "deficient")
 
 
 def shift_rebase(space: RecycleSpace, delta) -> RecycleSpace:
@@ -275,7 +277,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
     jl = hess.shape[1]
     c = arn.projector_c if arn.projector_c is not None else np.zeros((n, 0))
     if mode == "ritz-largest":
-        wy = hessenberg_eigen(hess[:jl], "largest", k).vectors
+        wy = hessenberg_eigen(hess[:jl], k).vectors
         y = arn.w @ wy
         image = arn.basis @ (hess @ wy) + c @ (b @ wy)
     else:
@@ -288,7 +290,7 @@ def update_recycle_space(arn: BlockArnoldiState, mode: str, k: int,
         q, r = np.linalg.qr(g)
         m = scipy.linalg.solve_triangular(r, (q.conj().T @ v).T, trans="T")
         coeff = scipy.linalg.solve_triangular(
-            r, hessenberg_eigen(m.T, "largest", k).vectors)
+            r, hessenberg_eigen(m.T, k).vectors)
         y = arn.w @ coeff[:jl] + u @ coeff[jl:]
         image = arn.basis @ (g[:rows] @ coeff) + c @ (g[rows:] @ coeff)
     scale = np.hypot(np.linalg.norm(hess), np.linalg.norm(b))
@@ -301,15 +303,11 @@ def _check_mode(mode):
         raise DimensionError(f"unknown recycle mode '{mode}'")
 
 
-def save_recycle_space(path, space: RecycleSpace):
-    """Serialize U to a dense Matrix Market array file (C is recomputed on
-    load to re-establish the invariants)."""
-    write_dense_matrix_market(path, space.u)
-
-
-def load_recycle_space(path, a: SparseMatrix, drop_tol=None) -> RecycleSpace:
-    basis = read_dense_matrix_market(path)
-    return RecycleSpace.from_basis(a, basis, drop_tol=drop_tol)
+def load_recycle_space(path, a: SparseMatrix) -> RecycleSpace:
+    """The space :meth:`RecycleSpace.from_basis` builds from the basis U
+    in a dense Matrix Market array file; C = A U is recomputed, which
+    re-establishes the invariants."""
+    return RecycleSpace.from_basis(a, read_dense_matrix_market(path))
 
 
 def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,

@@ -1,5 +1,5 @@
-"""Sparse CSR storage, matrix products, Matrix Market I/O and a test-problem
-generator.
+"""Sparse CSR storage, matrix products, Matrix Market input and a
+test-problem generator.
 
 Scalars are double precision: real (float64) when every imaginary part
 is zero, checked by value, else complex (complex128).  A family runs in
@@ -119,23 +119,17 @@ class SparseMatrix:
         return self._csr.toarray()
 
 
-def matvec(a: SparseMatrix, x):
-    """Sparse product ``y = A x`` with row-wise left-to-right accumulation."""
-    x = np.asarray(x)
-    if x.ndim != 1 or len(x) != a.n_cols:
-        raise DimensionError(f"matvec: operand has length {x.shape}, "
-                             f"matrix has {a.n_cols} columns")
-    return a._csr @ x
-
-
 def block_matvec(a: SparseMatrix, x, out=None):
-    """Sparse product of a block of vectors, as one CSR product.
+    """Sparse product ``A X`` of a block of vectors, as one CSR product:
+    the package's one operator product, a single vector being a block of
+    width one.
 
-    Column i of the result is bit-identical to ``matvec(a, x[:, i])``.
-    Counts as one block product and ``x.shape[1]`` single products in
-    solver instrumentation.  The product goes into ``out``, a C-ordered
-    block of the result's shape and dtype (a new one when None), which
-    is returned.  The kernel is the one scipy's ``A @ x`` calls for that
+    Column i of the result is bit-identical to the product of column i
+    alone, each row accumulated left to right.  Counts as one block
+    product and ``x.shape[1]`` single products in solver
+    instrumentation.  The product goes into ``out``, a C-ordered block of
+    the result's shape and dtype (a new one when None), which is
+    returned.  The kernel is the one scipy's ``A @ x`` calls for that
     width (``csr_matvec`` for one column), called without ``A @ x``'s
     dispatch, which costs about as much as the product at n = 400.
     ``csr_matvecs`` at width one makes the same additions in the same
@@ -286,7 +280,8 @@ def generate_convection_diffusion(grid_m: int, convection: float) -> SparseMatri
 
 
 # ---------------------------------------------------------------------------
-# Matrix Market exchange format
+# Matrix Market input; any writer of the format, such as scipy.io.mmwrite,
+# makes files these readers accept
 # ---------------------------------------------------------------------------
 
 def _mm_header(line, path):
@@ -386,24 +381,6 @@ def read_matrix_market(path) -> SparseMatrix:
     return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
 
 
-def _format_value(v, field):
-    if field == "complex":
-        return f"{v.real:.17g} {v.imag:.17g}"
-    return f"{v.real:.17g}"
-
-
-def write_matrix_market(path, a: SparseMatrix):
-    """Write a matrix in coordinate general format (real if purely real)."""
-    field = "real" if np.all(a.values.imag == 0.0) else "complex"
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"%%MatrixMarket matrix coordinate {field} general\n")
-        handle.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        for r in range(a.n_rows):
-            for p in range(a.row_offsets[r], a.row_offsets[r + 1]):
-                handle.write(f"{r + 1} {a.col_indices[p] + 1} "
-                             f"{_format_value(a.values[p], field)}\n")
-
-
 def read_dense_matrix_market(path) -> np.ndarray:
     """Read a dense Matrix Market array file as an n x k block, complex
     for the complex field and real otherwise."""
@@ -435,17 +412,3 @@ def read_dense_matrix_market(path) -> np.ndarray:
             raise MatrixMarketError(
                 f"expected {len(data)} entries, found {k}", line=lineno if k else 1)
     return data.reshape((n_cols, n_rows)).T  # file order is column major
-
-
-def write_dense_matrix_market(path, x):
-    """Write a dense block in array general format (column major)."""
-    x = np.asarray(x)
-    if x.ndim == 1:
-        x = x[:, None]
-    field = "real" if np.all(x.imag == 0.0) else "complex"
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(f"%%MatrixMarket matrix array {field} general\n")
-        handle.write(f"{x.shape[0]} {x.shape[1]}\n")
-        for j in range(x.shape[1]):
-            for i in range(x.shape[0]):
-                handle.write(_format_value(x[i, j], field) + "\n")

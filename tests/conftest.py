@@ -40,7 +40,7 @@ def noise_led_family():
     return a, r0
 
 
-def narrowing_chain(projected=False, complex_start=False):
+def narrowing_chain(projected=False, complex_start=False, rotation=None):
     """``(A, R, C)``: a dense 12 x 12 operator, a 3-column start block
     whose block Krylov space grows by 3, 3, 2 and 1 directions and then
     closes, so a block Arnoldi process that keeps each block's rank runs
@@ -55,7 +55,13 @@ def narrowing_chain(projected=False, complex_start=False):
     to the last bit and the fourth step's candidate is rounding noise.
     With ``projected``, A adds ``C K`` for a random K: the projected
     operator ``(I - C C*) A`` acts on the Krylov space as before, and its
-    coupling rows ``C* A W = K W`` are dense."""
+    coupling rows ``C* A W = K W`` are dense.
+
+    With a ``rotation`` seed, A, R and C are rotated by a random 12 x 12
+    orthogonal matrix G (``G A G^T``, ``G R``, ``G C``): the invariant
+    space is then the span of 9 columns of G, which holds the blocks only
+    to rounding, so the rounding each step's deflation drops comes back
+    in the later candidates."""
     rng = np.random.default_rng(80)
     q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
     a = np.diag(np.arange(1.0, 13.0))
@@ -71,6 +77,11 @@ def narrowing_chain(projected=False, complex_start=False):
     if projected:
         c = np.eye(12)[:, 10:]
         a = a + c @ rng.standard_normal((2, 12))
+    if rotation is not None:
+        g = np.linalg.qr(np.random.default_rng(rotation).standard_normal(
+            (12, 12)))[0]
+        a, r0 = g @ a @ g.T, g @ r0
+        c = None if c is None else g @ c
     return a, r0, c
 
 

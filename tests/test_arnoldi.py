@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from shiftkrylov import (DimensionError, RecycleSpace, ShiftedFamily,
-                         SolverConfig, SparseMatrix, block_arnoldi_extend,
+from shiftkrylov import (RecycleSpace, ShiftedFamily, SolverConfig,
+                         SparseMatrix, block_arnoldi_extend,
                          block_arnoldi_start, block_matvec, sfom, sgmres)
 import shiftkrylov.arnoldi as arnoldi
 from shiftkrylov.arnoldi import DEPENDENCY_TOL, _project_out
@@ -125,15 +125,25 @@ def test_block_start_dependence_scale_invariant():
             <= DEPENDENCY_TOL * np.linalg.norm(block)
 
 
-def test_block_start_more_columns_than_rows_raises():
+def test_block_start_more_columns_than_rows_deflates():
+    # a block wider than the n - k rows left beside k recycle directions
+    # keeps n - k columns, and R = W_0 s0 holds over its projection
     rng = np.random.default_rng(0)
-    with pytest.raises(DimensionError, match="2 x 3"):
-        block_arnoldi_start(rng.standard_normal((2, 3)))
-    # the recycle directions take up rows as well
     a = random_sparse(4, seed=1, diag_boost=4.0)
     space = RecycleSpace.from_basis(a, rng.standard_normal((4, 2)))
-    with pytest.raises(DimensionError, match="4 x 3 beside 2"):
-        block_arnoldi_start(rng.standard_normal((4, 3)), space)
+    for r0, proj, kept in ((rng.standard_normal((2, 3)), None, 2),
+                           (rng.standard_normal((4, 3)), space, 2)):
+        state = block_arnoldi_start(r0, proj)
+        target = r0 if proj is None else r0 - proj.c @ (proj.c.T @ r0)
+        assert state.basis.shape == (r0.shape[0], kept)
+        assert state.s0.shape == (kept, 3)
+        assert len(state.replacements) == 3 - kept
+        assert np.linalg.norm(state.basis @ state.s0 - target) \
+            <= 1e-14 * np.linalg.norm(r0)
+        gram = state.basis.T @ state.basis
+        assert np.linalg.norm(gram - np.eye(kept)) <= 1e-14
+        if proj is not None:
+            assert np.linalg.norm(proj.c.T @ state.basis) <= 1e-14
 
 
 def test_block_relation_and_rank():
@@ -303,6 +313,26 @@ def test_chain_narrows_block_by_block_and_closes(projected, complex_start):
     assert state.basis.shape == (12, 9) and state.hess.shape == (9, 9)
     assert [step for step, _ in state.replacements] == [2, 3]
     assert state.coupling.shape == (0 if c is None else 2, 9)
+
+
+@pytest.mark.parametrize("rotation", range(5))
+def test_rotated_chain_closes_where_its_space_does(rotation):
+    # the rotated chain's blocks hold its invariant space only to
+    # rounding: the candidate of step 4 is the rounding steps 2 and 3
+    # deflated, and it reads as zero at the deflation threshold (judged
+    # at 1e-14 ||A||_F it passed, and the chain ran 7 steps over noise
+    # and filled R^12)
+    ad, r0, _ = narrowing_chain(rotation=rotation)
+    a = SparseMatrix.from_dense(ad)
+    state = block_arnoldi_start(r0)
+    widths = []
+    while not state.invariant:
+        state = block_arnoldi_extend(a, state, 1)
+        widths.append(state.basis.shape[1] - state.hess.shape[1])
+    assert widths == [3, 2, 1, 0] and state.basis.shape == (12, 9)
+    # the closing step drops at most DEPENDENCY_TOL of its product
+    rel = ad @ state.w - state.basis @ state.hess
+    assert np.linalg.norm(rel) <= DEPENDENCY_TOL * a.frobenius_norm
 
 
 def test_noise_column_does_not_hide_a_live_one_from_the_breakdown_test():

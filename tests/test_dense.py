@@ -695,22 +695,21 @@ def test_band_qr_solve_skips_exactly_singular_shift():
 
 
 def test_eigen_diagonal_largest():
-    pairs = hessenberg_eigen(np.diag([1.0, 2.0, 3.0]), "largest", 1)
+    pairs = hessenberg_eigen(np.diag([1.0, 2.0, 3.0]), 1)
     assert pairs.values[0] == pytest.approx(3.0)
     vec = np.abs(pairs.vectors[:, 0])
     assert np.allclose(vec, [0.0, 0.0, 1.0], atol=1e-12)
 
 
 def test_eigen_rotation_pair():
-    pairs = hessenberg_eigen(np.array([[0.0, -1.0], [1.0, 0.0]]),
-                             "smallest", 2)
+    pairs = hessenberg_eigen(np.array([[0.0, -1.0], [1.0, 0.0]]), 2)
     assert sorted(pairs.values, key=lambda z: z.imag) == \
         pytest.approx([-1j, 1j])
 
 
 def test_eigen_matches_charpoly_roots():
     h = _band_hessenberg(12, 12, 0, seed=21).real
-    pairs = hessenberg_eigen(h, "smallest", 12)
+    pairs = hessenberg_eigen(h, 12)
     # independent oracle: roots of the characteristic polynomial
     roots = np.roots(np.poly(h))
     got = np.sort_complex(pairs.values)
@@ -720,13 +719,13 @@ def test_eigen_matches_charpoly_roots():
 
 def test_eigen_trace_invariant():
     h = _band_hessenberg(9, 9, 1, seed=33)
-    pairs = hessenberg_eigen(h, "largest", 9)
+    pairs = hessenberg_eigen(h, 9)
     assert np.sum(pairs.values) == pytest.approx(np.trace(h), rel=1e-8)
 
 
 def test_eigen_residual_field():
     h = _band_hessenberg(7, 7, 0, seed=4)
-    pairs = hessenberg_eigen(h, "largest", 3)
+    pairs = hessenberg_eigen(h, 3)
     assert np.all(pairs.residuals <= 1e-8 * np.linalg.norm(h))
     assert np.all(np.diff(np.abs(pairs.values)) <= 0.0)
 

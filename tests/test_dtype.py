@@ -93,7 +93,7 @@ def _pair_at_cut():
     a = random_sparse(24, density=0.3, seed=8, diag_boost=3.0)
     r0 = np.random.default_rng(9).standard_normal((24, 2))
     arn = block_arnoldi(a, r0, 5)
-    pairs = hessenberg_eigen(arn.hess[:10, :], "largest", 10)
+    pairs = hessenberg_eigen(arn.hess[:10, :], 10)
     vals = pairs.values
     for k in range(2, 10):
         if vals[k - 1].imag != 0 and vals[k] == vals[k - 1].conj():
@@ -112,8 +112,7 @@ def test_ritz_pair_at_the_cut_is_dropped_whole():
     assert np.linalg.norm(ad @ space.u - space.c) <= 1e-12 * scale
     assert np.linalg.norm(space.c.T @ space.c - np.eye(k - 1)) <= 1e-12
     # the kept pairs' span matches the complex eigenvectors' span
-    keep = hessenberg_eigen(arn.hess[:10, :].astype(complex), "largest",
-                            k - 1).vectors
+    keep = hessenberg_eigen(arn.hess[:10, :].astype(complex), k - 1).vectors
     lifted = arn.w @ keep
     q, _ = np.linalg.qr(space.u)
     assert np.linalg.norm(lifted - q @ (q.T @ lifted)) \
@@ -122,7 +121,7 @@ def test_ritz_pair_at_the_cut_is_dropped_whole():
 
 def test_real_eigen_pairs_are_a_real_basis():
     h = np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
-    pairs = hessenberg_eigen(h, "largest", 2)
+    pairs = hessenberg_eigen(h, 2)
     assert pairs.vectors.dtype == np.float64
     assert sorted(pairs.values, key=lambda z: z.imag) == \
         pytest.approx([1 - 2j, 1 + 2j])
@@ -131,11 +130,12 @@ def test_real_eigen_pairs_are_a_real_basis():
     assert np.linalg.norm(plane[2]) <= 1e-14
     assert np.linalg.matrix_rank(plane[:2]) == 2
     # cutting the pair at count 1 keeps it whole, as nothing would be left
-    assert len(hessenberg_eigen(h, "largest", 1).values) == 2
+    assert len(hessenberg_eigen(h, 1).values) == 2
     # count 3 keeps all
-    assert len(hessenberg_eigen(h, "smallest", 3).values) == 3
-    # a pair split below a real value is dropped
-    assert list(hessenberg_eigen(h, "smallest", 2).values) == [0.5]
+    assert len(hessenberg_eigen(h, 3).values) == 3
+    # a pair split below a real value of larger modulus is dropped
+    h[2, 2] = 3.0
+    assert list(hessenberg_eigen(h, 2).values) == [3.0]
 
 
 def test_recycle_space_from_real_basis_is_real():

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shiftkrylov import (ConfigError, ShiftedFamily, SparseMatrix,
-                         generate_convection_diffusion, sbgmres, sfom, sgmres)
+                         generate_convection_diffusion, sbfom, sbgmres, sfom,
+                         sgmres)
 from shiftkrylov.cli import main
 from shiftkrylov.harness import (_CONFIG_KEYS, ExperimentConfig, RunUnit,
                                  build_rhs,
@@ -313,16 +314,6 @@ def test_sgmres_failure_recorded_not_fatal(tmp_path):
     assert (tmp_path / "o" / "sbgmres.csv").exists()
 
 
-def test_variability_zero_spread_with_forced_seeds(tmp_path):
-    cfg = load_config(_write_config(tmp_path / "c.ini"))
-    cfg = ExperimentConfig(**{**vars(cfg), "out_dir": str(tmp_path / "v"),
-                              "strategy": "fom-random-block",
-                              "rhs_mode": "shared-random",
-                              "methods": ("sbfom",)})
-    stats = run_variability_study(cfg, trials=2, vary_seeds=False)
-    assert stats["stddev"] == 0.0
-
-
 def test_variability_stats_recomputable(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.ini"))
     cfg = ExperimentConfig(**{**vars(cfg), "out_dir": str(tmp_path / "v"),
@@ -342,6 +333,26 @@ def test_variability_stats_recomputable(tmp_path):
     assert stats["stddev"] > 0.0
     assert stats["failures"] == 0
     assert all(r["converged"] == "1" for r in rows)
+
+
+def test_variability_trial_t_runs_at_the_configured_seed_plus_t(tmp_path):
+    cfg = load_config(_write_config(tmp_path / "c.ini"))
+    cfg = ExperimentConfig(**{**vars(cfg), "out_dir": str(tmp_path / "v"),
+                              "strategy": "fom-random-block",
+                              "rhs_mode": "shared-random",
+                              "methods": ("sbfom",)})
+    run_variability_study(cfg, trials=3)
+    with open(tmp_path / "v" / "variability.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    a = generate_convection_diffusion(cfg.grid_m, cfg.convection)
+    family = ShiftedFamily(a, cfg.shifts, build_rhs(cfg, a, cfg.shifts),
+                           None)
+    base = cfg.solver_for("sbfom")
+    for t, row in enumerate(rows):
+        solver = replace(base, seed=base.seed + t)
+        _, rep = sbfom(family, solver, cfg.strategy)
+        assert int(row["seed"]) == solver.seed
+        assert int(row["matvecs"]) == rep.matvecs
 
 
 def test_variability_requires_random_strategy(tmp_path):
@@ -550,13 +561,13 @@ def test_manifest_matvec_identity_follows_the_narrowing_block(tmp_path):
 
 def test_from_file_rhs_and_matrix_market_problem(tmp_path):
     import numpy as np
-    from shiftkrylov import (generate_convection_diffusion,
-                             write_dense_matrix_market, write_matrix_market)
+    import scipy.io
+    from shiftkrylov import generate_convection_diffusion
     a = generate_convection_diffusion(6, 15.0)
-    write_matrix_market(tmp_path / "a.mtx", a)
+    scipy.io.mmwrite(tmp_path / "a.mtx", a._csr)
     rng = np.random.default_rng(3)
     b = rng.standard_normal((36, 2))
-    write_dense_matrix_market(tmp_path / "b.mtx", b)
+    scipy.io.mmwrite(tmp_path / "b.mtx", b)
     (tmp_path / "c.ini").write_text(f"""
 [problem]
 source = matrix-market

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.io
 from scipy.linalg import subspace_angles
 
 from shiftkrylov import (DimensionError, NearSingularError, RecycleSpace,
                          ShiftedFamily, SolverConfig, SparseMatrix, add_shift,
                          generate_convection_diffusion, gmres_restarted,
                          load_recycle_space, oblique_project_shift,
-                         rgmres_baseline, rsbgmres, save_recycle_space,
-                         sbgmres, update_recycle_space)
+                         rgmres_baseline, rsbgmres, sbgmres,
+                         update_recycle_space)
 from shiftkrylov.arnoldi import block_arnoldi_extend, block_arnoldi_start
 from shiftkrylov.recycling import augmentation_blocks
 
@@ -42,9 +43,7 @@ def test_from_basis_drops_dependent_directions():
     rng = np.random.default_rng(5)
     basis = rng.standard_normal((15, 3))
     basis = np.column_stack([basis, basis[:, 0]])  # repeated direction
-    with pytest.raises(NearSingularError):
-        RecycleSpace.from_basis(a, basis)
-    space = RecycleSpace.from_basis(a, basis, drop_tol=1e-10)
+    space = RecycleSpace.from_basis(a, basis)
     assert space.k == 3
     # the kept columns of the first image still give C = A U exactly
     assert np.linalg.norm(a.to_dense() @ space.u - space.c) \
@@ -590,7 +589,7 @@ def test_ritz_values_approach_extremes():
     arn = block_arnoldi(a, v, 8)
     from shiftkrylov import hessenberg_eigen
     j = arn.steps
-    pairs = hessenberg_eigen(arn.hess[:j, :], "largest", 2)
+    pairs = hessenberg_eigen(arn.hess[:j, :], 2)
     assert sorted(np.real(pairs.values), reverse=True) == \
         pytest.approx([8.0, 7.0], abs=1e-4)
 
@@ -598,8 +597,9 @@ def test_ritz_values_approach_extremes():
 def test_space_serialization_roundtrip(tmp_path):
     a = random_sparse(14, seed=37, diag_boost=4.0)
     space = _space(a, 3, seed=38)
+    # a space is stored as its basis U, by any Matrix Market writer
     path = tmp_path / "space.mtx"
-    save_recycle_space(path, space)
+    scipy.io.mmwrite(path, space.u)
     loaded = load_recycle_space(path, a)
     # C is recomputed on load, invariants re-established
     ad = a.to_dense()

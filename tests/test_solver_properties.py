@@ -56,8 +56,7 @@ def _solve(method, family, cfg, k):
     # refreshes it to k directions per cycle (keeps it when k = 0)
     start, k = k if isinstance(k, tuple) else (max(-k, 0), max(k, 0))
     space = RecycleSpace.from_basis(
-        family.matrix, np.eye(family.n, start)[:, ::-1],
-        drop_tol=1e-10) if start else None
+        family.matrix, np.eye(family.n, start)[:, ::-1]) if start else None
     return rsbgmres(family, cfg, space, k=k, update=k > 0)[:2]
 
 
