@@ -25,8 +25,7 @@ import numpy as np
 
 from .arnoldi import _negligible, block_arnoldi_start
 from .block_solvers import (_add_products, _end_cycle, _finish,
-                            _nonzero_collinear, _reference_direction,
-                            _run_cycles, _start, _steps)
+                            _nonzero_collinear, _run_cycles, _start, _steps)
 from .dense import ShiftedBandQR
 from .errors import CollinearityError
 from .report import SolverConfig
@@ -85,6 +84,16 @@ def _solve_alone(family, cfg, report, x, alone, cycles, iteration):
     return len(idx) > 0
 
 
+def _reference_direction(r, norms, among):
+    """The unit direction of the largest column of ``r``, whose column
+    norms are ``norms``, of those in the mask ``among``."""
+    norms = np.where(among, norms, 0.0)
+    ref = int(np.argmax(norms))
+    if norms[ref] == 0.0:
+        raise CollinearityError("all residual columns are zero")
+    return r[:, ref] / norms[ref]
+
+
 def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
                       solo_cfg):
     """The restart loop of the collinear methods.
@@ -125,7 +134,7 @@ def _collinear_cycles(family, cfg, method, base, step, end, skip_note,
         report.cycles = cycle
         active = ~converged & ~left
         if base is None:
-            v1, _ = _reference_direction(r, resid, ~left)
+            v1 = _reference_direction(r, resid, ~left)
         else:
             norm = np.linalg.norm(r[:, base])
             if norm == 0.0:

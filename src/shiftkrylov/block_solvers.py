@@ -1,9 +1,9 @@
-"""Shifted block GMRES and FOM over one shared block Krylov subspace, the
-strategies for rendering collinear initial residuals independent (each
-named by a tag of :data:`STRATEGY_TAGS`), and the restart engine they
-(and the recycled variant) run on.  Every cycle of the package, the
-engine's, a strategy's and the collinear baselines', steps through one
-loop, :func:`_steps`.
+"""Shifted block GMRES and FOM over one shared block Krylov subspace, and
+the restart engine they (and the recycled variant) run on, whose own
+cycles render collinear initial residuals independent by the strategy
+named by a tag of :data:`STRATEGY_TAGS`.  Every cycle of the package,
+the engine's and the collinear baselines', steps through one loop,
+:func:`_steps`.
 
 One cycle builds the block Krylov space of the residual columns of the
 shifts still unconverged when it starts (a converged shift costs no more
@@ -85,20 +85,6 @@ def _nonzero_collinear(r, norms):
         r, norms, cols, COLLINEAR_TOL)
 
 
-def _reference_direction(r, norms, among=None):
-    """The unit direction ``v1`` of the largest column of ``r``, whose
-    column norms are ``norms``, of those in the mask ``among`` when given,
-    and ``v1* r``."""
-    if among is not None:
-        norms = np.where(among, norms, 0.0)
-    ref = int(np.argmax(norms))
-    if norms[ref] == 0.0:
-        raise CollinearityError("all residual columns are zero")
-    v1 = r[:, ref] / norms[ref]
-    beta = v1.conj() @ r
-    return v1, beta
-
-
 def _add_products(out, *terms):
     """``out += sum_i w_i y_i^T`` in place over all of ``out``'s
     columns, for the pairs ``(w_i, y_i)``: one BLAS ``gemm`` per term with
@@ -147,78 +133,26 @@ def _steps(a, arn, qr, steps, report, blocks=True):
         yield arn
 
 
-def _strategy_cycle(family, x, r, norms, steps, report, seed_key=None):
-    """One cycle of up to ``steps`` steps over a space all shifts share,
-    solved from one shifted QR state: without ``seed_key``
-    (``gmres-cycle``, single-vector products only) the least squares over
-    the Krylov space of the common residual direction, with one
-    (``fom-random-block``) the Galerkin solve over the block space of that
-    direction and random columns seeded by ``seed_key``.  ``norms`` holds
-    the column norms of the residual block ``r``."""
-    v1, beta = _reference_direction(r, norms)
-    block = v1[:, None]
-    if seed_key is not None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-        block = np.column_stack(
-            (block, rng.standard_normal((family.n, family.n_shifts - 1))))
-    arn = block_arnoldi_start(block, capacity=steps)
-    qr = ShiftedBandQR(family.shifts, np.outer(beta, arn.s0[:, 0]),
-                       len(arn.s0), 0, steps, family.matrix.frobenius_norm)
-    for arn in _steps(family.matrix, arn, qr, steps, report,
-                      blocks=seed_key is not None):
-        pass
-    if seed_key is None:
-        tag, kind, skipped = "gmres-cycle", "least-squares", \
-            np.isnan(qr.residual())
-    else:
-        tag, kind, skipped = "fom-random-block", "Galerkin", \
-            qr.galerkin_residual()[1]
-    for i in np.nonzero(skipped)[0]:
-        report.note(f"{tag}: singular {kind} system for shift index {i}; "
-                    "update skipped")
-    # the residual through the Arnoldi relation, (A + sigma_i I) W y_i =
-    # W_{j+1} Hbar y_i + sigma_i W y_i, at no further product
-    y = qr.solve().T
-    x += arn.w @ y
-    r -= arn.basis @ (arn.hess @ y) + arn.w @ (y * family.shifts)
-    return x, r, arn.steps
-
-
-def _apply_strategy(family, x, r, resid, tag, cfg, report):
-    """Render residual columns non-collinear by the strategy ``tag``, one
-    of :data:`STRATEGY_TAGS`: ``random-x0`` draws a fresh random initial
-    guess, ``gmres-cycle`` minimizes every shifted residual over one
-    shared single-vector Krylov space, ``fom-random-block`` runs one
-    Galerkin cycle over a block space grown from the common residual
-    direction plus random columns.  A cycle runs up to
-    ``cfg.cycle_length`` steps and the draws are seeded by ``cfg.seed``.
-    ``resid`` holds the column norms of ``r``.  Returns ``(x, r, resid,
-    iterations)``."""
-    total_iters = 0
-    for attempt in range(_STRATEGY_RETRIES):
-        if tag == "random-x0":
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, attempt)))
-            x = rng.standard_normal(x.shape).astype(x.dtype)
-            r = family.residual_block(x)
-            report.block_matvecs += 1
-            report.matvecs += family.n_shifts
-            iters = 0
-        else:
-            x, r, iters = _strategy_cycle(
-                family, x, r, resid, cfg.cycle_length, report,
-                None if tag == "gmres-cycle" else (cfg.seed, attempt))
-        total_iters += iters
-        resid = np.linalg.norm(r, axis=0)
-        if not _nonzero_collinear(r, resid):
-            report.note(f"decollinearized with {tag}")
-            return x, r, resid, total_iters
-        if tag == "gmres-cycle":
-            report.note("gmres-cycle strategy left residuals collinear "
-                        "(stagnation); falling back to fom-random-block")
-            tag = "fom-random-block"
-    raise CollinearityError(
-        f"residuals remain collinear after {_STRATEGY_RETRIES} attempts")
+def _next_attempt(r, resid, tag, attempt, report):
+    """The tag of the decollinearizing attempt that follows attempt
+    ``attempt`` (from 0) by ``tag``, which left the residual block ``r``
+    with column norms ``resid``: None, with a note, once the columns are
+    not collinear; otherwise, with a note, ``fom-random-block`` after
+    ``gmres-cycle`` and ``tag`` again after a random draw.  After the
+    last of ``_STRATEGY_RETRIES`` attempts, collinear columns raise
+    :class:`CollinearityError`."""
+    if not _nonzero_collinear(r, resid):
+        report.note(f"decollinearized with {tag}")
+        return None
+    if attempt + 1 == _STRATEGY_RETRIES:
+        raise CollinearityError(
+            f"residuals remain collinear after {_STRATEGY_RETRIES} attempts")
+    if tag == "gmres-cycle":
+        report.note("gmres-cycle strategy left residuals collinear "
+                    "(stagnation); falling back to fom-random-block")
+        return "fom-random-block"
+    report.note(f"{tag} strategy left residuals collinear; drawing again")
+    return tag
 
 
 def _start(family: ShiftedFamily, cfg: SolverConfig, method):
@@ -308,24 +242,40 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     starts the next cycle.  A cycle's block holds the residual
     columns of the shifts unconverged as the cycle starts (a shift its
     oblique projection converges keeps its column for that cycle), and
-    each block product counts that many matvecs; ``report.block_widths``
-    records the width per cycle.  The solve ends, with a note naming the
+    each block product counts that many matvecs, less the columns its
+    QRs deflated; ``report.block_widths`` records the width per cycle.  The solve ends, with a note naming the
     shifts that leave, after a cycle in which no active shift progressed
-    and the next cycle could not either: for ``"gmres"``, each active
-    shift converged or met the ``_STAGNATION_TOL`` test and the next
-    cycle searches inside this one's space (the recycle space kept, or
-    drawn from a closed unaugmented Krylov space); for ``"fom"``, whose
-    residual is not monotone, no column of the block changed, so the
-    next cycle would repeat this one.  An unaugmented start whose
-    residual columns are collinear is first made independent by the tag
-    ``strategy`` (:func:`_apply_strategy`), checked at entry.  The report
-    gets one point for the whole family at the start, after a
-    decollinearizing rewrite, after each cycle's oblique projection and
-    after each step of :func:`_steps`; each cycle's Arnoldi chain
-    allocates its workspace once, for ``cfg.cycle_length`` steps.  For
-    ``"gmres"`` a shift whose true residual rose past the drift tolerance
-    (rounding) gets its cycle-start iterate and residual back, with a
-    note.
+    and the next cycle could not either: after a minimum-residual cycle,
+    each active shift converged or met the ``_STAGNATION_TOL`` test and
+    the next cycle searches inside this one's space (the recycle space
+    kept, or drawn from a closed unaugmented Krylov space); after a
+    Galerkin one, whose residual is not monotone, no column of the block
+    changed, so the next cycle would repeat this one.  After a
+    minimum-residual cycle a shift whose true residual rose past the
+    drift tolerance (rounding) gets its cycle-start iterate and residual
+    back, with a note.
+
+    An unaugmented start whose nonzero residual columns are collinear is
+    made independent by the tag ``strategy``, in up to
+    ``_STRATEGY_RETRIES`` attempts whose draws are seeded by
+    ``(cfg.seed, attempt)``.  ``random-x0`` redraws the initial guess
+    before the first cycle, one counted block product per draw, and the
+    report records the start it keeps as a second cycle-0 point.  The
+    other tags choose the subproblem of the engine's next cycle, whatever
+    ``kind`` is: ``gmres-cycle`` a minimum-residual cycle on the residual
+    block, which its start QR deflates to one column, ``fom-random-block``
+    a Galerkin cycle on the residual block beside one random column
+    fewer than the family has shifts (``report.block_widths`` counts
+    them).  Such a cycle is a cycle like any other: it counts toward
+    ``cfg.max_cycles``, ends at the true residual and ends the solve once
+    every shift converged.  After each attempt the residual columns
+    either read independent (noted ``decollinearized with <tag>``) or the
+    next attempt follows, with a note (``gmres-cycle`` falls back to
+    ``fom-random-block``, a random strategy draws again); after the last,
+    :class:`CollinearityError` is raised.  The report gets one point for
+    the whole family at the start, after each cycle's oblique projection
+    and after each step of :func:`_steps`; each cycle's Arnoldi chain
+    allocates its workspace once, for ``cfg.cycle_length`` steps.
 
     Returns ``(x, report, space)`` where ``space`` is the final recycle
     space (possibly empty).
@@ -346,28 +296,45 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
     x, r = x.astype(dtype, copy=False), r.astype(dtype, copy=False)
     work = np.empty_like(r)
 
-    if not converged.all() and ell > 1 and k_now == 0 \
-            and _nonzero_collinear(r, resid):
-        x, r, resid, iters = _apply_strategy(family, x, r, resid, strategy,
-                                             cfg, report)
-        iteration += iters
+    # the tag of the next decollinearizing attempt, None once the residual
+    # columns are independent
+    tag = strategy if not converged.all() and ell > 1 and k_now == 0 \
+        and _nonzero_collinear(r, resid) else None
+    attempt = 0
+    while tag == "random-x0":
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, attempt)))
+        x = rng.standard_normal(x.shape).astype(x.dtype)
+        r = family.residual_block(x)
+        report.block_matvecs += 1
+        report.matvecs += ell
+        resid = np.linalg.norm(r, axis=0)
+        tag = _next_attempt(r, resid, tag, attempt, report)
+        attempt += 1
+    if attempt:
+        # the solve starts from the redrawn initial guess
         converged = resid <= targets
-        # a decollinearizing restart rewrites the cycle-0 state; random-x0
-        # consumes no iterations, so its record shares the iteration index
-        report.record_step(0, iteration, resid, converged)
+        report.record_step(0, 0, resid, converged)
 
     cycle, qr = 0, None
     while cycle < cfg.max_cycles and not converged.all():
         cycle += 1
         report.cycles = cycle
+        # a decollinearizing cycle's subproblem is the strategy's, whatever
+        # the solve's
+        kind_now = {"gmres-cycle": "gmres", "fom-random-block": "fom"}.get(
+            tag, kind)
         resid_at_start = resid.copy()
-        kept = (x.copy(), r.copy()) if kind == "gmres" else None
+        kept = (x.copy(), r.copy()) if kind_now == "gmres" else None
         active = ~converged
         # the cycle's block holds the columns of the shifts unconverged as
         # it starts, those its oblique projection converges included
         in_block = active.copy()
         block = np.nonzero(in_block)[0]
-        report.block_widths.append(len(block))
+        # a fom-random-block cycle's block adds one random column fewer
+        # than the family has shifts
+        drawn = ell - 1 if tag == "fom-random-block" else 0
+        report.block_widths.append(len(block) + drawn)
         # shifts with no oblique projection: solved over the Krylov space
         # alone, their part in span(C) a right-hand side on the coupling rows
         alone = np.zeros(ell, dtype=bool)
@@ -398,8 +365,14 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 break
 
         idx = np.nonzero(active)[0]
-        arn = block_arnoldi_start(r[:, block], cur_space,
-                                  capacity=cfg.cycle_length)
+        start = r[:, block]
+        if drawn:
+            # each as long as the largest residual column beside a unit one
+            rng = np.random.default_rng(
+                np.random.SeedSequence((cfg.seed, attempt)))
+            start = np.concatenate((start, resid.max() * rng.standard_normal(
+                (family.n, drawn))), axis=1)
+        arn = block_arnoldi_start(start, cur_space, capacity=cfg.cycle_length)
         rhs = np.concatenate(
             (arn.s0[:, np.searchsorted(block, idx)],
              (cur_space.c.conj().T @ r[:, idx]) * alone[idx]))
@@ -408,7 +381,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         if qr is None:
             # sized for the first cycle's whole block, the widest, so that
             # no later cycle whose start keeps more columns reallocates
-            qr = ShiftedBandQR(*args[:2], len(block), *args[3:])
+            qr = ShiftedBandQR(*args[:2], start.shape[1], *args[3:])
         qr.restart(*args)
         rho = resid.copy()
         blocks, noted = None, ()
@@ -425,7 +398,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
                 noted = blocks.padded
                 est = qr.augmented_residual(blocks.p, blocks.q2,
                                             blocks.n_factor, alone[idx])
-            elif kind == "gmres":
+            elif kind_now == "gmres":
                 est = qr.residual()
             else:
                 est, _ = qr.galerkin_residual()
@@ -443,7 +416,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         # leaves every iterate as it is
         y = np.zeros((ell, 0))
         if arn.steps:
-            name = "Galerkin" if kind == "fom" else "least-squares"
+            name = "Galerkin" if kind_now == "fom" else "least-squares"
             for i in idx[np.isnan(est)]:
                 report.note(f"cycle {cycle}: no {name} iterate for shift "
                             f"index {i}; kept previous approximation")
@@ -471,6 +444,13 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
         if np.any(stalled):
             report.note(f"cycle {cycle}: stagnation for shift indices "
                         f"{np.nonzero(stalled)[0].tolist()}")
+        if tag and not converged.all():
+            tag = _next_attempt(r, resid, tag, attempt, report)
+            attempt += 1
+            if tag:
+                # the next cycle decollinearizes again, unaugmented: this
+                # one neither refreshes the recycle space nor ends the solve
+                continue
 
         # the next cycle searches inside this one's space when it keeps the
         # recycle space (no refresh, or no step to refresh it from), or
@@ -486,7 +466,7 @@ def _run_cycles(family: ShiftedFamily, cfg: SolverConfig, *, kind,
             except (ShiftKrylovError, np.linalg.LinAlgError) as exc:
                 report.note(f"cycle {cycle}: recycle update failed "
                             f"({exc}); space kept")
-        if kind == "gmres":
+        if kind_now == "gmres":
             # a minimum residual that did not fall over this cycle's space
             # cannot fall over one inside it, and the next block holds the
             # stalled columns alone, all but unchanged
@@ -512,9 +492,9 @@ def sbgmres(family: ShiftedFamily, cfg: SolverConfig,
             strategy: str = "gmres-cycle"):
     """Shifted block GMRES: minimize every shifted residual over the block
     Krylov space of the residual block, restarting until all shifts
-    converge.  Collinear initial residuals are first made independent by
-    ``strategy``, a tag of :data:`STRATEGY_TAGS` (see
-    :func:`_apply_strategy`); an unknown tag raises
+    converge.  Collinear initial residuals are made independent by
+    ``strategy``, a tag of :data:`STRATEGY_TAGS`, whose cycles are the
+    engine's own (see :func:`_run_cycles`); an unknown tag raises
     :class:`DimensionError`.  Returns ``(x, report)``."""
     x, report, _ = _run_cycles(family, cfg, kind="gmres", strategy=strategy,
                                method="sbgmres")

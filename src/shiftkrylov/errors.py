@@ -31,7 +31,8 @@ class CollinearityError(ShiftKrylovError):
     """Raised for collinearity-related applicability problems: a solver
     that requires collinear residuals got unrelated ones, every residual
     column is zero, so no reference direction exists, or residuals stay
-    collinear after all retries of a decollinearizing strategy."""
+    collinear after the last attempt of a block solver's decollinearizing
+    strategy."""
 
 
 class EigenConvergenceError(ShiftKrylovError):

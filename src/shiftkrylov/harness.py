@@ -509,18 +509,21 @@ def write_manifest(path, cfg: ExperimentConfig, results, elapsed,
             put(f"{prefix}.extra_matvecs", res.extra_matvecs)
             replaced = sum(len(u.report.replacements) for u in res.units)
             put(f"{prefix}.replacements", replaced)
-            if res.method in ("sbgmres", "sbfom") and replaced == 0:
-                # after each unit's last cycle-0 record (where gmres-cycle
-                # counts single vectors), one product per column of each
-                # block product, at the block width its cycle recorded
+            if res.method in ("sbgmres", "sbfom"):
+                # after each unit's last cycle-0 record, per cycle of S
+                # block products from L candidate columns (its recorded
+                # block width), S L products less S - s per column
+                # deflated at step s
                 expected = 0
                 for u in res.units:
-                    st = u.report.steps
+                    st, rep = u.report.steps, u.report
                     at = np.nonzero(st.cycle == 0)[0][-1]
-                    widths = np.array([0, *u.report.block_widths])
-                    expected += st.matvecs[at] + int(
-                        widths[st.cycle[at + 1:]]
-                        @ np.diff(st.block_matvecs[at:]))
+                    per = np.bincount(
+                        st.cycle[at + 1:], np.diff(st.block_matvecs[at:]),
+                        len(rep.block_widths) + 1).astype(int)
+                    expected += int(
+                        st.matvecs[at] + per[1:] @ rep.block_widths
+                        - sum(per[c] - s for c, s, _ in rep.replacements))
                 put(f"{prefix}.matvec_identity",
                     "ok" if expected == res.matvecs else
                     f"mismatch ({expected} != {res.matvecs})")
@@ -596,7 +599,7 @@ def run_variability_study(cfg: ExperimentConfig, trials: int):
             _, rep = run_fam(family, solver, cfg.strategy)
         except ShiftKrylovError as exc:
             failures.append((t, str(exc)))
-            rows.append((t, seed, "", "", 0))
+            rows.append((t, solver.seed, "", "", 0))
             continue
         ok = int(all(rep.converged))
         counts.append(rep.matvecs)

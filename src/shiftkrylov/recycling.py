@@ -324,8 +324,10 @@ def rsbgmres(family, cfg, space: RecycleSpace | None = None, *, k=None,
     With ``space=None`` (or k = 0) the first cycle runs unaugmented and is
     identical to plain shifted block GMRES, collinear residuals then made
     independent by the tag ``strategy`` as in
-    :func:`.block_solvers.sbgmres`.  An unknown ``mode`` or ``strategy``
-    raises at entry.  Returns ``(x, report, updated_space)``.
+    :func:`.block_solvers.sbgmres`: the space is refreshed after a cycle
+    that left them independent, and not after one that left them
+    collinear.  An unknown ``mode`` or ``strategy`` raises at entry.
+    Returns ``(x, report, updated_space)``.
     """
     from .block_solvers import _run_cycles
     _check_mode(mode)

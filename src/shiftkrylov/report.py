@@ -68,7 +68,8 @@ class SolveReport:
     left its loop without one.
     ``block_widths`` holds, per cycle of the block restart engine, the
     width of that cycle's block: the number of shifts unconverged as the
-    cycle starts (recorded also for a cycle that ends at its oblique
+    cycle starts, plus the random columns of a ``fom-random-block``
+    cycle (recorded also for a cycle that ends at its oblique
     projection, before any block product).  A block product multiplies
     that many columns unless a basis block lost dependent ones:
     ``replacements`` holds one ``(cycle, step, column)`` entry per

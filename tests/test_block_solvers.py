@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shiftkrylov import (DimensionError, ShiftedFamily, SolveReport,
+from shiftkrylov import (CollinearityError, DimensionError, ShiftedFamily,
                          SolverConfig, SparseMatrix, add_shift,
                          block_arnoldi_extend, block_arnoldi_start,
                          fom_restarted, generate_convection_diffusion,
@@ -135,107 +135,154 @@ def test_detect_collinear_band_runs_the_pairwise_sweep(sign, collinear):
     assert _collinear(r, tol) == collinear
 
 
-_APPLY_STRATEGY = block_solvers._apply_strategy
+_STRATEGY_CFG = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20)
 
 
-def _strategy_run(monkeypatch, solver, fam, strategy, cfg=None):
-    """Run ``solver`` with ``strategy`` and return ``(x, report, seen)``:
-    ``seen`` holds a copy of each ``(x, r, iterations)`` the strategy
-    handed to the engine."""
-    seen = []
+def _start_blocks(monkeypatch):
+    """A list that receives a copy of every start block the engine hands
+    to the block Arnoldi process."""
+    blocks = []
 
-    def spy(*args):
-        x, r, resid, iters = _APPLY_STRATEGY(*args)
-        seen.append((x.copy(), r.copy(), iters))
-        return x, r, resid, iters
+    def start(r0, *args, _original=block_solvers.block_arnoldi_start,
+              **kwargs):
+        blocks.append(np.array(r0))
+        return _original(r0, *args, **kwargs)
 
-    monkeypatch.setattr(block_solvers, "_apply_strategy", spy)
-    cfg = cfg or SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20)
-    x, rep = solver(fam, cfg, strategy)
-    return x, rep, seen
+    monkeypatch.setattr(block_solvers, "block_arnoldi_start", start)
+    return blocks
 
 
-def _strategy_row(rep, fam):
-    """The cycle-0 rows the strategy rewrote (the last cycle-0 row of
-    every shift)."""
-    return [[row for row in rep.rows if row[0] == i and row[1] == 0][-1]
-            for i in range(fam.n_shifts)]
+def _draws(seed, attempt, shape):
+    """The standard normal draws of a strategy's attempt ``attempt``."""
+    return np.random.default_rng(
+        np.random.SeedSequence((seed, attempt))).standard_normal(shape)
 
 
-def test_strategy_single_system_noop(monkeypatch):
+def test_strategy_single_system_noop():
     a = SparseMatrix.diagonal(np.arange(1.0, 6.0))
     fam = ShiftedFamily(a, [0.5], np.ones((5, 1)), None)
-    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "random-x0")
-    x_plain, rep_plain = sbgmres(fam, SolverConfig(
-        cycle_length=6, tolerance=1e-8, max_cycles=20))
+    x, rep = sbgmres(fam, _STRATEGY_CFG, "random-x0")
+    x_plain, rep_plain = sbgmres(fam, _STRATEGY_CFG)
     # no strategy runs on one system: 0 extra matvecs, same solve
-    assert seen == []
     assert rep.rows == rep_plain.rows and np.array_equal(x, x_plain)
     assert not rep.notes
 
 
-def test_strategy_gmres_cycle(monkeypatch):
+def test_strategy_gmres_cycle():
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
-    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20, seed=3)
-    _, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "gmres-cycle",
-                                 cfg)
-    (x0, r0, iters), = seen
-    assert not _collinear(r0)
-    assert _sin_angle(r0[:, 0], r0[:, 1]) > 1e-6
-    # the strategy costs cycle_length matvecs before the first cycle
-    assert iters == 4
-    assert all(row[2:5] == (4, 4, 0) for row in _strategy_row(rep, fam))
-    # consistency of the updated pair
-    expect = fam.rhs - a.to_dense() @ x0 - x0 * fam.shifts[None, :]
-    assert np.allclose(r0, expect, atol=1e-12)
-    assert "decollinearized with gmres-cycle" in rep.notes
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=1, seed=3)
+    x, rep = sbgmres(fam, cfg, "gmres-cycle")
+    assert rep.notes == ["decollinearized with gmres-cycle"]
+    # cycle 1 is the strategy's: its rank-one block of two columns keeps
+    # one at step 0, so each of its 4 steps is a width-one block product,
+    # and its end pays one true-residual product per shift
+    assert rep.cycles == 1 and rep.block_widths == [2]
+    assert rep.replacements == [(1, 0, 1)]
+    assert [row[2:5] for row in rep.rows if row[1] == 1] == \
+        [(j, j, j) for j in (1, 2, 3, 4) for _ in range(2)]
+    assert rep.extra_matvecs == 2
+    r = fam.residual_block(x)
+    assert not _collinear(r)
+    assert _sin_angle(r[:, 0], r[:, 1]) > 1e-6
+    assert rep.final_residuals == pytest.approx(
+        list(np.linalg.norm(r, axis=0)), rel=1e-12)
 
 
-def test_strategy_random_x0_deterministic(monkeypatch):
+def test_strategy_random_x0_deterministic():
     a = SparseMatrix.diagonal(np.arange(1.0, 9.0))
     b = np.tile(np.ones((8, 1)), (1, 2))
     fam = ShiftedFamily(a, [0.0, 0.5], b, None)
     cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=20,
                        seed=11)
-    x1, rep1, seen1 = _strategy_run(monkeypatch, sbgmres, fam, "random-x0",
-                                    cfg)
-    x2, rep2, seen2 = _strategy_run(monkeypatch, sbgmres, fam, "random-x0",
-                                    cfg)
-    (xs1, rs1, _), = seen1
-    (xs2, rs2, _), = seen2
-    assert np.array_equal(xs1, xs2) and np.array_equal(rs1, rs2)
+    x1, rep1 = sbgmres(fam, cfg, "random-x0")
+    x2, rep2 = sbgmres(fam, cfg, "random-x0")
     assert rep1.rows == rep2.rows and np.array_equal(x1, x2)
-    assert not _collinear(rs1)
     assert "decollinearized with random-x0" in rep1.notes
+    # the solve starts from the guess of attempt 0, one block product of
+    # two columns, recorded as a second cycle-0 point
+    x0 = _draws(11, 0, (8, 2))
+    r0 = fam.residual_block(x0)
+    assert not _collinear(r0)
+    start = [row for row in rep1.rows if row[1] == 0][-2:]
+    assert [row[2:5] for row in start] == [(0, 2, 1)] * 2
+    assert [row[5] for row in start] == pytest.approx(
+        list(np.linalg.norm(r0, axis=0)), rel=1e-12)
 
 
 def test_strategy_fom_random_block(monkeypatch):
     a = generate_convection_diffusion(6, 10.0)
     b = np.tile(np.random.default_rng(5).standard_normal((36, 1)), (1, 3))
     fam = ShiftedFamily(a, [1e-3, 1e-2, 1e-1], b, None)
-    cfg = SolverConfig(cycle_length=5, tolerance=1e-8, max_cycles=20, seed=2)
-    _, rep, seen = _strategy_run(monkeypatch, sbfom, fam, "fom-random-block",
-                                 cfg)
-    (x0, r0, _), = seen
-    assert not _collinear(r0)
-    # cycle_length block matvecs of block size 3 before the first cycle
-    assert all(row[3:5] == (15, 5) for row in _strategy_row(rep, fam))
-    assert np.allclose(r0, fam.residual_block(x0), atol=1e-10)
-    assert "decollinearized with fom-random-block" in rep.notes
+    cfg = SolverConfig(cycle_length=5, tolerance=1e-8, max_cycles=1, seed=2)
+    blocks = _start_blocks(monkeypatch)
+    x, rep = sbfom(fam, cfg, "fom-random-block")
+    assert rep.notes == ["decollinearized with fom-random-block"]
+    # cycle 1 starts from the residual block beside two random columns of
+    # attempt 0, as long as the largest residual column beside unit ones;
+    # two residual columns deflate at step 0, and each of its 5 steps
+    # multiplies 3 columns
+    (block,) = blocks
+    assert np.array_equal(block[:, :3], b)
+    assert np.array_equal(block[:, 3:], np.linalg.norm(b, axis=0).max()
+                          * _draws(2, 0, (36, 2)))
+    assert rep.block_widths == [5]
+    assert len(rep.replacements) == 2
+    assert all(c[:2] == (1, 0) and c[2] < 3 for c in rep.replacements)
+    assert all(row[3:5] == (15, 5) for row in rep.rows if row[2] == 5)
+    assert not _collinear(fam.residual_block(x))
 
 
-def test_strategy_skipped_for_non_collinear_input(monkeypatch):
+def test_strategy_skipped_for_non_collinear_input():
     a = SparseMatrix.identity(4)
     fam = ShiftedFamily(a, [0.0, 1.0], np.eye(4)[:, :2], None)
     cfg = SolverConfig(cycle_length=3, tolerance=1e-8, max_cycles=5)
-    x, rep, seen = _strategy_run(monkeypatch, sbgmres, fam, "random-x0", cfg)
+    x, rep = sbgmres(fam, cfg, "random-x0")
     x_plain, rep_plain = sbgmres(fam, cfg)
     # independent residuals need no strategy: no note, no extra matvecs
-    assert seen == []
     assert not any("decollinearized" in note for note in rep.notes)
     assert rep.rows == rep_plain.rows and np.array_equal(x, x_plain)
+
+
+def test_strategy_falls_back_and_gives_up_after_three_attempts(monkeypatch):
+    # the collinearity test forced to read collinear at its first
+    # ``calls`` calls: the entry check, then one per attempt
+    a = generate_convection_diffusion(6, 10.0)
+    b = np.tile(np.random.default_rng(5).standard_normal((36, 1)), (1, 2))
+    fam = ShiftedFamily(a, [1e-3, 1e-1], b, None)
+    cfg = SolverConfig(cycle_length=4, tolerance=1e-8, max_cycles=20, seed=7)
+    test = block_solvers._nonzero_collinear
+    blocks = _start_blocks(monkeypatch)
+    for calls in (2, 3):
+        seen = []
+
+        def collinear(r, norms):
+            seen.append(None)
+            return len(seen) <= calls or test(r, norms)
+
+        monkeypatch.setattr(block_solvers, "_nonzero_collinear", collinear)
+        blocks.clear()
+        _, rep = sbgmres(fam, cfg)
+        assert rep.notes[:calls] == [
+            "gmres-cycle strategy left residuals collinear (stagnation); "
+            "falling back to fom-random-block"] + [
+            "fom-random-block strategy left residuals collinear; drawing "
+            "again"] * (calls - 2) + ["decollinearized with fom-random-block"]
+        # each attempt after the first adds one random column, drawn at
+        # its attempt index
+        assert rep.block_widths[:calls + 1] == [2] + [3] * (calls - 1) + [2]
+        for attempt in range(1, calls):
+            block = blocks[attempt]
+            scale = np.linalg.norm(block[:, :2], axis=0).max()
+            assert np.allclose(block[:, 2:], scale * _draws(7, attempt,
+                                                             (36, 1)),
+                               rtol=1e-13, atol=0.0)
+    monkeypatch.setattr(block_solvers, "_nonzero_collinear",
+                        lambda r, norms: True)
+    for tag in block_solvers.STRATEGY_TAGS:
+        with pytest.raises(CollinearityError, match="after 3 attempts"):
+            sbgmres(fam, cfg, tag)
 
 
 # A has three distinct eigenvalues, each twice: the Krylov space of a
@@ -245,25 +292,19 @@ def test_strategy_skipped_for_non_collinear_input(monkeypatch):
 _CLOSING = SparseMatrix.diagonal([1.0, 1.0, 2.0, 2.0, 3.0, 3.0])
 
 
-@pytest.mark.parametrize("seed_key, width, counted", [
-    pytest.param(None, 1, False, id="gmres-cycle"),
-    pytest.param((2, 0), 2, True, id="fom-random-block")])
-def test_strategy_cycle_stops_where_the_relation_closes(seed_key, width,
-                                                        counted):
+@pytest.mark.parametrize("tag, width", [
+    pytest.param("gmres-cycle", 1, id="gmres-cycle"),
+    pytest.param("fom-random-block", 2, id="fom-random-block")])
+def test_strategy_cycle_stops_where_the_relation_closes(tag, width):
     fam = ShiftedFamily(_CLOSING, [0.5, 1.0], np.ones((6, 2)), None)
-    report = SolveReport(method="sbgmres", shifts=fam.shifts,
-                         rhs_norms=np.linalg.norm(fam.rhs, axis=0))
-    x, r, steps = block_solvers._strategy_cycle(
-        fam, np.zeros((6, 2)), fam.rhs.copy(),
-        np.linalg.norm(fam.rhs, axis=0), 10, report, seed_key)
-    assert steps == 3
-    # each step counts its own products, and a block product only for
-    # the block strategy
-    assert report.matvecs == steps * width
-    assert report.block_matvecs == (steps if counted else 0)
-    # the closed relation makes the cycle exact
-    assert np.allclose(r, fam.residual_block(x), atol=1e-12)
-    assert np.linalg.norm(r) <= 1e-10
+    x, rep = sbgmres(fam, SolverConfig(cycle_length=10, tolerance=1e-10,
+                                       seed=2), tag)
+    # the strategy's cycle closes at step 3, each step one block product
+    # of its kept width, and solves every shift: the solve ends there
+    assert rep.cycles == 1 and rep.steps.iteration[-1] == 3
+    assert rep.matvecs == 3 * width and rep.block_matvecs == 3
+    assert rep.converged == [True, True]
+    assert np.linalg.norm(fam.residual_block(x)) <= 1e-10
 
 
 @pytest.mark.parametrize("solver", [sgmres, sfom], ids=["sgmres", "sfom"])
@@ -541,38 +582,49 @@ def test_family_wider_than_its_space_deflates_instead_of_raising():
     assert np.all(true <= 1e-10 * np.linalg.norm(fam.rhs, axis=0))
 
 
-def test_minimum_residual_cycle_that_raised_a_true_residual_is_undone():
-    # A = diag(1, ..., 6) is exactly singular at shifts -1 and -2; after
-    # the gmres-cycle rewrite of the shared right-hand side, cycle 1's
-    # updates raised both true residuals (to 13.2 and 62.9) through
-    # rounding: both shifts keep the iterates the cycle started from.
-    # (Beside a third shift 0.5, cycle 1 deflates two step-1 columns and
-    # reads both subproblems as singular, so no update raises them.)
+def _raised_cycle(monkeypatch):
+    """``(family, x, report)`` of one sbgmres cycle whose estimates reach
+    zero (the block space of two columns fills n = 6 at step 3) while
+    its coefficients are tripled, so each true residual rises to twice
+    its start."""
+    def solve(self, *args, _original=ShiftedBandQR.solve):
+        return 3.0 * _original(self, *args)
+
+    monkeypatch.setattr(ShiftedBandQR, "solve", solve)
     a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
-    fam = ShiftedFamily(a, [-1.0, -2.0], np.ones((6, 2)), None)
-    x, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
+    fam = ShiftedFamily(a, [0.5, 1.0],
+                        np.random.default_rng(0).standard_normal((6, 2)),
+                        None)
+    x, rep = sbgmres(fam, SolverConfig(cycle_length=3, max_cycles=1))
+    return fam, x, rep
+
+
+def test_minimum_residual_cycle_that_raised_a_true_residual_is_undone(
+        monkeypatch):
+    # both shifts keep the iterates the cycle started from
+    fam, x, rep = _raised_cycle(monkeypatch)
     assert ("cycle 1: true residual rose for shift indices [0, 1]; kept "
             "previous approximation") in rep.notes
-    start = rep.steps.resid[1]          # the point the rewrite recorded
+    assert np.array_equal(x, np.zeros((6, 2)))
     true = np.linalg.norm(fam.residual_block(x), axis=0)
-    assert np.all(true <= start + 1e-8 * np.sqrt(6.0))
+    assert np.array_equal(true, rep.steps.resid[0])
     assert rep.converged == [False, False]
     assert rep.final_residuals == pytest.approx(list(true), rel=1e-12)
 
 
-def test_undone_cycle_leaves_no_row_claiming_a_convergence_it_lost():
-    # the family above: cycle 1's last step records shifts 0 and 1 as
-    # converged at residual 0.0 before the cycle end undoes their updates,
-    # so a last point with their true residuals and final flags follows,
-    # and the summary's worst residual reads from it
-    a = SparseMatrix.diagonal(np.arange(1.0, 7.0))
-    fam = ShiftedFamily(a, [-1.0, -2.0], np.ones((6, 2)), None)
-    _, rep = sbgmres(fam, SolverConfig(cycle_length=4, max_cycles=4))
+def test_undone_cycle_leaves_no_row_claiming_a_convergence_it_lost(
+        monkeypatch):
+    # the cycle's last step records both shifts converged before its end
+    # undoes their updates, so a last point with their true residuals and
+    # final flags follows, and the summary's worst residual reads from it
+    fam, _, rep = _raised_cycle(monkeypatch)
+    assert rep.steps.converged[-2].all()
     last = {row[0]: row for row in rep.rows}
     for i in range(2):
         assert last[i][5:] == (rep.final_residuals[i], rep.converged[i])
     unit = RunUnit([0, 1], rep)
-    assert MethodResult("sbgmres", [unit]).worst_residual >= 1.05
+    assert MethodResult("sbgmres", [unit]).worst_residual \
+        == max(rep.final_residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from shiftkrylov import (ConfigError, ShiftedFamily, SparseMatrix,
-                         generate_convection_diffusion, sbfom, sbgmres, sfom,
-                         sgmres)
+import shiftkrylov.harness as harness
+from shiftkrylov import (CollinearityError, ConfigError, ShiftedFamily,
+                         SparseMatrix, generate_convection_diffusion, sbfom,
+                         sbgmres, sfom, sgmres)
 from shiftkrylov.cli import main
 from shiftkrylov.harness import (_CONFIG_KEYS, ExperimentConfig, RunUnit,
                                  build_rhs,
@@ -355,6 +356,38 @@ def test_variability_trial_t_runs_at_the_configured_seed_plus_t(tmp_path):
         assert int(row["matvecs"]) == rep.matvecs
 
 
+def test_variability_trial_that_raises_is_a_failure_row(tmp_path,
+                                                        monkeypatch, capsys):
+    # trial 2 raises: the study goes on, counts it as a failure and writes
+    # its row at its own seed with no counts; the CLI then exits 2
+    calls = []
+
+    def flaky(family, solver, strategy, _original=harness.sbgmres):
+        calls.append(solver.seed)
+        if len(calls) == 3:
+            raise CollinearityError("residuals remain collinear")
+        return _original(family, solver, strategy)
+
+    monkeypatch.setattr(harness, "sbgmres", flaky)
+    path = tmp_path / "c.ini"
+    path.write_text(_write_config(path).read_text()
+                    .replace("mode = unrelated-random", "mode = shared-random")
+                    .replace("seed = 11", "seed = 11\nstrategy = random-x0"),
+                    encoding="ascii")
+    cfg = replace(load_config(path), out_dir=str(tmp_path / "v"))
+    seed = cfg.solver_for("sbgmres").seed
+    stats = run_variability_study(cfg, trials=4)
+    assert stats["failures"] == 1
+    with open(tmp_path / "v" / "variability.csv", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    assert rows[2] == ["2", str(seed + 2), "", "", "0"]
+    assert [int(row[1]) for row in rows] == [seed + t for t in range(4)]
+    calls.clear()
+    assert main(["variability", "--config", str(path), "--out",
+                 str(tmp_path / "cli"), "--trials", "3"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_variability_requires_random_strategy(tmp_path):
     cfg = load_config(_write_config(tmp_path / "c.ini"))
     with pytest.raises(ConfigError):
@@ -524,9 +557,14 @@ def _identity_run(tmp_path):
 
 def test_manifest_matvec_identity_counts_strategy_products(tmp_path):
     cfg, results = _identity_run(tmp_path)
-    # the strategy's single-vector products are in matvecs, not in
-    # block_matvecs
-    assert all(res.matvecs > 3 * res.block_matvecs for res in results)
+    # the strategy's cycle 1 deflates the rank-one block of three columns
+    # to one at step 0: its products are width-one block products
+    for res in results:
+        rep = res.units[0].report
+        assert "decollinearized with gmres-cycle" in rep.notes
+        assert [c[:2] for c in rep.replacements[:2]] == [(1, 0), (1, 0)]
+        first = next(row for row in rep.rows if row[1] == 1)
+        assert first[3:5] == (1, 1)
     text = (tmp_path / "m" / "manifest.txt").read_text()
     assert "method.sbgmres.matvec_identity = ok\n" in text
     assert "method.sbfom.matvec_identity = ok\n" in text
@@ -538,6 +576,30 @@ def test_manifest_matvec_identity_flags_inconsistent_counters(tmp_path):
     write_manifest(tmp_path / "manifest.txt", cfg, results, 0.0)
     text = (tmp_path / "manifest.txt").read_text()
     assert "method.sbgmres.matvec_identity = ok\n" in text
+    assert "method.sbfom.matvec_identity = mismatch" in text
+
+
+def test_manifest_matvec_identity_counts_deflated_columns(tmp_path):
+    # smooth-parameter right-hand sides give start blocks with dependent
+    # columns: each deflated column is skipped by the block products after
+    # the step that dropped it, and counters that disagree are flagged
+    cfg = ExperimentConfig(out_dir=str(tmp_path / "m"), grid_m=10,
+                           shifts=tuple(1.0 + 0.01 * i for i in range(8)),
+                           rhs_mode="smooth-parameter",
+                           methods=("sbgmres", "sbfom"),
+                           solver=SolverConfig(cycle_length=10))
+    results, failures = run_experiment(cfg)
+    assert failures == []
+    assert all(u.report.replacements for res in results for u in res.units)
+    text = (tmp_path / "m" / "manifest.txt").read_text()
+    assert "method.sbgmres.matvec_identity = ok\n" in text
+    assert "method.sbfom.matvec_identity = ok\n" in text
+    # a deflated column that was not recorded, and a product too many
+    results[0].units[0].report.replacements.pop(0)
+    results[1].units[0].report.matvecs += 1
+    write_manifest(tmp_path / "manifest.txt", cfg, results, 0.0)
+    text = (tmp_path / "manifest.txt").read_text()
+    assert "method.sbgmres.matvec_identity = mismatch" in text
     assert "method.sbfom.matvec_identity = mismatch" in text
 
 
@@ -702,9 +764,12 @@ def _csv_case(name):
     after a check that the layout is really there."""
     cfg = SolverConfig(cycle_length=6, tolerance=1e-8, max_cycles=30, seed=4)
     if name == "decollinearized-complex":
+        # cycle 1 decollinearizes by width-one steps, one product each
         fam = _collinear_family([1e-3, 0.5 - 0.25j, 2.0])
         _, rep = sbgmres(fam, cfg)
-        assert any(r[1] == 0 and r[2] > 0 for r in rep.rows)
+        assert "decollinearized with gmres-cycle" in rep.notes
+        assert all(r[2:5] == (r[2], r[2], r[2]) for r in rep.rows
+                   if r[1] == 1)
         return [_unit(rep)], fam.shifts
     if name == "repeated-point":
         fam = _collinear_family([1e-2, 0.3])

@@ -1,6 +1,7 @@
 """Property-based checks of the solvers as a whole: ``sgmres`` and
 ``sfom`` on collinear families, ``sbgmres``, ``sbfom`` and ``rsbgmres``
-on any family.  On every generated family a solve
+on any family, and ``sbgmres`` and ``sbfom`` under each decollinearizing
+strategy on collinear families.  On every generated family a solve
 
 - raises nothing but :class:`ShiftKrylovError` subclasses (a bare
   ``numpy.linalg.LinAlgError`` or a ``RuntimeWarning``, which tier-1 turns
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 from shiftkrylov import (RecycleSpace, ShiftedFamily, ShiftKrylovError,
                          SolverConfig, SparseMatrix, rsbgmres, sbfom, sbgmres,
                          sfom, sgmres)
+from shiftkrylov.block_solvers import STRATEGY_TAGS
 
 from conftest import noise_led_family
 
@@ -43,15 +45,15 @@ SETTINGS = settings(max_examples=int(os.environ.get(
 COLLINEAR = ("sgmres", "sfom")
 
 
-def _solve(method, family, cfg, k):
+def _solve(method, family, cfg, k, tag="gmres-cycle"):
     if method == "sgmres":
         return sgmres(family, cfg)
     if method == "sfom":
         return sfom(family, cfg)
     if method == "sbgmres":
-        return sbgmres(family, cfg)
+        return sbgmres(family, cfg, tag)
     if method == "sbfom":
-        return sbfom(family, cfg)
+        return sbfom(family, cfg, tag)
     # a pair (start, k) starts from a space of `start` unit vectors and
     # refreshes it to k directions per cycle (keeps it when k = 0)
     start, k = k if isinstance(k, tuple) else (max(-k, 0), max(k, 0))
@@ -139,13 +141,13 @@ NOISE_LED = (_NOISE_A, np.array([0.0, 0.5]), _NOISE_R,
              SolverConfig(cycle_length=1, max_cycles=6), 0)
 
 
-def _check(method, problem):
+def _check(method, problem, tag="gmres-cycle"):
     a, shifts, rhs, cfg, k = problem
     runs = []
     for _ in range(2):
         family = ShiftedFamily(SparseMatrix.from_dense(a), shifts, rhs, None)
         try:
-            x, report = _solve(method, family, cfg, k)
+            x, report = _solve(method, family, cfg, k, tag)
         except ShiftKrylovError:
             runs.append(None)
             continue
@@ -183,12 +185,23 @@ def test_block_solvers_fail_cleanly_and_flag_truthfully(method, problem):
     _check(method, (a, shifts, rhs, cfg, k if method == "rsbgmres" else 0))
 
 
+@pytest.mark.parametrize("tag", STRATEGY_TAGS)
+@pytest.mark.parametrize("method", ["sbgmres", "sbfom"])
+@SETTINGS
+@given(problem=problems(collinear=True))
+@example(problem=IDENTITY)
+@example(problem=ORTHOGONAL)
+def test_block_solvers_decollinearize_cleanly_and_flag_truthfully(
+        method, tag, problem):
+    _check(method, problem, tag)
+
+
 def _check_never_worse_than_zero(method, problem):
     """From x0 = 0, a minimum-residual method returns no iterate whose
     true residual exceeds ``||b_i||`` (``sgmres`` minimizes its base shift
-    only).  A solve that a random initial guess or the
-    ``fom-random-block`` fallback decollinearized is exempt: neither
-    rewrite minimizes."""
+    only).  A solve that ran a random initial guess or a
+    ``fom-random-block`` cycle (the fallback of ``gmres-cycle``) is exempt:
+    neither minimizes."""
     a, shifts, rhs, cfg, k = problem
     family = ShiftedFamily(SparseMatrix.from_dense(a), shifts, rhs, None)
     try:
@@ -220,6 +233,16 @@ def test_block_minimum_residual_never_returns_worse_than_zero(method,
     a, shifts, rhs, cfg, k = problem
     _check_never_worse_than_zero(
         method, (a, shifts, rhs, cfg, k if method == "rsbgmres" else 0))
+
+
+@SETTINGS
+@given(problem=problems(collinear=True))
+@example(problem=IDENTITY)
+@example(problem=ORTHOGONAL)
+def test_gmres_cycle_never_returns_worse_than_zero(problem):
+    # the default strategy's cycle is minimum residual, under the drift
+    # guard of every sbgmres cycle
+    _check_never_worse_than_zero("sbgmres", problem)
 
 
 @SETTINGS
